@@ -2,9 +2,11 @@
 
 The benchmark drives ``cgsd`` only through its public entry points:
 ``pipeline.ablate``, ``pipeline.train_stage1``/``train_stage2``,
-``pipeline.evaluate``, ``pipeline.export_trajectory``, ``cli.main`` and
-``data.gen_synthetic``/``write_dataset``. Inputs come from the workload seed;
-the run configuration is fixed, so its digest is the same for every seed.
+``pipeline.export_trajectory``, ``cli.main`` and
+``data.gen_synthetic``/``write_dataset``; small item sets are drawn from the
+rows of the dataset files, in the CSV and ``.meta.json`` format that
+``cgsd eval --data`` reads. Inputs come from the workload seed; the run
+configuration is fixed, so its digest is the same for every seed.
 
 Every workload produces the three-row table (zero-shot guidance, adapted
 guidance, diffusion), diffusion evaluation calls and trajectory exports,
@@ -15,10 +17,10 @@ because every end-to-end metric is reported on every workload:
 - ``infer-few`` evaluates short-budget set-up checkpoints through
   ``cgsd eval`` on the same kind of small item sets.
 
-Timing metrics come from windows of 20 seconds or more (the ablation, or
-40 back-to-back calls): on a shared host the CPU speed moves by up to a
-third for tens of seconds at a time, so a single 10-second evaluation
-measures the host more than the code.
+Timing metrics are calibrated against the host's speed (see speed.py) and
+come from windows of 20 seconds or more (the ablation, or 40 back-to-back
+calls). Each set-up runs in a forked child process, so the peak RSS of a run
+covers its rounds and not the training of set-up checkpoints.
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 import resource
 import statistics
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -38,16 +44,18 @@ import numpy as np
 
 from cgsd import cli, data, pipeline
 
+import speed
 import tracer as tr
 
 DESK = pipeline.RunConfig(desk_preset=True)
 # Checkpoints for the infer-few workload: the desk schedule with a short epoch
 # budget. Sampling cost does not depend on the weight values, but untrained
-# weights make the reverse chain overflow, so each stage trains a little, and
-# a higher stage-2 rate gives a denoiser that beats chance in 3 epochs.
+# weights make the reverse chain overflow, so each stage trains a little, with
+# a higher stage-2 rate. Fewer epochs leave the table's values so dependent on
+# the seed that its spread over seeds nears the bounds.
 SHORT = replace(
-    DESK.resolved(), desk_preset=False, pretrain_epochs=1, stage1_epochs=1,
-    stage2_epochs=3, stage2_lr=5e-3,
+    DESK.resolved(), desk_preset=False, pretrain_epochs=4, stage1_epochs=4,
+    stage2_epochs=8, stage2_lr=5e-3,
 )
 ROWS = ("zero_shot", "adapted", "diffusion")
 TAIL_LADDER = (0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
@@ -61,18 +69,21 @@ class Scale:
     desk: pipeline.RunConfig  # the ablate workload's configuration
     short: pipeline.RunConfig  # trains the infer-few checkpoints
     few_n: int  # items per small set, 30% of them in its test split
-    few_sets: int  # small item sets, each evaluated twice per round
+    few_sets: int  # infer-few's small item sets, each evaluated twice per round
+    ablate_sets: int  # ablate's small item sets, each evaluated once per round
     few_exports: int  # small sets, evenly spaced, that also export a trajectory
     setups: int  # set-ups per timed run; setup_s is their median
-    # Passes of an ablate traced run (True = traced). A desk ablation takes up
-    # to a minute on a busy host, so at full scale the traced pass is not
-    # repeated and the count-repeat check runs at tiny scale and on infer-few.
+    # Passes of an ablate traced run (True = traced). A traced desk ablation
+    # takes up to 65 seconds on a busy host and a run must end within 180, so
+    # at full scale the traced pass is not repeated: ablate's count-repeat
+    # check and drift cancelling run at tiny scale only (infer-few repeats its
+    # traced pass at full scale).
     ablate_trace_passes: tuple
 
 
 FULL = Scale(
-    n=3662, desk=DESK, short=SHORT, few_n=100, few_sets=20, few_exports=10,
-    setups=3, ablate_trace_passes=(True, False),
+    n=3662, desk=DESK, short=SHORT, few_n=100, few_sets=20, ablate_sets=10,
+    few_exports=10, setups=3, ablate_trace_passes=(True, False),
 )
 TINY = Scale(
     n=300,
@@ -83,6 +94,7 @@ TINY = Scale(
     short=replace(SHORT, pretrain_epochs=1, stage1_epochs=1, stage2_epochs=1, t_total=10),
     few_n=40,
     few_sets=2,
+    ablate_sets=2,
     few_exports=1,
     setups=2,
     ablate_trace_passes=(True, False, True),
@@ -120,32 +132,40 @@ def macro_f1(confusion: np.ndarray) -> tuple[float, float]:
 
 @dataclass
 class Recorder:
-    """Operations attempted and failed, output digests and the raw timings
-    that the end-to-end metrics are computed from."""
+    """Operations attempted and failed, output digests and the timings that
+    the end-to-end metrics are computed from. With a ``probe`` the timings
+    are calibrated seconds and ``wall`` keeps the plain wall times."""
 
+    probe: speed.SpeedProbe | None = None
     attempted: int = 0
     failed_ops: set = field(default_factory=set)
     failures: list = field(default_factory=list)
     digests: dict = field(default_factory=dict)
     confusions: dict = field(default_factory=lambda: {r: {} for r in ROWS})
+    ablation_rows: dict = field(default_factory=dict)
     table_s: list = field(default_factory=list)
     eval_call_s: list = field(default_factory=list)
     diffusion_items: int = 0
     trajectory_s: list = field(default_factory=list)
+    wall: dict = field(default_factory=lambda: {"table": [], "eval_call": [], "trajectory": []})
     _what: str = ""
 
     def op(self, what: str, fn, *args, **kwargs):
-        """Run one operation; returns (result, seconds), or (None, None) if
-        it raised, which counts it as failed."""
+        """Run one operation; returns (result, seconds, wall seconds), or
+        Nones if it raised, which counts it as failed."""
         self.attempted += 1
         self._what = what
-        t0 = time.perf_counter()
         try:
-            out = fn(*args, **kwargs)
+            if self.probe is None:
+                t0 = time.perf_counter()
+                out = fn(*args, **kwargs)
+                wall = secs = time.perf_counter() - t0
+            else:
+                out, wall, secs = self.probe.measure(fn, *args, **kwargs)
         except Exception as e:  # a failing operation is counted, not fatal
             self.fail(f"{type(e).__name__}: {e}")
-            return None, None
-        return out, time.perf_counter() - t0
+            return None, None, None
+        return out, secs, wall
 
     def fail(self, message: str) -> None:
         self.failed_ops.add(self.attempted)
@@ -161,7 +181,7 @@ class Recorder:
         first = self.digests.setdefault(key, digest)
         self.check(first == digest, f"output for {key} differs from its first run")
 
-    def add_eval(self, key: str, row: str, report: dict, expected_n: int, pool: bool = True) -> None:
+    def add_eval(self, key: str, row: str, report: dict, expected_n: int, pool: bool) -> None:
         """Check an evaluate report; with ``pool`` keep its confusion matrix
         for the table."""
         self.check(report["n_eval"] == expected_n, f"n_eval {report['n_eval']} != {expected_n}")
@@ -178,38 +198,60 @@ class Recorder:
         return len(self.failed_ops)
 
     def table(self) -> dict[str, tuple[float, float]]:
-        """Accuracy and macro-F1 per row over the pooled item sets."""
+        """Accuracy and macro-F1 per row: the ablation's rows if there was
+        one, else over the pooled item sets."""
+        if self.ablation_rows:
+            return self.ablation_rows
         return {
             row: macro_f1(sum(sets.values())) if sets else (0.0, 0.0)
             for row, sets in self.confusions.items()
         }
 
 
-@contextlib.contextmanager
-def _capture_evaluate(reports: list):
-    """Keep the report of each ``pipeline.evaluate`` call in the block;
-    ``pipeline.ablate`` looks the function up at call time."""
-    inner = pipeline.evaluate
-
-    def capture(*args, **kwargs):
-        report = inner(*args, **kwargs)
-        reports.append(report)
-        return report
-
-    pipeline.evaluate = capture
-    try:
-        yield reports
-    finally:
-        pipeline.evaluate = inner
-
-
-def write_benchmark(out: Path, n: int, seed: int) -> tuple:
+def write_benchmark(out: Path, n: int, seed: int) -> None:
     """The default benchmark (n items per domain) for a workload seed."""
     out.mkdir(parents=True, exist_ok=True)
     source, target = data.gen_synthetic(data.SyntheticConfig(n=n, seed=seed))
     data.write_dataset(out / "source.csv", source)
     data.write_dataset(out / "target.csv", target)
-    return source, target
+
+
+def stratified_draw(labels: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices of m rows, every label drawn in its share of the rows
+    (largest remainder, ties to the smaller label)."""
+    classes, sizes = np.unique(labels, return_counts=True)
+    quota = m * sizes / sizes.sum()
+    take = np.floor(quota).astype(int)
+    take[np.argsort(take - quota, kind="stable")[: m - take.sum()]] += 1
+    return np.sort(np.concatenate([
+        rng.choice(np.flatnonzero(labels == c), size=t, replace=False)
+        for c, t in zip(classes, take)
+    ]))
+
+
+def write_sets(root: Path, data_dir: Path, seed: int, n_sets: int, few_n: int) -> list:
+    """Small item sets (few_n rows per domain, every grade in its share)
+    drawn with the workload seed from the rows of the benchmark's files."""
+    files = []
+    for name in ("source", "target"):
+        csv = data_dir / f"{name}.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        labels = np.array([int(line.split(",", 1)[0]) for line in lines[1:]])
+        meta = json.loads(Path(f"{csv}.meta.json").read_text(encoding="utf-8"))
+        files.append((name, lines, labels, meta))
+    sets = []
+    for i in range(n_sets):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 7, i)))
+        out = root / f"set{i}"
+        out.mkdir()
+        for name, lines, labels, meta in files:
+            rows = [lines[0], *(lines[j + 1] for j in stratified_draw(labels, few_n, rng))]
+            (out / f"{name}.csv").write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+            Path(f"{out / name}.csv.meta.json").write_text(
+                json.dumps({**meta, "n": few_n}, indent=2) + "\n", encoding="utf-8", newline="\n"
+            )
+        sets.append(out)
+    return sets
 
 
 def train(root: Path, data_dir: Path, cfg: pipeline.RunConfig) -> dict:
@@ -227,13 +269,14 @@ def train(root: Path, data_dir: Path, cfg: pipeline.RunConfig) -> dict:
 def export(rec: Recorder, key: str, data_dir: Path, ckpts: dict, out: Path,
            cfg: pipeline.RunConfig, items: int) -> None:
     steps = steps_for(cfg)
-    doc, secs = rec.op(
+    doc, secs, wall = rec.op(
         "export_trajectory", pipeline.export_trajectory, data_dir,
         ckpts["guidance"], ckpts["denoiser"], steps, out, cfg,
     )
     if doc is None:
         return
     rec.trajectory_s.append(secs)
+    rec.wall["trajectory"].append(wall)
     csv = out.read_bytes()
     rec.check(csv.count(b"\n") == 1 + len(steps) * items, "trajectory row count")
     rec.check(
@@ -255,19 +298,18 @@ class Ablate:
         self.trace_passes = scale.ablate_trace_passes
 
     def setup(self, root: Path, seed: int) -> dict:
-        source, target = write_benchmark(root / "data", self.scale.n, seed)
-        sets = write_sets(root, source, target, seed, self.scale.few_sets, self.scale.few_n)
+        write_benchmark(root / "data", self.scale.n, seed)
+        sets = write_sets(root, root / "data", seed, self.scale.ablate_sets, self.scale.few_n)
         return {"data": root / "data", "sets": sets}
 
     def round(self, state: dict, rec: Recorder, out: Path, traced: bool = False) -> None:
-        cfg, items = self.scale.desk, n_test(self.scale.n, self.scale.desk)
+        cfg = self.scale.desk
         out.mkdir(parents=True)
-        reports: list = []
-        with _capture_evaluate(reports):
-            report, secs = rec.op("ablate", pipeline.ablate, state["data"], cfg, out / "ablation.json")
+        report, secs, wall = rec.op("ablate", pipeline.ablate, state["data"], cfg, out / "ablation.json")
         if report is None:
             return
         rec.table_s.append(secs)
+        rec.wall["table"].append(wall)
         rec.check(
             report["stage1"]["frozen_hash_before"] == report["stage1"]["frozen_hash_after"],
             "stage 1 changed the frozen encoder",
@@ -276,17 +318,21 @@ class Ablate:
             report["stage2"]["guidance_hash_before"] == report["stage2"]["guidance_hash_after"],
             "stage 2 changed the guidance checkpoint",
         )
-        acc = [r["accuracy"] for r in report["rows"]]
-        rec.check(acc[0] < acc[1], f"zero-shot accuracy {acc[0]} not below adapted {acc[1]}")
-        rec.check(len(reports) == 3, f"ablation made {len(reports)} evaluate calls, not 3")
-        for row, rep in zip(ROWS, reports):
-            rec.add_eval("bulk", row, rep, items)
+        rows = report["rows"]
+        got = [(r["accuracy"], r["macro_f1"]) for r in rows]
+        if rec.check(len(rows) == len(ROWS), f"ablation has {len(rows)} rows, not {len(ROWS)}"):
+            rec.check(all(math.isfinite(v) for pair in got for v in pair), "non-finite ablation row")
+            rec.check(got[0][0] < got[1][0],
+                      f"zero-shot accuracy {got[0][0]} not below adapted {got[1][0]}")
+            rec.ablation_rows = rec.ablation_rows or dict(zip(ROWS, got))
+        rec.same_output("ablation", _digest(json.dumps(rows, sort_keys=True).encode()))
         ck = {k: out / f"ablate_{k}.json" for k in ("guidance", "denoiser")}
         ck["base"] = out / "ablate_guidance.base.json"
-        # a traced run makes three passes; one set keeps it well under 3 minutes
+        # a traced run makes several passes; one set keeps it under 3 minutes
         sets = state["sets"][:1] if traced else state["sets"]
         exports = 1 if traced else self.scale.few_exports
-        _small_sets(rec, sets, ck, out, cfg, n_test(self.scale.few_n, cfg), exports, table=False)
+        _small_sets(rec, sets, ck, out, cfg, n_test(self.scale.few_n, cfg), exports,
+                    table=False, passes=1)
 
 
 class InferFew:
@@ -302,60 +348,44 @@ class InferFew:
 
     def setup(self, root: Path, seed: int) -> dict:
         s = self.scale
-        source, target = write_benchmark(root / "data", s.n, seed)
+        write_benchmark(root / "data", s.n, seed)
         ckpts = train(root, root / "data", s.short)
-        sets = write_sets(root, source, target, seed, s.few_sets, s.few_n)
+        sets = write_sets(root, root / "data", seed, s.few_sets, s.few_n)
         return {"sets": sets, "ckpts": ckpts}
 
     def round(self, state: dict, rec: Recorder, out: Path, traced: bool = False) -> None:
         s = self.scale
         out.mkdir(parents=True)
         _small_sets(rec, state["sets"], state["ckpts"], out, s.short, n_test(s.few_n, s.short),
-                    s.few_exports, table=True)
-
-
-def write_sets(root: Path, source, target, seed: int, n_sets: int, few_n: int) -> list:
-    """Small item sets (few_n items per domain, every grade present) drawn
-    from the default benchmark with the workload seed."""
-    counts = data.apportion(few_n, data.SyntheticConfig().proportions)
-    sets = []
-    for i in range(n_sets):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 7, i)))
-        out = root / f"set{i}"
-        out.mkdir()
-        for name, ds in (("source", source), ("target", target)):
-            idx = np.concatenate([
-                rng.choice(np.flatnonzero(ds.labels == c), size=m, replace=False)
-                for c, m in enumerate(counts)
-            ])
-            data.write_dataset(out / f"{name}.csv", ds.subset(np.sort(idx)))
-        sets.append(out)
-    return sets
+                    s.few_exports, table=True, passes=2)
 
 
 def _small_sets(rec: Recorder, sets: list, ck: dict, out: Path, cfg: pipeline.RunConfig,
-                items: int, exports: int, table: bool) -> None:
-    """Each set twice through ``cgsd eval`` with the denoiser; the second
-    pass repeats the first, so every timed run checks that a set's report is
-    the same each time. With ``table`` the two zero-shot rows also run, in
-    the first pass for even sets and in the second for odd ones, so the
-    three-row tables are spread over the run; their reports make up the
-    recorder's table. ``exports`` evenly spaced sets also export a
+                items: int, exports: int, table: bool, passes: int) -> None:
+    """Each set ``passes`` times through ``cgsd eval`` with the denoiser; a
+    second pass repeats the first, so the run checks that a set's report is
+    the same each time. With ``table`` (and two passes) the two zero-shot
+    rows also run, in the first pass for even sets and in the second for odd
+    ones, so the three-row tables are spread over the run; their reports make
+    up the recorder's table. ``exports`` evenly spaced sets also export a
     trajectory."""
-    for second in (0, 1):
+    for second in range(passes):
         for i, data_dir in enumerate(sets):
-            key, times = f"set{i}", []
+            key, times, walls = f"set{i}", [], []
             for row, g, d in _table(ck)[0 if table and i % 2 == second else 2:]:
                 report = out / f"{key}-{row}.json"
-                secs = _cli_eval(rec, key, row, data_dir, g, d, report, items, pool=table)
+                secs, wall = _cli_eval(rec, key, row, data_dir, g, d, report, items, pool=table)
                 if secs is None:
                     break
                 times.append(secs)
+                walls.append(wall)
             else:
                 rec.eval_call_s.append(times[-1])
+                rec.wall["eval_call"].append(walls[-1])
                 rec.diffusion_items += items
                 if len(times) == len(ROWS):
                     rec.table_s.append(sum(times))
+                    rec.wall["table"].append(sum(walls))
             if not second and i % (len(sets) // exports) == 0:
                 export(rec, key, data_dir, ck, out / f"{key}-trajectory.csv", cfg, items)
 
@@ -370,18 +400,19 @@ def _table(ck: dict) -> tuple:
 
 
 def _cli_eval(rec: Recorder, key: str, row: str, data_dir: Path, guidance: Path,
-              denoiser: Path | None, report: Path, items: int, pool: bool) -> float | None:
-    """One ``cgsd eval`` call; returns its wall time, or None if it failed."""
+              denoiser: Path | None, report: Path, items: int, pool: bool) -> tuple:
+    """One ``cgsd eval`` call; returns its (seconds, wall seconds), or Nones
+    if it failed."""
     argv = ["eval", "--data", str(data_dir), "--guidance", str(guidance), "--report", str(report)]
     if denoiser is not None:
         argv += ["--diffusion", str(denoiser)]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code, secs = rec.op(f"cgsd eval {key} {row}", cli.main, argv)
+        code, secs, wall = rec.op(f"cgsd eval {key} {row}", cli.main, argv)
     if code is None or not rec.check(code == 0, f"exit code {code}: {stderr.getvalue().strip()}"):
-        return None
+        return None, None
     rec.add_eval(key, row, json.loads(report.read_text(encoding="utf-8")), items, pool)
-    return secs
+    return secs, wall
 
 
 WORKLOADS = {w.name: w for w in (Ablate, InferFew)}
@@ -415,34 +446,73 @@ def end_to_end(rec: Recorder, setup_s: list) -> tuple[dict, dict]:
         "ablate_s": _median(rec.table_s),
         "eval_items_per_s": rec.diffusion_items / sum(calls) if calls else 0.0,
         "trajectory_s": _median(rec.trajectory_s),
-        "eval_call_p50_s": _median(calls),
+        "eval_call_p50_s": _percentile(calls, 0.5) if calls else 0.0,
         "eval_call_tail_s": _percentile(calls, q) if calls else 0.0,
     }
     for row in ROWS:
         metrics[f"acc_{row}"], metrics[f"macro_f1_{row}"] = table[row]
     detail = {
-        "setup_s_each": setup_s,
         "tables": len(rec.table_s),
         "eval_calls": len(calls),
         "eval_call_tail_percentile": q * 100,
         "trajectories": len(rec.trajectory_s),
+        "wall_s_median": {k: _median(v) for k, v in rec.wall.items()},
     }
     return metrics, detail
 
 
+def setup_in_child(workload, root: Path, seed: int) -> tuple:
+    """Run the workload's set-up in a forked child process, so that its
+    memory does not count toward this process's peak RSS; returns
+    (state, wall seconds, calibrated seconds)."""
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            probe = speed.SpeedProbe()
+            with probe.running():
+                result = probe.measure(workload.setup, root, seed)
+            with os.fdopen(write_fd, "wb") as f:
+                pickle.dump(result, f)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as f:
+        payload = f.read()
+    _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"set-up failed in its child process (status {status})")
+    return pickle.loads(payload)
+
+
 def timed_run(workload, seed: int, seconds: float, root: Path) -> tuple[dict, dict, Recorder]:
-    setup_s, state = [], None
-    for k in range(workload.scale.setups):
+    """Set-ups in child processes, then rounds until ``seconds`` have passed;
+    every timing is calibrated against the host's speed."""
+    setups = [setup_in_child(workload, root / f"setup{k}", seed) for k in range(workload.scale.setups)]
+    state = setups[-1][0]
+    probe = speed.SpeedProbe()
+    rec = Recorder(probe=probe)
+    rounds = 0
+    with probe.running():
         t0 = time.perf_counter()
-        state = workload.setup(root / f"setup{k}", seed)
-        setup_s.append(time.perf_counter() - t0)
-    rec = Recorder()
-    t0, rounds = time.perf_counter(), 0
-    while rounds == 0 or time.perf_counter() - t0 < seconds:
-        workload.round(state, rec, root / f"round{rounds}")
-        rounds += 1
-    metrics, detail = end_to_end(rec, setup_s)
-    detail["rounds"] = rounds
+        while rounds == 0 or time.perf_counter() - t0 < seconds:
+            workload.round(state, rec, root / f"round{rounds}")
+            rounds += 1
+    metrics, detail = end_to_end(rec, [cal for _, _, cal in setups])
+    detail.update(
+        rounds=rounds,
+        setup_s_each=[cal for _, _, cal in setups],
+        setup_wall_s_each=[wall for _, wall, _ in setups],
+        probe_samples=len(probe.samples),
+        probe_ref_s_median=_median(list(probe.samples)),
+    )
     return metrics, detail, rec
 
 
@@ -462,10 +532,10 @@ def traced_run(workload, seed: int, root: Path, trace_path: Path | None) -> tupl
     """Passes of set-up plus one round, traced or not as the workload's
     ``trace_passes`` say (traced, untraced, traced for infer-few).
 
-    Times are the mean of the traced passes; with two traced passes their
-    counts must repeat exactly. The overhead is traced minus untraced wall
-    time; an untraced pass between two traced ones cancels a linear drift in
-    machine speed.
+    Times are plain wall times, the mean of the traced passes; with two
+    traced passes their counts must repeat exactly. The overhead is traced
+    minus untraced wall time; an untraced pass between two traced ones
+    cancels a linear drift in machine speed.
     """
     rec, walls, tracers = Recorder(), {True: [], False: []}, []
     for p, traced in enumerate(workload.trace_passes):

@@ -5,11 +5,13 @@ Usage, from the root of a checkout:
     python3 perfbench/run.py --workload ablate --seed 42 --seconds 10 --trace 0
 
 Workloads are ``ablate`` and ``infer-few`` (see harness.py
-and metrics.json). ``--trace 0`` runs set-up several times, then repeats the
-workload's round until ``--seconds`` have passed, and reports every
-end-to-end metric. ``--trace 1`` runs set-up plus one round three times (traced,
-untraced, traced) and reports every per-layer metric; the spans of the
-first traced pass are written to ``.perfbench_work/``.
+and metrics.json). ``--trace 0`` runs set-up several times, each in a child
+process, then repeats the workload's round until ``--seconds`` have passed,
+and reports every end-to-end metric, with times calibrated against the
+host's speed (speed.py). ``--trace 1`` runs set-up plus one round traced and
+untraced (traced, untraced, traced for infer-few; traced, untraced for
+ablate) and reports every per-layer metric; the spans of the first traced
+pass are written to ``.perfbench_work/``.
 
 The package is imported from ``src/`` of the checkout and nowhere else.
 Work files go to ``.perfbench_work/`` and are removed when the run ends.
