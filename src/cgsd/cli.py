@@ -111,11 +111,18 @@ def _merge(command: str, args: argparse.Namespace) -> dict:
             doc = json.loads(cfg_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}")
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
         for key, val in doc.items():
             if key not in spec:
                 raise ConfigError(f"unknown config key '{key}' for {command}")
             typ = spec[key][0]
-            values[key] = bool(val) if typ is bool else typ(val)
+            try:
+                values[key] = bool(val) if typ is bool else typ(val)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(
+                    f"config key '{key}' needs a {typ.__name__}, got {val!r}"
+                ) from None
     for flag in spec:
         cli_val = getattr(args, flag.replace("-", "_"))
         if cli_val is not None:

@@ -191,7 +191,53 @@ def stratified_split(
 
 
 # ---------------------------------------------------------------------------
-# file I/O: CSV of label,f0..f{d-1} plus a JSON metadata sidecar
+# file I/O: CSV of label,f0..f{d-1} plus a JSON metadata sidecar, and the
+# JSON readers the checkpoint loaders share
+
+
+NUMBER = (int, float)
+
+
+def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
+    """Parse a JSON file holding an object with every key in fields, each
+    value an instance of the type fields gives for it."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ParseError(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} {path} does not hold a JSON object")
+    for key, typ in fields.items():
+        if key not in doc:
+            raise ParseError(f"{what} {path} lacks key '{key}'")
+        if not isinstance(doc[key], typ):
+            raise ParseError(f"{what} {path}: key '{key}' has the wrong type")
+    return doc
+
+
+def array_from_flat(values, shape, name: str) -> np.ndarray:
+    """Rebuild a matrix stored as a flat list, checking its length against shape."""
+    if not (
+        isinstance(shape, list)
+        and len(shape) == 2
+        and all(isinstance(s, int) and s >= 0 for s in shape)
+    ):
+        raise ParseError(f"weight {name}: bad shape {shape!r}")
+    not_numbers = ParseError(f"weight {name}: values are not a list of numbers")
+    if not isinstance(values, list):
+        raise not_numbers
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise not_numbers from None
+    if arr.ndim != 1 or arr.size != shape[0] * shape[1]:
+        raise ParseError(
+            f"weight {name}: {arr.size} values do not fill shape {shape[0]}x{shape[1]}"
+        )
+    return arr.reshape(shape)
 
 
 def write_dataset(path: str | Path, ds: Dataset) -> None:
@@ -215,12 +261,13 @@ def write_dataset(path: str | Path, ds: Dataset) -> None:
 
 def read_dataset(path: str | Path) -> Dataset:
     path = Path(path)
-    meta_path = Path(str(path) + ".meta.json")
-    if not meta_path.exists():
-        raise ParseError(f"metadata not found: {meta_path}")
+    meta = read_json_object(
+        str(path) + ".meta.json",
+        "metadata",
+        {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int},
+    )
     if not path.exists():
         raise ParseError(f"dataset file not found: {path}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     n, d_in, k = meta["n"], meta["d_in"], meta["k"]
 
     text = path.read_text(encoding="utf-8")

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit as nk
+from .data import NUMBER, array_from_flat, read_json_object
 from .errors import ConfigError, ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
@@ -222,8 +223,6 @@ def posterior_params(
     Defaults to s = t - 1; larger jumps use the cumulative alpha ratio in
     place of the single-step alpha, which reduces to the same formulas.
     """
-    if s is not None and not (0 <= s < t):
-        raise IndexError(f"target step {s} outside [0, {t})")
     gamma0, gamma1, gamma2, var = posterior_coefficients(t, sched, s)
     mean = gamma0 * y0_tilde + gamma1 * y_t + gamma2 * y_hat0
     return mean, var
@@ -249,29 +248,6 @@ def posterior_coefficients(
     return gamma0, gamma1, gamma2, var
 
 
-def reverse_step(
-    net: DenoiserNet,
-    f: np.ndarray,
-    d: np.ndarray,
-    y_hat0: np.ndarray,
-    y_t: np.ndarray,
-    t: int,
-    sched: NoiseSchedule,
-    rng: np.random.Generator,
-    s: int | None = None,
-) -> np.ndarray:
-    """One reverse transition for a single item (row vectors)."""
-    eps_hat = eps_predict(net, f, y_t, y_hat0, d, t).data
-    y0_tilde = predict_y0(np.atleast_2d(y_t), eps_hat, np.atleast_2d(y_hat0), t, sched)
-    mean, var = posterior_params(
-        np.atleast_2d(y_t), y0_tilde, np.atleast_2d(y_hat0), t, sched, s
-    )
-    z = rng.standard_normal(mean.shape)
-    if var == 0.0:
-        z = np.zeros_like(z)
-    return (mean + math.sqrt(var) * z)[0]
-
-
 def _chain_times(t_total: int, stride: int) -> list[tuple[int, int]]:
     """(from, to) pairs covering T..0; the final hop always lands on 0."""
     ts: list[tuple[int, int]] = []
@@ -281,6 +257,15 @@ def _chain_times(t_total: int, stride: int) -> list[tuple[int, int]]:
         ts.append((t, s))
         t = s
     return ts
+
+
+def chain_substreams(seed: int, item_keys, sample: int) -> list[np.random.Generator]:
+    """One generator per item for reverse chain number `sample`, keyed by
+    (seed, 101, item_key, sample), so a draw never depends on batching."""
+    return [
+        np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), sample)))
+        for key in item_keys
+    ]
 
 
 def sample_chain_batch(
@@ -323,54 +308,6 @@ def sample_chain_batch(
     return y, snapshots
 
 
-def sample_chain(
-    net: DenoiserNet,
-    f: np.ndarray,
-    d: np.ndarray,
-    y_hat0: np.ndarray,
-    sched: NoiseSchedule,
-    rng: np.random.Generator,
-    stride: int = 1,
-) -> np.ndarray:
-    """Single-item reverse chain from y_T ~ N(prior, I) down to y_0."""
-    final, _ = sample_chain_batch(
-        net,
-        np.atleast_2d(f),
-        np.atleast_2d(d),
-        np.atleast_2d(y_hat0),
-        sched,
-        [rng],
-        stride=stride,
-    )
-    return final[0]
-
-
-def infer_label(
-    net: DenoiserNet,
-    f: np.ndarray,
-    d: np.ndarray,
-    y_hat0: np.ndarray,
-    sched: NoiseSchedule,
-    n_samples: int = 5,
-    rng: np.random.Generator | None = None,
-    stride: int = 1,
-) -> tuple[int, np.ndarray]:
-    """Average n independent chains, argmax the average (ties to smaller
-    index); mean_probs is the softmax of the averaged vector, for reporting."""
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    children = rng.spawn(n_samples)
-    acc = np.zeros(y_hat0.shape[-1])
-    for child in children:
-        acc += sample_chain(net, f, d, y_hat0, sched, child, stride=stride)
-    avg = acc / n_samples
-    grade = int(np.argmax(avg))
-    probs = nk.softmax_rows(Tensor2(avg)).data[0]
-    return grade, probs
-
-
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
@@ -404,32 +341,41 @@ def save_denoiser(
 def load_denoiser(
     path: str | Path, use_ema: bool = True
 ) -> tuple[DenoiserNet, NoiseSchedule]:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"checkpoint not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format") != DENOISER_FORMAT:
+    doc = read_json_object(
+        path,
+        "checkpoint",
+        {"format": str, "layout": str, "d_model": int, "k": int, "t_total": int,
+         "beta_start": NUMBER, "beta_end": NUMBER, "shapes": dict, "weights": dict},
+    )
+    if doc["format"] != DENOISER_FORMAT:
         raise ParseError(
             f"checkpoint format mismatch: expected {DENOISER_FORMAT}, "
-            f"got {doc.get('format')!r}"
+            f"got {doc['format']!r}"
         )
-    if doc.get("layout") != CONDITIONING_LAYOUT:
-        raise ParseError(f"unknown conditioning layout {doc.get('layout')!r}")
-    n_layers = len(doc["shapes"]) // 2
+    if doc["layout"] != CONDITIONING_LAYOUT:
+        raise ParseError(f"unknown conditioning layout {doc['layout']!r}")
+    shapes = doc["shapes"]
     source = doc["weights"]
     if use_ema and doc.get("ema_weights"):
         source = doc["ema_weights"]
+    if not isinstance(source, dict):
+        raise ParseError("checkpoint ema_weights must be a JSON object")
+    width = doc["d_model"] + 3 * doc["k"] + TEMB_DIM
     layers = []
-    for i in range(n_layers):
-        w = Tensor2(
-            np.array(source[f"layer{i}_w"]).reshape(doc["shapes"][f"layer{i}_w"]),
-            requires_grad=True,
+    for i in range(len(shapes) // 2):
+        w, b = (
+            Tensor2(
+                array_from_flat(source.get(name), shapes.get(name), name),
+                requires_grad=True,
+            )
+            for name in (f"layer{i}_w", f"layer{i}_b")
         )
-        b = Tensor2(
-            np.array(source[f"layer{i}_b"]).reshape(doc["shapes"][f"layer{i}_b"]),
-            requires_grad=True,
-        )
+        if w.cols != width or b.shape != (1, w.rows):
+            raise ParseError(f"layer {i} shapes {w.shape}, {b.shape} do not chain")
+        width = w.rows
         layers.append((w, b))
+    if width != doc["k"]:
+        raise ParseError(f"denoiser head width {width} does not match k={doc['k']}")
     net = DenoiserNet(layers, doc["d_model"], doc["k"])
     sched = make_schedule(doc["t_total"], doc["beta_start"], doc["beta_end"])
     return net, sched

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit as nk
+from .data import NUMBER, array_from_flat, read_json_object
 from .errors import ConfigError, ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
@@ -68,24 +69,6 @@ class LoraAdapter:
     @property
     def increment_scale(self) -> float:
         return self.alpha / self.rank
-
-
-def lora_forward(
-    x: Tensor2, w_frozen: Tensor2, adapter: LoraAdapter, tape: GradTape | None = None
-) -> Tensor2:
-    """Adapted projection of a column vector: W x + (alpha/r) B (A x)."""
-    if x.cols != 1:
-        raise ContractError(f"lora_forward expects a column vector, got {x.shape}")
-    base = nk.matmul(w_frozen, x, tape)
-    low = nk.matmul(adapter.a, x, tape)
-    inc = nk.scale(nk.matmul(adapter.b, low, tape), adapter.increment_scale, tape)
-    return nk.add(base, inc, tape)
-
-
-@dataclass
-class SemanticVector:
-    d: np.ndarray  # K cosine similarities
-    prior: np.ndarray  # K simplex vector, softmax(scale * d)
 
 
 @dataclass
@@ -221,21 +204,6 @@ class GuidanceModel:
         return nk.matmul(f, nk.transpose(p, tape), tape)
 
 
-def encode_feature(x: np.ndarray, model: GuidanceModel) -> np.ndarray:
-    """Single-sample embedding as a plain unit vector."""
-    return model.encode_batch(np.atleast_2d(x)).data[0]
-
-
-def semantic_vector(f: np.ndarray, model: GuidanceModel) -> SemanticVector:
-    f = np.atleast_2d(np.asarray(f, dtype=np.float64))
-    norm = np.linalg.norm(f[0])
-    if abs(norm - 1.0) > 1e-6:
-        raise ContractError(f"semantic_vector expects a unit feature, norm={norm}")
-    d = model.similarity_batch(Tensor2(f)).data[0]
-    prior = nk.softmax_rows(Tensor2(model.scale_value() * d)).data[0]
-    return SemanticVector(d=d, prior=prior)
-
-
 @lru_cache(maxsize=None)
 def _pair_matrix(k: int, label: int) -> tuple[np.ndarray, int]:
     """Rows of +1/-1 selectors for grade pairs (a, b) with |a-k| < |b-k|."""
@@ -325,10 +293,6 @@ def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
     return np.argmax(d.data, axis=1)
 
 
-def zero_shot_predict(x: np.ndarray, model: GuidanceModel) -> int:
-    return int(predict_batch(np.atleast_2d(x), model)[0])
-
-
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
@@ -369,19 +333,39 @@ def _named_tensors(model: GuidanceModel) -> dict[str, Tensor2]:
 
 
 def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"checkpoint not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format") != GUIDANCE_FORMAT:
+    doc = read_json_object(
+        path,
+        "checkpoint",
+        {"format": str, "frozen": bool, "d_in": int, "hidden": int, "d_model": int,
+         "k": int, "rank": int, "alpha": NUMBER, "log_scale": NUMBER, "shapes": dict,
+         "weights": dict},
+    )
+    if doc["format"] != GUIDANCE_FORMAT:
         raise ParseError(
             f"checkpoint format mismatch: expected {GUIDANCE_FORMAT}, "
-            f"got {doc.get('format')!r}"
+            f"got {doc['format']!r}"
         )
+    d_in, hidden, d_model, k, rank = (
+        doc[key] for key in ("d_in", "hidden", "d_model", "k", "rank")
+    )
+    expected = {
+        "w1": [hidden, d_in],
+        "b1": [1, hidden],
+        "w2": [d_model, hidden],
+        "b2": [1, d_model],
+        "lora_a": [rank, hidden],
+        "lora_b": [d_model, rank],
+        "prompts": [k, d_model],
+    }
+    shapes, weights = doc["shapes"], doc["weights"]
 
     def tensor(name: str, requires_grad: bool = False) -> Tensor2:
-        shape = doc["shapes"][name]
-        arr = np.array(doc["weights"][name]).reshape(shape)
+        if shapes.get(name) != expected[name]:
+            raise ParseError(
+                f"weight {name}: shape {shapes.get(name)!r} does not match the "
+                f"recorded dimensions {expected[name]}"
+            )
+        arr = array_from_flat(weights.get(name), shapes[name], name)
         return Tensor2(arr, requires_grad=requires_grad)
 
     adapter = LoraAdapter(
@@ -397,4 +381,4 @@ def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
         Tensor2(np.array([[doc["log_scale"]]]), requires_grad=True),
         frozen_base=True,
     )
-    return model, bool(doc["frozen"])
+    return model, doc["frozen"]

@@ -9,7 +9,6 @@ additively for values consumed by several operations.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Callable, Sequence
 
@@ -413,34 +412,8 @@ def grad_check(
     fn(x, tape) must return a 1x1 tensor and be deterministic; returns the
     max over coordinates of |g_auto - g_fd| / max(1, |g_auto|, |g_fd|).
     """
-    if h <= 0:
-        raise ContractError("h must be positive")
-    v1 = fn(Tensor2(point.data.copy()), None).item()
-    v2 = fn(Tensor2(point.data.copy()), None).item()
-    if v1 != v2:
-        raise ContractError("grad_check requires a deterministic function")
-
-    x = Tensor2(point.data.copy(), requires_grad=True)
-    tape = GradTape()
-    tape.watch(x)
-    loss = fn(x, tape)
-    backward(loss, tape)
-    g_auto = x.grad
-
-    g_fd = np.zeros_like(point.data)
-    base = point.data
-    for i in range(base.shape[0]):
-        for j in range(base.shape[1]):
-            plus = base.copy()
-            plus[i, j] += h
-            minus = base.copy()
-            minus[i, j] -= h
-            fp = fn(Tensor2(plus), None).item()
-            fm = fn(Tensor2(minus), None).item()
-            g_fd[i, j] = (fp - fm) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(g_auto), np.abs(g_fd)))
-    return float(np.max(np.abs(g_auto - g_fd) / denom))
+    x = Tensor2(point.data.copy())
+    return grad_check_param(lambda tape: fn(x, tape), x, h)
 
 
 def grad_check_param(
@@ -453,6 +426,8 @@ def grad_check_param(
     loss_fn(tape) recomputes the loss from the model's current state; the
     probe temporarily overwrites param.data coordinate by coordinate.
     """
+    if h <= 0:
+        raise ContractError("h must be positive")
     original = param.data.copy()
     saved_rg, saved_grad = param.requires_grad, param.grad
 
@@ -485,24 +460,3 @@ def grad_check_param(
 
     denom = np.maximum(1.0, np.maximum(np.abs(g_auto), np.abs(g_fd)))
     return float(np.max(np.abs(g_auto - g_fd) / denom))
-
-
-def matmul_naive(a: Tensor2, b: Tensor2) -> Tensor2:
-    """Triple-loop matrix product; oracle for matmul, never used in models."""
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    m, k, n = a.rows, a.cols, b.cols
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for p in range(k):
-                acc += a.data[i, p] * b.data[p, j]
-            out[i, j] = acc
-    return Tensor2(out)
-
-
-def logistic(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))

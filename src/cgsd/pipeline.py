@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
 from .data import Dataset, read_dataset, stratified_split
 from .errors import ConfigError, ContractError, DataError, NumericError
-from .numkit import GradTape, backward
+from .numkit import GradTape, Tensor2, backward, softmax_rows
 
 PAPER_REFERENCE = {
     "accuracy": 0.875,
@@ -130,11 +129,24 @@ def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     """Frozen-guidance conditioning arrays (f, d, prior) for a feature batch."""
     f = model.encode_batch(features)
     d = model.similarity_batch(f)
-    prior_logits = model.scale_value() * d.data
-    shifted = prior_logits - prior_logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    prior = e / e.sum(axis=1, keepdims=True)
-    return f.data, d.data, prior
+    prior = softmax_rows(Tensor2(model.scale_value() * d.data))
+    return f.data, d.data, prior.data
+
+
+def _check_dims(
+    model: gd.GuidanceModel, data: Dataset, net: df.DenoiserNet | None = None
+) -> None:
+    """Reject checkpoints whose input width or grade count differs from the data's."""
+    if model.d_in != data.d_in or model.k != data.k:
+        raise DataError(
+            f"guidance checkpoint expects d_in={model.d_in}, k={model.k}; "
+            f"data has d_in={data.d_in}, k={data.k}"
+        )
+    if net is not None and (net.d_model != model.w2.rows or net.k != data.k):
+        raise DataError(
+            f"denoiser checkpoint expects d_model={net.d_model}, k={net.k}; "
+            f"guidance has d_model={model.w2.rows}, data has k={data.k}"
+        )
 
 
 def _check_finite_loss(value: float, where: str) -> None:
@@ -235,6 +247,7 @@ def train_stage1(
     log: list[str] = []
     if base_path.exists():
         model, _ = gd.load_guidance(base_path)
+        _check_dims(model, target)
     else:
         model = pretrain_base(source, cfg, log)
         gd.save_guidance(base_path, model, frozen=True)
@@ -297,6 +310,7 @@ def train_stage2(
     ).hexdigest()
 
     _, target = load_domains(data_dir)
+    _check_dims(model, target)
     train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = conditioning(model, train.features)
     y0 = _onehot(train.labels, target.k)
@@ -371,37 +385,18 @@ def _diffusion_predict(
     n_samples: int,
     seed: int,
     item_keys: np.ndarray,
-    workers: int = 1,
-    stride: int = 1,
 ) -> np.ndarray:
-    """Multi-sample chain inference; per-(item, sample) RNG substreams make
-    the result independent of batching and worker layout."""
-
-    def run_block(block: np.ndarray) -> np.ndarray:
-        acc = np.zeros((block.size, prior.shape[1]))
-        for s in range(n_samples):
-            rngs = [
-                np.random.default_rng(
-                    np.random.SeedSequence((seed, 101, int(item_keys[i]), s))
-                )
-                for i in block
-            ]
-            final, _ = df.sample_chain_batch(
-                net, f[block], d[block], prior[block], sched, rngs, stride=stride
-            )
-            acc += final
-        return acc / n_samples
-
-    n = f.shape[0]
-    if workers <= 1:
-        avg = run_block(np.arange(n))
-    else:
-        blocks = np.array_split(np.arange(n), workers)
-        blocks = [b for b in blocks if b.size]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, blocks))
-        avg = np.concatenate(parts, axis=0)
-    return np.argmax(avg, axis=1)
+    """Average n_samples reverse chains per item and take the argmax (ties to
+    the smaller index); per-(item, sample) RNG substreams make the result
+    independent of how items are batched."""
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    acc = np.zeros_like(prior)
+    for s in range(n_samples):
+        rngs = df.chain_substreams(seed, item_keys, s)
+        final, _ = df.sample_chain_batch(net, f, d, prior, sched, rngs)
+        acc += final
+    return np.argmax(acc / n_samples, axis=1)
 
 
 def evaluate(
@@ -410,13 +405,13 @@ def evaluate(
     denoiser_ckpt: str | Path | None,
     cfg: RunConfig,
     report_path: str | Path | None = None,
-    workers: int = 1,
 ) -> dict:
     """Metrics report on the target test split; zero-shot without a denoiser,
     multi-sample diffusion inference with one."""
     cfg = cfg.resolved()
     model, _ = gd.load_guidance(guidance_ckpt)
     _, target = load_domains(data_dir)
+    _check_dims(model, target)
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
 
     if denoiser_ckpt is None:
@@ -424,10 +419,11 @@ def evaluate(
         mode = "zero-shot"
     else:
         net, sched = df.load_denoiser(denoiser_ckpt, use_ema=True)
+        _check_dims(model, target, net)
         f, d, prior = conditioning(model, test.features)
         preds = _diffusion_predict(
             net, sched, f, d, prior, cfg.n_samples, cfg.seed,
-            item_keys=np.arange(test.n), workers=workers,
+            item_keys=np.arange(test.n),
         )
         mode = "diffusion"
 
@@ -531,12 +527,10 @@ def export_trajectory(
             raise ConfigError(f"step {t} outside [0, {sched.t_total}]")
 
     _, target = load_domains(data_dir)
+    _check_dims(model, target, net)
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = conditioning(model, test.features)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, i, 0)))
-        for i in range(test.n)
-    ]
+    rngs = df.chain_substreams(cfg.seed, range(test.n), 0)
     _, snaps = df.sample_chain_batch(
         net, f, d, prior, sched, rngs, record_steps=set(steps)
     )

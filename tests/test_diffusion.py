@@ -336,30 +336,48 @@ def test_posterior_rejects_bad_steps():
 # reverse steps and chains
 
 
+class TailRng:
+    """Replays a seeded stream for the first `keep` draws, then returns `fill`."""
+
+    def __init__(self, seed, keep, fill):
+        self._rng = np.random.default_rng(seed)
+        self._left = keep
+        self._fill = fill
+
+    def standard_normal(self, size):
+        if self._left > 0:
+            self._left -= 1
+            return self._rng.standard_normal(size)
+        return np.full(size, self._fill)
+
+
 def test_reverse_step_t1_deterministic():
+    # a one-row chain draws T + 1 vectors; the last feeds the t=1 step, and
+    # no value of it may change the result
     net = df.DenoiserNet.build(d_model=4, k=3, seed=5)
-    rng1 = np.random.default_rng(0)
-    rng2 = np.random.default_rng(99)  # different rng must not matter at t=1
-    f = np.zeros(4)
-    d = np.zeros(3)
-    prior = np.full(3, 1 / 3)
-    y1 = np.array([0.4, 0.3, 0.3])
-    a = df.reverse_step(net, f, d, prior, y1, 1, DESK_SCHED, rng1)
-    b = df.reverse_step(net, f, d, prior, y1, 1, DESK_SCHED, rng2)
+    f = np.zeros((1, 4))
+    d = np.zeros((1, 3))
+    prior = np.full((1, 3), 1 / 3)
+    keep = DESK_SCHED.t_total
+    a, snaps = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
+                                     [TailRng(0, keep, 0.0)], record_steps={1})
+    b, _ = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
+                                 [TailRng(0, keep, 99.0)])
     np.testing.assert_array_equal(a, b)
+    y1 = snaps[1]
     eps_hat = df.eps_predict(net, f, y1, prior, d, 1).data
-    expect = df.predict_y0(np.atleast_2d(y1), eps_hat, np.atleast_2d(prior), 1,
-                           DESK_SCHED)[0]
+    expect = df.predict_y0(y1, eps_hat, prior, 1, DESK_SCHED)
     np.testing.assert_allclose(a, expect, atol=1e-12)
 
 
 def test_reverse_step_reproducible_with_seed():
     net = df.DenoiserNet.build(d_model=4, k=3, seed=6)
-    args = (np.zeros(4), np.zeros(3), np.full(3, 1 / 3), np.array([0.5, 0.2, 0.3]),
-            50, DESK_SCHED)
-    a = df.reverse_step(net, *args[:4], args[4], args[5], np.random.default_rng(7))
-    b = df.reverse_step(net, *args[:4], args[4], args[5], np.random.default_rng(7))
+    args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED)
+    a, _ = df.sample_chain_batch(*args, [np.random.default_rng(7)])
+    b, _ = df.sample_chain_batch(*args, [np.random.default_rng(7)])
+    c, _ = df.sample_chain_batch(*args, [np.random.default_rng(8)])
     np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_reverse_step_monte_carlo_marginal():
@@ -388,23 +406,22 @@ def test_sample_chain_single_step_oracle():
     sched = df.make_schedule(1, 0.75, 0.75)
     eps_hat = np.array([[0.2, -0.2]])
     net = StubNet(eps_hat, d_model=4, k=2)
-    prior = np.array([0.5, 0.5])
+    prior = np.array([[0.5, 0.5]])
     rng = np.random.default_rng(8)
-    out = df.sample_chain(net, np.zeros(4), np.zeros(2), prior, sched, rng)
+    out, _ = df.sample_chain_batch(net, np.zeros((1, 4)), np.zeros((1, 2)), prior,
+                                   sched, [rng])
     # reconstruct: y_1 = prior + z, then exact inversion with the stub's eps
     z = np.random.default_rng(8).standard_normal(2)
     y1 = prior + z
-    expect = df.predict_y0(np.atleast_2d(y1), eps_hat, np.atleast_2d(prior), 1, sched)
-    np.testing.assert_allclose(out, expect[0], atol=1e-12)
+    expect = df.predict_y0(y1, eps_hat, prior, 1, sched)
+    np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_sample_chain_deterministic():
     net = df.DenoiserNet.build(d_model=4, k=3, seed=9)
-    prior = np.full(3, 1 / 3)
-    a = df.sample_chain(net, np.zeros(4), np.zeros(3), prior, DESK_SCHED,
-                        np.random.default_rng(10))
-    b = df.sample_chain(net, np.zeros(4), np.zeros(3), prior, DESK_SCHED,
-                        np.random.default_rng(10))
+    args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED)
+    a, _ = df.sample_chain_batch(*args, [np.random.default_rng(10)])
+    b, _ = df.sample_chain_batch(*args, [np.random.default_rng(10)])
     np.testing.assert_array_equal(a, b)
 
 
@@ -414,25 +431,6 @@ def test_chain_times_cover_range():
     assert times[-1] == (10, 0)
     times = df._chain_times(100, 7)
     assert times[-1][1] == 0  # the final hop always lands on zero
-
-
-def test_infer_label_n1_equals_single_chain(tmp_path):
-    net = df.DenoiserNet.build(d_model=4, k=3, seed=11)
-    prior = np.array([0.2, 0.5, 0.3])
-    rng = np.random.default_rng(12)
-    grade, probs = df.infer_label(net, np.zeros(4), np.zeros(3), prior, DESK_SCHED,
-                                  n_samples=1, rng=rng)
-    child = np.random.default_rng(12).spawn(1)[0]
-    single = df.sample_chain(net, np.zeros(4), np.zeros(3), prior, DESK_SCHED, child)
-    assert grade == int(np.argmax(single))
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_infer_label_validates_n_samples():
-    net = df.DenoiserNet.build(d_model=4, k=3, seed=13)
-    with pytest.raises(ConfigError):
-        df.infer_label(net, np.zeros(4), np.zeros(3), np.full(3, 1 / 3), DESK_SCHED,
-                       n_samples=0)
 
 
 def test_stride_chain_close_to_full_chain(desk_ablation):

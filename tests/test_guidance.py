@@ -9,6 +9,7 @@ from cgsd import guidance as gd
 from cgsd import numkit as nk
 from cgsd.errors import ConfigError, ContractError, DataError, ParseError
 from cgsd.numkit import GradTape, Tensor2, grad_check_param
+from cgsd.pipeline import conditioning
 
 
 def small_model(seed=0, frozen=True, k=5):
@@ -23,23 +24,28 @@ def small_model(seed=0, frozen=True, k=5):
 
 
 def test_lora_zero_init_is_identity_increment():
-    rng = np.random.default_rng(0)
-    adapter = gd.LoraAdapter.init(6, 4, rank=2, alpha=8.0, rng=rng)
-    assert np.all(adapter.b.data == 0.0)
-    w = Tensor2(rng.standard_normal((4, 6)))
-    x = Tensor2(rng.standard_normal((6, 1)))
-    out = gd.lora_forward(x, w, adapter)
-    np.testing.assert_allclose(out.data, (w.data @ x.data), atol=1e-12)
+    # B starts at zero, so encode_batch does not depend on A at all
+    model = small_model(seed=0)
+    assert np.all(model.adapter.b.data == 0.0)
+    x = np.random.default_rng(0).standard_normal((6, 10))
+    before = model.encode_batch(x).data
+    model.adapter.a.data = np.random.default_rng(1).standard_normal(model.adapter.a.shape)
+    np.testing.assert_array_equal(model.encode_batch(x).data, before)
 
 
 def test_lora_forward_hand_case():
+    # identity layers, A = [1 0], B = [2 0]^T, alpha/rank = 2: the
+    # projection of h = (c, c) is h + 2 B (A h) = (5c, c), normalized
     adapter = gd.LoraAdapter(
         a=Tensor2([[1.0, 0.0]]), b=Tensor2([[2.0], [0.0]]), rank=1, alpha=2.0
     )
-    w = Tensor2(np.eye(2))
-    x = Tensor2([[1.0], [1.0]])
-    out = gd.lora_forward(x, w, adapter)
-    np.testing.assert_allclose(out.data, [[5.0], [1.0]], atol=1e-12)
+    eye, zero = Tensor2(np.eye(2)), Tensor2(np.zeros((1, 2)))
+    model = gd.GuidanceModel(
+        eye, zero, eye, zero, adapter, Tensor2(np.eye(2)), Tensor2([[0.0]])
+    )
+    out = model.encode_batch(np.array([[1.0, 1.0]]))
+    np.testing.assert_allclose(out.data, [[5.0 / math.sqrt(26.0), 1.0 / math.sqrt(26.0)]],
+                               atol=1e-12)
 
 
 def test_lora_increment_scale():
@@ -64,8 +70,8 @@ def test_encode_feature_unit_norm_and_deterministic():
     model = small_model()
     rng = np.random.default_rng(3)
     x = rng.standard_normal(10)
-    f1 = gd.encode_feature(x, model)
-    f2 = gd.encode_feature(x, model)
+    f1 = model.encode_batch(x).data[0]
+    f2 = model.encode_batch(x).data[0]
     assert np.linalg.norm(f1) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(f1, f2)
 
@@ -80,22 +86,22 @@ def test_encode_matches_frozen_base_before_training():
         h = h * (1.0 / (1.0 + np.exp(-1.702 * h)))
         z = h @ model.w2.data.T + model.b2.data[0]
         expect = z / (np.linalg.norm(z) + 1e-12)
-        got = gd.encode_feature(x, model)
+        got = model.encode_batch(x).data[0]
         np.testing.assert_allclose(got, expect, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# semantic vector
+# semantic vector: d from similarity_batch, the prior from pipeline.conditioning
 
 
 def test_semantic_vector_orthonormal_prompts():
     model = small_model()
     model.prompts.data = np.eye(5, 8)
-    f = np.zeros(8)
-    f[1] = 1.0
-    sv = gd.semantic_vector(f, model)
-    np.testing.assert_allclose(sv.d, [0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert np.argmax(sv.prior) == 1
+    f = np.zeros((1, 8))
+    f[0, 1] = 1.0
+    d = model.similarity_batch(Tensor2(f)).data[0]
+    np.testing.assert_allclose(d, [0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.argmax(d) == 1
 
 
 def test_semantic_vector_hand_case_2d():
@@ -103,28 +109,34 @@ def test_semantic_vector_hand_case_2d():
         d_in=4, hidden=4, d_model=2, k=2, rank=1, alpha=1.0, seed=0, frozen_base=True
     )
     model.prompts.data = np.array([[1.0, 0.0], [0.0, 1.0]])
-    sv = gd.semantic_vector(np.array([0.6, 0.8]), model)
-    np.testing.assert_allclose(sv.d, [0.6, 0.8], atol=1e-12)
+    d = model.similarity_batch(Tensor2([[0.6, 0.8]])).data[0]
+    np.testing.assert_allclose(d, [0.6, 0.8], atol=1e-12)
 
 
 def test_semantic_vector_uniform_prior_on_zero_similarity():
+    # prompts orthogonal to the item's embedding give d = 0 and a uniform prior
     model = small_model()
-    model.prompts.data = np.eye(5, 8)
-    f = np.zeros(8)
-    f[6] = 1.0  # orthogonal to every prompt row
-    sv = gd.semantic_vector(f, model)
-    np.testing.assert_allclose(sv.prior, np.full(5, 0.2), atol=1e-12)
+    x = np.random.default_rng(6).standard_normal((1, 10))
+    f = model.encode_batch(x).data[0]
+    u = f / np.linalg.norm(f)
+    rows = np.random.default_rng(7).standard_normal((5, 8))
+    model.prompts.data = rows - np.outer(rows @ u, u)
+    _, d, prior = conditioning(model, x)
+    np.testing.assert_allclose(d, np.zeros((1, 5)), atol=1e-12)
+    np.testing.assert_allclose(prior, np.full((1, 5), 0.2), atol=1e-12)
 
 
 def test_semantic_vector_contracts():
     model = small_model()
-    rng = np.random.default_rng(6)
-    f = rng.standard_normal(8)
-    f /= np.linalg.norm(f)
-    sv = gd.semantic_vector(f, model)
-    assert np.all(np.abs(sv.d) <= 1.0 + 1e-9)
-    assert sv.prior.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.argmax(sv.prior) == np.argmax(sv.d)
+    model.log_scale.data = np.array([[2.0]])
+    x = np.random.default_rng(6).standard_normal((20, 10))
+    f, d, prior = conditioning(model, x)
+    np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
+    assert np.all(np.abs(d) <= 1.0 + 1e-9)
+    np.testing.assert_allclose(prior.sum(axis=1), 1.0, atol=1e-12)
+    e = np.exp(model.scale_value() * d)
+    np.testing.assert_allclose(prior, e / e.sum(axis=1, keepdims=True), atol=1e-15)
+    np.testing.assert_array_equal(np.argmax(prior, axis=1), np.argmax(d, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +247,9 @@ def test_zero_shot_tie_breaks_to_smaller_index():
 
     model.prompts.data = np.eye(5, 8)
     f = (np.eye(8)[0] + np.eye(8)[1]) / math.sqrt(2.0)
-    x_dummy = np.zeros(8)
-    sv = gd.semantic_vector(f, model)
-    assert sv.d[0] == pytest.approx(sv.d[1], abs=1e-12)
-    assert int(np.argmax(sv.d)) == 0
+    d = model.similarity_batch(Tensor2(f)).data[0]
+    assert d[0] == pytest.approx(d[1], abs=1e-12)
+    assert int(np.argmax(d)) == 0
 
 
 def test_prediction_invariant_to_log_scale():

@@ -1,6 +1,7 @@
 """Orchestration and CLI: training stages, evaluation, ablation, export."""
 
 import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -167,14 +168,47 @@ def test_evaluate_byte_identical_reports(small_dir, tiny_trained, tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-def test_evaluate_parallel_matches_serial(small_dir, tiny_trained, tmp_path):
-    pl.evaluate(small_dir, tiny_trained / "g.json", tiny_trained / "d.json", TINY,
-                tmp_path / "serial.json", workers=1)
-    pl.evaluate(small_dir, tiny_trained / "g.json", tiny_trained / "d.json", TINY,
-                tmp_path / "parallel.json", workers=4)
-    assert (tmp_path / "serial.json").read_bytes() == (
-        tmp_path / "parallel.json"
-    ).read_bytes()
+def test_diffusion_predict_invariant_to_chunking(small_dir, tiny_trained):
+    # all test items at once against two slices that keep their own item keys
+    model, _ = gd.load_guidance(tiny_trained / "g.json")
+    net, sched = df.load_denoiser(tiny_trained / "d.json")
+    target = read_dataset(small_dir / "target.csv")
+    _, test = stratified_split(target, TINY.train_fraction, TINY.seed)
+    f, d, prior = pl.conditioning(model, test.features)
+    keys = np.arange(test.n)
+
+    def predict(rows):
+        return pl._diffusion_predict(net, sched, f[rows], d[rows], prior[rows],
+                                     TINY.n_samples, TINY.seed, keys[rows])
+
+    cut = test.n // 3
+    whole = predict(slice(None))
+    chunked = np.concatenate([predict(slice(0, cut)), predict(slice(cut, None))])
+    np.testing.assert_array_equal(whole, chunked)
+
+
+def test_diffusion_predict_n1_equals_single_chain():
+    # one sample per item is the argmax of one chain on the substream
+    # (seed, 101, item_key, 0)
+    net = df.DenoiserNet.build(d_model=4, k=3, seed=11)
+    sched = df.make_schedule(100, 1e-3, 0.2)
+    f, d = np.zeros((3, 4)), np.zeros((3, 3))
+    prior = np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]])
+    keys = np.array([5, 9, 2])
+    rngs = [np.random.default_rng(np.random.SeedSequence((12, 101, int(key), 0)))
+            for key in keys]
+    single, _ = df.sample_chain_batch(net, f, d, prior, sched, rngs)
+    grades = pl._diffusion_predict(net, sched, f, d, prior, 1, 12, keys)
+    np.testing.assert_array_equal(grades, np.argmax(single, axis=1))
+
+
+def test_diffusion_predict_validates_n_samples():
+    net = df.DenoiserNet.build(d_model=4, k=3, seed=13)
+    sched = df.make_schedule(100, 1e-3, 0.2)
+    for n_samples in (0, -1):
+        with pytest.raises(ConfigError):
+            pl._diffusion_predict(net, sched, np.zeros((1, 4)), np.zeros((1, 3)),
+                                  np.full((1, 3), 1 / 3), n_samples, 0, np.arange(1))
 
 
 def test_evaluate_rejects_version_mismatch(small_dir, tiny_trained, tmp_path):
@@ -333,6 +367,82 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
     ]) == 0
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["mode"] == "diffusion"
+
+
+@pytest.fixture(scope="module")
+def bad_input_base(small_dir, tmp_path_factory):
+    """Untrained checkpoints that fit the tiny benchmark, one guidance
+    checkpoint built for 64 input features, and a copy of the benchmark."""
+    work = tmp_path_factory.mktemp("bad_inputs")
+    for d_in, name in ((16, "g.json"), (64, "g64.json")):
+        model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3,
+                                       rank=2, alpha=4.0, seed=1)
+        gd.save_guidance(work / name, model, frozen=True)
+    df.save_denoiser(work / "d.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
+                     (20, 1e-3, 0.2))
+    (work / "data").mkdir()
+    for path in small_dir.iterdir():
+        (work / "data" / path.name).write_bytes(path.read_bytes())
+    return work
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _short_weights(path):
+    doc = json.loads(path.read_text())
+    doc["weights"]["layer0_w"] = doc["weights"]["layer0_w"][:-1]
+    path.write_text(json.dumps(doc))
+
+
+def _drop_domain_tag(path):
+    meta = path / "target.csv.meta.json"
+    doc = json.loads(meta.read_text())
+    del doc["domain_tag"]
+    meta.write_text(json.dumps(doc))
+
+
+# (exit code, subcommand, extra flags, file to damage, damage, --config body)
+_BAD_INPUTS = {
+    "eval-samples-0": (2, "eval", ["--samples", "0"], None, None, None),
+    "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
+    "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
+    "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
+    "eval-d_in-mismatch": (3, "eval", ["--guidance", "{w}/g64.json"], None, None, None),
+    "train-diffusion-d_in-mismatch": (
+        3, "train-diffusion", ["--guidance", "{w}/g64.json"], None, None, None),
+    "export-d_in-mismatch": (
+        3, "export-trajectory", ["--guidance", "{w}/g64.json", "--steps", "20,0"],
+        None, None, None),
+    "meta-without-domain_tag": (3, "eval", [], "data", _drop_domain_tag, None),
+    "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
+    "config-wrong-type": (2, "eval", [], None, None, {"samples": "abc"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, capsys):
+    code, command, extra, target, damage, config = _BAD_INPUTS[case]
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    if damage is not None:
+        damage(work / target)
+    flags = {
+        "eval": ["--diffusion", "{w}/d.json", "--report", "{w}/r.json"],
+        "train-diffusion": ["--out", "{w}/d2.json", "--timesteps", "20",
+                            "--epochs", "1"],
+        "export-trajectory": ["--diffusion", "{w}/d.json", "--out", "{w}/t.csv"],
+    }[command]
+    argv = [command, "--data", "{w}/data", "--guidance", "{w}/g.json", *flags, *extra]
+    if config is not None:
+        (work / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "{w}/cfg.json"]
+    assert cli.main([a.format(w=work) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 def test_nonfinite_loss_guard():
