@@ -77,6 +77,8 @@ class SyntheticConfig:
             raise ConfigError("need n >= k samples")
         if self.d_in < 2:
             raise ConfigError("need d_in >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def apportion(n: int, proportions: tuple[float, ...]) -> list[int]:
@@ -218,25 +220,28 @@ def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
     return doc
 
 
-def array_from_flat(values, shape, name: str) -> np.ndarray:
-    """Rebuild a matrix stored as a flat list, checking its length against shape."""
+def array_from_flat(values, shape, what: str) -> np.ndarray:
+    """Rebuild a matrix stored as a flat list, checking its length against
+    shape and that every value is finite; what names the matrix in errors."""
     if not (
         isinstance(shape, list)
         and len(shape) == 2
         and all(isinstance(s, int) and s >= 0 for s in shape)
     ):
-        raise ParseError(f"weight {name}: bad shape {shape!r}")
-    not_numbers = ParseError(f"weight {name}: values are not a list of numbers")
+        raise ParseError(f"{what}: bad shape {shape!r}")
+    not_numbers = ParseError(f"{what}: values are not a list of numbers")
     if not isinstance(values, list):
         raise not_numbers
     try:
         arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise not_numbers from None
     if arr.ndim != 1 or arr.size != shape[0] * shape[1]:
         raise ParseError(
-            f"weight {name}: {arr.size} values do not fill shape {shape[0]}x{shape[1]}"
+            f"{what}: {arr.size} values do not fill shape {shape[0]}x{shape[1]}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what}: values are not all finite")
     return arr.reshape(shape)
 
 

@@ -347,35 +347,48 @@ def load_denoiser(
         {"format": str, "layout": str, "d_model": int, "k": int, "t_total": int,
          "beta_start": NUMBER, "beta_end": NUMBER, "shapes": dict, "weights": dict},
     )
+    where = f"checkpoint {path}"
     if doc["format"] != DENOISER_FORMAT:
         raise ParseError(
-            f"checkpoint format mismatch: expected {DENOISER_FORMAT}, "
+            f"{where}: format mismatch: expected {DENOISER_FORMAT}, "
             f"got {doc['format']!r}"
         )
     if doc["layout"] != CONDITIONING_LAYOUT:
-        raise ParseError(f"unknown conditioning layout {doc['layout']!r}")
+        raise ParseError(f"{where}: unknown conditioning layout {doc['layout']!r}")
+    t_total, beta_start, beta_end = doc["t_total"], doc["beta_start"], doc["beta_end"]
+    if t_total < 1 or not 0.0 < beta_start <= beta_end < 1.0:
+        raise ParseError(
+            f"{where}: schedule t_total={t_total}, beta {beta_start}..{beta_end} "
+            "is outside t_total >= 1, 0 < beta_start <= beta_end < 1"
+        )
     shapes = doc["shapes"]
     source = doc["weights"]
     if use_ema and doc.get("ema_weights"):
         source = doc["ema_weights"]
     if not isinstance(source, dict):
-        raise ParseError("checkpoint ema_weights must be a JSON object")
+        raise ParseError(f"{where}: ema_weights must be a JSON object")
     width = doc["d_model"] + 3 * doc["k"] + TEMB_DIM
     layers = []
     for i in range(len(shapes) // 2):
         w, b = (
             Tensor2(
-                array_from_flat(source.get(name), shapes.get(name), name),
+                array_from_flat(
+                    source.get(name), shapes.get(name), f"{where}: weight {name}"
+                ),
                 requires_grad=True,
             )
             for name in (f"layer{i}_w", f"layer{i}_b")
         )
         if w.cols != width or b.shape != (1, w.rows):
-            raise ParseError(f"layer {i} shapes {w.shape}, {b.shape} do not chain")
+            raise ParseError(
+                f"{where}: layer {i} shapes {w.shape}, {b.shape} do not chain"
+            )
         width = w.rows
         layers.append((w, b))
     if width != doc["k"]:
-        raise ParseError(f"denoiser head width {width} does not match k={doc['k']}")
+        raise ParseError(
+            f"{where}: denoiser head width {width} does not match k={doc['k']}"
+        )
     net = DenoiserNet(layers, doc["d_model"], doc["k"])
-    sched = make_schedule(doc["t_total"], doc["beta_start"], doc["beta_end"])
+    sched = make_schedule(t_total, beta_start, beta_end)
     return net, sched

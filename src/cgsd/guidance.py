@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,6 +26,8 @@ from .numkit import GradTape, Tensor2
 
 LOG_SCALE_INIT = math.log(1.0 / 0.07)
 SCALE_MAX = 100.0
+# largest log_scale whose exp is finite
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 GUIDANCE_FORMAT = "cgsd-guidance-v1"
 
 
@@ -69,24 +71,6 @@ class LoraAdapter:
     @property
     def increment_scale(self) -> float:
         return self.alpha / self.rank
-
-
-@dataclass
-class GuidanceTrainConfig:
-    lambda_rank: float = 1.0
-    margin: float = 0.05
-    lr_lora: float = 1e-4
-    lr_prompt: float = 2e-3
-    epochs: int = 22
-    batch: int = 64
-    warmup_epochs: int = 3
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.batch < 1:
-            raise ConfigError("epochs must be >= 0 and batch >= 1")
-        if self.lambda_rank < 0 or self.margin < 0:
-            raise ConfigError("lambda_rank and margin must be nonnegative")
 
 
 class GuidanceModel:
@@ -270,7 +254,8 @@ def guidance_loss(
     features: np.ndarray,
     labels,
     model: GuidanceModel,
-    cfg: GuidanceTrainConfig,
+    lambda_rank: float,
+    margin: float,
     tape: GradTape | None = None,
 ) -> Tensor2:
     """Cross-entropy plus lambda-weighted ranking hinge over one batch."""
@@ -280,8 +265,8 @@ def guidance_loss(
     d = model.similarity_batch(f, tape)
     s = model.scale_tensor(tape)
     loss = contrastive_loss(d, labels, s, tape)
-    if cfg.lambda_rank > 0:
-        rank_term = nk.scale(ranking_loss(d, labels, cfg.margin, tape), cfg.lambda_rank, tape)
+    if lambda_rank > 0:
+        rank_term = nk.scale(ranking_loss(d, labels, margin, tape), lambda_rank, tape)
         loss = nk.add(loss, rank_term, tape)
     return loss
 
@@ -340,14 +325,22 @@ def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
          "k": int, "rank": int, "alpha": NUMBER, "log_scale": NUMBER, "shapes": dict,
          "weights": dict},
     )
+    where = f"checkpoint {path}"
     if doc["format"] != GUIDANCE_FORMAT:
         raise ParseError(
-            f"checkpoint format mismatch: expected {GUIDANCE_FORMAT}, "
+            f"{where}: format mismatch: expected {GUIDANCE_FORMAT}, "
             f"got {doc['format']!r}"
         )
-    d_in, hidden, d_model, k, rank = (
-        doc[key] for key in ("d_in", "hidden", "d_model", "k", "rank")
+    d_in, hidden, d_model, k, rank, alpha, log_scale = (
+        doc[key]
+        for key in ("d_in", "hidden", "d_model", "k", "rank", "alpha", "log_scale")
     )
+    if not 1 <= rank <= min(hidden, d_model):
+        raise ParseError(f"{where}: rank {rank} outside [1, min(hidden, d_model)]")
+    if not 0 < alpha < math.inf:
+        raise ParseError(f"{where}: alpha {alpha} is not a positive finite number")
+    if not -math.inf < log_scale < LOG_FLOAT_MAX:
+        raise ParseError(f"{where}: log_scale {log_scale} out of range")
     expected = {
         "w1": [hidden, d_in],
         "b1": [1, hidden],
@@ -362,15 +355,13 @@ def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
     def tensor(name: str, requires_grad: bool = False) -> Tensor2:
         if shapes.get(name) != expected[name]:
             raise ParseError(
-                f"weight {name}: shape {shapes.get(name)!r} does not match the "
-                f"recorded dimensions {expected[name]}"
+                f"{where}: weight {name}: shape {shapes.get(name)!r} does not "
+                f"match the recorded dimensions {expected[name]}"
             )
-        arr = array_from_flat(weights.get(name), shapes[name], name)
+        arr = array_from_flat(weights.get(name), shapes[name], f"{where}: weight {name}")
         return Tensor2(arr, requires_grad=requires_grad)
 
-    adapter = LoraAdapter(
-        tensor("lora_a", True), tensor("lora_b", True), doc["rank"], doc["alpha"]
-    )
+    adapter = LoraAdapter(tensor("lora_a", True), tensor("lora_b", True), rank, alpha)
     model = GuidanceModel(
         tensor("w1"),
         tensor("b1"),
@@ -378,7 +369,7 @@ def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
         tensor("b2"),
         adapter,
         tensor("prompts", True),
-        Tensor2(np.array([[doc["log_scale"]]]), requires_grad=True),
+        Tensor2(np.array([[log_scale]]), requires_grad=True),
         frozen_base=True,
     )
     return model, doc["frozen"]

@@ -69,6 +69,21 @@ class RunConfig:
     seed: int = 42
     desk_preset: bool = False
 
+    def __post_init__(self):
+        least = {
+            "pretrain_epochs": 0, "stage1_epochs": 0, "warmup_epochs": 0,
+            "stage2_epochs": 0, "seed": 0,
+            "pretrain_batch": 1, "stage1_batch": 1, "stage2_batch": 1,
+        }
+        for name, bound in least.items():
+            value = getattr(self, name)
+            if value < bound:
+                raise ConfigError(f"{name} must be >= {bound}, got {value}")
+        if not (self.lambda_rank >= 0 and self.margin >= 0):
+            raise ConfigError("lambda_rank and margin must be nonnegative")
+        if not 0.0 <= self.ema_mu < 1.0:
+            raise ConfigError(f"ema_mu must be in [0, 1), got {self.ema_mu}")
+
     def resolved(self) -> "RunConfig":
         """Apply the desk preset: a short schedule and epoch budget that keeps
         the full ablation under ten minutes on one core."""
@@ -82,18 +97,6 @@ class RunConfig:
             stage1_epochs=40,
             stage2_epochs=60,
             ema_mu=0.99,
-        )
-
-    def guidance_cfg(self) -> gd.GuidanceTrainConfig:
-        return gd.GuidanceTrainConfig(
-            lambda_rank=self.lambda_rank,
-            margin=self.margin,
-            lr_lora=self.lr_lora,
-            lr_prompt=self.lr_prompt,
-            epochs=self.stage1_epochs,
-            batch=self.stage1_batch,
-            warmup_epochs=self.warmup_epochs,
-            seed=self.seed,
         )
 
     def digest(self) -> str:
@@ -158,7 +161,8 @@ def _guidance_epoch_losses(
     model: gd.GuidanceModel,
     features: np.ndarray,
     labels: np.ndarray,
-    gcfg: gd.GuidanceTrainConfig,
+    batch: int,
+    cfg: RunConfig,
     groups: list[tuple[list, optim.AdamState, optim.LrPlan]],
     epoch: int,
     rng: np.random.Generator,
@@ -168,13 +172,15 @@ def _guidance_epoch_losses(
     order = rng.permutation(n)
     losses = []
     all_params = [p for params, _, _ in groups for p in params]
-    for start in range(0, n, gcfg.batch):
-        idx = order[start : start + gcfg.batch]
+    for start in range(0, n, batch):
+        idx = order[start : start + batch]
         tape = GradTape()
         tape.watch(*all_params)
         for p in all_params:
             p.zero_grad()
-        loss = gd.guidance_loss(features[idx], labels[idx], model, gcfg, tape)
+        loss = gd.guidance_loss(
+            features[idx], labels[idx], model, cfg.lambda_rank, cfg.margin, tape
+        )
         value = loss.item()
         _check_finite_loss(value, f"guidance epoch {epoch}")
         backward(loss, tape)
@@ -201,9 +207,6 @@ def pretrain_base(
         cfg.seed,
         frozen_base=False,
     )
-    gcfg = replace(
-        cfg.guidance_cfg(), epochs=cfg.pretrain_epochs, batch=cfg.pretrain_batch
-    )
     params = model.base_params() + model.prompt_params()
     plan = optim.LrPlan(
         base_lr=cfg.pretrain_lr,
@@ -216,7 +219,8 @@ def pretrain_base(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
     for epoch in range(cfg.pretrain_epochs):
         mean_loss = _guidance_epoch_losses(
-            model, source.features, source.labels, gcfg, groups, epoch, rng
+            model, source.features, source.labels, cfg.pretrain_batch, cfg,
+            groups, epoch, rng,
         )
         lr = optim.lr_at(epoch, plan)
         log.append(f"pretrain,{epoch},{lr:.8g},{mean_loss:.8g}")
@@ -248,13 +252,19 @@ def train_stage1(
     if base_path.exists():
         model, _ = gd.load_guidance(base_path)
         _check_dims(model, target)
+        found = (model.w1.rows, model.w2.rows, model.adapter.rank, model.adapter.alpha)
+        wanted = (cfg.hidden, cfg.d_model, cfg.rank, cfg.alpha)
+        if found != wanted:
+            raise ConfigError(
+                f"base checkpoint {base_path} has (hidden, d_model, rank, alpha) "
+                f"= {found}, the config asks for {wanted}"
+            )
     else:
         model = pretrain_base(source, cfg, log)
         gd.save_guidance(base_path, model, frozen=True)
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
-    gcfg = cfg.guidance_cfg()
     lora_plan = optim.LrPlan(
         base_lr=cfg.lr_lora,
         min_lr=min(cfg.stage2_lr_min, cfg.lr_lora),
@@ -276,7 +286,8 @@ def train_stage1(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 43)))
     for epoch in range(cfg.stage1_epochs):
         mean_loss = _guidance_epoch_losses(
-            model, train.features, train.labels, gcfg, groups, epoch, rng
+            model, train.features, train.labels, cfg.stage1_batch, cfg,
+            groups, epoch, rng,
         )
         preds = gd.predict_batch(train.features, model)
         acc = float(np.mean(preds == train.labels))
@@ -505,6 +516,11 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
         newline="\n",
     )
     return report
+
+
+# the steps export-trajectory records unless told otherwise: the desk
+# schedule's t_total down to 0
+TRAJECTORY_STEPS = (100, 80, 60, 40, 20, 0)
 
 
 def export_trajectory(

@@ -78,10 +78,10 @@ def test_criterion_3_full_model_gradient_checks():
     rng = np.random.default_rng(304)
     feats = rng.standard_normal((4, 10))
     labels = [0, 1, 3, 4]
-    cfg = gd.GuidanceTrainConfig()
-
     def g_loss(tape):
-        return gd.guidance_loss(feats, labels, model, cfg, tape)
+        return gd.guidance_loss(
+            feats, labels, model, lambda_rank=1.0, margin=0.05, tape=tape
+        )
 
     for param in model.trainable_params():
         assert grad_check_param(g_loss, param, h=1e-6) < 1e-4

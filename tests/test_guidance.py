@@ -191,8 +191,7 @@ def test_guidance_loss_lambda_switch():
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((4, 10))
     labels = [0, 1, 2, 3]
-    cfg0 = gd.GuidanceTrainConfig(lambda_rank=0.0)
-    total = gd.guidance_loss(feats, labels, model, cfg0).item()
+    total = gd.guidance_loss(feats, labels, model, lambda_rank=0.0, margin=0.05).item()
 
     f = model.encode_batch(feats)
     d = model.similarity_batch(f)
@@ -203,7 +202,7 @@ def test_guidance_loss_lambda_switch():
 def test_guidance_loss_rejects_empty_batch():
     model = small_model()
     with pytest.raises(DataError):
-        gd.guidance_loss(np.zeros((0, 10)), [], model, gd.GuidanceTrainConfig())
+        gd.guidance_loss(np.zeros((0, 10)), [], model, lambda_rank=1.0, margin=0.05)
 
 
 def test_frozen_base_receives_no_gradient():
@@ -213,7 +212,9 @@ def test_frozen_base_receives_no_gradient():
     tape = GradTape()
     for p in model.trainable_params():
         tape.watch(p)
-    loss = gd.guidance_loss(feats, [0, 1, 2, 3], model, gd.GuidanceTrainConfig(), tape)
+    loss = gd.guidance_loss(
+        feats, [0, 1, 2, 3], model, lambda_rank=1.0, margin=0.05, tape=tape
+    )
     nk.backward(loss, tape)
     assert not model.w1.requires_grad
     assert model.w1.grad is None and model.w2.grad is None
@@ -227,10 +228,10 @@ def test_guidance_loss_gradient_check_small_model():
     rng = np.random.default_rng(12)
     feats = rng.standard_normal((4, 10))
     labels = [0, 1, 2, 4]
-    cfg = gd.GuidanceTrainConfig()
-
     def loss_fn(tape):
-        return gd.guidance_loss(feats, labels, model, cfg, tape)
+        return gd.guidance_loss(
+            feats, labels, model, lambda_rank=1.0, margin=0.05, tape=tape
+        )
 
     for param in model.trainable_params():
         assert grad_check_param(loss_fn, param, h=1e-6) < 1e-4

@@ -1,17 +1,24 @@
 """Orchestration and CLI: training stages, evaluation, ablation, export."""
 
+import contextlib
+import io
 import json
+import math
 import shutil
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cgsd import cli
 from cgsd import diffusion as df
 from cgsd import guidance as gd
 from cgsd import pipeline as pl
-from cgsd.data import read_dataset, stratified_split
+from cgsd.data import SyntheticConfig, read_dataset, stratified_split
 from cgsd.errors import ConfigError, ContractError, NumericError
 
 
@@ -279,7 +286,7 @@ def test_export_trajectory_rejects_out_of_range_step(small_dir, tiny_trained, tm
 def test_cli_gen_data_and_roundtrip(tmp_path):
     out = tmp_path / "data"
     code = cli.main([
-        "gen-data", "--out", str(out), "--n", "60", "--d", "8", "--k", "3",
+        "gen-data", "--out", str(out), "--n", "60", "--d-in", "8", "--k", "3",
         "--proportions", "0.4,0.3,0.3", "--seed", "5",
     ])
     assert code == 0
@@ -312,7 +319,7 @@ def test_cli_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "out": str(tmp_path / "from_config"),
-        "n": 40, "d": 8, "k": 2, "proportions": "0.5,0.5", "seed": 9,
+        "n": 40, "d_in": 8, "k": 2, "proportions": [0.5, 0.5], "seed": 9,
     }))
     # flag overrides the config file's n
     code = cli.main(["gen-data", "--config", str(cfg), "--n", "50"])
@@ -346,19 +353,19 @@ def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
 def test_cli_train_and_eval_end_to_end(tmp_path):
     data = tmp_path / "data"
     assert cli.main([
-        "gen-data", "--out", str(data), "--n", "60", "--d", "8", "--k", "2",
+        "gen-data", "--out", str(data), "--n", "60", "--d-in", "8", "--k", "2",
         "--proportions", "0.5,0.5", "--seed", "5",
     ]) == 0
     assert cli.main([
         "train-guidance", "--data", str(data), "--out", str(tmp_path / "g.json"),
-        "--rank", "2", "--alpha", "4", "--epochs", "1", "--batch", "16",
+        "--rank", "2", "--alpha", "4", "--stage1-epochs", "1", "--stage1-batch", "16",
         "--seed", "5",
     ]) == 0
     assert (tmp_path / "g.json.log").exists()
     assert cli.main([
         "train-diffusion", "--data", str(data), "--guidance",
         str(tmp_path / "g.json"), "--out", str(tmp_path / "d.json"),
-        "--timesteps", "10", "--epochs", "1", "--batch", "16", "--seed", "5",
+        "--t-total", "10", "--stage2-epochs", "1", "--stage2-batch", "16", "--seed", "5",
     ]) == 0
     assert cli.main([
         "eval", "--data", str(data), "--guidance", str(tmp_path / "g.json"),
@@ -372,12 +379,18 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
 @pytest.fixture(scope="module")
 def bad_input_base(small_dir, tmp_path_factory):
     """Untrained checkpoints that fit the tiny benchmark, one guidance
-    checkpoint built for 64 input features, and a copy of the benchmark."""
+    checkpoint built for 64 input features, a rank-2 base checkpoint with the
+    default hidden and d_model widths, and a copy of the benchmark."""
     work = tmp_path_factory.mktemp("bad_inputs")
     for d_in, name in ((16, "g.json"), (64, "g64.json")):
         model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3,
                                        rank=2, alpha=4.0, seed=1)
         gd.save_guidance(work / name, model, frozen=True)
+    defaults = pl.RunConfig()
+    base = gd.GuidanceModel.build(d_in=16, hidden=defaults.hidden,
+                                  d_model=defaults.d_model, k=3, rank=2,
+                                  alpha=defaults.alpha, seed=5)
+    gd.save_guidance(work / "stale.base.json", base, frozen=True)
     df.save_denoiser(work / "d.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
                      (20, 1e-3, 0.2))
     (work / "data").mkdir()
@@ -404,9 +417,37 @@ def _drop_domain_tag(path):
     meta.write_text(json.dumps(doc))
 
 
-# (exit code, subcommand, extra flags, file to damage, damage, --config body)
+def _json_set(*keys, value):
+    """Damage that sets one entry (reached through keys) of a JSON file."""
+    def damage(path):
+        doc = json.loads(path.read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+    return damage
+
+
+_ARGV = {
+    "eval": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.json",
+             "--diffusion", "{w}/d.json", "--report", "{w}/r.json"],
+    "eval-zero-shot": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.json",
+                       "--report", "{w}/r.json"],
+    "gen-data": ["gen-data", "--out", "{w}/gen"],
+    "train-guidance": ["train-guidance", "--data", "{w}/data", "--out", "{w}/g2.json"],
+    "train-diffusion": ["train-diffusion", "--data", "{w}/data", "--guidance",
+                        "{w}/g.json", "--out", "{w}/d2.json", "--t-total", "20",
+                        "--stage2-epochs", "1"],
+    "export-trajectory": ["export-trajectory", "--data", "{w}/data", "--guidance",
+                          "{w}/g.json", "--diffusion", "{w}/d.json", "--out",
+                          "{w}/t.csv"],
+}
+
+# (exit code, command line from _ARGV, extra flags, file to damage, damage,
+# --config body)
 _BAD_INPUTS = {
-    "eval-samples-0": (2, "eval", ["--samples", "0"], None, None, None),
+    "eval-samples-0": (2, "eval", ["--n-samples", "0"], None, None, None),
     "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
     "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
@@ -418,7 +459,40 @@ _BAD_INPUTS = {
         None, None, None),
     "meta-without-domain_tag": (3, "eval", [], "data", _drop_domain_tag, None),
     "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
-    "config-wrong-type": (2, "eval", [], None, None, {"samples": "abc"}),
+    "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
+    # values no check caught: tracebacks or exit 0 with a bad result
+    "train-diffusion-batch-0": (
+        2, "train-diffusion", ["--stage2-batch", "0"], None, None, None),
+    "train-diffusion-epochs-negative": (
+        2, "train-diffusion", ["--stage2-epochs", "-1"], None, None, None),
+    "train-diffusion-ema-2": (2, "train-diffusion", ["--ema-mu", "2"], None, None, None),
+    "train-guidance-warmup-negative": (
+        2, "train-guidance", ["--warmup-epochs", "-1"], None, None, None),
+    "eval-seed-negative": (2, "eval", ["--seed", "-1"], None, None, None),
+    "train-guidance-seed-negative": (
+        2, "train-guidance", ["--seed", "-1"], None, None, None),
+    "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
+    # checkpoints with non-finite or out-of-range values fail at load
+    "denoiser-weight-nan": (
+        3, "eval", [], "d.json", _json_set("weights", "layer0_w", 0, value=math.nan),
+        None),
+    "guidance-weight-nan": (
+        3, "eval", [], "g.json", _json_set("weights", "w1", 0, value=math.nan), None),
+    "guidance-log_scale-nan": (
+        3, "eval-zero-shot", [], "g.json", _json_set("log_scale", value=math.nan),
+        None),
+    "guidance-alpha-negative": (
+        3, "eval", [], "g.json", _json_set("alpha", value=-1), None),
+    "denoiser-beta_end-2": (
+        3, "eval", [], "d.json", _json_set("beta_end", value=2.0), None),
+    # a base checkpoint trained for another rank is not reused
+    "train-guidance-stale-base": (
+        2, "train-guidance", ["--out", "{w}/stale.json", "--rank", "4", "--seed", "9"],
+        None, None, None),
+    # command-line errors give one line, not a usage block and SystemExit
+    "unknown-flag": (2, "eval", ["--bogus", "1"], None, None, None),
+    "retired-flag": (2, "train-diffusion", ["--epochs", "1"], None, None, None),
+    "seed-not-an-int": (2, "eval", ["--seed", "abc"], None, None, None),
 }
 
 
@@ -429,13 +503,7 @@ def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, ca
     shutil.copytree(bad_input_base, work)
     if damage is not None:
         damage(work / target)
-    flags = {
-        "eval": ["--diffusion", "{w}/d.json", "--report", "{w}/r.json"],
-        "train-diffusion": ["--out", "{w}/d2.json", "--timesteps", "20",
-                            "--epochs", "1"],
-        "export-trajectory": ["--diffusion", "{w}/d.json", "--out", "{w}/t.csv"],
-    }[command]
-    argv = [command, "--data", "{w}/data", "--guidance", "{w}/g.json", *flags, *extra]
+    argv = [*_ARGV[command], *extra]
     if config is not None:
         (work / "cfg.json").write_text(json.dumps(config))
         argv += ["--config", "{w}/cfg.json"]
@@ -443,6 +511,125 @@ def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, ca
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
+    if code == 3 and target is not None:
+        assert target in err  # the message names the damaged file
+
+
+# Each subcommand's settings: the config class, the paths it needs, and one
+# non-default --config document that names every exposed field.
+_EXPOSED = {
+    "gen-data": (SyntheticConfig, ["--out", "o"], {
+        "n": 100, "d_in": 8, "k": 2, "proportions": [0.25, 0.75],
+        "separation": 2.0, "noise": 0.5, "shift_angle": 0.25, "shift_bias": 0.0,
+        "seed": 3}),
+    "train-guidance": (pl.RunConfig, ["--data", "x", "--out", "o"], {
+        "rank": 2, "alpha": 4.0, "stage1_epochs": 1, "stage1_batch": 8,
+        "lr_lora": 1e-3, "lr_prompt": 1e-2, "warmup_epochs": 0, "lambda_rank": 0.5,
+        "margin": 0.1, "seed": 3}),
+    "train-diffusion": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--out", "o"], {
+        "t_total": 10, "stage2_epochs": 1, "stage2_batch": 8, "stage2_lr": 1e-3,
+        "stage2_lr_min": 1e-4, "clip": 2.0, "ema_mu": 0.5, "seed": 3}),
+    "eval": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--report", "r"],
+             {"n_samples": 2, "seed": 3}),
+    "ablate": (pl.RunConfig, ["--data", "x", "--out", "o"],
+               {"desk_preset": True, "seed": 3}),
+    "export-trajectory": (pl.RunConfig, ["--data", "x", "--guidance", "g",
+                                         "--diffusion", "d", "--out", "o"],
+                          {"seed": 3}),
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _flags(doc):
+    argv = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [flag, text]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_EXPOSED))
+def test_cli_config_round_trip(command, monkeypatch, tmp_path):
+    """Flags and --config keys are the dataclass field names, their defaults
+    the dataclass defaults, and a flag overrides the file."""
+    config_cls, paths, doc = _EXPOSED[command]
+    monkeypatch.chdir(tmp_path)  # gen-data creates its --out directory
+    seen = []
+
+    def capture(*args, **kwargs):
+        seen.extend(a for a in args if isinstance(a, config_cls))
+        raise _Captured
+
+    for owner, name in ((pl, "train_stage1"), (pl, "train_stage2"), (pl, "evaluate"),
+                        (pl, "ablate"), (pl, "export_trajectory"),
+                        (cli, "gen_synthetic")):
+        monkeypatch.setattr(owner, name, capture)
+
+    def run(*argv):
+        with pytest.raises(_Captured):
+            cli.main([command, *paths, *argv])
+        return seen.pop()
+
+    expected = config_cls(**{k: tuple(v) if isinstance(v, list) else v
+                             for k, v in doc.items()})
+    assert expected != config_cls()
+    assert run() == config_cls()
+    assert run(*_flags(doc)) == expected
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert run("--config", str(cfg_file)) == expected
+    assert run("--config", str(cfg_file), "--seed", "11") == replace(expected, seed=11)
+
+
+def test_run_config_fields_and_digests_unchanged():
+    assert pl.RunConfig().digest() == "3c79f163694c2bd6"
+    assert pl.RunConfig(desk_preset=True).digest() == "2d1614c8d5c78194"
+
+
+def _mutate(blob: bytes, op: str, pos: int, byte: int) -> bytes:
+    pos %= len(blob) + 1
+    if op == "insert":
+        return blob[:pos] + bytes([byte]) + blob[pos:]
+    pos = min(pos, len(blob) - 1)
+    tail = blob[pos + 1 :]
+    return blob[:pos] + (bytes([byte]) if op == "replace" else b"") + tail
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    target=st.sampled_from(["cfg.json", "g.json", "d.json"]),
+    op=st.sampled_from(["replace", "insert", "delete"]),
+    pos=st.integers(min_value=0, max_value=2**20),
+    byte=st.integers(min_value=0, max_value=255),
+)
+def test_cli_eval_survives_mutated_bytes(bad_input_base, target, op, pos, byte):
+    """One changed byte in the --config file or a checkpoint ends eval with a
+    documented exit code and at most one stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        files = {name: bad_input_base / name for name in ("g.json", "d.json")}
+        files["cfg.json"] = work / "base-cfg.json"
+        files["cfg.json"].write_text(json.dumps({"n_samples": 2, "seed": 3}))
+        mutated = work / target
+        mutated.write_bytes(_mutate(files[target].read_bytes(), op, pos, byte))
+        files[target] = mutated
+        argv = ["eval", "--data", str(bad_input_base / "data"),
+                "--guidance", str(files["g.json"]), "--diffusion", str(files["d.json"]),
+                "--report", str(work / "r.json"), "--config", str(files["cfg.json"])]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    assert len(err.getvalue().strip().splitlines()) <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_nonfinite_loss_guard():
