@@ -7,8 +7,8 @@ written as ``-`` (``stage1_epochs`` is ``--stage1-epochs``), its --config key
 is the field name, and its type, default and range come from the dataclass
 alone. Every subcommand accepts --config FILE, a JSON object of field names
 and path arguments; explicit flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 data/parse error, 4 numeric
-failure.
+Exit codes: 0 success, 2 configuration error, 3 data/parse or file I/O error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -211,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
+    except OSError as e:
+        print(f"file error: {e}", file=sys.stderr)
+        return 3
     return 0
 
 

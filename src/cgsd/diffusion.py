@@ -37,6 +37,7 @@ class NoiseSchedule:
     beta: np.ndarray  # beta[t-1] is the step-t value, t = 1..T
     alpha: np.ndarray  # 1 - beta
     alpha_bar: np.ndarray  # indexed 0..T, alpha_bar[0] == 1
+    temb: np.ndarray  # (T + 1) x TEMB_DIM, row t is timestep_embedding(t)
 
     def check_t(self, t: int) -> None:
         if not (1 <= t <= self.t_total):
@@ -56,7 +57,8 @@ def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSche
     alpha_bar = np.empty(t_total + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(alpha)
-    return NoiseSchedule(t_total, beta, alpha, alpha_bar)
+    temb = np.stack([timestep_embedding(t) for t in range(t_total + 1)])
+    return NoiseSchedule(t_total, beta, alpha, alpha_bar, temb)
 
 
 def forward_sample(
@@ -130,31 +132,20 @@ class DenoiserNet:
         return h
 
 
-def _cond_input(
-    f: np.ndarray,
-    y_t: np.ndarray,
-    y_hat0: np.ndarray,
-    d: np.ndarray,
-    t_values: np.ndarray,
-) -> np.ndarray:
-    temb = np.stack([timestep_embedding(int(t)) for t in t_values])
-    return np.concatenate([f, y_t, y_hat0, d, temb], axis=1)
-
-
 def eps_predict(
     net: DenoiserNet,
     f: np.ndarray,
     y_t: np.ndarray,
     y_hat0: np.ndarray,
     d: np.ndarray,
-    t,
+    temb: np.ndarray,
     tape: GradTape | None = None,
 ) -> Tensor2:
-    """Batched noise prediction; t is a scalar or a per-row vector."""
+    """Batched noise prediction; temb is one timestep-embedding row shared by
+    every item or one row per item (rows of NoiseSchedule.temb)."""
     f, y_t, y_hat0, d = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d))
-    n = f.shape[0]
-    t_values = np.full(n, t) if np.isscalar(t) else np.asarray(t)
-    x = _cond_input(f, y_t, y_hat0, d, t_values)
+    temb = np.broadcast_to(temb, (f.shape[0], TEMB_DIM))
+    x = np.concatenate([f, y_t, y_hat0, d, temb], axis=1)
     if x.shape[1] != net.input_dim:
         raise ContractError(
             f"conditioning width {x.shape[1]} does not match net input {net.input_dim}"
@@ -192,7 +183,7 @@ def epsilon_loss(
         t_values[i] = int(rng.integers(1, sched.t_total + 1))
         eps[i] = rng.standard_normal(k)
         y_t[i] = forward_sample(y0[i], y_hat0[i], int(t_values[i]), eps[i], sched)
-    eps_hat = eps_predict(net, f, y_t, y_hat0, d, t_values, tape)
+    eps_hat = eps_predict(net, f, y_t, y_hat0, d, sched.temb[t_values], tape)
     diff = nk.sub(Tensor2(eps), eps_hat, tape)
     return nk.mean_all(nk.mul(diff, diff, tape), tape)
 
@@ -259,12 +250,12 @@ def _chain_times(t_total: int, stride: int) -> list[tuple[int, int]]:
     return ts
 
 
-def chain_substreams(seed: int, item_keys, sample: int) -> list[np.random.Generator]:
-    """One generator per item for reverse chain number `sample`, keyed by
+def chain_substreams(seed: int, pairs) -> list[np.random.Generator]:
+    """One generator per (item_key, sample) pair, keyed by
     (seed, 101, item_key, sample), so a draw never depends on batching."""
     return [
-        np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), sample)))
-        for key in item_keys
+        np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), int(sample))))
+        for key, sample in pairs
     ]
 
 
@@ -289,19 +280,23 @@ def sample_chain_batch(
         raise ContractError("need one RNG substream per item")
     record = set() if record_steps is None else set(record_steps)
     snapshots: dict[int, np.ndarray] = {}
+    times = _chain_times(sched.t_total, stride)
+    k = y_hat0.shape[1]
 
-    z0 = np.stack([rng.standard_normal(y_hat0.shape[1]) for rng in rngs])
-    y = y_hat0 + z0
+    # a row's whole noise sequence in one draw: the initial vector, then one
+    # per hop; numpy yields the same values as one draw of k per hop
+    noise = np.empty((n, len(times) + 1, k))
+    for row, rng in zip(noise, rngs):
+        rng.standard_normal(out=row)
+    y = y_hat0 + noise[:, 0]
     if sched.t_total in record:
         snapshots[sched.t_total] = y.copy()
 
-    for t, s in _chain_times(sched.t_total, stride):
-        eps_hat = eps_predict(net, f, y, y_hat0, d, t).data
+    for hop, (t, s) in enumerate(times, start=1):
+        eps_hat = eps_predict(net, f, y, y_hat0, d, sched.temb[t]).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
         mean, var = posterior_params(y, y0_tilde, y_hat0, t, sched, s)
-        z = np.stack([rng.standard_normal(y.shape[1]) for rng in rngs])
-        if var == 0.0:
-            z = np.zeros_like(z)
+        z = noise[:, hop] if var != 0.0 else np.zeros((n, k))
         y = mean + math.sqrt(var) * z
         if s in record:
             snapshots[s] = y.copy()

@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, DataError/ParseError -> 3,
-NumericError -> 4. Everything else is a plain bug.
+Exit-code mapping used by the CLI: ConfigError -> 2, DataError/ParseError and
+OSError -> 3, NumericError -> 4. Everything else is a plain bug.
 """
 
 

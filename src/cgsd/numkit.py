@@ -268,7 +268,10 @@ def relu(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
 def smooth_nonlinearity(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     """g(x) = x * sigmoid(1.702 x), a smooth gating nonlinearity."""
     u = 1.702 * a.data
-    sig = 1.0 / (1.0 + np.exp(-u))
+    # exp overflows to inf for u below about -709, which gives the right
+    # limit sig = 0
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-u))
     out = _result(a.data * sig, "smooth_nonlinearity")
     if tape is not None:
         deriv = sig + a.data * 1.702 * sig * (1.0 - sig)

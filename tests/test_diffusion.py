@@ -337,18 +337,21 @@ def test_posterior_rejects_bad_steps():
 
 
 class TailRng:
-    """Replays a seeded stream for the first `keep` draws, then returns `fill`."""
+    """Replays a seeded stream for the first `keep` values, then returns `fill`."""
 
     def __init__(self, seed, keep, fill):
         self._rng = np.random.default_rng(seed)
         self._left = keep
         self._fill = fill
 
-    def standard_normal(self, size):
-        if self._left > 0:
-            self._left -= 1
-            return self._rng.standard_normal(size)
-        return np.full(size, self._fill)
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        flat = out.reshape(-1)
+        head = min(self._left, flat.size)
+        self._left -= head
+        flat[:head] = self._rng.standard_normal(head)
+        flat[head:] = self._fill
+        return out
 
 
 def test_reverse_step_t1_deterministic():
@@ -358,14 +361,14 @@ def test_reverse_step_t1_deterministic():
     f = np.zeros((1, 4))
     d = np.zeros((1, 3))
     prior = np.full((1, 3), 1 / 3)
-    keep = DESK_SCHED.t_total
+    keep = DESK_SCHED.t_total * 3
     a, snaps = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
                                      [TailRng(0, keep, 0.0)], record_steps={1})
     b, _ = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
                                  [TailRng(0, keep, 99.0)])
     np.testing.assert_array_equal(a, b)
     y1 = snaps[1]
-    eps_hat = df.eps_predict(net, f, y1, prior, d, 1).data
+    eps_hat = df.eps_predict(net, f, y1, prior, d, DESK_SCHED.temb[1]).data
     expect = df.predict_y0(y1, eps_hat, prior, 1, DESK_SCHED)
     np.testing.assert_allclose(a, expect, atol=1e-12)
 
@@ -423,6 +426,57 @@ def test_sample_chain_deterministic():
     a, _ = df.sample_chain_batch(*args, [np.random.default_rng(10)])
     b, _ = df.sample_chain_batch(*args, [np.random.default_rng(10)])
     np.testing.assert_array_equal(a, b)
+
+
+def _reference_chain_batch(net, f, d, prior, sched, rngs, stride, record_steps):
+    """The sampler as first written: one timestep embedding per row and one
+    draw of k noise values per row at every step."""
+    n, k = prior.shape
+    snaps = {}
+    y = prior + np.stack([rng.standard_normal(k) for rng in rngs])
+    if sched.t_total in record_steps:
+        snaps[sched.t_total] = y.copy()
+    for t, s in df._chain_times(sched.t_total, stride):
+        temb = np.stack([df.timestep_embedding(t) for _ in range(n)])
+        x = np.concatenate([f, y, prior, d, temb], axis=1)
+        eps_hat = net.forward(Tensor2(x)).data
+        y0_tilde = df.predict_y0(y, eps_hat, prior, t, sched)
+        mean, var = df.posterior_params(y, y0_tilde, prior, t, sched, s)
+        z = np.stack([rng.standard_normal(k) for rng in rngs])
+        if var == 0.0:
+            z = np.zeros_like(z)
+        y = mean + math.sqrt(var) * z
+        if s in record_steps:
+            snaps[s] = y.copy()
+    return y, snaps
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_sample_chain_batch_matches_per_row_reference(stride):
+    # the table lookup and the up-front noise change no bit of any row
+    n, k = 12, 3
+    rng = np.random.default_rng(31)
+    net = df.DenoiserNet.build(d_model=4, k=k, seed=32)
+    f = rng.standard_normal((n, 4))
+    d = rng.standard_normal((n, k)) * 0.1
+    prior = rng.dirichlet(np.ones(k), size=n)
+    record = {100, 51, 50, 1, 0}
+    keys = [(key, 2) for key in range(n)]
+    out, snaps = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
+                                       df.chain_substreams(3, keys), stride, record)
+    ref, ref_snaps = _reference_chain_batch(net, f, d, prior, DESK_SCHED,
+                                            df.chain_substreams(3, keys), stride, record)
+    assert np.array_equal(out, ref)
+    assert snaps.keys() == ref_snaps.keys() and len(snaps) >= 2
+    for t in snaps:
+        assert np.array_equal(snaps[t], ref_snaps[t])
+
+
+@pytest.mark.parametrize("sched", [PAPER_SCHED, DESK_SCHED], ids=["paper", "desk"])
+def test_schedule_temb_rows_are_timestep_embeddings(sched):
+    assert sched.temb.shape == (sched.t_total + 1, df.TEMB_DIM)
+    for t in range(sched.t_total + 1):
+        assert sched.temb[t].tobytes() == df.timestep_embedding(t).tobytes()
 
 
 def test_chain_times_cover_range():

@@ -1,6 +1,7 @@
 """Tensor ops, the gradient tape, and the finite-difference harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ def test_smooth_nonlinearity_values():
     assert g(1.0) == pytest.approx(0.8458, abs=1e-4)
     assert abs(g(-10.0)) < 1e-3
     assert g(50.0) == pytest.approx(50.0, abs=1e-6)
+
+
+def test_smooth_nonlinearity_large_negative_input_warns_nothing():
+    # exp(-1.702 x) overflows to inf for x = -1000, so the gate is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = nk.smooth_nonlinearity(Tensor2([[-1000.0, 3.0]])).data
+    assert out[0, 0] == 0.0 and np.signbit(out[0, 0])
+    np.testing.assert_array_equal(out[0, 1:], nk.smooth_nonlinearity(Tensor2([[3.0]])).data[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cgsd import diffusion as df
 from cgsd import guidance as gd
 from cgsd import pipeline as pl
 from cgsd.data import SyntheticConfig, read_dataset, stratified_split
-from cgsd.errors import ConfigError, ContractError, NumericError
+from cgsd.errors import ConfigError, DataError, NumericError
 
 
 TINY = pl.RunConfig(
@@ -101,7 +101,7 @@ def test_stage1_reuses_base_checkpoint(small_dir, tmp_path):
 def test_stage2_requires_frozen_guidance(small_dir, tmp_path):
     model = gd.GuidanceModel.build(16, 16, 8, 3, 2, 4.0, seed=1)
     gd.save_guidance(tmp_path / "unfrozen.json", model, frozen=False)
-    with pytest.raises(ContractError):
+    with pytest.raises(DataError, match="unfrozen.json"):
         pl.train_stage2(small_dir, tmp_path / "unfrozen.json", TINY,
                         tmp_path / "d.json")
 
@@ -176,22 +176,27 @@ def test_evaluate_byte_identical_reports(small_dir, tiny_trained, tmp_path):
 
 
 def test_diffusion_predict_invariant_to_chunking(small_dir, tiny_trained):
-    # all test items at once against two slices that keep their own item keys
+    # all test items at once against two slices that keep their own item keys;
+    # with enough samples the whole batch spans more than one row block
     model, _ = gd.load_guidance(tiny_trained / "g.json")
     net, sched = df.load_denoiser(tiny_trained / "d.json")
     target = read_dataset(small_dir / "target.csv")
     _, test = stratified_split(target, TINY.train_fraction, TINY.seed)
     f, d, prior = pl.conditioning(model, test.features)
     keys = np.arange(test.n)
+    many = pl.ROW_BLOCK // test.n + 2
+    assert test.n * TINY.n_samples <= pl.ROW_BLOCK < test.n * many
 
-    def predict(rows):
+    def predict(rows, n_samples):
         return pl._diffusion_predict(net, sched, f[rows], d[rows], prior[rows],
-                                     TINY.n_samples, TINY.seed, keys[rows])
+                                     n_samples, TINY.seed, keys[rows])
 
     cut = test.n // 3
-    whole = predict(slice(None))
-    chunked = np.concatenate([predict(slice(0, cut)), predict(slice(cut, None))])
-    np.testing.assert_array_equal(whole, chunked)
+    for n_samples in (TINY.n_samples, many):
+        whole = predict(slice(None), n_samples)
+        chunked = np.concatenate([predict(slice(0, cut), n_samples),
+                                  predict(slice(cut, None), n_samples)])
+        np.testing.assert_array_equal(whole, chunked)
 
 
 def test_diffusion_predict_n1_equals_single_chain():
@@ -444,8 +449,8 @@ _ARGV = {
                           "{w}/t.csv"],
 }
 
-# (exit code, command line from _ARGV, extra flags, file to damage, damage,
-# --config body)
+# (exit code, command line from _ARGV, extra flags, file to damage and that an
+# exit-3 message names, damage, --config body)
 _BAD_INPUTS = {
     "eval-samples-0": (2, "eval", ["--n-samples", "0"], None, None, None),
     "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
@@ -489,6 +494,13 @@ _BAD_INPUTS = {
     "train-guidance-stale-base": (
         2, "train-guidance", ["--out", "{w}/stale.json", "--rank", "4", "--seed", "9"],
         None, None, None),
+    "train-diffusion-unfrozen-guidance": (
+        3, "train-diffusion", [], "g.json", _json_set("frozen", value=False), None),
+    # paths the program cannot write: the message names the path
+    "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.json"], "g.json",
+                               None, None),
+    "eval-report-dir-missing": (3, "eval", ["--report", "{w}/missing/r.json"],
+                                "missing", None, None),
     # command-line errors give one line, not a usage block and SystemExit
     "unknown-flag": (2, "eval", ["--bogus", "1"], None, None, None),
     "retired-flag": (2, "train-diffusion", ["--epochs", "1"], None, None, None),
