@@ -194,7 +194,8 @@ def stratified_split(
 
 # ---------------------------------------------------------------------------
 # file I/O: CSV of label,f0..f{d-1} plus a JSON metadata sidecar, and the
-# JSON readers the checkpoint loaders share
+# checkpoint format both models use: one JSON object holding the format tag,
+# the model's meta fields and a "weights" object of flat row-major lists
 
 
 NUMBER = (int, float)
@@ -245,6 +246,45 @@ def array_from_flat(values, shape, what: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def save_checkpoint(
+    path: str | Path, fmt: str, meta: dict, tensors: dict[str, np.ndarray]
+) -> None:
+    """Write a checkpoint tagged fmt: the meta fields plus each tensor as a
+    flat row-major list; the shapes follow from the meta fields."""
+    doc = {
+        "format": fmt,
+        **meta,
+        "weights": {name: a.flatten().tolist() for name, a in tensors.items()},
+    }
+    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8", newline="\n")
+
+
+def load_checkpoint(
+    path: str | Path, fmt: str, fields: dict, shapes
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint written by save_checkpoint: its format tag must be
+    fmt and each meta key in fields must have the type given for it.
+    shapes(doc) checks the meta values, raising ParseError for one out of
+    range, and gives each tensor's shape; the tensors come back at those
+    shapes. Every error names the file."""
+    doc = read_json_object(path, "checkpoint", {"format": str, **fields, "weights": dict})
+    where = f"checkpoint {path}"
+    if doc["format"] != fmt:
+        raise ParseError(
+            f"{where}: format mismatch: expected {fmt}, got {doc['format']!r}"
+        )
+    try:
+        expected = shapes(doc)
+    except ParseError as e:
+        raise ParseError(f"{where}: {e}") from None
+    weights = doc["weights"]
+    tensors = {
+        name: array_from_flat(weights.get(name), shape, f"{where}: weight {name}")
+        for name, shape in expected.items()
+    }
+    return doc, tensors
+
+
 def write_dataset(path: str | Path, ds: Dataset) -> None:
     path = Path(path)
     header = "label," + ",".join(f"f{i}" for i in range(ds.d_in))
@@ -275,14 +315,18 @@ def read_dataset(path: str | Path) -> Dataset:
         raise ParseError(f"dataset file not found: {path}")
     n, d_in, k = meta["n"], meta["d_in"], meta["k"]
 
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
     expected_header = "label," + ",".join(f"f{i}" for i in range(d_in))
     if not lines or lines[0] != expected_header:
-        raise ParseError(f"header mismatch at line 1: expected '{expected_header}'")
+        raise ParseError(
+            f"{path}: header mismatch at line 1: expected '{expected_header}'"
+        )
     rows = lines[1:]
     if len(rows) != n:
-        raise ParseError(f"expected {n} data rows, found {len(rows)}")
+        raise ParseError(f"{path}: expected {n} data rows, found {len(rows)}")
 
     feats = np.empty((n, d_in))
     labels = np.empty(n, dtype=np.int64)
@@ -291,18 +335,18 @@ def read_dataset(path: str | Path) -> Dataset:
         parts = row.split(",")
         if len(parts) != d_in + 1:
             raise ParseError(
-                f"row length mismatch at line {lineno}: "
+                f"{path}: row length mismatch at line {lineno}: "
                 f"expected {d_in + 1} fields, got {len(parts)}"
             )
         try:
             lab = int(parts[0])
         except ValueError:
-            raise ParseError(f"non-integer label '{parts[0]}' at line {lineno}")
+            raise ParseError(f"{path}: non-integer label '{parts[0]}' at line {lineno}")
         if not (0 <= lab < k):
-            raise ParseError(f"label {lab} out of range [0,{k}) at line {lineno}")
+            raise ParseError(f"{path}: label {lab} out of range [0,{k}) at line {lineno}")
         labels[i] = lab
         try:
             feats[i] = [float(v) for v in parts[1:]]
         except ValueError:
-            raise ParseError(f"non-numeric feature at line {lineno}")
+            raise ParseError(f"{path}: non-numeric feature at line {lineno}")
     return Dataset(feats, labels, k, meta["domain_tag"], meta["seed"])

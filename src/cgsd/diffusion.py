@@ -13,7 +13,6 @@ small MLP predicts the injected noise from the conditioning tuple
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,11 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit as nk
-from .data import NUMBER, array_from_flat, read_json_object
+from .data import NUMBER, load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
-DENOISER_FORMAT = "cgsd-denoiser-v1"
+# v2 stores the EMA weights as the only weight set; a v1 file's "weights"
+# are the raw training weights
+DENOISER_FORMAT = "cgsd-denoiser-v2"
 TEMB_DIM = 64
 HIDDEN = (128, 128)
 CONDITIONING_LAYOUT = "f|y_t|y_hat0|d|temb64"
@@ -90,6 +91,12 @@ def timestep_embedding(t: int, dim: int = TEMB_DIM) -> np.ndarray:
     return emb
 
 
+def layer_dims(d_model: int, k: int) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each denoiser layer, input to head."""
+    dims = [d_model + 3 * k + TEMB_DIM, *HIDDEN, k]
+    return list(zip(dims[:-1], dims[1:]))
+
+
 class DenoiserNet:
     """MLP noise predictor over [f | y_t | prior | d | temb]."""
 
@@ -105,9 +112,8 @@ class DenoiserNet:
     @classmethod
     def build(cls, d_model: int, k: int, seed: int) -> "DenoiserNet":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 23)))
-        dims = [d_model + 3 * k + TEMB_DIM, *HIDDEN, k]
         layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        for fan_in, fan_out in layer_dims(d_model, k):
             w = Tensor2(
                 rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in),
                 requires_grad=True,
@@ -308,82 +314,53 @@ def sample_chain_batch(
 
 
 def save_denoiser(
-    path: str | Path,
-    net: DenoiserNet,
-    sched_params: tuple[int, float, float],
-    ema_weights: list[np.ndarray] | None = None,
+    path: str | Path, net: DenoiserNet, sched_params: tuple[int, float, float]
 ) -> None:
     t_total, beta_start, beta_end = sched_params
-    names = [f"layer{i}_{p}" for i in range(len(net.layers)) for p in ("w", "b")]
-    tensors = net.params()
-    doc = {
-        "format": DENOISER_FORMAT,
+    meta = {
         "layout": CONDITIONING_LAYOUT,
         "d_model": net.d_model,
         "k": net.k,
         "t_total": t_total,
         "beta_start": beta_start,
         "beta_end": beta_end,
-        "shapes": {n: list(t.shape) for n, t in zip(names, tensors)},
-        "weights": {n: t.data.flatten().tolist() for n, t in zip(names, tensors)},
-        "ema_weights": None
-        if ema_weights is None
-        else {n: w.flatten().tolist() for n, w in zip(names, ema_weights)},
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8", newline="\n")
+    tensors = {}
+    for i, (w, b) in enumerate(net.layers):
+        tensors[f"layer{i}_w"], tensors[f"layer{i}_b"] = w.data, b.data
+    save_checkpoint(path, DENOISER_FORMAT, meta, tensors)
 
 
-def load_denoiser(
-    path: str | Path, use_ema: bool = True
-) -> tuple[DenoiserNet, NoiseSchedule]:
-    doc = read_json_object(
-        path,
-        "checkpoint",
-        {"format": str, "layout": str, "d_model": int, "k": int, "t_total": int,
-         "beta_start": NUMBER, "beta_end": NUMBER, "shapes": dict, "weights": dict},
-    )
-    where = f"checkpoint {path}"
-    if doc["format"] != DENOISER_FORMAT:
-        raise ParseError(
-            f"{where}: format mismatch: expected {DENOISER_FORMAT}, "
-            f"got {doc['format']!r}"
-        )
+def _tensor_shapes(doc: dict) -> dict[str, list[int]]:
+    """Layout and schedule checks, then each layer's shapes from d_model, k
+    and HIDDEN."""
     if doc["layout"] != CONDITIONING_LAYOUT:
-        raise ParseError(f"{where}: unknown conditioning layout {doc['layout']!r}")
+        raise ParseError(f"unknown conditioning layout {doc['layout']!r}")
     t_total, beta_start, beta_end = doc["t_total"], doc["beta_start"], doc["beta_end"]
     if t_total < 1 or not 0.0 < beta_start <= beta_end < 1.0:
         raise ParseError(
-            f"{where}: schedule t_total={t_total}, beta {beta_start}..{beta_end} "
+            f"schedule t_total={t_total}, beta {beta_start}..{beta_end} "
             "is outside t_total >= 1, 0 < beta_start <= beta_end < 1"
         )
-    shapes = doc["shapes"]
-    source = doc["weights"]
-    if use_ema and doc.get("ema_weights"):
-        source = doc["ema_weights"]
-    if not isinstance(source, dict):
-        raise ParseError(f"{where}: ema_weights must be a JSON object")
-    width = doc["d_model"] + 3 * doc["k"] + TEMB_DIM
-    layers = []
-    for i in range(len(shapes) // 2):
-        w, b = (
-            Tensor2(
-                array_from_flat(
-                    source.get(name), shapes.get(name), f"{where}: weight {name}"
-                ),
-                requires_grad=True,
-            )
-            for name in (f"layer{i}_w", f"layer{i}_b")
-        )
-        if w.cols != width or b.shape != (1, w.rows):
-            raise ParseError(
-                f"{where}: layer {i} shapes {w.shape}, {b.shape} do not chain"
-            )
-        width = w.rows
-        layers.append((w, b))
-    if width != doc["k"]:
-        raise ParseError(
-            f"{where}: denoiser head width {width} does not match k={doc['k']}"
-        )
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(layer_dims(doc["d_model"], doc["k"])):
+        shapes[f"layer{i}_w"], shapes[f"layer{i}_b"] = [fan_out, fan_in], [1, fan_out]
+    return shapes
+
+
+def load_denoiser(path: str | Path) -> tuple[DenoiserNet, NoiseSchedule]:
+    doc, w = load_checkpoint(
+        path,
+        DENOISER_FORMAT,
+        {"layout": str, "d_model": int, "k": int, "t_total": int,
+         "beta_start": NUMBER, "beta_end": NUMBER},
+        _tensor_shapes,
+    )
+    layers = [
+        (Tensor2(w[f"layer{i}_w"], requires_grad=True),
+         Tensor2(w[f"layer{i}_b"], requires_grad=True))
+        for i in range(len(HIDDEN) + 1)
+    ]
     net = DenoiserNet(layers, doc["d_model"], doc["k"])
-    sched = make_schedule(t_total, beta_start, beta_end)
+    sched = make_schedule(doc["t_total"], doc["beta_start"], doc["beta_end"])
     return net, sched

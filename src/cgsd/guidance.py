@@ -11,7 +11,6 @@ that enforces the grade ordering of similarities.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from functools import lru_cache
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit as nk
-from .data import NUMBER, array_from_flat, read_json_object
+from .data import NUMBER, load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
@@ -283,8 +282,7 @@ def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
 
 
 def save_guidance(path: str | Path, model: GuidanceModel, frozen: bool) -> None:
-    doc = {
-        "format": GUIDANCE_FORMAT,
+    meta = {
         "frozen": bool(frozen),
         "d_in": model.d_in,
         "hidden": model.w1.rows,
@@ -293,55 +291,35 @@ def save_guidance(path: str | Path, model: GuidanceModel, frozen: bool) -> None:
         "rank": model.adapter.rank,
         "alpha": model.adapter.alpha,
         "log_scale": model.log_scale.item(),
-        "shapes": {
-            name: list(t.shape)
-            for name, t in _named_tensors(model).items()
-        },
-        "weights": {
-            name: t.data.flatten().tolist()
-            for name, t in _named_tensors(model).items()
-        },
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8", newline="\n")
-
-
-def _named_tensors(model: GuidanceModel) -> dict[str, Tensor2]:
-    return {
-        "w1": model.w1,
-        "b1": model.b1,
-        "w2": model.w2,
-        "b2": model.b2,
-        "lora_a": model.adapter.a,
-        "lora_b": model.adapter.b,
-        "prompts": model.prompts,
+    tensors = {
+        "w1": model.w1.data,
+        "b1": model.b1.data,
+        "w2": model.w2.data,
+        "b2": model.b2.data,
+        "lora_a": model.adapter.a.data,
+        "lora_b": model.adapter.b.data,
+        "prompts": model.prompts.data,
     }
+    save_checkpoint(path, GUIDANCE_FORMAT, meta, tensors)
 
 
-def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
-    doc = read_json_object(
-        path,
-        "checkpoint",
-        {"format": str, "frozen": bool, "d_in": int, "hidden": int, "d_model": int,
-         "k": int, "rank": int, "alpha": NUMBER, "log_scale": NUMBER, "shapes": dict,
-         "weights": dict},
-    )
-    where = f"checkpoint {path}"
-    if doc["format"] != GUIDANCE_FORMAT:
-        raise ParseError(
-            f"{where}: format mismatch: expected {GUIDANCE_FORMAT}, "
-            f"got {doc['format']!r}"
-        )
+def _tensor_shapes(doc: dict) -> dict[str, list[int]]:
+    """Range checks on a checkpoint's meta values, then each tensor's shape
+    from the recorded dimensions."""
     d_in, hidden, d_model, k, rank, alpha, log_scale = (
         doc[key]
         for key in ("d_in", "hidden", "d_model", "k", "rank", "alpha", "log_scale")
     )
+    if k < 2:
+        raise ParseError(f"k {k} is below 2 grades")
     if not 1 <= rank <= min(hidden, d_model):
-        raise ParseError(f"{where}: rank {rank} outside [1, min(hidden, d_model)]")
+        raise ParseError(f"rank {rank} outside [1, min(hidden, d_model)]")
     if not 0 < alpha < math.inf:
-        raise ParseError(f"{where}: alpha {alpha} is not a positive finite number")
+        raise ParseError(f"alpha {alpha} is not a positive finite number")
     if not -math.inf < log_scale < LOG_FLOAT_MAX:
-        raise ParseError(f"{where}: log_scale {log_scale} out of range")
-    expected = {
+        raise ParseError(f"log_scale {log_scale} out of range")
+    return {
         "w1": [hidden, d_in],
         "b1": [1, hidden],
         "w2": [d_model, hidden],
@@ -350,26 +328,22 @@ def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
         "lora_b": [d_model, rank],
         "prompts": [k, d_model],
     }
-    shapes, weights = doc["shapes"], doc["weights"]
 
-    def tensor(name: str, requires_grad: bool = False) -> Tensor2:
-        if shapes.get(name) != expected[name]:
-            raise ParseError(
-                f"{where}: weight {name}: shape {shapes.get(name)!r} does not "
-                f"match the recorded dimensions {expected[name]}"
-            )
-        arr = array_from_flat(weights.get(name), shapes[name], f"{where}: weight {name}")
-        return Tensor2(arr, requires_grad=requires_grad)
 
-    adapter = LoraAdapter(tensor("lora_a", True), tensor("lora_b", True), rank, alpha)
+def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
+    doc, w = load_checkpoint(
+        path,
+        GUIDANCE_FORMAT,
+        {"frozen": bool, "d_in": int, "hidden": int, "d_model": int, "k": int,
+         "rank": int, "alpha": NUMBER, "log_scale": NUMBER},
+        _tensor_shapes,
+    )
+    # GuidanceModel sets every requires_grad flag
+    t = {name: Tensor2(a) for name, a in w.items()}
+    adapter = LoraAdapter(t["lora_a"], t["lora_b"], doc["rank"], doc["alpha"])
     model = GuidanceModel(
-        tensor("w1"),
-        tensor("b1"),
-        tensor("w2"),
-        tensor("b2"),
-        adapter,
-        tensor("prompts", True),
-        Tensor2(np.array([[log_scale]]), requires_grad=True),
+        t["w1"], t["b1"], t["w2"], t["b2"], adapter, t["prompts"],
+        Tensor2(np.array([[doc["log_scale"]]])),
         frozen_base=True,
     )
     return model, doc["frozen"]

@@ -115,13 +115,12 @@ def _hash_arrays(arrays) -> str:
     return h.hexdigest()
 
 
-def load_domains(data_dir: str | Path) -> tuple[Dataset, Dataset]:
-    data_dir = Path(data_dir)
-    src = data_dir / "source.csv"
-    tgt = data_dir / "target.csv"
-    if not src.exists() or not tgt.exists():
+def load_domain(data_dir: str | Path, domain: str) -> Dataset:
+    """The benchmark's "source" or "target" domain, read from data_dir."""
+    path = Path(data_dir) / f"{domain}.csv"
+    if not path.exists():
         raise DataError(f"benchmark not found under {data_dir}; run gen-data first")
-    return read_dataset(src), read_dataset(tgt)
+    return read_dataset(path)
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -245,7 +244,7 @@ def train_stage1(
         base_path = out_path.parent / (out_path.stem + ".base.json")
     base_path = Path(base_path)
 
-    source, target = load_domains(data_dir)
+    target = load_domain(data_dir, "target")
     train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
 
     log: list[str] = []
@@ -260,7 +259,7 @@ def train_stage1(
                 f"= {found}, the config asks for {wanted}"
             )
     else:
-        model = pretrain_base(source, cfg, log)
+        model = pretrain_base(load_domain(data_dir, "source"), cfg, log)
         gd.save_guidance(base_path, model, frozen=True)
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
@@ -320,7 +319,7 @@ def train_stage2(
         Path(guidance_ckpt).read_bytes()
     ).hexdigest()
 
-    _, target = load_domains(data_dir)
+    target = load_domain(data_dir, "target")
     _check_dims(model, target)
     train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = conditioning(model, train.features)
@@ -368,12 +367,10 @@ def train_stage2(
             losses.append(value)
         log.append(f"stage2,{epoch},{lr:.8g},{float(np.mean(losses)):.8g}")
 
-    df.save_denoiser(
-        out_path,
-        net,
-        (cfg.t_total, cfg.beta_start, cfg.beta_end),
-        ema_weights=ema.shadow,
-    )
+    # the checkpoint holds the weight average, which inference runs
+    for p, avg in zip(params, ema.shadow):
+        p.data = avg
+    df.save_denoiser(out_path, net, (cfg.t_total, cfg.beta_start, cfg.beta_end))
     guidance_hash_after = hashlib.sha256(Path(guidance_ckpt).read_bytes()).hexdigest()
     return {
         "log": log,
@@ -440,7 +437,7 @@ def evaluate(
     multi-sample diffusion inference with one."""
     cfg = cfg.resolved()
     model, _ = gd.load_guidance(guidance_ckpt)
-    _, target = load_domains(data_dir)
+    target = load_domain(data_dir, "target")
     _check_dims(model, target)
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
 
@@ -448,7 +445,7 @@ def evaluate(
         preds = gd.predict_batch(test.features, model)
         mode = "zero-shot"
     else:
-        net, sched = df.load_denoiser(denoiser_ckpt, use_ema=True)
+        net, sched = df.load_denoiser(denoiser_ckpt)
         _check_dims(model, target, net)
         f, d, prior = conditioning(model, test.features)
         preds = _diffusion_predict(
@@ -487,7 +484,7 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     out_path = Path(out_path)
     work = out_path.parent
     work.mkdir(parents=True, exist_ok=True)
-    _, target = load_domains(data_dir)
+    target = load_domain(data_dir, "target")
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     split_hash = _hash_arrays([test.features, test.labels])
 
@@ -556,12 +553,12 @@ def export_trajectory(
     if not steps:
         raise ConfigError("steps list must not be empty")
     model, _ = gd.load_guidance(guidance_ckpt)
-    net, sched = df.load_denoiser(denoiser_ckpt, use_ema=True)
+    net, sched = df.load_denoiser(denoiser_ckpt)
     for t in steps:
         if not (0 <= t <= sched.t_total):
             raise ConfigError(f"step {t} outside [0, {sched.t_total}]")
 
-    _, target = load_domains(data_dir)
+    target = load_domain(data_dir, "target")
     _check_dims(model, target, net)
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = conditioning(model, test.features)

@@ -196,7 +196,7 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
 
     # the same items in four chunks, each keeping its own item keys, get the
     # predictions of one whole batch, and those are what the report counts
-    net, sched = df.load_denoiser(desk_ablation["denoiser"], use_ema=True)
+    net, sched = df.load_denoiser(desk_ablation["denoiser"])
     model, _ = gd.load_guidance(desk_ablation["guidance"])
     target = read_dataset(data_dir / "target.csv")
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)

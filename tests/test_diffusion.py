@@ -496,7 +496,7 @@ def test_stride_chain_close_to_full_chain(desk_ablation):
     from cgsd import pipeline as pl
     from cgsd.data import read_dataset, stratified_split
 
-    net, sched = df.load_denoiser(desk_ablation["denoiser"], use_ema=True)
+    net, sched = df.load_denoiser(desk_ablation["denoiser"])
     model, _ = gd.load_guidance(desk_ablation["guidance"])
     target = read_dataset(desk_ablation["data_dir"] / "target.csv")
     _, test = stratified_split(target, 0.7, 42)
@@ -522,18 +522,29 @@ def test_stride_chain_close_to_full_chain(desk_ablation):
 
 def test_denoiser_round_trip(tmp_path):
     net = df.DenoiserNet.build(d_model=8, k=5, seed=14)
-    shadows = [p.data + 0.5 for p in net.params()]
+    for p in net.params():
+        p.data += 0.123456789012345678
     path = tmp_path / "d.json"
-    df.save_denoiser(path, net, (100, 1e-3, 0.2), ema_weights=shadows)
+    df.save_denoiser(path, net, (100, 1e-3, 0.2))
 
-    raw, sched = df.load_denoiser(path, use_ema=False)
-    for a, b in zip(net.params(), raw.params()):
+    loaded, sched = df.load_denoiser(path)
+    assert len(loaded.params()) == len(net.params())
+    for a, b in zip(net.params(), loaded.params()):
         np.testing.assert_array_equal(a.data, b.data)
+    assert (loaded.d_model, loaded.k) == (8, 5)
     assert sched.t_total == 100
 
-    ema, _ = df.load_denoiser(path, use_ema=True)
-    for s, b in zip(shadows, ema.params()):
-        np.testing.assert_array_equal(s, b.data)
+
+def test_denoiser_file_holds_one_weight_set(tmp_path):
+    import json
+
+    path = tmp_path / "d.json"
+    df.save_denoiser(path, df.DenoiserNet.build(d_model=8, k=5, seed=14),
+                     (100, 1e-3, 0.2))
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "cgsd-denoiser-v2"
+    assert "ema_weights" not in doc and "shapes" not in doc
+    assert sorted(doc["weights"]) == [f"layer{i}_{p}" for i in range(3) for p in "bw"]
 
 
 def test_denoiser_rejects_wrong_format(tmp_path):

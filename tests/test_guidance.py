@@ -308,6 +308,24 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         gd.load_guidance(path)
 
 
+def test_checkpoint_shapes_come_from_recorded_dimensions(tmp_path):
+    import json
+
+    path = tmp_path / "g.json"
+    gd.save_guidance(path, small_model(), frozen=True)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "cgsd-guidance-v1" and "shapes" not in doc
+    # an older file's shapes map is ignored, even when it is wrong
+    doc["shapes"] = {"w1": [1, 1]}
+    path.write_text(json.dumps(doc))
+    gd.load_guidance(path)
+    # weights that do not fit the recorded dimensions are refused
+    doc["hidden"] += 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="g.json: weight w1"):
+        gd.load_guidance(path)
+
+
 # ---------------------------------------------------------------------------
 # training effect
 

@@ -128,10 +128,22 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
     before = df.epsilon_loss(fresh, f, y0, prior, d, sched, seed=99).item()
 
     pl.train_stage2(small_dir, tmp_path / "g.json", cfg, tmp_path / "d.json")
-    net, _ = df.load_denoiser(tmp_path / "d.json", use_ema=True)
+    net, _ = df.load_denoiser(tmp_path / "d.json")
     after = df.epsilon_loss(net, f, y0, prior, d, sched, seed=99).item()
     assert np.isfinite(after)
     assert after < before
+
+
+def test_stage2_saves_the_weight_average(small_dir, tmp_path):
+    # both runs train the same raw weights, and with ema_mu = 0 the average is
+    # the raw set itself, so the files differ only if they hold the average
+    pl.train_stage1(small_dir, TINY, tmp_path / "g.json")
+    params = []
+    for mu in (0.9, 0.0):
+        out = tmp_path / f"d{mu}.json"
+        pl.train_stage2(small_dir, tmp_path / "g.json", replace(TINY, ema_mu=mu), out)
+        params.append(df.load_denoiser(out)[0].params())
+    assert any(not np.array_equal(a.data, b.data) for a, b in zip(*params))
 
 
 def test_stage2_log_schema(small_dir, tmp_path):
@@ -343,6 +355,47 @@ def test_cli_missing_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _count_reads(monkeypatch):
+    reads = []
+    real = pl.read_dataset
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(pl, "read_dataset", counting)
+    return reads
+
+
+def test_eval_reads_only_the_target_domain(small_dir, tiny_trained, tmp_path,
+                                           monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(small_dir, data)
+    (data / "source.csv").write_bytes(b"\xff not a benchmark file\n")
+    reads = _count_reads(monkeypatch)
+    assert cli.main([
+        "eval", "--data", str(data), "--guidance", str(tiny_trained / "g.json"),
+        "--diffusion", str(tiny_trained / "d.json"), "--report",
+        str(tmp_path / "r.json"),
+    ]) == 0
+    assert reads == ["target.csv"]
+
+
+def test_stage1_reads_source_only_to_pretrain(small_dir, tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(small_dir, data)
+    reads = _count_reads(monkeypatch)
+    pl.train_stage1(data, TINY, tmp_path / "g1.json")
+    assert sorted(reads) == ["source.csv", "target.csv"]
+    (data / "source.csv").unlink()
+    (data / "source.csv.meta.json").unlink()
+    reads.clear()
+    pl.train_stage1(data, TINY, tmp_path / "g2.json", base_path=tmp_path / "g1.base.json")
+    assert reads == ["target.csv"]
+    with pytest.raises(DataError, match="run gen-data first"):
+        pl.train_stage1(data, TINY, tmp_path / "g3.json")
+
+
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise NumericError("non-finite loss at stage1,0")
@@ -415,6 +468,32 @@ def _short_weights(path):
     path.write_text(json.dumps(doc))
 
 
+def _denoiser_v1(path):
+    """Rewrite a denoiser file in the retired v1 layout: raw weights, the
+    weight average under ema_weights and a shapes map."""
+    doc = json.loads(path.read_text())
+    doc["format"] = "cgsd-denoiser-v1"
+    doc["ema_weights"] = doc["weights"]
+    shapes = doc["shapes"] = {}
+    for i, (fan_in, fan_out) in enumerate(df.layer_dims(doc["d_model"], doc["k"])):
+        shapes[f"layer{i}_w"], shapes[f"layer{i}_b"] = [fan_out, fan_in], [1, fan_out]
+    path.write_text(json.dumps(doc))
+
+
+def _non_utf8(path):
+    blob = path.read_bytes()
+    cut = len(blob) // 2
+    path.write_bytes(blob[:cut] + b"\xff" + blob[cut:])
+
+
+def _one_grade(path):
+    """A guidance file consistent in itself but recording a single grade."""
+    doc = json.loads(path.read_text())
+    doc["k"] = 1
+    doc["weights"]["prompts"] = doc["weights"]["prompts"][: doc["d_model"]]
+    path.write_text(json.dumps(doc))
+
+
 def _drop_domain_tag(path):
     meta = path / "target.csv.meta.json"
     doc = json.loads(meta.read_text())
@@ -456,6 +535,8 @@ _BAD_INPUTS = {
     "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
     "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
+    "denoiser-v1-with-ema_weights": (3, "eval", [], "d.json", _denoiser_v1, None),
+    "target-csv-not-utf8": (3, "eval", [], "data/target.csv", _non_utf8, None),
     "eval-d_in-mismatch": (3, "eval", ["--guidance", "{w}/g64.json"], None, None, None),
     "train-diffusion-d_in-mismatch": (
         3, "train-diffusion", ["--guidance", "{w}/g64.json"], None, None, None),
@@ -488,6 +569,7 @@ _BAD_INPUTS = {
         None),
     "guidance-alpha-negative": (
         3, "eval", [], "g.json", _json_set("alpha", value=-1), None),
+    "guidance-one-grade": (3, "eval-zero-shot", [], "g.json", _one_grade, None),
     "denoiser-beta_end-2": (
         3, "eval", [], "d.json", _json_set("beta_end", value=2.0), None),
     # a base checkpoint trained for another rank is not reused
@@ -614,26 +696,33 @@ def _mutate(blob: bytes, op: str, pos: int, byte: int) -> bytes:
     return blob[:pos] + (bytes([byte]) if op == "replace" else b"") + tail
 
 
+_FUZZ_DATA = ("target.csv", "target.csv.meta.json")
+
+
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    target=st.sampled_from(["cfg.json", "g.json", "d.json"]),
+    target=st.sampled_from(["cfg.json", "g.json", "d.json", *_FUZZ_DATA]),
     op=st.sampled_from(["replace", "insert", "delete"]),
     pos=st.integers(min_value=0, max_value=2**20),
     byte=st.integers(min_value=0, max_value=255),
 )
 def test_cli_eval_survives_mutated_bytes(bad_input_base, target, op, pos, byte):
-    """One changed byte in the --config file or a checkpoint ends eval with a
-    documented exit code and at most one stderr line."""
+    """One changed byte in the --config file, a checkpoint or the target
+    domain's CSV or metadata ends eval with a documented exit code and at most
+    one stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        data = work / "data"
+        shutil.copytree(bad_input_base / "data", data)
         files = {name: bad_input_base / name for name in ("g.json", "d.json")}
         files["cfg.json"] = work / "base-cfg.json"
         files["cfg.json"].write_text(json.dumps({"n_samples": 2, "seed": 3}))
-        mutated = work / target
-        mutated.write_bytes(_mutate(files[target].read_bytes(), op, pos, byte))
+        mutated = (data if target in _FUZZ_DATA else work) / target
+        source = data / target if target in _FUZZ_DATA else files[target]
+        mutated.write_bytes(_mutate(source.read_bytes(), op, pos, byte))
         files[target] = mutated
-        argv = ["eval", "--data", str(bad_input_base / "data"),
+        argv = ["eval", "--data", str(data),
                 "--guidance", str(files["g.json"]), "--diffusion", str(files["d.json"]),
                 "--report", str(work / "r.json"), "--config", str(files["cfg.json"])]
         err = io.StringIO()
