@@ -29,7 +29,9 @@ def main() -> None:
     write_dataset(args.out / "target.csv", target)
 
     cfg = RunConfig(desk_preset=True, seed=args.seed)
-    train_stage1(args.out, cfg, args.out / "guidance.json")
+    train_stage1(
+        args.out, cfg, args.out / "guidance.json", args.out / "guidance.base.json"
+    )
     train_stage2(args.out, args.out / "guidance.json", cfg, args.out / "denoiser.json")
 
     doc = export_trajectory(

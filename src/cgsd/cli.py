@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .data import SyntheticConfig, gen_synthetic, write_dataset
+from .data import SyntheticConfig, gen_synthetic, write_dataset, write_json
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import RunConfig
 
@@ -136,7 +136,9 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
     ("data", "out"),
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
-    result = pipeline.train_stage1(a["data"], cfg, a["out"])
+    # the pretrained base is kept beside --out (g.json: g.base.json) for reuse
+    out = Path(a["out"])
+    result = pipeline.train_stage1(a["data"], cfg, out, out.with_suffix(".base.json"))
     _write_log(a["out"], result["log"])
 
 
@@ -157,8 +159,11 @@ def _train_diffusion(cfg: RunConfig, a: dict) -> None:
     {"diffusion": None},
 )
 def _eval(cfg: RunConfig, a: dict) -> None:
-    denoiser = a["diffusion"] or None
-    report = pipeline.evaluate(a["data"], a["guidance"], denoiser, cfg, a["report"])
+    model, denoiser, _, test = pipeline.load_run(
+        a["data"], cfg, a["guidance"], a["diffusion"] or None
+    )
+    report = pipeline.evaluate(model, denoiser, test, cfg)
+    write_json(a["report"], report)
     print(json.dumps(report, sort_keys=True, indent=2))
 
 

@@ -285,6 +285,13 @@ def load_checkpoint(
     return doc, tensors
 
 
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write a report as sorted, indented JSON with a trailing newline."""
+    Path(path).write_text(
+        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
+    )
+
+
 def write_dataset(path: str | Path, ds: Dataset) -> None:
     path = Path(path)
     header = "label," + ",".join(f"f{i}" for i in range(ds.d_in))
@@ -349,4 +356,7 @@ def read_dataset(path: str | Path) -> Dataset:
             feats[i] = [float(v) for v in parts[1:]]
         except ValueError:
             raise ParseError(f"{path}: non-numeric feature at line {lineno}")
+    bad = ~np.isfinite(feats).all(axis=1)
+    if bad.any():
+        raise ParseError(f"{path}: non-finite feature at line {np.argmax(bad) + 2}")
     return Dataset(feats, labels, k, meta["domain_tag"], meta["seed"])

@@ -281,9 +281,9 @@ def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
 # checkpoint I/O
 
 
-def save_guidance(path: str | Path, model: GuidanceModel, frozen: bool) -> None:
+def save_guidance(path: str | Path, model: GuidanceModel) -> None:
     meta = {
-        "frozen": bool(frozen),
+        "frozen": model.frozen_base,
         "d_in": model.d_in,
         "hidden": model.w1.rows,
         "d_model": model.w2.rows,
@@ -330,7 +330,7 @@ def _tensor_shapes(doc: dict) -> dict[str, list[int]]:
     }
 
 
-def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
+def load_guidance(path: str | Path) -> GuidanceModel:
     doc, w = load_checkpoint(
         path,
         GUIDANCE_FORMAT,
@@ -344,6 +344,6 @@ def load_guidance(path: str | Path) -> tuple[GuidanceModel, bool]:
     model = GuidanceModel(
         t["w1"], t["b1"], t["w2"], t["b2"], adapter, t["prompts"],
         Tensor2(np.array([[doc["log_scale"]]])),
-        frozen_base=True,
+        frozen_base=doc["frozen"],
     )
-    return model, doc["frozen"]
+    return model

@@ -4,8 +4,8 @@ the three-row ablation and trajectory export.
 Stage 1 adapts the guidance model (adapter + prompts + logit scale) on the
 target train split with the frozen source-pretrained encoder. Stage 2 trains
 the denoiser against the frozen stage-1 guidance; no gradient ever reaches
-guidance weights, which is asserted by hashing. Every command is a pure
-function of (config, seed, input files).
+guidance weights, which is asserted by hashing. ``evaluate`` works on models
+and a split in memory; ``load_run`` reads them from a run's files.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import diffusion as df
 from . import guidance as gd
 from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
-from .data import Dataset, read_dataset, stratified_split
+from .data import Dataset, read_dataset, stratified_split, write_json
 from .errors import ConfigError, DataError, NumericError
 from .numkit import GradTape, Tensor2, backward, softmax_rows
 
@@ -135,20 +135,34 @@ def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     return f.data, d.data, prior.data
 
 
-def _check_dims(
-    model: gd.GuidanceModel, data: Dataset, net: df.DenoiserNet | None = None
-) -> None:
-    """Reject checkpoints whose input width or grade count differs from the data's."""
-    if model.d_in != data.d_in or model.k != data.k:
+def load_run(
+    data_dir: str | Path,
+    cfg: RunConfig,
+    guidance_ckpt: str | Path,
+    denoiser_ckpt: str | Path | None = None,
+) -> tuple[gd.GuidanceModel, tuple | None, Dataset, Dataset]:
+    """A run's inputs: the guidance model, the (net, schedule) pair (None
+    without a denoiser checkpoint) and the target train and test splits;
+    checkpoints whose widths or grade count do not fit the data are refused."""
+    model = gd.load_guidance(guidance_ckpt)
+    target = load_domain(data_dir, "target")
+    if model.d_in != target.d_in or model.k != target.k:
         raise DataError(
             f"guidance checkpoint expects d_in={model.d_in}, k={model.k}; "
-            f"data has d_in={data.d_in}, k={data.k}"
+            f"data has d_in={target.d_in}, k={target.k}"
         )
-    if net is not None and (net.d_model != model.w2.rows or net.k != data.k):
+    train, test = stratified_split(target, cfg.train_fraction, cfg.seed)
+    if denoiser_ckpt is None:
+        return model, None, train, test
+    # read after the CSV: read before it, the denoiser made the infer-few
+    # benchmark's eval calls 40% slower, by where their arrays were allocated
+    net, sched = df.load_denoiser(denoiser_ckpt)
+    if net.d_model != model.w2.rows or net.k != target.k:
         raise DataError(
             f"denoiser checkpoint expects d_model={net.d_model}, k={net.k}; "
-            f"guidance has d_model={model.w2.rows}, data has k={data.k}"
+            f"guidance has d_model={model.w2.rows}, data has k={target.k}"
         )
+    return model, (net, sched), train, test
 
 
 def _check_finite_loss(value: float, where: str) -> None:
@@ -231,26 +245,20 @@ def train_stage1(
     data_dir: str | Path,
     cfg: RunConfig,
     out_path: str | Path,
-    base_path: str | Path | None = None,
+    base_path: str | Path,
 ) -> dict:
     """LoRA + prompt adaptation of the frozen base on the target train split.
 
     The source-pretrained base checkpoint is loaded from base_path when it
-    exists and produced by a built-in pretrain pass otherwise.
+    exists and produced by a built-in pretrain pass and saved there otherwise.
+    The result's "model" is the adapted model saved to out_path.
     """
     cfg = cfg.resolved()
-    out_path = Path(out_path)
-    if base_path is None:
-        base_path = out_path.parent / (out_path.stem + ".base.json")
     base_path = Path(base_path)
-
-    target = load_domain(data_dir, "target")
-    train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
-
     log: list[str] = []
     if base_path.exists():
-        model, _ = gd.load_guidance(base_path)
-        _check_dims(model, target)
+        model, _, train, _ = load_run(data_dir, cfg, base_path)
+        model.freeze_base()
         found = (model.w1.rows, model.w2.rows, model.adapter.rank, model.adapter.alpha)
         wanted = (cfg.hidden, cfg.d_model, cfg.rank, cfg.alpha)
         if found != wanted:
@@ -259,8 +267,10 @@ def train_stage1(
                 f"= {found}, the config asks for {wanted}"
             )
     else:
+        target = load_domain(data_dir, "target")
+        train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
         model = pretrain_base(load_domain(data_dir, "source"), cfg, log)
-        gd.save_guidance(base_path, model, frozen=True)
+        gd.save_guidance(base_path, model)
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
@@ -294,13 +304,14 @@ def train_stage1(
         log.append(f"stage1,{epoch},{lr:.8g},{mean_loss:.8g},{acc:.6f}")
 
     frozen_hash_after = _hash_arrays([t.data for t in model.base_params()])
-    gd.save_guidance(out_path, model, frozen=True)
+    gd.save_guidance(out_path, model)
     return {
         "log": log,
         "frozen_hash_before": frozen_hash_before,
         "frozen_hash_after": frozen_hash_after,
         "checkpoint": str(out_path),
         "base_checkpoint": str(base_path),
+        "model": model,
     }
 
 
@@ -310,23 +321,20 @@ def train_stage2(
     cfg: RunConfig,
     out_path: str | Path,
 ) -> dict:
-    """Train the noise predictor against frozen guidance conditioning."""
+    """Train the noise predictor against frozen guidance conditioning; the
+    result's "denoiser" is the (net, schedule) pair saved to out_path."""
     cfg = cfg.resolved()
-    model, frozen = gd.load_guidance(guidance_ckpt)
-    if not frozen:
+    model, _, train, _ = load_run(data_dir, cfg, guidance_ckpt)
+    if not model.frozen_base:
         raise DataError(f"guidance checkpoint {guidance_ckpt} is not marked frozen")
     guidance_hash_before = hashlib.sha256(
         Path(guidance_ckpt).read_bytes()
     ).hexdigest()
-
-    target = load_domain(data_dir, "target")
-    _check_dims(model, target)
-    train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = conditioning(model, train.features)
-    y0 = _onehot(train.labels, target.k)
+    y0 = _onehot(train.labels, train.k)
 
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
-    net = df.DenoiserNet.build(cfg.d_model, target.k, cfg.seed)
+    net = df.DenoiserNet.build(cfg.d_model, train.k, cfg.seed)
     params = net.params()
     state = optim.AdamState(beta1=0.9)
     ema = optim.EmaState.from_params(params, cfg.ema_mu)
@@ -377,6 +385,7 @@ def train_stage2(
         "guidance_hash_before": guidance_hash_before,
         "guidance_hash_after": guidance_hash_after,
         "checkpoint": str(out_path),
+        "denoiser": (net, sched),
     }
 
 
@@ -427,35 +436,27 @@ def _diffusion_predict(
 
 
 def evaluate(
-    data_dir: str | Path,
-    guidance_ckpt: str | Path,
-    denoiser_ckpt: str | Path | None,
+    model: gd.GuidanceModel,
+    denoiser: tuple[df.DenoiserNet, df.NoiseSchedule] | None,
+    test: Dataset,
     cfg: RunConfig,
-    report_path: str | Path | None = None,
 ) -> dict:
-    """Metrics report on the target test split; zero-shot without a denoiser,
-    multi-sample diffusion inference with one."""
+    """Metrics report on a test split: zero-shot without a denoiser,
+    multi-sample diffusion inference with a (net, schedule) pair."""
     cfg = cfg.resolved()
-    model, _ = gd.load_guidance(guidance_ckpt)
-    target = load_domain(data_dir, "target")
-    _check_dims(model, target)
-    _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
-
-    if denoiser_ckpt is None:
+    if denoiser is None:
         preds = gd.predict_batch(test.features, model)
         mode = "zero-shot"
     else:
-        net, sched = df.load_denoiser(denoiser_ckpt)
-        _check_dims(model, target, net)
         f, d, prior = conditioning(model, test.features)
         preds = _diffusion_predict(
-            net, sched, f, d, prior, cfg.n_samples, cfg.seed,
+            *denoiser, f, d, prior, cfg.n_samples, cfg.seed,
             item_keys=np.arange(test.n),
         )
         mode = "diffusion"
 
     cm, acc, per_f1, macro = confusion_and_metrics(preds, test.labels, test.k)
-    report = {
+    return {
         "mode": mode,
         "accuracy": acc,
         "macro_f1": macro,
@@ -469,17 +470,12 @@ def evaluate(
             "macro_f1": PAPER_REFERENCE["macro_f1"],
         },
     }
-    if report_path is not None:
-        Path(report_path).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-            newline="\n",
-        )
-    return report
 
 
 def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
-    """Three-row component ablation on one shared target test split."""
+    """Three-row component ablation on one shared target test split. The rows
+    score the models the two stages return; only the zero-shot row's base is
+    read back, because stage 1 adapts the base model in place."""
     cfg = cfg.resolved()
     out_path = Path(out_path)
     work = out_path.parent
@@ -496,12 +492,13 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     stage2 = train_stage2(data_dir, guidance_path, cfg, denoiser_path)
 
     rows = []
-    for name, g_ckpt, d_ckpt in (
-        ("zero-shot guidance (source pretraining only)", base_path, None),
-        ("+ low-rank adaptation", guidance_path, None),
-        ("+ label-space diffusion", guidance_path, denoiser_path),
+    for name, model, denoiser in (
+        ("zero-shot guidance (source pretraining only)",
+         gd.load_guidance(base_path), None),
+        ("+ low-rank adaptation", stage1["model"], None),
+        ("+ label-space diffusion", stage1["model"], stage2["denoiser"]),
     ):
-        rep = evaluate(data_dir, g_ckpt, d_ckpt, cfg)
+        rep = evaluate(model, denoiser, test, cfg)
         rows.append(
             {
                 "configuration": name,
@@ -526,11 +523,7 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
             k: stage2[k] for k in ("guidance_hash_before", "guidance_hash_after")
         },
     }
-    out_path.write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_json(out_path, report)
     return report
 
 
@@ -552,15 +545,10 @@ def export_trajectory(
     cfg = cfg.resolved()
     if not steps:
         raise ConfigError("steps list must not be empty")
-    model, _ = gd.load_guidance(guidance_ckpt)
-    net, sched = df.load_denoiser(denoiser_ckpt)
+    model, (net, sched), _, test = load_run(data_dir, cfg, guidance_ckpt, denoiser_ckpt)
     for t in steps:
         if not (0 <= t <= sched.t_total):
             raise ConfigError(f"step {t} outside [0, {sched.t_total}]")
-
-    target = load_domain(data_dir, "target")
-    _check_dims(model, target, net)
-    _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = conditioning(model, test.features)
     rngs = df.chain_substreams(cfg.seed, [(i, 0) for i in range(test.n)])
     _, snaps = df.sample_chain_batch(
@@ -583,9 +571,5 @@ def export_trajectory(
         "seed": cfg.seed,
         "config_digest": cfg.digest(),
     }
-    Path(str(out_path) + ".silhouette.json").write_text(
-        json.dumps(sil_doc, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_json(str(out_path) + ".silhouette.json", sil_doc)
     return sil_doc

@@ -117,14 +117,15 @@ def separable_stage1(tmp_path_factory):
     write_dataset(out / "source.csv", source)
     write_dataset(out / "target.csv", target)
     cfg = pl.RunConfig(desk_preset=True, seed=42)
-    result = pl.train_stage1(out, cfg, out / "guidance.json")
-    model, frozen = gd.load_guidance(out / "guidance.json")
+    result = pl.train_stage1(
+        out, cfg, out / "guidance.json", out / "guidance.base.json"
+    )
+    model = gd.load_guidance(out / "guidance.json")
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     acc = float(np.mean(gd.predict_batch(test.features, model) == test.labels))
     return {
         "dir": out,
         "model": model,
-        "frozen": frozen,
         "accuracy": acc,
         "log": result["log"],
         "test": test,

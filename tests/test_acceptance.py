@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
+from cgsd import cli
 from cgsd import diffusion as df
 from cgsd import guidance as gd
 from cgsd import optim
 from cgsd import pipeline as pl
 from cgsd.analysis import confusion_and_metrics
-from cgsd.data import read_dataset, stratified_split
 from cgsd.numkit import Tensor2, grad_check_param
 
 
@@ -186,20 +186,21 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
     data_dir = desk_ablation["data_dir"]
     cfg = desk_ablation["cfg"]
 
-    # byte-identical reports from repeated runs
-    pl.evaluate(data_dir, desk_ablation["guidance"], desk_ablation["denoiser"],
-                cfg, tmp_path / "r1.json")
-    pl.evaluate(data_dir, desk_ablation["guidance"], desk_ablation["denoiser"],
-                cfg, tmp_path / "r2.json")
+    # byte-identical reports from repeated cgsd eval runs
+    for report in ("r1.json", "r2.json"):
+        assert cli.main([
+            "eval", "--data", str(data_dir), "--guidance", str(desk_ablation["guidance"]),
+            "--diffusion", str(desk_ablation["denoiser"]),
+            "--report", str(tmp_path / report), "--seed", str(cfg.seed),
+        ]) == 0
     b1 = (tmp_path / "r1.json").read_bytes()
     assert b1 == (tmp_path / "r2.json").read_bytes()
 
     # the same items in four chunks, each keeping its own item keys, get the
     # predictions of one whole batch, and those are what the report counts
-    net, sched = df.load_denoiser(desk_ablation["denoiser"])
-    model, _ = gd.load_guidance(desk_ablation["guidance"])
-    target = read_dataset(data_dir / "target.csv")
-    _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
+    model, (net, sched), _, test = pl.load_run(
+        data_dir, cfg, desk_ablation["guidance"], desk_ablation["denoiser"]
+    )
     f_all, d_all, prior_all = pl.conditioning(model, test.features)
     keys = np.arange(test.n)
 

@@ -246,6 +246,17 @@ def test_read_rejects_row_length_mismatch(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_read_rejects_non_finite_feature(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,f0,f1\n0,0.1,0.2\n1,0.3,{value}\n")
+    (tmp_path / "bad.csv.meta.json").write_text(
+        json.dumps({"n": 2, "d_in": 2, "k": 5, "domain_tag": "source", "seed": 0})
+    )
+    with pytest.raises(ParseError, match="bad.csv: non-finite feature at line 3"):
+        read_dataset(path)
+
+
 def test_read_rejects_non_integer_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,f0,f1\nx,0.1,0.2\n")

@@ -492,14 +492,12 @@ def test_stride_chain_close_to_full_chain(desk_ablation):
     # stride property is distributional: over many chains on the trained desk
     # model, the stride-10 mean matches the full-chain mean within 0.05
     # in inf-norm.
-    from cgsd import guidance as gd
     from cgsd import pipeline as pl
-    from cgsd.data import read_dataset, stratified_split
 
-    net, sched = df.load_denoiser(desk_ablation["denoiser"])
-    model, _ = gd.load_guidance(desk_ablation["guidance"])
-    target = read_dataset(desk_ablation["data_dir"] / "target.csv")
-    _, test = stratified_split(target, 0.7, 42)
+    model, (net, sched), _, test = pl.load_run(
+        desk_ablation["data_dir"], desk_ablation["cfg"], desk_ablation["guidance"],
+        desk_ablation["denoiser"],
+    )
     f, d, prior = pl.conditioning(model, test.features[:1])
 
     m = 200

@@ -277,9 +277,9 @@ def test_checkpoint_round_trip_value_exact(tmp_path):
     model = small_model(seed=15)
     model.prompts.data += 0.123456789012345678
     path = tmp_path / "g.json"
-    gd.save_guidance(path, model, frozen=True)
-    loaded, frozen = gd.load_guidance(path)
-    assert frozen is True
+    gd.save_guidance(path, model)
+    loaded = gd.load_guidance(path)
+    assert loaded.frozen_base is True
     for a, b in (
         (model.w1, loaded.w1),
         (model.w2, loaded.w2),
@@ -295,12 +295,23 @@ def test_checkpoint_round_trip_value_exact(tmp_path):
     assert loaded.adapter.alpha == model.adapter.alpha
 
 
+def test_checkpoint_records_the_frozen_flag(tmp_path):
+    # the flag travels with the model: an unfrozen base loads unfrozen, with
+    # its encoder weights trainable again
+    path = tmp_path / "g.json"
+    for frozen in (True, False):
+        gd.save_guidance(path, small_model(frozen=frozen))
+        loaded = gd.load_guidance(path)
+        assert loaded.frozen_base is frozen
+        assert all(t.requires_grad is not frozen for t in loaded.base_params())
+
+
 def test_checkpoint_rejects_wrong_format(tmp_path):
     import json
 
     model = small_model()
     path = tmp_path / "g.json"
-    gd.save_guidance(path, model, frozen=True)
+    gd.save_guidance(path, model)
     doc = json.loads(path.read_text())
     doc["format"] = "something-else"
     path.write_text(json.dumps(doc))
@@ -312,7 +323,7 @@ def test_checkpoint_shapes_come_from_recorded_dimensions(tmp_path):
     import json
 
     path = tmp_path / "g.json"
-    gd.save_guidance(path, small_model(), frozen=True)
+    gd.save_guidance(path, small_model())
     doc = json.loads(path.read_text())
     assert doc["format"] == "cgsd-guidance-v1" and "shapes" not in doc
     # an older file's shapes map is ignored, even when it is wrong

@@ -66,14 +66,14 @@ def test_config_digest_stable_and_sensitive():
 
 def test_stage1_epochs_zero_is_noop(small_dir, tmp_path):
     cfg = replace(TINY, stage1_epochs=0)
-    pl.train_stage1(small_dir, cfg, tmp_path / "g.json")
-    model, frozen = gd.load_guidance(tmp_path / "g.json")
-    assert frozen is True
+    pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
+    model = gd.load_guidance(tmp_path / "g.json")
+    assert model.frozen_base is True
     assert np.all(model.adapter.b.data == 0.0)  # adapter increment still zero
 
 
 def test_stage1_freezes_base_and_logs(small_dir, tmp_path):
-    result = pl.train_stage1(small_dir, TINY, tmp_path / "g.json")
+    result = pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
     assert result["frozen_hash_before"] == result["frozen_hash_after"]
     stage1_lines = [l for l in result["log"] if l.startswith("stage1,")]
     assert len(stage1_lines) == TINY.stage1_epochs
@@ -84,13 +84,13 @@ def test_stage1_freezes_base_and_logs(small_dir, tmp_path):
 
 
 def test_stage1_reuses_base_checkpoint(small_dir, tmp_path):
-    r1 = pl.train_stage1(small_dir, TINY, tmp_path / "g1.json")
+    r1 = pl.train_stage1(small_dir, TINY, tmp_path / "g1.json", tmp_path / "g1.base.json")
     base = tmp_path / "g1.base.json"
     assert base.exists()
     r2 = pl.train_stage1(small_dir, TINY, tmp_path / "g2.json", base_path=base)
     assert not [l for l in r2["log"] if l.startswith("pretrain,")]
-    m1, _ = gd.load_guidance(tmp_path / "g1.json")
-    m2, _ = gd.load_guidance(tmp_path / "g2.json")
+    m1 = gd.load_guidance(tmp_path / "g1.json")
+    m2 = gd.load_guidance(tmp_path / "g2.json")
     np.testing.assert_array_equal(m1.prompts.data, m2.prompts.data)
 
 
@@ -100,14 +100,14 @@ def test_stage1_reuses_base_checkpoint(small_dir, tmp_path):
 
 def test_stage2_requires_frozen_guidance(small_dir, tmp_path):
     model = gd.GuidanceModel.build(16, 16, 8, 3, 2, 4.0, seed=1)
-    gd.save_guidance(tmp_path / "unfrozen.json", model, frozen=False)
+    gd.save_guidance(tmp_path / "unfrozen.json", model)
     with pytest.raises(DataError, match="unfrozen.json"):
         pl.train_stage2(small_dir, tmp_path / "unfrozen.json", TINY,
                         tmp_path / "d.json")
 
 
 def test_stage2_never_touches_guidance(small_dir, tmp_path):
-    pl.train_stage1(small_dir, TINY, tmp_path / "g.json")
+    pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
     before = (tmp_path / "g.json").read_bytes()
     result = pl.train_stage2(small_dir, tmp_path / "g.json", TINY, tmp_path / "d.json")
     assert result["guidance_hash_before"] == result["guidance_hash_after"]
@@ -116,8 +116,8 @@ def test_stage2_never_touches_guidance(small_dir, tmp_path):
 
 def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
     cfg = replace(TINY, stage2_epochs=1)
-    pl.train_stage1(small_dir, cfg, tmp_path / "g.json")
-    model, _ = gd.load_guidance(tmp_path / "g.json")
+    pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
+    model = gd.load_guidance(tmp_path / "g.json")
     target = read_dataset(small_dir / "target.csv")
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     f, d, prior = pl.conditioning(model, test.features)
@@ -137,7 +137,7 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
 def test_stage2_saves_the_weight_average(small_dir, tmp_path):
     # both runs train the same raw weights, and with ema_mu = 0 the average is
     # the raw set itself, so the files differ only if they hold the average
-    pl.train_stage1(small_dir, TINY, tmp_path / "g.json")
+    pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
     params = []
     for mu in (0.9, 0.0):
         out = tmp_path / f"d{mu}.json"
@@ -147,7 +147,7 @@ def test_stage2_saves_the_weight_average(small_dir, tmp_path):
 
 
 def test_stage2_log_schema(small_dir, tmp_path):
-    pl.train_stage1(small_dir, TINY, tmp_path / "g.json")
+    pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
     result = pl.train_stage2(small_dir, tmp_path / "g.json", TINY, tmp_path / "d.json")
     lines = result["log"]
     assert len(lines) == TINY.stage2_epochs
@@ -163,37 +163,49 @@ def test_stage2_log_schema(small_dir, tmp_path):
 @pytest.fixture(scope="module")
 def tiny_trained(small_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("tiny_trained")
-    pl.train_stage1(small_dir, TINY, work / "g.json")
+    pl.train_stage1(small_dir, TINY, work / "g.json", work / "g.base.json")
     pl.train_stage2(small_dir, work / "g.json", TINY, work / "d.json")
     return work
 
 
-def test_evaluate_zero_shot_report_schema(small_dir, tiny_trained, tmp_path):
-    report = pl.evaluate(small_dir, tiny_trained / "g.json", None, TINY,
-                         tmp_path / "r.json")
+@pytest.fixture(scope="module")
+def tiny_run(small_dir, tiny_trained):
+    """The tiny run's models and test split, read once."""
+    return pl.load_run(small_dir, TINY, tiny_trained / "g.json", tiny_trained / "d.json")
+
+
+def test_evaluate_zero_shot_report_schema(tiny_run):
+    model, _, _, test = tiny_run
+    report = pl.evaluate(model, None, test, TINY)
     for key in ("accuracy", "macro_f1", "per_class_f1", "confusion", "n_eval",
                 "seed", "config_digest", "mode", "paper_reference"):
         assert key in report
     assert report["mode"] == "zero-shot"
-    on_disk = json.loads((tmp_path / "r.json").read_text())
-    assert on_disk == report
+    assert report["n_eval"] == test.n
+    assert sum(map(sum, report["confusion"])) == test.n
 
 
 def test_evaluate_byte_identical_reports(small_dir, tiny_trained, tmp_path):
-    pl.evaluate(small_dir, tiny_trained / "g.json", tiny_trained / "d.json", TINY,
-                tmp_path / "a.json")
-    pl.evaluate(small_dir, tiny_trained / "g.json", tiny_trained / "d.json", TINY,
-                tmp_path / "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # two cgsd eval runs write the same bytes: the report evaluate returns
+    for name in ("a.json", "b.json"):
+        assert cli.main([
+            "eval", "--data", str(small_dir), "--guidance", str(tiny_trained / "g.json"),
+            "--diffusion", str(tiny_trained / "d.json"), "--report", str(tmp_path / name),
+            "--seed", str(TINY.seed),
+        ]) == 0
+    written = (tmp_path / "a.json").read_bytes()
+    assert written == (tmp_path / "b.json").read_bytes()
+    cfg = pl.RunConfig(seed=TINY.seed)
+    model, denoiser, _, test = pl.load_run(
+        small_dir, cfg, tiny_trained / "g.json", tiny_trained / "d.json"
+    )
+    assert json.loads(written) == pl.evaluate(model, denoiser, test, cfg)
 
 
-def test_diffusion_predict_invariant_to_chunking(small_dir, tiny_trained):
+def test_diffusion_predict_invariant_to_chunking(tiny_run):
     # all test items at once against two slices that keep their own item keys;
     # with enough samples the whole batch spans more than one row block
-    model, _ = gd.load_guidance(tiny_trained / "g.json")
-    net, sched = df.load_denoiser(tiny_trained / "d.json")
-    target = read_dataset(small_dir / "target.csv")
-    _, test = stratified_split(target, TINY.train_fraction, TINY.seed)
+    model, (net, sched), _, test = tiny_run
     f, d, prior = pl.conditioning(model, test.features)
     keys = np.arange(test.n)
     many = pl.ROW_BLOCK // test.n + 2
@@ -243,7 +255,7 @@ def test_evaluate_rejects_version_mismatch(small_dir, tiny_trained, tmp_path):
     from cgsd.errors import ParseError
 
     with pytest.raises(ParseError):
-        pl.evaluate(small_dir, bad, None, TINY)
+        pl.load_run(small_dir, TINY, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +273,39 @@ def test_ablate_rows_share_split_and_digest(small_dir, tmp_path):
     names = [r["configuration"] for r in rows]
     assert names[0].startswith("zero-shot")
     assert "paper_reference" in report
+
+
+def test_stages_return_the_models_they_save(small_dir, tmp_path):
+    # ablate scores the returned objects instead of reading the files back,
+    # which is right only while the two are equal, array for array
+    s1 = pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
+    s2 = pl.train_stage2(small_dir, tmp_path / "g.json", TINY, tmp_path / "d.json")
+    model, loaded = s1["model"], gd.load_guidance(tmp_path / "g.json")
+    assert model.frozen_base is loaded.frozen_base is True
+    assert (model.adapter.rank, model.adapter.alpha) == (
+        loaded.adapter.rank, loaded.adapter.alpha)
+    weights = lambda m: m.base_params() + m.lora_params() + m.prompt_params()
+    for a, b in zip(weights(model), weights(loaded), strict=True):
+        assert np.array_equal(a.data, b.data)
+    (net, sched), (net_read, sched_read) = s2["denoiser"], df.load_denoiser(tmp_path / "d.json")
+    assert (net.d_model, net.k) == (net_read.d_model, net_read.k)
+    for a, b in zip(net.params(), net_read.params(), strict=True):
+        assert np.array_equal(a.data, b.data)
+    assert sched.t_total == sched_read.t_total
+    for name in ("beta", "alpha", "alpha_bar", "temb"):
+        assert np.array_equal(getattr(sched, name), getattr(sched_read, name))
+
+
+def test_ablate_reads_each_input_once_per_stage(small_dir, tmp_path, monkeypatch):
+    # ablate's split, stage 1 and stage 2 each read target.csv once and the
+    # pretrain reads source.csv; only the zero-shot row's base is loaded back
+    reads = _count_calls(monkeypatch, pl, "read_dataset")
+    guidance_loads = _count_calls(monkeypatch, gd, "load_guidance")
+    denoiser_loads = _count_calls(monkeypatch, df, "load_denoiser")
+    pl.ablate(small_dir, TINY, tmp_path / "ablation.json")
+    assert sorted(reads) == ["source.csv", "target.csv", "target.csv", "target.csv"]
+    assert sorted(guidance_loads) == ["ablate_guidance.base.json", "ablate_guidance.json"]
+    assert denoiser_loads == []
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +400,17 @@ def test_cli_missing_data_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def _count_reads(monkeypatch):
-    reads = []
-    real = pl.read_dataset
+def _count_calls(monkeypatch, owner, name):
+    """The name of the file each call of owner.name is given, in call order."""
+    names = []
+    real = getattr(owner, name)
 
-    def counting(path):
-        reads.append(Path(path).name)
-        return real(path)
+    def counting(path, *args, **kwargs):
+        names.append(Path(path).name)
+        return real(path, *args, **kwargs)
 
-    monkeypatch.setattr(pl, "read_dataset", counting)
-    return reads
+    monkeypatch.setattr(owner, name, counting)
+    return names
 
 
 def test_eval_reads_only_the_target_domain(small_dir, tiny_trained, tmp_path,
@@ -372,7 +418,7 @@ def test_eval_reads_only_the_target_domain(small_dir, tiny_trained, tmp_path,
     data = tmp_path / "data"
     shutil.copytree(small_dir, data)
     (data / "source.csv").write_bytes(b"\xff not a benchmark file\n")
-    reads = _count_reads(monkeypatch)
+    reads = _count_calls(monkeypatch, pl, "read_dataset")
     assert cli.main([
         "eval", "--data", str(data), "--guidance", str(tiny_trained / "g.json"),
         "--diffusion", str(tiny_trained / "d.json"), "--report",
@@ -384,8 +430,8 @@ def test_eval_reads_only_the_target_domain(small_dir, tiny_trained, tmp_path,
 def test_stage1_reads_source_only_to_pretrain(small_dir, tmp_path, monkeypatch):
     data = tmp_path / "data"
     shutil.copytree(small_dir, data)
-    reads = _count_reads(monkeypatch)
-    pl.train_stage1(data, TINY, tmp_path / "g1.json")
+    reads = _count_calls(monkeypatch, pl, "read_dataset")
+    pl.train_stage1(data, TINY, tmp_path / "g1.json", tmp_path / "g1.base.json")
     assert sorted(reads) == ["source.csv", "target.csv"]
     (data / "source.csv").unlink()
     (data / "source.csv.meta.json").unlink()
@@ -393,7 +439,7 @@ def test_stage1_reads_source_only_to_pretrain(small_dir, tmp_path, monkeypatch):
     pl.train_stage1(data, TINY, tmp_path / "g2.json", base_path=tmp_path / "g1.base.json")
     assert reads == ["target.csv"]
     with pytest.raises(DataError, match="run gen-data first"):
-        pl.train_stage1(data, TINY, tmp_path / "g3.json")
+        pl.train_stage1(data, TINY, tmp_path / "g3.json", tmp_path / "g3.base.json")
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
@@ -442,13 +488,13 @@ def bad_input_base(small_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("bad_inputs")
     for d_in, name in ((16, "g.json"), (64, "g64.json")):
         model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3,
-                                       rank=2, alpha=4.0, seed=1)
-        gd.save_guidance(work / name, model, frozen=True)
+                                       rank=2, alpha=4.0, seed=1, frozen_base=True)
+        gd.save_guidance(work / name, model)
     defaults = pl.RunConfig()
     base = gd.GuidanceModel.build(d_in=16, hidden=defaults.hidden,
                                   d_model=defaults.d_model, k=3, rank=2,
-                                  alpha=defaults.alpha, seed=5)
-    gd.save_guidance(work / "stale.base.json", base, frozen=True)
+                                  alpha=defaults.alpha, seed=5, frozen_base=True)
+    gd.save_guidance(work / "stale.base.json", base)
     df.save_denoiser(work / "d.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
                      (20, 1e-3, 0.2))
     (work / "data").mkdir()
@@ -494,6 +540,22 @@ def _one_grade(path):
     path.write_text(json.dumps(doc))
 
 
+def _feature(value, split):
+    """Damage that writes value into one feature of the first target.csv row
+    the default configuration's split puts in split (0 train, 1 test)."""
+    def damage(path):
+        target = read_dataset(path)
+        cfg = pl.RunConfig()
+        row = stratified_split(target, cfg.train_fraction, cfg.seed)[split].features[0]
+        line = 1 + int(np.flatnonzero((target.features == row).all(axis=1))[0])
+        lines = path.read_text().split("\n")
+        fields = lines[line].split(",")
+        fields[3] = value
+        lines[line] = ",".join(fields)
+        path.write_text("\n".join(lines))
+    return damage
+
+
 def _drop_domain_tag(path):
     meta = path / "target.csv.meta.json"
     doc = json.loads(meta.read_text())
@@ -537,6 +599,12 @@ _BAD_INPUTS = {
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
     "denoiser-v1-with-ema_weights": (3, "eval", [], "d.json", _denoiser_v1, None),
     "target-csv-not-utf8": (3, "eval", [], "data/target.csv", _non_utf8, None),
+    # a non-finite feature: a train row went unseen by eval, a test row ended
+    # in a numeric failure
+    "target-csv-train-row-nan": (
+        3, "eval", [], "data/target.csv", _feature("nan", 0), None),
+    "target-csv-test-row-inf": (
+        3, "eval", [], "data/target.csv", _feature("inf", 1), None),
     "eval-d_in-mismatch": (3, "eval", ["--guidance", "{w}/g64.json"], None, None, None),
     "train-diffusion-d_in-mismatch": (
         3, "train-diffusion", ["--guidance", "{w}/g64.json"], None, None, None),
@@ -661,7 +729,7 @@ def test_cli_config_round_trip(command, monkeypatch, tmp_path):
         seen.extend(a for a in args if isinstance(a, config_cls))
         raise _Captured
 
-    for owner, name in ((pl, "train_stage1"), (pl, "train_stage2"), (pl, "evaluate"),
+    for owner, name in ((pl, "train_stage1"), (pl, "train_stage2"), (pl, "load_run"),
                         (pl, "ablate"), (pl, "export_trajectory"),
                         (cli, "gen_synthetic")):
         monkeypatch.setattr(owner, name, capture)
