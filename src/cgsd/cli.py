@@ -78,8 +78,11 @@ def _convert(key: str, like, value):
         if typ is tuple:
             items = value.split(",") if isinstance(value, str) else value
             return tuple(_convert(key, like[0], x) for x in items)
-        # a bool setting takes only true/false, and no other setting takes them
+        # a bool setting takes only true/false, and no other setting takes
+        # them; an int setting takes no fraction
         if value is None or (typ is bool) != isinstance(value, bool):
+            raise TypeError
+        if typ is int and isinstance(value, float):
             raise TypeError
         out = typ(value)
     except (TypeError, ValueError, OverflowError):

@@ -203,7 +203,8 @@ NUMBER = (int, float)
 
 def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
     """Parse a JSON file holding an object with every key in fields, each
-    value an instance of the type fields gives for it."""
+    value an instance of the type fields gives for it; true and false count
+    as bool only, never as a number."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{what} not found: {path}")
@@ -216,7 +217,8 @@ def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
     for key, typ in fields.items():
         if key not in doc:
             raise ParseError(f"{what} {path} lacks key '{key}'")
-        if not isinstance(doc[key], typ):
+        value = doc[key]
+        if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
             raise ParseError(f"{what} {path}: key '{key}' has the wrong type")
     return doc
 

@@ -114,11 +114,8 @@ class DenoiserNet:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 23)))
         layers = []
         for fan_in, fan_out in layer_dims(d_model, k):
-            w = Tensor2(
-                rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in),
-                requires_grad=True,
-            )
-            b = Tensor2(np.zeros((1, fan_out)), requires_grad=True)
+            w = Tensor2(rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in))
+            b = Tensor2(np.zeros((1, fan_out)))
             layers.append((w, b))
         return cls(layers, d_model, k)
 
@@ -357,8 +354,7 @@ def load_denoiser(path: str | Path) -> tuple[DenoiserNet, NoiseSchedule]:
         _tensor_shapes,
     )
     layers = [
-        (Tensor2(w[f"layer{i}_w"], requires_grad=True),
-         Tensor2(w[f"layer{i}_b"], requires_grad=True))
+        (Tensor2(w[f"layer{i}_w"]), Tensor2(w[f"layer{i}_b"]))
         for i in range(len(HIDDEN) + 1)
     ]
     net = DenoiserNet(layers, doc["d_model"], doc["k"])

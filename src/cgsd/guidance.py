@@ -61,10 +61,8 @@ class LoraAdapter:
             raise ConfigError(
                 f"rank {rank} invalid for shapes d_in={d_in}, d_out={d_out}"
             )
-        a = Tensor2(
-            rng.standard_normal((rank, d_in)) / math.sqrt(d_in), requires_grad=True
-        )
-        b = Tensor2(np.zeros((d_out, rank)), requires_grad=True)
+        a = Tensor2(rng.standard_normal((rank, d_in)) / math.sqrt(d_in))
+        b = Tensor2(np.zeros((d_out, rank)))
         return cls(a, b, rank, alpha)
 
     @property
@@ -74,10 +72,7 @@ class LoraAdapter:
 
 class GuidanceModel:
     """Encoder MLP (d_in -> hidden -> d_model) with an adapter on the output
-    projection, plus K prompt rows and a log scale.
-
-    After freeze_base(), only the adapter, prompts and log_scale train.
-    """
+    projection, plus K prompt rows and a log scale."""
 
     def __init__(
         self,
@@ -100,13 +95,6 @@ class GuidanceModel:
         self.prompts = prompts
         self.log_scale = log_scale
         self.frozen_base = frozen_base
-        self._sync_flags()
-
-    def _sync_flags(self) -> None:
-        for t in (self.w1, self.b1, self.w2, self.b2):
-            t.requires_grad = not self.frozen_base
-        for t in (self.adapter.a, self.adapter.b, self.prompts, self.log_scale):
-            t.requires_grad = True
 
     @classmethod
     def build(
@@ -126,8 +114,8 @@ class GuidanceModel:
         w2 = Tensor2(rng.standard_normal((d_model, hidden)) / math.sqrt(hidden))
         b2 = Tensor2(np.zeros((1, d_model)))
         adapter = LoraAdapter.init(hidden, d_model, rank, alpha, rng)
-        prompts = Tensor2(rng.standard_normal((k, d_model)), requires_grad=True)
-        log_scale = Tensor2(np.array([[LOG_SCALE_INIT]]), requires_grad=True)
+        prompts = Tensor2(rng.standard_normal((k, d_model)))
+        log_scale = Tensor2(np.array([[LOG_SCALE_INIT]]))
         return cls(w1, b1, w2, b2, adapter, prompts, log_scale, frozen_base)
 
     @property
@@ -138,10 +126,6 @@ class GuidanceModel:
     def d_in(self) -> int:
         return self.w1.cols
 
-    def freeze_base(self) -> None:
-        self.frozen_base = True
-        self._sync_flags()
-
     def base_params(self) -> list[Tensor2]:
         return [self.w1, self.b1, self.w2, self.b2]
 
@@ -151,12 +135,6 @@ class GuidanceModel:
     def prompt_params(self) -> list[Tensor2]:
         # log_scale trains in the prompt group
         return [self.prompts, self.log_scale]
-
-    def trainable_params(self) -> list[Tensor2]:
-        params = self.lora_params() + self.prompt_params()
-        if not self.frozen_base:
-            params = self.base_params() + params
-        return params
 
     def scale_value(self) -> float:
         return min(math.exp(self.log_scale.item()), SCALE_MAX)
@@ -338,7 +316,6 @@ def load_guidance(path: str | Path) -> GuidanceModel:
          "rank": int, "alpha": NUMBER, "log_scale": NUMBER},
         _tensor_shapes,
     )
-    # GuidanceModel sets every requires_grad flag
     t = {name: Tensor2(a) for name, a in w.items()}
     adapter = LoraAdapter(t["lora_a"], t["lora_b"], doc["rank"], doc["alpha"])
     model = GuidanceModel(

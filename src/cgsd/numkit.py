@@ -1,10 +1,11 @@
 """Dense 2-D tensors with tape-based reverse-mode differentiation.
 
 Everything downstream (guidance model, denoiser, losses) is built from the
-operations in this module. Tensors hold float64 data; an operation records
-its vector-Jacobian product on a GradTape when one is supplied, and
-``backward`` replays the tape once in reverse, accumulating adjoints
-additively for values consumed by several operations.
+operations in this module. Tensors hold float64 data and no gradient state;
+an operation records its vector-Jacobian product on a GradTape when one is
+supplied, and ``backward`` replays the tape once in reverse, accumulating
+adjoints additively for values consumed by several operations, and returns
+the gradients of the tensors it is asked for.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ Array = np.ndarray
 
 
 class Tensor2:
-    """A rows x cols matrix of float64 with an optional gradient slot."""
+    """A rows x cols matrix of float64."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -38,8 +39,6 @@ class Tensor2:
         if arr.ndim != 2:
             raise DimensionError(f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad: Array | None = None
 
     @property
     def rows(self) -> int:
@@ -58,15 +57,8 @@ class Tensor2:
             raise ContractError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def copy(self, requires_grad: bool | None = None) -> "Tensor2":
-        rg = self.requires_grad if requires_grad is None else requires_grad
-        return Tensor2(self.data.copy(), requires_grad=rg)
-
     def __repr__(self) -> str:
-        return f"Tensor2({self.rows}x{self.cols}, requires_grad={self.requires_grad})"
+        return f"Tensor2({self.rows}x{self.cols})"
 
 
 class GradTape:
@@ -78,14 +70,9 @@ class GradTape:
 
     def __init__(self):
         self._records: list[tuple[Tensor2, tuple[Tensor2, ...], Callable]] = []
-        self._watched: list[Tensor2] = []
 
     def record(self, out: Tensor2, inputs: Sequence[Tensor2], vjp: Callable) -> None:
         self._records.append((out, tuple(inputs), vjp))
-
-    def watch(self, *tensors: Tensor2) -> None:
-        """Register tensors that should receive a gradient even if unused."""
-        self._watched.extend(tensors)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -101,10 +88,13 @@ def _result(arr: Array, op: str) -> Tensor2:
     return Tensor2(_finite(arr, op))
 
 
-def backward(loss: Tensor2, tape: GradTape) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of every requires_grad tensor.
+def backward(loss: Tensor2, tape: GradTape, params: Sequence[Tensor2]) -> list[Array]:
+    """d(loss)/d(p) for each p in params, as a fresh C-order array; zeros for
+    a tensor the loss does not reach.
 
-    Repeated calls without zero_grad accumulate additively.
+    The copies matter: an adjoint may be a transposed view (the vjp of
+    ``transpose``), and a sum over a view in another memory order rounds
+    differently.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
@@ -112,39 +102,22 @@ def backward(loss: Tensor2, tape: GradTape) -> None:
     if not on_tape:
         raise ContractError("loss tensor was not produced on this tape")
 
+    # the tape holds every input, so no id below is reused during the sweep
     adjoint: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    holders: dict[int, Tensor2] = {id(loss): loss}
     for out, inputs, vjp in reversed(tape._records):
         g = adjoint.get(id(out))
         if g is None:
             continue
-        grads = vjp(g)
-        for inp, gin in zip(inputs, grads):
-            if gin is None:
-                continue
+        for inp, gin in zip(inputs, vjp(g)):
             key = id(inp)
-            holders[key] = inp
             if key in adjoint:
                 adjoint[key] = adjoint[key] + gin
             else:
                 adjoint[key] = gin
-
-    seen: set[int] = set()
-    participants: list[Tensor2] = list(tape._watched)
-    for out, inputs, _ in tape._records:
-        participants.append(out)
-        participants.extend(inputs)
-    for t in participants:
-        if not t.requires_grad or id(t) in seen:
-            continue
-        seen.add(id(t))
-        g = adjoint.get(id(t))
-        if g is None:
-            g = np.zeros_like(t.data)
-        if t.grad is None:
-            t.grad = g.copy()
-        else:
-            t.grad = t.grad + g
+    return [
+        adjoint[id(p)].copy() if id(p) in adjoint else np.zeros_like(p.data)
+        for p in params
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -399,67 +372,3 @@ def cross_entropy_mean(
 
         tape.record(out, (logits,), vjp)
     return out
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checking
-
-
-def grad_check(
-    fn: Callable[[Tensor2, GradTape | None], Tensor2],
-    point: Tensor2,
-    h: float = 1e-6,
-) -> float:
-    """Compare reverse-mode and central-difference gradients of a scalar fn.
-
-    fn(x, tape) must return a 1x1 tensor and be deterministic; returns the
-    max over coordinates of |g_auto - g_fd| / max(1, |g_auto|, |g_fd|).
-    """
-    x = Tensor2(point.data.copy())
-    return grad_check_param(lambda tape: fn(x, tape), x, h)
-
-
-def grad_check_param(
-    loss_fn: Callable[[GradTape | None], Tensor2],
-    param: Tensor2,
-    h: float = 1e-6,
-) -> float:
-    """grad_check for a parameter embedded in a larger model.
-
-    loss_fn(tape) recomputes the loss from the model's current state; the
-    probe temporarily overwrites param.data coordinate by coordinate.
-    """
-    if h <= 0:
-        raise ContractError("h must be positive")
-    original = param.data.copy()
-    saved_rg, saved_grad = param.requires_grad, param.grad
-
-    v1 = loss_fn(None).item()
-    v2 = loss_fn(None).item()
-    if v1 != v2:
-        raise ContractError("grad_check requires a deterministic function")
-
-    param.requires_grad = True
-    param.grad = None
-    tape = GradTape()
-    tape.watch(param)
-    loss = loss_fn(tape)
-    backward(loss, tape)
-    g_auto = param.grad.copy()
-    param.requires_grad = saved_rg
-    param.grad = saved_grad
-
-    g_fd = np.zeros_like(original)
-    for i in range(original.shape[0]):
-        for j in range(original.shape[1]):
-            param.data = original.copy()
-            param.data[i, j] += h
-            fp = loss_fn(None).item()
-            param.data = original.copy()
-            param.data[i, j] -= h
-            fm = loss_fn(None).item()
-            g_fd[i, j] = (fp - fm) / (2.0 * h)
-    param.data = original
-
-    denom = np.maximum(1.0, np.maximum(np.abs(g_auto), np.abs(g_fd)))
-    return float(np.max(np.abs(g_auto - g_fd) / denom))

@@ -188,19 +188,15 @@ def _guidance_epoch_losses(
     for start in range(0, n, batch):
         idx = order[start : start + batch]
         tape = GradTape()
-        tape.watch(*all_params)
-        for p in all_params:
-            p.zero_grad()
         loss = gd.guidance_loss(
             features[idx], labels[idx], model, cfg.lambda_rank, cfg.margin, tape
         )
         value = loss.item()
         _check_finite_loss(value, f"guidance epoch {epoch}")
-        backward(loss, tape)
+        grads = iter(backward(loss, tape, all_params))
         for params, state, plan in groups:
             lr = optim.lr_at(epoch, plan)
-            grads = [p.grad for p in params]
-            optim.radam_step(params, grads, state, lr)
+            optim.radam_step(params, [next(grads) for _ in params], state, lr)
         losses.append(value)
     return float(np.mean(losses))
 
@@ -237,7 +233,7 @@ def pretrain_base(
         )
         lr = optim.lr_at(epoch, plan)
         log.append(f"pretrain,{epoch},{lr:.8g},{mean_loss:.8g}")
-    model.freeze_base()
+    model.frozen_base = True
     return model
 
 
@@ -258,7 +254,7 @@ def train_stage1(
     log: list[str] = []
     if base_path.exists():
         model, _, train, _ = load_run(data_dir, cfg, base_path)
-        model.freeze_base()
+        model.frozen_base = True
         found = (model.w1.rows, model.w2.rows, model.adapter.rank, model.adapter.alpha)
         wanted = (cfg.hidden, cfg.d_model, cfg.rank, cfg.alpha)
         if found != wanted:
@@ -358,18 +354,13 @@ def train_stage2(
                 np.random.SeedSequence((cfg.seed, 53, epoch, b)).generate_state(1)[0]
             )
             tape = GradTape()
-            tape.watch(*params)
-            for p in params:
-                p.zero_grad()
             loss = df.epsilon_loss(
                 net, f[idx], y0[idx], prior[idx], d[idx], sched,
                 seed=step_seed, item_keys=idx, tape=tape,
             )
             value = loss.item()
             _check_finite_loss(value, f"stage2 epoch {epoch}")
-            backward(loss, tape)
-            grads = [p.grad for p in params]
-            grads, _ = optim.clip_grad_norm(grads, cfg.clip)
+            grads, _ = optim.clip_grad_norm(backward(loss, tape, params), cfg.clip)
             optim.adam_step(params, grads, state, lr)
             optim.ema_update(ema, params)
             losses.append(value)

@@ -18,7 +18,8 @@ from cgsd import guidance as gd
 from cgsd import optim
 from cgsd import pipeline as pl
 from cgsd.analysis import confusion_and_metrics
-from cgsd.numkit import Tensor2, grad_check_param
+from cgsd.numkit import Tensor2
+from gradcheck import grad_check_param, trainable_params
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def test_criterion_3_full_model_gradient_checks():
             feats, labels, model, lambda_rank=1.0, margin=0.05, tape=tape
         )
 
-    for param in model.trainable_params():
+    for param in trainable_params(model):
         assert grad_check_param(g_loss, param, h=1e-6) < 1e-4
 
     # noise objective: every parameter of a seeded denoiser
@@ -277,14 +278,14 @@ def test_criterion_10_optimizer_suite():
         m = b1 * m + (1 - b1)
         v = b2 * v + (1 - b2)
         theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-    p = Tensor2(np.zeros((1, 1)), requires_grad=True)
+    p = Tensor2(np.zeros((1, 1)))
     state = optim.AdamState()
     optim.adam_step([p], [np.ones((1, 1))], state, lr)
     optim.adam_step([p], [np.ones((1, 1))], state, lr)
     assert abs(p.data[0, 0] - theta) <= 1e-12
 
     # RAdam first step takes the un-adapted branch (rho_1 = 1 <= 4)
-    p = Tensor2(np.zeros((1, 1)), requires_grad=True)
+    p = Tensor2(np.zeros((1, 1)))
     optim.radam_step([p], [np.full((1, 1), 2.0)], optim.AdamState(), 0.1)
     assert abs(p.data[0, 0] + 0.2) <= 1e-12
 

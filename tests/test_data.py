@@ -282,3 +282,14 @@ def test_read_requires_metadata_sidecar(tmp_path):
     path.write_text("label,f0,f1\n0,0.1,0.2\n")
     with pytest.raises(ParseError, match="metadata not found"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("typ", [int, dmod.NUMBER], ids=["int", "number"])
+def test_read_json_object_refuses_a_bool_for_a_number(tmp_path, typ):
+    # JSON true is a Python int, yet a number field refuses it
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"k": True}))
+    with pytest.raises(ParseError, match="doc.json"):
+        dmod.read_json_object(path, "checkpoint", {"k": typ})
+    path.write_text(json.dumps({"k": 1}))
+    assert dmod.read_json_object(path, "checkpoint", {"k": typ})["k"] == 1

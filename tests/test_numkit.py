@@ -1,5 +1,6 @@
 """Tensor ops, the gradient tape, and the finite-difference harness."""
 
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cgsd import numkit as nk
 from cgsd.errors import ContractError, DimensionError, DegenerateNormWarning
 from cgsd.numkit import GradTape, Tensor2, backward
+from gradcheck import grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -161,55 +163,86 @@ def test_smooth_nonlinearity_large_negative_input_warns_nothing():
 
 
 def test_backward_quadratic():
-    x = Tensor2([[3.0]], requires_grad=True)
+    x = Tensor2([[3.0]])
     tape = GradTape()
-    tape.watch(x)
     loss = nk.sum_all(nk.mul(x, x, tape), tape)
-    backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [[6.0]], atol=1e-12)
+    (g,) = backward(loss, tape, [x])
+    np.testing.assert_allclose(g, [[6.0]], atol=1e-12)
 
 
 def test_backward_disconnected_param_gets_zero():
-    x = Tensor2([[2.0]], requires_grad=True)
-    p = Tensor2([[5.0]], requires_grad=True)
+    x = Tensor2([[2.0]])
+    p = Tensor2([[5.0]])
     tape = GradTape()
-    tape.watch(x)
-    tape.watch(p)
     loss = nk.sum_all(nk.mul(x, x, tape), tape)
-    backward(loss, tape)
-    np.testing.assert_array_equal(p.grad, [[0.0]])
+    _, gp = backward(loss, tape, [x, p])
+    np.testing.assert_array_equal(gp, [[0.0]])
 
 
 def test_backward_requires_scalar_loss():
-    x = Tensor2([[1.0, 2.0]], requires_grad=True)
+    x = Tensor2([[1.0, 2.0]])
     tape = GradTape()
-    tape.watch(x)
     y = nk.mul(x, x, tape)
     with pytest.raises(ContractError):
-        backward(y, tape)
+        backward(y, tape, [x])
 
 
-def test_backward_accumulates_across_calls():
-    x = Tensor2([[3.0]], requires_grad=True)
+def test_backward_rejects_a_loss_from_another_tape():
+    x = Tensor2([[1.0]])
     tape = GradTape()
-    tape.watch(x)
     loss = nk.sum_all(nk.mul(x, x, tape), tape)
-    backward(loss, tape)
-    backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [[12.0]], atol=1e-12)
+    with pytest.raises(ContractError):
+        backward(loss, GradTape(), [x])
+
+
+def test_backward_repeated_calls_return_equal_arrays():
+    # backward keeps no state: a second sweep of one tape gives the same
+    # gradient, in new arrays
+    x = Tensor2([[3.0, -1.0]])
+    tape = GradTape()
+    loss = nk.sum_all(nk.mul(x, x, tape), tape)
+    (first,) = backward(loss, tape, [x])
+    (second,) = backward(loss, tape, [x])
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(first, [[6.0, -2.0]])
+    assert first is not second
+
+
+def test_backward_returns_fresh_c_order_arrays():
+    # the layer DenoiserNet.forward computes, x @ w^T + b, plus two
+    # parameters summed by a same-shape add: w's adjoint is a transposed
+    # view, and c and e receive one shared adjoint array
+    rng = np.random.default_rng(21)
+    x = Tensor2(rng.standard_normal((5, 4)))
+    w = Tensor2(rng.standard_normal((3, 4)))
+    b = Tensor2(rng.standard_normal((1, 3)))
+    c = Tensor2(rng.standard_normal((5, 3)))
+    e = Tensor2(rng.standard_normal((5, 3)))
+    tape = GradTape()
+    layer = nk.add(nk.matmul(x, nk.transpose(w, tape), tape), b, tape)
+    z = nk.add(layer, nk.add(c, e, tape), tape)
+    loss = nk.sum_all(nk.mul(z, z, tape), tape)
+    params = [x, w, b, c, e]
+    grads = backward(loss, tape, params)
+    for p, g in zip(params, grads):
+        assert g.shape == p.shape
+        assert g.flags.c_contiguous and g.flags.owndata
+    for g1, g2 in itertools.combinations(grads, 2):
+        assert not np.shares_memory(g1, g2)
+    np.testing.assert_array_equal(grads[3], grads[4])
+    np.testing.assert_allclose(grads[2], 2.0 * z.data.sum(axis=0, keepdims=True))
 
 
 def test_adjoint_additivity_fanout():
     # y = f(x) + g(x): the adjoint of x is the exact sum of both branches
-    x = Tensor2([[1.5, -2.0]], requires_grad=True)
+    x = Tensor2([[1.5, -2.0]])
     tape = GradTape()
-    tape.watch(x)
     f_branch = nk.scale(x, 3.0, tape)
     g_branch = nk.mul(x, x, tape)
     loss = nk.sum_all(nk.add(f_branch, g_branch, tape), tape)
-    backward(loss, tape)
+    (g,) = backward(loss, tape, [x])
     expected = 3.0 + 2.0 * x.data
-    np.testing.assert_allclose(x.grad, expected, atol=1e-12)
+    np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
 def test_backward_composite_chain_matches_finite_differences():
@@ -223,7 +256,7 @@ def test_backward_composite_chain_matches_finite_differences():
         p = nk.softmax_rows(a, tape)
         return nk.sum_all(nk.mul(p, Tensor2(target), tape), tape)
 
-    err = nk.grad_check(fn, Tensor2(rng.standard_normal((3, 1))), h=1e-6)
+    err = grad_check(fn, Tensor2(rng.standard_normal((3, 1))), h=1e-6)
     assert err < 1e-5
 
 
@@ -235,8 +268,24 @@ def test_grad_check_sum_of_squares_tight():
     def fn(x, tape):
         return nk.sum_all(nk.mul(x, x, tape), tape)
 
-    err = nk.grad_check(fn, Tensor2([[1.0, -2.0, 3.0]]), h=1e-6)
+    err = grad_check(fn, Tensor2([[1.0, -2.0, 3.0]]), h=1e-6)
     assert err < 1e-9
+
+
+def _square_with_doubled_vjp(x, tape):
+    # x * x, recording twice the true vjp
+    out = Tensor2(x.data * x.data)
+    if tape is not None:
+        xd = x.data
+        tape.record(out, (x,), lambda g: (2.0 * (2.0 * xd * g),))
+    return out
+
+
+def test_grad_check_catches_a_wrong_vjp():
+    def fn(x, tape):
+        return nk.sum_all(_square_with_doubled_vjp(x, tape), tape)
+
+    assert grad_check(fn, Tensor2([[1.0, -2.0, 3.0]]), h=1e-6) > 1e-2
 
 
 def test_grad_check_rejects_nondeterministic_fn():
@@ -247,7 +296,7 @@ def test_grad_check_rejects_nondeterministic_fn():
         return nk.scale(nk.sum_all(x, tape), float(state["calls"]), tape)
 
     with pytest.raises(ContractError):
-        nk.grad_check(fn, Tensor2([[1.0]]))
+        grad_check(fn, Tensor2([[1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -278,7 +327,7 @@ def test_grad_check_every_op(name, fn):
     rng = np.random.default_rng(sum(name.encode()))
     for _ in range(5):
         point = Tensor2(rng.standard_normal((3, 4)))
-        assert nk.grad_check(fn, point, h=1e-6) < 1e-4
+        assert grad_check(fn, point, h=1e-6) < 1e-4
 
 
 def test_cross_entropy_hand_case():

@@ -13,7 +13,7 @@ from cgsd.numkit import Tensor2
 
 
 def _param(value):
-    return Tensor2(np.array([[float(value)]]), requires_grad=True)
+    return Tensor2(np.array([[float(value)]]))
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,8 @@ _BAD_INPUTS = {
     "meta-without-domain_tag": (3, "eval", [], "data", _drop_domain_tag, None),
     "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
     "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
+    # an int field takes no fraction, which int() would truncate
+    "config-int-fraction": (2, "eval", [], None, None, {"n_samples": 2.5}),
     # values no check caught: tracebacks or exit 0 with a bad result
     "train-diffusion-batch-0": (
         2, "train-diffusion", ["--stage2-batch", "0"], None, None, None),
@@ -640,6 +642,9 @@ _BAD_INPUTS = {
     "guidance-one-grade": (3, "eval-zero-shot", [], "g.json", _one_grade, None),
     "denoiser-beta_end-2": (
         3, "eval", [], "d.json", _json_set("beta_end", value=2.0), None),
+    # JSON true is a Python int, so a number field refuses it explicitly
+    "denoiser-t_total-bool": (
+        3, "eval", [], "d.json", _json_set("t_total", value=True), None),
     # a base checkpoint trained for another rank is not reused
     "train-guidance-stale-base": (
         2, "train-guidance", ["--out", "{w}/stale.json", "--rank", "4", "--seed", "9"],
