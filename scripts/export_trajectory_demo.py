@@ -11,7 +11,13 @@ import argparse
 from pathlib import Path
 
 from cgsd.data import SyntheticConfig, gen_synthetic, write_dataset
-from cgsd.pipeline import RunConfig, export_trajectory, train_stage1, train_stage2
+from cgsd.pipeline import (
+    TRAJECTORY_STEPS,
+    RunConfig,
+    export_trajectory,
+    train_stage1,
+    train_stage2,
+)
 
 
 def main() -> None:
@@ -38,7 +44,7 @@ def main() -> None:
         args.out,
         args.out / "guidance.json",
         args.out / "denoiser.json",
-        [100, 80, 60, 40, 20, 0],
+        list(TRAJECTORY_STEPS),
         args.out / "trajectory.csv",
         cfg,
     )

@@ -225,7 +225,8 @@ def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
 
 def array_from_flat(values, shape, what: str) -> np.ndarray:
     """Rebuild a matrix stored as a flat list, checking its length against
-    shape and that every value is finite; what names the matrix in errors."""
+    shape and that every value is a finite number, not a bool; what names
+    the matrix in errors."""
     if not (
         isinstance(shape, list)
         and len(shape) == 2
@@ -233,7 +234,8 @@ def array_from_flat(values, shape, what: str) -> np.ndarray:
     ):
         raise ParseError(f"{what}: bad shape {shape!r}")
     not_numbers = ParseError(f"{what}: values are not a list of numbers")
-    if not isinstance(values, list):
+    # numpy reads a JSON true as 1.0
+    if not isinstance(values, list) or bool in set(map(type, values)):
         raise not_numbers
     try:
         arr = np.array(values, dtype=np.float64)

@@ -77,15 +77,13 @@ def forward_sample(
     return root * y0 + (1.0 - root) * y_hat0 + math.sqrt(1.0 - ab) * eps
 
 
-def timestep_embedding(t: int, dim: int = TEMB_DIM) -> np.ndarray:
+def timestep_embedding(t: int) -> np.ndarray:
     """Interleaved (sin, cos) pairs of t over geometrically spaced periods."""
-    if dim % 2 != 0:
-        raise ConfigError("embedding dim must be even")
     if t < 0:
         raise ContractError("timestep must be nonnegative")
-    i = np.arange(dim // 2)
-    freqs = t / np.power(10000.0, 2.0 * i / dim)
-    emb = np.empty(dim)
+    i = np.arange(TEMB_DIM // 2)
+    freqs = t / np.power(10000.0, 2.0 * i / TEMB_DIM)
+    emb = np.empty(TEMB_DIM)
     emb[0::2] = np.sin(freqs)
     emb[1::2] = np.cos(freqs)
     return emb
@@ -164,7 +162,7 @@ def epsilon_loss(
     d: np.ndarray,
     sched: NoiseSchedule,
     seed: int,
-    item_keys=None,
+    item_keys,
     tape: GradTape | None = None,
 ) -> Tensor2:
     """Noise-prediction objective on one batch.
@@ -176,7 +174,7 @@ def epsilon_loss(
     n = f.shape[0]
     if n == 0:
         raise DataError("empty batch")
-    keys = np.arange(n) if item_keys is None else np.asarray(item_keys)
+    keys = np.asarray(item_keys)
     k = y0.shape[1]
     t_values = np.empty(n, dtype=np.int64)
     eps = np.empty((n, k))
@@ -210,29 +208,18 @@ def posterior_params(
     y_hat0: np.ndarray,
     t: int,
     sched: NoiseSchedule,
-    s: int | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Mean and variance of the reverse kernel from step t to step s (< t).
-
-    Defaults to s = t - 1; larger jumps use the cumulative alpha ratio in
-    place of the single-step alpha, which reduces to the same formulas.
-    """
-    gamma0, gamma1, gamma2, var = posterior_coefficients(t, sched, s)
+    """Mean and variance of the one-step reverse kernel from step t to t - 1."""
+    gamma0, gamma1, gamma2, var = posterior_coefficients(t, sched)
     mean = gamma0 * y0_tilde + gamma1 * y_t + gamma2 * y_hat0
     return mean, var
 
 
-def posterior_coefficients(
-    t: int, sched: NoiseSchedule, s: int | None = None
-) -> tuple[float, float, float, float]:
+def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, float, float]:
     """(gamma0, gamma1, gamma2, var) without applying them; used by tests."""
     sched.check_t(t)
-    if s is None:
-        s = t - 1
-    elif not (0 <= s < t):
-        raise IndexError(f"target step {s} outside [0, {t})")
     ab_t = sched.alpha_bar[t]
-    ab_s = sched.alpha_bar[s]
+    ab_s = sched.alpha_bar[t - 1]
     ratio = ab_t / ab_s
     one_minus = 1.0 - ab_t
     gamma0 = (1.0 - ratio) * math.sqrt(ab_s) / one_minus
@@ -240,17 +227,6 @@ def posterior_coefficients(
     gamma2 = 1.0 + (math.sqrt(ab_t) - 1.0) * (math.sqrt(ratio) + math.sqrt(ab_s)) / one_minus
     var = (1.0 - ratio) * (1.0 - ab_s) / one_minus
     return gamma0, gamma1, gamma2, var
-
-
-def _chain_times(t_total: int, stride: int) -> list[tuple[int, int]]:
-    """(from, to) pairs covering T..0; the final hop always lands on 0."""
-    ts: list[tuple[int, int]] = []
-    t = t_total
-    while t > 0:
-        s = max(t - stride, 0)
-        ts.append((t, s))
-        t = s
-    return ts
 
 
 def chain_substreams(seed: int, pairs) -> list[np.random.Generator]:
@@ -269,7 +245,6 @@ def sample_chain_batch(
     y_hat0: np.ndarray,
     sched: NoiseSchedule,
     rngs: list[np.random.Generator],
-    stride: int = 1,
     record_steps=None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Run one reverse chain per row; each row owns its RNG substream.
@@ -283,26 +258,25 @@ def sample_chain_batch(
         raise ContractError("need one RNG substream per item")
     record = set() if record_steps is None else set(record_steps)
     snapshots: dict[int, np.ndarray] = {}
-    times = _chain_times(sched.t_total, stride)
     k = y_hat0.shape[1]
 
     # a row's whole noise sequence in one draw: the initial vector, then one
-    # per hop; numpy yields the same values as one draw of k per hop
-    noise = np.empty((n, len(times) + 1, k))
+    # per step; numpy yields the same values as one draw of k per step
+    noise = np.empty((n, sched.t_total + 1, k))
     for row, rng in zip(noise, rngs):
         rng.standard_normal(out=row)
     y = y_hat0 + noise[:, 0]
     if sched.t_total in record:
         snapshots[sched.t_total] = y.copy()
 
-    for hop, (t, s) in enumerate(times, start=1):
+    for hop, t in enumerate(range(sched.t_total, 0, -1), start=1):
         eps_hat = eps_predict(net, f, y, y_hat0, d, sched.temb[t]).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
-        mean, var = posterior_params(y, y0_tilde, y_hat0, t, sched, s)
+        mean, var = posterior_params(y, y0_tilde, y_hat0, t, sched)
         z = noise[:, hop] if var != 0.0 else np.zeros((n, k))
         y = mean + math.sqrt(var) * z
-        if s in record:
-            snapshots[s] = y.copy()
+        if t - 1 in record:
+            snapshots[t - 1] = y.copy()
     return y, snapshots
 
 

@@ -180,22 +180,14 @@ def _pair_matrix(k: int, label: int) -> tuple[np.ndarray, int]:
 
 
 def contrastive_loss(
-    d_batch: Tensor2,
-    labels,
-    scale: float | Tensor2,
-    tape: GradTape | None = None,
+    d_batch: Tensor2, labels, scale: Tensor2, tape: GradTape | None = None
 ) -> Tensor2:
-    """Mean cross-entropy of scaled similarities against the true grade."""
+    """Mean cross-entropy of similarities times the 1x1 scale against the
+    true grade."""
     y = np.asarray(labels, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= d_batch.cols):
         raise DataError(f"label outside [0,{d_batch.cols})")
-    if isinstance(scale, Tensor2):
-        logits = nk.scale_by(d_batch, scale, tape)
-    else:
-        if scale <= 0:
-            raise ContractError("scale must be positive")
-        logits = nk.scale(d_batch, scale, tape)
-    return nk.cross_entropy_mean(logits, y, tape)
+    return nk.cross_entropy_mean(nk.scale_by(d_batch, scale, tape), y, tape)
 
 
 def ranking_loss(

@@ -123,6 +123,18 @@ def load_domain(data_dir: str | Path, domain: str) -> Dataset:
     return read_dataset(path)
 
 
+def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
+    """The source domain, refused unless its width and grade count are the
+    target's."""
+    source = load_domain(data_dir, "source")
+    if (source.d_in, source.k) != (target.d_in, target.k):
+        raise DataError(
+            f"{Path(data_dir) / 'source.csv'} has d_in={source.d_in}, k={source.k}; "
+            f"{Path(data_dir) / 'target.csv'} has d_in={target.d_in}, k={target.k}"
+        )
+    return source
+
+
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
     return np.eye(k)[labels]
 
@@ -265,7 +277,7 @@ def train_stage1(
     else:
         target = load_domain(data_dir, "target")
         train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
-        model = pretrain_base(load_domain(data_dir, "source"), cfg, log)
+        model = pretrain_base(_source_like(data_dir, target), cfg, log)
         gd.save_guidance(base_path, model)
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])

@@ -96,7 +96,9 @@ def test_criterion_3_full_model_gradient_checks():
     d = rng.standard_normal((4, 3)) * 0.1
 
     def e_loss(tape):
-        return df.epsilon_loss(net, f, y0, prior, d, sched, seed=306, tape=tape)
+        return df.epsilon_loss(
+            net, f, y0, prior, d, sched, seed=306, item_keys=np.arange(4), tape=tape
+        )
 
     for param in net.params():
         assert grad_check_param(e_loss, param, h=1e-6) < 1e-4

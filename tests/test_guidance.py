@@ -146,23 +146,23 @@ def test_semantic_vector_contracts():
 
 
 def test_contrastive_loss_hand_case():
-    loss = gd.contrastive_loss(Tensor2([[1.0, 0.0]]), [0], scale=1.0)
+    loss = gd.contrastive_loss(Tensor2([[1.0, 0.0]]), [0], scale=Tensor2([[1.0]]))
     assert loss.item() == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
 
 def test_contrastive_loss_uniform_similarity():
-    loss = gd.contrastive_loss(Tensor2([[0.3] * 5]), [2], scale=2.0)
+    loss = gd.contrastive_loss(Tensor2([[0.3] * 5]), [2], scale=Tensor2([[2.0]]))
     assert loss.item() == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_contrastive_loss_single_class_degenerate():
-    loss = gd.contrastive_loss(Tensor2([[0.7]]), [0], scale=1.0)
+    loss = gd.contrastive_loss(Tensor2([[0.7]]), [0], scale=Tensor2([[1.0]]))
     assert loss.item() == 0.0
 
 
 def test_contrastive_loss_rejects_bad_label():
     with pytest.raises(DataError):
-        gd.contrastive_loss(Tensor2([[0.0, 0.0]]), [2], scale=1.0)
+        gd.contrastive_loss(Tensor2([[0.0, 0.0]]), [2], scale=Tensor2([[1.0]]))
 
 
 def test_ranking_loss_fully_ordered_is_zero():
@@ -197,7 +197,7 @@ def test_guidance_loss_lambda_switch():
 
     f = model.encode_batch(feats)
     d = model.similarity_batch(f)
-    ce = gd.contrastive_loss(d, labels, model.scale_value()).item()
+    ce = gd.contrastive_loss(d, labels, model.scale_tensor(None)).item()
     assert total == pytest.approx(ce, abs=1e-12)
 
 

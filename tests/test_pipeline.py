@@ -18,7 +18,7 @@ from cgsd import cli
 from cgsd import diffusion as df
 from cgsd import guidance as gd
 from cgsd import pipeline as pl
-from cgsd.data import SyntheticConfig, read_dataset, stratified_split
+from cgsd.data import SyntheticConfig, read_dataset, stratified_split, write_dataset
 from cgsd.errors import ConfigError, DataError, NumericError
 
 
@@ -124,12 +124,13 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
     y0 = np.eye(test.k)[test.labels]
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
 
+    keys = np.arange(test.n)
     fresh = df.DenoiserNet.build(cfg.d_model, test.k, cfg.seed)
-    before = df.epsilon_loss(fresh, f, y0, prior, d, sched, seed=99).item()
+    before = df.epsilon_loss(fresh, f, y0, prior, d, sched, seed=99, item_keys=keys).item()
 
     pl.train_stage2(small_dir, tmp_path / "g.json", cfg, tmp_path / "d.json")
     net, _ = df.load_denoiser(tmp_path / "d.json")
-    after = df.epsilon_loss(net, f, y0, prior, d, sched, seed=99).item()
+    after = df.epsilon_loss(net, f, y0, prior, d, sched, seed=99, item_keys=keys).item()
     assert np.isfinite(after)
     assert after < before
 
@@ -273,6 +274,20 @@ def test_ablate_rows_share_split_and_digest(small_dir, tmp_path):
     names = [r["configuration"] for r in rows]
     assert names[0].startswith("zero-shot")
     assert "paper_reference" in report
+
+
+def test_desk_ablation_reproduces_the_seed_42_rows(desk_ablation):
+    # the desk reproduction's bits: test items correct out of 1,099 and
+    # macro-F1 per row; a change to the recipe updates these on purpose
+    pinned = [
+        (584, 0.37828233219102614),
+        (647, 0.3908345476956082),
+        (678, 0.36604623932208236),
+    ]
+    rows = desk_ablation["report"]["rows"]
+    for row, (correct, macro_f1) in zip(rows, pinned, strict=True):
+        assert row["accuracy"] == pytest.approx(correct / 1099, abs=1e-12)
+        assert row["macro_f1"] == pytest.approx(macro_f1, abs=1e-12)
 
 
 def test_stages_return_the_models_they_save(small_dir, tmp_path):
@@ -575,6 +590,13 @@ def _json_set(*keys, value):
     return damage
 
 
+def _source_rewrite(change):
+    """Damage that rewrites source.csv as change(the source dataset)."""
+    def damage(path):
+        write_dataset(path, change(read_dataset(path)))
+    return damage
+
+
 _ARGV = {
     "eval": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.json",
              "--diffusion", "{w}/d.json", "--report", "{w}/r.json"],
@@ -645,6 +667,17 @@ _BAD_INPUTS = {
     # JSON true is a Python int, so a number field refuses it explicitly
     "denoiser-t_total-bool": (
         3, "eval", [], "d.json", _json_set("t_total", value=True), None),
+    "denoiser-weight-bool": (
+        3, "eval", [], "d.json", _json_set("weights", "layer0_w", 0, value=True), None),
+    # a fresh base pretrains on source.csv, so its width and grade count must
+    # be target.csv's
+    "train-guidance-source-d_in-mismatch": (
+        3, "train-guidance", [], "data/source.csv",
+        _source_rewrite(lambda ds: replace(ds, features=ds.features[:, :8])), None),
+    "train-guidance-source-k-mismatch": (
+        3, "train-guidance", [], "data/source.csv",
+        _source_rewrite(lambda ds: replace(ds, labels=np.minimum(ds.labels, 1), k=2)),
+        None),
     # a base checkpoint trained for another rank is not reused
     "train-guidance-stale-base": (
         2, "train-guidance", ["--out", "{w}/stale.json", "--rank", "4", "--seed", "9"],
