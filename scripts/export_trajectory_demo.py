@@ -2,7 +2,8 @@
 reverse-chain trajectory, printing the per-step cluster-separation scores.
 
 The silhouette should rise as the chain runs (t: 100 -> 0), showing the
-label-space states organizing into class clusters. Takes about a minute.
+label-space states organizing into class clusters. Takes about 15 seconds
+on a 2-core machine.
 
 Usage: python scripts/export_trajectory_demo.py [--out DIR] [--seed N]
 """

@@ -1,0 +1,67 @@
+"""Run the desk ablation, the three evaluations and one trajectory export on a
+benchmark directory, then print the sha256 of every file written.
+
+Two checkouts give the same lines exactly when their outputs are byte for
+byte the same, so one diff compares them:
+
+    cgsd gen-data --out DATA
+    PYTHONPATH=src python scripts/output_digests.py DATA --out A > a.txt
+    (in the other checkout, same DATA, another empty --out)
+    diff a.txt b.txt
+
+Usage: python scripts/output_digests.py DATA [--out DIR] [--seed N]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from cgsd import cli
+from cgsd.pipeline import TRAJECTORY_STEPS, RunConfig, ablate, export_trajectory
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("data", type=Path, help="directory with source.csv and target.csv")
+    ap.add_argument("--out", default="runs/output_digests", type=Path)
+    ap.add_argument("--seed", default=42, type=int)
+    args = ap.parse_args()
+
+    # every file under --out is digested, so a file left by an earlier run
+    # would read as output
+    if args.out.exists() and any(args.out.iterdir()):
+        sys.exit(f"{args.out} is not empty")
+    args.out.mkdir(parents=True, exist_ok=True)
+
+    cfg = RunConfig(desk_preset=True, seed=args.seed)
+    ablate(args.data, cfg, args.out / "ablation.json")
+    guidance = args.out / "ablate_guidance.json"
+    denoiser = args.out / "ablate_denoiser.json"
+    runs = {
+        "zero-shot": ["--guidance", str(args.out / "ablate_guidance.base.json")],
+        "adapted": ["--guidance", str(guidance)],
+        "diffusion": ["--guidance", str(guidance), "--diffusion", str(denoiser)],
+    }
+    for name, flags in runs.items():
+        argv = ["eval", "--data", str(args.data), "--seed", str(args.seed), *flags,
+                "--report", str(args.out / f"eval_{name}.json")]
+        # cli.main prints each report; only the digests go to stdout
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            sys.exit(f"cgsd {' '.join(argv)} exited {code}")
+    export_trajectory(
+        args.data, guidance, denoiser, list(TRAJECTORY_STEPS),
+        args.out / "trajectory.csv", cfg,
+    )
+
+    for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(args.out)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,7 +1,8 @@
 """Run the three-row desk-scale ablation on the default benchmark.
 
 Generates the benchmark, trains both stages with the desk preset, and prints
-the zero-shot / adapted / diffusion accuracy rows. Takes about a minute.
+the zero-shot / adapted / diffusion accuracy rows. Takes about 20 seconds
+on a 2-core machine.
 
 Usage: python scripts/run_desk_ablation.py [--out DIR] [--seed N]
 """

@@ -65,16 +65,20 @@ def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSche
 def forward_sample(
     y0: np.ndarray,
     y_hat0: np.ndarray,
-    t: int,
+    t: int | np.ndarray,
     eps: np.ndarray,
     sched: NoiseSchedule,
 ) -> np.ndarray:
-    """Draw y_t given the label, the prior mean and a fixed noise vector."""
-    if not (0 <= t <= sched.t_total):
+    """Draw y_t given the label, the prior mean and a fixed noise vector; t is
+    one timestep, or one per row of a batch."""
+    t = np.asarray(t)
+    if np.any(t < 0) or np.any(t > sched.t_total):
         raise IndexError(f"timestep {t} outside [0, {sched.t_total}]")
     ab = sched.alpha_bar[t]
-    root = math.sqrt(ab)
-    return root * y0 + (1.0 - root) * y_hat0 + math.sqrt(1.0 - ab) * eps
+    if t.ndim:
+        ab = ab[:, None]
+    root = np.sqrt(ab)
+    return root * y0 + (1.0 - root) * y_hat0 + np.sqrt(1.0 - ab) * eps
 
 
 def timestep_embedding(t: int) -> np.ndarray:
@@ -132,6 +136,33 @@ class DenoiserNet:
                 h = nk.smooth_nonlinearity(h, tape)
         return h
 
+    def workspace(self, rows: int) -> tuple[np.ndarray, list]:
+        """Buffers for forward_into on `rows` rows: the input rows, then per
+        layer the C-order transposed weight nk.transpose makes and two
+        (rows x fan_out) arrays."""
+        layers = [
+            (np.ascontiguousarray(w.data.T), np.empty((rows, w.rows)), np.empty((rows, w.rows)))
+            for w, _ in self.layers
+        ]
+        return np.empty((rows, self.input_dim)), layers
+
+    def forward_into(self, x: np.ndarray, work: tuple[np.ndarray, list]) -> np.ndarray:
+        """forward without a tape: the same float operations and non-finite
+        checks, written into the buffers of workspace(rows), so a reverse
+        step allocates no layer-sized array (a large temporary per op made
+        the chain's speed depend on where the allocator placed it). The
+        result is a buffer that the next call overwrites."""
+        h = x
+        last = len(self.layers) - 1
+        for i, ((_, b), (w_t, out, gate)) in enumerate(zip(self.layers, work[1])):
+            nk._finite(np.matmul(h, w_t, out=out), "matmul")
+            nk._finite(np.add(out, b.data, out=out), "add")
+            if i != last:
+                nk.sigmoid_gate(out, gate)
+                nk._finite(np.multiply(out, gate, out=out), "smooth_nonlinearity")
+            h = out
+        return h
+
 
 def eps_predict(
     net: DenoiserNet,
@@ -141,17 +172,117 @@ def eps_predict(
     d: np.ndarray,
     temb: np.ndarray,
     tape: GradTape | None = None,
+    work: tuple[np.ndarray, list] | None = None,
 ) -> Tensor2:
     """Batched noise prediction; temb is one timestep-embedding row shared by
-    every item or one row per item (rows of NoiseSchedule.temb)."""
-    f, y_t, y_hat0, d = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d))
-    temb = np.broadcast_to(temb, (f.shape[0], TEMB_DIM))
-    x = np.concatenate([f, y_t, y_hat0, d, temb], axis=1)
-    if x.shape[1] != net.input_dim:
+    every item or one row per item (rows of NoiseSchedule.temb).
+
+    Without a tape the net runs in the buffers of work (net.workspace(n),
+    made here when not given); the reverse chain passes the same work at
+    every step.
+    """
+    parts = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d)]
+    n = parts[0].shape[0]
+    parts.append(np.broadcast_to(temb, (n, TEMB_DIM)))
+    width = sum(p.shape[1] for p in parts)
+    if width != net.input_dim:
         raise ContractError(
-            f"conditioning width {x.shape[1]} does not match net input {net.input_dim}"
+            f"conditioning width {width} does not match net input {net.input_dim}"
         )
-    return net.forward(Tensor2(x), tape)
+    if tape is not None:
+        return net.forward(Tensor2(np.concatenate(parts, axis=1)), tape)
+    work = net.workspace(n) if work is None else work
+    return Tensor2(net.forward_into(np.concatenate(parts, axis=1, out=work[0]), work))
+
+
+# numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
+# multiplier; item_draws replays SeedSequence((seed, key)) -> PCG64 with them
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(seeds, keys) -> list[tuple[int, int]]:
+    """The (state, inc) of PCG64(SeedSequence((seed, key))) for every
+    (seed, key) pair.
+
+    SeedSequence's pool hash and generate_state(4, np.uint64) run in uint32
+    arithmetic over all pairs at once; their hash constants evolve the same
+    way for every pair. numpy hashes a value of 2**32 or more as several
+    words, so such a value is refused rather than given another stream.
+    """
+    seeds, keys = np.broadcast_arrays(np.asarray(seeds), np.asarray(keys))
+    for name, a in (("seed", seeds), ("key", keys)):
+        if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > _MASK32):
+            raise ContractError(f"every {name} must be an integer in [0, 2**32)")
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    entropy = [seeds.astype(np.uint32).ravel(), keys.astype(np.uint32).ravel()]
+    entropy += [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append(value ^ (value >> np.uint32(16)))
+    # little-endian pairs of 32-bit words make four 64-bit words, which
+    # PCG64 reads as two 128-bit ones: the initial state, then the stream
+    w = np.stack(words, axis=1).astype(np.uint64)
+    w = w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
+    states = []
+    for s0, s1, q0, q1 in w.tolist():
+        # PCG64's seeding: inc from the stream word, then two LCG steps
+        # around adding the initial state
+        inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
+        states.append((((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def item_draws(seeds, keys, t_total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's timestep in [1, t_total] and k standard normals, drawn in
+    that order from default_rng(SeedSequence((seed, key))).
+
+    One PCG64 is reused: it is set to each pair's seeded state before the
+    draws, which gives the values a fresh generator per item gives, so an
+    item's draws never depend on the batch it sits in.
+    """
+    states = _pcg64_states(seeds, keys)
+    t_values = np.empty(len(states), dtype=np.int64)
+    eps = np.empty((len(states), k))
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for i, (state, inc) in enumerate(states):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        t_values[i] = rng.integers(1, t_total + 1)
+        rng.standard_normal(out=eps[i])
+    return t_values, eps
 
 
 def epsilon_loss(
@@ -161,29 +292,24 @@ def epsilon_loss(
     y_hat0: np.ndarray,
     d: np.ndarray,
     sched: NoiseSchedule,
-    seed: int,
-    item_keys,
+    t_values: np.ndarray,
+    eps: np.ndarray,
     tape: GradTape | None = None,
 ) -> Tensor2:
-    """Noise-prediction objective on one batch.
-
-    Each item draws its timestep and noise from a substream keyed by
-    (seed, item_key), so the loss is invariant to batch order.
-    """
+    """Noise-prediction objective on one batch, given each item's timestep
+    and noise (from item_draws, which keys them by item, so the loss is
+    invariant to batch order)."""
     f = np.atleast_2d(f)
     n = f.shape[0]
     if n == 0:
         raise DataError("empty batch")
-    keys = np.asarray(item_keys)
-    k = y0.shape[1]
-    t_values = np.empty(n, dtype=np.int64)
-    eps = np.empty((n, k))
-    y_t = np.empty((n, k))
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, int(keys[i]))))
-        t_values[i] = int(rng.integers(1, sched.t_total + 1))
-        eps[i] = rng.standard_normal(k)
-        y_t[i] = forward_sample(y0[i], y_hat0[i], int(t_values[i]), eps[i], sched)
+    t_values = np.asarray(t_values)
+    if t_values.shape != (n,) or eps.shape != y0.shape:
+        raise ContractError(
+            f"need one timestep and one noise row per item: {n} items, "
+            f"{t_values.shape} timesteps, {eps.shape} noise for labels {y0.shape}"
+        )
+    y_t = forward_sample(y0, y_hat0, t_values, eps, sched)
     eps_hat = eps_predict(net, f, y_t, y_hat0, d, sched.temb[t_values], tape)
     diff = nk.sub(Tensor2(eps), eps_hat, tape)
     return nk.mean_all(nk.mul(diff, diff, tape), tape)
@@ -269,8 +395,9 @@ def sample_chain_batch(
     if sched.t_total in record:
         snapshots[sched.t_total] = y.copy()
 
+    work = net.workspace(n)
     for hop, t in enumerate(range(sched.t_total, 0, -1), start=1):
-        eps_hat = eps_predict(net, f, y, y_hat0, d, sched.temb[t]).data
+        eps_hat = eps_predict(net, f, y, y_hat0, d, sched.temb[t], work=work).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
         mean, var = posterior_params(y, y0_tilde, y_hat0, t, sched)
         z = noise[:, hop] if var != 0.0 else np.zeros((n, k))

@@ -197,26 +197,45 @@ def ranking_loss(
 
     For a sample with grade k, every pair (a, b) with |a-k| < |b-k| incurs
     max(0, margin - (d_a - d_b)); averaged over pairs, then over the batch.
+
+    The loss is one tape record. Its forward and vjp run the float
+    operations of the per-op form (take_rows, matmul, scale, add_scalar,
+    relu, sum_all and scale per grade, summed in np.unique order) in the same
+    order and memory layouts, so values and gradients keep their bits; each
+    grade's rows are disjoint, so scattering them into one array adds nothing.
     """
     if margin < 0:
         raise ContractError("margin must be nonnegative")
     y = np.asarray(labels, dtype=np.int64)
-    k = d_batch.cols
-    n = d_batch.rows
-    total: Tensor2 | None = None
+    n, k = d_batch.shape
+    blocks = []
+    total = None
     for lab in np.unique(y):
         pairs, npairs = _pair_matrix(k, int(lab))
         if npairs == 0:
             continue
         idx = np.flatnonzero(y == lab)
-        rows = nk.take_rows(d_batch, idx, tape)
-        diffs = nk.matmul(rows, Tensor2(pairs.T), tape)
-        hinge = nk.relu(nk.add_scalar(nk.scale(diffs, -1.0, tape), margin, tape), tape)
-        part = nk.scale(nk.sum_all(hinge, tape), 1.0 / npairs, tape)
-        total = part if total is None else nk.add(total, part, tape)
+        diffs = nk._finite(d_batch.data[idx] @ pairs.T, "matmul")
+        shifted = nk._finite(diffs * -1.0 + margin, "add_scalar")
+        part = nk._finite(np.maximum(shifted, 0.0).sum() * (1.0 / npairs), "scale")
+        total = part if total is None else nk._finite(total + part, "add")
+        blocks.append((idx, pairs, npairs, shifted))
     if total is None:
         return Tensor2(np.zeros((1, 1)))
-    return nk.scale(total, 1.0 / n, tape)
+    out = Tensor2(nk._finite(total * (1.0 / n), "scale"))
+    if tape is not None:
+
+        def vjp(g):
+            g = g * (1.0 / n)
+            grad = np.zeros((n, k))
+            for idx, pairs, npairs, shifted in blocks:
+                mask = (shifted > 0.0).astype(np.float64)
+                hinge_grad = np.full(shifted.shape, (g * (1.0 / npairs))[0, 0])
+                grad[idx] += (hinge_grad * mask * -1.0) @ pairs
+            return (grad,)
+
+        tape.record(out, (d_batch,), vjp)
+    return out
 
 
 def guidance_loss(

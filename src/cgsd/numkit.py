@@ -141,6 +141,9 @@ def matmul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
 
 
 def transpose(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
+    # the copy stays: a matmul against the transposed view instead rounds
+    # differently when the output is narrow (the k = 5 denoiser head, the
+    # rank-8 adapter), so checkpoints would change
     out = Tensor2(a.data.T.copy())
     if tape is not None:
         tape.record(out, (a,), lambda g: (g.T,))
@@ -238,13 +241,22 @@ def relu(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     return out
 
 
+def sigmoid_gate(a: Array, out: Array) -> Array:
+    """sigmoid(1.702 a), the gate of smooth_nonlinearity, written into out
+    (which may be a itself) and returned."""
+    np.multiply(a, 1.702, out=out)
+    np.negative(out, out=out)
+    # exp overflows to inf for 1.702 a below about -709, which gives the
+    # right limit 0
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 def smooth_nonlinearity(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     """g(x) = x * sigmoid(1.702 x), a smooth gating nonlinearity."""
-    u = 1.702 * a.data
-    # exp overflows to inf for u below about -709, which gives the right
-    # limit sig = 0
-    with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-u))
+    sig = sigmoid_gate(a.data, np.empty_like(a.data))
     out = _result(a.data * sig, "smooth_nonlinearity")
     if tape is not None:
         deriv = sig + a.data * 1.702 * sig * (1.0 - sig)

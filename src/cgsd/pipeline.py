@@ -83,6 +83,15 @@ class RunConfig:
             raise ConfigError("lambda_rank and margin must be nonnegative")
         if not 0.0 <= self.ema_mu < 1.0:
             raise ConfigError(f"ema_mu must be in [0, 1), got {self.ema_mu}")
+        for name in ("pretrain_lr", "lr_lora", "lr_prompt", "stage2_lr", "stage2_lr_min"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        if self.stage2_lr_min > self.stage2_lr:
+            raise ConfigError(
+                f"stage2_lr_min {self.stage2_lr_min} must not exceed "
+                f"stage2_lr {self.stage2_lr}"
+            )
 
     def resolved(self) -> "RunConfig":
         """Apply the desk preset: a short schedule and epoch budget that keeps
@@ -166,8 +175,6 @@ def load_run(
     train, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     if denoiser_ckpt is None:
         return model, None, train, test
-    # read after the CSV: read before it, the denoiser made the infer-few
-    # benchmark's eval calls 40% slower, by where their arrays were allocated
     net, sched = df.load_denoiser(denoiser_ckpt)
     if net.d_model != model.w2.rows or net.k != target.k:
         raise DataError(
@@ -180,6 +187,20 @@ def load_run(
 def _check_finite_loss(value: float, where: str) -> None:
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss in {where}")
+
+
+def _guidance_plan(
+    base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int
+) -> optim.LrPlan:
+    """A guidance learning-rate plan whose floor (stage2_lr_min) and warmup
+    start are clamped to base_lr, so a small rate needs neither changed."""
+    return optim.LrPlan(
+        base_lr=base_lr,
+        min_lr=min(cfg.stage2_lr_min, base_lr),
+        warmup_start_lr=min(cfg.warmup_start_lr, base_lr),
+        warmup_epochs=warmup_epochs,
+        total_epochs=max(epochs, warmup_epochs + 1),
+    )
 
 
 def _guidance_epoch_losses(
@@ -229,13 +250,7 @@ def pretrain_base(
         frozen_base=False,
     )
     params = model.base_params() + model.prompt_params()
-    plan = optim.LrPlan(
-        base_lr=cfg.pretrain_lr,
-        min_lr=cfg.stage2_lr_min,
-        warmup_start_lr=cfg.warmup_start_lr,
-        warmup_epochs=0,
-        total_epochs=max(cfg.pretrain_epochs, 1),
-    )
+    plan = _guidance_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
     groups = [(params, optim.AdamState(), plan)]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
     for epoch in range(cfg.pretrain_epochs):
@@ -282,20 +297,8 @@ def train_stage1(
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
-    lora_plan = optim.LrPlan(
-        base_lr=cfg.lr_lora,
-        min_lr=min(cfg.stage2_lr_min, cfg.lr_lora),
-        warmup_start_lr=min(cfg.warmup_start_lr, cfg.lr_lora),
-        warmup_epochs=cfg.warmup_epochs,
-        total_epochs=max(cfg.stage1_epochs, cfg.warmup_epochs + 1),
-    )
-    prompt_plan = optim.LrPlan(
-        base_lr=cfg.lr_prompt,
-        min_lr=cfg.stage2_lr_min,
-        warmup_start_lr=cfg.warmup_start_lr,
-        warmup_epochs=cfg.warmup_epochs,
-        total_epochs=max(cfg.stage1_epochs, cfg.warmup_epochs + 1),
-    )
+    lora_plan = _guidance_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
+    prompt_plan = _guidance_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
     groups = [
         (model.lora_params(), optim.AdamState(), lora_plan),
         (model.prompt_params(), optim.AdamState(), prompt_plan),
@@ -356,19 +359,27 @@ def train_stage2(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
     log: list[str] = []
     n = train.n
+    batch = cfg.stage2_batch
     for epoch in range(cfg.stage2_epochs):
         lr = optim.lr_at(epoch, plan)
         order = rng.permutation(n)
+        # each item draws from the substream (batch step seed, item index);
+        # the whole epoch's draws are made at once
+        step_seeds = np.array([
+            np.random.SeedSequence((cfg.seed, 53, epoch, b)).generate_state(1)[0]
+            for b in range(-(-n // batch))
+        ], dtype=np.uint32)
+        t_values, eps = df.item_draws(
+            step_seeds[np.arange(n) // batch], order, cfg.t_total, train.k
+        )
         losses = []
-        for b, start in enumerate(range(0, n, cfg.stage2_batch)):
-            idx = order[start : start + cfg.stage2_batch]
-            step_seed = int(
-                np.random.SeedSequence((cfg.seed, 53, epoch, b)).generate_state(1)[0]
-            )
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            rows = slice(start, start + batch)
             tape = GradTape()
             loss = df.epsilon_loss(
                 net, f[idx], y0[idx], prior[idx], d[idx], sched,
-                seed=step_seed, item_keys=idx, tape=tape,
+                t_values[rows], eps[rows], tape,
             )
             value = loss.item()
             _check_finite_loss(value, f"stage2 epoch {epoch}")

@@ -95,10 +95,10 @@ def test_criterion_3_full_model_gradient_checks():
     prior = np.full((4, 3), 1.0 / 3.0)
     d = rng.standard_normal((4, 3)) * 0.1
 
+    t_values, eps = df.item_draws(306, np.arange(4), sched.t_total, 3)
+
     def e_loss(tape):
-        return df.epsilon_loss(
-            net, f, y0, prior, d, sched, seed=306, item_keys=np.arange(4), tape=tape
-        )
+        return df.epsilon_loss(net, f, y0, prior, d, sched, t_values, eps, tape)
 
     for param in net.params():
         assert grad_check_param(e_loss, param, h=1e-6) < 1e-4

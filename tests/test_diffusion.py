@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgsd import diffusion as df
-from cgsd.errors import ConfigError, ContractError, DataError, ParseError
-from cgsd.numkit import Tensor2
+from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
+from cgsd.numkit import GradTape, Tensor2
 
 
 PAPER_SCHED = df.make_schedule(1000, 1e-4, 0.02)
@@ -30,6 +32,12 @@ class StubNet:
         n = x.rows
         out = np.broadcast_to(self._out, (n, self._out.shape[1])).copy()
         return Tensor2(out)
+
+    def workspace(self, rows):
+        return np.empty((rows, self.input_dim)), []
+
+    def forward_into(self, x, work):
+        return self.forward(Tensor2(x)).data
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +195,32 @@ def test_eps_predict_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+def test_eps_predict_without_tape_matches_taped_forward():
+    # the untaped path runs in reused buffers; it must give the taped
+    # forward's bits, and a reused workspace must not leak between calls
+    net = df.DenoiserNet.build(d_model=8, k=3, seed=5)
+    rng = np.random.default_rng(26)
+    args = [rng.standard_normal((6, 8)), rng.standard_normal((6, 3)),
+            rng.dirichlet(np.ones(3), 6), rng.standard_normal((6, 3)),
+            DESK_SCHED.temb[[1, 7, 7, 50, 99, 100]]]
+    taped = df.eps_predict(net, *args, tape=GradTape()).data
+    assert np.array_equal(df.eps_predict(net, *args).data, taped)
+    work = net.workspace(6)
+    other = [a[::-1].copy() for a in args]
+    df.eps_predict(net, *other, work=work)
+    assert np.array_equal(df.eps_predict(net, *args, work=work).data, taped)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_eps_predict_nonfinite_raises(taped):
+    net = df.DenoiserNet.build(d_model=8, k=3, seed=6)
+    net.layers[0][0].data[0, 0] = 1e308
+    tape = GradTape() if taped else None
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="matmul"):
+        df.eps_predict(net, np.full((2, 8), 10.0), np.zeros((2, 3)),
+                       np.zeros((2, 3)), np.zeros((2, 3)), DESK_SCHED.temb[5], tape)
+
+
 def test_eps_predict_shape_mismatch():
     net = df.DenoiserNet.build(d_model=8, k=3, seed=2)
     with pytest.raises(ContractError):
@@ -207,41 +241,113 @@ def _loss_batch(k=5, n=4, d_model=8, seed=24):
     return f, y0, prior, d
 
 
-def _expected_noise(sched, seed, keys, k):
+def _expected_draws(sched, seeds, keys, k):
+    """The per-item generator rule item_draws replays: a fresh
+    default_rng(SeedSequence((seed, key))) per item, the timestep first."""
+    seeds = np.broadcast_to(seeds, np.shape(keys))
+    t_values = np.empty(len(keys), dtype=np.int64)
     eps = np.empty((len(keys), k))
-    for i, key in enumerate(keys):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, int(key))))
-        rng.integers(1, sched.t_total + 1)  # the timestep draw comes first
+    for i, (seed, key) in enumerate(zip(seeds, keys)):
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(key))))
+        t_values[i] = rng.integers(1, sched.t_total + 1)
         eps[i] = rng.standard_normal(k)
-    return eps
+    return t_values, eps
+
+
+_EDGE_WORDS = (0, 1, 2**31, 2**32 - 1)
+
+
+def _pcg64_oracle(seed, key):
+    inner = np.random.PCG64(np.random.SeedSequence((seed, key))).state["state"]
+    return inner["state"], inner["inc"]
+
+
+def test_pcg64_states_match_numpy_on_edge_words():
+    pairs = [(s, k) for s in _EDGE_WORDS for k in _EDGE_WORDS]
+    seeds, keys = np.array(pairs, dtype=np.uint64).T
+    got = df._pcg64_states(seeds, keys)
+    assert got == [_pcg64_oracle(s, k) for s, k in pairs]
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_pcg64_states_match_numpy(pairs):
+    seeds, keys = np.array(pairs, dtype=np.int64).T
+    assert df._pcg64_states(seeds, keys) == [_pcg64_oracle(s, k) for s, k in pairs]
+
+
+@pytest.mark.parametrize("seeds, keys", [
+    (2**32, np.arange(3)),
+    (-1, np.arange(3)),
+    (7, np.array([0, 2**32])),
+    (7, np.array([0.0, 1.0])),
+])
+def test_item_draws_refuses_words_outside_uint32(seeds, keys):
+    # numpy hashes such a value as other words, so the fast path would
+    # diverge from it silently
+    with pytest.raises(ContractError):
+        df.item_draws(seeds, keys, 100, 5)
+
+
+def test_item_draws_match_per_item_generators():
+    rng = np.random.default_rng(21)
+    seeds = np.concatenate([_EDGE_WORDS, rng.integers(0, 2**32, 60)])
+    keys = np.concatenate([_EDGE_WORDS[::-1], rng.integers(0, 2**32, 60)])
+    for sched, k in ((DESK_SCHED, 5), (PAPER_SCHED, 3), (df.make_schedule(1, 0.3, 0.3), 2)):
+        t_values, eps = df.item_draws(seeds, keys, sched.t_total, k)
+        want_t, want_eps = _expected_draws(sched, seeds, keys, k)
+        assert np.array_equal(t_values, want_t)
+        assert np.array_equal(eps, want_eps)
+
+
+def test_item_draws_follow_their_pairs():
+    # permuted (seed, key) pairs give the same draws, permuted
+    seeds = np.array([5, 5, 9, 9, 3])
+    keys = np.array([0, 1, 0, 1, 2])
+    t_values, eps = df.item_draws(seeds, keys, 100, 5)
+    perm = np.array([4, 2, 0, 3, 1])
+    t_perm, eps_perm = df.item_draws(seeds[perm], keys[perm], 100, 5)
+    assert np.array_equal(t_perm, t_values[perm])
+    assert np.array_equal(eps_perm, eps[perm])
+
+
+def test_forward_sample_per_row_timesteps_match_single_rows():
+    rng = np.random.default_rng(22)
+    y0 = np.eye(5)[rng.integers(0, 5, 6)]
+    prior = rng.dirichlet(np.ones(5), 6)
+    eps = rng.standard_normal((6, 5))
+    t_values = np.array([1, 100, 37, 0, 50, 37])
+    batch = df.forward_sample(y0, prior, t_values, eps, DESK_SCHED)
+    rows = [df.forward_sample(y0[i], prior[i], int(t), eps[i], DESK_SCHED)
+            for i, t in enumerate(t_values)]
+    assert np.array_equal(batch, np.stack(rows))
+    with pytest.raises(IndexError):
+        df.forward_sample(y0, prior, np.array([1, 2, 3, 4, 5, 101]), eps, DESK_SCHED)
+
+
+class PerRowStub(StubNet):
+    """Returns its matrix row-for-row."""
+
+    def forward(self, x, tape=None):
+        return Tensor2(self._out[: x.rows])
 
 
 def test_epsilon_loss_oracle_denoiser_is_zero():
     f, y0, prior, d = _loss_batch()
-    eps = _expected_noise(DESK_SCHED, seed=0, keys=range(4), k=5)
-    net = StubNet(eps, d_model=8, k=5)
-    # the stub returns each item's true noise row-for-row
-    class PerRowStub(StubNet):
-        def forward(self, x, tape=None):
-            return Tensor2(self._out[: x.rows])
-
-    loss = df.epsilon_loss(PerRowStub(eps, 8, 5), f, y0, prior, d, DESK_SCHED, seed=0,
-                           item_keys=np.arange(4))
+    t_values, eps = df.item_draws(0, np.arange(4), DESK_SCHED.t_total, 5)
+    loss = df.epsilon_loss(PerRowStub(eps, 8, 5), f, y0, prior, d, DESK_SCHED,
+                           t_values, eps)
     assert loss.item() == pytest.approx(0.0, abs=1e-24)
 
 
 def test_epsilon_loss_unit_offset_hand_value():
     f, y0, prior, d = _loss_batch()
-    eps = _expected_noise(DESK_SCHED, seed=0, keys=range(4), k=5)
+    t_values, eps = df.item_draws(0, np.arange(4), DESK_SCHED.t_total, 5)
     offset = eps.copy()
     offset[:, 0] += 1.0
-
-    class PerRowStub(StubNet):
-        def forward(self, x, tape=None):
-            return Tensor2(self._out[: x.rows])
-
-    loss = df.epsilon_loss(PerRowStub(offset, 8, 5), f, y0, prior, d, DESK_SCHED, seed=0,
-                           item_keys=np.arange(4))
+    loss = df.epsilon_loss(PerRowStub(offset, 8, 5), f, y0, prior, d, DESK_SCHED,
+                           t_values, eps)
     assert loss.item() == pytest.approx(0.2, abs=1e-12)
 
 
@@ -249,12 +355,12 @@ def test_epsilon_loss_batch_order_invariant():
     f, y0, prior, d = _loss_batch()
     net = df.DenoiserNet.build(d_model=8, k=5, seed=3)
     keys = np.arange(4)
-    base = df.epsilon_loss(net, f, y0, prior, d, DESK_SCHED, seed=1,
-                           item_keys=keys).item()
+    t_values, eps = df.item_draws(1, keys, DESK_SCHED.t_total, 5)
+    base = df.epsilon_loss(net, f, y0, prior, d, DESK_SCHED, t_values, eps).item()
     perm = np.array([2, 0, 3, 1])
+    t_perm, eps_perm = df.item_draws(1, keys[perm], DESK_SCHED.t_total, 5)
     shuffled = df.epsilon_loss(
-        net, f[perm], y0[perm], prior[perm], d[perm], DESK_SCHED, seed=1,
-        item_keys=keys[perm]
+        net, f[perm], y0[perm], prior[perm], d[perm], DESK_SCHED, t_perm, eps_perm
     ).item()
     assert shuffled == pytest.approx(base, abs=1e-15)
 
@@ -263,8 +369,16 @@ def test_epsilon_loss_rejects_empty_batch():
     net = df.DenoiserNet.build(d_model=8, k=5, seed=4)
     with pytest.raises(DataError):
         df.epsilon_loss(net, np.zeros((0, 8)), np.zeros((0, 5)),
-                        np.zeros((0, 5)), np.zeros((0, 5)), DESK_SCHED, seed=0,
-                        item_keys=np.arange(0))
+                        np.zeros((0, 5)), np.zeros((0, 5)), DESK_SCHED,
+                        np.zeros(0, dtype=np.int64), np.zeros((0, 5)))
+
+
+def test_epsilon_loss_rejects_draws_of_another_batch():
+    f, y0, prior, d = _loss_batch()
+    net = df.DenoiserNet.build(d_model=8, k=5, seed=4)
+    t_values, eps = df.item_draws(0, np.arange(3), DESK_SCHED.t_total, 5)
+    with pytest.raises(ContractError):
+        df.epsilon_loss(net, f, y0, prior, d, DESK_SCHED, t_values, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from cgsd import guidance as gd
 from cgsd import optim
 from cgsd import pipeline as pl
-from cgsd.errors import ConfigError, ContractError, DataError, ParseError
-from cgsd.numkit import Tensor2
+from cgsd import numkit as nk
+from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
+from cgsd.numkit import GradTape, Tensor2, backward
 from cgsd.pipeline import conditioning
 from gradcheck import grad_check_param, trainable_params
 
@@ -186,6 +187,63 @@ def test_ranking_loss_violation_strictly_increases():
     lo = gd.ranking_loss(ordered, [0], margin=0.05).item()
     hi = gd.ranking_loss(swapped, [0], margin=0.05).item()
     assert hi > lo
+
+
+def _ranking_loss_per_op(d_batch, labels, margin, tape=None):
+    """The per-op ranking loss, about seven tape records per grade: the
+    oracle the one-record form must match bit for bit."""
+    y = np.asarray(labels, dtype=np.int64)
+    total = None
+    for lab in np.unique(y):
+        pairs, npairs = gd._pair_matrix(d_batch.cols, int(lab))
+        if npairs == 0:
+            continue
+        rows = nk.take_rows(d_batch, np.flatnonzero(y == lab), tape)
+        diffs = nk.matmul(rows, Tensor2(pairs.T), tape)
+        hinge = nk.relu(nk.add_scalar(nk.scale(diffs, -1.0, tape), margin, tape), tape)
+        part = nk.scale(nk.sum_all(hinge, tape), 1.0 / npairs, tape)
+        total = part if total is None else nk.add(total, part, tape)
+    if total is None:
+        return Tensor2(np.zeros((1, 1)))
+    return nk.scale(total, 1.0 / d_batch.rows, tape)
+
+
+def _value_and_grad(loss_fn, d, labels, margin):
+    """The loss and d(loss)/d(d), with d also feeding a contrastive term as in
+    guidance_loss, so the gradient is accumulated with another consumer's."""
+    tape = GradTape()
+    x = Tensor2(d)
+    ce = gd.contrastive_loss(x, labels, Tensor2([[3.0]]), tape)
+    rank = loss_fn(x, labels, margin, tape)
+    loss = nk.add(ce, nk.scale(rank, 0.7, tape), tape)
+    (grad,) = backward(loss, tape, [x])
+    return rank.data, loss.data, grad
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_ranking_loss_matches_per_op_form(k):
+    rng = np.random.default_rng(40 + k)
+    for labels in (
+        rng.integers(0, k, 16),           # every grade, usually
+        np.full(5, k - 1),                # a single grade
+        np.array([0, 0, k - 1, 0]),       # grades in between missing
+        np.array([1 % k]),                # one row
+    ):
+        d = rng.uniform(-1.0, 1.0, (len(labels), k))
+        d[0, :2] = d[0, 0]                # a hinge exactly at the margin
+        for margin in (0.0, 0.05, 0.5):
+            want = _value_and_grad(_ranking_loss_per_op, d, labels, margin)
+            got = _value_and_grad(gd.ranking_loss, d, labels, margin)
+            for w, g in zip(want, got):
+                assert np.array_equal(w, g), (k, labels, margin)
+
+
+def test_ranking_loss_nonfinite_raises_as_per_op_form():
+    # d_a - d_b overflows in the pair difference
+    d = Tensor2([[1e308, -1e308, 0.0]])
+    for loss_fn in (_ranking_loss_per_op, gd.ranking_loss):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="matmul"):
+            loss_fn(d, [0], 0.05)
 
 
 def test_guidance_loss_lambda_switch():

@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from cgsd import cli
 from cgsd import diffusion as df
 from cgsd import guidance as gd
+from cgsd import numkit as nk
+from cgsd import optim
 from cgsd import pipeline as pl
 from cgsd.data import SyntheticConfig, read_dataset, stratified_split, write_dataset
 from cgsd.errors import ConfigError, DataError, NumericError
+from cgsd.numkit import GradTape, Tensor2, backward
 
 
 TINY = pl.RunConfig(
@@ -124,15 +127,73 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
     y0 = np.eye(test.k)[test.labels]
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
 
-    keys = np.arange(test.n)
+    draws = df.item_draws(99, np.arange(test.n), sched.t_total, test.k)
     fresh = df.DenoiserNet.build(cfg.d_model, test.k, cfg.seed)
-    before = df.epsilon_loss(fresh, f, y0, prior, d, sched, seed=99, item_keys=keys).item()
+    before = df.epsilon_loss(fresh, f, y0, prior, d, sched, *draws).item()
 
     pl.train_stage2(small_dir, tmp_path / "g.json", cfg, tmp_path / "d.json")
     net, _ = df.load_denoiser(tmp_path / "d.json")
-    after = df.epsilon_loss(net, f, y0, prior, d, sched, seed=99, item_keys=keys).item()
+    after = df.epsilon_loss(net, f, y0, prior, d, sched, *draws).item()
     assert np.isfinite(after)
     assert after < before
+
+
+def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
+    """train_stage2's loop with a fresh generator and a forward draw per
+    item: the rule its epoch-wide draws must reproduce. Returns the log lines
+    and the weight average."""
+    model, _, train, _ = pl.load_run(data_dir, cfg, guidance_ckpt)
+    f, d, prior = pl.conditioning(model, train.features)
+    y0 = np.eye(train.k)[train.labels]
+    sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
+    net = df.DenoiserNet.build(cfg.d_model, train.k, cfg.seed)
+    params = net.params()
+    state = optim.AdamState(beta1=0.9)
+    ema = optim.EmaState.from_params(params, cfg.ema_mu)
+    plan = optim.LrPlan(cfg.stage2_lr, cfg.stage2_lr_min, cfg.stage2_lr, 0,
+                        max(cfg.stage2_epochs, 1))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
+    log = []
+    for epoch in range(cfg.stage2_epochs):
+        lr = optim.lr_at(epoch, plan)
+        order = rng.permutation(train.n)
+        losses = []
+        for b, start in enumerate(range(0, train.n, cfg.stage2_batch)):
+            idx = order[start : start + cfg.stage2_batch]
+            step_seed = int(
+                np.random.SeedSequence((cfg.seed, 53, epoch, b)).generate_state(1)[0]
+            )
+            t_values = np.empty(len(idx), dtype=np.int64)
+            eps = np.empty((len(idx), train.k))
+            y_t = np.empty((len(idx), train.k))
+            for i, key in enumerate(idx):
+                item = np.random.default_rng(np.random.SeedSequence((step_seed, int(key))))
+                t_values[i] = item.integers(1, sched.t_total + 1)
+                eps[i] = item.standard_normal(train.k)
+                y_t[i] = df.forward_sample(y0[key], prior[key], int(t_values[i]), eps[i], sched)
+            tape = GradTape()
+            eps_hat = df.eps_predict(net, f[idx], y_t, prior[idx], d[idx],
+                                     sched.temb[t_values], tape)
+            diff = nk.sub(Tensor2(eps), eps_hat, tape)
+            loss = nk.mean_all(nk.mul(diff, diff, tape), tape)
+            grads, _ = optim.clip_grad_norm(backward(loss, tape, params), cfg.clip)
+            optim.adam_step(params, grads, state, lr)
+            optim.ema_update(ema, params)
+            losses.append(loss.item())
+        log.append(f"stage2,{epoch},{lr:.8g},{float(np.mean(losses)):.8g}")
+    return log, ema.shadow
+
+
+def test_stage2_matches_per_item_generators(small_dir, tmp_path):
+    # 63 train rows in batches of 16: the last batch is short
+    cfg = replace(TINY, stage2_epochs=3)
+    pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
+    result = pl.train_stage2(small_dir, tmp_path / "g.json", cfg, tmp_path / "d.json")
+    log, average = _stage2_per_item_generators(small_dir, tmp_path / "g.json", cfg)
+    assert result["log"] == log
+    net, _ = result["denoiser"]
+    for p, want in zip(net.params(), average, strict=True):
+        assert np.array_equal(p.data, want)
 
 
 def test_stage2_saves_the_weight_average(small_dir, tmp_path):
@@ -644,6 +705,11 @@ _BAD_INPUTS = {
     "train-diffusion-epochs-negative": (
         2, "train-diffusion", ["--stage2-epochs", "-1"], None, None, None),
     "train-diffusion-ema-2": (2, "train-diffusion", ["--ema-mu", "2"], None, None, None),
+    "train-guidance-lr-prompt-0": (
+        2, "train-guidance", ["--lr-prompt", "0"], None, None, None),
+    # a stage-2 rate below the default floor stage2_lr_min
+    "train-diffusion-lr-below-floor": (
+        2, "train-diffusion", ["--stage2-lr", "5e-6"], None, None, None),
     "train-guidance-warmup-negative": (
         2, "train-guidance", ["--warmup-epochs", "-1"], None, None, None),
     "eval-seed-negative": (2, "eval", ["--seed", "-1"], None, None, None),
@@ -694,6 +760,23 @@ _BAD_INPUTS = {
     "retired-flag": (2, "train-diffusion", ["--epochs", "1"], None, None, None),
     "seed-not-an-int": (2, "eval", ["--seed", "abc"], None, None, None),
 }
+
+
+@pytest.mark.parametrize("flag", ["--lr-prompt", "--lr-lora"])
+def test_cli_train_guidance_takes_small_learning_rates(flag, bad_input_base, tmp_path):
+    # below the floor stage2_lr_min and the warmup start, which train-guidance
+    # cannot set; the rank-2 base beside stale.json is reused
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/stale.json",
+            "--rank", "2", "--stage1-epochs", "4", flag, "5e-6"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def test_stage2_lr_floor_error_names_both_fields():
+    with pytest.raises(ConfigError, match="stage2_lr_min .* stage2_lr "):
+        pl.RunConfig(stage2_lr=5e-6)
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
