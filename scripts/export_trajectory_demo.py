@@ -12,13 +12,7 @@ import argparse
 from pathlib import Path
 
 from cgsd.data import SyntheticConfig, gen_synthetic, write_dataset
-from cgsd.pipeline import (
-    TRAJECTORY_STEPS,
-    RunConfig,
-    export_trajectory,
-    train_stage1,
-    train_stage2,
-)
+from cgsd.pipeline import RunConfig, export_trajectory, train_stage1, train_stage2
 
 
 def main() -> None:
@@ -45,7 +39,7 @@ def main() -> None:
         args.out,
         args.out / "guidance.json",
         args.out / "denoiser.json",
-        list(TRAJECTORY_STEPS),
+        None,
         args.out / "trajectory.csv",
         cfg,
     )

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from cgsd import cli
-from cgsd.pipeline import TRAJECTORY_STEPS, RunConfig, ablate, export_trajectory
+from cgsd.pipeline import RunConfig, ablate, export_trajectory
 
 
 def main() -> None:
@@ -54,7 +54,7 @@ def main() -> None:
         if code != 0:
             sys.exit(f"cgsd {' '.join(argv)} exited {code}")
     export_trajectory(
-        args.data, guidance, denoiser, list(TRAJECTORY_STEPS),
+        args.data, guidance, denoiser, None,
         args.out / "trajectory.csv", cfg,
     )
 

@@ -19,10 +19,6 @@ class ConfusionMatrix:
     k: int
     counts: np.ndarray  # k x k, rows = true class, cols = predicted
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def confusion_and_metrics(
     preds, labels, k: int

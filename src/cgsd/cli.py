@@ -8,7 +8,7 @@ is the field name, and its type, default and range come from the dataclass
 alone. Every subcommand accepts --config FILE, a JSON object of field names
 and path arguments; explicit flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 data/parse or file I/O error,
-4 numeric failure.
+4 numeric failure (numpy's floating-point warnings are off, so it is one line).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import pipeline
 from .data import SyntheticConfig, gen_synthetic, write_dataset, write_json
@@ -72,12 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _convert(key: str, like, value):
     """Read a flag's text or a --config value as the type of like, a default
-    (a string when like is None, a comma-separated list for a tuple)."""
+    (a string for None, a comma-separated list for a tuple, of ints if empty)."""
     typ = str if like is None else type(like)
     try:
         if typ is tuple:
             items = value.split(",") if isinstance(value, str) else value
-            return tuple(_convert(key, like[0], x) for x in items)
+            return tuple(_convert(key, like[0] if like else 0, x) for x in items)
         # a bool setting takes only true/false, and no other setting takes
         # them; an int setting takes no fraction
         if value is None or (typ is bool) != isinstance(value, bool):
@@ -182,11 +184,11 @@ def _ablate(cfg: RunConfig, a: dict) -> None:
 
 @_command(
     "export-trajectory", RunConfig, ("seed",),
-    ("data", "guidance", "diffusion", "out"), {"steps": pipeline.TRAJECTORY_STEPS},
+    ("data", "guidance", "diffusion", "out"), {"steps": ()},
 )
 def _export_trajectory(cfg: RunConfig, a: dict) -> None:
     doc = pipeline.export_trajectory(
-        a["data"], a["guidance"], a["diffusion"], list(a["steps"]), a["out"], cfg
+        a["data"], a["guidance"], a["diffusion"], list(a["steps"]) or None, a["out"], cfg
     )
     print(json.dumps(doc, sort_keys=True, indent=2))
 
@@ -209,7 +211,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
 def main(argv: list[str] | None = None) -> int:
     try:
         run, cfg, values = _resolve(_build_parser().parse_args(argv))
-        run(cfg, values)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            run(cfg, values)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+from .numkit import check_finite
 
 # integer tags for deriving independent RNG substreams from one seed
 _SUB_SOURCE = 0
@@ -254,7 +255,11 @@ def save_checkpoint(
     path: str | Path, fmt: str, meta: dict, tensors: dict[str, np.ndarray]
 ) -> None:
     """Write a checkpoint tagged fmt: the meta fields plus each tensor as a
-    flat row-major list; the shapes follow from the meta fields."""
+    flat row-major list; the shapes follow from the meta fields. A non-finite
+    tensor or meta number, which loading refuses, raises NumericError first."""
+    for name, value in [*meta.items(), *tensors.items()]:
+        if not isinstance(value, str):
+            check_finite(value, f"checkpoint {path}: {name}")
     doc = {
         "format": fmt,
         **meta,
@@ -297,7 +302,10 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def write_dataset(path: str | Path, ds: Dataset) -> None:
+    """Write ds as CSV plus its metadata sidecar; a non-finite feature, which
+    read_dataset refuses, raises NumericError first."""
     path = Path(path)
+    check_finite(ds.features, f"the features for {path}")
     header = "label," + ",".join(f"f{i}" for i in range(ds.d_in))
     lines = [header]
     for lab, row in zip(ds.labels, ds.features):

@@ -36,7 +36,6 @@ CONDITIONING_LAYOUT = "f|y_t|y_hat0|d|temb64"
 class NoiseSchedule:
     t_total: int
     beta: np.ndarray  # beta[t-1] is the step-t value, t = 1..T
-    alpha: np.ndarray  # 1 - beta
     alpha_bar: np.ndarray  # indexed 0..T, alpha_bar[0] == 1
     temb: np.ndarray  # (T + 1) x TEMB_DIM, row t is timestep_embedding(t)
 
@@ -54,12 +53,11 @@ def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSche
         beta = np.array([beta_start])
     else:
         beta = beta_start + np.arange(t_total) * (beta_end - beta_start) / (t_total - 1)
-    alpha = 1.0 - beta
     alpha_bar = np.empty(t_total + 1)
     alpha_bar[0] = 1.0
-    alpha_bar[1:] = np.cumprod(alpha)
+    alpha_bar[1:] = np.cumprod(1.0 - beta)
     temb = np.stack([timestep_embedding(t) for t in range(t_total + 1)])
-    return NoiseSchedule(t_total, beta, alpha, alpha_bar, temb)
+    return NoiseSchedule(t_total, beta, alpha_bar, temb)
 
 
 def forward_sample(
@@ -147,19 +145,19 @@ class DenoiserNet:
         return np.empty((rows, self.input_dim)), layers
 
     def forward_into(self, x: np.ndarray, work: tuple[np.ndarray, list]) -> np.ndarray:
-        """forward without a tape: the same float operations and non-finite
-        checks, written into the buffers of workspace(rows), so a reverse
-        step allocates no layer-sized array (a large temporary per op made
-        the chain's speed depend on where the allocator placed it). The
-        result is a buffer that the next call overwrites."""
+        """forward without a tape: the same float operations, written into
+        the buffers of workspace(rows), so a reverse step allocates no
+        layer-sized array (a large temporary per op made the chain's speed
+        depend on where the allocator placed it). The result is a buffer
+        that the next call overwrites."""
         h = x
         last = len(self.layers) - 1
         for i, ((_, b), (w_t, out, gate)) in enumerate(zip(self.layers, work[1])):
-            nk._finite(np.matmul(h, w_t, out=out), "matmul")
-            nk._finite(np.add(out, b.data, out=out), "add")
+            np.matmul(h, w_t, out=out)
+            np.add(out, b.data, out=out)
             if i != last:
                 nk.sigmoid_gate(out, gate)
-                nk._finite(np.multiply(out, gate, out=out), "smooth_nonlinearity")
+                np.multiply(out, gate, out=out)
             h = out
         return h
 
@@ -376,7 +374,8 @@ def sample_chain_batch(
     """Run one reverse chain per row; each row owns its RNG substream.
 
     Returns the final label-space vectors and snapshots of y_t at every
-    requested step (the initial draw counts as step T).
+    requested step (the initial draw counts as step T). A non-finite final
+    vector raises NumericError; a nan or inf in y stays one to the end.
     """
     f = np.atleast_2d(f)
     n = f.shape[0]
@@ -404,7 +403,7 @@ def sample_chain_batch(
         y = mean + math.sqrt(var) * z
         if t - 1 in record:
             snapshots[t - 1] = y.copy()
-    return y, snapshots
+    return nk.check_finite(y, "the reverse chain's final state"), snapshots
 
 
 # ---------------------------------------------------------------------------

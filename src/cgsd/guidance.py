@@ -215,14 +215,13 @@ def ranking_loss(
         if npairs == 0:
             continue
         idx = np.flatnonzero(y == lab)
-        diffs = nk._finite(d_batch.data[idx] @ pairs.T, "matmul")
-        shifted = nk._finite(diffs * -1.0 + margin, "add_scalar")
-        part = nk._finite(np.maximum(shifted, 0.0).sum() * (1.0 / npairs), "scale")
-        total = part if total is None else nk._finite(total + part, "add")
+        shifted = (d_batch.data[idx] @ pairs.T) * -1.0 + margin
+        part = np.maximum(shifted, 0.0).sum() * (1.0 / npairs)
+        total = part if total is None else total + part
         blocks.append((idx, pairs, npairs, shifted))
     if total is None:
         return Tensor2(np.zeros((1, 1)))
-    out = Tensor2(nk._finite(total * (1.0 / n), "scale"))
+    out = Tensor2(total * (1.0 / n))
     if tape is not None:
 
         def vjp(g):
@@ -263,7 +262,7 @@ def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
     """Zero-shot grades: argmax of similarities, ties to the smaller index."""
     f = model.encode_batch(np.atleast_2d(features))
     d = model.similarity_batch(f)
-    return np.argmax(d.data, axis=1)
+    return np.argmax(nk.check_finite(d.data, "the grade similarities"), axis=1)
 
 
 # ---------------------------------------------------------------------------

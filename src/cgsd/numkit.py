@@ -78,14 +78,13 @@ class GradTape:
         return len(self._records)
 
 
-def _finite(arr: Array, op: str) -> Array:
+def check_finite(arr: Array, what: str) -> Array:
+    """arr, or a NumericError naming what if it holds a nan or an inf; called
+    where a value leaves a computation, not by the ops, through which a nan
+    or inf stays one (l2_normalize_rows, which would not, checks its norms)."""
     if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{op} produced a non-finite value")
+        raise NumericError(f"non-finite value in {what}")
     return arr
-
-
-def _result(arr: Array, op: str) -> Tensor2:
-    return Tensor2(_finite(arr, op))
 
 
 def backward(loss: Tensor2, tape: GradTape, params: Sequence[Tensor2]) -> list[Array]:
@@ -129,7 +128,7 @@ def matmul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
         raise DimensionError(
             f"matmul shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
         )
-    out = _result(a.data @ b.data, "matmul")
+    out = Tensor2(a.data @ b.data)
     if tape is not None:
         ad, bd = a.data, b.data
 
@@ -158,7 +157,7 @@ def add(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
         reduce_b = True
     else:
         raise DimensionError(f"add shape mismatch: {a.shape} + {b.shape}")
-    out = _result(a.data + b.data, "add")
+    out = Tensor2(a.data + b.data)
     if tape is not None:
 
         def vjp(g):
@@ -172,7 +171,7 @@ def add(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
 def sub(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
     if a.shape != b.shape:
         raise DimensionError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    out = _result(a.data - b.data, "sub")
+    out = Tensor2(a.data - b.data)
     if tape is not None:
         tape.record(out, (a, b), lambda g: (g, -g))
     return out
@@ -181,7 +180,7 @@ def sub(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
 def mul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    out = _result(a.data * b.data, "mul")
+    out = Tensor2(a.data * b.data)
     if tape is not None:
         ad, bd = a.data, b.data
         tape.record(out, (a, b), lambda g: (g * bd, g * ad))
@@ -189,14 +188,14 @@ def mul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
 
 
 def scale(a: Tensor2, c: float, tape: GradTape | None = None) -> Tensor2:
-    out = _result(a.data * c, "scale")
+    out = Tensor2(a.data * c)
     if tape is not None:
         tape.record(out, (a,), lambda g: (g * c,))
     return out
 
 
 def add_scalar(a: Tensor2, c: float, tape: GradTape | None = None) -> Tensor2:
-    out = _result(a.data + c, "add_scalar")
+    out = Tensor2(a.data + c)
     if tape is not None:
         tape.record(out, (a,), lambda g: (g,))
     return out
@@ -206,7 +205,7 @@ def scale_by(a: Tensor2, s: Tensor2, tape: GradTape | None = None) -> Tensor2:
     """Multiply a matrix by a 1x1 scalar tensor (both differentiable)."""
     if s.shape != (1, 1):
         raise DimensionError(f"scale_by needs a 1x1 scalar, got {s.shape}")
-    out = _result(a.data * s.data[0, 0], "scale_by")
+    out = Tensor2(a.data * s.data[0, 0])
     if tape is not None:
         ad, sv = a.data, s.data[0, 0]
 
@@ -218,7 +217,7 @@ def scale_by(a: Tensor2, s: Tensor2, tape: GradTape | None = None) -> Tensor2:
 
 
 def exp(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
-    out = _result(np.exp(a.data), "exp")
+    out = Tensor2(np.exp(a.data))
     if tape is not None:
         od = out.data
         tape.record(out, (a,), lambda g: (g * od,))
@@ -257,7 +256,7 @@ def sigmoid_gate(a: Array, out: Array) -> Array:
 def smooth_nonlinearity(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     """g(x) = x * sigmoid(1.702 x), a smooth gating nonlinearity."""
     sig = sigmoid_gate(a.data, np.empty_like(a.data))
-    out = _result(a.data * sig, "smooth_nonlinearity")
+    out = Tensor2(a.data * sig)
     if tape is not None:
         deriv = sig + a.data * 1.702 * sig * (1.0 - sig)
         tape.record(out, (a,), lambda g: (g * deriv,))
@@ -269,7 +268,7 @@ def softmax_rows(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
-    out = _result(s, "softmax_rows")
+    out = Tensor2(s)
     if tape is not None:
 
         def vjp(g):
@@ -286,11 +285,14 @@ def l2_normalize_rows(
     """Scale each row to unit Euclidean norm, computed as row/(||row|| + eps).
 
     Rows with norm below eps are returned scaled by ~1/eps and flagged with a
-    DegenerateNormWarning rather than raising.
+    DegenerateNormWarning rather than raising; a non-finite row norm (which
+    would divide the row to zeros) raises NumericError.
     """
     if eps <= 0:
         raise ContractError("eps must be positive")
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    norms = check_finite(
+        np.linalg.norm(a.data, axis=1, keepdims=True), "l2_normalize_rows row norms"
+    )
     if np.any(norms < eps):
         warnings.warn(
             "l2_normalize_rows: row norm below eps; output not unit-length",
@@ -298,7 +300,7 @@ def l2_normalize_rows(
             stacklevel=2,
         )
     denom = norms + eps
-    out = _result(a.data / denom, "l2_normalize_rows")
+    out = Tensor2(a.data / denom)
     if tape is not None:
         ad = a.data
         safe_norms = np.maximum(norms, eps)
@@ -373,7 +375,7 @@ def cross_entropy_mean(
     logp = z - lse
     n = logits.rows
     loss = -logp[np.arange(n), y].mean()
-    out = _result(np.array([[loss]]), "cross_entropy_mean")
+    out = Tensor2(np.array([[loss]]))
     if tape is not None:
         soft = np.exp(logp)
 

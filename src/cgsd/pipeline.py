@@ -23,7 +23,7 @@ from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
 from .data import Dataset, read_dataset, stratified_split, write_json
 from .errors import ConfigError, DataError, NumericError
-from .numkit import GradTape, Tensor2, backward, softmax_rows
+from .numkit import GradTape, Tensor2, backward, check_finite, softmax_rows
 
 PAPER_REFERENCE = {
     "accuracy": 0.875,
@@ -73,7 +73,7 @@ class RunConfig:
         least = {
             "pretrain_epochs": 0, "stage1_epochs": 0, "warmup_epochs": 0,
             "stage2_epochs": 0, "seed": 0,
-            "pretrain_batch": 1, "stage1_batch": 1, "stage2_batch": 1,
+            "pretrain_batch": 1, "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1,
         }
         for name, bound in least.items():
             value = getattr(self, name)
@@ -83,7 +83,7 @@ class RunConfig:
             raise ConfigError("lambda_rank and margin must be nonnegative")
         if not 0.0 <= self.ema_mu < 1.0:
             raise ConfigError(f"ema_mu must be in [0, 1), got {self.ema_mu}")
-        for name in ("pretrain_lr", "lr_lora", "lr_prompt", "stage2_lr", "stage2_lr_min"):
+        for name in ("pretrain_lr", "lr_lora", "lr_prompt", "stage2_lr", "stage2_lr_min", "clip"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
@@ -153,7 +153,7 @@ def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     f = model.encode_batch(features)
     d = model.similarity_batch(f)
     prior = softmax_rows(Tensor2(model.scale_value() * d.data))
-    return f.data, d.data, prior.data
+    return f.data, d.data, check_finite(prior.data, "the guidance prior")
 
 
 def load_run(
@@ -320,8 +320,6 @@ def train_stage1(
         "log": log,
         "frozen_hash_before": frozen_hash_before,
         "frozen_hash_after": frozen_hash_after,
-        "checkpoint": str(out_path),
-        "base_checkpoint": str(base_path),
         "model": model,
     }
 
@@ -398,7 +396,6 @@ def train_stage2(
         "log": log,
         "guidance_hash_before": guidance_hash_before,
         "guidance_hash_after": guidance_hash_after,
-        "checkpoint": str(out_path),
         "denoiser": (net, sched),
     }
 
@@ -426,8 +423,6 @@ def _diffusion_predict(
     """Average n_samples reverse chains per item and take the argmax (ties to
     the smaller index); per-(item, sample) RNG substreams make the result
     independent of how items are batched."""
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     n, k = prior.shape
     keys = np.asarray(item_keys)
     # sample-major rows: row r is chain r // n of item r % n
@@ -541,25 +536,23 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     return report
 
 
-# the steps export-trajectory records unless told otherwise: the desk
-# schedule's t_total down to 0
-TRAJECTORY_STEPS = (100, 80, 60, 40, 20, 0)
-
-
 def export_trajectory(
     data_dir: str | Path,
     guidance_ckpt: str | Path,
     denoiser_ckpt: str | Path,
-    steps: list[int],
+    steps: list[int] | None,
     out_path: str | Path,
     cfg: RunConfig,
 ) -> dict:
     """Record label-space chain states at chosen steps on the test split,
-    project each step's point cloud to 2-D and score cluster separation."""
+    project each step's point cloud to 2-D and score cluster separation.
+    steps None records T, 4T/5, ..., 0 of the denoiser's schedule."""
     cfg = cfg.resolved()
-    if not steps:
+    if steps is not None and not steps:
         raise ConfigError("steps list must not be empty")
     model, (net, sched), _, test = load_run(data_dir, cfg, guidance_ckpt, denoiser_ckpt)
+    if steps is None:
+        steps = [sched.t_total * i // 5 for i in range(5, -1, -1)]
     for t in steps:
         if not (0 <= t <= sched.t_total):
             raise ConfigError(f"step {t} outside [0, {sched.t_total}]")

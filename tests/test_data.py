@@ -19,7 +19,7 @@ from cgsd.data import (
     stratified_split,
     write_dataset,
 )
-from cgsd.errors import ConfigError, DataError, ParseError
+from cgsd.errors import ConfigError, DataError, NumericError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,27 @@ def test_read_rejects_non_finite_feature(tmp_path, value):
     )
     with pytest.raises(ParseError, match="bad.csv: non-finite feature at line 3"):
         read_dataset(path)
+
+
+def test_write_refuses_non_finite_feature(tmp_path):
+    ds = Dataset(np.array([[0.1, 0.2], [0.3, np.inf]]), np.array([0, 1]), 2, "source", 0)
+    with pytest.raises(NumericError, match="bad.csv"):
+        write_dataset(tmp_path / "bad.csv", ds)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["w", "log_scale"])
+def test_save_checkpoint_refuses_non_finite_values(tmp_path, name):
+    # load_checkpoint refuses such a file, so none is written
+    meta = {"layout": "x", "frozen": True, "k": 2, "log_scale": 1.5}
+    tensors = {"w": np.array([[1.0, 2.0]])}
+    if name == "w":
+        tensors["w"][0, 1] = np.nan
+    else:
+        meta["log_scale"] = np.inf
+    with pytest.raises(NumericError, match=f"c.json: {name}$"):
+        dmod.save_checkpoint(tmp_path / "c.json", "fmt", meta, tensors)
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_read_rejects_non_integer_label(tmp_path):

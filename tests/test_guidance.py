@@ -238,12 +238,18 @@ def test_ranking_loss_matches_per_op_form(k):
                 assert np.array_equal(w, g), (k, labels, margin)
 
 
-def test_ranking_loss_nonfinite_raises_as_per_op_form():
-    # d_a - d_b overflows in the pair difference
+def test_ranking_loss_overflow_reaches_the_loss_check():
+    # d_a - d_b overflows in a pair difference, and both forms pass the inf
+    # on: for grade 0 it falls in a hinge that is zero, so the loss is finite
+    # and right; for grade 2 the loss is inf, which the training loop refuses
     d = Tensor2([[1e308, -1e308, 0.0]])
-    for loss_fn in (_ranking_loss_per_op, gd.ranking_loss):
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="matmul"):
-            loss_fn(d, [0], 0.05)
+    for label, finite in ((0, True), (2, False)):
+        with np.errstate(over="ignore"):
+            values = [loss_fn(d, [label], 0.05).item()
+                      for loss_fn in (_ranking_loss_per_op, gd.ranking_loss)]
+        assert values[0] == values[1] and math.isfinite(values[0]) == finite
+    with pytest.raises(NumericError):
+        pl._check_finite_loss(values[1], "guidance epoch 0")
 
 
 def test_guidance_loss_lambda_switch():

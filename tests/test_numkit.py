@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgsd import numkit as nk
-from cgsd.errors import ContractError, DimensionError, DegenerateNormWarning
+from cgsd.errors import ContractError, DimensionError, DegenerateNormWarning, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
 from gradcheck import grad_check
 
@@ -138,6 +138,16 @@ def test_l2_normalize_zero_row_warns():
 
 # ---------------------------------------------------------------------------
 # smooth nonlinearity
+
+
+@pytest.mark.parametrize("value", [1e200, 1e300, np.inf, np.nan])
+def test_l2_normalize_refuses_a_non_finite_row_norm(value):
+    # an overflowed norm would divide the row to zeros: [[1e200, 1e200]]
+    # came back as [[0, 0]]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericError, match="l2_normalize_rows"
+    ):
+        nk.l2_normalize_rows(Tensor2([[1.0, 0.0], [value, value]]))
 
 
 def test_smooth_nonlinearity_values():
@@ -348,7 +358,12 @@ def test_tensor2_shape_and_item_contracts():
 
 
 def test_finite_guard_raises_on_nan():
-    from cgsd.errors import NumericError
-
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        nk.exp(Tensor2([[1e9]]))
+    # the ops pass a nan or inf on; the guard refuses it where it is called
+    with np.errstate(over="ignore"):
+        out = nk.exp(Tensor2([[1e9]])).data
+    with pytest.raises(NumericError, match="exp"):
+        nk.check_finite(out, "exp")
+    with pytest.raises(NumericError):
+        nk.check_finite(np.array([[0.0, np.nan]]), "a row")
+    ones = np.ones((2, 2))
+    assert nk.check_finite(ones, "ones") is ones

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -196,6 +199,23 @@ def test_stage2_matches_per_item_generators(small_dir, tmp_path):
         assert np.array_equal(p.data, want)
 
 
+def test_stage2_nonfinite_weight_raises(small_dir, tiny_trained, tmp_path, monkeypatch):
+    # a denoiser weight of 1e308 overflows the taped forward; the stage-2
+    # loss check refuses it and no checkpoint is written
+    build = df.DenoiserNet.build
+
+    def overflowing(*args):
+        net = build(*args)
+        net.layers[0][0].data[0, 0] = 1e308
+        return net
+
+    monkeypatch.setattr(df.DenoiserNet, "build", overflowing)
+    out = tmp_path / "d.json"
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="stage2 epoch 0"):
+        pl.train_stage2(small_dir, tiny_trained / "g.json", TINY, out)
+    assert not out.exists()
+
+
 def test_stage2_saves_the_weight_average(small_dir, tmp_path):
     # both runs train the same raw weights, and with ema_mu = 0 the average is
     # the raw set itself, so the files differ only if they hold the average
@@ -300,13 +320,6 @@ def test_diffusion_predict_n1_equals_single_chain():
     np.testing.assert_array_equal(grades, np.argmax(single, axis=1))
 
 
-def test_diffusion_predict_validates_n_samples():
-    net = df.DenoiserNet.build(d_model=4, k=3, seed=13)
-    sched = df.make_schedule(100, 1e-3, 0.2)
-    for n_samples in (0, -1):
-        with pytest.raises(ConfigError):
-            pl._diffusion_predict(net, sched, np.zeros((1, 4)), np.zeros((1, 3)),
-                                  np.full((1, 3), 1 / 3), n_samples, 0, np.arange(1))
 
 
 def test_evaluate_rejects_version_mismatch(small_dir, tiny_trained, tmp_path):
@@ -368,7 +381,7 @@ def test_stages_return_the_models_they_save(small_dir, tmp_path):
     for a, b in zip(net.params(), net_read.params(), strict=True):
         assert np.array_equal(a.data, b.data)
     assert sched.t_total == sched_read.t_total
-    for name in ("beta", "alpha", "alpha_bar", "temb"):
+    for name in ("beta", "alpha_bar", "temb"):
         assert np.array_equal(getattr(sched, name), getattr(sched_read, name))
 
 
@@ -415,6 +428,20 @@ def test_export_trajectory_rejects_out_of_range_step(small_dir, tiny_trained, tm
         pl.export_trajectory(small_dir, tiny_trained / "g.json",
                              tiny_trained / "d.json", [TINY.t_total + 1],
                              tmp_path / "t.csv", TINY)
+
+
+def test_export_trajectory_default_steps_follow_the_schedule(bad_input_base, tmp_path):
+    # without --steps a T = 10 denoiser records T, 4T/5, ..., 0
+    df.save_denoiser(tmp_path / "d10.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
+                     (10, 1e-3, 0.2))
+    argv = ["export-trajectory", "--data", str(bad_input_base / "data"),
+            "--guidance", str(bad_input_base / "g.json"),
+            "--diffusion", str(tmp_path / "d10.json"), "--out", str(tmp_path / "t.csv")]
+    for extra, want in (([], [10, 8, 6, 4, 2, 0]), (["--steps", "10,4"], [10, 4])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + extra) == 0
+        rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        assert list(dict.fromkeys(int(row.split(",")[0]) for row in rows)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +704,9 @@ _ARGV = {
 # exit-3 message names, damage, --config body)
 _BAD_INPUTS = {
     "eval-samples-0": (2, "eval", ["--n-samples", "0"], None, None, None),
+    "eval-zero-shot-samples-0": (
+        2, "eval-zero-shot", ["--n-samples", "0"], None, None, None),
+    "train-diffusion-clip-0": (2, "train-diffusion", ["--clip", "0"], None, None, None),
     "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
     "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
@@ -716,6 +746,17 @@ _BAD_INPUTS = {
     "train-guidance-seed-negative": (
         2, "train-guidance", ["--seed", "-1"], None, None, None),
     "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
+    # finite inputs whose computation overflows end in a numeric failure:
+    # an encoder row norm (1e300 overflowed it into a zero row, and exit 0),
+    # the reverse chain, or features gen-data would write
+    "guidance-weight-1e308": (
+        4, "eval", [], "g.json", _json_set("weights", "w1", 0, value=1e308), None),
+    "guidance-weight-1e300": (
+        4, "eval", [], "g.json", _json_set("weights", "w1", 0, value=1e300), None),
+    "denoiser-head-bias-1e308": (
+        4, "eval", [], "d.json", _json_set("weights", "layer2_b", 0, value=1e308),
+        None),
+    "gen-data-noise-1e308": (4, "gen-data", ["--noise", "1e308"], None, None, None),
     # checkpoints with non-finite or out-of-range values fail at load
     "denoiser-weight-nan": (
         3, "eval", [], "d.json", _json_set("weights", "layer0_w", 0, value=math.nan),
@@ -774,14 +815,24 @@ def test_cli_train_guidance_takes_small_learning_rates(flag, bad_input_base, tmp
         assert cli.main(argv) == 0
 
 
+def test_run_config_validates_n_samples_and_clip():
+    for n_samples in (0, -1):
+        with pytest.raises(ConfigError, match="n_samples"):
+            pl.RunConfig(n_samples=n_samples)
+    for clip in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="clip"):
+            pl.RunConfig(clip=clip)
+
+
 def test_stage2_lr_floor_error_names_both_fields():
     with pytest.raises(ConfigError, match="stage2_lr_min .* stage2_lr "):
         pl.RunConfig(stage2_lr=5e-6)
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, capsys):
-    code, command, extra, target, damage, config = _BAD_INPUTS[case]
+def _bad_input_argv(case, bad_input_base, tmp_path):
+    """The command line of a _BAD_INPUTS case, run on a damaged copy of the
+    fixture."""
+    _, command, extra, target, damage, config = _BAD_INPUTS[case]
     work = tmp_path / "w"
     shutil.copytree(bad_input_base, work)
     if damage is not None:
@@ -790,12 +841,33 @@ def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, ca
     if config is not None:
         (work / "cfg.json").write_text(json.dumps(config))
         argv += ["--config", "{w}/cfg.json"]
-    assert cli.main([a.format(w=work) for a in argv]) == code
+    return [a.format(w=work) for a in argv]
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, capsys):
+    code, _, _, target, _, _ = _BAD_INPUTS[case]
+    assert cli.main(_bad_input_argv(case, bad_input_base, tmp_path)) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
     if code == 3 and target is not None:
         assert target in err  # the message names the damaged file
+
+
+@pytest.mark.parametrize(
+    "case", ["guidance-weight-1e308", "guidance-weight-1e300", "gen-data-noise-1e308"])
+def test_cli_process_numeric_failure_is_one_line(case, bad_input_base, tmp_path):
+    # the command in its own process, outside pytest's warning filter, where
+    # numpy's floating-point warnings would add lines to stderr
+    argv = _bad_input_argv(case, bad_input_base, tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "cgsd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numeric failure: ")
 
 
 # Each subcommand's settings: the config class, the paths it needs, and one
