@@ -141,9 +141,11 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
     ("data", "out"),
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
-    # the pretrained base is kept beside --out (g.json: g.base.json) for reuse
+    # the pretrained base is kept beside --out (g.npz: g.base.npz) for reuse
     out = Path(a["out"])
-    result = pipeline.train_stage1(a["data"], cfg, out, out.with_suffix(".base.json"))
+    result = pipeline.train_stage1(
+        a["data"], cfg, out, out.with_suffix(".base" + out.suffix)
+    )
     _write_log(a["out"], result["log"])
 
 

@@ -9,7 +9,12 @@ ordinal structure itself.
 
 from __future__ import annotations
 
+import io
 import json
+import math
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,77 +200,91 @@ def stratified_split(
 
 # ---------------------------------------------------------------------------
 # file I/O: CSV of label,f0..f{d-1} plus a JSON metadata sidecar, and the
-# checkpoint format both models use: one JSON object holding the format tag,
-# the model's meta fields and a "weights" object of flat row-major lists
+# checkpoint format both models use: an uncompressed zip holding a meta.json
+# member (the format tag and the model's meta fields), then one float64 .npy
+# member per tensor
 
 
 NUMBER = (int, float)
 
+_ZIP_MAGIC = b"PK\x03\x04"
+_META = "meta.json"
+# a fixed member date, so two saves of one model give the same bytes
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+_NPY_VERSION = (1, 0)
+_F8 = np.dtype("<f8")
 
-def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
-    """Parse a JSON file holding an object with every key in fields, each
+
+def _parse_json_object(blob: bytes, where: str, fields: dict) -> dict:
+    """Parse UTF-8 JSON text holding an object with every key in fields, each
     value an instance of the type fields gives for it; true and false count
-    as bool only, never as a number."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{what} not found: {path}")
+    as bool only, never as a number. where names the text in errors."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ParseError(f"{what} {path} is not valid JSON: {e}") from None
+        raise ParseError(f"{where} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{what} {path} does not hold a JSON object")
+        raise ParseError(f"{where} does not hold a JSON object")
     for key, typ in fields.items():
         if key not in doc:
-            raise ParseError(f"{what} {path} lacks key '{key}'")
+            raise ParseError(f"{where} lacks key '{key}'")
         value = doc[key]
         if not isinstance(value, typ) or (isinstance(value, bool) and typ is not bool):
-            raise ParseError(f"{what} {path}: key '{key}' has the wrong type")
+            raise ParseError(f"{where}: key '{key}' has the wrong type")
     return doc
 
 
-def array_from_flat(values, shape, what: str) -> np.ndarray:
-    """Rebuild a matrix stored as a flat list, checking its length against
-    shape and that every value is a finite number, not a bool; what names
-    the matrix in errors."""
-    if not (
-        isinstance(shape, list)
-        and len(shape) == 2
-        and all(isinstance(s, int) and s >= 0 for s in shape)
-    ):
-        raise ParseError(f"{what}: bad shape {shape!r}")
-    not_numbers = ParseError(f"{what}: values are not a list of numbers")
-    # numpy reads a JSON true as 1.0
-    if not isinstance(values, list) or bool in set(map(type, values)):
-        raise not_numbers
-    try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise not_numbers from None
-    if arr.ndim != 1 or arr.size != shape[0] * shape[1]:
-        raise ParseError(
-            f"{what}: {arr.size} values do not fill shape {shape[0]}x{shape[1]}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"{what}: values are not all finite")
-    return arr.reshape(shape)
+def read_json_object(path: str | Path, what: str, fields: dict) -> dict:
+    """_parse_json_object on the file at path; what names its kind in errors."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"{what} not found: {path}")
+    return _parse_json_object(path.read_bytes(), f"{what} {path}", fields)
 
 
 def save_checkpoint(
     path: str | Path, fmt: str, meta: dict, tensors: dict[str, np.ndarray]
 ) -> None:
-    """Write a checkpoint tagged fmt: the meta fields plus each tensor as a
-    flat row-major list; the shapes follow from the meta fields. A non-finite
-    tensor or meta number, which loading refuses, raises NumericError first."""
+    """Write a checkpoint tagged fmt to path, under exactly that name: the
+    meta fields, then each tensor as a float64 .npy member; the shapes follow
+    from the meta fields. A non-finite tensor or meta number, which loading
+    refuses, raises NumericError first."""
     for name, value in [*meta.items(), *tensors.items()]:
         if not isinstance(value, str):
             check_finite(value, f"checkpoint {path}: {name}")
-    doc = {
-        "format": fmt,
-        **meta,
-        "weights": {name: a.flatten().tolist() for name, a in tensors.items()},
-    }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8", newline="\n")
+    blob = io.BytesIO()
+    with zipfile.ZipFile(blob, "w", zipfile.ZIP_STORED) as zf:
+        zf.writestr(zipfile.ZipInfo(_META, date_time=_ZIP_DATE),
+                    json.dumps({"format": fmt, **meta}))
+        for name, a in tensors.items():
+            npy = io.BytesIO()
+            np.lib.format.write_array(
+                npy, np.ascontiguousarray(a, dtype=_F8), _NPY_VERSION, allow_pickle=False
+            )
+            zf.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE), npy.getvalue())
+    Path(path).write_bytes(blob.getvalue())
+
+
+def _read_tensor(zf: zipfile.ZipFile, name: str, shape: tuple, where: str) -> np.ndarray:
+    """A member's float64 array of the given shape; its .npy header is checked
+    before any data is read, so a damaged header allocates nothing."""
+    what = f"{where}: weight {name}"
+    with zf.open(f"{name}.npy") as f:
+        if np.lib.format.read_magic(f) != _NPY_VERSION:
+            raise ParseError(f"{what}: not a version 1.0 .npy member")
+        got, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+        if dtype != _F8 or fortran:
+            raise ParseError(f"{what}: dtype {dtype} is not C-order <f8")
+        if got != shape:
+            raise ParseError(f"{what}: shape {got} is not {shape}")
+        # reading to the end runs zipfile's CRC check
+        data = f.read()
+    if len(data) != _F8.itemsize * math.prod(shape):
+        raise ParseError(f"{what}: {len(data)} data bytes do not fill {shape}")
+    arr = np.frombuffer(data, dtype=_F8).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"{what}: values are not all finite")
+    return arr
 
 
 def load_checkpoint(
@@ -273,25 +292,49 @@ def load_checkpoint(
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint written by save_checkpoint: its format tag must be
     fmt and each meta key in fields must have the type given for it.
-    shapes(doc) checks the meta values, raising ParseError for one out of
+    shapes(meta) checks the meta values, raising ParseError for one out of
     range, and gives each tensor's shape; the tensors come back at those
-    shapes. Every error names the file."""
-    doc = read_json_object(path, "checkpoint", {"format": str, **fields, "weights": dict})
+    shapes. Every error is a ParseError that names the file."""
+    path = Path(path)
     where = f"checkpoint {path}"
-    if doc["format"] != fmt:
-        raise ParseError(
-            f"{where}: format mismatch: expected {fmt}, got {doc['format']!r}"
-        )
+    if not path.exists():
+        raise ParseError(f"checkpoint not found: {path}")
+    blob = path.read_bytes()
+    if not blob.startswith(_ZIP_MAGIC):
+        if blob.lstrip()[:1] == b"{":
+            raise ParseError(f"{where} is a retired JSON checkpoint; retrain it")
+        raise ParseError(f"{where} is not a checkpoint: no zip header")
     try:
-        expected = shapes(doc)
-    except ParseError as e:
-        raise ParseError(f"{where}: {e}") from None
-    weights = doc["weights"]
-    tensors = {
-        name: array_from_flat(weights.get(name), shape, f"{where}: weight {name}")
-        for name, shape in expected.items()
-    }
-    return doc, tensors
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            # a compressed member could inflate far beyond the file's size
+            if any(i.compress_type != zipfile.ZIP_STORED for i in zf.infolist()):
+                raise ParseError(f"{where}: a member is compressed")
+            meta = _parse_json_object(zf.read(_META), where, {"format": str, **fields})
+            if meta["format"] != fmt:
+                raise ParseError(
+                    f"{where}: format mismatch: expected {fmt}, got {meta['format']!r}"
+                )
+            try:
+                expected = shapes(meta)
+            except ParseError as e:
+                raise ParseError(f"{where}: {e}") from None
+            names = sorted(zf.namelist())
+            if names != sorted([_META, *(f"{name}.npy" for name in expected)]):
+                raise ParseError(f"{where}: members {names} are not this format's")
+            tensors = {
+                name: _read_tensor(zf, name, tuple(shape), where)
+                for name, shape in expected.items()
+            }
+    except ParseError:
+        raise
+    # what zipfile and the .npy header reader raise on damaged bytes, an
+    # encrypted member (RuntimeError) and a non-UTF-8 member name (ValueError)
+    # included; some of their messages run over several lines
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError, zlib.error,
+            NotImplementedError, RuntimeError, tokenize.TokenError) as e:
+        detail = str(e).splitlines()[0] if str(e) else type(e).__name__
+        raise ParseError(f"{where}: {detail}") from None
+    return meta, tensors
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -24,9 +24,9 @@ from .data import NUMBER, load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
-# v2 stores the EMA weights as the only weight set; a v1 file's "weights"
-# are the raw training weights
-DENOISER_FORMAT = "cgsd-denoiser-v2"
+# v3 is the zip checkpoint of data.save_checkpoint; v2 was its JSON
+# predecessor, and a v1 file's "weights" were the raw training weights
+DENOISER_FORMAT = "cgsd-denoiser-v3"
 TEMB_DIM = 64
 HIDDEN = (128, 128)
 CONDITIONING_LAYOUT = "f|y_t|y_hat0|d|temb64"

@@ -27,7 +27,8 @@ LOG_SCALE_INIT = math.log(1.0 / 0.07)
 SCALE_MAX = 100.0
 # largest log_scale whose exp is finite
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
-GUIDANCE_FORMAT = "cgsd-guidance-v1"
+# v2 is the zip checkpoint of data.save_checkpoint; v1 was its JSON predecessor
+GUIDANCE_FORMAT = "cgsd-guidance-v2"
 
 
 class LoraAdapter:

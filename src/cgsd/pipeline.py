@@ -343,7 +343,8 @@ def train_stage2(
     y0 = _onehot(train.labels, train.k)
 
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
-    net = df.DenoiserNet.build(cfg.d_model, train.k, cfg.seed)
+    # the conditioning's width is the guidance model's, whatever cfg.d_model says
+    net = df.DenoiserNet.build(model.w2.rows, train.k, cfg.seed)
     params = net.params()
     state = optim.AdamState(beta1=0.9)
     ema = optim.EmaState.from_params(params, cfg.ema_mu)
@@ -493,6 +494,8 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     split_hash = _hash_arrays([test.features, test.labels])
 
+    # perfbench/harness.py reads the checkpoints under these .json names, so
+    # they keep them until a change to the benchmark renames them too
     guidance_path = work / "ablate_guidance.json"
     base_path = work / "ablate_guidance.base.json"
     denoiser_path = work / "ablate_denoiser.json"

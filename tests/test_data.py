@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgsd import data as dmod
+from cgsd import diffusion as df
+from cgsd import guidance as gd
 from cgsd.data import (
     Dataset,
     SyntheticConfig,
@@ -276,6 +278,43 @@ def test_save_checkpoint_refuses_non_finite_values(tmp_path, name):
     with pytest.raises(NumericError, match=f"c.json: {name}$"):
         dmod.save_checkpoint(tmp_path / "c.json", "fmt", meta, tensors)
     assert not (tmp_path / "c.json").exists()
+
+
+def _guidance_tensors(model):
+    return [model.w1, model.b1, model.w2, model.b2, model.adapter.a, model.adapter.b,
+            model.prompts, model.log_scale]
+
+
+@pytest.mark.parametrize("name", ["ckpt.json", "ckpt"])
+def test_checkpoint_round_trip_bytes_repeat_and_path_kept(tmp_path, name):
+    # each model saved twice under one name: the same bytes, at exactly that
+    # path (no .npz appended), loading back every tensor bit for bit
+    model = gd.GuidanceModel.build(d_in=6, hidden=5, d_model=4, k=3, rank=2,
+                                   alpha=4.0, seed=3, frozen_base=True)
+    net = df.DenoiserNet.build(d_model=4, k=3, seed=3)
+    for t in [*_guidance_tensors(model), *net.params()]:
+        t.data = t.data + 0.123456789012345678
+    saves = {
+        "guidance": lambda path: gd.save_guidance(path, model),
+        "denoiser": lambda path: df.save_denoiser(path, net, (20, 1e-3, 0.2)),
+    }
+    for kind, save in saves.items():
+        (tmp_path / kind).mkdir()
+        path = tmp_path / kind / name
+        save(path)
+        first = path.read_bytes()
+        save(path)
+        assert path.read_bytes() == first
+        assert [p.name for p in (tmp_path / kind).iterdir()] == [name]
+    loaded = gd.load_guidance(tmp_path / "guidance" / name)
+    loaded_net, sched = df.load_denoiser(tmp_path / "denoiser" / name)
+    pairs = [*zip(_guidance_tensors(model), _guidance_tensors(loaded)),
+             *zip(net.params(), loaded_net.params())]
+    assert len(pairs) == 8 + 6
+    for a, b in pairs:
+        assert np.array_equal(a.data, b.data)
+    assert (loaded.frozen_base, loaded.adapter.rank, loaded.adapter.alpha) == (True, 2, 4.0)
+    assert (sched.t_total, sched.beta[0], sched.beta[-1]) == (20, 1e-3, 0.2)
 
 
 def test_read_rejects_non_integer_label(tmp_path):

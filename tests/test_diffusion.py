@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cgsd import diffusion as df
 from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
 from cgsd.numkit import GradTape, Tensor2
+import ckpt_edit as ckpt
 
 
 PAPER_SCHED = df.make_schedule(1000, 1e-4, 0.02)
@@ -607,25 +608,20 @@ def test_denoiser_round_trip(tmp_path):
 
 
 def test_denoiser_file_holds_one_weight_set(tmp_path):
-    import json
-
     path = tmp_path / "d.json"
     df.save_denoiser(path, df.DenoiserNet.build(d_model=8, k=5, seed=14),
                      (100, 1e-3, 0.2))
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "cgsd-denoiser-v2"
+    doc = ckpt.meta(path)
+    assert doc["format"] == "cgsd-denoiser-v3"
     assert "ema_weights" not in doc and "shapes" not in doc
-    assert sorted(doc["weights"]) == [f"layer{i}_{p}" for i in range(3) for p in "bw"]
+    assert list(ckpt.members(path)) == ["meta.json"] + [
+        f"layer{i}_{p}.npy" for i in range(3) for p in "wb"]
 
 
 def test_denoiser_rejects_wrong_format(tmp_path):
-    import json
-
     net = df.DenoiserNet.build(d_model=8, k=5, seed=15)
     path = tmp_path / "d.json"
     df.save_denoiser(path, net, (100, 1e-3, 0.2))
-    doc = json.loads(path.read_text())
-    doc["format"] = "bogus"
-    path.write_text(json.dumps(doc))
+    ckpt.set_meta(path, format="bogus")
     with pytest.raises(ParseError):
         df.load_denoiser(path)

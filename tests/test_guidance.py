@@ -13,6 +13,7 @@ from cgsd.errors import ConfigError, ContractError, DataError, NumericError, Par
 from cgsd.numkit import GradTape, Tensor2, backward
 from cgsd.pipeline import conditioning
 from gradcheck import grad_check_param, trainable_params
+import ckpt_edit as ckpt
 
 
 def small_model(seed=0, frozen=True, k=5):
@@ -378,32 +379,24 @@ def test_checkpoint_records_the_frozen_flag(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):
-    import json
-
     model = small_model()
     path = tmp_path / "g.json"
     gd.save_guidance(path, model)
-    doc = json.loads(path.read_text())
-    doc["format"] = "something-else"
-    path.write_text(json.dumps(doc))
+    ckpt.set_meta(path, format="something-else")
     with pytest.raises(ParseError):
         gd.load_guidance(path)
 
 
 def test_checkpoint_shapes_come_from_recorded_dimensions(tmp_path):
-    import json
-
     path = tmp_path / "g.json"
     gd.save_guidance(path, small_model())
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "cgsd-guidance-v1" and "shapes" not in doc
-    # an older file's shapes map is ignored, even when it is wrong
-    doc["shapes"] = {"w1": [1, 1]}
-    path.write_text(json.dumps(doc))
+    doc = ckpt.meta(path)
+    assert doc["format"] == "cgsd-guidance-v2" and "shapes" not in doc
+    # a shapes map in the meta fields is ignored, even when it is wrong
+    ckpt.set_meta(path, shapes={"w1": [1, 1]})
     gd.load_guidance(path)
     # weights that do not fit the recorded dimensions are refused
-    doc["hidden"] += 1
-    path.write_text(json.dumps(doc))
+    ckpt.set_meta(path, hidden=doc["hidden"] + 1)
     with pytest.raises(ParseError, match="g.json: weight w1"):
         gd.load_guidance(path)
 

@@ -26,6 +26,7 @@ from cgsd import pipeline as pl
 from cgsd.data import SyntheticConfig, read_dataset, stratified_split, write_dataset
 from cgsd.errors import ConfigError, DataError, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
+import ckpt_edit as ckpt
 
 
 TINY = pl.RunConfig(
@@ -323,10 +324,9 @@ def test_diffusion_predict_n1_equals_single_chain():
 
 
 def test_evaluate_rejects_version_mismatch(small_dir, tiny_trained, tmp_path):
-    doc = json.loads((tiny_trained / "g.json").read_text())
-    doc["format"] = "cgsd-guidance-v999"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    shutil.copy(tiny_trained / "g.json", bad)
+    ckpt.set_meta(bad, format="cgsd-guidance-v999")
     from cgsd.errors import ParseError
 
     with pytest.raises(ParseError):
@@ -607,26 +607,41 @@ def bad_input_base(small_dir, tmp_path_factory):
 
 
 def _truncate(path):
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
 
 
 def _short_weights(path):
-    doc = json.loads(path.read_text())
-    doc["weights"]["layer0_w"] = doc["weights"]["layer0_w"][:-1]
-    path.write_text(json.dumps(doc))
+    """layer0_w's .npy member one float short of the shape its header gives."""
+    ckpt.set_member(path, "layer0_w.npy", ckpt.members(path)["layer0_w.npy"][:-8])
 
 
 def _denoiser_v1(path):
-    """Rewrite a denoiser file in the retired v1 layout: raw weights, the
-    weight average under ema_weights and a shapes map."""
-    doc = json.loads(path.read_text())
-    doc["format"] = "cgsd-denoiser-v1"
-    doc["ema_weights"] = doc["weights"]
-    shapes = doc["shapes"] = {}
+    """Tag a denoiser file with the retired v1 layout: raw weights, the weight
+    average under ema_ names and a shapes map."""
+    doc = ckpt.meta(path)
+    shapes = {}
     for i, (fan_in, fan_out) in enumerate(df.layer_dims(doc["d_model"], doc["k"])):
         shapes[f"layer{i}_w"], shapes[f"layer{i}_b"] = [fan_out, fan_in], [1, fan_out]
-    path.write_text(json.dumps(doc))
+    ckpt.set_meta(path, format="cgsd-denoiser-v1", shapes=shapes)
+    for name, blob in ckpt.members(path).items():
+        if name.endswith(".npy"):
+            ckpt.set_member(path, "ema_" + name, blob)
+
+
+def _retired_json(path):
+    """Rewrite a checkpoint as the retired JSON object of flat weight lists."""
+    names = [n[: -len(".npy")] for n in ckpt.members(path) if n.endswith(".npy")]
+    weights = {name: ckpt.array(path, name).flatten().tolist() for name in names}
+    path.write_text(json.dumps({**ckpt.meta(path), "weights": weights}))
+
+
+def _huge_shape(path):
+    """layer0_w's .npy header declares shape (10**9, 10**6) over 16 data bytes."""
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        npy, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**6)})
+    ckpt.set_member(path, "layer0_w.npy", npy.getvalue() + bytes(16))
 
 
 def _non_utf8(path):
@@ -637,10 +652,8 @@ def _non_utf8(path):
 
 def _one_grade(path):
     """A guidance file consistent in itself but recording a single grade."""
-    doc = json.loads(path.read_text())
-    doc["k"] = 1
-    doc["weights"]["prompts"] = doc["weights"]["prompts"][: doc["d_model"]]
-    path.write_text(json.dumps(doc))
+    ckpt.set_meta(path, k=1)
+    ckpt.set_array(path, "prompts", ckpt.array(path, "prompts")[:1])
 
 
 def _feature(value, split):
@@ -666,15 +679,26 @@ def _drop_domain_tag(path):
     meta.write_text(json.dumps(doc))
 
 
-def _json_set(*keys, value):
-    """Damage that sets one entry (reached through keys) of a JSON file."""
+def _meta_set(key, value):
+    """Damage that sets one meta field of a checkpoint."""
     def damage(path):
-        doc = json.loads(path.read_text())
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-        path.write_text(json.dumps(doc))
+        ckpt.set_meta(path, **{key: value})
+    return damage
+
+
+def _weight_set(name, index, value):
+    """Damage that sets element index (row-major) of one checkpoint tensor."""
+    def damage(path):
+        arr = ckpt.array(path, name)
+        arr.flat[index] = value
+        ckpt.set_array(path, name, arr)
+    return damage
+
+
+def _weight_as(dtype):
+    """Damage that stores layer0_w with another dtype, its shape kept."""
+    def damage(path):
+        ckpt.set_array(path, "layer0_w", ckpt.array(path, "layer0_w").astype(dtype))
     return damage
 
 
@@ -711,6 +735,13 @@ _BAD_INPUTS = {
     "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
     "denoiser-v1-with-ema_weights": (3, "eval", [], "d.json", _denoiser_v1, None),
+    "denoiser-retired-json": (3, "eval", [], "d.json", _retired_json, None),
+    "guidance-retired-json": (3, "eval-zero-shot", [], "g.json", _retired_json, None),
+    # a .npy member must be C-order float64 of the recorded shape, which its
+    # header shows before any data is read or allocated
+    "denoiser-weight-float32": (3, "eval", [], "d.json", _weight_as(np.float32), None),
+    "denoiser-weight-object": (3, "eval", [], "d.json", _weight_as(object), None),
+    "denoiser-weight-header-huge": (3, "eval", [], "d.json", _huge_shape, None),
     "target-csv-not-utf8": (3, "eval", [], "data/target.csv", _non_utf8, None),
     # a non-finite feature: a train row went unseen by eval, a test row ended
     # in a numeric failure
@@ -750,32 +781,31 @@ _BAD_INPUTS = {
     # an encoder row norm (1e300 overflowed it into a zero row, and exit 0),
     # the reverse chain, or features gen-data would write
     "guidance-weight-1e308": (
-        4, "eval", [], "g.json", _json_set("weights", "w1", 0, value=1e308), None),
+        4, "eval", [], "g.json", _weight_set("w1", 0, 1e308), None),
     "guidance-weight-1e300": (
-        4, "eval", [], "g.json", _json_set("weights", "w1", 0, value=1e300), None),
+        4, "eval", [], "g.json", _weight_set("w1", 0, 1e300), None),
     "denoiser-head-bias-1e308": (
-        4, "eval", [], "d.json", _json_set("weights", "layer2_b", 0, value=1e308),
+        4, "eval", [], "d.json", _weight_set("layer2_b", 0, 1e308),
         None),
     "gen-data-noise-1e308": (4, "gen-data", ["--noise", "1e308"], None, None, None),
     # checkpoints with non-finite or out-of-range values fail at load
     "denoiser-weight-nan": (
-        3, "eval", [], "d.json", _json_set("weights", "layer0_w", 0, value=math.nan),
+        3, "eval", [], "d.json", _weight_set("layer0_w", 0, math.nan),
         None),
     "guidance-weight-nan": (
-        3, "eval", [], "g.json", _json_set("weights", "w1", 0, value=math.nan), None),
+        3, "eval", [], "g.json", _weight_set("w1", 0, math.nan), None),
     "guidance-log_scale-nan": (
-        3, "eval-zero-shot", [], "g.json", _json_set("log_scale", value=math.nan),
+        3, "eval-zero-shot", [], "g.json", _meta_set("log_scale", math.nan),
         None),
     "guidance-alpha-negative": (
-        3, "eval", [], "g.json", _json_set("alpha", value=-1), None),
+        3, "eval", [], "g.json", _meta_set("alpha", -1), None),
     "guidance-one-grade": (3, "eval-zero-shot", [], "g.json", _one_grade, None),
     "denoiser-beta_end-2": (
-        3, "eval", [], "d.json", _json_set("beta_end", value=2.0), None),
+        3, "eval", [], "d.json", _meta_set("beta_end", 2.0), None),
     # JSON true is a Python int, so a number field refuses it explicitly
     "denoiser-t_total-bool": (
-        3, "eval", [], "d.json", _json_set("t_total", value=True), None),
-    "denoiser-weight-bool": (
-        3, "eval", [], "d.json", _json_set("weights", "layer0_w", 0, value=True), None),
+        3, "eval", [], "d.json", _meta_set("t_total", True), None),
+    "denoiser-weight-bool": (3, "eval", [], "d.json", _weight_as(bool), None),
     # a fresh base pretrains on source.csv, so its width and grade count must
     # be target.csv's
     "train-guidance-source-d_in-mismatch": (
@@ -790,7 +820,7 @@ _BAD_INPUTS = {
         2, "train-guidance", ["--out", "{w}/stale.json", "--rank", "4", "--seed", "9"],
         None, None, None),
     "train-diffusion-unfrozen-guidance": (
-        3, "train-diffusion", [], "g.json", _json_set("frozen", value=False), None),
+        3, "train-diffusion", [], "g.json", _meta_set("frozen", False), None),
     # paths the program cannot write: the message names the path
     "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.json"], "g.json",
                                None, None),
@@ -813,6 +843,36 @@ def test_cli_train_guidance_takes_small_learning_rates(flag, bad_input_base, tmp
             "--rank", "2", "--stage1-epochs", "4", flag, "5e-6"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
+
+
+def test_cli_train_diffusion_takes_the_guidance_width(bad_input_base, tmp_path):
+    # g.json has d_model 8, not RunConfig's default; the denoiser is built for
+    # the guidance model's width and eval runs the pair
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    assert gd.load_guidance(work / "g.json").w2.rows == 8 != pl.RunConfig().d_model
+    train = [a.format(w=work) for a in _ARGV["train-diffusion"]]
+    evaluate = ["eval", "--data", f"{work}/data", "--guidance", f"{work}/g.json",
+                "--diffusion", f"{work}/d2.json", "--report", f"{work}/r.json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(train) == 0
+        assert cli.main(evaluate) == 0
+    assert df.load_denoiser(work / "d2.json")[0].d_model == 8
+
+
+@pytest.mark.parametrize("out, base", [("g.npz", "g.base.npz"), ("g.json", "g.base.json"),
+                                       ("g", "g.base")])
+def test_cli_train_guidance_names_the_base_after_out(out, base, monkeypatch, tmp_path):
+    seen = []
+
+    def capture(data, cfg, out_path, base_path):
+        seen.append((out_path, base_path))
+        return {"log": []}
+
+    monkeypatch.setattr(pl, "train_stage1", capture)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train-guidance", "--data", "x", "--out", str(tmp_path / out)]) == 0
+    assert seen == [(tmp_path / out, tmp_path / base)]
 
 
 def test_run_config_validates_n_samples_and_clip():
