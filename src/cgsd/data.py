@@ -381,10 +381,12 @@ def read_dataset(path: str | Path) -> Dataset:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text: {e}") from None
-    expected_header = "label," + ",".join(f"f{i}" for i in range(d_in))
-    if not lines or lines[0] != expected_header:
+    # the field count first, so no header is built wider than the file's
+    fields = len(lines[0].split(",")) if lines else 0
+    if fields != d_in + 1 or lines[0] != "label," + ",".join(f"f{i}" for i in range(d_in)):
         raise ParseError(
-            f"{path}: header mismatch at line 1: expected '{expected_header}'"
+            f"{path}: header mismatch at line 1: expected label,f0..f{d_in - 1} "
+            f"({d_in + 1} fields), got {fields} fields"
         )
     rows = lines[1:]
     if len(rows) != n:

@@ -49,10 +49,7 @@ def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSche
         raise ConfigError("t_total must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ConfigError("require 0 < beta_start <= beta_end < 1")
-    if t_total == 1:
-        beta = np.array([beta_start])
-    else:
-        beta = beta_start + np.arange(t_total) * (beta_end - beta_start) / (t_total - 1)
+    beta = beta_start + np.arange(t_total) * (beta_end - beta_start) / max(t_total - 1, 1)
     alpha_bar = np.empty(t_total + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(1.0 - beta)
@@ -120,10 +117,7 @@ class DenoiserNet:
         return cls(layers, d_model, k)
 
     def params(self) -> list[Tensor2]:
-        out = []
-        for w, b in self.layers:
-            out.extend((w, b))
-        return out
+        return [p for layer in self.layers for p in layer]
 
     def forward(self, x: Tensor2, tape: GradTape | None = None) -> Tensor2:
         h = x
@@ -194,7 +188,7 @@ def eps_predict(
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
-# multiplier; item_draws replays SeedSequence((seed, key)) -> PCG64 with them
+# multiplier: _generate_state and _keyed_rngs replay default_rng(SeedSequence)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -204,19 +198,25 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 
 
-def _pcg64_states(seeds, keys) -> list[tuple[int, int]]:
-    """The (state, inc) of PCG64(SeedSequence((seed, key))) for every
-    (seed, key) pair.
-
-    SeedSequence's pool hash and generate_state(4, np.uint64) run in uint32
-    arithmetic over all pairs at once; their hash constants evolve the same
-    way for every pair. numpy hashes a value of 2**32 or more as several
-    words, so such a value is refused rather than given another stream.
-    """
-    seeds, keys = np.broadcast_arrays(np.asarray(seeds), np.asarray(keys))
-    for name, a in (("seed", seeds), ("key", keys)):
-        if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > _MASK32):
-            raise ContractError(f"every {name} must be an integer in [0, 2**32)")
+def _generate_state(n_words: int, *columns) -> np.ndarray:
+    """SeedSequence((c0, c1, ...)).generate_state(n_words) of every row, as a
+    (rows, n_words) uint32 array hashed over all rows at once. A scalar column
+    is one integer for all rows, split into 32-bit words as numpy splits it;
+    an array column gives each row one word, so all rows share a length."""
+    rows = np.broadcast_shapes((1,), *map(np.shape, columns))
+    entropy = []
+    for c in columns:
+        if np.ndim(c) == 0:
+            if not isinstance(c, (int, np.integer)) or c < 0:
+                raise ContractError(f"a seed must be a nonnegative integer, got {c!r}")
+            c = int(c)
+            entropy += [np.full(rows, c >> shift & _MASK32, np.uint32)
+                        for shift in range(0, max(c.bit_length(), 1), 32)]
+            continue
+        c = np.asarray(c)
+        if c.size and (c.dtype.kind not in "iu" or c.min() < 0 or c.max() > _MASK32):
+            raise ContractError("every per-row seed word must be an integer in [0, 2**32)")
+        entropy.append(np.broadcast_to(c, rows).astype(np.uint32))
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -230,57 +230,69 @@ def _pcg64_states(seeds, keys) -> list[tuple[int, int]]:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(16))
 
-    entropy = [seeds.astype(np.uint32).ravel(), keys.astype(np.uint32).ravel()]
-    entropy += [np.zeros_like(entropy[0])] * (_POOL_SIZE - len(entropy))
-    pool = [hashmix(word) for word in entropy]
+    entropy += [np.zeros(rows, np.uint32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # words beyond the pool are mixed into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
 
     hash_const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
+    state = []
+    for i in range(n_words):
         value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * np.uint32(hash_const)
-        words.append(value ^ (value >> np.uint32(16)))
+        state.append(value ^ (value >> np.uint32(16)))
+    return np.stack(state, axis=1)
+
+
+def _keyed_rngs(*columns):
+    """default_rng(SeedSequence((c0, c1, ...))) of every row in turn: one
+    reused generator, set to the row's seeded state before it is yielded, so
+    a row's draws are made before the next row's."""
     # little-endian pairs of 32-bit words make four 64-bit words, which
     # PCG64 reads as two 128-bit ones: the initial state, then the stream
-    w = np.stack(words, axis=1).astype(np.uint64)
+    w = _generate_state(2 * _POOL_SIZE, *columns).astype(np.uint64)
     w = w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
-    states = []
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
     for s0, s1, q0, q1 in w.tolist():
         # PCG64's seeding: inc from the stream word, then two LCG steps
         # around adding the initial state
         inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
-        states.append((((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def item_draws(seeds, keys, t_total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each item's timestep in [1, t_total] and k standard normals, drawn in
-    that order from default_rng(SeedSequence((seed, key))).
-
-    One PCG64 is reused: it is set to each pair's seeded state before the
-    draws, which gives the values a fresh generator per item gives, so an
-    item's draws never depend on the batch it sits in.
-    """
-    states = _pcg64_states(seeds, keys)
-    t_values = np.empty(len(states), dtype=np.int64)
-    eps = np.empty((len(states), k))
-    bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
-    for i, (state, inc) in enumerate(states):
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    that order from default_rng(SeedSequence((seed, key))), so an item's
+    draws never depend on the batch it sits in."""
+    rows = np.broadcast(seeds, keys).size
+    t_values = np.empty(rows, dtype=np.int64)
+    eps = np.empty((rows, k))
+    for i, rng in enumerate(_keyed_rngs(seeds, keys)):
         t_values[i] = rng.integers(1, t_total + 1)
         rng.standard_normal(out=eps[i])
     return t_values, eps
+
+
+def stage2_draws(
+    seed: int, epoch: int, order: np.ndarray, batch: int, t_total: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One stage-2 epoch's item_draws, row i for item order[i] keyed by
+    (step seed, order[i]); batch b's step seed is the first word of
+    SeedSequence((seed, 53, epoch, b)).generate_state(1)."""
+    n = len(order)
+    step_seeds = _generate_state(1, seed, 53, epoch, np.arange(-(-n // batch)))[:, 0]
+    return item_draws(step_seeds[np.arange(n) // batch], order, t_total, k)
 
 
 def epsilon_loss(
@@ -353,13 +365,14 @@ def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, 
     return gamma0, gamma1, gamma2, var
 
 
-def chain_substreams(seed: int, pairs) -> list[np.random.Generator]:
-    """One generator per (item_key, sample) pair, keyed by
-    (seed, 101, item_key, sample), so a draw never depends on batching."""
-    return [
-        np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), int(sample))))
-        for key, sample in pairs
-    ]
+def chain_noise(seed: int, keys, samples, t_total: int, k: int) -> np.ndarray:
+    """Each (item_key, sample) row's chain noise, (t_total + 1) x k in one
+    draw (the values k per step would give) from default_rng(SeedSequence((
+    seed, 101, item_key, sample))), so it never depends on batching."""
+    noise = np.empty((np.broadcast(keys, samples).size, t_total + 1, k))
+    for row, rng in zip(noise, _keyed_rngs(seed, 101, keys, samples)):
+        rng.standard_normal(out=row)
+    return noise
 
 
 def sample_chain_batch(
@@ -368,10 +381,11 @@ def sample_chain_batch(
     d: np.ndarray,
     y_hat0: np.ndarray,
     sched: NoiseSchedule,
-    rngs: list[np.random.Generator],
+    noise: np.ndarray,
     record_steps=None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Run one reverse chain per row; each row owns its RNG substream.
+    """Run one reverse chain per row on that row's noise (chain_noise):
+    noise[:, 0] is the initial draw and noise[:, h] that of the h-th step.
 
     Returns the final label-space vectors and snapshots of y_t at every
     requested step (the initial draw counts as step T). A non-finite final
@@ -379,17 +393,12 @@ def sample_chain_batch(
     """
     f = np.atleast_2d(f)
     n = f.shape[0]
-    if len(rngs) != n:
-        raise ContractError("need one RNG substream per item")
+    k = y_hat0.shape[1]
+    if noise.shape != (n, sched.t_total + 1, k):
+        raise ContractError(f"need noise of shape {(n, sched.t_total + 1, k)}, got {noise.shape}")
     record = set() if record_steps is None else set(record_steps)
     snapshots: dict[int, np.ndarray] = {}
-    k = y_hat0.shape[1]
 
-    # a row's whole noise sequence in one draw: the initial vector, then one
-    # per step; numpy yields the same values as one draw of k per step
-    noise = np.empty((n, sched.t_total + 1, k))
-    for row, rng in zip(noise, rngs):
-        rng.standard_normal(out=row)
     y = y_hat0 + noise[:, 0]
     if sched.t_total in record:
         snapshots[sched.t_total] = y.copy()

@@ -144,10 +144,6 @@ def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
     return source
 
 
-def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    return np.eye(k)[labels]
-
-
 def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     """Frozen-guidance conditioning arrays (f, d, prior) for a feature batch."""
     f = model.encode_batch(features)
@@ -340,7 +336,7 @@ def train_stage2(
         Path(guidance_ckpt).read_bytes()
     ).hexdigest()
     f, d, prior = conditioning(model, train.features)
-    y0 = _onehot(train.labels, train.k)
+    y0 = np.eye(train.k)[train.labels]
 
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
     # the conditioning's width is the guidance model's, whatever cfg.d_model says
@@ -362,15 +358,7 @@ def train_stage2(
     for epoch in range(cfg.stage2_epochs):
         lr = optim.lr_at(epoch, plan)
         order = rng.permutation(n)
-        # each item draws from the substream (batch step seed, item index);
-        # the whole epoch's draws are made at once
-        step_seeds = np.array([
-            np.random.SeedSequence((cfg.seed, 53, epoch, b)).generate_state(1)[0]
-            for b in range(-(-n // batch))
-        ], dtype=np.uint32)
-        t_values, eps = df.item_draws(
-            step_seeds[np.arange(n) // batch], order, cfg.t_total, train.k
-        )
+        t_values, eps = df.stage2_draws(cfg.seed, epoch, order, batch, cfg.t_total, train.k)
         losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
@@ -435,10 +423,8 @@ def _diffusion_predict(
     blocks = -(-n_samples * n // ROW_BLOCK)
     for rows in np.array_split(np.arange(n_samples * n), blocks):
         idx = items[rows]
-        rngs = df.chain_substreams(seed, zip(keys[idx], samples[rows]))
-        final[rows], _ = df.sample_chain_batch(
-            net, f[idx], d[idx], prior[idx], sched, rngs
-        )
+        noise = df.chain_noise(seed, keys[idx], samples[rows], sched.t_total, k)
+        final[rows], _ = df.sample_chain_batch(net, f[idx], d[idx], prior[idx], sched, noise)
     acc = np.zeros_like(prior)
     for chain in final.reshape(n_samples, n, k):
         acc += chain
@@ -483,9 +469,10 @@ def evaluate(
 
 
 def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
-    """Three-row component ablation on one shared target test split. The rows
-    score the models the two stages return; only the zero-shot row's base is
-    read back, because stage 1 adapts the base model in place."""
+    """Three-row component ablation on one shared target test split, from a
+    fresh source pretraining. The rows score the models the two stages
+    return; only the zero-shot row's base is read back, because stage 1
+    adapts the base model in place."""
     cfg = cfg.resolved()
     out_path = Path(out_path)
     work = out_path.parent
@@ -500,6 +487,9 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     base_path = work / "ablate_guidance.base.json"
     denoiser_path = work / "ablate_denoiser.json"
 
+    # train_stage1 reuses a base it finds, which here could be an earlier
+    # run's at another seed or config; the ablation pretrains its own
+    base_path.unlink(missing_ok=True)
     stage1 = train_stage1(data_dir, cfg, guidance_path, base_path=base_path)
     stage2 = train_stage2(data_dir, guidance_path, cfg, denoiser_path)
 
@@ -560,10 +550,8 @@ def export_trajectory(
         if not (0 <= t <= sched.t_total):
             raise ConfigError(f"step {t} outside [0, {sched.t_total}]")
     f, d, prior = conditioning(model, test.features)
-    rngs = df.chain_substreams(cfg.seed, [(i, 0) for i in range(test.n)])
-    _, snaps = df.sample_chain_batch(
-        net, f, d, prior, sched, rngs, record_steps=set(steps)
-    )
+    noise = df.chain_noise(cfg.seed, np.arange(test.n), 0, sched.t_total, test.k)
+    _, snaps = df.sample_chain_batch(net, f, d, prior, sched, noise, record_steps=set(steps))
 
     lines = ["t,item_id,true_label,px,py"]
     silhouettes = {}

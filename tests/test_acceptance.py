@@ -224,13 +224,18 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
     k = prior.shape[1]
     rep = lambda a, m: np.repeat(a[:1], m, axis=0)
 
+    noise = lambda tag, m: np.stack([
+        np.random.default_rng((tag, i)).standard_normal((sched.t_total + 1, k))
+        for i in range(m)
+    ])
+
     singles, _ = df.sample_chain_batch(
         net, rep(f, repeats), rep(d, repeats), rep(prior, repeats), sched,
-        [np.random.default_rng((808, i)) for i in range(repeats)],
+        noise(808, repeats),
     )
     many, _ = df.sample_chain_batch(
         net, rep(f, repeats * 5), rep(d, repeats * 5), rep(prior, repeats * 5),
-        sched, [np.random.default_rng((809, i)) for i in range(repeats * 5)],
+        sched, noise(809, repeats * 5),
     )
     averaged = many.reshape(repeats, 5, k).mean(axis=1)
 

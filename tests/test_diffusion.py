@@ -212,16 +212,29 @@ def test_eps_predict_without_tape_matches_taped_forward():
     assert np.array_equal(df.eps_predict(net, *args, work=work).data, taped)
 
 
+def _noise(rngs, sched, k):
+    """Each generator's whole chain noise, (t_total + 1) x k in one draw."""
+    return np.stack([rng.standard_normal((sched.t_total + 1, k)) for rng in rngs])
+
+
 def test_sample_chain_nonfinite_raises():
     # the denoiser passes the overflow on; the chain's final state, where it
     # leaves the sampler, is checked (the taped case: stage-2 training's
     # loss check, in test_pipeline)
     net = df.DenoiserNet.build(d_model=8, k=3, seed=6)
     net.layers[0][0].data[0, 0] = 1e308
-    rngs = [np.random.default_rng(i) for i in range(2)]
+    noise = _noise([np.random.default_rng(i) for i in range(2)], DESK_SCHED, 3)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="reverse chain"):
         df.sample_chain_batch(net, np.full((2, 8), 10.0), np.zeros((2, 3)),
-                              np.zeros((2, 3)), DESK_SCHED, rngs)
+                              np.zeros((2, 3)), DESK_SCHED, noise)
+
+
+@pytest.mark.parametrize("shape", [(2, 100, 3), (1, 101, 3), (2, 101, 2)])
+def test_sample_chain_refuses_noise_of_another_shape(shape):
+    net = df.DenoiserNet.build(d_model=8, k=3, seed=6)
+    with pytest.raises(ContractError, match="noise of shape"):
+        df.sample_chain_batch(net, np.zeros((2, 8)), np.zeros((2, 3)),
+                              np.zeros((2, 3)), DESK_SCHED, np.zeros(shape))
 
 
 def test_eps_predict_shape_mismatch():
@@ -261,15 +274,17 @@ _EDGE_WORDS = (0, 1, 2**31, 2**32 - 1)
 
 
 def _pcg64_oracle(seed, key):
-    inner = np.random.PCG64(np.random.SeedSequence((seed, key))).state["state"]
-    return inner["state"], inner["inc"]
+    return np.random.PCG64(np.random.SeedSequence((seed, key))).state
+
+
+def _replayed_states(seeds, keys):
+    return [rng.bit_generator.state for rng in df._keyed_rngs(seeds, keys)]
 
 
 def test_pcg64_states_match_numpy_on_edge_words():
     pairs = [(s, k) for s in _EDGE_WORDS for k in _EDGE_WORDS]
     seeds, keys = np.array(pairs, dtype=np.uint64).T
-    got = df._pcg64_states(seeds, keys)
-    assert got == [_pcg64_oracle(s, k) for s, k in pairs]
+    assert _replayed_states(seeds, keys) == [_pcg64_oracle(s, k) for s, k in pairs]
 
 
 @given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
@@ -277,20 +292,50 @@ def test_pcg64_states_match_numpy_on_edge_words():
 @settings(max_examples=50, deadline=None)
 def test_pcg64_states_match_numpy(pairs):
     seeds, keys = np.array(pairs, dtype=np.int64).T
-    assert df._pcg64_states(seeds, keys) == [_pcg64_oracle(s, k) for s, k in pairs]
+    assert _replayed_states(seeds, keys) == [_pcg64_oracle(s, k) for s, k in pairs]
 
 
 @pytest.mark.parametrize("seeds, keys", [
-    (2**32, np.arange(3)),
+    (2**32, np.array([0, 2**32, 1])),
     (-1, np.arange(3)),
     (7, np.array([0, 2**32])),
     (7, np.array([0.0, 1.0])),
+    pytest.param(np.array([0, 2**32, 1]), np.arange(3), id="per-row-seed-2**32"),
 ])
 def test_item_draws_refuses_words_outside_uint32(seeds, keys):
-    # numpy hashes such a value as other words, so the fast path would
-    # diverge from it silently
+    # a scalar seed of any size is split into words, but a per-row value gives
+    # its row one word: numpy would hash 2**32 as two, so the rows would
+    # differ in length. A negative or fractional value has no SeedSequence
     with pytest.raises(ContractError):
         df.item_draws(seeds, keys, 100, 5)
+
+
+# a leading seed of one, two or three words (numpy hashes 2**32 as [0, 1]
+# and 10**20 as three), then one to three per-row words: 2 to 6 in all
+_LEADING_SEEDS = [0, 2**31, 2**32 - 1, 2**32, 10**20]
+
+
+@pytest.mark.parametrize("seed", _LEADING_SEEDS)
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_generate_state_matches_seed_sequence(seed, columns):
+    # rows of the edge words in every position, then random words
+    edge = [_EDGE_WORDS[i:] + _EDGE_WORDS[:i] for i in range(4)]
+    random = np.random.default_rng(columns).integers(0, 2**32, (4, 4)).tolist()
+    words = np.array(edge + random)[:, :columns]
+    got = df._generate_state(8, seed, *words.T)
+    want = [np.random.SeedSequence((seed, *map(int, row))).generate_state(8)
+            for row in words]
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, np.stack(want))
+
+
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+       st.integers(0, 2**100))
+@settings(max_examples=50, deadline=None)
+def test_generate_state_matches_seed_sequence_on_any_entropy(words, seed):
+    want = np.random.SeedSequence((seed, *words)).generate_state(8)
+    got = df._generate_state(8, seed, *(np.array([w]) for w in words))
+    assert np.array_equal(got[0], want)
 
 
 def test_item_draws_match_per_item_generators():
@@ -298,10 +343,13 @@ def test_item_draws_match_per_item_generators():
     seeds = np.concatenate([_EDGE_WORDS, rng.integers(0, 2**32, 60)])
     keys = np.concatenate([_EDGE_WORDS[::-1], rng.integers(0, 2**32, 60)])
     for sched, k in ((DESK_SCHED, 5), (PAPER_SCHED, 3), (df.make_schedule(1, 0.3, 0.3), 2)):
-        t_values, eps = df.item_draws(seeds, keys, sched.t_total, k)
-        want_t, want_eps = _expected_draws(sched, seeds, keys, k)
-        assert np.array_equal(t_values, want_t)
-        assert np.array_equal(eps, want_eps)
+        # per-row seeds, then scalar ones that numpy splits into two and
+        # three words
+        for seed in (seeds, 2**32, 10**20):
+            t_values, eps = df.item_draws(seed, keys, sched.t_total, k)
+            want_t, want_eps = _expected_draws(sched, seed, keys, k)
+            assert np.array_equal(t_values, want_t)
+            assert np.array_equal(eps, want_eps)
 
 
 def test_item_draws_follow_their_pairs():
@@ -469,9 +517,10 @@ def test_reverse_step_t1_deterministic():
     prior = np.full((1, 3), 1 / 3)
     keep = DESK_SCHED.t_total * 3
     a, snaps = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
-                                     [TailRng(0, keep, 0.0)], record_steps={1})
+                                     _noise([TailRng(0, keep, 0.0)], DESK_SCHED, 3),
+                                     record_steps={1})
     b, _ = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
-                                 [TailRng(0, keep, 99.0)])
+                                 _noise([TailRng(0, keep, 99.0)], DESK_SCHED, 3))
     np.testing.assert_array_equal(a, b)
     y1 = snaps[1]
     eps_hat = df.eps_predict(net, f, y1, prior, d, DESK_SCHED.temb[1]).data
@@ -482,9 +531,9 @@ def test_reverse_step_t1_deterministic():
 def test_reverse_step_reproducible_with_seed():
     net = df.DenoiserNet.build(d_model=4, k=3, seed=6)
     args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED)
-    a, _ = df.sample_chain_batch(*args, [np.random.default_rng(7)])
-    b, _ = df.sample_chain_batch(*args, [np.random.default_rng(7)])
-    c, _ = df.sample_chain_batch(*args, [np.random.default_rng(8)])
+    a, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(7)], DESK_SCHED, 3))
+    b, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(7)], DESK_SCHED, 3))
+    c, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(8)], DESK_SCHED, 3))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -516,9 +565,8 @@ def test_sample_chain_single_step_oracle():
     eps_hat = np.array([[0.2, -0.2]])
     net = StubNet(eps_hat, d_model=4, k=2)
     prior = np.array([[0.5, 0.5]])
-    rng = np.random.default_rng(8)
     out, _ = df.sample_chain_batch(net, np.zeros((1, 4)), np.zeros((1, 2)), prior,
-                                   sched, [rng])
+                                   sched, _noise([np.random.default_rng(8)], sched, 2))
     # reconstruct: y_1 = prior + z, then exact inversion with the stub's eps
     z = np.random.default_rng(8).standard_normal(2)
     y1 = prior + z
@@ -529,8 +577,8 @@ def test_sample_chain_single_step_oracle():
 def test_sample_chain_deterministic():
     net = df.DenoiserNet.build(d_model=4, k=3, seed=9)
     args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED)
-    a, _ = df.sample_chain_batch(*args, [np.random.default_rng(10)])
-    b, _ = df.sample_chain_batch(*args, [np.random.default_rng(10)])
+    a, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(10)], DESK_SCHED, 3))
+    b, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(10)], DESK_SCHED, 3))
     np.testing.assert_array_equal(a, b)
 
 
@@ -557,11 +605,26 @@ def _reference_chain_batch(net, f, d, prior, sched, rngs, record_steps):
     return y, snaps
 
 
+def _chain_generators(seed, keys, sample):
+    """The per-chain generator rule chain_noise replays."""
+    return [np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), sample)))
+            for key in keys]
+
+
+@pytest.mark.parametrize("seed", [3, 2**32, 10**20])
+def test_chain_noise_matches_per_chain_generators(seed):
+    keys = np.array([0, 7, 2**32 - 1, 7])
+    samples = np.array([0, 0, 4, 1])
+    want = np.stack([_noise(_chain_generators(seed, [key], int(sample)), DESK_SCHED, 3)[0]
+                     for key, sample in zip(keys, samples)])
+    assert np.array_equal(df.chain_noise(seed, keys, samples, DESK_SCHED.t_total, 3), want)
+
+
 @pytest.mark.parametrize("t_total", [100, 1])
 def test_sample_chain_batch_matches_per_row_reference(t_total):
-    # the table lookup and the up-front noise change no bit of any row; 100
-    # is the desk schedule, and the t_total = 1 chain takes only the var == 0
-    # step
+    # the table lookup and the up-front noise change no bit of any row against
+    # per-chain generators drawn step by step; 100 is the desk schedule, and
+    # the t_total = 1 chain takes only the var == 0 step
     sched = df.make_schedule(t_total, 1e-3, 0.2)
     record = {100, 51, 50, 1, 0}
     n, k = 12, 3
@@ -570,11 +633,10 @@ def test_sample_chain_batch_matches_per_row_reference(t_total):
     f = rng.standard_normal((n, 4))
     d = rng.standard_normal((n, k)) * 0.1
     prior = rng.dirichlet(np.ones(k), size=n)
-    keys = [(key, 2) for key in range(n)]
-    out, snaps = df.sample_chain_batch(net, f, d, prior, sched,
-                                       df.chain_substreams(3, keys), record)
-    ref, ref_snaps = _reference_chain_batch(net, f, d, prior, sched,
-                                            df.chain_substreams(3, keys), record)
+    out, snaps = df.sample_chain_batch(
+        net, f, d, prior, sched, df.chain_noise(3, np.arange(n), 2, t_total, k), record)
+    ref, ref_snaps = _reference_chain_batch(
+        net, f, d, prior, sched, _chain_generators(3, np.arange(n), 2), record)
     assert np.array_equal(out, ref)
     assert snaps.keys() == ref_snaps.keys() and len(snaps) >= 2
     for t in snaps:

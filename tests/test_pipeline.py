@@ -188,16 +188,28 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
     return log, ema.shadow
 
 
-def test_stage2_matches_per_item_generators(small_dir, tmp_path):
-    # 63 train rows in batches of 16: the last batch is short
-    cfg = replace(TINY, stage2_epochs=3)
-    pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
-    result = pl.train_stage2(small_dir, tmp_path / "g.json", cfg, tmp_path / "d.json")
-    log, average = _stage2_per_item_generators(small_dir, tmp_path / "g.json", cfg)
+def _assert_stage2_matches_per_item_generators(data_dir, tmp_path, cfg):
+    pl.train_stage1(data_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
+    result = pl.train_stage2(data_dir, tmp_path / "g.json", cfg, tmp_path / "d.json")
+    log, average = _stage2_per_item_generators(data_dir, tmp_path / "g.json", cfg)
     assert result["log"] == log
     net, _ = result["denoiser"]
     for p, want in zip(net.params(), average, strict=True):
         assert np.array_equal(p.data, want)
+
+
+def test_stage2_matches_per_item_generators(small_dir, tmp_path):
+    # 63 train rows in batches of 16: the last batch is short
+    _assert_stage2_matches_per_item_generators(
+        small_dir, tmp_path, replace(TINY, stage2_epochs=3))
+
+
+@pytest.mark.parametrize("seed", [2**32, 10**20])
+def test_stage2_matches_per_item_generators_at_large_seeds(seed, small_dir, tmp_path):
+    # SeedSequence((seed, 53, epoch, b)) hashes such a seed as two or three
+    # words, which the step-seed replay must split the same way
+    _assert_stage2_matches_per_item_generators(
+        small_dir, tmp_path, replace(TINY, stage2_epochs=3, seed=seed))
 
 
 def test_stage2_nonfinite_weight_raises(small_dir, tiny_trained, tmp_path, monkeypatch):
@@ -306,7 +318,7 @@ def test_diffusion_predict_invariant_to_chunking(tiny_run):
         np.testing.assert_array_equal(whole, chunked)
 
 
-def test_diffusion_predict_n1_equals_single_chain():
+def _assert_n1_equals_single_chain(seed):
     # one sample per item is the argmax of one chain on the substream
     # (seed, 101, item_key, 0)
     net = df.DenoiserNet.build(d_model=4, k=3, seed=11)
@@ -314,11 +326,23 @@ def test_diffusion_predict_n1_equals_single_chain():
     f, d = np.zeros((3, 4)), np.zeros((3, 3))
     prior = np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]])
     keys = np.array([5, 9, 2])
-    rngs = [np.random.default_rng(np.random.SeedSequence((12, 101, int(key), 0)))
-            for key in keys]
-    single, _ = df.sample_chain_batch(net, f, d, prior, sched, rngs)
-    grades = pl._diffusion_predict(net, sched, f, d, prior, 1, 12, keys)
+    noise = np.stack([
+        np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), 0)))
+        .standard_normal((sched.t_total + 1, 3))
+        for key in keys
+    ])
+    single, _ = df.sample_chain_batch(net, f, d, prior, sched, noise)
+    grades = pl._diffusion_predict(net, sched, f, d, prior, 1, seed, keys)
     np.testing.assert_array_equal(grades, np.argmax(single, axis=1))
+
+
+def test_diffusion_predict_n1_equals_single_chain():
+    _assert_n1_equals_single_chain(12)
+
+
+@pytest.mark.parametrize("seed", [2**32, 10**20])
+def test_diffusion_predict_n1_equals_single_chain_at_large_seeds(seed):
+    _assert_n1_equals_single_chain(seed)
 
 
 
@@ -395,6 +419,18 @@ def test_ablate_reads_each_input_once_per_stage(small_dir, tmp_path, monkeypatch
     assert sorted(reads) == ["source.csv", "target.csv", "target.csv", "target.csv"]
     assert sorted(guidance_loads) == ["ablate_guidance.base.json", "ablate_guidance.json"]
     assert denoiser_loads == []
+
+
+def test_ablate_pretrains_a_fresh_base(small_dir, tmp_path):
+    # a base left in the directory by an ablation at another seed is not
+    # reused: the second run's base and report are a fresh directory's
+    other = replace(TINY, seed=8)
+    pl.ablate(small_dir, TINY, tmp_path / "shared" / "ablation.json")
+    reused = pl.ablate(small_dir, other, tmp_path / "shared" / "ablation.json")
+    fresh = pl.ablate(small_dir, other, tmp_path / "fresh" / "ablation.json")
+    base = "ablate_guidance.base.json"
+    assert (tmp_path / "shared" / base).read_bytes() == (tmp_path / "fresh" / base).read_bytes()
+    assert reused == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +708,14 @@ def _feature(value, split):
     return damage
 
 
+def _meta_d_in(value):
+    """Damage that sets the d_in a dataset's sidecar claims."""
+    def damage(path):
+        meta = Path(str(path) + ".meta.json")
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "d_in": value}))
+    return damage
+
+
 def _drop_domain_tag(path):
     meta = path / "target.csv.meta.json"
     doc = json.loads(meta.read_text())
@@ -756,6 +800,10 @@ _BAD_INPUTS = {
         3, "export-trajectory", ["--guidance", "{w}/g64.json", "--steps", "20,0"],
         None, None, None),
     "meta-without-domain_tag": (3, "eval", [], "data", _drop_domain_tag, None),
+    # the header's field count is checked before a header of the claimed
+    # width is built (10**9 fields ended in a MemoryError)
+    "target-csv-meta-d_in-huge": (
+        3, "eval", [], "data/target.csv", _meta_d_in(10**9), None),
     "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
     "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
     # an int field takes no fraction, which int() would truncate
