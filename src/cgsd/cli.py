@@ -141,7 +141,7 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
     ("data", "out"),
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
-    # the pretrained base is kept beside --out (g.npz: g.base.npz) for reuse
+    # each run pretrains a fresh base and writes it beside --out (g.npz: g.base.npz)
     out = Path(a["out"])
     result = pipeline.train_stage1(
         a["data"], cfg, out, out.with_suffix(".base" + out.suffix)

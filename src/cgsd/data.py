@@ -416,4 +416,7 @@ def read_dataset(path: str | Path) -> Dataset:
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
         raise ParseError(f"{path}: non-finite feature at line {np.argmax(bad) + 2}")
+    # SyntheticConfig's rules; k sizes the per-grade arrays built from it
+    if not 2 <= k <= n:
+        raise ParseError(f"{path}: k={k} grades, expected 2 to n={n}")
     return Dataset(feats, labels, k, meta["domain_tag"], meta["seed"])

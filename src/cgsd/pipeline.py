@@ -22,7 +22,7 @@ from . import guidance as gd
 from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
 from .data import Dataset, read_dataset, stratified_split, write_json
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .numkit import GradTape, Tensor2, backward, check_finite, softmax_rows
 
 PAPER_REFERENCE = {
@@ -180,11 +180,6 @@ def load_run(
     return model, (net, sched), train, test
 
 
-def _check_finite_loss(value: float, where: str) -> None:
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite loss in {where}")
-
-
 def _guidance_plan(
     base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int
 ) -> optim.LrPlan:
@@ -220,8 +215,7 @@ def _guidance_epoch_losses(
         loss = gd.guidance_loss(
             features[idx], labels[idx], model, cfg.lambda_rank, cfg.margin, tape
         )
-        value = loss.item()
-        _check_finite_loss(value, f"guidance epoch {epoch}")
+        value = check_finite(loss.item(), f"the loss of guidance epoch {epoch}")
         grads = iter(backward(loss, tape, all_params))
         for params, state, plan in groups:
             lr = optim.lr_at(epoch, plan)
@@ -268,28 +262,16 @@ def train_stage1(
 ) -> dict:
     """LoRA + prompt adaptation of the frozen base on the target train split.
 
-    The source-pretrained base checkpoint is loaded from base_path when it
-    exists and produced by a built-in pretrain pass and saved there otherwise.
-    The result's "model" is the adapted model saved to out_path.
+    The base is pretrained on the source domain and saved to base_path, which
+    is written, never read. The result's "model" is the adapted model saved
+    to out_path.
     """
     cfg = cfg.resolved()
-    base_path = Path(base_path)
     log: list[str] = []
-    if base_path.exists():
-        model, _, train, _ = load_run(data_dir, cfg, base_path)
-        model.frozen_base = True
-        found = (model.w1.rows, model.w2.rows, model.adapter.rank, model.adapter.alpha)
-        wanted = (cfg.hidden, cfg.d_model, cfg.rank, cfg.alpha)
-        if found != wanted:
-            raise ConfigError(
-                f"base checkpoint {base_path} has (hidden, d_model, rank, alpha) "
-                f"= {found}, the config asks for {wanted}"
-            )
-    else:
-        target = load_domain(data_dir, "target")
-        train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
-        model = pretrain_base(_source_like(data_dir, target), cfg, log)
-        gd.save_guidance(base_path, model)
+    target = load_domain(data_dir, "target")
+    train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
+    model = pretrain_base(_source_like(data_dir, target), cfg, log)
+    gd.save_guidance(base_path, model)
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
@@ -368,8 +350,7 @@ def train_stage2(
                 net, f[idx], y0[idx], prior[idx], d[idx], sched,
                 t_values[rows], eps[rows], tape,
             )
-            value = loss.item()
-            _check_finite_loss(value, f"stage2 epoch {epoch}")
+            value = check_finite(loss.item(), f"the loss of stage2 epoch {epoch}")
             grads, _ = optim.clip_grad_norm(backward(loss, tape, params), cfg.clip)
             optim.adam_step(params, grads, state, lr)
             optim.ema_update(ema, params)
@@ -487,9 +468,6 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     base_path = work / "ablate_guidance.base.json"
     denoiser_path = work / "ablate_denoiser.json"
 
-    # train_stage1 reuses a base it finds, which here could be an earlier
-    # run's at another seed or config; the ablation pretrains its own
-    base_path.unlink(missing_ok=True)
     stage1 = train_stage1(data_dir, cfg, guidance_path, base_path=base_path)
     stage2 = train_stage2(data_dir, guidance_path, cfg, denoiser_path)
 

@@ -250,7 +250,7 @@ def test_ranking_loss_overflow_reaches_the_loss_check():
                       for loss_fn in (_ranking_loss_per_op, gd.ranking_loss)]
         assert values[0] == values[1] and math.isfinite(values[0]) == finite
     with pytest.raises(NumericError):
-        pl._check_finite_loss(values[1], "guidance epoch 0")
+        nk.check_finite(values[1], "the loss of guidance epoch 0")
 
 
 def test_guidance_loss_lambda_switch():

@@ -367,3 +367,8 @@ def test_finite_guard_raises_on_nan():
         nk.check_finite(np.array([[0.0, np.nan]]), "a row")
     ones = np.ones((2, 2))
     assert nk.check_finite(ones, "ones") is ones
+    # a training loop's loss, a Python float
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(NumericError, match="the loss of stage2 epoch 0"):
+            nk.check_finite(value, "the loss of stage2 epoch 0")
+    assert nk.check_finite(1.0, "the loss of stage1 epoch 3") == 1.0

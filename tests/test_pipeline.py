@@ -90,15 +90,17 @@ def test_stage1_freezes_base_and_logs(small_dir, tmp_path):
     float(parts[2]), float(parts[3]), float(parts[4])
 
 
-def test_stage1_reuses_base_checkpoint(small_dir, tmp_path):
-    r1 = pl.train_stage1(small_dir, TINY, tmp_path / "g1.json", tmp_path / "g1.base.json")
-    base = tmp_path / "g1.base.json"
-    assert base.exists()
-    r2 = pl.train_stage1(small_dir, TINY, tmp_path / "g2.json", base_path=base)
-    assert not [l for l in r2["log"] if l.startswith("pretrain,")]
-    m1 = gd.load_guidance(tmp_path / "g1.json")
-    m2 = gd.load_guidance(tmp_path / "g2.json")
-    np.testing.assert_array_equal(m1.prompts.data, m2.prompts.data)
+def test_stage1_pretrains_over_a_stale_base(small_dir, tmp_path):
+    # a base left at base_path by a run at another seed is overwritten, not
+    # adapted: the run equals one in a fresh directory
+    other = replace(TINY, seed=8)
+    pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
+    result = pl.train_stage1(small_dir, other, tmp_path / "g.json", tmp_path / "g.base.json")
+    pl.train_stage1(small_dir, other, tmp_path / "f.json", tmp_path / "f.base.json")
+    pretrain = [l for l in result["log"] if l.startswith("pretrain,")]
+    assert len(pretrain) == other.pretrain_epochs
+    for rerun, fresh in (("g.json", "f.json"), ("g.base.json", "f.base.json")):
+        assert (tmp_path / rerun).read_bytes() == (tmp_path / fresh).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +435,28 @@ def test_ablate_pretrains_a_fresh_base(small_dir, tmp_path):
     assert reused == fresh
 
 
+def test_cli_ablate_end_to_end(small_dir, tmp_path):
+    # cgsd ablate prints the rows in order and writes pipeline.ablate's bytes
+    argv = ["ablate", "--data", str(small_dir), "--out", str(tmp_path / "cli" / "ablation.json"),
+            "--desk-preset", "--seed", "7"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    report = pl.ablate(small_dir, pl.RunConfig(desk_preset=True, seed=7),
+                       tmp_path / "lib" / "ablation.json")
+    assert [row["configuration"] for row in report["rows"]] == [
+        "zero-shot guidance (source pretraining only)", "+ low-rank adaptation",
+        "+ label-space diffusion"]
+    assert out.getvalue().splitlines() == [
+        f"{row['configuration']}: accuracy={row['accuracy']:.4f} "
+        f"macro_f1={row['macro_f1']:.4f}" for row in report["rows"]]
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # trajectory export
 
@@ -572,13 +596,12 @@ def test_stage1_reads_source_only_to_pretrain(small_dir, tmp_path, monkeypatch):
     reads = _count_calls(monkeypatch, pl, "read_dataset")
     pl.train_stage1(data, TINY, tmp_path / "g1.json", tmp_path / "g1.base.json")
     assert sorted(reads) == ["source.csv", "target.csv"]
+    # without source.csv stage 1 cannot pretrain, and a base file beside
+    # --out does not stand in for it
     (data / "source.csv").unlink()
     (data / "source.csv.meta.json").unlink()
-    reads.clear()
-    pl.train_stage1(data, TINY, tmp_path / "g2.json", base_path=tmp_path / "g1.base.json")
-    assert reads == ["target.csv"]
     with pytest.raises(DataError, match="run gen-data first"):
-        pl.train_stage1(data, TINY, tmp_path / "g3.json", tmp_path / "g3.base.json")
+        pl.train_stage1(data, TINY, tmp_path / "g2.json", tmp_path / "g1.base.json")
 
 
 def test_cli_numeric_failure_exit_code(monkeypatch, tmp_path):
@@ -622,18 +645,12 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
 @pytest.fixture(scope="module")
 def bad_input_base(small_dir, tmp_path_factory):
     """Untrained checkpoints that fit the tiny benchmark, one guidance
-    checkpoint built for 64 input features, a rank-2 base checkpoint with the
-    default hidden and d_model widths, and a copy of the benchmark."""
+    checkpoint built for 64 input features, and a copy of the benchmark."""
     work = tmp_path_factory.mktemp("bad_inputs")
     for d_in, name in ((16, "g.json"), (64, "g64.json")):
         model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3,
                                        rank=2, alpha=4.0, seed=1, frozen_base=True)
         gd.save_guidance(work / name, model)
-    defaults = pl.RunConfig()
-    base = gd.GuidanceModel.build(d_in=16, hidden=defaults.hidden,
-                                  d_model=defaults.d_model, k=3, rank=2,
-                                  alpha=defaults.alpha, seed=5, frozen_base=True)
-    gd.save_guidance(work / "stale.base.json", base)
     df.save_denoiser(work / "d.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
                      (20, 1e-3, 0.2))
     (work / "data").mkdir()
@@ -708,11 +725,11 @@ def _feature(value, split):
     return damage
 
 
-def _meta_d_in(value):
-    """Damage that sets the d_in a dataset's sidecar claims."""
+def _dataset_meta(key, value):
+    """Damage that sets one field of a dataset's sidecar."""
     def damage(path):
         meta = Path(str(path) + ".meta.json")
-        meta.write_text(json.dumps({**json.loads(meta.read_text()), "d_in": value}))
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), key: value}))
     return damage
 
 
@@ -803,7 +820,13 @@ _BAD_INPUTS = {
     # the header's field count is checked before a header of the claimed
     # width is built (10**9 fields ended in a MemoryError)
     "target-csv-meta-d_in-huge": (
-        3, "eval", [], "data/target.csv", _meta_d_in(10**9), None),
+        3, "eval", [], "data/target.csv", _dataset_meta("d_in", 10**9), None),
+    # a grade count above the row count sized the split's per-grade counts
+    # (10**10 asked for 74.5 GiB; 2**70 overflowed)
+    "target-csv-meta-k-huge": (
+        3, "train-guidance", [], "data/target.csv", _dataset_meta("k", 10**10), None),
+    "target-csv-meta-k-2**70": (
+        3, "train-guidance", [], "data/target.csv", _dataset_meta("k", 2**70), None),
     "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
     "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
     # an int field takes no fraction, which int() would truncate
@@ -863,10 +886,6 @@ _BAD_INPUTS = {
         3, "train-guidance", [], "data/source.csv",
         _source_rewrite(lambda ds: replace(ds, labels=np.minimum(ds.labels, 1), k=2)),
         None),
-    # a base checkpoint trained for another rank is not reused
-    "train-guidance-stale-base": (
-        2, "train-guidance", ["--out", "{w}/stale.json", "--rank", "4", "--seed", "9"],
-        None, None, None),
     "train-diffusion-unfrozen-guidance": (
         3, "train-diffusion", [], "g.json", _meta_set("frozen", False), None),
     # paths the program cannot write: the message names the path
@@ -884,13 +903,30 @@ _BAD_INPUTS = {
 @pytest.mark.parametrize("flag", ["--lr-prompt", "--lr-lora"])
 def test_cli_train_guidance_takes_small_learning_rates(flag, bad_input_base, tmp_path):
     # below the floor stage2_lr_min and the warmup start, which train-guidance
-    # cannot set; the rank-2 base beside stale.json is reused
+    # cannot set; the run pretrains its base at the default settings first
     work = tmp_path / "w"
     shutil.copytree(bad_input_base, work)
-    argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/stale.json",
+    argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/g2.json",
             "--rank", "2", "--stage1-epochs", "4", flag, "5e-6"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
+
+
+def test_cli_train_guidance_pretrains_over_a_stale_base(bad_input_base, tmp_path):
+    # a rank-2 base beside --out, from another run, neither stops a rank-4
+    # run nor is adapted by it: the run writes its own rank-4 base
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    defaults = pl.RunConfig()
+    stale = gd.GuidanceModel.build(d_in=16, hidden=defaults.hidden,
+                                   d_model=defaults.d_model, k=3, rank=2,
+                                   alpha=defaults.alpha, seed=5, frozen_base=True)
+    gd.save_guidance(work / "stale.base.json", stale)
+    argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/stale.json",
+            "--rank", "4", "--seed", "9"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert gd.load_guidance(work / "stale.base.json").adapter.rank == 4
 
 
 def test_cli_train_diffusion_takes_the_guidance_width(bad_input_base, tmp_path):
@@ -1100,11 +1136,3 @@ def test_cli_eval_survives_mutated_bytes(bad_input_base, target, op, pos, byte):
     assert code in (0, 2, 3, 4)
     assert len(err.getvalue().strip().splitlines()) <= 1, err.getvalue()
     assert "Traceback" not in err.getvalue()
-
-
-def test_nonfinite_loss_guard():
-    with pytest.raises(NumericError):
-        pl._check_finite_loss(float("nan"), "stage2,0")
-    with pytest.raises(NumericError):
-        pl._check_finite_loss(float("inf"), "stage1,3")
-    pl._check_finite_loss(1.0, "ok")
