@@ -231,6 +231,26 @@ def test_stage2_nonfinite_weight_raises(small_dir, tiny_trained, tmp_path, monke
     assert not out.exists()
 
 
+def test_nonfinite_loss_guard(small_dir, monkeypatch):
+    # a guidance loss scaled to nan or inf is refused by the training loop's
+    # check_finite in the epoch it appears; a finite one passes
+    source = pl.load_domain(small_dir, "source")
+    loss_fn = gd.guidance_loss
+    for bad in (float("nan"), float("inf")):
+        monkeypatch.setattr(
+            gd, "guidance_loss",
+            lambda *args, bad=bad: nk.scale(loss_fn(*args), bad, args[-1]),
+        )
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match="non-finite value in the loss of guidance epoch 0"
+        ):
+            pl.pretrain_base(source, TINY, [])
+    monkeypatch.setattr(gd, "guidance_loss", loss_fn)
+    log: list[str] = []
+    pl.pretrain_base(source, TINY, log)
+    assert all(math.isfinite(float(line.split(",")[-1])) for line in log)
+
+
 def test_stage2_saves_the_weight_average(small_dir, tmp_path):
     # both runs train the same raw weights, and with ema_mu = 0 the average is
     # the raw set itself, so the files differ only if they hold the average
