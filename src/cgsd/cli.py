@@ -8,7 +8,9 @@ is the field name, and its type, default and range come from the dataclass
 alone. Every subcommand accepts --config FILE, a JSON object of field names
 and path arguments; explicit flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 data/parse or file I/O error,
-4 numeric failure (numpy's floating-point warnings are off, so it is one line).
+4 numeric failure (numpy's floating-point warnings are off, so it is one line),
+5 out of memory (a request larger than the host can allocate, such as an
+``eval --n-samples`` whose chains do not fit).
 """
 
 from __future__ import annotations
@@ -227,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"file error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
+        return 5
     return 0
 
 

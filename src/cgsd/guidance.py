@@ -232,9 +232,9 @@ def ranking_loss(
                 mask = (shifted > 0.0).astype(np.float64)
                 hinge_grad = np.full(shifted.shape, (g * (1.0 / npairs))[0, 0])
                 grad[idx] += (hinge_grad * mask * -1.0) @ pairs
-            return (grad,)
+            return grad
 
-        tape.record(out, (d_batch,), vjp)
+        tape.record(out, (d_batch,), (vjp,))
     return out
 
 

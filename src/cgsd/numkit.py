@@ -2,10 +2,15 @@
 
 Everything downstream (guidance model, denoiser, losses) is built from the
 operations in this module. Tensors hold float64 data and no gradient state;
-an operation records its vector-Jacobian product on a GradTape when one is
-supplied, and ``backward`` replays the tape once in reverse, accumulating
-adjoints additively for values consumed by several operations, and returns
-the gradients of the tensors it is asked for.
+an operation records one vector-Jacobian product per input on a GradTape when
+one is supplied, and ``backward`` replays the tape once in reverse,
+accumulating adjoints additively for values consumed by several operations,
+and returns the gradients of the tensors it is asked for. It calls only the
+products whose input a requested tensor flows into, so a frozen weight or a
+data batch costs no backward work.
+
+A record reads its inputs' arrays when ``backward`` runs, so a parameter
+that is updated in place (the optimizers do) is updated after the sweep.
 """
 
 from __future__ import annotations
@@ -61,18 +66,24 @@ class Tensor2:
         return f"Tensor2({self.rows}x{self.cols})"
 
 
+Vjp = Callable[[Array], Array]
+
+
 class GradTape:
     """Ordered record of executed operations for one reverse sweep.
+
+    Each record holds one vjp per input: vjps[i](g) is the adjoint that the
+    output adjoint g sends to inputs[i].
 
     A tape and the tensors it references form a single-owner unit; do not
     share across threads. Multiple independent tapes may run in parallel.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor2, tuple[Tensor2, ...], Callable]] = []
+        self._records: list[tuple[Tensor2, tuple[Tensor2, ...], tuple[Vjp, ...]]] = []
 
-    def record(self, out: Tensor2, inputs: Sequence[Tensor2], vjp: Callable) -> None:
-        self._records.append((out, tuple(inputs), vjp))
+    def record(self, out: Tensor2, inputs: Sequence[Tensor2], vjps: Sequence[Vjp]) -> None:
+        self._records.append((out, tuple(inputs), tuple(vjps)))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -87,9 +98,21 @@ def check_finite(arr: Array, what: str) -> Array:
     return arr
 
 
-def backward(loss: Tensor2, tape: GradTape, params: Sequence[Tensor2]) -> list[Array]:
-    """d(loss)/d(p) for each p in params, as a fresh C-order array; zeros for
-    a tensor the loss does not reach.
+def backward(
+    loss: Tensor2,
+    tape: GradTape,
+    params: Sequence[Tensor2],
+    out: Sequence[Array] | None = None,
+) -> list[Array]:
+    """d(loss)/d(p) for each p in params, copied into out[i] (one array of
+    p's shape per param, such as the views of a flat gradient buffer) or
+    into a fresh C-order array when out is None; zeros for a tensor the loss
+    does not reach. Returns the arrays written.
+
+    A vjp runs only for an input that some tensor of params flows into, and
+    a record no such tensor reaches is skipped; the adjoints that are
+    computed are summed in the same order as in a full sweep, so they keep
+    their bits.
 
     The copies matter: an adjoint may be a transposed view (the vjp of
     ``transpose``), and a sum over a view in another memory order rounds
@@ -97,26 +120,44 @@ def backward(loss: Tensor2, tape: GradTape, params: Sequence[Tensor2]) -> list[A
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
-    on_tape = any(out is loss for out, _, _ in tape._records)
+    # the tape holds every input and params every requested tensor, so no id
+    # below is reused during the sweep
+    reached = {id(p) for p in params}
+    on_tape = False
+    for res, inputs, _ in tape._records:
+        on_tape = on_tape or res is loss
+        for inp in inputs:
+            if id(inp) in reached:
+                reached.add(id(res))
+                break
     if not on_tape:
         raise ContractError("loss tensor was not produced on this tape")
 
-    # the tape holds every input, so no id below is reused during the sweep
+    # only a reached value gets an adjoint, so the records no requested
+    # tensor reaches are passed over here
     adjoint: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    for out, inputs, vjp in reversed(tape._records):
-        g = adjoint.get(id(out))
+    for res, inputs, vjps in reversed(tape._records):
+        g = adjoint.get(id(res))
         if g is None:
             continue
-        for inp, gin in zip(inputs, vjp(g)):
+        for inp, vjp in zip(inputs, vjps, strict=True):
             key = id(inp)
+            if key not in reached:
+                continue
+            gin = vjp(g)
             if key in adjoint:
                 adjoint[key] = adjoint[key] + gin
             else:
                 adjoint[key] = gin
-    return [
-        adjoint[id(p)].copy() if id(p) in adjoint else np.zeros_like(p.data)
-        for p in params
-    ]
+    if out is None:
+        out = [np.empty(p.shape) for p in params]
+    for p, dst in zip(params, out, strict=True):
+        g = adjoint.get(id(p))
+        if g is None:
+            dst.fill(0.0)
+        else:
+            np.copyto(dst, g)
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +172,7 @@ def matmul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(a.data @ b.data)
     if tape is not None:
         ad, bd = a.data, b.data
-
-        def vjp(g):
-            return g @ bd.T, ad.T @ g
-
-        tape.record(out, (a, b), vjp)
+        tape.record(out, (a, b), (lambda g: g @ bd.T, lambda g: ad.T @ g))
     return out
 
 
@@ -145,7 +182,7 @@ def transpose(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     # rank-8 adapter), so checkpoints would change
     out = Tensor2(a.data.T.copy())
     if tape is not None:
-        tape.record(out, (a,), lambda g: (g.T,))
+        tape.record(out, (a,), (lambda g: g.T,))
     return out
 
 
@@ -159,12 +196,8 @@ def add(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
         raise DimensionError(f"add shape mismatch: {a.shape} + {b.shape}")
     out = Tensor2(a.data + b.data)
     if tape is not None:
-
-        def vjp(g):
-            gb = g.sum(axis=0, keepdims=True) if reduce_b else g
-            return g, gb
-
-        tape.record(out, (a, b), vjp)
+        vjp_b = (lambda g: g.sum(axis=0, keepdims=True)) if reduce_b else (lambda g: g)
+        tape.record(out, (a, b), (lambda g: g, vjp_b))
     return out
 
 
@@ -173,7 +206,7 @@ def sub(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
         raise DimensionError(f"sub shape mismatch: {a.shape} - {b.shape}")
     out = Tensor2(a.data - b.data)
     if tape is not None:
-        tape.record(out, (a, b), lambda g: (g, -g))
+        tape.record(out, (a, b), (lambda g: g, lambda g: -g))
     return out
 
 
@@ -183,21 +216,21 @@ def mul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(a.data * b.data)
     if tape is not None:
         ad, bd = a.data, b.data
-        tape.record(out, (a, b), lambda g: (g * bd, g * ad))
+        tape.record(out, (a, b), (lambda g: g * bd, lambda g: g * ad))
     return out
 
 
 def scale(a: Tensor2, c: float, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(a.data * c)
     if tape is not None:
-        tape.record(out, (a,), lambda g: (g * c,))
+        tape.record(out, (a,), (lambda g: g * c,))
     return out
 
 
 def add_scalar(a: Tensor2, c: float, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(a.data + c)
     if tape is not None:
-        tape.record(out, (a,), lambda g: (g,))
+        tape.record(out, (a,), (lambda g: g,))
     return out
 
 
@@ -208,11 +241,9 @@ def scale_by(a: Tensor2, s: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(a.data * s.data[0, 0])
     if tape is not None:
         ad, sv = a.data, s.data[0, 0]
-
-        def vjp(g):
-            return g * sv, np.array([[np.sum(g * ad)]])
-
-        tape.record(out, (a, s), vjp)
+        tape.record(
+            out, (a, s), (lambda g: g * sv, lambda g: np.array([[np.sum(g * ad)]]))
+        )
     return out
 
 
@@ -220,7 +251,7 @@ def exp(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(np.exp(a.data))
     if tape is not None:
         od = out.data
-        tape.record(out, (a,), lambda g: (g * od,))
+        tape.record(out, (a,), (lambda g: g * od,))
     return out
 
 
@@ -228,7 +259,7 @@ def clamp_max(a: Tensor2, hi: float, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(np.minimum(a.data, hi))
     if tape is not None:
         mask = (a.data < hi).astype(np.float64)
-        tape.record(out, (a,), lambda g: (g * mask,))
+        tape.record(out, (a,), (lambda g: g * mask,))
     return out
 
 
@@ -236,7 +267,7 @@ def relu(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(np.maximum(a.data, 0.0))
     if tape is not None:
         mask = (a.data > 0.0).astype(np.float64)
-        tape.record(out, (a,), lambda g: (g * mask,))
+        tape.record(out, (a,), (lambda g: g * mask,))
     return out
 
 
@@ -259,7 +290,7 @@ def smooth_nonlinearity(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(a.data * sig)
     if tape is not None:
         deriv = sig + a.data * 1.702 * sig * (1.0 - sig)
-        tape.record(out, (a,), lambda g: (g * deriv,))
+        tape.record(out, (a,), (lambda g: g * deriv,))
     return out
 
 
@@ -273,9 +304,9 @@ def softmax_rows(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
 
         def vjp(g):
             dot = np.sum(g * s, axis=1, keepdims=True)
-            return (s * (g - dot),)
+            return s * (g - dot)
 
-        tape.record(out, (a,), vjp)
+        tape.record(out, (a,), (vjp,))
     return out
 
 
@@ -307,9 +338,9 @@ def l2_normalize_rows(
 
         def vjp(g):
             dot = np.sum(g * ad, axis=1, keepdims=True)
-            return (g / denom - ad * dot / (safe_norms * denom * denom),)
+            return g / denom - ad * dot / (safe_norms * denom * denom)
 
-        tape.record(out, (a,), vjp)
+        tape.record(out, (a,), (vjp,))
     return out
 
 
@@ -320,9 +351,9 @@ def concat_cols(parts: Sequence[Tensor2], tape: GradTape | None = None) -> Tenso
             raise DimensionError("concat_cols requires equal row counts")
     out = Tensor2(np.concatenate([p.data for p in parts], axis=1))
     if tape is not None:
-        widths = [p.cols for p in parts]
-        splits = np.cumsum(widths)[:-1]
-        tape.record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=1)))
+        ends = np.cumsum([p.cols for p in parts])
+        vjps = [lambda g, lo=end - p.cols, hi=end: g[:, lo:hi] for p, end in zip(parts, ends)]
+        tape.record(out, tuple(parts), vjps)
     return out
 
 
@@ -335,9 +366,9 @@ def take_rows(a: Tensor2, idx: Sequence[int], tape: GradTape | None = None) -> T
         def vjp(g):
             ga = np.zeros(shape)
             np.add.at(ga, index, g)
-            return (ga,)
+            return ga
 
-        tape.record(out, (a,), vjp)
+        tape.record(out, (a,), (vjp,))
     return out
 
 
@@ -345,7 +376,7 @@ def sum_all(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(np.array([[a.data.sum()]]))
     if tape is not None:
         shape = a.data.shape
-        tape.record(out, (a,), lambda g: (np.full(shape, g[0, 0]),))
+        tape.record(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
     return out
 
 
@@ -354,7 +385,7 @@ def mean_all(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     out = Tensor2(np.array([[a.data.mean()]]))
     if tape is not None:
         shape = a.data.shape
-        tape.record(out, (a,), lambda g: (np.full(shape, g[0, 0] / n),))
+        tape.record(out, (a,), (lambda g: np.full(shape, g[0, 0] / n),))
     return out
 
 
@@ -382,7 +413,7 @@ def cross_entropy_mean(
         def vjp(g):
             grad = soft.copy()
             grad[np.arange(n), y] -= 1.0
-            return (grad * (g[0, 0] / n),)
+            return grad * (g[0, 0] / n)
 
-        tape.record(out, (logits,), vjp)
+        tape.record(out, (logits,), (vjp,))
     return out

@@ -1,7 +1,12 @@
 """Optimizers, learning-rate plans, gradient clipping and weight averaging.
 
-All state is held in plain dataclasses keyed by parameter position; the
-training loops own these objects exclusively.
+The optimizers work on flat float64 arrays: ``FlatParams`` lays parameters
+end to end in one array, each ``Tensor2.data`` a view of its slice, with a
+gradient buffer of the same layout that ``numkit.backward`` fills. Every
+update runs once per step over a whole group, in place, with the elementwise
+operations of a per-tensor update in the same order, so it gives the same
+bits. All state is held in plain dataclasses; the training loops own these
+objects exclusively.
 """
 
 from __future__ import annotations
@@ -15,31 +20,65 @@ from .errors import ConfigError, ContractError
 from .numkit import Tensor2
 
 
+class FlatParams:
+    """Parameter groups laid end to end in one flat float64 array.
+
+    Each parameter's data becomes a C-order view of its slice of ``data``;
+    ``grads`` are views of the same slices of ``grad``, the buffer backward
+    fills, and ``spans[i]`` is the slice of both that holds group i.
+    """
+
+    def __init__(self, *groups: list[Tensor2]):
+        self.params = [p for group in groups for p in group]
+        self.data = np.concatenate([p.data.ravel() for p in self.params])
+        self.grad = np.zeros_like(self.data)
+        self.grads, lo = [], 0
+        for p in self.params:
+            hi = lo + p.data.size
+            self.grads.append(self.grad[lo:hi].reshape(p.shape))
+            p.data = self.data[lo:hi].reshape(p.shape)
+            lo = hi
+        self.spans, lo = [], 0
+        for group in groups:
+            hi = lo + sum(p.data.size for p in group)
+            self.spans.append(slice(lo, hi))
+            lo = hi
+
+
 @dataclass
 class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    # the update's temporaries, reused from step to step
+    work: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
-    def _ensure(self, params: list[Tensor2]) -> None:
-        if not self.m:
-            self.m = [np.zeros_like(p.data) for p in params]
-            self.v = [np.zeros_like(p.data) for p in params]
-        if len(self.m) != len(params):
-            raise ContractError("optimizer state does not match parameter list")
+    def _ensure(self, param: np.ndarray, grad: np.ndarray) -> None:
+        if param.ndim != 1 or grad.shape != param.shape:
+            raise ContractError(
+                f"need flat param and grad arrays of one length, got {param.shape} "
+                f"and {grad.shape}"
+            )
+        if self.m is None:
+            self.m, self.v = np.zeros_like(param), np.zeros_like(param)
+        if self.m.shape != param.shape:
+            raise ContractError("optimizer state does not match parameter array")
+        if self.work is None:
+            self.work = (np.empty_like(param), np.empty_like(param))
 
 
 @dataclass
 class EmaState:
     mu: float
-    shadow: list[np.ndarray] = field(default_factory=list)
+    shadow: np.ndarray
+    work: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def from_params(cls, params: list[Tensor2], mu: float) -> "EmaState":
-        return cls(mu=mu, shadow=[p.data.copy() for p in params])
+    def from_params(cls, params: np.ndarray, mu: float) -> "EmaState":
+        return cls(mu=mu, shadow=params.copy())
 
 
 @dataclass
@@ -57,67 +96,58 @@ class LrPlan:
             raise ConfigError("warmup_epochs must be < total_epochs")
 
 
-def _checked(params: list[Tensor2], grads: list[np.ndarray]) -> None:
-    if len(params) != len(grads):
-        raise ContractError("params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if p.data.shape != g.shape:
-            raise ContractError(
-                f"param/grad shape mismatch: {p.data.shape} vs {g.shape}"
-            )
+def _moments(grad: np.ndarray, state: AdamState) -> np.ndarray:
+    """Advance the step and both moments by grad; returns the bias-corrected
+    first moment, written into a work buffer."""
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    m, v, (a, _) = state.m, state.v, state.work
+    m *= b1
+    m += np.multiply(1 - b1, grad, out=a)
+    v *= b2
+    np.multiply(1 - b2, grad, out=a)
+    v += np.multiply(a, grad, out=a)
+    return np.divide(m, 1 - b1**state.step, out=a)
 
 
-def adam_step(
-    params: list[Tensor2], grads: list[np.ndarray], state: AdamState, lr: float
-) -> None:
-    """Bias-corrected Adam update, in place."""
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update of a flat parameter array, in place."""
     if lr <= 0:
         raise ContractError("lr must be positive")
-    _checked(params, grads)
-    state._ensure(params)
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state._ensure(param, grad)
+    m_hat = _moments(grad, state)
+    denom = np.divide(state.v, 1 - state.beta2**state.step, out=state.work[1])
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    m_hat *= lr
+    m_hat /= denom
+    param -= m_hat
 
 
-def radam_step(
-    params: list[Tensor2], grads: list[np.ndarray], state: AdamState, lr: float
-) -> None:
+def radam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """Rectified Adam: variance-rectified adaptive step once the moving
     second moment is trustworthy, plain bias-corrected momentum before that."""
     if lr <= 0:
         raise ContractError("lr must be positive")
-    _checked(params, grads)
-    state._ensure(params)
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
+    state._ensure(param, grad)
+    m_hat = _moments(grad, state)
+    t, b2 = state.step, state.beta2
     rho_inf = 2.0 / (1.0 - b2) - 1.0
     b2t = b2**t
     rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        if rho_t > 4.0:
-            v_hat = v / (1 - b2t)
-            r_t = math.sqrt(
-                ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
-                / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
-            )
-            p.data = p.data - lr * r_t * m_hat / (np.sqrt(v_hat) + state.eps)
-        else:
-            p.data = p.data - lr * m_hat
+    if rho_t > 4.0:
+        denom = np.divide(state.v, 1 - b2t, out=state.work[1])
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        r_t = math.sqrt(
+            ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+            / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
+        )
+        m_hat *= lr * r_t
+        m_hat /= denom
+    else:
+        m_hat *= lr
+    param -= m_hat
 
 
 def lr_at(epoch: int, plan: LrPlan) -> float:
@@ -134,24 +164,24 @@ def lr_at(epoch: int, plan: LrPlan) -> float:
     )
 
 
-def ema_update(ema: EmaState, params: list[Tensor2]) -> None:
-    if len(ema.shadow) != len(params):
-        raise ContractError("EMA shadow does not match parameter list")
-    for s, p in zip(ema.shadow, params):
-        if s.shape != p.data.shape:
-            raise ContractError("EMA shadow shape mismatch")
-        s *= ema.mu
-        s += (1.0 - ema.mu) * p.data
+def ema_update(ema: EmaState, params: np.ndarray) -> None:
+    """shadow <- mu * shadow + (1 - mu) * params, over flat arrays in place."""
+    if ema.shadow.shape != params.shape:
+        raise ContractError("EMA shadow does not match parameter array")
+    if ema.work is None:
+        ema.work = np.empty_like(ema.shadow)
+    ema.shadow *= ema.mu
+    ema.shadow += np.multiply(1.0 - ema.mu, params, out=ema.work)
 
 
-def clip_grad_norm(
-    grads: list[np.ndarray], max_norm: float
-) -> tuple[list[np.ndarray], float]:
-    """Global L2-norm clipping across all gradient tensors."""
+def clip_grad_norm(flat: FlatParams, max_norm: float) -> float:
+    """Global L2-norm clipping of flat's gradient buffer, in place; returns
+    the norm before clipping. The norm sums each tensor's squares over its
+    C-order view and then adds them tensor by tensor, because a sum rounds by
+    how its values are laid out."""
     if max_norm <= 0:
         raise ConfigError("max_norm must be positive")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in flat.grads))
     if total > max_norm:
-        factor = max_norm / total
-        grads = [g * factor for g in grads]
-    return grads, total
+        flat.grad *= max_norm / total
+    return total

@@ -200,15 +200,16 @@ def _guidance_epoch_losses(
     labels: np.ndarray,
     batch: int,
     cfg: RunConfig,
-    groups: list[tuple[list, optim.AdamState, optim.LrPlan]],
+    flat: optim.FlatParams,
+    groups: list[tuple[optim.AdamState, optim.LrPlan]],
     epoch: int,
     rng: np.random.Generator,
 ) -> float:
-    """One training epoch over shuffled minibatches; returns the mean loss."""
+    """One training epoch over shuffled minibatches; returns the mean loss.
+    groups holds the optimizer state and plan of each group of flat."""
     n = features.shape[0]
     order = rng.permutation(n)
     losses = []
-    all_params = [p for params, _, _ in groups for p in params]
     for start in range(0, n, batch):
         idx = order[start : start + batch]
         tape = GradTape()
@@ -216,10 +217,10 @@ def _guidance_epoch_losses(
             features[idx], labels[idx], model, cfg.lambda_rank, cfg.margin, tape
         )
         value = check_finite(loss.item(), f"the loss of guidance epoch {epoch}")
-        grads = iter(backward(loss, tape, all_params))
-        for params, state, plan in groups:
+        backward(loss, tape, flat.params, out=flat.grads)
+        for span, (state, plan) in zip(flat.spans, groups, strict=True):
             lr = optim.lr_at(epoch, plan)
-            optim.radam_step(params, [next(grads) for _ in params], state, lr)
+            optim.radam_step(flat.data[span], flat.grad[span], state, lr)
         losses.append(value)
     return float(np.mean(losses))
 
@@ -239,14 +240,14 @@ def pretrain_base(
         cfg.seed,
         frozen_base=False,
     )
-    params = model.base_params() + model.prompt_params()
+    flat = optim.FlatParams(model.base_params() + model.prompt_params())
     plan = _guidance_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
-    groups = [(params, optim.AdamState(), plan)]
+    groups = [(optim.AdamState(), plan)]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
     for epoch in range(cfg.pretrain_epochs):
         mean_loss = _guidance_epoch_losses(
             model, source.features, source.labels, cfg.pretrain_batch, cfg,
-            groups, epoch, rng,
+            flat, groups, epoch, rng,
         )
         lr = optim.lr_at(epoch, plan)
         log.append(f"pretrain,{epoch},{lr:.8g},{mean_loss:.8g}")
@@ -277,15 +278,14 @@ def train_stage1(
 
     lora_plan = _guidance_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
     prompt_plan = _guidance_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
-    groups = [
-        (model.lora_params(), optim.AdamState(), lora_plan),
-        (model.prompt_params(), optim.AdamState(), prompt_plan),
-    ]
+    # the two groups share one flat array and one gradient buffer
+    flat = optim.FlatParams(model.lora_params(), model.prompt_params())
+    groups = [(optim.AdamState(), lora_plan), (optim.AdamState(), prompt_plan)]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 43)))
     for epoch in range(cfg.stage1_epochs):
         mean_loss = _guidance_epoch_losses(
             model, train.features, train.labels, cfg.stage1_batch, cfg,
-            groups, epoch, rng,
+            flat, groups, epoch, rng,
         )
         preds = gd.predict_batch(train.features, model)
         acc = float(np.mean(preds == train.labels))
@@ -323,9 +323,9 @@ def train_stage2(
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
     # the conditioning's width is the guidance model's, whatever cfg.d_model says
     net = df.DenoiserNet.build(model.w2.rows, train.k, cfg.seed)
-    params = net.params()
+    flat = optim.FlatParams(net.params())
     state = optim.AdamState(beta1=0.9)
-    ema = optim.EmaState.from_params(params, cfg.ema_mu)
+    ema = optim.EmaState.from_params(flat.data, cfg.ema_mu)
     plan = optim.LrPlan(
         base_lr=cfg.stage2_lr,
         min_lr=cfg.stage2_lr_min,
@@ -351,15 +351,15 @@ def train_stage2(
                 t_values[rows], eps[rows], tape,
             )
             value = check_finite(loss.item(), f"the loss of stage2 epoch {epoch}")
-            grads, _ = optim.clip_grad_norm(backward(loss, tape, params), cfg.clip)
-            optim.adam_step(params, grads, state, lr)
-            optim.ema_update(ema, params)
+            backward(loss, tape, flat.params, out=flat.grads)
+            optim.clip_grad_norm(flat, cfg.clip)
+            optim.adam_step(flat.data, flat.grad, state, lr)
+            optim.ema_update(ema, flat.data)
             losses.append(value)
         log.append(f"stage2,{epoch},{lr:.8g},{float(np.mean(losses)):.8g}")
 
     # the checkpoint holds the weight average, which inference runs
-    for p, avg in zip(params, ema.shadow):
-        p.data = avg
+    np.copyto(flat.data, ema.shadow)
     df.save_denoiser(out_path, net, (cfg.t_total, cfg.beta_start, cfg.beta_end))
     guidance_hash_after = hashlib.sha256(Path(guidance_ckpt).read_bytes()).hexdigest()
     return {

@@ -1,4 +1,5 @@
-"""Finite-difference oracles for the tape gradients of ``cgsd.numkit``.
+"""Finite-difference oracles for the tape gradients of ``cgsd.numkit``, and
+the full reverse sweep that its pruned ``backward`` must match.
 
 Test modules import them by name (``from gradcheck import grad_check``):
 ``tests/`` has no ``__init__.py``, so pytest puts it on ``sys.path``.
@@ -6,7 +7,7 @@ Test modules import them by name (``from gradcheck import grad_check``):
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,3 +75,21 @@ def trainable_params(model: GuidanceModel) -> list[Tensor2]:
     if not model.frozen_base:
         params = model.base_params() + params
     return params
+
+
+def full_backward(loss: Tensor2, tape: GradTape, params: Sequence[Tensor2]) -> list:
+    """numkit.backward without pruning: every record the loss reaches runs
+    the vjp of every input, needed or not, and the adjoints are summed in
+    reverse record order; fresh arrays, zeros for a tensor not reached."""
+    adjoint = {id(loss): np.ones((1, 1))}
+    for out, inputs, vjps in reversed(tape._records):
+        g = adjoint.get(id(out))
+        if g is None:
+            continue
+        for inp, gin in zip(inputs, [vjp(g) for vjp in vjps], strict=True):
+            key = id(inp)
+            adjoint[key] = adjoint[key] + gin if key in adjoint else gin
+    return [
+        adjoint[id(p)].copy() if id(p) in adjoint else np.zeros_like(p.data)
+        for p in params
+    ]

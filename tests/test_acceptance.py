@@ -285,16 +285,16 @@ def test_criterion_10_optimizer_suite():
         m = b1 * m + (1 - b1)
         v = b2 * v + (1 - b2)
         theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-    p = Tensor2(np.zeros((1, 1)))
+    p = np.zeros(1)
     state = optim.AdamState()
-    optim.adam_step([p], [np.ones((1, 1))], state, lr)
-    optim.adam_step([p], [np.ones((1, 1))], state, lr)
-    assert abs(p.data[0, 0] - theta) <= 1e-12
+    optim.adam_step(p, np.ones(1), state, lr)
+    optim.adam_step(p, np.ones(1), state, lr)
+    assert abs(p[0] - theta) <= 1e-12
 
     # RAdam first step takes the un-adapted branch (rho_1 = 1 <= 4)
-    p = Tensor2(np.zeros((1, 1)))
-    optim.radam_step([p], [np.full((1, 1), 2.0)], optim.AdamState(), 0.1)
-    assert abs(p.data[0, 0] + 0.2) <= 1e-12
+    p = np.zeros(1)
+    optim.radam_step(p, np.full(1, 2.0), optim.AdamState(), 0.1)
+    assert abs(p[0] + 0.2) <= 1e-12
 
     # lr plan endpoints and midpoint
     plan = optim.LrPlan(1e-4, 1e-5, 1e-5, 3, 22)
@@ -304,15 +304,17 @@ def test_criterion_10_optimizer_suite():
 
     # EMA geometric convergence
     mu, theta0, shadow0 = 0.9, 2.0, 5.0
-    q = Tensor2(np.full((1, 1), theta0))
-    ema = optim.EmaState(mu=mu, shadow=[np.full((1, 1), shadow0)])
+    q = np.full(1, theta0)
+    ema = optim.EmaState(mu=mu, shadow=np.full(1, shadow0))
     for n in range(1, 20):
-        optim.ema_update(ema, [q])
-        assert ema.shadow[0][0, 0] == pytest.approx(
+        optim.ema_update(ema, q)
+        assert ema.shadow[0] == pytest.approx(
             theta0 + mu**n * (shadow0 - theta0), rel=1e-12
         )
 
     # clip-norm hand case
-    grads, norm = optim.clip_grad_norm([np.array([[3.0, 4.0]])], 1.0)
+    flat = optim.FlatParams([Tensor2(np.zeros((1, 2)))])
+    flat.grad[:] = [3.0, 4.0]
+    norm = optim.clip_grad_norm(flat, 1.0)
     assert norm == 5.0
-    np.testing.assert_allclose(grads[0], [[0.6, 0.8]], atol=1e-12)
+    np.testing.assert_allclose(flat.grad, [0.6, 0.8], atol=1e-12)

@@ -281,17 +281,18 @@ def test_frozen_base_receives_no_gradient():
     feats = rng.standard_normal((8, 10))
     labels = np.array([0, 1, 2, 3, 4, 0, 1, 2])
     cfg = pl.RunConfig()
+    flat = optim.FlatParams(model.lora_params(), model.prompt_params())
     groups = [
-        (model.lora_params(), optim.AdamState(),
+        (optim.AdamState(),
          optim.LrPlan(cfg.lr_lora, cfg.stage2_lr_min, cfg.warmup_start_lr, 0, 2)),
-        (model.prompt_params(), optim.AdamState(),
+        (optim.AdamState(),
          optim.LrPlan(cfg.lr_prompt, cfg.stage2_lr_min, cfg.warmup_start_lr, 0, 2)),
     ]
     base = [t.data.tobytes() for t in model.base_params()]
     moving = {"lora_b": model.adapter.b, "prompts": model.prompts,
               "log_scale": model.log_scale}
     before = {name: t.data.copy() for name, t in moving.items()}
-    pl._guidance_epoch_losses(model, feats, labels, 4, cfg, groups, 0, rng)
+    pl._guidance_epoch_losses(model, feats, labels, 4, cfg, flat, groups, 0, rng)
     assert [t.data.tobytes() for t in model.base_params()] == base
     for name, t in moving.items():
         assert not np.array_equal(t.data, before[name]), name

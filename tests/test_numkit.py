@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgsd import diffusion as df
+from cgsd import guidance as gd
 from cgsd import numkit as nk
+from cgsd import optim
 from cgsd.errors import ContractError, DimensionError, DegenerateNormWarning, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
-from gradcheck import grad_check
+from gradcheck import full_backward, grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +274,109 @@ def test_backward_composite_chain_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# pruned backward against the full sweep
+
+
+def _adapted_model(seed):
+    """A frozen guidance model whose adapter B is not zero, so that every
+    trainable tensor has a nonzero gradient."""
+    model = gd.GuidanceModel.build(d_in=10, hidden=12, d_model=8, k=5, rank=2,
+                                   alpha=4.0, seed=seed, frozen_base=True)
+    model.adapter.b.data = np.random.default_rng(seed).standard_normal(model.adapter.b.shape)
+    return model
+
+
+def _guidance_batch(seed):
+    rng = np.random.default_rng(seed + 100)
+    return rng.standard_normal((7, 10)), rng.integers(0, 5, 7)
+
+
+def _assert_pruned_matches_full(loss, tape, params):
+    want = full_backward(loss, tape, params)
+    got = backward(loss, tape, params)
+    into = optim.FlatParams([Tensor2(p.data) for p in params])
+    into.grad.fill(np.nan)
+    backward(loss, tape, params, out=into.grads)
+    for w, g, v in zip(want, got, into.grads, strict=True):
+        assert np.array_equal(w, g) and np.array_equal(w, v)
+    assert any(np.any(w != 0.0) for w in want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("requested", ["stage 1", "every parameter"])
+def test_pruned_backward_matches_full_sweep_on_guidance_loss(seed, requested):
+    model = _adapted_model(seed)
+    params = model.lora_params() + model.prompt_params()
+    if requested == "every parameter":
+        params = model.base_params() + params
+    tape = GradTape()
+    loss = gd.guidance_loss(*_guidance_batch(seed), model, 1.0, 0.05, tape)
+    _assert_pruned_matches_full(loss, tape, params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_backward_matches_full_sweep_on_epsilon_loss(seed):
+    # the net's input (the conditioning rows) and the target noise are never
+    # requested
+    rng = np.random.default_rng(seed)
+    n, d_model, k = 9, 8, 5
+    net = df.DenoiserNet.build(d_model, k, seed)
+    sched = df.make_schedule(20, 1e-3, 0.2)
+    prior = nk.softmax_rows(Tensor2(rng.standard_normal((n, k)))).data
+    t_values, eps = df.item_draws(seed, np.arange(n), sched.t_total, k)
+    tape = GradTape()
+    loss = df.epsilon_loss(
+        net, rng.standard_normal((n, d_model)), np.eye(k)[rng.integers(0, k, n)], prior,
+        rng.uniform(-1, 1, (n, k)), sched, t_values, eps, tape,
+    )
+    _assert_pruned_matches_full(loss, tape, net.params())
+
+
+def test_stage1_backward_makes_no_product_for_the_frozen_encoder(monkeypatch):
+    # every matmul of the guidance loss, named by its right operand (a
+    # transposed weight, or the normalized prompts), and each product its
+    # vjps compute: 0 for the left operand's adjoint, 1 for the right's
+    model = _adapted_model(4)
+    feats, labels = _guidance_batch(4)
+    names = {"w1": model.w1, "w2": model.w2, "lora_a": model.adapter.a,
+             "lora_b": model.adapter.b}
+    products = []
+    matmul = nk.matmul
+
+    def counting(a, b, tape=None):
+        out = matmul(a, b, tape)
+        name = next((k for k, w in names.items() if np.array_equal(b.data, w.data.T)),
+                    "prompts")
+        if np.array_equal(a.data, feats):
+            name += " on the input batch"
+        res, inputs, vjps = tape._records[-1]
+        tape._records[-1] = (res, inputs, tuple(
+            lambda g, side=side, vjp=vjp: products.append((name, side)) or vjp(g)
+            for side, vjp in enumerate(vjps)
+        ))
+        return out
+
+    monkeypatch.setattr(nk, "matmul", counting)
+    tape = GradTape()
+    loss = gd.guidance_loss(feats, labels, model, 1.0, 0.05, tape)
+    stage1 = model.lora_params() + model.prompt_params()
+
+    full_backward(loss, tape, stage1)
+    assert sorted(products) == sorted(
+        (name, side)
+        for name in ("w1 on the input batch", "w2", "lora_a", "lora_b", "prompts")
+        for side in (0, 1)
+    )
+    products.clear()
+    backward(loss, tape, stage1)
+    # the adapter's rank-2 input h @ a^T needs only a's product; every other
+    # product of the frozen encoder, and the input batch's, is skipped
+    assert sorted(products) == [
+        ("lora_a", 1), ("lora_b", 0), ("lora_b", 1), ("prompts", 0), ("prompts", 1),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # grad_check harness
 
 
@@ -287,7 +393,7 @@ def _square_with_doubled_vjp(x, tape):
     out = Tensor2(x.data * x.data)
     if tape is not None:
         xd = x.data
-        tape.record(out, (x,), lambda g: (2.0 * (2.0 * xd * g),))
+        tape.record(out, (x,), (lambda g: 2.0 * (2.0 * xd * g),))
     return out
 
 

@@ -1,4 +1,5 @@
-"""Optimizer, learning-rate plan, EMA and clipping oracles."""
+"""Optimizer, learning-rate plan, EMA and clipping oracles, and the flat
+updates against the per-tensor reference in optim_oracle."""
 
 import math
 
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optim_oracle as oracle
+from cgsd import guidance as gd
 from cgsd import optim
 from cgsd.errors import ConfigError, ContractError
-from cgsd.numkit import Tensor2
+from cgsd.numkit import GradTape, Tensor2, backward
 
 
 def _param(value):
-    return Tensor2(np.array([[float(value)]]))
+    return np.array([float(value)])
 
 
 # ---------------------------------------------------------------------------
@@ -24,16 +27,16 @@ def test_adam_zero_gradient_is_fixed_point():
     p = _param(1.25)
     state = optim.AdamState()
     for _ in range(10):
-        optim.adam_step([p], [np.zeros((1, 1))], state, lr=0.1)
-    assert p.data[0, 0] == 1.25
+        optim.adam_step(p, np.zeros(1), state, lr=0.1)
+    assert p[0] == 1.25
 
 
 def test_adam_first_step_magnitude_is_lr():
     p = _param(0.0)
     state = optim.AdamState()
-    optim.adam_step([p], [np.array([[7.0]])], state, lr=0.1)
+    optim.adam_step(p, np.array([7.0]), state, lr=0.1)
     # bias correction makes m_hat = g and v_hat = g^2 on step one
-    assert abs(p.data[0, 0]) == pytest.approx(0.1, rel=1e-6)
+    assert abs(p[0]) == pytest.approx(0.1, rel=1e-6)
 
 
 def test_adam_two_step_scalar_oracle():
@@ -49,16 +52,20 @@ def test_adam_two_step_scalar_oracle():
 
     p = _param(0.5)
     state = optim.AdamState()
-    optim.adam_step([p], [np.array([[1.0]])], state, lr=lr)
-    optim.adam_step([p], [np.array([[1.0]])], state, lr=lr)
-    assert p.data[0, 0] == pytest.approx(theta, abs=1e-12)
+    optim.adam_step(p, np.array([1.0]), state, lr=lr)
+    optim.adam_step(p, np.array([1.0]), state, lr=lr)
+    assert p[0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_adam_shape_mismatch_raises():
     p = _param(0.0)
     state = optim.AdamState()
     with pytest.raises(ContractError):
-        optim.adam_step([p], [np.zeros((2, 2))], state, lr=0.1)
+        optim.adam_step(p, np.zeros((2, 2)), state, lr=0.1)
+    # the moments are sized by the first step's parameter array
+    optim.adam_step(p, np.zeros(1), state, lr=0.1)
+    with pytest.raises(ContractError):
+        optim.adam_step(np.zeros(3), np.zeros(3), state, lr=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +81,24 @@ def test_radam_first_step_takes_unadapted_branch():
 
     p = _param(0.0)
     state = optim.AdamState()
-    optim.radam_step([p], [np.array([[2.0]])], state, lr=0.1)
+    optim.radam_step(p, np.array([2.0]), state, lr=0.1)
     # un-adapted branch: theta -= lr * m_hat, with m_hat = g after correction
-    assert p.data[0, 0] == pytest.approx(-0.2, abs=1e-12)
+    assert p[0] == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_radam_converges_to_adam_for_large_t():
-    ga = np.array([[1.0]])
+    ga = np.array([1.0])
     pa, pr = _param(0.0), _param(0.0)
     sa, sr = optim.AdamState(), optim.AdamState()
     for _ in range(5000):
-        optim.adam_step([pa], [ga], sa, lr=1e-3)
-        optim.radam_step([pr], [ga], sr, lr=1e-3)
+        optim.adam_step(pa, ga, sa, lr=1e-3)
+        optim.radam_step(pr, ga, sr, lr=1e-3)
     # the rectifier approaches 1, so late-step updates converge to Adam's
-    before_a, before_r = pa.data[0, 0], pr.data[0, 0]
-    optim.adam_step([pa], [ga], sa, lr=1e-3)
-    optim.radam_step([pr], [ga], sr, lr=1e-3)
-    delta_a = pa.data[0, 0] - before_a
-    delta_r = pr.data[0, 0] - before_r
+    before_a, before_r = pa[0], pr[0]
+    optim.adam_step(pa, ga, sa, lr=1e-3)
+    optim.radam_step(pr, ga, sr, lr=1e-3)
+    delta_a = pa[0] - before_a
+    delta_r = pr[0] - before_r
     # the rectifier reaches ~0.983 by step 5000 and approaches 1 monotonically
     assert delta_r == pytest.approx(delta_a, rel=0.02)
 
@@ -100,8 +107,8 @@ def test_radam_zero_gradient_is_fixed_point():
     p = _param(-3.5)
     state = optim.AdamState()
     for _ in range(10):
-        optim.radam_step([p], [np.zeros((1, 1))], state, lr=0.1)
-    assert p.data[0, 0] == -3.5
+        optim.radam_step(p, np.zeros(1), state, lr=0.1)
+    assert p[0] == -3.5
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +164,17 @@ def test_lr_plan_invariants():
 
 def test_ema_degenerate_decays():
     p = _param(1.0)
-    ema = optim.EmaState(mu=0.0, shadow=[np.zeros((1, 1))])
-    optim.ema_update(ema, [p])
-    assert ema.shadow[0][0, 0] == 1.0
+    ema = optim.EmaState(mu=0.0, shadow=np.zeros(1))
+    optim.ema_update(ema, p)
+    assert ema.shadow[0] == 1.0
 
-    ema = optim.EmaState(mu=1.0, shadow=[np.full((1, 1), 9.0)])
-    optim.ema_update(ema, [p])
-    assert ema.shadow[0][0, 0] == 9.0
+    ema = optim.EmaState(mu=1.0, shadow=np.full(1, 9.0))
+    optim.ema_update(ema, p)
+    assert ema.shadow[0] == 9.0
 
-    ema = optim.EmaState(mu=0.5, shadow=[np.zeros((1, 1))])
-    optim.ema_update(ema, [p])
-    assert ema.shadow[0][0, 0] == 0.5
+    ema = optim.EmaState(mu=0.5, shadow=np.zeros(1))
+    optim.ema_update(ema, p)
+    assert ema.shadow[0] == 0.5
 
 
 def test_ema_geometric_convergence():
@@ -175,41 +182,53 @@ def test_ema_geometric_convergence():
     theta = 2.0
     p = _param(theta)
     shadow0 = 5.0
-    ema = optim.EmaState(mu=mu, shadow=[np.full((1, 1), shadow0)])
+    ema = optim.EmaState(mu=mu, shadow=np.full(1, shadow0))
     for n in range(1, 30):
-        optim.ema_update(ema, [p])
+        optim.ema_update(ema, p)
         expected = theta + mu**n * (shadow0 - theta)
-        assert ema.shadow[0][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert ema.shadow[0] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # gradient clipping
 
 
+def _with_grads(grads):
+    """A FlatParams of zero tensors whose gradient buffer holds grads."""
+    flat = optim.FlatParams([Tensor2(np.zeros_like(g)) for g in grads])
+    for dst, g in zip(flat.grads, grads):
+        np.copyto(dst, g)
+    return flat
+
+
 def test_clip_hand_case():
-    grads, norm = optim.clip_grad_norm([np.array([[3.0, 4.0]])], max_norm=1.0)
+    flat = _with_grads([np.array([[3.0, 4.0]])])
+    norm = optim.clip_grad_norm(flat, max_norm=1.0)
     assert norm == 5.0
-    np.testing.assert_allclose(grads[0], [[0.6, 0.8]], atol=1e-12)
+    np.testing.assert_allclose(flat.grad, [0.6, 0.8], atol=1e-12)
 
 
 def test_clip_noop_below_threshold():
-    g = np.array([[0.3, 0.4]])
-    grads, norm = optim.clip_grad_norm([g], max_norm=1.0)
+    flat = _with_grads([np.array([[0.3], [0.4]])])
+    before = flat.grad.copy()
+    norm = optim.clip_grad_norm(flat, max_norm=1.0)
     assert norm == pytest.approx(0.5)
-    assert grads[0] is g  # untouched, bit-identical
+    assert np.array_equal(flat.grad, before)  # untouched, bit-identical
 
 
 def test_clip_preserves_direction():
     rng = np.random.default_rng(4)
     g = rng.standard_normal((3, 5)) * 10
-    (clipped,), _ = optim.clip_grad_norm([g], max_norm=1.0)
+    flat = _with_grads([g])
+    optim.clip_grad_norm(flat, max_norm=1.0)
+    clipped = flat.grads[0]
     cos = np.sum(g * clipped) / (np.linalg.norm(g) * np.linalg.norm(clipped))
     assert cos == pytest.approx(1.0, abs=1e-12)
 
 
 def test_clip_nonpositive_threshold_raises():
     with pytest.raises(ConfigError):
-        optim.clip_grad_norm([np.ones((1, 1))], max_norm=0.0)
+        optim.clip_grad_norm(_with_grads([np.ones((1, 1))]), max_norm=0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -226,7 +245,141 @@ def test_clip_nonpositive_threshold_raises():
     st.floats(min_value=1e-3, max_value=10.0),
 )
 def test_clip_bounds_global_norm(rows, max_norm):
-    grads = [np.array([row]) for row in rows]
-    clipped, _ = optim.clip_grad_norm(grads, max_norm)
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in clipped))
+    flat = _with_grads([np.array([row]) for row in rows])
+    optim.clip_grad_norm(flat, max_norm)
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in flat.grads))
     assert total <= max_norm + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# flat updates against the per-tensor reference
+
+
+_SHAPES = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 5)), min_size=2, max_size=4
+)
+
+
+def _group(shapes, seed):
+    """Two copies of one random group: Tensor2s for the per-tensor
+    reference, and a FlatParams over equal tensors."""
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in shapes]
+    return [Tensor2(v) for v in values], optim.FlatParams([Tensor2(v) for v in values])
+
+
+def _grad_steps(shapes, seed, steps):
+    """Per step, one gradient per tensor, with some zero and some large
+    entries (so v_hat spans several magnitudes)."""
+    rng = np.random.default_rng(seed + 1)
+    out = []
+    for _ in range(steps):
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3) for shape in shapes]
+        grads[0][0, 0] = 0.0
+        out.append(grads)
+    return out
+
+
+def _assert_same(tensors, flat):
+    for want, got in zip(tensors, flat.params, strict=True):
+        assert np.array_equal(want.data, got.data)
+        assert np.shares_memory(got.data, flat.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([1e-4, 3e-4, 0.1]),
+       st.sampled_from(["adam", "radam"]))
+def test_flat_adam_and_radam_match_per_tensor(shapes, seed, lr, rule):
+    # seven steps: RAdam's rho_t is below 4 on steps 1-4 (plain momentum)
+    # and above it from step 5 (the rectified adaptive step)
+    tensors, flat = _group(shapes, seed)
+    want, got = oracle.AdamState(), optim.AdamState()
+    step_want = getattr(oracle, f"{rule}_step")
+    step_got = getattr(optim, f"{rule}_step")
+    for grads in _grad_steps(shapes, seed, 7):
+        step_want(tensors, grads, want, lr)
+        for dst, g in zip(flat.grads, grads):
+            np.copyto(dst, g)
+        step_got(flat.data, flat.grad, got, lr)
+        _assert_same(tensors, flat)
+    assert np.array_equal(np.concatenate([m.ravel() for m in want.m]), got.m)
+    assert np.array_equal(np.concatenate([v.ravel() for v in want.v]), got.v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+def test_flat_ema_matches_per_tensor(shapes, seed, mu):
+    tensors, flat = _group(shapes, seed)
+    want = oracle.EmaState.from_params(tensors, mu)
+    got = optim.EmaState.from_params(flat.data, mu)
+    for grads in _grad_steps(shapes, seed, 5):
+        # move the weights, then average them
+        for t, p, g in zip(tensors, flat.params, grads):
+            t.data = t.data + g
+            p.data += g
+        oracle.ema_update(want, tensors)
+        optim.ema_update(got, flat.data)
+        assert np.array_equal(np.concatenate([s.ravel() for s in want.shadow]), got.shadow)
+
+
+@pytest.mark.parametrize("triggered", [True, False])
+@settings(max_examples=30, deadline=None)
+@given(shapes=_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_flat_clip_matches_per_tensor(triggered, shapes, seed):
+    (grads,) = _grad_steps(shapes, seed, 1)
+    _, norm = oracle.clip_grad_norm(grads, math.inf)
+    max_norm = norm / 3.0 if triggered else norm * 3.0
+    want, want_norm = oracle.clip_grad_norm(grads, max_norm)
+    flat = _with_grads(grads)
+    got_norm = optim.clip_grad_norm(flat, max_norm)
+    assert got_norm == want_norm
+    assert (got_norm > max_norm) == triggered
+    assert np.array_equal(np.concatenate([g.ravel() for g in want]), flat.grad)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stage1_groups_from_one_gradient_buffer_match_per_tensor(seed):
+    # stage 1's two RAdam groups (adapter; prompts and log scale) laid out
+    # in one FlatParams and fed from the one buffer backward fills, against
+    # two per-tensor groups fed from fresh gradient arrays
+    build = dict(d_in=10, hidden=12, d_model=8, k=5, rank=2, alpha=4.0, seed=seed,
+                 frozen_base=True)
+    ref, model = gd.GuidanceModel.build(**build), gd.GuidanceModel.build(**build)
+    ref_groups = [ref.lora_params(), ref.prompt_params()]
+    flat = optim.FlatParams(model.lora_params(), model.prompt_params())
+    want = [oracle.AdamState(), oracle.AdamState()]
+    got = [optim.AdamState(), optim.AdamState()]
+    rng = np.random.default_rng(seed)
+    for step in range(6):
+        feats = rng.standard_normal((6, 10))
+        labels = rng.integers(0, 5, 6)
+        lrs = (1e-3 * (step + 1), 2e-2)
+
+        tape = GradTape()
+        loss = gd.guidance_loss(feats, labels, ref, 1.0, 0.05, tape)
+        grads = iter(backward(loss, tape, [p for g in ref_groups for p in g]))
+        for params, state, lr in zip(ref_groups, want, lrs):
+            oracle.radam_step(params, [next(grads) for _ in params], state, lr)
+
+        tape = GradTape()
+        loss = gd.guidance_loss(feats, labels, model, 1.0, 0.05, tape)
+        backward(loss, tape, flat.params, out=flat.grads)
+        for span, state, lr in zip(flat.spans, got, lrs):
+            optim.radam_step(flat.data[span], flat.grad[span], state, lr)
+
+        for t_ref, t in zip(ref.lora_params() + ref.prompt_params(), flat.params):
+            assert np.array_equal(t_ref.data, t.data)
+    for t_ref, t in zip(ref.base_params(), model.base_params()):
+        assert np.array_equal(t_ref.data, t.data)
+
+
+def test_flat_params_views_and_spans():
+    a, b, c = Tensor2(np.ones((2, 3))), Tensor2(np.full((1, 4), 2.0)), Tensor2([[5.0]])
+    flat = optim.FlatParams([a, b], [c])
+    assert flat.spans == [slice(0, 10), slice(10, 11)]
+    np.testing.assert_array_equal(flat.data, [1.0] * 6 + [2.0] * 4 + [5.0])
+    flat.data[10] = 7.0
+    assert c.item() == 7.0
+    for p, g in zip(flat.params, flat.grads):
+        assert p.data.flags.c_contiguous and g.shape == p.shape

@@ -27,6 +27,7 @@ from cgsd.data import SyntheticConfig, read_dataset, stratified_split, write_dat
 from cgsd.errors import ConfigError, DataError, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
 import ckpt_edit as ckpt
+import optim_oracle as oracle
 
 
 TINY = pl.RunConfig(
@@ -146,7 +147,8 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
 
 def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
     """train_stage2's loop with a fresh generator and a forward draw per
-    item: the rule its epoch-wide draws must reproduce. Returns the log lines
+    item, and the per-tensor optimizers of optim_oracle: the rule its
+    epoch-wide draws and flat updates must reproduce. Returns the log lines
     and the weight average."""
     model, _, train, _ = pl.load_run(data_dir, cfg, guidance_ckpt)
     f, d, prior = pl.conditioning(model, train.features)
@@ -154,8 +156,8 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
     net = df.DenoiserNet.build(cfg.d_model, train.k, cfg.seed)
     params = net.params()
-    state = optim.AdamState(beta1=0.9)
-    ema = optim.EmaState.from_params(params, cfg.ema_mu)
+    state = oracle.AdamState(beta1=0.9)
+    ema = oracle.EmaState.from_params(params, cfg.ema_mu)
     plan = optim.LrPlan(cfg.stage2_lr, cfg.stage2_lr_min, cfg.stage2_lr, 0,
                         max(cfg.stage2_epochs, 1))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
@@ -182,9 +184,9 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
                                      sched.temb[t_values], tape)
             diff = nk.sub(Tensor2(eps), eps_hat, tape)
             loss = nk.mean_all(nk.mul(diff, diff, tape), tape)
-            grads, _ = optim.clip_grad_norm(backward(loss, tape, params), cfg.clip)
-            optim.adam_step(params, grads, state, lr)
-            optim.ema_update(ema, params)
+            grads, _ = oracle.clip_grad_norm(backward(loss, tape, params), cfg.clip)
+            oracle.adam_step(params, grads, state, lr)
+            oracle.ema_update(ema, params)
             losses.append(loss.item())
         log.append(f"stage2,{epoch},{lr:.8g},{float(np.mean(losses)):.8g}")
     return log, ema.shadow
@@ -865,6 +867,9 @@ _BAD_INPUTS = {
     "train-guidance-warmup-negative": (
         2, "train-guidance", ["--warmup-epochs", "-1"], None, None, None),
     "eval-seed-negative": (2, "eval", ["--seed", "-1"], None, None, None),
+    # chains that cannot fit: 10**15 samples ask for more than a 2**48-byte
+    # address space, so the allocation fails at once and touches no memory
+    "eval-samples-huge": (5, "eval", ["--n-samples", str(10**15)], None, None, None),
     "train-guidance-seed-negative": (
         2, "train-guidance", ["--seed", "-1"], None, None, None),
     "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
