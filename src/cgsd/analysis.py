@@ -7,22 +7,14 @@ deterministic sign convention so exported trajectories are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
 
 
-@dataclass
-class ConfusionMatrix:
-    k: int
-    counts: np.ndarray  # k x k, rows = true class, cols = predicted
-
-
-def confusion_and_metrics(
-    preds, labels, k: int
-) -> tuple[ConfusionMatrix, float, np.ndarray, float]:
+def confusion_and_metrics(preds, labels, k: int) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """The k x k counts (rows true grade, columns predicted), accuracy,
+    per-class F1 and macro-F1."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape or preds.ndim != 1 or preds.size == 0:
@@ -46,7 +38,7 @@ def confusion_and_metrics(
         denom = 2 * tp + fp + fn
         per_class_f1[c] = 0.0 if denom == 0 else 2.0 * tp / denom
     macro_f1 = float(per_class_f1.mean())
-    return ConfusionMatrix(k, counts), accuracy, per_class_f1, macro_f1
+    return counts, accuracy, per_class_f1, macro_f1
 
 
 def pca_project_2d(points: np.ndarray) -> np.ndarray:

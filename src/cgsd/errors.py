@@ -1,7 +1,8 @@
 """Error taxonomy shared across the package.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, DataError/ParseError and
-OSError -> 3, NumericError -> 4. Everything else is a plain bug.
+OSError -> 3, NumericError -> 4, MemoryError -> 5. Everything else is a plain
+bug.
 """
 
 

@@ -265,12 +265,12 @@ def train_stage1(
 
     The base is pretrained on the source domain and saved to base_path, which
     is written, never read. The result's "model" is the adapted model saved
-    to out_path.
+    to out_path, and its "test" the target test split.
     """
     cfg = cfg.resolved()
     log: list[str] = []
     target = load_domain(data_dir, "target")
-    train, _ = stratified_split(target, cfg.train_fraction, cfg.seed)
+    train, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     model = pretrain_base(_source_like(data_dir, target), cfg, log)
     gd.save_guidance(base_path, model)
 
@@ -299,6 +299,7 @@ def train_stage1(
         "frozen_hash_before": frozen_hash_before,
         "frozen_hash_after": frozen_hash_after,
         "model": model,
+        "test": test,
     }
 
 
@@ -324,7 +325,7 @@ def train_stage2(
     # the conditioning's width is the guidance model's, whatever cfg.d_model says
     net = df.DenoiserNet.build(model.w2.rows, train.k, cfg.seed)
     flat = optim.FlatParams(net.params())
-    state = optim.AdamState(beta1=0.9)
+    state = optim.AdamState()
     ema = optim.EmaState.from_params(flat.data, cfg.ema_mu)
     plan = optim.LrPlan(
         base_lr=cfg.stage2_lr,
@@ -374,44 +375,6 @@ def train_stage2(
 # inference and evaluation
 
 
-# rows per sampler call in _diffusion_predict, which bounds its memory: the
-# desk eval (5,495 rows, 2-core box) peaked at 55 MB RSS with 512-row blocks,
-# 59 MB with 1,024 and 121 MB with one block, and larger blocks ran no faster
-ROW_BLOCK = 512
-
-
-def _diffusion_predict(
-    net: df.DenoiserNet,
-    sched: df.NoiseSchedule,
-    f: np.ndarray,
-    d: np.ndarray,
-    prior: np.ndarray,
-    n_samples: int,
-    seed: int,
-    item_keys: np.ndarray,
-) -> np.ndarray:
-    """Average n_samples reverse chains per item and take the argmax (ties to
-    the smaller index); per-(item, sample) RNG substreams make the result
-    independent of how items are batched."""
-    n, k = prior.shape
-    keys = np.asarray(item_keys)
-    # sample-major rows: row r is chain r // n of item r % n
-    samples = np.repeat(np.arange(n_samples), n)
-    items = np.tile(np.arange(n), n_samples)
-    final = np.empty((n_samples * n, k))
-    # equal blocks, so no block of one row takes numpy's matrix-vector path,
-    # whose rounding differs from the matrix-matrix one
-    blocks = -(-n_samples * n // ROW_BLOCK)
-    for rows in np.array_split(np.arange(n_samples * n), blocks):
-        idx = items[rows]
-        noise = df.chain_noise(seed, keys[idx], samples[rows], sched.t_total, k)
-        final[rows], _ = df.sample_chain_batch(net, f[idx], d[idx], prior[idx], sched, noise)
-    acc = np.zeros_like(prior)
-    for chain in final.reshape(n_samples, n, k):
-        acc += chain
-    return np.argmax(acc / n_samples, axis=1)
-
-
 def evaluate(
     model: gd.GuidanceModel,
     denoiser: tuple[df.DenoiserNet, df.NoiseSchedule] | None,
@@ -426,19 +389,18 @@ def evaluate(
         mode = "zero-shot"
     else:
         f, d, prior = conditioning(model, test.features)
-        preds = _diffusion_predict(
-            *denoiser, f, d, prior, cfg.n_samples, cfg.seed,
-            item_keys=np.arange(test.n),
-        )
+        mean, _ = df.sample_chains(
+            *denoiser, f, d, prior, cfg.seed, np.arange(test.n), cfg.n_samples)
+        preds = np.argmax(mean, axis=1)  # ties go to the smaller grade
         mode = "diffusion"
 
-    cm, acc, per_f1, macro = confusion_and_metrics(preds, test.labels, test.k)
+    counts, acc, per_f1, macro = confusion_and_metrics(preds, test.labels, test.k)
     return {
         "mode": mode,
         "accuracy": acc,
         "macro_f1": macro,
         "per_class_f1": per_f1.tolist(),
-        "confusion": cm.counts.tolist(),
+        "confusion": counts.tolist(),
         "n_eval": int(test.n),
         "seed": cfg.seed,
         "config_digest": cfg.digest(),
@@ -452,15 +414,12 @@ def evaluate(
 def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     """Three-row component ablation on one shared target test split, from a
     fresh source pretraining. The rows score the models the two stages
-    return; only the zero-shot row's base is read back, because stage 1
-    adapts the base model in place."""
+    return on stage 1's test split; only the zero-shot row's base is read
+    back, because stage 1 adapts the base model in place."""
     cfg = cfg.resolved()
     out_path = Path(out_path)
     work = out_path.parent
     work.mkdir(parents=True, exist_ok=True)
-    target = load_domain(data_dir, "target")
-    _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
-    split_hash = _hash_arrays([test.features, test.labels])
 
     # perfbench/harness.py reads the checkpoints under these .json names, so
     # they keep them until a change to the benchmark renames them too
@@ -470,6 +429,8 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
 
     stage1 = train_stage1(data_dir, cfg, guidance_path, base_path=base_path)
     stage2 = train_stage2(data_dir, guidance_path, cfg, denoiser_path)
+    test = stage1["test"]
+    split_hash = _hash_arrays([test.features, test.labels])
 
     rows = []
     for name, model, denoiser in (
@@ -528,13 +489,13 @@ def export_trajectory(
         if not (0 <= t <= sched.t_total):
             raise ConfigError(f"step {t} outside [0, {sched.t_total}]")
     f, d, prior = conditioning(model, test.features)
-    noise = df.chain_noise(cfg.seed, np.arange(test.n), 0, sched.t_total, test.k)
-    _, snaps = df.sample_chain_batch(net, f, d, prior, sched, noise, record_steps=set(steps))
+    # one chain per item: chain 0, the first of those evaluate averages
+    _, states = df.sample_chains(net, sched, f, d, prior, cfg.seed, np.arange(test.n), 1, steps)
 
     lines = ["t,item_id,true_label,px,py"]
     silhouettes = {}
     for t in sorted(set(steps), reverse=True):
-        proj = pca_project_2d(snaps[t])
+        proj = pca_project_2d(states[t][0])
         silhouettes[str(t)] = silhouette_score(proj, test.labels)
         for i in range(test.n):
             lines.append(

@@ -208,14 +208,15 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
     keys = np.arange(test.n)
 
     def predict(rows):
-        return pl._diffusion_predict(net, sched, f_all[rows], d_all[rows],
-                                     prior_all[rows], cfg.n_samples, cfg.seed, keys[rows])
+        mean, _ = df.sample_chains(net, sched, f_all[rows], d_all[rows], prior_all[rows],
+                                   cfg.seed, keys[rows], cfg.n_samples)
+        return np.argmax(mean, axis=1)
 
     whole = predict(keys)
     chunked = np.concatenate([predict(rows) for rows in np.array_split(keys, 4)])
     np.testing.assert_array_equal(whole, chunked)
-    cm, _, _, _ = confusion_and_metrics(whole, test.labels, test.k)
-    assert cm.counts.tolist() == json.loads(b1)["confusion"]
+    counts, _, _, _ = confusion_and_metrics(whole, test.labels, test.k)
+    assert counts.tolist() == json.loads(b1)["confusion"]
 
     # variance of the 5-chain average vs a single chain, 200 repeats
     f, d, prior = pl.conditioning(model, test.features[:1])

@@ -13,10 +13,10 @@ from cgsd.errors import DataError
 
 def test_perfect_predictions():
     preds = np.array([0, 1, 2, 1])
-    cm, acc, per_f1, macro = confusion_and_metrics(preds, preds, k=3)
+    counts, acc, per_f1, macro = confusion_and_metrics(preds, preds, k=3)
     assert acc == 1.0
     assert macro == 1.0
-    assert np.trace(cm.counts) == 4
+    assert np.trace(counts) == 4
 
 
 def test_worked_example_one():
@@ -53,7 +53,7 @@ def test_metrics_brute_force_recount():
         n = int(rng.integers(5, 60))
         preds = rng.integers(0, k, n)
         labels = rng.integers(0, k, n)
-        cm, acc, per_f1, macro = confusion_and_metrics(preds, labels, k)
+        counts, acc, per_f1, macro = confusion_and_metrics(preds, labels, k)
 
         assert acc == pytest.approx(np.mean(preds == labels), abs=1e-12)
         ref = np.zeros(k)
@@ -65,7 +65,7 @@ def test_metrics_brute_force_recount():
             ref[j] = 0.0 if denom == 0 else 2 * tp / denom
         np.testing.assert_allclose(per_f1, ref, atol=1e-12)
         assert macro == pytest.approx(ref.mean(), abs=1e-12)
-        assert cm.counts.sum() == n
+        assert counts.sum() == n
 
 
 def test_metrics_input_validation():

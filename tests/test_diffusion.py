@@ -643,6 +643,75 @@ def test_sample_chain_batch_matches_per_row_reference(t_total):
         assert np.array_equal(snaps[t], ref_snaps[t])
 
 
+def _chain_inputs(n, k=5, t_total=20):
+    rng = np.random.default_rng(41)
+    net = df.DenoiserNet.build(d_model=4, k=k, seed=42)
+    f = rng.standard_normal((n, 4))
+    d = rng.standard_normal((n, k)) * 0.1
+    prior = rng.dirichlet(np.ones(k), size=n)
+    return net, df.make_schedule(t_total, 1e-3, 0.2), f, d, prior
+
+
+# The two tests below compare a row's bits across blocks of other sizes,
+# which holds only while BLAS rounds a row the same wherever it sits in the
+# product. They run at the desk's five grades: with three, OpenBLAS's head
+# matmul (128 -> 3) rounds the rows of a block's last, partial 4-row tile
+# differently, by up to 1 ulp (CHANGES.md).
+
+
+def test_sample_chains_blocks_equal_one_batch():
+    # 150 items x 4 chains span two row blocks; the states and the mean equal
+    # one sample_chain_batch call over all sample-major rows on the same noise
+    n, n_samples, k, record = 150, 4, 5, {20, 7, 0}
+    assert n * n_samples > df.ROW_BLOCK
+    net, sched, f, d, prior = _chain_inputs(n, k)
+    keys = np.arange(n) * 3 + 1
+    mean, states = df.sample_chains(net, sched, f, d, prior, 5, keys, n_samples, record)
+    samples, items = np.repeat(np.arange(n_samples), n), np.tile(np.arange(n), n_samples)
+    noise = df.chain_noise(5, keys[items], samples, sched.t_total, k)
+    final, snaps = df.sample_chain_batch(
+        net, f[items], d[items], prior[items], sched, noise, record)
+    assert states.keys() == snaps.keys() == record
+    for t in record:
+        assert np.array_equal(states[t], snaps[t].reshape(n_samples, n, k))
+    total = np.zeros((n, k))
+    for chain in final.reshape(n_samples, n, k):
+        total += chain
+    assert np.array_equal(mean, total / n_samples)
+
+
+def test_sample_chains_chain_0_does_not_depend_on_n_samples():
+    # the trajectory export's chain 0 is the first chain evaluate averages,
+    # at any sample count, including one that spans several row blocks
+    n, record = 7, {20, 10, 0}
+    net, sched, f, d, prior = _chain_inputs(n)
+    keys = np.arange(n)
+    _, first = df.sample_chains(net, sched, f, d, prior, 9, keys, 1, record)
+    for n_samples in (3, df.ROW_BLOCK // n + 5):
+        _, states = df.sample_chains(net, sched, f, d, prior, 9, keys, n_samples, record)
+        for t in record:
+            assert states[t].shape == (n_samples, n, 5)
+            assert np.array_equal(states[t][0], first[t][0])
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_sample_chains_mean_sums_every_chain_in_sample_order(k):
+    # 7 items x 5 chains fit in one block, which then holds five chains of
+    # each item: every one is added, in sample order, before the division
+    n, n_samples = 7, 5
+    net, sched, f, d, prior = _chain_inputs(n, k)
+    keys = np.arange(n) + 100
+    mean, states = df.sample_chains(net, sched, f, d, prior, 11, keys, n_samples)
+    assert states == {}
+    samples, items = np.repeat(np.arange(n_samples), n), np.tile(np.arange(n), n_samples)
+    noise = df.chain_noise(11, keys[items], samples, sched.t_total, k)
+    final, _ = df.sample_chain_batch(net, f[items], d[items], prior[items], sched, noise)
+    total = np.zeros((n, k))
+    for chain in final.reshape(n_samples, n, k):
+        total += chain
+    assert np.array_equal(mean, total / n_samples)
+
+
 @pytest.mark.parametrize("sched", [PAPER_SCHED, DESK_SCHED], ids=["paper", "desk"])
 def test_schedule_temb_rows_are_timestep_embeddings(sched):
     assert sched.temb.shape == (sched.t_total + 1, df.TEMB_DIM)

@@ -322,17 +322,19 @@ def test_evaluate_byte_identical_reports(small_dir, tiny_trained, tmp_path):
 
 
 def test_diffusion_predict_invariant_to_chunking(tiny_run):
-    # all test items at once against two slices that keep their own item keys;
-    # with enough samples the whole batch spans more than one row block
+    # sample_chains on all test items at once against two slices that keep
+    # their own item keys; with enough samples the whole batch spans more
+    # than one row block
     model, (net, sched), _, test = tiny_run
     f, d, prior = pl.conditioning(model, test.features)
     keys = np.arange(test.n)
-    many = pl.ROW_BLOCK // test.n + 2
-    assert test.n * TINY.n_samples <= pl.ROW_BLOCK < test.n * many
+    many = df.ROW_BLOCK // test.n + 2
+    assert test.n * TINY.n_samples <= df.ROW_BLOCK < test.n * many
 
     def predict(rows, n_samples):
-        return pl._diffusion_predict(net, sched, f[rows], d[rows], prior[rows],
-                                     n_samples, TINY.seed, keys[rows])
+        mean, _ = df.sample_chains(net, sched, f[rows], d[rows], prior[rows],
+                                   TINY.seed, keys[rows], n_samples)
+        return np.argmax(mean, axis=1)
 
     cut = test.n // 3
     for n_samples in (TINY.n_samples, many):
@@ -343,8 +345,8 @@ def test_diffusion_predict_invariant_to_chunking(tiny_run):
 
 
 def _assert_n1_equals_single_chain(seed):
-    # one sample per item is the argmax of one chain on the substream
-    # (seed, 101, item_key, 0)
+    # sample_chains' mean of one sample per item is the final state of one
+    # chain on the substream (seed, 101, item_key, 0)
     net = df.DenoiserNet.build(d_model=4, k=3, seed=11)
     sched = df.make_schedule(100, 1e-3, 0.2)
     f, d = np.zeros((3, 4)), np.zeros((3, 3))
@@ -356,8 +358,8 @@ def _assert_n1_equals_single_chain(seed):
         for key in keys
     ])
     single, _ = df.sample_chain_batch(net, f, d, prior, sched, noise)
-    grades = pl._diffusion_predict(net, sched, f, d, prior, 1, seed, keys)
-    np.testing.assert_array_equal(grades, np.argmax(single, axis=1))
+    mean, _ = df.sample_chains(net, sched, f, d, prior, seed, keys)
+    np.testing.assert_array_equal(mean, single)
 
 
 def test_diffusion_predict_n1_equals_single_chain():
@@ -434,13 +436,14 @@ def test_stages_return_the_models_they_save(small_dir, tmp_path):
 
 
 def test_ablate_reads_each_input_once_per_stage(small_dir, tmp_path, monkeypatch):
-    # ablate's split, stage 1 and stage 2 each read target.csv once and the
-    # pretrain reads source.csv; only the zero-shot row's base is loaded back
+    # stage 1 and stage 2 each read target.csv once, and ablate scores stage
+    # 1's test split; the pretrain reads source.csv, and only the zero-shot
+    # row's base is loaded back
     reads = _count_calls(monkeypatch, pl, "read_dataset")
     guidance_loads = _count_calls(monkeypatch, gd, "load_guidance")
     denoiser_loads = _count_calls(monkeypatch, df, "load_denoiser")
     pl.ablate(small_dir, TINY, tmp_path / "ablation.json")
-    assert sorted(reads) == ["source.csv", "target.csv", "target.csv", "target.csv"]
+    assert sorted(reads) == ["source.csv", "target.csv", "target.csv"]
     assert sorted(guidance_loads) == ["ablate_guidance.base.json", "ablate_guidance.json"]
     assert denoiser_loads == []
 
@@ -868,8 +871,12 @@ _BAD_INPUTS = {
         2, "train-guidance", ["--warmup-epochs", "-1"], None, None, None),
     "eval-seed-negative": (2, "eval", ["--seed", "-1"], None, None, None),
     # chains that cannot fit: 10**15 samples ask for more than a 2**48-byte
-    # address space, so the allocation fails at once and touches no memory
+    # address space, so the allocation fails at once and touches no memory;
+    # numpy refuses larger row counts before it allocates (2**62 was a
+    # ValueError traceback, 2**63 an OverflowError one)
     "eval-samples-huge": (5, "eval", ["--n-samples", str(10**15)], None, None, None),
+    "eval-samples-2**62": (5, "eval", ["--n-samples", str(2**62)], None, None, None),
+    "eval-samples-2**63": (5, "eval", ["--n-samples", str(2**63)], None, None, None),
     "train-guidance-seed-negative": (
         2, "train-guidance", ["--seed", "-1"], None, None, None),
     "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
