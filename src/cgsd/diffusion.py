@@ -53,7 +53,7 @@ def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSche
     alpha_bar = np.empty(t_total + 1)
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(1.0 - beta)
-    temb = np.stack([timestep_embedding(t) for t in range(t_total + 1)])
+    temb = timestep_embedding(np.arange(t_total + 1))
     return NoiseSchedule(t_total, beta, alpha_bar, temb)
 
 
@@ -76,15 +76,17 @@ def forward_sample(
     return root * y0 + (1.0 - root) * y_hat0 + np.sqrt(1.0 - ab) * eps
 
 
-def timestep_embedding(t: int) -> np.ndarray:
-    """Interleaved (sin, cos) pairs of t over geometrically spaced periods."""
-    if t < 0:
+def timestep_embedding(t: int | np.ndarray) -> np.ndarray:
+    """Interleaved (sin, cos) pairs of t over geometrically spaced periods;
+    for an array of steps, one row per step."""
+    t = np.asarray(t)
+    if np.any(t < 0):
         raise ContractError("timestep must be nonnegative")
     i = np.arange(TEMB_DIM // 2)
-    freqs = t / np.power(10000.0, 2.0 * i / TEMB_DIM)
-    emb = np.empty(TEMB_DIM)
-    emb[0::2] = np.sin(freqs)
-    emb[1::2] = np.cos(freqs)
+    freqs = t[..., None] / np.power(10000.0, 2.0 * i / TEMB_DIM)
+    emb = np.empty(t.shape + (TEMB_DIM,))
+    emb[..., 0::2] = np.sin(freqs)
+    emb[..., 1::2] = np.cos(freqs)
     return emb
 
 
@@ -119,40 +121,17 @@ class DenoiserNet:
     def params(self) -> list[Tensor2]:
         return [p for layer in self.layers for p in layer]
 
-    def forward(self, x: Tensor2, tape: GradTape | None = None) -> Tensor2:
+    def forward(self, x: Tensor2, tape: GradTape | None = None,
+                work: list | None = None) -> Tensor2:
+        """One nk.dense record per layer. Without a tape, the list work gains
+        each layer's buffers on the first call, reused by later calls on as many
+        rows and the same weights (a temporary per op made the chain's speed
+        depend on where the allocator placed it)."""
         h = x
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = nk.add(nk.matmul(h, nk.transpose(w, tape), tape), b, tape)
-            if i != last:
-                h = nk.smooth_nonlinearity(h, tape)
-        return h
-
-    def workspace(self, rows: int) -> tuple[np.ndarray, list]:
-        """Buffers for forward_into on `rows` rows: the input rows, then per
-        layer the C-order transposed weight nk.transpose makes and two
-        (rows x fan_out) arrays."""
-        layers = [
-            (np.ascontiguousarray(w.data.T), np.empty((rows, w.rows)), np.empty((rows, w.rows)))
-            for w, _ in self.layers
-        ]
-        return np.empty((rows, self.input_dim)), layers
-
-    def forward_into(self, x: np.ndarray, work: tuple[np.ndarray, list]) -> np.ndarray:
-        """forward without a tape: the same float operations, written into
-        the buffers of workspace(rows), so a reverse step allocates no
-        layer-sized array (a large temporary per op made the chain's speed
-        depend on where the allocator placed it). The result is a buffer
-        that the next call overwrites."""
-        h = x
-        last = len(self.layers) - 1
-        for i, ((_, b), (w_t, out, gate)) in enumerate(zip(self.layers, work[1])):
-            np.matmul(h, w_t, out=out)
-            np.add(out, b.data, out=out)
-            if i != last:
-                nk.sigmoid_gate(out, gate)
-                np.multiply(out, gate, out=out)
-            h = out
+        for i, (w, b) in enumerate(self.layers, start=1):
+            if work is not None and len(work) == i:
+                work.append((w.data.T.copy(), *np.empty((2, x.rows, w.rows))))
+            h = nk.dense(h, w, b, i < len(self.layers), tape, None if work is None else work[i])
         return h
 
 
@@ -164,14 +143,13 @@ def eps_predict(
     d: np.ndarray,
     temb: np.ndarray,
     tape: GradTape | None = None,
-    work: tuple[np.ndarray, list] | None = None,
+    work: list | None = None,
 ) -> Tensor2:
     """Batched noise prediction; temb is one timestep-embedding row shared by
     every item or one row per item (rows of NoiseSchedule.temb).
 
-    Without a tape the net runs in the buffers of work (net.workspace(n),
-    made here when not given); the reverse chain passes the same work at
-    every step.
+    The reverse chain passes one work at every step: x is built in work[0],
+    (n x net.input_dim), and the net writes its result into the rest.
     """
     parts = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d)]
     n = parts[0].shape[0]
@@ -181,10 +159,8 @@ def eps_predict(
         raise ContractError(
             f"conditioning width {width} does not match net input {net.input_dim}"
         )
-    if tape is not None:
-        return net.forward(Tensor2(np.concatenate(parts, axis=1)), tape)
-    work = net.workspace(n) if work is None else work
-    return Tensor2(net.forward_into(np.concatenate(parts, axis=1, out=work[0]), work))
+    x = np.concatenate(parts, axis=1, out=None if work is None else work[0])
+    return net.forward(Tensor2(x), tape, work)
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
@@ -403,7 +379,7 @@ def sample_chain_batch(
     if sched.t_total in record:
         snapshots[sched.t_total] = y.copy()
 
-    work = net.workspace(n)
+    work = [np.empty((n, net.input_dim))]
     for hop, t in enumerate(range(sched.t_total, 0, -1), start=1):
         eps_hat = eps_predict(net, f, y, y_hat0, d, sched.temb[t], work=work).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
@@ -419,6 +395,11 @@ def sample_chain_batch(
 # the desk eval (5,495 rows, 2-core box) peaked at 55 MB RSS with 512-row blocks,
 # 59 MB with 1,024 and 121 MB with one block, and larger blocks ran no faster
 ROW_BLOCK = 512
+# blocks are padded with zero rows to whole BLAS row tiles, so a row's bits do
+# not depend on its block: OpenBLAS 0.3.31 (Haswell kernels) rounds a partial
+# 4-row tile of the k = 3 head differently, and numpy sends one row down its
+# matrix-vector path. 4 rows sufficed there; 16 leaves room for wider tiles
+ROW_TILE = 16
 
 
 def sample_chains(
@@ -428,7 +409,8 @@ def sample_chains(
     """Run n_samples reverse chains per item, chain s of item i on the
     chain_noise of (seed, keys[i], s). Returns each item's mean final state
     and, per recorded step, the states of every chain, (n_samples, n, k).
-    A chain's noise depends on its (item key, sample) alone, not on batching."""
+    A chain's noise, and so its bits, depend on its (item key, sample) alone,
+    not on batching."""
     n, k = prior.shape
     keys = np.asarray(keys)
     # numpy refuses an array of more bytes than it can index before allocating
@@ -437,19 +419,18 @@ def sample_chains(
     rows = np.arange(n_samples * n)
     states = {t: np.empty((n_samples, n, k)) for t in record_steps}
     total = np.zeros((n, k))
-    # sample-major rows: row r is chain r // n of item r % n, in equal blocks,
-    # so no block of one row takes numpy's matrix-vector path, whose rounding
-    # differs from the matrix-matrix one
-    for block in np.array_split(rows, -(-rows.size // ROW_BLOCK)):
-        samples, items = np.divmod(block, n)
-        noise = chain_noise(seed, keys[items], samples, sched.t_total, k)
+    # sample-major rows: row r is chain r // n of item r % n
+    for lo in range(0, rows.size, ROW_BLOCK):
+        samples, items = np.divmod(rows[lo:lo + ROW_BLOCK], n)
+        pad = lambda a: np.pad(a, [(0, -items.size % ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
+        noise = pad(chain_noise(seed, keys[items], samples, sched.t_total, k))
         final, snaps = sample_chain_batch(
-            net, f[items], d[items], prior[items], sched, noise, states.keys())
+            net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, states.keys())
         # a block can hold several chains of one item: add.at adds every
         # row, in row order, which is sample order
-        np.add.at(total, items, final)
+        np.add.at(total, items, final[:items.size])
         for t, snap in snaps.items():
-            states[t][samples, items] = snap
+            states[t][samples, items] = snap[:items.size]
     return total / n_samples, states
 
 

@@ -146,24 +146,18 @@ class GuidanceModel:
     def encode_batch(self, x: np.ndarray | Tensor2, tape: GradTape | None = None) -> Tensor2:
         """Unit-norm embeddings for a batch of raw feature rows."""
         xt = x if isinstance(x, Tensor2) else Tensor2(np.atleast_2d(x))
-        h = nk.smooth_nonlinearity(
-            nk.add(nk.matmul(xt, nk.transpose(self.w1, tape), tape), self.b1, tape),
-            tape,
-        )
-        base = nk.matmul(h, nk.transpose(self.w2, tape), tape)
-        low = nk.matmul(h, nk.transpose(self.adapter.a, tape), tape)
-        inc = nk.scale(
-            nk.matmul(low, nk.transpose(self.adapter.b, tape), tape),
-            self.adapter.increment_scale,
-            tape,
-        )
+        h = nk.dense(xt, self.w1, self.b1, True, tape)
+        base = nk.dense(h, self.w2, None, False, tape)
+        low = nk.dense(h, self.adapter.a, None, False, tape)
+        inc = nk.dense(low, self.adapter.b, None, False, tape)
+        inc = nk.scale(inc, self.adapter.increment_scale, tape)
         z = nk.add(nk.add(base, inc, tape), self.b2, tape)
         return nk.l2_normalize_rows(z, tape=tape)
 
     def similarity_batch(self, f: Tensor2, tape: GradTape | None = None) -> Tensor2:
         """Cosine similarities f . normalized-prompt-rows^T, one row per item."""
         p = nk.l2_normalize_rows(self.prompts, tape=tape)
-        return nk.matmul(f, nk.transpose(p, tape), tape)
+        return nk.dense(f, p, None, False, tape)
 
 
 @lru_cache(maxsize=None)

@@ -31,12 +31,13 @@ Array = np.ndarray
 
 
 class Tensor2:
-    """A rows x cols matrix of float64."""
+    """A rows x cols float64 matrix. It wraps a float64 array without a copy,
+    so it aliases it: a checkpoint's tensors (np.frombuffer) are read-only."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -164,6 +165,41 @@ def backward(
 # operations
 
 
+def dense(
+    x: Tensor2, w: Tensor2, b: Tensor2 | None, gate: bool,
+    tape: GradTape | None = None, out: tuple[Array, Array, Array] | None = None,
+) -> Tensor2:
+    """x @ w.T (+ b if any), gated by smooth_nonlinearity if gate: one record
+    running the floats and layouts of transpose, matmul, add and gate, so
+    values and gradients keep their bits (a matmul against the w.T view, not
+    a C-order copy, rounds differently for a narrow output). Without a tape,
+    out may hold w.T in C order and two rows x w.rows arrays to write into."""
+    if x.cols != w.cols or (b is not None and b.shape != (1, w.rows)):
+        raise DimensionError(f"dense shape mismatch: {x.shape} @ {w.shape}.T")
+    wt, z, sig = (w.data.T.copy(), None, None) if out is None or tape is not None else out
+    z = np.matmul(x.data, wt, out=z)
+    if b is not None:
+        np.add(z, b.data, out=z)
+    adj = lambda g: g
+    if gate:
+        sig = sigmoid_gate(z, np.empty_like(z) if sig is None else sig)
+        if tape is not None:
+            deriv, memo = sig + z * 1.702 * sig * (1.0 - sig), [None, None]
+            def adj(g):  # the gated adjoint, made once for all the vjps
+                if memo[0] is not g:
+                    memo[:] = g, g * deriv
+                return memo[1]
+        np.multiply(z, sig, out=z)
+    res = Tensor2(z)
+    if tape is not None:
+        xd, vjps = x.data, [lambda g: adj(g) @ wt.T, lambda g: (xd.T @ adj(g)).T]
+        if b is not None:
+            # one row adds b without broadcasting, so its adjoint is not summed
+            vjps.append(adj if x.rows == 1 else lambda g: adj(g).sum(axis=0, keepdims=True))
+        tape.record(res, (x, w, b)[: len(vjps)], vjps)
+    return res
+
+
 def matmul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
     if a.cols != b.rows:
         raise DimensionError(
@@ -177,9 +213,6 @@ def matmul(a: Tensor2, b: Tensor2, tape: GradTape | None = None) -> Tensor2:
 
 
 def transpose(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
-    # the copy stays: a matmul against the transposed view instead rounds
-    # differently when the output is narrow (the k = 5 denoiser head, the
-    # rank-8 adapter), so checkpoints would change
     out = Tensor2(a.data.T.copy())
     if tape is not None:
         tape.record(out, (a,), (lambda g: g.T,))

@@ -200,22 +200,23 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
     assert b1 == (tmp_path / "r2.json").read_bytes()
 
     # the same items in four chunks, each keeping its own item keys, get the
-    # predictions of one whole batch, and those are what the report counts
+    # mean final states of one whole batch, bit for bit, and their grades
+    # are what the report counts
     model, (net, sched), _, test = pl.load_run(
         data_dir, cfg, desk_ablation["guidance"], desk_ablation["denoiser"]
     )
     f_all, d_all, prior_all = pl.conditioning(model, test.features)
     keys = np.arange(test.n)
 
-    def predict(rows):
+    def means(rows):
         mean, _ = df.sample_chains(net, sched, f_all[rows], d_all[rows], prior_all[rows],
                                    cfg.seed, keys[rows], cfg.n_samples)
-        return np.argmax(mean, axis=1)
+        return mean
 
-    whole = predict(keys)
-    chunked = np.concatenate([predict(rows) for rows in np.array_split(keys, 4)])
-    np.testing.assert_array_equal(whole, chunked)
-    counts, _, _, _ = confusion_and_metrics(whole, test.labels, test.k)
+    whole = means(keys)
+    chunked = np.concatenate([means(rows) for rows in np.array_split(keys, 4)])
+    assert np.array_equal(whole, chunked)
+    counts, _, _, _ = confusion_and_metrics(np.argmax(whole, axis=1), test.labels, test.k)
     assert counts.tolist() == json.loads(b1)["confusion"]
 
     # variance of the 5-chain average vs a single chain, 200 repeats

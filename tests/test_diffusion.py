@@ -29,16 +29,10 @@ class StubNet:
     def input_dim(self):
         return self.d_model + 3 * self.k + df.TEMB_DIM
 
-    def forward(self, x, tape=None):
+    def forward(self, x, tape=None, work=None):
         n = x.rows
         out = np.broadcast_to(self._out, (n, self._out.shape[1])).copy()
         return Tensor2(out)
-
-    def workspace(self, rows):
-        return np.empty((rows, self.input_dim)), []
-
-    def forward_into(self, x, work):
-        return self.forward(Tensor2(x)).data
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +198,17 @@ def test_eps_predict_without_tape_matches_taped_forward():
     args = [rng.standard_normal((6, 8)), rng.standard_normal((6, 3)),
             rng.dirichlet(np.ones(3), 6), rng.standard_normal((6, 3)),
             DESK_SCHED.temb[[1, 7, 7, 50, 99, 100]]]
-    taped = df.eps_predict(net, *args, tape=GradTape()).data
+    tape = GradTape()
+    taped = df.eps_predict(net, *args, tape=tape).data
+    assert len(tape) == len(net.layers)
     assert np.array_equal(df.eps_predict(net, *args).data, taped)
-    work = net.workspace(6)
+    work = [np.empty((6, net.input_dim))]
     other = [a[::-1].copy() for a in args]
-    df.eps_predict(net, *other, work=work)
+    first = df.eps_predict(net, *other, work=work).data
+    assert len(work) == 1 + len(net.layers)
     assert np.array_equal(df.eps_predict(net, *args, work=work).data, taped)
+    # the result is the head's buffer, which the next call overwrote
+    assert first is work[-1][1]
 
 
 def _noise(rngs, sched, k):
@@ -380,7 +379,7 @@ def test_forward_sample_per_row_timesteps_match_single_rows():
 class PerRowStub(StubNet):
     """Returns its matrix row-for-row."""
 
-    def forward(self, x, tape=None):
+    def forward(self, x, tape=None, work=None):
         return Tensor2(self._out[: x.rows])
 
 
@@ -652,13 +651,6 @@ def _chain_inputs(n, k=5, t_total=20):
     return net, df.make_schedule(t_total, 1e-3, 0.2), f, d, prior
 
 
-# The two tests below compare a row's bits across blocks of other sizes,
-# which holds only while BLAS rounds a row the same wherever it sits in the
-# product. They run at the desk's five grades: with three, OpenBLAS's head
-# matmul (128 -> 3) rounds the rows of a block's last, partial 4-row tile
-# differently, by up to 1 ulp (CHANGES.md).
-
-
 def test_sample_chains_blocks_equal_one_batch():
     # 150 items x 4 chains span two row blocks; the states and the mean equal
     # one sample_chain_batch call over all sample-major rows on the same noise
@@ -684,36 +676,66 @@ def test_sample_chains_chain_0_does_not_depend_on_n_samples():
     # the trajectory export's chain 0 is the first chain evaluate averages,
     # at any sample count, including one that spans several row blocks
     n, record = 7, {20, 10, 0}
-    net, sched, f, d, prior = _chain_inputs(n)
-    keys = np.arange(n)
-    _, first = df.sample_chains(net, sched, f, d, prior, 9, keys, 1, record)
-    for n_samples in (3, df.ROW_BLOCK // n + 5):
-        _, states = df.sample_chains(net, sched, f, d, prior, 9, keys, n_samples, record)
-        for t in record:
-            assert states[t].shape == (n_samples, n, 5)
-            assert np.array_equal(states[t][0], first[t][0])
+    for k in (3, 5):
+        net, sched, f, d, prior = _chain_inputs(n, k)
+        keys = np.arange(n)
+        _, first = df.sample_chains(net, sched, f, d, prior, 9, keys, 1, record)
+        for n_samples in (3, df.ROW_BLOCK // n + 5):
+            _, states = df.sample_chains(net, sched, f, d, prior, 9, keys, n_samples, record)
+            for t in record:
+                assert states[t].shape == (n_samples, n, k)
+                assert np.array_equal(states[t][0], first[t][0])
+
+
+@pytest.mark.parametrize("n_samples", [1, 5])
+@pytest.mark.parametrize("k", [3, 5])
+def test_sample_chains_subset_means_equal_the_full_sets(k, n_samples):
+    # an item's mean has the same bits in any subset that keeps its key: each
+    # block is padded to whole BLAS row tiles, so no row rounds as a partial
+    # tile's (the k = 3 head) or as a one-row product does
+    n = 192
+    net, sched, f, d, prior = _chain_inputs(n, k)
+    keys = np.arange(n) * 7 + 3
+    full, _ = df.sample_chains(net, sched, f, d, prior, 13, keys, n_samples)
+    lo = 0
+    for size in (1, 7, 30, 113, 41):
+        rows = slice(lo, lo + size)
+        mean, _ = df.sample_chains(net, sched, f[rows], d[rows], prior[rows], 13,
+                                   keys[rows], n_samples)
+        assert np.array_equal(mean, full[rows]), size
+        lo += size
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_sample_chains_mean_sums_every_chain_in_sample_order(k):
     # 7 items x 5 chains fit in one block, which then holds five chains of
-    # each item: every one is added, in sample order, before the division
+    # each item: every one is added, in sample order, before the division;
+    # the 35 rows run in 48 (whole row tiles), with zero rows after them
     n, n_samples = 7, 5
     net, sched, f, d, prior = _chain_inputs(n, k)
     keys = np.arange(n) + 100
     mean, states = df.sample_chains(net, sched, f, d, prior, 11, keys, n_samples)
     assert states == {}
     samples, items = np.repeat(np.arange(n_samples), n), np.tile(np.arange(n), n_samples)
-    noise = df.chain_noise(11, keys[items], samples, sched.t_total, k)
-    final, _ = df.sample_chain_batch(net, f[items], d[items], prior[items], sched, noise)
+    pad = lambda a: np.concatenate([a, np.zeros((13,) + a.shape[1:])])
+    noise = pad(df.chain_noise(11, keys[items], samples, sched.t_total, k))
+    final, _ = df.sample_chain_batch(net, pad(f[items]), pad(d[items]), pad(prior[items]),
+                                     sched, noise)
+    final = final[:n * n_samples]
     total = np.zeros((n, k))
     for chain in final.reshape(n_samples, n, k):
         total += chain
     assert np.array_equal(mean, total / n_samples)
 
 
-@pytest.mark.parametrize("sched", [PAPER_SCHED, DESK_SCHED], ids=["paper", "desk"])
+@pytest.mark.parametrize(
+    "sched",
+    [PAPER_SCHED, DESK_SCHED, df.make_schedule(1, 0.3, 0.3), df.make_schedule(20, 1e-3, 0.2)],
+    ids=["paper", "desk", "t1", "t20"],
+)
 def test_schedule_temb_rows_are_timestep_embeddings(sched):
+    # the table is made in one call over every step; it keeps the bits of
+    # one call per step
     assert sched.temb.shape == (sched.t_total + 1, df.TEMB_DIM)
     for t in range(sched.t_total + 1):
         assert sched.temb[t].tobytes() == df.timestep_embedding(t).tobytes()

@@ -232,7 +232,7 @@ def test_backward_returns_fresh_c_order_arrays():
     c = Tensor2(rng.standard_normal((5, 3)))
     e = Tensor2(rng.standard_normal((5, 3)))
     tape = GradTape()
-    layer = nk.add(nk.matmul(x, nk.transpose(w, tape), tape), b, tape)
+    layer = nk.dense(x, w, b, False, tape)
     z = nk.add(layer, nk.add(c, e, tape), tape)
     loss = nk.sum_all(nk.mul(z, z, tape), tape)
     params = [x, w, b, c, e]
@@ -333,39 +333,40 @@ def test_pruned_backward_matches_full_sweep_on_epsilon_loss(seed):
 
 
 def test_stage1_backward_makes_no_product_for_the_frozen_encoder(monkeypatch):
-    # every matmul of the guidance loss, named by its right operand (a
-    # transposed weight, or the normalized prompts), and each product its
-    # vjps compute: 0 for the left operand's adjoint, 1 for the right's
+    # every dense layer of the guidance loss, named by its weight (or the
+    # normalized prompts), and each vjp it runs: 0 for the input's adjoint,
+    # 1 for the weight's, 2 for the bias's
     model = _adapted_model(4)
     feats, labels = _guidance_batch(4)
     names = {"w1": model.w1, "w2": model.w2, "lora_a": model.adapter.a,
              "lora_b": model.adapter.b}
     products = []
-    matmul = nk.matmul
+    dense = nk.dense
 
-    def counting(a, b, tape=None):
-        out = matmul(a, b, tape)
-        name = next((k for k, w in names.items() if np.array_equal(b.data, w.data.T)),
-                    "prompts")
-        if np.array_equal(a.data, feats):
+    def counting(x, w, b, gate, tape=None, out=None):
+        res = dense(x, w, b, gate, tape, out)
+        name = next((k for k, t in names.items() if t is w), "prompts")
+        if np.array_equal(x.data, feats):
             name += " on the input batch"
-        res, inputs, vjps = tape._records[-1]
+        _, inputs, vjps = tape._records[-1]
         tape._records[-1] = (res, inputs, tuple(
             lambda g, side=side, vjp=vjp: products.append((name, side)) or vjp(g)
             for side, vjp in enumerate(vjps)
         ))
-        return out
+        return res
 
-    monkeypatch.setattr(nk, "matmul", counting)
+    monkeypatch.setattr(nk, "dense", counting)
     tape = GradTape()
     loss = gd.guidance_loss(feats, labels, model, 1.0, 0.05, tape)
     stage1 = model.lora_params() + model.prompt_params()
 
     full_backward(loss, tape, stage1)
     assert sorted(products) == sorted(
-        (name, side)
-        for name in ("w1 on the input batch", "w2", "lora_a", "lora_b", "prompts")
-        for side in (0, 1)
+        [("w1 on the input batch", 2)] + [
+            (name, side)
+            for name in ("w1 on the input batch", "w2", "lora_a", "lora_b", "prompts")
+            for side in (0, 1)
+        ]
     )
     products.clear()
     backward(loss, tape, stage1)
@@ -374,6 +375,70 @@ def test_stage1_backward_makes_no_product_for_the_frozen_encoder(monkeypatch):
     assert sorted(products) == [
         ("lora_a", 1), ("lora_b", 0), ("lora_b", 1), ("prompts", 0), ("prompts", 1),
     ]
+
+
+# ---------------------------------------------------------------------------
+# dense against the per-op chain it replaces
+
+
+def _per_op_dense(x, w, b, gate, tape):
+    """One dense layer as the ops it was first written with: the C-order
+    transposed weight, the matmul, the bias add and the gate."""
+    h = nk.matmul(x, nk.transpose(w, tape), tape)
+    if b is not None:
+        h = nk.add(h, b, tape)
+    return nk.smooth_nonlinearity(h, tape) if gate else h
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 32, 65])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("gate", [True, False])
+@pytest.mark.parametrize("fan_in,fan_out", [(77, 128), (128, 3)])
+def test_dense_matches_the_per_op_chain(rows, bias, gate, fan_in, fan_out):
+    # one row is numpy's matrix-vector path; 128 -> 3 is a narrow head
+    rng = np.random.default_rng(rows * 7 + fan_out)
+    x = Tensor2(rng.standard_normal((rows, fan_in)))
+    w = Tensor2(rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in))
+    b = Tensor2(rng.standard_normal((1, fan_out))) if bias else None
+    c = Tensor2(rng.standard_normal((rows, fan_out)))
+    # a -0.0 adjoint keeps its sign through the one-row bias add, and a sum
+    # over rows would turn it into 0.0
+    c.data[0, 0] = -0.0
+    params = [x, w] + ([b] if bias else [])
+    results = []
+    for layer in (nk.dense, _per_op_dense):
+        tape = GradTape()
+        out = layer(x, w, b, gate, tape)
+        loss = nk.mean_all(nk.mul(out, c, tape), tape)
+        results.append((out.data, backward(loss, tape, params), backward(loss, tape, [w])))
+        if layer is nk.dense:
+            assert len(tape) == 3
+    (out, grads, (w_only,)), (ref, ref_grads, (ref_w_only,)) = results
+    assert _same_bits(out, ref)
+    assert _same_bits(nk.dense(x, w, b, gate).data, ref)
+    assert all(_same_bits(g, r) for g, r in zip(grads, ref_grads, strict=True))
+    assert _same_bits(w_only, ref_w_only) and _same_bits(w_only, grads[1])
+
+
+def test_dense_writes_into_a_reused_workspace():
+    rng = np.random.default_rng(5)
+    w, b = Tensor2(rng.standard_normal((4, 6))), Tensor2(rng.standard_normal((1, 4)))
+    work = (w.data.T.copy(), np.empty((3, 4)), np.empty((3, 4)))
+    for _ in range(2):
+        x = Tensor2(rng.standard_normal((3, 6)))
+        out = nk.dense(x, w, b, True, out=work)
+        assert out.data is work[1]
+        assert _same_bits(out.data, nk.dense(x, w, b, True).data)
+    # a taped layer keeps its own arrays, which its vjps read
+    assert nk.dense(x, w, b, True, GradTape(), out=work).data is not work[1]
+    with pytest.raises(DimensionError):
+        nk.dense(x, Tensor2(np.zeros((4, 5))), None, False)
+    with pytest.raises(DimensionError):
+        nk.dense(x, w, Tensor2(np.zeros((1, 3))), False)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +517,12 @@ def test_cross_entropy_hand_case():
     expected = -np.log(np.e / (np.e + 1.0))
     assert loss.item() == pytest.approx(expected, abs=1e-12)
     assert loss.item() == pytest.approx(0.3133, abs=1e-4)
+
+
+def test_tensor2_wraps_a_float64_array_without_copying():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor2(a).data is a
+    assert Tensor2(np.arange(3)).data.dtype == np.float64
 
 
 def test_tensor2_shape_and_item_contracts():
