@@ -87,14 +87,12 @@ class SyntheticConfig:
             raise ConfigError("seed must be >= 0")
 
 
-def apportion(n: int, proportions: tuple[float, ...]) -> list[int]:
-    """Largest-remainder allocation of n slots; ties go to the smaller index."""
-    quotas = [n * p for p in proportions]
+def apportion(total: int, quotas) -> list[int]:
+    """Round quotas to integers that sum to total: floors first, then one more
+    for each of the largest remainders; ties go to the smaller index."""
     counts = [int(np.floor(q)) for q in quotas]
-    leftover = n - sum(counts)
-    remainders = sorted(
-        range(len(proportions)), key=lambda j: (-(quotas[j] - counts[j]), j)
-    )
+    leftover = total - sum(counts)
+    remainders = sorted(range(len(counts)), key=lambda j: (-(quotas[j] - counts[j]), j))
     for j in remainders[:leftover]:
         counts[j] += 1
     return counts
@@ -109,7 +107,7 @@ def class_means(cfg: SyntheticConfig) -> np.ndarray:
 
 
 def _draw(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    counts = apportion(cfg.n, cfg.proportions)
+    counts = apportion(cfg.n, [cfg.n * p for p in cfg.proportions])
     means = class_means(cfg)
     feats = np.empty((cfg.n, cfg.d_in))
     labels = np.empty(cfg.n, dtype=np.int64)
@@ -127,8 +125,6 @@ def apply_domain_shift(
     """Rotate in the plane of axes (0,1), rotate by the same angle in a seeded
     random 2-plane disjoint from those axes, then add a bias along axis 0."""
     d = features.shape[1]
-    if d < 2:
-        raise ConfigError("domain shift requires d_in >= 2")
     out = features.copy()
 
     c, s = np.cos(shift_angle), np.sin(shift_angle)
@@ -163,25 +159,14 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Dataset]:
     return source, target
 
 
-def stratified_split(
-    ds: Dataset, train_fraction: float = 0.7, seed: int = 0
-) -> tuple[Dataset, Dataset]:
-    """Per-class split: floor(count * fraction) to train, leftovers by largest
-    fractional remainder (ties toward the smaller class index)."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigError("train_fraction must be in (0, 1)")
+def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Per-class split of floor(n * fraction) train rows, apportioned from each
+    class's count * fraction; train_fraction is a checked value in (0, 1)."""
     counts = np.bincount(ds.labels, minlength=ds.k)
     if np.any(counts == 0):
         empty = int(np.argmin(counts))
         raise DataError(f"class {empty} has no samples; cannot stratify")
-
-    quotas = counts * train_fraction
-    takes = np.floor(quotas).astype(int)
-    total_train = int(np.floor(ds.n * train_fraction))
-    leftover = total_train - int(takes.sum())
-    order = sorted(range(ds.k), key=lambda j: (-(quotas[j] - takes[j]), j))
-    for j in order[:leftover]:
-        takes[j] += 1
+    takes = apportion(int(np.floor(ds.n * train_fraction)), counts * train_fraction)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SUB_SPLIT)))
     train_idx: list[int] = []

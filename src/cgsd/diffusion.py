@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numkit as nk
 from .data import NUMBER, load_checkpoint, save_checkpoint
-from .errors import ConfigError, ContractError, DataError, ParseError
+from .errors import ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
 # v3 is the zip checkpoint of data.save_checkpoint; v2 was its JSON
@@ -45,10 +45,8 @@ class NoiseSchedule:
 
 
 def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSchedule:
-    if t_total < 1:
-        raise ConfigError("t_total must be >= 1")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError("require 0 < beta_start <= beta_end < 1")
+    """Linear betas over t_total steps; callers pass RunConfig's or a denoiser
+    checkpoint's checked values (t_total >= 1, 0 < beta_start <= beta_end < 1)."""
     beta = beta_start + np.arange(t_total) * (beta_end - beta_start) / max(t_total - 1, 1)
     alpha_bar = np.empty(t_total + 1)
     alpha_bar[0] = 1.0

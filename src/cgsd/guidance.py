@@ -1,6 +1,6 @@
-"""Stage-1 guidance model: frozen two-layer encoder, a low-rank adapter on
-the output projection, learnable per-grade prompt embeddings and a learnable
-logit scale.
+"""Stage-1 guidance model: frozen two-layer encoder, a low-rank increment
+(LoRA) on the output projection, learnable per-grade prompt embeddings and a
+learnable logit scale.
 
 The model emits, for a raw feature vector, a unit-norm embedding f, a
 grade-similarity vector d (cosine of f against each normalized prompt row)
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numkit as nk
 from .data import NUMBER, load_checkpoint, save_checkpoint
-from .errors import ConfigError, ContractError, DataError, ParseError
+from .errors import ContractError, DataError, ParseError
 from .numkit import GradTape, Tensor2
 
 LOG_SCALE_INIT = math.log(1.0 / 0.07)
@@ -31,49 +31,10 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 GUIDANCE_FORMAT = "cgsd-guidance-v2"
 
 
-class LoraAdapter:
-    """Trainable low-rank increment (alpha/rank) * B @ A for a frozen matrix.
-
-    B starts at zero so the increment vanishes at initialization.
-    """
-
-    def __init__(self, a: Tensor2, b: Tensor2, rank: int, alpha: float):
-        if rank < 1:
-            raise ConfigError("adapter rank must be >= 1")
-        d_in, d_out = a.cols, b.rows
-        if rank > min(d_in, d_out):
-            raise ConfigError(
-                f"rank {rank} exceeds min(d_in={d_in}, d_out={d_out})"
-            )
-        if a.rows != rank or b.cols != rank:
-            raise ConfigError("adapter matrices inconsistent with rank")
-        if alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        self.a = a
-        self.b = b
-        self.rank = rank
-        self.alpha = alpha
-
-    @classmethod
-    def init(
-        cls, d_in: int, d_out: int, rank: int, alpha: float, rng: np.random.Generator
-    ) -> "LoraAdapter":
-        if rank < 1 or rank > min(d_in, d_out):
-            raise ConfigError(
-                f"rank {rank} invalid for shapes d_in={d_in}, d_out={d_out}"
-            )
-        a = Tensor2(rng.standard_normal((rank, d_in)) / math.sqrt(d_in))
-        b = Tensor2(np.zeros((d_out, rank)))
-        return cls(a, b, rank, alpha)
-
-    @property
-    def increment_scale(self) -> float:
-        return self.alpha / self.rank
-
-
 class GuidanceModel:
-    """Encoder MLP (d_in -> hidden -> d_model) with an adapter on the output
-    projection, plus K prompt rows and a log scale."""
+    """Encoder MLP (d_in -> hidden -> d_model) whose output projection w2 gets
+    the low-rank increment (alpha / rank) * lora_b @ lora_a, rank = lora_a.rows
+    (zero at build: lora_b starts at zero), plus K prompt rows and a log scale."""
 
     def __init__(
         self,
@@ -81,18 +42,20 @@ class GuidanceModel:
         b1: Tensor2,
         w2: Tensor2,
         b2: Tensor2,
-        adapter: LoraAdapter,
+        lora_a: Tensor2,
+        lora_b: Tensor2,
+        alpha: float,
         prompts: Tensor2,
         log_scale: Tensor2,
         frozen_base: bool = True,
     ):
-        if prompts.rows < 2:
-            raise ConfigError("need at least two grade prompts")
         self.w1 = w1
         self.b1 = b1
         self.w2 = w2
         self.b2 = b2
-        self.adapter = adapter
+        self.lora_a = lora_a
+        self.lora_b = lora_b
+        self.alpha = alpha
         self.prompts = prompts
         self.log_scale = log_scale
         self.frozen_base = frozen_base
@@ -114,10 +77,11 @@ class GuidanceModel:
         b1 = Tensor2(np.zeros((1, hidden)))
         w2 = Tensor2(rng.standard_normal((d_model, hidden)) / math.sqrt(hidden))
         b2 = Tensor2(np.zeros((1, d_model)))
-        adapter = LoraAdapter.init(hidden, d_model, rank, alpha, rng)
+        lora_a = Tensor2(rng.standard_normal((rank, hidden)) / math.sqrt(hidden))
+        lora_b = Tensor2(np.zeros((d_model, rank)))
         prompts = Tensor2(rng.standard_normal((k, d_model)))
         log_scale = Tensor2(np.array([[LOG_SCALE_INIT]]))
-        return cls(w1, b1, w2, b2, adapter, prompts, log_scale, frozen_base)
+        return cls(w1, b1, w2, b2, lora_a, lora_b, alpha, prompts, log_scale, frozen_base)
 
     @property
     def k(self) -> int:
@@ -131,7 +95,7 @@ class GuidanceModel:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def lora_params(self) -> list[Tensor2]:
-        return [self.adapter.a, self.adapter.b]
+        return [self.lora_a, self.lora_b]
 
     def prompt_params(self) -> list[Tensor2]:
         # log_scale trains in the prompt group
@@ -148,9 +112,9 @@ class GuidanceModel:
         xt = x if isinstance(x, Tensor2) else Tensor2(np.atleast_2d(x))
         h = nk.dense(xt, self.w1, self.b1, True, tape)
         base = nk.dense(h, self.w2, None, False, tape)
-        low = nk.dense(h, self.adapter.a, None, False, tape)
-        inc = nk.dense(low, self.adapter.b, None, False, tape)
-        inc = nk.scale(inc, self.adapter.increment_scale, tape)
+        low = nk.dense(h, self.lora_a, None, False, tape)
+        inc = nk.dense(low, self.lora_b, None, False, tape)
+        inc = nk.scale(inc, self.alpha / self.lora_a.rows, tape)
         z = nk.add(nk.add(base, inc, tape), self.b2, tape)
         return nk.l2_normalize_rows(z, tape=tape)
 
@@ -271,8 +235,8 @@ def save_guidance(path: str | Path, model: GuidanceModel) -> None:
         "hidden": model.w1.rows,
         "d_model": model.w2.rows,
         "k": model.k,
-        "rank": model.adapter.rank,
-        "alpha": model.adapter.alpha,
+        "rank": model.lora_a.rows,
+        "alpha": model.alpha,
         "log_scale": model.log_scale.item(),
     }
     tensors = {
@@ -280,8 +244,8 @@ def save_guidance(path: str | Path, model: GuidanceModel) -> None:
         "b1": model.b1.data,
         "w2": model.w2.data,
         "b2": model.b2.data,
-        "lora_a": model.adapter.a.data,
-        "lora_b": model.adapter.b.data,
+        "lora_a": model.lora_a.data,
+        "lora_b": model.lora_b.data,
         "prompts": model.prompts.data,
     }
     save_checkpoint(path, GUIDANCE_FORMAT, meta, tensors)
@@ -322,10 +286,7 @@ def load_guidance(path: str | Path) -> GuidanceModel:
         _tensor_shapes,
     )
     t = {name: Tensor2(a) for name, a in w.items()}
-    adapter = LoraAdapter(t["lora_a"], t["lora_b"], doc["rank"], doc["alpha"])
-    model = GuidanceModel(
-        t["w1"], t["b1"], t["w2"], t["b2"], adapter, t["prompts"],
-        Tensor2(np.array([[doc["log_scale"]]])),
-        frozen_base=doc["frozen"],
+    return GuidanceModel(
+        t["w1"], t["b1"], t["w2"], t["b2"], t["lora_a"], t["lora_b"], doc["alpha"],
+        t["prompts"], Tensor2(np.array([[doc["log_scale"]]])), frozen_base=doc["frozen"],
     )
-    return model

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .numkit import Tensor2
 
 
@@ -83,17 +83,13 @@ class EmaState:
 
 @dataclass
 class LrPlan:
+    """Warmup then cosine annealing; callers pass checked values, with
+    0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
     base_lr: float
     min_lr: float
     warmup_start_lr: float
     warmup_epochs: int
     total_epochs: int
-
-    def __post_init__(self):
-        if not (0 < self.min_lr <= self.base_lr):
-            raise ConfigError("require 0 < min_lr <= base_lr")
-        if self.warmup_epochs >= self.total_epochs:
-            raise ConfigError("warmup_epochs must be < total_epochs")
 
 
 def _moments(grad: np.ndarray, state: AdamState) -> np.ndarray:
@@ -159,9 +155,9 @@ def lr_at(epoch: int, plan: LrPlan) -> float:
         return plan.warmup_start_lr + (plan.base_lr - plan.warmup_start_lr) * frac
     span = plan.total_epochs - 1 - plan.warmup_epochs
     progress = 0.0 if span == 0 else (epoch - plan.warmup_epochs) / span
-    return plan.min_lr + 0.5 * (plan.base_lr - plan.min_lr) * (
-        1.0 + math.cos(math.pi * progress)
-    )
+    # min_lr + (base_lr - min_lr) can round one ulp above base_lr
+    cosine = 0.5 * (plan.base_lr - plan.min_lr) * (1.0 + math.cos(math.pi * progress))
+    return min(plan.base_lr, plan.min_lr + cosine)
 
 
 def ema_update(ema: EmaState, params: np.ndarray) -> None:
@@ -179,8 +175,6 @@ def clip_grad_norm(flat: FlatParams, max_norm: float) -> float:
     the norm before clipping. The norm sums each tensor's squares over its
     C-order view and then adds them tensor by tensor, because a sum rounds by
     how its values are laid out."""
-    if max_norm <= 0:
-        raise ConfigError("max_norm must be positive")
     total = math.sqrt(sum(float(np.sum(g * g)) for g in flat.grads))
     if total > max_norm:
         flat.grad *= max_norm / total

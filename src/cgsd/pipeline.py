@@ -72,18 +72,23 @@ class RunConfig:
     def __post_init__(self):
         least = {
             "pretrain_epochs": 0, "stage1_epochs": 0, "warmup_epochs": 0,
-            "stage2_epochs": 0, "seed": 0,
+            "stage2_epochs": 0, "seed": 0, "rank": 1, "t_total": 1,
             "pretrain_batch": 1, "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1,
         }
         for name, bound in least.items():
             value = getattr(self, name)
             if value < bound:
                 raise ConfigError(f"{name} must be >= {bound}, got {value}")
+        if self.rank > min(self.hidden, self.d_model):
+            raise ConfigError(
+                f"rank {self.rank} exceeds min(hidden={self.hidden}, d_model={self.d_model})"
+            )
         if not (self.lambda_rank >= 0 and self.margin >= 0):
             raise ConfigError("lambda_rank and margin must be nonnegative")
         if not 0.0 <= self.ema_mu < 1.0:
             raise ConfigError(f"ema_mu must be in [0, 1), got {self.ema_mu}")
-        for name in ("pretrain_lr", "lr_lora", "lr_prompt", "stage2_lr", "stage2_lr_min", "clip"):
+        for name in ("alpha", "pretrain_lr", "lr_lora", "lr_prompt", "warmup_start_lr",
+                     "stage2_lr", "stage2_lr_min", "clip"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
@@ -92,6 +97,12 @@ class RunConfig:
                 f"stage2_lr_min {self.stage2_lr_min} must not exceed "
                 f"stage2_lr {self.stage2_lr}"
             )
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+            raise ConfigError(
+                f"need 0 < beta_start <= beta_end < 1, got {self.beta_start}, {self.beta_end}"
+            )
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
     def resolved(self) -> "RunConfig":
         """Apply the desk preset: a short schedule and epoch budget that keeps
@@ -180,11 +191,12 @@ def load_run(
     return model, (net, sched), train, test
 
 
-def _guidance_plan(
+def _lr_plan(
     base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int
 ) -> optim.LrPlan:
-    """A guidance learning-rate plan whose floor (stage2_lr_min) and warmup
-    start are clamped to base_lr, so a small rate needs neither changed."""
+    """The plan of base_lr, one of cfg's checked rates. Clamping its floor
+    (stage2_lr_min) and warmup start to base_lr and flooring its epoch count
+    give every plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
     return optim.LrPlan(
         base_lr=base_lr,
         min_lr=min(cfg.stage2_lr_min, base_lr),
@@ -241,7 +253,7 @@ def pretrain_base(
         frozen_base=False,
     )
     flat = optim.FlatParams(model.base_params() + model.prompt_params())
-    plan = _guidance_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
+    plan = _lr_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
     groups = [(optim.AdamState(), plan)]
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
     for epoch in range(cfg.pretrain_epochs):
@@ -276,8 +288,8 @@ def train_stage1(
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
-    lora_plan = _guidance_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
-    prompt_plan = _guidance_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
+    lora_plan = _lr_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
+    prompt_plan = _lr_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
     # the two groups share one flat array and one gradient buffer
     flat = optim.FlatParams(model.lora_params(), model.prompt_params())
     groups = [(optim.AdamState(), lora_plan), (optim.AdamState(), prompt_plan)]
@@ -327,13 +339,7 @@ def train_stage2(
     flat = optim.FlatParams(net.params())
     state = optim.AdamState()
     ema = optim.EmaState.from_params(flat.data, cfg.ema_mu)
-    plan = optim.LrPlan(
-        base_lr=cfg.stage2_lr,
-        min_lr=cfg.stage2_lr_min,
-        warmup_start_lr=cfg.stage2_lr,
-        warmup_epochs=0,
-        total_epochs=max(cfg.stage2_epochs, 1),
-    )
+    plan = _lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
     log: list[str] = []
     n = train.n

@@ -29,16 +29,17 @@ from cgsd.errors import ConfigError, DataError, NumericError, ParseError
 
 
 def test_apportion_default_proportions():
-    assert apportion(100, (0.50, 0.10, 0.27, 0.05, 0.08)) == [50, 10, 27, 5, 8]
+    assert apportion(100, [100 * p for p in (0.50, 0.10, 0.27, 0.05, 0.08)]) == [
+        50, 10, 27, 5, 8]
 
 
 def test_apportion_exact_split():
-    assert apportion(10, (0.5, 0.5)) == [5, 5]
+    assert apportion(10, [5.0, 5.0]) == [5, 5]
 
 
 def test_apportion_tie_goes_to_smaller_index():
     # quotas (1.5, 1.5): one leftover slot, class 0 wins the tie
-    assert apportion(3, (0.5, 0.5)) == [2, 1]
+    assert apportion(3, [1.5, 1.5]) == [2, 1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -49,7 +50,30 @@ def test_apportion_tie_goes_to_smaller_index():
 def test_apportion_sums_to_n(n, weights):
     total = sum(weights)
     props = tuple(w / total for w in weights)
-    assert sum(apportion(n, props)) == n
+    assert sum(apportion(n, [n * p for p in props])) == n
+
+
+def _split_takes_oracle(counts, fraction):
+    """stratified_split's former inline rule: per-class floors of
+    count * fraction, then floor(n * fraction) minus their sum by the largest
+    remainders, ties to the smaller class."""
+    quotas = counts * fraction
+    takes = np.floor(quotas).astype(int)
+    leftover = int(np.floor(counts.sum() * fraction)) - int(takes.sum())
+    for j in sorted(range(len(counts)), key=lambda j: (-(quotas[j] - takes[j]), j))[:leftover]:
+        takes[j] += 1
+    return takes.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=2000), min_size=2, max_size=8),
+    st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+)
+def test_apportion_matches_the_split_rule(counts, fraction):
+    counts = np.array(counts)
+    total = int(np.floor(counts.sum() * fraction))
+    assert apportion(total, counts * fraction) == _split_takes_oracle(counts, fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +149,10 @@ def test_domain_shift_preserves_norms_without_bias():
 
 
 def test_domain_shift_needs_two_axes():
-    with pytest.raises(ConfigError):
-        apply_domain_shift(np.ones((3, 1)), 0.5, 0.5, seed=0)
+    # the shift rotates axes 0 and 1, so the config refuses fewer axes
+    for d_in in (1, 0):
+        with pytest.raises(ConfigError, match="d_in"):
+            SyntheticConfig(d_in=d_in)
 
 
 def test_domain_shift_breaks_source_classifier():
@@ -281,7 +307,7 @@ def test_save_checkpoint_refuses_non_finite_values(tmp_path, name):
 
 
 def _guidance_tensors(model):
-    return [model.w1, model.b1, model.w2, model.b2, model.adapter.a, model.adapter.b,
+    return [model.w1, model.b1, model.w2, model.b2, model.lora_a, model.lora_b,
             model.prompts, model.log_scale]
 
 
@@ -313,7 +339,7 @@ def test_checkpoint_round_trip_bytes_repeat_and_path_kept(tmp_path, name):
     assert len(pairs) == 8 + 6
     for a, b in pairs:
         assert np.array_equal(a.data, b.data)
-    assert (loaded.frozen_base, loaded.adapter.rank, loaded.adapter.alpha) == (True, 2, 4.0)
+    assert (loaded.frozen_base, loaded.lora_a.rows, loaded.alpha) == (True, 2, 4.0)
     assert (sched.t_total, sched.beta[0], sched.beta[-1]) == (20, 1e-3, 0.2)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cgsd import diffusion as df
 from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
 from cgsd.numkit import GradTape, Tensor2
+from cgsd.pipeline import RunConfig
 import ckpt_edit as ckpt
 
 
@@ -62,14 +63,15 @@ def test_schedule_alpha_bar_monotone_and_destructive():
 
 
 def test_schedule_bounds():
-    with pytest.raises(ConfigError):
-        df.make_schedule(0, 1e-4, 0.02)
-    with pytest.raises(ConfigError):
-        df.make_schedule(10, 0.0, 0.02)
-    with pytest.raises(ConfigError):
-        df.make_schedule(10, 0.5, 0.2)
-    with pytest.raises(ConfigError):
-        df.make_schedule(10, 0.5, 1.0)
+    # the schedule's settings are checked with the config, before any file is
+    # read; a checkpoint's at load (the denoiser-t_total-0 and
+    # denoiser-beta_end-2 cases of test_pipeline's _BAD_INPUTS)
+    with pytest.raises(ConfigError, match="t_total"):
+        RunConfig(t_total=0)
+    for beta_start, beta_end in ((0.0, 0.02), (-1e-4, 0.02), (0.5, 0.2), (0.5, 1.0)):
+        with pytest.raises(ConfigError, match="beta_start <= beta_end"):
+            RunConfig(beta_start=beta_start, beta_end=beta_end)
+    assert RunConfig(t_total=1, beta_start=0.3, beta_end=0.3).t_total == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Adapter arithmetic, the guidance model, its losses and checkpointing."""
+"""LoRA arithmetic, the guidance model, its losses and checkpointing."""
 
 import math
 
@@ -24,28 +24,26 @@ def small_model(seed=0, frozen=True, k=5):
 
 
 # ---------------------------------------------------------------------------
-# adapter
+# LoRA increment
 
 
 def test_lora_zero_init_is_identity_increment():
     # B starts at zero, so encode_batch does not depend on A at all
     model = small_model(seed=0)
-    assert np.all(model.adapter.b.data == 0.0)
+    assert np.all(model.lora_b.data == 0.0)
     x = np.random.default_rng(0).standard_normal((6, 10))
     before = model.encode_batch(x).data
-    model.adapter.a.data = np.random.default_rng(1).standard_normal(model.adapter.a.shape)
+    model.lora_a.data = np.random.default_rng(1).standard_normal(model.lora_a.shape)
     np.testing.assert_array_equal(model.encode_batch(x).data, before)
 
 
 def test_lora_forward_hand_case():
     # identity layers, A = [1 0], B = [2 0]^T, alpha/rank = 2: the
     # projection of h = (c, c) is h + 2 B (A h) = (5c, c), normalized
-    adapter = gd.LoraAdapter(
-        a=Tensor2([[1.0, 0.0]]), b=Tensor2([[2.0], [0.0]]), rank=1, alpha=2.0
-    )
     eye, zero = Tensor2(np.eye(2)), Tensor2(np.zeros((1, 2)))
     model = gd.GuidanceModel(
-        eye, zero, eye, zero, adapter, Tensor2(np.eye(2)), Tensor2([[0.0]])
+        eye, zero, eye, zero, Tensor2([[1.0, 0.0]]), Tensor2([[2.0], [0.0]]), 2.0,
+        Tensor2(np.eye(2)), Tensor2([[0.0]]),
     )
     out = model.encode_batch(np.array([[1.0, 1.0]]))
     np.testing.assert_allclose(out.data, [[5.0 / math.sqrt(26.0), 1.0 / math.sqrt(26.0)]],
@@ -53,17 +51,29 @@ def test_lora_forward_hand_case():
 
 
 def test_lora_increment_scale():
-    rng = np.random.default_rng(1)
-    adapter = gd.LoraAdapter.init(16, 16, rank=8, alpha=16.0, rng=rng)
-    assert adapter.increment_scale == 2.0
+    # rank 3, alpha 6: the projection adds (alpha / rank) * lora_b @ lora_a = 2 B A
+    model = gd.GuidanceModel.build(d_in=10, hidden=12, d_model=8, k=5, rank=3,
+                                   alpha=6.0, seed=1, frozen_base=True)
+    assert model.lora_a.shape == (3, 12) and model.lora_b.shape == (8, 3)
+    rng = np.random.default_rng(2)
+    model.lora_b.data = rng.standard_normal(model.lora_b.shape)
+    x = rng.standard_normal((7, 10))
+    h = x @ model.w1.data.T + model.b1.data
+    h = h * (1.0 / (1.0 + np.exp(-1.702 * h)))
+    w = model.w2.data + 2.0 * model.lora_b.data @ model.lora_a.data
+    z = h @ w.T + model.b2.data
+    want = z / (np.linalg.norm(z, axis=1, keepdims=True) + 1e-12)
+    np.testing.assert_allclose(model.encode_batch(x).data, want, rtol=0, atol=1e-12)
 
 
 def test_lora_rank_bounds():
-    rng = np.random.default_rng(2)
-    with pytest.raises(ConfigError):
-        gd.LoraAdapter.init(6, 4, rank=0, alpha=1.0, rng=rng)
-    with pytest.raises(ConfigError):
-        gd.LoraAdapter.init(6, 4, rank=5, alpha=1.0, rng=rng)
+    # the rank is checked with the config, against its hidden and d_model
+    for rank in (0, -1, 65):
+        with pytest.raises(ConfigError, match="rank"):
+            pl.RunConfig(rank=rank)
+    with pytest.raises(ConfigError, match="rank"):
+        pl.RunConfig(hidden=4, d_model=8, rank=5)
+    assert pl.RunConfig(hidden=4, d_model=8, rank=4).rank == 4
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +91,7 @@ def test_encode_feature_unit_norm_and_deterministic():
 
 
 def test_encode_matches_frozen_base_before_training():
-    # adapter starts at zero, so encoding equals the plain two-layer path
+    # the LoRA increment starts at zero, so encoding equals the plain two-layer path
     model = small_model(seed=4)
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -283,13 +293,11 @@ def test_frozen_base_receives_no_gradient():
     cfg = pl.RunConfig()
     flat = optim.FlatParams(model.lora_params(), model.prompt_params())
     groups = [
-        (optim.AdamState(),
-         optim.LrPlan(cfg.lr_lora, cfg.stage2_lr_min, cfg.warmup_start_lr, 0, 2)),
-        (optim.AdamState(),
-         optim.LrPlan(cfg.lr_prompt, cfg.stage2_lr_min, cfg.warmup_start_lr, 0, 2)),
+        (optim.AdamState(), pl._lr_plan(cfg.lr_lora, cfg, 0, 2)),
+        (optim.AdamState(), pl._lr_plan(cfg.lr_prompt, cfg, 0, 2)),
     ]
     base = [t.data.tobytes() for t in model.base_params()]
-    moving = {"lora_b": model.adapter.b, "prompts": model.prompts,
+    moving = {"lora_b": model.lora_b, "prompts": model.prompts,
               "log_scale": model.log_scale}
     before = {name: t.data.copy() for name, t in moving.items()}
     pl._guidance_epoch_losses(model, feats, labels, 4, cfg, flat, groups, 0, rng)
@@ -360,14 +368,14 @@ def test_checkpoint_round_trip_value_exact(tmp_path):
         (model.w2, loaded.w2),
         (model.b1, loaded.b1),
         (model.b2, loaded.b2),
-        (model.adapter.a, loaded.adapter.a),
-        (model.adapter.b, loaded.adapter.b),
+        (model.lora_a, loaded.lora_a),
+        (model.lora_b, loaded.lora_b),
         (model.prompts, loaded.prompts),
         (model.log_scale, loaded.log_scale),
     ):
         np.testing.assert_array_equal(a.data, b.data)
-    assert loaded.adapter.rank == model.adapter.rank
-    assert loaded.adapter.alpha == model.adapter.alpha
+    assert loaded.lora_a.rows == model.lora_a.rows
+    assert loaded.alpha == model.alpha
 
 
 def test_checkpoint_records_the_frozen_flag(tmp_path):

@@ -278,11 +278,11 @@ def test_backward_composite_chain_matches_finite_differences():
 
 
 def _adapted_model(seed):
-    """A frozen guidance model whose adapter B is not zero, so that every
+    """A frozen guidance model whose lora_b is not zero, so that every
     trainable tensor has a nonzero gradient."""
     model = gd.GuidanceModel.build(d_in=10, hidden=12, d_model=8, k=5, rank=2,
                                    alpha=4.0, seed=seed, frozen_base=True)
-    model.adapter.b.data = np.random.default_rng(seed).standard_normal(model.adapter.b.shape)
+    model.lora_b.data = np.random.default_rng(seed).standard_normal(model.lora_b.shape)
     return model
 
 
@@ -338,8 +338,8 @@ def test_stage1_backward_makes_no_product_for_the_frozen_encoder(monkeypatch):
     # 1 for the weight's, 2 for the bias's
     model = _adapted_model(4)
     feats, labels = _guidance_batch(4)
-    names = {"w1": model.w1, "w2": model.w2, "lora_a": model.adapter.a,
-             "lora_b": model.adapter.b}
+    names = {"w1": model.w1, "w2": model.w2, "lora_a": model.lora_a,
+             "lora_b": model.lora_b}
     products = []
     dense = nk.dense
 

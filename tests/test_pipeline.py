@@ -77,7 +77,7 @@ def test_stage1_epochs_zero_is_noop(small_dir, tmp_path):
     pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
     model = gd.load_guidance(tmp_path / "g.json")
     assert model.frozen_base is True
-    assert np.all(model.adapter.b.data == 0.0)  # adapter increment still zero
+    assert np.all(model.lora_b.data == 0.0)  # adapter increment still zero
 
 
 def test_stage1_freezes_base_and_logs(small_dir, tmp_path):
@@ -423,8 +423,8 @@ def test_stages_return_the_models_they_save(small_dir, tmp_path):
     s2 = pl.train_stage2(small_dir, tmp_path / "g.json", TINY, tmp_path / "d.json")
     model, loaded = s1["model"], gd.load_guidance(tmp_path / "g.json")
     assert model.frozen_base is loaded.frozen_base is True
-    assert (model.adapter.rank, model.adapter.alpha) == (
-        loaded.adapter.rank, loaded.adapter.alpha)
+    assert (model.lora_a.rows, model.alpha) == (
+        loaded.lora_a.rows, loaded.alpha)
     weights = lambda m: m.base_params() + m.lora_params() + m.prompt_params()
     for a, b in zip(weights(model), weights(loaded), strict=True):
         assert np.array_equal(a.data, b.data)
@@ -819,6 +819,12 @@ _BAD_INPUTS = {
     "eval-zero-shot-samples-0": (
         2, "eval-zero-shot", ["--n-samples", "0"], None, None, None),
     "train-diffusion-clip-0": (2, "train-diffusion", ["--clip", "0"], None, None, None),
+    # settings whose range only the library checked, after reading the data
+    "train-guidance-rank-0": (2, "train-guidance", ["--rank", "0"], None, None, None),
+    "train-guidance-rank-65": (2, "train-guidance", ["--rank", "65"], None, None, None),
+    "train-guidance-alpha-0": (2, "train-guidance", ["--alpha", "0"], None, None, None),
+    "train-diffusion-t_total-0": (
+        2, "train-diffusion", ["--t-total", "0"], None, None, None),
     "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
     "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
@@ -907,6 +913,7 @@ _BAD_INPUTS = {
     "guidance-one-grade": (3, "eval-zero-shot", [], "g.json", _one_grade, None),
     "denoiser-beta_end-2": (
         3, "eval", [], "d.json", _meta_set("beta_end", 2.0), None),
+    "denoiser-t_total-0": (3, "eval", [], "d.json", _meta_set("t_total", 0), None),
     # JSON true is a Python int, so a number field refuses it explicitly
     "denoiser-t_total-bool": (
         3, "eval", [], "d.json", _meta_set("t_total", True), None),
@@ -960,7 +967,7 @@ def test_cli_train_guidance_pretrains_over_a_stale_base(bad_input_base, tmp_path
             "--rank", "4", "--seed", "9"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert gd.load_guidance(work / "stale.base.json").adapter.rank == 4
+    assert gd.load_guidance(work / "stale.base.json").lora_a.rows == 4
 
 
 def test_cli_train_diffusion_takes_the_guidance_width(bad_input_base, tmp_path):
@@ -1000,6 +1007,32 @@ def test_run_config_validates_n_samples_and_clip():
     for clip in (0.0, -1.0):
         with pytest.raises(ConfigError, match="clip"):
             pl.RunConfig(clip=clip)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 0.0), ("alpha", -1.0), ("warmup_start_lr", 0.0),
+    ("train_fraction", 0.0), ("train_fraction", 1.0), ("train_fraction", 1.5)])
+def test_run_config_checks_each_range(field, value):
+    # the one check of each setting (rank: test_lora_rank_bounds; the
+    # schedule: test_schedule_bounds); the message names the field
+    with pytest.raises(ConfigError, match=field):
+        pl.RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-guidance", "--rank", "0"], ["train-guidance", "--rank", "65"],
+    ["train-guidance", "--alpha", "0"], ["train-diffusion", "--t-total", "0"]])
+def test_cli_checks_settings_before_reading_files(argv, tmp_path, capsys):
+    # every path is missing: a bad setting exits 2 before any file is read
+    gone = tmp_path / "missing"
+    paths = ["--data", f"{gone}/data", "--out", f"{gone}/o.npz"]
+    if argv[0] == "train-diffusion":
+        paths += ["--guidance", f"{gone}/g.npz"]
+    assert cli.main([*argv, *paths]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(f"configuration error: {argv[1][2:].replace('-', '_')}")
+    assert not gone.exists()
 
 
 def test_stage2_lr_floor_error_names_both_fields():
