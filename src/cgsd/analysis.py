@@ -65,29 +65,34 @@ def silhouette_score(points2d: np.ndarray, labels) -> float:
     """Mean silhouette with Euclidean distances; singletons contribute 0."""
     points2d = np.asarray(points2d, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if points2d.ndim != 2 or points2d.shape[1] != 2:
+        raise DataError(f"silhouette needs n x 2 points, got shape {points2d.shape}")
     if points2d.shape[0] != labels.shape[0]:
         raise DataError("points and labels must have equal length")
-    distinct = np.unique(labels)
+    distinct, counts = np.unique(labels, return_counts=True)
     if distinct.size < 2:
         raise DataError("silhouette needs at least 2 distinct labels")
 
-    diff = points2d[:, None, :] - points2d[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    n = points2d.shape[0]
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        own_size = int(own.sum())
-        if own_size == 1:
-            scores[i] = 0.0
+    # columns grouped by label, each group in index order: class c's distances
+    # from point i are the slice dist[i, lo[c]:lo[c+1]], what dist[i, labels == c]
+    # holds, and each gets its own 1-D reduction in the mask's order (a 2-D one
+    # may add in another: np.add.reduceat does, as does a Fortran-order block)
+    order = np.argsort(labels, kind="stable")
+    dx, dy = (c[:, None] - c[order] for c in points2d.T)
+    dist = np.sqrt(dx * dx + dy * dy)
+    cls = np.searchsorted(distinct, labels).tolist()
+    counts = counts.tolist()
+    lo = [0, *np.cumsum(counts).tolist()]
+    scores = np.zeros(labels.size)
+    for i, c in enumerate(cls):
+        if counts[c] == 1:
             continue
-        a = dist[i, own].sum() / (own_size - 1)
+        row = dist[i]
+        a = np.add.reduce(row[lo[c]:lo[c + 1]]) / (counts[c] - 1)
         b = np.inf
-        for c in distinct:
-            if c == labels[i]:
-                continue
-            mask = labels == c
-            b = min(b, dist[i, mask].mean())
+        for j, size in enumerate(counts):
+            if j != c:
+                b = min(b, np.add.reduce(row[lo[j]:lo[j + 1]]) / size)
         top = max(a, b)
         scores[i] = 0.0 if top == 0 else (b - a) / top
     return float(scores.mean())

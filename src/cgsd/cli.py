@@ -107,7 +107,7 @@ def _read_config(path: str, keys) -> dict:
         raise ConfigError("config file must hold a JSON object")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     return doc
 
 

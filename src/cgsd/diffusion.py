@@ -126,38 +126,35 @@ class DenoiserNet:
         rows and the same weights (a temporary per op made the chain's speed
         depend on where the allocator placed it)."""
         h = x
-        for i, (w, b) in enumerate(self.layers, start=1):
+        for i, (w, b) in enumerate(self.layers):
             if work is not None and len(work) == i:
                 work.append((w.data.T.copy(), *np.empty((2, x.rows, w.rows))))
-            h = nk.dense(h, w, b, i < len(self.layers), tape, None if work is None else work[i])
+            h = nk.dense(h, w, b, i + 1 < len(self.layers), tape,
+                         None if work is None else work[i])
         return h
 
 
-def eps_predict(
-    net: DenoiserNet,
-    f: np.ndarray,
-    y_t: np.ndarray,
-    y_hat0: np.ndarray,
-    d: np.ndarray,
-    temb: np.ndarray,
-    tape: GradTape | None = None,
-    work: list | None = None,
-) -> Tensor2:
-    """Batched noise prediction; temb is one timestep-embedding row shared by
-    every item or one row per item (rows of NoiseSchedule.temb).
-
-    The reverse chain passes one work at every step: x is built in work[0],
-    (n x net.input_dim), and the net writes its result into the rest.
-    """
+def conditioning_input(
+    f: np.ndarray, y_t: np.ndarray, y_hat0: np.ndarray, d: np.ndarray, temb: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The denoiser's input rows in CONDITIONING_LAYOUT, written into out if
+    given; temb is one timestep-embedding row shared by every item or one row
+    per item (rows of NoiseSchedule.temb)."""
     parts = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d)]
-    n = parts[0].shape[0]
-    parts.append(np.broadcast_to(temb, (n, TEMB_DIM)))
-    width = sum(p.shape[1] for p in parts)
-    if width != net.input_dim:
+    parts.append(np.broadcast_to(temb, (parts[0].shape[0], TEMB_DIM)))
+    return np.concatenate(parts, axis=1, out=out)
+
+
+def eps_predict(
+    net: DenoiserNet, x: np.ndarray, tape: GradTape | None = None, work: list | None = None
+) -> Tensor2:
+    """Batched noise prediction on conditioning_input rows x; work is the
+    forward's buffer list, which the reverse chain passes at every step."""
+    if x.shape[1] != net.input_dim:
         raise ContractError(
-            f"conditioning width {width} does not match net input {net.input_dim}"
+            f"conditioning width {x.shape[1]} does not match net input {net.input_dim}"
         )
-    x = np.concatenate(parts, axis=1, out=None if work is None else work[0])
     return net.forward(Tensor2(x), tape, work)
 
 
@@ -294,7 +291,7 @@ def epsilon_loss(
             f"{t_values.shape} timesteps, {eps.shape} noise for labels {y0.shape}"
         )
     y_t = forward_sample(y0, y_hat0, t_values, eps, sched)
-    eps_hat = eps_predict(net, f, y_t, y_hat0, d, sched.temb[t_values], tape)
+    eps_hat = eps_predict(net, conditioning_input(f, y_t, y_hat0, d, sched.temb[t_values]), tape)
     diff = nk.sub(Tensor2(eps), eps_hat, tape)
     return nk.mean_all(nk.mul(diff, diff, tape), tape)
 
@@ -377,9 +374,14 @@ def sample_chain_batch(
     if sched.t_total in record:
         snapshots[sched.t_total] = y.copy()
 
-    work = [np.empty((n, net.input_dim))]
+    # f, the prior and d are written once; a step rewrites y_t and temb only
+    x = conditioning_input(f, y, y_hat0, d, sched.temb[sched.t_total])
+    y_cols = x[:, f.shape[1]:f.shape[1] + k]
+    work: list = []
     for hop, t in enumerate(range(sched.t_total, 0, -1), start=1):
-        eps_hat = eps_predict(net, f, y, y_hat0, d, sched.temb[t], work=work).data
+        y_cols[...] = y
+        x[:, -TEMB_DIM:] = sched.temb[t]
+        eps_hat = eps_predict(net, x, work=work).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
         mean, var = posterior_params(y, y0_tilde, y_hat0, t, sched)
         z = noise[:, hop] if var != 0.0 else np.zeros((n, k))

@@ -307,8 +307,8 @@ def relu(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
 def sigmoid_gate(a: Array, out: Array) -> Array:
     """sigmoid(1.702 a), the gate of smooth_nonlinearity, written into out
     (which may be a itself) and returned."""
-    np.multiply(a, 1.702, out=out)
-    np.negative(out, out=out)
+    # round-to-nearest is sign-symmetric: -1.702 a has the bits of -(1.702 a)
+    np.multiply(a, -1.702, out=out)
     # exp overflows to inf for 1.702 a below about -709, which gives the
     # right limit 0
     with np.errstate(over="ignore"):

@@ -492,8 +492,10 @@ def export_trajectory(
     if steps is None:
         steps = [sched.t_total * i // 5 for i in range(5, -1, -1)]
     for t in steps:
-        if not (0 <= t <= sched.t_total):
-            raise ConfigError(f"step {t} outside [0, {sched.t_total}]")
+        # any other step would export chain states that were never written
+        integral = isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+        if not (integral and 0 <= t <= sched.t_total):
+            raise ConfigError(f"step {t!r} is not an integer in [0, {sched.t_total}]")
     f, d, prior = conditioning(model, test.features)
     # one chain per item: chain 0, the first of those evaluate averages
     _, states = df.sample_chains(net, sched, f, d, prior, cfg.seed, np.arange(test.n), 1, steps)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgsd.analysis import confusion_and_metrics, pca_project_2d, silhouette_score
 from cgsd.errors import DataError
@@ -125,6 +127,73 @@ def test_pca_needs_three_points():
 
 # ---------------------------------------------------------------------------
 # silhouette
+
+
+def _silhouette_oracle(points2d, labels):
+    """The per-point, per-class loop silhouette_score replaced, as written."""
+    points2d = np.asarray(points2d, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if points2d.shape[0] != labels.shape[0]:
+        raise DataError("points and labels must have equal length")
+    distinct = np.unique(labels)
+    if distinct.size < 2:
+        raise DataError("silhouette needs at least 2 distinct labels")
+
+    diff = points2d[:, None, :] - points2d[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    n = points2d.shape[0]
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels == labels[i]
+        own_size = int(own.sum())
+        if own_size == 1:
+            scores[i] = 0.0
+            continue
+        a = dist[i, own].sum() / (own_size - 1)
+        b = np.inf
+        for c in distinct:
+            if c == labels[i]:
+                continue
+            mask = labels == c
+            b = min(b, dist[i, mask].mean())
+        top = max(a, b)
+        scores[i] = 0.0 if top == 0 else (b - a) / top
+    return float(scores.mean())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 150),
+    values=st.lists(st.integers(0, 9), min_size=2, max_size=7, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([None, 0, 1]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_silhouette_equals_the_loop_bit_for_bit(n, values, seed, decimals, scale):
+    # sparse label values, singletons (a class drawn once or never) and, with
+    # rounded coordinates, tied distances; the first two points carry two
+    # labels so there are always at least two classes
+    rng = np.random.default_rng(seed)
+    labels = np.array(values)[rng.integers(0, len(values), n)]
+    labels[:2] = values[:2]
+    pts = rng.standard_normal((n, 2)) * scale
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    assert silhouette_score(pts, labels) == _silhouette_oracle(pts, labels)
+
+
+def test_silhouette_equals_the_loop_on_a_test_split_sized_cloud():
+    # 1,099 points: the desk test split's size
+    rng = np.random.default_rng(1099)
+    labels = rng.choice([0, 1, 2, 3, 4], 1099, p=[0.5, 0.1, 0.25, 0.08, 0.07])
+    pts = rng.standard_normal((1099, 2)) + labels[:, None] * 0.5
+    assert silhouette_score(pts, labels) == _silhouette_oracle(pts, labels)
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 3), (6, 1), (6, 2, 1)])
+def test_silhouette_refuses_points_that_are_not_n_by_2(shape):
+    with pytest.raises(DataError, match="n x 2"):
+        silhouette_score(np.zeros(shape), np.array([0, 1, 0, 1, 0, 1]))
 
 
 def test_silhouette_far_clusters():

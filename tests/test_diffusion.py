@@ -173,10 +173,10 @@ def test_eps_predict_zero_head_outputs_zero():
     w_last.data[:] = 0.0
     b_last.data[:] = 0.0
     rng = np.random.default_rng(22)
-    out = df.eps_predict(
-        net, rng.standard_normal((2, 8)), rng.standard_normal((2, 3)),
+    out = df.eps_predict(net, df.conditioning_input(
+        rng.standard_normal((2, 8)), rng.standard_normal((2, 3)),
         np.full((2, 3), 1 / 3), rng.standard_normal((2, 3)), 5
-    )
+    ))
     np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
 
 
@@ -187,28 +187,30 @@ def test_eps_predict_deterministic():
         rng.standard_normal((2, 8)), rng.standard_normal((2, 3)),
         np.full((2, 3), 1 / 3), rng.standard_normal((2, 3)),
     )
-    a = df.eps_predict(net, *args, 7).data
-    b = df.eps_predict(net, *args, 7).data
+    a = df.eps_predict(net, df.conditioning_input(*args, 7)).data
+    b = df.eps_predict(net, df.conditioning_input(*args, 7)).data
     np.testing.assert_array_equal(a, b)
 
 
 def test_eps_predict_without_tape_matches_taped_forward():
     # the untaped path runs in reused buffers; it must give the taped
-    # forward's bits, and a reused workspace must not leak between calls
+    # forward's bits, and a reused input buffer or workspace must not leak
+    # between calls
     net = df.DenoiserNet.build(d_model=8, k=3, seed=5)
     rng = np.random.default_rng(26)
     args = [rng.standard_normal((6, 8)), rng.standard_normal((6, 3)),
             rng.dirichlet(np.ones(3), 6), rng.standard_normal((6, 3)),
             DESK_SCHED.temb[[1, 7, 7, 50, 99, 100]]]
     tape = GradTape()
-    taped = df.eps_predict(net, *args, tape=tape).data
+    taped = df.eps_predict(net, df.conditioning_input(*args), tape=tape).data
     assert len(tape) == len(net.layers)
-    assert np.array_equal(df.eps_predict(net, *args).data, taped)
-    work = [np.empty((6, net.input_dim))]
+    assert np.array_equal(df.eps_predict(net, df.conditioning_input(*args)).data, taped)
+    x, work = np.empty((6, net.input_dim)), []
     other = [a[::-1].copy() for a in args]
-    first = df.eps_predict(net, *other, work=work).data
-    assert len(work) == 1 + len(net.layers)
-    assert np.array_equal(df.eps_predict(net, *args, work=work).data, taped)
+    first = df.eps_predict(net, df.conditioning_input(*other, out=x), work=work).data
+    assert len(work) == len(net.layers)
+    assert np.array_equal(
+        df.eps_predict(net, df.conditioning_input(*args, out=x), work=work).data, taped)
     # the result is the head's buffer, which the next call overwrote
     assert first is work[-1][1]
 
@@ -241,8 +243,8 @@ def test_sample_chain_refuses_noise_of_another_shape(shape):
 def test_eps_predict_shape_mismatch():
     net = df.DenoiserNet.build(d_model=8, k=3, seed=2)
     with pytest.raises(ContractError):
-        df.eps_predict(net, np.zeros((1, 9)), np.zeros((1, 3)),
-                       np.zeros((1, 3)), np.zeros((1, 3)), 1)
+        df.eps_predict(net, df.conditioning_input(np.zeros((1, 9)), np.zeros((1, 3)),
+                                                  np.zeros((1, 3)), np.zeros((1, 3)), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +526,7 @@ def test_reverse_step_t1_deterministic():
                                  _noise([TailRng(0, keep, 99.0)], DESK_SCHED, 3))
     np.testing.assert_array_equal(a, b)
     y1 = snaps[1]
-    eps_hat = df.eps_predict(net, f, y1, prior, d, DESK_SCHED.temb[1]).data
+    eps_hat = df.eps_predict(net, df.conditioning_input(f, y1, prior, d, DESK_SCHED.temb[1])).data
     expect = df.predict_y0(y1, eps_hat, prior, 1, DESK_SCHED)
     np.testing.assert_allclose(a, expect, atol=1e-12)
 
@@ -672,6 +674,24 @@ def test_sample_chains_blocks_equal_one_batch():
     for chain in final.reshape(n_samples, n, k):
         total += chain
     assert np.array_equal(mean, total / n_samples)
+
+
+def test_sample_chain_batch_evaluates_the_denoiser_once_per_step(monkeypatch):
+    # T denoiser calls per block, each on all of the block's rows: 150 items
+    # x 4 chains make a block of ROW_BLOCK = 512 rows and one of 88, padded
+    # to 96
+    n, n_samples, k = 150, 4, 5
+    net, sched, f, d, prior = _chain_inputs(n, k)
+    rows, eps_predict = [], df.eps_predict
+
+    def counted(net, x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return eps_predict(net, x, *args, **kwargs)
+
+    monkeypatch.setattr(df, "eps_predict", counted)
+    df.sample_chains(net, sched, f, d, prior, 5, np.arange(n), n_samples)
+    assert df.ROW_BLOCK == 512
+    assert rows == [512] * sched.t_total + [96] * sched.t_total
 
 
 def test_sample_chains_chain_0_does_not_depend_on_n_samples():

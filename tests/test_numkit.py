@@ -171,6 +171,24 @@ def test_smooth_nonlinearity_large_negative_input_warns_nothing():
     np.testing.assert_array_equal(out[0, 1:], nk.smooth_nonlinearity(Tensor2([[3.0]])).data[0])
 
 
+def test_sigmoid_gate_keeps_the_bits_of_negating_the_product():
+    # sigmoid_gate scales by -1.702 in one multiply; the gate as first written
+    # negated the product 1.702 a, which rounds to the same magnitude
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = 417.0 + np.arange(-40, 41) * 2.0**-44
+    a = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 2.0**-1070, -(2.0**-1030)],
+        edge, -edge, np.linspace(-417.5, 417.5, 1001),
+    ])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-(a * 1.702)))
+    assert np.array_equal(nk.sigmoid_gate(a, np.empty_like(a)).view(np.int64),
+                          want.view(np.int64))
+    in_place = a.copy()
+    nk.sigmoid_gate(in_place, in_place)
+    assert np.array_equal(in_place.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # backward
 

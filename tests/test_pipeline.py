@@ -180,8 +180,8 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
                 eps[i] = item.standard_normal(train.k)
                 y_t[i] = df.forward_sample(y0[key], prior[key], int(t_values[i]), eps[i], sched)
             tape = GradTape()
-            eps_hat = df.eps_predict(net, f[idx], y_t, prior[idx], d[idx],
-                                     sched.temb[t_values], tape)
+            x = df.conditioning_input(f[idx], y_t, prior[idx], d[idx], sched.temb[t_values])
+            eps_hat = df.eps_predict(net, x, tape)
             diff = nk.sub(Tensor2(eps), eps_hat, tape)
             loss = nk.mean_all(nk.mul(diff, diff, tape), tape)
             grads, _ = oracle.clip_grad_norm(backward(loss, tape, params), cfg.clip)
@@ -515,6 +515,16 @@ def test_export_trajectory_rejects_out_of_range_step(small_dir, tiny_trained, tm
         pl.export_trajectory(small_dir, tiny_trained / "g.json",
                              tiny_trained / "d.json", [TINY.t_total + 1],
                              tmp_path / "t.csv", TINY)
+
+
+@pytest.mark.parametrize("step", [TINY.t_total / 2 + 0.5, 2.0, True, "3"])
+def test_export_trajectory_rejects_a_step_that_is_not_an_integer(
+        small_dir, tiny_trained, tmp_path, step):
+    # a step the chain never records would export unwritten memory
+    with pytest.raises(ConfigError, match="not an integer"):
+        pl.export_trajectory(small_dir, tiny_trained / "g.json", tiny_trained / "d.json",
+                             [TINY.t_total, step, 0], tmp_path / "t.csv", TINY)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_export_trajectory_default_steps_follow_the_schedule(bad_input_base, tmp_path):
@@ -1157,6 +1167,20 @@ def test_cli_config_round_trip(command, monkeypatch, tmp_path):
 def test_run_config_fields_and_digests_unchanged():
     assert pl.RunConfig().digest() == "3c79f163694c2bd6"
     assert pl.RunConfig(desk_preset=True).digest() == "2d1614c8d5c78194"
+
+
+def test_cli_unknown_config_key_is_one_line(bad_input_base, tmp_path):
+    # a key is printed as its repr, so a newline in it cannot split the message
+    # (the mutated-bytes fuzz case: a backslash inserted before "n_samples")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"\\n_samples": 2, "seed": 3}')
+    argv = ["eval", "--data", str(bad_input_base / "data"),
+            "--guidance", str(bad_input_base / "g.json"),
+            "--report", str(tmp_path / "r.json"), "--config", str(cfg)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 2
+    assert err.getvalue() == "configuration error: unknown config key(s): '\\n_samples'\n"
 
 
 def _mutate(blob: bytes, op: str, pos: int, byte: int) -> bytes:
