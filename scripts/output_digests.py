@@ -2,7 +2,8 @@
 benchmark directory, then print the sha256 of every file written.
 
 Two checkouts give the same lines exactly when their outputs are byte for
-byte the same, so one diff compares them:
+byte the same, so one diff compares them (the run's peak RSS goes to stderr,
+beside them, and not into the listing):
 
     cgsd gen-data --out DATA
     PYTHONPATH=src python scripts/output_digests.py DATA --out A > a.txt
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import resource
 import sys
 from pathlib import Path
 
@@ -61,6 +63,9 @@ def main() -> None:
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out)}")
+    # Linux gives ru_maxrss in KiB
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak:.1f} MB", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ ordinal structure itself.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import tokenize
@@ -330,63 +331,97 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def write_dataset(path: str | Path, ds: Dataset) -> None:
-    """Write ds as CSV plus its metadata sidecar; a non-finite feature, which
-    read_dataset refuses, raises NumericError first."""
+    """Write ds as CSV, a row at a time, plus its metadata sidecar. What
+    read_dataset refuses raises first, and nothing is written: a non-finite
+    feature (NumericError), no feature column, a grade count outside [2, n]
+    or a label outside [0, k) (DataError)."""
     path = Path(path)
     check_finite(ds.features, f"the features for {path}")
-    header = "label," + ",".join(f"f{i}" for i in range(ds.d_in))
-    lines = [header]
-    for lab, row in zip(ds.labels, ds.features):
-        lines.append(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    meta = {
-        "n": int(ds.n),
-        "d_in": int(ds.d_in),
-        "k": int(ds.k),
-        "domain_tag": ds.domain_tag,
-        "seed": int(ds.seed),
-    }
+    if ds.d_in < 1:
+        raise DataError(f"{path}: no feature columns")
+    if not 2 <= ds.k <= ds.n:
+        raise DataError(f"{path}: k={ds.k} grades, expected 2 to n={ds.n}")
+    bad = ds.labels[(ds.labels < 0) | (ds.labels >= ds.k)]
+    if bad.size:
+        raise DataError(f"{path}: label {bad[0]} out of range [0,{ds.k})")
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.write("label," + ",".join(f"f{i}" for i in range(ds.d_in)) + "\n")
+        for lab, row in zip(ds.labels, ds.features):
+            f.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    meta = {"n": int(ds.n), "d_in": int(ds.d_in), "k": int(ds.k),
+            "domain_tag": ds.domain_tag, "seed": int(ds.seed)}
     Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+        json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n")
+
+
+# bytes at which str.splitlines breaks a line of ASCII text, LF aside
+_BREAKS = tuple(bytes([b]) for b in b"\r\x0b\x0c\x1c\x1d\x1e")
+
+
+def _csv_lines(path: Path, plain: bool):
+    """The lines str.splitlines gives of the file's UTF-8 text, one at a time.
+    A plain file (see _count_lines) is read in binary lines; any other in
+    latin-1 with newline="", which splits at LF, CR and CR LF (bytes no UTF-8
+    sequence holds) and keeps each byte as one character. A line is decoded
+    on its own, and a decode error names the byte a whole-file decode names."""
+    offset = 0
+    with open(path, "rb") if plain else open(path, encoding="latin-1", newline="") as f:
+        for line in f:
+            raw = line if plain else line.encode("latin-1")
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                start, end = offset + e.start, offset + e.end - 1
+                at = (f"byte 0x{raw[e.start]:02x} in position {start}" if start == end
+                      else f"bytes in position {start}-{end}")
+                raise ParseError(f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
+                                 f"{at}: {e.reason}") from None
+            offset += len(raw)
+            yield from (text.removesuffix("\n"),) if plain else text.splitlines()
+
+
+def _count_lines(path: Path) -> tuple[int, bool]:
+    """The number of _csv_lines, and whether the file is plain: ASCII whose
+    only line break is LF, so that its LF bytes count its lines."""
+    lf, last = 0, b"\n"
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 16):
+            if not chunk.isascii() or any(b in chunk for b in _BREAKS):
+                return sum(1 for _ in _csv_lines(path, False)), False
+            lf, last = lf + chunk.count(b"\n"), chunk[-1:]
+    return lf + (last != b"\n"), True
 
 
 def read_dataset(path: str | Path) -> Dataset:
+    """A dataset file, read a line at a time, twice: first its header is
+    checked and its rows counted, which must be the sidecar's n; then the
+    rows are parsed into arrays of that size."""
     path = Path(path)
-    meta = read_json_object(
-        str(path) + ".meta.json",
-        "metadata",
-        {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int},
-    )
+    meta = read_json_object(str(path) + ".meta.json", "metadata",
+                            {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int})
     if not path.exists():
         raise ParseError(f"dataset file not found: {path}")
     n, d_in, k = meta["n"], meta["d_in"], meta["k"]
 
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text: {e}") from None
+    header = next(_csv_lines(path, False), None)
     # the field count first, so no header is built wider than the file's
-    fields = len(lines[0].split(",")) if lines else 0
-    if fields != d_in + 1 or lines[0] != "label," + ",".join(f"f{i}" for i in range(d_in)):
+    fields = 0 if header is None else len(header.split(","))
+    if fields != d_in + 1 or header != "label," + ",".join(f"f{i}" for i in range(d_in)):
         raise ParseError(
             f"{path}: header mismatch at line 1: expected label,f0..f{d_in - 1} "
             f"({d_in + 1} fields), got {fields} fields"
         )
-    rows = lines[1:]
-    if len(rows) != n:
-        raise ParseError(f"{path}: expected {n} data rows, found {len(rows)}")
-
+    lines, plain = _count_lines(path)
+    if lines - 1 != n:
+        raise ParseError(f"{path}: expected {n} data rows, found {lines - 1}")
     feats = np.empty((n, d_in))
     labels = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(itertools.islice(_csv_lines(path, plain), 1, None)):
         lineno = i + 2
         parts = row.split(",")
         if len(parts) != d_in + 1:
-            raise ParseError(
-                f"{path}: row length mismatch at line {lineno}: "
-                f"expected {d_in + 1} fields, got {len(parts)}"
-            )
+            raise ParseError(f"{path}: row length mismatch at line {lineno}: "
+                             f"expected {d_in + 1} fields, got {len(parts)}")
         try:
             lab = int(parts[0])
         except ValueError:
@@ -395,7 +430,7 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ParseError(f"{path}: label {lab} out of range [0,{k}) at line {lineno}")
         labels[i] = lab
         try:
-            feats[i] = [float(v) for v in parts[1:]]
+            feats[i] = list(map(float, parts[1:]))
         except ValueError:
             raise ParseError(f"{path}: non-numeric feature at line {lineno}")
     bad = ~np.isfinite(feats).all(axis=1)

@@ -22,7 +22,7 @@ import numpy as np
 from . import numkit as nk
 from .data import NUMBER, load_checkpoint, save_checkpoint
 from .errors import ContractError, DataError, ParseError
-from .numkit import GradTape, Tensor2
+from .numkit import ROW_BLOCK, GradTape, Tensor2
 
 # v3 is the zip checkpoint of data.save_checkpoint; v2 was its JSON
 # predecessor, and a v1 file's "weights" were the raw training weights
@@ -336,11 +336,13 @@ def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, 
     return gamma0, gamma1, gamma2, var
 
 
-def chain_noise(seed: int, keys, samples, t_total: int, k: int) -> np.ndarray:
+def chain_noise(seed: int, keys, samples, t_total: int, k: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Each (item_key, sample) row's chain noise, (t_total + 1) x k in one
     draw (the values k per step would give) from default_rng(SeedSequence((
-    seed, 101, item_key, sample))), so it never depends on batching."""
-    noise = np.empty((np.broadcast(keys, samples).size, t_total + 1, k))
+    seed, 101, item_key, sample))), so it never depends on batching; written
+    into out, of shape (rows, t_total + 1, k), if given."""
+    noise = np.empty((np.broadcast(keys, samples).size, t_total + 1, k)) if out is None else out
     for row, rng in zip(noise, _keyed_rngs(seed, 101, keys, samples)):
         rng.standard_normal(out=row)
     return noise
@@ -391,14 +393,10 @@ def sample_chain_batch(
     return nk.check_finite(y, "the reverse chain's final state"), snapshots
 
 
-# rows per sample_chain_batch call in sample_chains, which bounds its memory:
-# the desk eval (5,495 rows, 2-core box) peaked at 55 MB RSS with 512-row blocks,
-# 59 MB with 1,024 and 121 MB with one block, and larger blocks ran no faster
-ROW_BLOCK = 512
-# blocks are padded with zero rows to whole BLAS row tiles, so a row's bits do
-# not depend on its block: OpenBLAS 0.3.31 (Haswell kernels) rounds a partial
-# 4-row tile of the k = 3 head differently, and numpy sends one row down its
-# matrix-vector path. 4 rows sufficed there; 16 leaves room for wider tiles
+# sample_chains' blocks are padded with zero rows to whole BLAS row tiles, so a
+# row's bits do not depend on its block: OpenBLAS 0.3.31 (Haswell kernels)
+# rounds a partial 4-row tile of the k = 3 head differently, and numpy sends
+# one row down its matrix-vector path. 4 rows sufficed; 16 leaves room
 ROW_TILE = 16
 
 
@@ -423,7 +421,9 @@ def sample_chains(
     for lo in range(0, rows.size, ROW_BLOCK):
         samples, items = np.divmod(rows[lo:lo + ROW_BLOCK], n)
         pad = lambda a: np.pad(a, [(0, -items.size % ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
-        noise = pad(chain_noise(seed, keys[items], samples, sched.t_total, k))
+        # the noise is drawn straight into its padded block
+        noise = np.zeros((items.size + -items.size % ROW_TILE, sched.t_total + 1, k))
+        chain_noise(seed, keys[items], samples, sched.t_total, k, out=noise[:items.size])
         final, snaps = sample_chain_batch(
             net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, states.keys())
         # a block can hold several chains of one item: add.at adds every

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,49 +30,30 @@ SCALE_MAX = 100.0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # v2 is the zip checkpoint of data.save_checkpoint; v1 was its JSON predecessor
 GUIDANCE_FORMAT = "cgsd-guidance-v2"
+# the checkpoint's tensor members, in file order
+_TENSORS = ("w1", "b1", "w2", "b2", "lora_a", "lora_b", "prompts")
 
 
+@dataclass(eq=False)
 class GuidanceModel:
     """Encoder MLP (d_in -> hidden -> d_model) whose output projection w2 gets
     the low-rank increment (alpha / rank) * lora_b @ lora_a, rank = lora_a.rows
     (zero at build: lora_b starts at zero), plus K prompt rows and a log scale."""
 
-    def __init__(
-        self,
-        w1: Tensor2,
-        b1: Tensor2,
-        w2: Tensor2,
-        b2: Tensor2,
-        lora_a: Tensor2,
-        lora_b: Tensor2,
-        alpha: float,
-        prompts: Tensor2,
-        log_scale: Tensor2,
-        frozen_base: bool = True,
-    ):
-        self.w1 = w1
-        self.b1 = b1
-        self.w2 = w2
-        self.b2 = b2
-        self.lora_a = lora_a
-        self.lora_b = lora_b
-        self.alpha = alpha
-        self.prompts = prompts
-        self.log_scale = log_scale
-        self.frozen_base = frozen_base
+    w1: Tensor2
+    b1: Tensor2
+    w2: Tensor2
+    b2: Tensor2
+    lora_a: Tensor2
+    lora_b: Tensor2
+    alpha: float
+    prompts: Tensor2
+    log_scale: Tensor2
+    frozen_base: bool = True
 
     @classmethod
-    def build(
-        cls,
-        d_in: int,
-        hidden: int,
-        d_model: int,
-        k: int,
-        rank: int,
-        alpha: float,
-        seed: int,
-        frozen_base: bool = False,
-    ) -> "GuidanceModel":
+    def build(cls, d_in: int, hidden: int, d_model: int, k: int, rank: int, alpha: float,
+              seed: int, frozen_base: bool = False) -> "GuidanceModel":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
         w1 = Tensor2(rng.standard_normal((hidden, d_in)) / math.sqrt(d_in))
         b1 = Tensor2(np.zeros((1, hidden)))
@@ -218,10 +200,14 @@ def guidance_loss(
 
 
 def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
-    """Zero-shot grades: argmax of similarities, ties to the smaller index."""
-    f = model.encode_batch(np.atleast_2d(features))
-    d = model.similarity_batch(f)
-    return np.argmax(nk.check_finite(d.data, "the grade similarities"), axis=1)
+    """Zero-shot grades: argmax of similarities, ties to the smaller index;
+    the rows are encoded in numkit.row_blocks."""
+    features = np.atleast_2d(features)
+    preds = np.empty(features.shape[0], dtype=np.intp)
+    for rows in nk.row_blocks(features.shape[0]):
+        d = model.similarity_batch(model.encode_batch(features[rows]))
+        preds[rows] = np.argmax(nk.check_finite(d.data, "the grade similarities"), axis=1)
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +215,10 @@ def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
 
 
 def save_guidance(path: str | Path, model: GuidanceModel) -> None:
-    meta = {
-        "frozen": model.frozen_base,
-        "d_in": model.d_in,
-        "hidden": model.w1.rows,
-        "d_model": model.w2.rows,
-        "k": model.k,
-        "rank": model.lora_a.rows,
-        "alpha": model.alpha,
-        "log_scale": model.log_scale.item(),
-    }
-    tensors = {
-        "w1": model.w1.data,
-        "b1": model.b1.data,
-        "w2": model.w2.data,
-        "b2": model.b2.data,
-        "lora_a": model.lora_a.data,
-        "lora_b": model.lora_b.data,
-        "prompts": model.prompts.data,
-    }
+    meta = {"frozen": model.frozen_base, "d_in": model.d_in, "hidden": model.w1.rows,
+            "d_model": model.w2.rows, "k": model.k, "rank": model.lora_a.rows,
+            "alpha": model.alpha, "log_scale": model.log_scale.item()}
+    tensors = {name: getattr(model, name).data for name in _TENSORS}
     save_checkpoint(path, GUIDANCE_FORMAT, meta, tensors)
 
 
@@ -285,8 +256,6 @@ def load_guidance(path: str | Path) -> GuidanceModel:
          "rank": int, "alpha": NUMBER, "log_scale": NUMBER},
         _tensor_shapes,
     )
-    t = {name: Tensor2(a) for name, a in w.items()}
-    return GuidanceModel(
-        t["w1"], t["b1"], t["w2"], t["b2"], t["lora_a"], t["lora_b"], doc["alpha"],
-        t["prompts"], Tensor2(np.array([[doc["log_scale"]]])), frozen_base=doc["frozen"],
-    )
+    return GuidanceModel(**{name: Tensor2(a) for name, a in w.items()}, alpha=doc["alpha"],
+                         log_scale=Tensor2(np.array([[doc["log_scale"]]])),
+                         frozen_base=doc["frozen"])

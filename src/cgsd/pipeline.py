@@ -23,7 +23,7 @@ from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
 from .data import Dataset, read_dataset, stratified_split, write_json
 from .errors import ConfigError, DataError
-from .numkit import GradTape, Tensor2, backward, check_finite, softmax_rows
+from .numkit import GradTape, Tensor2, backward, check_finite, row_blocks, softmax_rows
 
 PAPER_REFERENCE = {
     "accuracy": 0.875,
@@ -156,11 +156,15 @@ def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
 
 
 def conditioning(model: gd.GuidanceModel, features: np.ndarray):
-    """Frozen-guidance conditioning arrays (f, d, prior) for a feature batch."""
-    f = model.encode_batch(features)
-    d = model.similarity_batch(f)
-    prior = softmax_rows(Tensor2(model.scale_value() * d.data))
-    return f.data, d.data, check_finite(prior.data, "the guidance prior")
+    """Frozen-guidance conditioning arrays (f, d, prior) for feature rows,
+    encoded in row_blocks."""
+    n = features.shape[0]
+    f, d, prior = (np.empty((n, cols)) for cols in (model.w2.rows, model.k, model.k))
+    for rows in row_blocks(n):
+        f[rows] = model.encode_batch(features[rows]).data
+        d[rows] = model.similarity_batch(Tensor2(f[rows])).data
+        prior[rows] = softmax_rows(Tensor2(model.scale_value() * d[rows])).data
+    return f, d, check_finite(prior, "the guidance prior")
 
 
 def load_run(

@@ -1,6 +1,8 @@
 """Synthetic benchmark generation, domain shift, splitting and file I/O."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,6 +370,89 @@ def test_read_requires_metadata_sidecar(tmp_path):
     path.write_text("label,f0,f1\n0,0.1,0.2\n")
     with pytest.raises(ParseError, match="metadata not found"):
         read_dataset(path)
+
+
+_ROWS = ["label,f0,f1", "0,0.1,0.2", "1,0.3,0.4"]
+_LF = "\n".join(_ROWS)
+
+
+def _utf8_error(blob):
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return f"not UTF-8 text: {e}"
+
+
+# (file bytes, sidecar fields over n=2, d_in=2, k=2, and the message after
+# the path, or None for a file read as the rows of _ROWS)
+_READ_CASES = {
+    "lf": (_LF.encode() + b"\n", {}, None),
+    "crlf": ("\r\n".join(_ROWS).encode() + b"\r\n", {}, None),
+    "lone-cr": ("\r".join(_ROWS).encode() + b"\r", {}, None),
+    "no-final-newline": (_LF.encode(), {}, None),
+    # float() takes any Unicode decimal digit; the file is not ASCII
+    "fullwidth-digit": (_LF.replace("0.3", "\uff10.3").encode(), {}, None),
+    "trailing-blank-line": (_LF.encode() + b"\n\n", {}, "expected 2 data rows, found 3"),
+    # str.splitlines breaks a row at these, so the row counts twice
+    **{f"row-holds-{name}": (_LF.replace("0.1,", f"0.1{ch},").encode(), {},
+                             "expected 2 data rows, found 3")
+       for name, ch in [("ff", "\x0c"), ("rs", "\x1e"), ("ls", "\u2028")]},
+    "empty": (b"", {}, "header mismatch at line 1: expected label,f0..f1 (3 fields), "
+                       "got 0 fields"),
+    # the position is the byte's in the file, as a decode of the whole file gives
+    **{name: (blob, {}, _utf8_error(blob)) for name, blob in [
+        ("not-utf8", _LF.encode().replace(b"0.3", b"0\xff3")),
+        ("not-utf8-at-the-end", _LF.encode() + b"\xe2\x82")]},
+    "sidecar-n-3": (_LF.encode(), {"n": 3}, "expected 3 data rows, found 2"),
+    "sidecar-k-1": (_LF.replace("1,0.3", "0,0.3").encode(), {"k": 1},
+                    "k=1 grades, expected 2 to n=2"),
+    "sidecar-k-3": (_LF.encode(), {"k": 3}, "k=3 grades, expected 2 to n=2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_read_dataset_edges(case, tmp_path):
+    blob, fields, message = _READ_CASES[case]
+    path = tmp_path / "d.csv"
+    path.write_bytes(blob)
+    meta = {"n": 2, "d_in": 2, "k": 2, "domain_tag": "target", "seed": 0, **fields}
+    (tmp_path / "d.csv.meta.json").write_text(json.dumps(meta))
+    if message is None:
+        ds = read_dataset(path)
+        assert np.array_equal(ds.features, [[0.1, 0.2], [0.3, 0.4]])
+        assert np.array_equal(ds.labels, [0, 1])
+        return
+    with pytest.raises(ParseError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_read_dataset_peak_memory_is_its_arrays(bench_dir):
+    # the file's text is never held: the peak of traced allocations stays
+    # near the feature array (a whole-text reader peaked at 5.0 times it)
+    tracemalloc.start()
+    try:
+        ds = read_dataset(bench_dir / "target.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 3662
+    assert peak < 1.5 * ds.features.nbytes, peak / ds.features.nbytes
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda ds: replace(ds, labels=np.array([0, 7, 1, 2, 3])), r"label 7 out of range \[0,5"),
+    (lambda ds: replace(ds, labels=np.array([0, 1, -1, 2, 3])), r"label -1 out of range"),
+    (lambda ds: replace(ds, k=1, labels=np.zeros(5, dtype=int)), "k=1 grades, expected 2 to"),
+    (lambda ds: replace(ds, k=9), "k=9 grades, expected 2 to n=5"),
+    (lambda ds: replace(ds, features=ds.features[:, :0]), "no feature columns"),
+], ids=["label-7", "label-negative", "k-1", "k-9", "d_in-0"])
+def test_write_refuses_what_read_refuses(change, match, tmp_path):
+    # each of these files was written, and read_dataset refused it
+    ds = change(Dataset(np.arange(10.0).reshape(5, 2), np.arange(5), 5, "source", 0))
+    with pytest.raises(DataError, match=match):
+        write_dataset(tmp_path / "bad.csv", ds)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("typ", [int, dmod.NUMBER], ids=["int", "number"])

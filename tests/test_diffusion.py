@@ -676,6 +676,40 @@ def test_sample_chains_blocks_equal_one_batch():
     assert np.array_equal(mean, total / n_samples)
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_sample_chains_noise_drawn_into_its_block_keeps_the_means(k):
+    # the former runner's loop, with the noise drawn on its own and copied
+    # into a padded block, is the oracle: 150 items x 4 chains make a block
+    # of 512 rows and one of 88 padded to 96
+    n, n_samples, record = 150, 4, {20, 3}
+    net, sched, f, d, prior = _chain_inputs(n, k)
+    keys = np.arange(n) * 5 + 2
+    mean, states = df.sample_chains(net, sched, f, d, prior, 8, keys, n_samples, record)
+    rows = np.arange(n * n_samples)
+    total, want = np.zeros((n, k)), {t: np.empty((n_samples, n, k)) for t in record}
+    for lo in range(0, rows.size, df.ROW_BLOCK):
+        samples, items = np.divmod(rows[lo:lo + df.ROW_BLOCK], n)
+        pad = lambda a: np.pad(a, [(0, -items.size % df.ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
+        noise = pad(df.chain_noise(8, keys[items], samples, sched.t_total, k))
+        final, snaps = df.sample_chain_batch(
+            net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, record)
+        np.add.at(total, items, final[:items.size])
+        for t in record:
+            want[t][samples, items] = snaps[t][:items.size]
+    assert np.array_equal(mean, total / n_samples)
+    for t in record:
+        assert np.array_equal(states[t], want[t])
+
+
+def test_chain_noise_fills_out_and_nothing_else():
+    buf = np.zeros((5, DESK_SCHED.t_total + 1, 3))
+    keys, samples = np.array([4, 9, 4]), np.array([0, 0, 2])
+    got = df.chain_noise(6, keys, samples, DESK_SCHED.t_total, 3, out=buf[:3])
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(buf[:3], df.chain_noise(6, keys, samples, DESK_SCHED.t_total, 3))
+    assert not buf[3:].any()
+
+
 def test_sample_chain_batch_evaluates_the_denoiser_once_per_step(monkeypatch):
     # T denoiser calls per block, each on all of the block's rows: 150 items
     # x 4 chains make a block of ROW_BLOCK = 512 rows and one of 88, padded

@@ -346,6 +346,42 @@ def test_prediction_invariant_to_log_scale():
     np.testing.assert_array_equal(before, after)
 
 
+def _one_shot_conditioning(model, x):
+    """The encode of every row in one product: the oracle of the blocked
+    pipeline.conditioning and predict_batch."""
+    f = model.encode_batch(x)
+    d = model.similarity_batch(f)
+    return f.data, d.data, nk.softmax_rows(Tensor2(model.scale_value() * d.data)).data
+
+
+@pytest.mark.parametrize("rest", [0, 1, 3, 511])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_blocked_encodes_equal_the_one_shot_encode(k, rest):
+    # the pipeline's widths, a trained-looking adapter, and two whole blocks
+    # plus rest rows: a one-row rest joins the last block
+    cfg = pl.RunConfig()
+    model = gd.GuidanceModel.build(d_in=64, hidden=cfg.hidden, d_model=cfg.d_model, k=k,
+                                   rank=cfg.rank, alpha=cfg.alpha, seed=k, frozen_base=True)
+    rng = np.random.default_rng(rest)
+    model.lora_b.data = rng.standard_normal(model.lora_b.shape) * 0.1
+    model.log_scale.data = np.array([[3.0]])
+    x = rng.standard_normal((2 * nk.ROW_BLOCK + rest, 64))
+    want = _one_shot_conditioning(model, x)
+    for got, expect in zip(conditioning(model, x), want, strict=True):
+        assert np.array_equal(got, expect)
+    assert np.array_equal(gd.predict_batch(x, model), np.argmax(want[1], axis=1))
+
+
+@pytest.mark.parametrize("n, sizes", [
+    (0, []), (1, [1]), (512, [512]), (513, [513]), (514, [512, 2]),
+    (1025, [512, 513]), (1535, [512, 512, 511])])
+def test_row_blocks_fold_a_one_row_rest(n, sizes):
+    blocks = nk.row_blocks(n)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks] + [[]]),
+                          np.arange(n))
+
+
 def test_scale_clamped_at_maximum():
     model = small_model()
     model.log_scale.data = np.array([[50.0]])

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -342,6 +343,31 @@ def test_diffusion_predict_invariant_to_chunking(tiny_run):
         chunked = np.concatenate([means(slice(0, cut), n_samples),
                                   means(slice(cut, None), n_samples)])
         assert np.array_equal(whole, chunked)
+
+
+def test_full_split_encodes_peak_below_their_outputs(bench_dir):
+    # the train split's 2,563 rows run in row blocks, so the peak of traced
+    # allocations stays near the conditioning's own arrays (one pass over all
+    # rows peaked at 5.4 times them)
+    cfg = pl.RunConfig()
+    train, _ = stratified_split(read_dataset(bench_dir / "target.csv"),
+                                cfg.train_fraction, cfg.seed)
+    model = gd.GuidanceModel.build(train.d_in, cfg.hidden, cfg.d_model, train.k,
+                                   cfg.rank, cfg.alpha, cfg.seed, frozen_base=True)
+
+    def traced(encode):
+        tracemalloc.start()
+        try:
+            return encode(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cond, cond_peak = traced(lambda: pl.conditioning(model, train.features))
+    _, predict_peak = traced(lambda: gd.predict_batch(train.features, model))
+    outputs = sum(a.nbytes for a in cond)
+    assert train.n == 2563
+    assert cond_peak < 2.5 * outputs, cond_peak / outputs
+    assert predict_peak < 2.5 * outputs, predict_peak / outputs
 
 
 def _assert_n1_equals_single_chain(seed):
@@ -866,6 +892,9 @@ _BAD_INPUTS = {
         3, "eval", [], "data/target.csv", _dataset_meta("d_in", 10**9), None),
     # a grade count above the row count sized the split's per-grade counts
     # (10**10 asked for 74.5 GiB; 2**70 overflowed)
+    # the rows are counted before an array of n rows is allocated
+    "target-csv-meta-n-huge": (
+        3, "eval", [], "data/target.csv", _dataset_meta("n", 10**12), None),
     "target-csv-meta-k-huge": (
         3, "train-guidance", [], "data/target.csv", _dataset_meta("k", 10**10), None),
     "target-csv-meta-k-2**70": (
