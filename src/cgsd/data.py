@@ -348,62 +348,66 @@ def write_dataset(path: str | Path, ds: Dataset) -> None:
         f.write("label," + ",".join(f"f{i}" for i in range(ds.d_in)) + "\n")
         for lab, row in zip(ds.labels, ds.features):
             f.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    meta = {"n": int(ds.n), "d_in": int(ds.d_in), "k": int(ds.k),
-            "domain_tag": ds.domain_tag, "seed": int(ds.seed)}
+    meta = {
+        "n": int(ds.n),
+        "d_in": int(ds.d_in),
+        "k": int(ds.k),
+        "domain_tag": ds.domain_tag,
+        "seed": int(ds.seed),
+    }
     Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n")
+        json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n"
+    )
 
 
-# bytes at which str.splitlines breaks a line of ASCII text, LF aside
-_BREAKS = tuple(bytes([b]) for b in b"\r\x0b\x0c\x1c\x1d\x1e")
+def _csv_lines(path: Path):
+    """The lines str.splitlines gives of the file's UTF-8 text, one at a time:
+    newline="" splits at LF, CR and CR LF alone, and splitlines at the rest."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            for line in f:
+                yield from line.splitlines()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text: {_utf8_error(path)}") from None
 
 
-def _csv_lines(path: Path, plain: bool):
-    """The lines str.splitlines gives of the file's UTF-8 text, one at a time.
-    A plain file (see _count_lines) is read in binary lines; any other in
-    latin-1 with newline="", which splits at LF, CR and CR LF (bytes no UTF-8
-    sequence holds) and keeps each byte as one character. A line is decoded
-    on its own, and a decode error names the byte a whole-file decode names."""
+def _utf8_error(path: Path) -> str:
+    """The error a decode of the whole file gives, found a line of bytes at a
+    time: no UTF-8 sequence holds an LF byte, so the first line that does not
+    decode holds the file's first error, at that line's offset."""
     offset = 0
-    with open(path, "rb") if plain else open(path, encoding="latin-1", newline="") as f:
-        for line in f:
-            raw = line if plain else line.encode("latin-1")
+    with open(path, "rb") as f:
+        for raw in f:
             try:
-                text = raw.decode("utf-8")
+                raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 start, end = offset + e.start, offset + e.end - 1
                 at = (f"byte 0x{raw[e.start]:02x} in position {start}" if start == end
                       else f"bytes in position {start}-{end}")
-                raise ParseError(f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
-                                 f"{at}: {e.reason}") from None
+                return f"'utf-8' codec can't decode {at}: {e.reason}"
             offset += len(raw)
-            yield from (text.removesuffix("\n"),) if plain else text.splitlines()
-
-
-def _count_lines(path: Path) -> tuple[int, bool]:
-    """The number of _csv_lines, and whether the file is plain: ASCII whose
-    only line break is LF, so that its LF bytes count its lines."""
-    lf, last = 0, b"\n"
-    with open(path, "rb") as f:
-        while chunk := f.read(1 << 16):
-            if not chunk.isascii() or any(b in chunk for b in _BREAKS):
-                return sum(1 for _ in _csv_lines(path, False)), False
-            lf, last = lf + chunk.count(b"\n"), chunk[-1:]
-    return lf + (last != b"\n"), True
+    return "the file changed while it was read"
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """A dataset file, read a line at a time, twice: first its header is
-    checked and its rows counted, which must be the sidecar's n; then the
-    rows are parsed into arrays of that size."""
+    """A dataset file, read a line at a time, twice: first the whole file is
+    decoded, its header checked and its rows counted, which must be the
+    sidecar's n; then the rows are parsed into arrays of that size."""
     path = Path(path)
-    meta = read_json_object(str(path) + ".meta.json", "metadata",
-                            {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int})
+    meta = read_json_object(
+        str(path) + ".meta.json",
+        "metadata",
+        {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int},
+    )
     if not path.exists():
         raise ParseError(f"dataset file not found: {path}")
     n, d_in, k = meta["n"], meta["d_in"], meta["k"]
 
-    header = next(_csv_lines(path, False), None)
+    lines = _csv_lines(path)
+    header = next(lines, None)
+    # counted before the header is checked, so that a non-UTF-8 byte anywhere
+    # in the file is the error, as when the file was decoded whole
+    found = sum(1 for _ in lines)
     # the field count first, so no header is built wider than the file's
     fields = 0 if header is None else len(header.split(","))
     if fields != d_in + 1 or header != "label," + ",".join(f"f{i}" for i in range(d_in)):
@@ -411,17 +415,22 @@ def read_dataset(path: str | Path) -> Dataset:
             f"{path}: header mismatch at line 1: expected label,f0..f{d_in - 1} "
             f"({d_in + 1} fields), got {fields} fields"
         )
-    lines, plain = _count_lines(path)
-    if lines - 1 != n:
-        raise ParseError(f"{path}: expected {n} data rows, found {lines - 1}")
+    if found != n:
+        raise ParseError(f"{path}: expected {n} data rows, found {found}")
     feats = np.empty((n, d_in))
     labels = np.empty(n, dtype=np.int64)
-    for i, row in enumerate(itertools.islice(_csv_lines(path, plain), 1, None)):
+    # at most n rows are parsed, and a file that gained or lost rows since
+    # they were counted is refused, so every row of the arrays is written
+    rows = itertools.islice(_csv_lines(path), 1, None)
+    i = -1
+    for i, row in zip(range(n), rows):
         lineno = i + 2
         parts = row.split(",")
         if len(parts) != d_in + 1:
-            raise ParseError(f"{path}: row length mismatch at line {lineno}: "
-                             f"expected {d_in + 1} fields, got {len(parts)}")
+            raise ParseError(
+                f"{path}: row length mismatch at line {lineno}: "
+                f"expected {d_in + 1} fields, got {len(parts)}"
+            )
         try:
             lab = int(parts[0])
         except ValueError:
@@ -433,6 +442,9 @@ def read_dataset(path: str | Path) -> Dataset:
             feats[i] = list(map(float, parts[1:]))
         except ValueError:
             raise ParseError(f"{path}: non-numeric feature at line {lineno}")
+    found = i + 1 + sum(1 for _ in rows)
+    if found != n:
+        raise ParseError(f"{path}: expected {n} data rows, found {found}")
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
         raise ParseError(f"{path}: non-finite feature at line {np.argmax(bad) + 2}")

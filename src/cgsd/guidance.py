@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -30,30 +29,49 @@ SCALE_MAX = 100.0
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # v2 is the zip checkpoint of data.save_checkpoint; v1 was its JSON predecessor
 GUIDANCE_FORMAT = "cgsd-guidance-v2"
-# the checkpoint's tensor members, in file order
-_TENSORS = ("w1", "b1", "w2", "b2", "lora_a", "lora_b", "prompts")
 
 
-@dataclass(eq=False)
 class GuidanceModel:
     """Encoder MLP (d_in -> hidden -> d_model) whose output projection w2 gets
     the low-rank increment (alpha / rank) * lora_b @ lora_a, rank = lora_a.rows
     (zero at build: lora_b starts at zero), plus K prompt rows and a log scale."""
 
-    w1: Tensor2
-    b1: Tensor2
-    w2: Tensor2
-    b2: Tensor2
-    lora_a: Tensor2
-    lora_b: Tensor2
-    alpha: float
-    prompts: Tensor2
-    log_scale: Tensor2
-    frozen_base: bool = True
+    def __init__(
+        self,
+        w1: Tensor2,
+        b1: Tensor2,
+        w2: Tensor2,
+        b2: Tensor2,
+        lora_a: Tensor2,
+        lora_b: Tensor2,
+        alpha: float,
+        prompts: Tensor2,
+        log_scale: Tensor2,
+        frozen_base: bool = True,
+    ):
+        self.w1 = w1
+        self.b1 = b1
+        self.w2 = w2
+        self.b2 = b2
+        self.lora_a = lora_a
+        self.lora_b = lora_b
+        self.alpha = alpha
+        self.prompts = prompts
+        self.log_scale = log_scale
+        self.frozen_base = frozen_base
 
     @classmethod
-    def build(cls, d_in: int, hidden: int, d_model: int, k: int, rank: int, alpha: float,
-              seed: int, frozen_base: bool = False) -> "GuidanceModel":
+    def build(
+        cls,
+        d_in: int,
+        hidden: int,
+        d_model: int,
+        k: int,
+        rank: int,
+        alpha: float,
+        seed: int,
+        frozen_base: bool = False,
+    ) -> "GuidanceModel":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
         w1 = Tensor2(rng.standard_normal((hidden, d_in)) / math.sqrt(d_in))
         b1 = Tensor2(np.zeros((1, hidden)))
@@ -215,10 +233,25 @@ def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
 
 
 def save_guidance(path: str | Path, model: GuidanceModel) -> None:
-    meta = {"frozen": model.frozen_base, "d_in": model.d_in, "hidden": model.w1.rows,
-            "d_model": model.w2.rows, "k": model.k, "rank": model.lora_a.rows,
-            "alpha": model.alpha, "log_scale": model.log_scale.item()}
-    tensors = {name: getattr(model, name).data for name in _TENSORS}
+    meta = {
+        "frozen": model.frozen_base,
+        "d_in": model.d_in,
+        "hidden": model.w1.rows,
+        "d_model": model.w2.rows,
+        "k": model.k,
+        "rank": model.lora_a.rows,
+        "alpha": model.alpha,
+        "log_scale": model.log_scale.item(),
+    }
+    tensors = {
+        "w1": model.w1.data,
+        "b1": model.b1.data,
+        "w2": model.w2.data,
+        "b2": model.b2.data,
+        "lora_a": model.lora_a.data,
+        "lora_b": model.lora_b.data,
+        "prompts": model.prompts.data,
+    }
     save_checkpoint(path, GUIDANCE_FORMAT, meta, tensors)
 
 
@@ -256,6 +289,8 @@ def load_guidance(path: str | Path) -> GuidanceModel:
          "rank": int, "alpha": NUMBER, "log_scale": NUMBER},
         _tensor_shapes,
     )
-    return GuidanceModel(**{name: Tensor2(a) for name, a in w.items()}, alpha=doc["alpha"],
-                         log_scale=Tensor2(np.array([[doc["log_scale"]]])),
-                         frozen_base=doc["frozen"])
+    t = {name: Tensor2(a) for name, a in w.items()}
+    return GuidanceModel(
+        t["w1"], t["b1"], t["w2"], t["b2"], t["lora_a"], t["lora_b"], doc["alpha"],
+        t["prompts"], Tensor2(np.array([[doc["log_scale"]]])), frozen_base=doc["frozen"],
+    )

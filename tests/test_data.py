@@ -402,7 +402,9 @@ _READ_CASES = {
     # the position is the byte's in the file, as a decode of the whole file gives
     **{name: (blob, {}, _utf8_error(blob)) for name, blob in [
         ("not-utf8", _LF.encode().replace(b"0.3", b"0\xff3")),
-        ("not-utf8-at-the-end", _LF.encode() + b"\xe2\x82")]},
+        ("not-utf8-at-the-end", _LF.encode() + b"\xe2\x82"),
+        # the whole file is decoded before the header is checked
+        ("bad-header-and-not-utf8", _LF.replace("f1", "g1").encode() + b"\xff")]},
     "sidecar-n-3": (_LF.encode(), {"n": 3}, "expected 3 data rows, found 2"),
     "sidecar-k-1": (_LF.replace("1,0.3", "0,0.3").encode(), {"k": 1},
                     "k=1 grades, expected 2 to n=2"),
@@ -425,6 +427,31 @@ def test_read_dataset_edges(case, tmp_path):
     with pytest.raises(ParseError) as err:
         read_dataset(path)
     assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_read_refuses_rows_gained_or_lost_after_the_count(rows, tmp_path, monkeypatch):
+    # the file is rewritten between the pass that counts its rows and the one
+    # that parses them: a row gained raised IndexError, and a row lost left
+    # one row of the arrays unwritten
+    path = tmp_path / "d.csv"
+    path.write_text(_LF)
+    meta = {"n": 2, "d_in": 2, "k": 2, "domain_tag": "target", "seed": 0}
+    (tmp_path / "d.csv.meta.json").write_text(json.dumps(meta))
+    passes = []
+    read_lines = dmod._csv_lines
+
+    def rewritten_after_the_count(p):
+        passes.append(p)
+        if len(passes) == 2:
+            path.write_text("\n".join(_ROWS[:1] + ["0,0.5,0.6"] * rows))
+        return read_lines(p)
+
+    monkeypatch.setattr(dmod, "_csv_lines", rewritten_after_the_count)
+    with pytest.raises(ParseError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}: expected 2 data rows, found {rows}"
+    assert len(passes) == 2
 
 
 def test_read_dataset_peak_memory_is_its_arrays(bench_dir):
