@@ -135,15 +135,14 @@ class DenoiserNet:
 
 
 def conditioning_input(
-    f: np.ndarray, y_t: np.ndarray, y_hat0: np.ndarray, d: np.ndarray, temb: np.ndarray,
-    out: np.ndarray | None = None,
+    f: np.ndarray, y_t: np.ndarray, y_hat0: np.ndarray, d: np.ndarray, temb: np.ndarray
 ) -> np.ndarray:
-    """The denoiser's input rows in CONDITIONING_LAYOUT, written into out if
-    given; temb is one timestep-embedding row shared by every item or one row
-    per item (rows of NoiseSchedule.temb)."""
+    """The denoiser's input rows in CONDITIONING_LAYOUT; temb is one
+    timestep-embedding row shared by every item or one row per item (rows of
+    NoiseSchedule.temb)."""
     parts = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d)]
     parts.append(np.broadcast_to(temb, (parts[0].shape[0], TEMB_DIM)))
-    return np.concatenate(parts, axis=1, out=out)
+    return np.concatenate(parts, axis=1)
 
 
 def eps_predict(
@@ -450,15 +449,13 @@ def save_denoiser(
         "beta_start": beta_start,
         "beta_end": beta_end,
     }
-    tensors = {}
-    for i, (w, b) in enumerate(net.layers):
-        tensors[f"layer{i}_w"], tensors[f"layer{i}_b"] = w.data, b.data
+    tensors = dict(zip(_tensor_shapes(meta), (p.data for p in net.params()), strict=True))
     save_checkpoint(path, DENOISER_FORMAT, meta, tensors)
 
 
 def _tensor_shapes(doc: dict) -> dict[str, list[int]]:
     """Layout and schedule checks, then each layer's shapes from d_model, k
-    and HIDDEN."""
+    and HIDDEN: layer i's weight, then its bias, in DenoiserNet.params order."""
     if doc["layout"] != CONDITIONING_LAYOUT:
         raise ParseError(f"unknown conditioning layout {doc['layout']!r}")
     t_total, beta_start, beta_end = doc["t_total"], doc["beta_start"], doc["beta_end"]
@@ -481,10 +478,7 @@ def load_denoiser(path: str | Path) -> tuple[DenoiserNet, NoiseSchedule]:
          "beta_start": NUMBER, "beta_end": NUMBER},
         _tensor_shapes,
     )
-    layers = [
-        (Tensor2(w[f"layer{i}_w"]), Tensor2(w[f"layer{i}_b"]))
-        for i in range(len(HIDDEN) + 1)
-    ]
-    net = DenoiserNet(layers, doc["d_model"], doc["k"])
+    params = iter(map(Tensor2, w.values()))
+    net = DenoiserNet(list(zip(params, params)), doc["d_model"], doc["k"])
     sched = make_schedule(doc["t_total"], doc["beta_start"], doc["beta_end"])
     return net, sched

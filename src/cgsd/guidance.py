@@ -171,15 +171,11 @@ def ranking_loss(
     total = None
     for lab in np.unique(y):
         pairs, npairs = _pair_matrix(k, int(lab))
-        if npairs == 0:
-            continue
         idx = np.flatnonzero(y == lab)
         shifted = (d_batch.data[idx] @ pairs.T) * -1.0 + margin
         part = np.maximum(shifted, 0.0).sum() * (1.0 / npairs)
         total = part if total is None else total + part
         blocks.append((idx, pairs, npairs, shifted))
-    if total is None:
-        return Tensor2(np.zeros((1, 1)))
     out = Tensor2(total * (1.0 / n))
     if tape is not None:
 
@@ -217,17 +213,6 @@ def guidance_loss(
     return loss
 
 
-def predict_batch(features: np.ndarray, model: GuidanceModel) -> np.ndarray:
-    """Zero-shot grades: argmax of similarities, ties to the smaller index;
-    the rows are encoded in numkit.row_blocks."""
-    features = np.atleast_2d(features)
-    preds = np.empty(features.shape[0], dtype=np.intp)
-    for rows in nk.row_blocks(features.shape[0]):
-        d = model.similarity_batch(model.encode_batch(features[rows]))
-        preds[rows] = np.argmax(nk.check_finite(d.data, "the grade similarities"), axis=1)
-    return preds
-
-
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 
@@ -243,21 +228,14 @@ def save_guidance(path: str | Path, model: GuidanceModel) -> None:
         "alpha": model.alpha,
         "log_scale": model.log_scale.item(),
     }
-    tensors = {
-        "w1": model.w1.data,
-        "b1": model.b1.data,
-        "w2": model.w2.data,
-        "b2": model.b2.data,
-        "lora_a": model.lora_a.data,
-        "lora_b": model.lora_b.data,
-        "prompts": model.prompts.data,
-    }
+    tensors = {name: getattr(model, name).data for name in _tensor_shapes(meta)}
     save_checkpoint(path, GUIDANCE_FORMAT, meta, tensors)
 
 
 def _tensor_shapes(doc: dict) -> dict[str, list[int]]:
     """Range checks on a checkpoint's meta values, then each tensor's shape
-    from the recorded dimensions."""
+    from the recorded dimensions, keyed by its GuidanceModel argument name;
+    save writes the tensors in this order."""
     d_in, hidden, d_model, k, rank, alpha, log_scale = (
         doc[key]
         for key in ("d_in", "hidden", "d_model", "k", "rank", "alpha", "log_scale")
@@ -289,8 +267,7 @@ def load_guidance(path: str | Path) -> GuidanceModel:
          "rank": int, "alpha": NUMBER, "log_scale": NUMBER},
         _tensor_shapes,
     )
-    t = {name: Tensor2(a) for name, a in w.items()}
     return GuidanceModel(
-        t["w1"], t["b1"], t["w2"], t["b2"], t["lora_a"], t["lora_b"], doc["alpha"],
-        t["prompts"], Tensor2(np.array([[doc["log_scale"]]])), frozen_base=doc["frozen"],
+        **{name: Tensor2(a) for name, a in w.items()}, alpha=doc["alpha"],
+        log_scale=Tensor2(np.array([[doc["log_scale"]]])), frozen_base=doc["frozen"],
     )

@@ -157,7 +157,7 @@ def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
 
 def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     """Frozen-guidance conditioning arrays (f, d, prior) for feature rows,
-    encoded in row_blocks."""
+    encoded in row_blocks: the package's one full-split encode."""
     n = features.shape[0]
     f, d, prior = (np.empty((n, cols)) for cols in (model.w2.rows, model.k, model.k))
     for rows in row_blocks(n):
@@ -303,7 +303,7 @@ def train_stage1(
             model, train.features, train.labels, cfg.stage1_batch, cfg,
             flat, groups, epoch, rng,
         )
-        preds = gd.predict_batch(train.features, model)
+        preds = np.argmax(conditioning(model, train.features)[1], axis=1)
         acc = float(np.mean(preds == train.labels))
         lr = optim.lr_at(epoch, lora_plan)
         log.append(f"stage1,{epoch},{lr:.8g},{mean_loss:.8g},{acc:.6f}")
@@ -391,18 +391,16 @@ def evaluate(
     test: Dataset,
     cfg: RunConfig,
 ) -> dict:
-    """Metrics report on a test split: zero-shot without a denoiser,
-    multi-sample diffusion inference with a (net, schedule) pair."""
+    """Metrics report on a test split: the argmax of the grade similarities
+    (zero-shot) without a denoiser, of the mean of multi-sample diffusion
+    inference with a (net, schedule) pair."""
     cfg = cfg.resolved()
-    if denoiser is None:
-        preds = gd.predict_batch(test.features, model)
-        mode = "zero-shot"
-    else:
-        f, d, prior = conditioning(model, test.features)
-        mean, _ = df.sample_chains(
-            *denoiser, f, d, prior, cfg.seed, np.arange(test.n), cfg.n_samples)
-        preds = np.argmax(mean, axis=1)  # ties go to the smaller grade
-        mode = "diffusion"
+    f, scores, prior = conditioning(model, test.features)
+    if denoiser is not None:
+        scores, _ = df.sample_chains(
+            *denoiser, f, scores, prior, cfg.seed, np.arange(test.n), cfg.n_samples)
+    preds = np.argmax(scores, axis=1)  # ties go to the smaller grade
+    mode = "zero-shot" if denoiser is None else "diffusion"
 
     counts, acc, per_f1, macro = confusion_and_metrics(preds, test.labels, test.k)
     return {

@@ -122,7 +122,8 @@ def separable_stage1(tmp_path_factory):
     )
     model = gd.load_guidance(out / "guidance.json")
     _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
-    acc = float(np.mean(gd.predict_batch(test.features, model) == test.labels))
+    acc = float(np.mean(np.argmax(pl.conditioning(model, test.features)[1], axis=1)
+                        == test.labels))
     return {
         "dir": out,
         "model": model,

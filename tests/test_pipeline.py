@@ -363,11 +363,9 @@ def test_full_split_encodes_peak_below_their_outputs(bench_dir):
             tracemalloc.stop()
 
     cond, cond_peak = traced(lambda: pl.conditioning(model, train.features))
-    _, predict_peak = traced(lambda: gd.predict_batch(train.features, model))
     outputs = sum(a.nbytes for a in cond)
     assert train.n == 2563
     assert cond_peak < 2.5 * outputs, cond_peak / outputs
-    assert predict_peak < 2.5 * outputs, predict_peak / outputs
 
 
 def _assert_n1_equals_single_chain(seed):
@@ -565,6 +563,27 @@ def test_export_trajectory_default_steps_follow_the_schedule(bad_input_base, tmp
             assert cli.main(argv + extra) == 0
         rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
         assert list(dict.fromkeys(int(row.split(",")[0]) for row in rows)) == want
+
+
+def test_readme_trajectory_demo_runs(tmp_path):
+    # the README's three-command trajectory demo, on a smaller benchmark
+    data = tmp_path / "D"
+    commands = [
+        ["gen-data", "--k", "2", "--proportions", "0.5,0.5", "--separation", "6",
+         "--n", "300", "--out", str(data)],
+        ["ablate", "--desk-preset", "--data", str(data), "--out", str(data / "ablation.json")],
+        ["export-trajectory", "--data", str(data),
+         "--guidance", str(data / "ablate_guidance.json"),
+         "--diffusion", str(data / "ablate_denoiser.json"), "--out", str(data / "trajectory.csv")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main(argv) for argv in commands] == [0, 0, 0]
+    cfg = pl.RunConfig()
+    _, test = stratified_split(read_dataset(data / "target.csv"), cfg.train_fraction, cfg.seed)
+    assert len((data / "trajectory.csv").read_text().splitlines()) == 1 + 6 * test.n
+    sil = json.loads((data / "trajectory.csv.silhouette.json").read_text())
+    assert sorted(sil["silhouette_by_step"], key=int, reverse=True) == [
+        "100", "80", "60", "40", "20", "0"]
 
 
 # ---------------------------------------------------------------------------
