@@ -73,13 +73,13 @@ def silhouette_score(points2d: np.ndarray, labels) -> float:
     if distinct.size < 2:
         raise DataError("silhouette needs at least 2 distinct labels")
 
-    # columns grouped by label, each group in index order: class c's distances
-    # from point i are the slice dist[i, lo[c]:lo[c+1]], what dist[i, labels == c]
-    # holds, and each gets its own 1-D reduction in the mask's order (a 2-D one
+    # points grouped by label, each group in index order: point i's distance
+    # row is made where it is summed, so no n x n array is held; class c's
+    # distances are the slice row[lo[c]:lo[c+1]], what a labels == c mask
+    # picks, and each gets its own 1-D reduction in the mask's order (a 2-D one
     # may add in another: np.add.reduceat does, as does a Fortran-order block)
     order = np.argsort(labels, kind="stable")
-    dx, dy = (c[:, None] - c[order] for c in points2d.T)
-    dist = np.sqrt(dx * dx + dy * dy)
+    xs, ys = (c[order] for c in points2d.T)
     cls = np.searchsorted(distinct, labels).tolist()
     counts = counts.tolist()
     lo = [0, *np.cumsum(counts).tolist()]
@@ -87,7 +87,8 @@ def silhouette_score(points2d: np.ndarray, labels) -> float:
     for i, c in enumerate(cls):
         if counts[c] == 1:
             continue
-        row = dist[i]
+        dx, dy = points2d[i, 0] - xs, points2d[i, 1] - ys
+        row = np.sqrt(dx * dx + dy * dy)
         a = np.add.reduce(row[lo[c]:lo[c + 1]]) / (counts[c] - 1)
         b = np.inf
         for j, size in enumerate(counts):

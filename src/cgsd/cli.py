@@ -145,6 +145,8 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
     # each run pretrains a fresh base and writes it beside --out (g.npz: g.base.npz)
     out = Path(a["out"])
+    if out.name in ("", ".."):
+        raise ConfigError(f"out: {a['out']!r} names no file")
     result = pipeline.train_stage1(
         a["data"], cfg, out, out.with_suffix(".base" + out.suffix)
     )

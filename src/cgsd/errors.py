@@ -31,8 +31,4 @@ class ParseError(DataError):
 
 
 class NumericError(CgsdError, ArithmeticError):
-    """A computation produced a non-finite value."""
-
-
-class DegenerateNormWarning(UserWarning):
-    """A row with near-zero norm was rescaled by 1/eps instead of normalized."""
+    """A computation produced a non-finite value or a row with no direction."""

@@ -15,17 +15,11 @@ that is updated in place (the optimizers do) is updated after the sweep.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateNormWarning,
-    DimensionError,
-    NumericError,
-)
+from .errors import ContractError, DimensionError, NumericError
 
 Array = np.ndarray
 
@@ -359,35 +353,28 @@ def softmax_rows(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     return out
 
 
-def l2_normalize_rows(
-    a: Tensor2, eps: float = 1e-12, tape: GradTape | None = None
-) -> Tensor2:
-    """Scale each row to unit Euclidean norm, computed as row/(||row|| + eps).
+NORM_EPS = 1e-12
 
-    Rows with norm below eps are returned scaled by ~1/eps and flagged with a
-    DegenerateNormWarning rather than raising; a non-finite row norm (which
-    would divide the row to zeros) raises NumericError.
+
+def l2_normalize_rows(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
+    """Scale each row to unit Euclidean norm, computed as row/(||row|| + NORM_EPS).
+
+    A row norm below NORM_EPS (a row that has no direction) or a non-finite
+    one (which would divide the row to zeros) raises NumericError.
     """
-    if eps <= 0:
-        raise ContractError("eps must be positive")
     norms = check_finite(
         np.linalg.norm(a.data, axis=1, keepdims=True), "l2_normalize_rows row norms"
     )
-    if np.any(norms < eps):
-        warnings.warn(
-            "l2_normalize_rows: row norm below eps; output not unit-length",
-            DegenerateNormWarning,
-            stacklevel=2,
-        )
-    denom = norms + eps
+    if np.any(norms < NORM_EPS):
+        raise NumericError(f"l2_normalize_rows: row norm below {NORM_EPS:g}")
+    denom = norms + NORM_EPS
     out = Tensor2(a.data / denom)
     if tape is not None:
         ad = a.data
-        safe_norms = np.maximum(norms, eps)
 
         def vjp(g):
             dot = np.sum(g * ad, axis=1, keepdims=True)
-            return g / denom - ad * dot / (safe_norms * denom * denom)
+            return g / denom - ad * dot / (norms * denom * denom)
 
         tape.record(out, (a,), (vjp,))
     return out

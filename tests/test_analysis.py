@@ -1,5 +1,7 @@
 """Metrics, the 2-D projection and the cluster-separation statistic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,21 @@ def test_silhouette_equals_the_loop_on_a_test_split_sized_cloud():
     labels = rng.choice([0, 1, 2, 3, 4], 1099, p=[0.5, 0.1, 0.25, 0.08, 0.07])
     pts = rng.standard_normal((1099, 2)) + labels[:, None] * 0.5
     assert silhouette_score(pts, labels) == _silhouette_oracle(pts, labels)
+
+
+def test_silhouette_holds_no_n_by_n_array():
+    # the cloud of the test above: a 1,099 x 1,099 float64 array is 9.7 MB,
+    # and the full distance matrix with its dx/dy differences peaked at 38.7 MB
+    rng = np.random.default_rng(1099)
+    labels = rng.choice([0, 1, 2, 3, 4], 1099, p=[0.5, 0.1, 0.25, 0.08, 0.07])
+    pts = rng.standard_normal((1099, 2)) + labels[:, None] * 0.5
+    tracemalloc.start()
+    try:
+        silhouette_score(pts, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("shape", [(6,), (6, 3), (6, 1), (6, 2, 1)])

@@ -13,7 +13,7 @@ from cgsd import diffusion as df
 from cgsd import guidance as gd
 from cgsd import numkit as nk
 from cgsd import optim
-from cgsd.errors import ContractError, DimensionError, DegenerateNormWarning, NumericError
+from cgsd.errors import ContractError, DimensionError, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
 from gradcheck import full_backward, grad_check
 
@@ -133,10 +133,12 @@ def test_l2_normalize_output_norm_one():
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
-def test_l2_normalize_zero_row_warns():
-    with pytest.warns(DegenerateNormWarning):
-        out = nk.l2_normalize_rows(Tensor2([[0.0, 0.0]]), eps=1e-8).data
-    np.testing.assert_array_equal(out, [[0.0, 0.0]])
+def test_l2_normalize_refuses_a_row_norm_below_eps():
+    # a row with no direction has nothing to scale to unit norm
+    for row in ([0.0, 0.0], [1e-13, 0.0]):
+        with pytest.raises(NumericError, match="row norm below"):
+            nk.l2_normalize_rows(Tensor2([[3.0, 4.0], row]))
+    assert nk.l2_normalize_rows(Tensor2([[nk.NORM_EPS, 0.0]])).data[0, 0] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -838,6 +838,15 @@ def _weight_set(name, index, value):
     return damage
 
 
+def _weight_row_set(name, row, value):
+    """Damage that sets every element of one row of a checkpoint tensor."""
+    def damage(path):
+        arr = ckpt.array(path, name)
+        arr[row] = value
+        ckpt.set_array(path, name, arr)
+    return damage
+
+
 def _weight_as(dtype):
     """Damage that stores layer0_w with another dtype, its shape kept."""
     def damage(path):
@@ -957,6 +966,10 @@ _BAD_INPUTS = {
         4, "eval", [], "d.json", _weight_set("layer2_b", 0, 1e308),
         None),
     "gen-data-noise-1e308": (4, "gen-data", ["--noise", "1e308"], None, None, None),
+    # a row norm below eps has no direction to normalize (a zero prompt row
+    # was rescaled by 1/eps with a warning, and exit 0)
+    "guidance-prompt-row-zero": (
+        4, "eval", [], "g.json", _weight_row_set("prompts", 0, 0.0), None),
     # checkpoints with non-finite or out-of-range values fail at load
     "denoiser-weight-nan": (
         3, "eval", [], "d.json", _weight_set("layer0_w", 0, math.nan),
@@ -987,6 +1000,13 @@ _BAD_INPUTS = {
         None),
     "train-diffusion-unfrozen-guidance": (
         3, "train-diffusion", [], "g.json", _meta_set("frozen", False), None),
+    # an --out with no file name has no base name beside it (a ValueError
+    # traceback before any training; "..", exit 3 after training, beside a
+    # stray "...base")
+    "train-guidance-out-dot": (2, "train-guidance", ["--out", "."], None, None, None),
+    "train-guidance-out-empty": (2, "train-guidance", ["--out", ""], None, None, None),
+    "train-guidance-out-dotdot": (
+        2, "train-guidance", ["--out", "{w}/.."], None, None, None),
     # paths the program cannot write: the message names the path
     "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.json"], "g.json",
                                None, None),
@@ -1125,10 +1145,12 @@ def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "case", ["guidance-weight-1e308", "guidance-weight-1e300", "gen-data-noise-1e308"])
+    "case", ["guidance-weight-1e308", "guidance-weight-1e300", "gen-data-noise-1e308",
+             "guidance-prompt-row-zero"])
 def test_cli_process_numeric_failure_is_one_line(case, bad_input_base, tmp_path):
     # the command in its own process, outside pytest's warning filter, where
-    # numpy's floating-point warnings would add lines to stderr
+    # numpy's floating-point warnings (or a library warning) would add lines
+    # to stderr
     argv = _bad_input_argv(case, bad_input_base, tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
