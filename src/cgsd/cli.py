@@ -10,7 +10,8 @@ and path arguments; explicit flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 data/parse or file I/O error,
 4 numeric failure (numpy's floating-point warnings are off, so it is one line),
 5 out of memory (a request larger than the host can allocate, such as an
-``eval --n-samples`` whose chains do not fit).
+``eval --n-samples`` whose chains do not fit, gen-data's ``--n`` and ``--d-in``,
+or a noise schedule's ``t_total`` from train-diffusion or a checkpoint).
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ ordinal structure itself.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import tokenize
@@ -108,6 +107,9 @@ def class_means(cfg: SyntheticConfig) -> np.ndarray:
 
 
 def _draw(cfg: SyntheticConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    # numpy refuses an array of more bytes than it can index before allocating
+    if cfg.n * cfg.d_in > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{cfg.n} rows of {cfg.d_in} features cannot be indexed")
     counts = apportion(cfg.n, [cfg.n * p for p in cfg.proportions])
     means = class_means(cfg)
     feats = np.empty((cfg.n, cfg.d_in))
@@ -362,37 +364,46 @@ def write_dataset(path: str | Path, ds: Dataset) -> None:
 
 def _csv_lines(path: Path):
     """The lines str.splitlines gives of the file's UTF-8 text, one at a time:
-    newline="" splits at LF, CR and CR LF alone, and splitlines at the rest."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            for line in f:
-                yield from line.splitlines()
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text: {_utf8_error(path)}") from None
-
-
-def _utf8_error(path: Path) -> str:
-    """The error a decode of the whole file gives, found a line of bytes at a
-    time: no UTF-8 sequence holds an LF byte, so the first line that does not
-    decode holds the file's first error, at that line's offset."""
+    each piece up to an LF, which no UTF-8 sequence holds, is decoded alone,
+    so a decode error is the whole file's, at its position in the file."""
     offset = 0
     with open(path, "rb") as f:
         for raw in f:
             try:
-                raw.decode("utf-8")
+                text = raw.decode("utf-8")
             except UnicodeDecodeError as e:
                 start, end = offset + e.start, offset + e.end - 1
                 at = (f"byte 0x{raw[e.start]:02x} in position {start}" if start == end
                       else f"bytes in position {start}-{end}")
-                return f"'utf-8' codec can't decode {at}: {e.reason}"
+                raise ParseError(f"{path}: not UTF-8 text: "
+                                 f"'utf-8' codec can't decode {at}: {e.reason}") from None
+            yield from text.splitlines()
             offset += len(raw)
-    return "the file changed while it was read"
+
+
+def _parse_row(row: str, lineno: int, d_in: int, k: int) -> tuple[int, list[float]]:
+    """A data row's label and features, or a ValueError naming its fault."""
+    parts = row.split(",")
+    if len(parts) != d_in + 1:
+        raise ValueError(f"row length mismatch at line {lineno}: "
+                         f"expected {d_in + 1} fields, got {len(parts)}")
+    try:
+        lab = int(parts[0])
+    except ValueError:
+        raise ValueError(f"non-integer label '{parts[0]}' at line {lineno}") from None
+    if not 0 <= lab < k:
+        raise ValueError(f"label {lab} out of range [0,{k}) at line {lineno}")
+    try:
+        return lab, list(map(float, parts[1:]))
+    except ValueError:
+        raise ValueError(f"non-numeric feature at line {lineno}") from None
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """A dataset file, read a line at a time, twice: first the whole file is
-    decoded, its header checked and its rows counted, which must be the
-    sidecar's n; then the rows are parsed into arrays of that size."""
+    """A dataset file, read a line at a time in one pass that parses the rows
+    that fit and counts every line. Errors wait for the end of the file: a
+    non-UTF-8 byte anywhere, the header, the sidecar's n against the count,
+    the first bad row, a non-finite feature, then the grade count."""
     path = Path(path)
     meta = read_json_object(
         str(path) + ".meta.json",
@@ -405,46 +416,35 @@ def read_dataset(path: str | Path) -> Dataset:
 
     lines = _csv_lines(path)
     header = next(lines, None)
-    # counted before the header is checked, so that a non-UTF-8 byte anywhere
-    # in the file is the error, as when the file was decoded whole
-    found = sum(1 for _ in lines)
     # the field count first, so no header is built wider than the file's
     fields = 0 if header is None else len(header.split(","))
-    if fields != d_in + 1 or header != "label," + ",".join(f"f{i}" for i in range(d_in)):
+    header_ok = fields == d_in + 1 and header == "label," + ",".join(
+        f"f{i}" for i in range(d_in))
+    # a row of d_in + 1 fields takes at least 2 d_in + 1 bytes, so a sidecar n
+    # beyond what the file can hold never sizes the arrays
+    fit = min(max(n, 0), path.stat().st_size // (2 * d_in + 1)) if header_ok else 0
+    feats = np.empty((fit, d_in))
+    labels = np.empty(fit, dtype=np.int64)
+    found, bad_row = 0, None
+    for found, row in enumerate(lines, 1):
+        if found <= fit and bad_row is None:
+            try:
+                labels[found - 1], feats[found - 1] = _parse_row(row, found + 1, d_in, k)
+            except ValueError as e:
+                bad_row = e
+    if not header_ok:
         raise ParseError(
             f"{path}: header mismatch at line 1: expected label,f0..f{d_in - 1} "
             f"({d_in + 1} fields), got {fields} fields"
         )
     if found != n:
         raise ParseError(f"{path}: expected {n} data rows, found {found}")
-    feats = np.empty((n, d_in))
-    labels = np.empty(n, dtype=np.int64)
-    # at most n rows are parsed, and a file that gained or lost rows since
-    # they were counted is refused, so every row of the arrays is written
-    rows = itertools.islice(_csv_lines(path), 1, None)
-    i = -1
-    for i, row in zip(range(n), rows):
-        lineno = i + 2
-        parts = row.split(",")
-        if len(parts) != d_in + 1:
-            raise ParseError(
-                f"{path}: row length mismatch at line {lineno}: "
-                f"expected {d_in + 1} fields, got {len(parts)}"
-            )
-        try:
-            lab = int(parts[0])
-        except ValueError:
-            raise ParseError(f"{path}: non-integer label '{parts[0]}' at line {lineno}")
-        if not (0 <= lab < k):
-            raise ParseError(f"{path}: label {lab} out of range [0,{k}) at line {lineno}")
-        labels[i] = lab
-        try:
-            feats[i] = list(map(float, parts[1:]))
-        except ValueError:
-            raise ParseError(f"{path}: non-numeric feature at line {lineno}")
-    found = i + 1 + sum(1 for _ in rows)
-    if found != n:
-        raise ParseError(f"{path}: expected {n} data rows, found {found}")
+    if bad_row is not None:
+        raise ParseError(f"{path}: {bad_row}")
+    # a good header and n good rows take more bytes than a size that gives
+    # fit < n, so such a file grew after its size was read
+    if fit < n:
+        raise ParseError(f"{path}: the file changed while it was read")
     bad = ~np.isfinite(feats).all(axis=1)
     if bad.any():
         raise ParseError(f"{path}: non-finite feature at line {np.argmax(bad) + 2}")

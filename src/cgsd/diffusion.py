@@ -47,6 +47,9 @@ class NoiseSchedule:
 def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear betas over t_total steps; callers pass RunConfig's or a denoiser
     checkpoint's checked values (t_total >= 1, 0 < beta_start <= beta_end < 1)."""
+    # numpy refuses an array of more bytes than it can index before allocating
+    if t_total > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"a schedule of {t_total} steps cannot be indexed")
     beta = beta_start + np.arange(t_total) * (beta_end - beta_start) / max(t_total - 1, 1)
     alpha_bar = np.empty(t_total + 1)
     alpha_bar[0] = 1.0

@@ -1,14 +1,19 @@
 """Synthetic benchmark generation, domain shift, splitting and file I/O."""
 
+import builtins
+import io
 import json
+import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reader_oracle
 from cgsd import data as dmod
 from cgsd import diffusion as df
 from cgsd import guidance as gd
@@ -412,13 +417,19 @@ _READ_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_READ_CASES))
-def test_read_dataset_edges(case, tmp_path):
-    blob, fields, message = _READ_CASES[case]
+def _write_case(tmp_path, blob, fields):
+    """d.csv holding blob, beside a sidecar of n=2, d_in=2, k=2 over fields."""
     path = tmp_path / "d.csv"
     path.write_bytes(blob)
     meta = {"n": 2, "d_in": 2, "k": 2, "domain_tag": "target", "seed": 0, **fields}
     (tmp_path / "d.csv.meta.json").write_text(json.dumps(meta))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(_READ_CASES))
+def test_read_dataset_edges(case, tmp_path):
+    blob, fields, message = _READ_CASES[case]
+    path = _write_case(tmp_path, blob, fields)
     if message is None:
         ds = read_dataset(path)
         assert np.array_equal(ds.features, [[0.1, 0.2], [0.3, 0.4]])
@@ -429,29 +440,131 @@ def test_read_dataset_edges(case, tmp_path):
     assert str(err.value) == f"{path}: {message}"
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_read_refuses_rows_gained_or_lost_after_the_count(rows, tmp_path, monkeypatch):
-    # the file is rewritten between the pass that counts its rows and the one
-    # that parses them: a row gained raised IndexError, and a row lost left
-    # one row of the arrays unwritten
-    path = tmp_path / "d.csv"
-    path.write_text(_LF)
-    meta = {"n": 2, "d_in": 2, "k": 2, "domain_tag": "target", "seed": 0}
-    (tmp_path / "d.csv.meta.json").write_text(json.dumps(meta))
-    passes = []
-    read_lines = dmod._csv_lines
+@pytest.mark.parametrize("size", [0, 5])
+def test_read_refuses_rows_beyond_the_size_at_open(size, tmp_path, monkeypatch):
+    # the file looks smaller at open than its two rows need, as one that grew
+    # after its size was read: the arrays have room for size // 5 rows, and
+    # the rows past them are refused, never returned unwritten
+    path = _write_case(tmp_path, _LF.encode(), {})
+    real_stat = Path.stat
 
-    def rewritten_after_the_count(p):
-        passes.append(p)
-        if len(passes) == 2:
-            path.write_text("\n".join(_ROWS[:1] + ["0,0.5,0.6"] * rows))
-        return read_lines(p)
+    def smaller(self, *args, **kwargs):
+        st = real_stat(self, *args, **kwargs)
+        return os.stat_result((*st[:6], size, *st[7:])) if self == path else st
 
-    monkeypatch.setattr(dmod, "_csv_lines", rewritten_after_the_count)
+    monkeypatch.setattr(Path, "stat", smaller)
     with pytest.raises(ParseError) as err:
         read_dataset(path)
-    assert str(err.value) == f"{path}: expected 2 data rows, found {rows}"
-    assert len(passes) == 2
+    assert str(err.value) == f"{path}: the file changed while it was read"
+
+
+@pytest.mark.parametrize("case", ["lf", "not-utf8"])
+def test_read_dataset_opens_the_file_once(case, tmp_path, monkeypatch):
+    # one pass decodes the file, and a non-UTF-8 byte is placed without a
+    # second open
+    blob, fields, message = _READ_CASES[case]
+    path = _write_case(tmp_path, blob, fields)
+    opened = []
+    real_open = io.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    try:
+        read_dataset(path)
+    except ParseError as err:
+        assert str(err) == f"{path}: {message}"
+    assert len(opened) == 1
+
+
+def test_read_dataset_sizes_no_array_past_the_file(tmp_path):
+    # a sidecar n far beyond what two rows hold: the arrays are sized by the
+    # file's bytes, so the count error comes with a traced peak under 1 MB
+    path = _write_case(tmp_path, _LF.encode(), {"n": 10**9})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: expected 1000000000 data rows, found 2"
+    assert peak < 2**20, peak
+
+
+_DAMAGE = ["cr", "ff", "ls", "xff", "cut", "drop-field", "add-field", "blank-line",
+           "bad-label", "non-numeric", "nan", "n+1", "n-1"]
+
+
+@st.composite
+def _damaged_files(draw):
+    """(file bytes, sidecar) of a dataset file whose rows are valid, k above
+    n aside, then up to three damages: a line break, a 0xff byte or a cut
+    UTF-8 sequence inserted, a field dropped or added, a blank line, a bad
+    label or feature, or the sidecar's n off by one."""
+    d_in, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5))
+    values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = ["label," + ",".join(f"f{i}" for i in range(d_in))] + [
+        ",".join([str(draw(st.integers(0, k - 1))),
+                  *draw(st.lists(values, min_size=d_in, max_size=d_in))])
+        for _ in range(n)]
+    meta = {"n": n, "d_in": d_in, "k": k, "domain_tag": "target", "seed": 0}
+    damages = draw(st.lists(st.sampled_from(_DAMAGE), max_size=3))
+    for kind in damages:
+        # a label or a feature is damaged in a data row, the rest anywhere
+        first = 1 if kind in ("bad-label", "non-numeric", "nan") else 0
+        r = draw(st.integers(first, len(lines) - 1))
+        parts = lines[r].split(",")
+        if kind in ("cr", "ff", "ls"):
+            pos = draw(st.integers(0, len(lines[r])))
+            ch = {"cr": "\r", "ff": "\x0c", "ls": "\u2028"}[kind]
+            lines[r] = lines[r][:pos] + ch + lines[r][pos:]
+        elif kind == "drop-field":
+            del parts[draw(st.integers(0, len(parts) - 1))]
+        elif kind == "add-field":
+            parts.insert(draw(st.integers(0, len(parts))), "0.5")
+        elif kind == "blank-line":
+            lines.insert(r, "")
+        elif kind == "bad-label":
+            parts[0] = draw(st.sampled_from(["x", "", "1.5", "-1", str(k)]))
+        elif kind in ("non-numeric", "nan") and len(parts) > 1:
+            bad = ["abc", "", "1e", "0x1"] if kind == "non-numeric" else ["nan", "inf"]
+            parts[draw(st.integers(1, len(parts) - 1))] = draw(st.sampled_from(bad))
+        elif kind in ("n+1", "n-1"):
+            meta["n"] += 1 if kind == "n+1" else -1
+        if kind in ("drop-field", "add-field", "bad-label", "non-numeric", "nan"):
+            lines[r] = ",".join(parts)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    blob = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode()
+    for kind in damages:
+        if kind in ("xff", "cut"):
+            # 0xff starts no UTF-8 sequence; a euro sign's is cut short
+            bad = b"\xff" if kind == "xff" else "\u20ac".encode()[:draw(st.integers(1, 2))]
+            pos = draw(st.integers(0, len(blob)))
+            blob = blob[:pos] + bad + blob[pos:]
+    return blob, meta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_damaged_files())
+def test_read_dataset_matches_the_whole_text_reader(tmp_path_factory, case):
+    blob, meta = case
+    path = _write_case(tmp_path_factory.getbasetemp(), blob, meta)
+    try:
+        features, labels = reader_oracle.read_whole(path)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as err:
+            read_dataset(path)
+        assert str(err.value) == str(expected)
+    else:
+        ds = read_dataset(path)
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
 
 
 def test_read_dataset_peak_memory_is_its_arrays(bench_dir):

@@ -952,6 +952,13 @@ _BAD_INPUTS = {
     "eval-samples-huge": (5, "eval", ["--n-samples", str(10**15)], None, None, None),
     "eval-samples-2**62": (5, "eval", ["--n-samples", str(2**62)], None, None, None),
     "eval-samples-2**63": (5, "eval", ["--n-samples", str(2**63)], None, None, None),
+    # the same bound on generated data and on a noise schedule, from the
+    # command line or a checkpoint (each was a ValueError traceback)
+    "gen-data-n-2**62": (5, "gen-data", ["--n", str(2**62)], None, None, None),
+    "gen-data-d_in-2**63-1": (5, "gen-data", ["--d-in", str(2**63 - 1)], None, None, None),
+    "train-diffusion-t_total-2**62": (
+        5, "train-diffusion", ["--t-total", str(2**62)], None, None, None),
+    "denoiser-t_total-2**62": (5, "eval", [], "d.json", _meta_set("t_total", 2**62), None),
     "train-guidance-seed-negative": (
         2, "train-guidance", ["--seed", "-1"], None, None, None),
     "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
