@@ -53,7 +53,8 @@ def read_whole(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"{path}: non-integer label '{parts[0]}' at line {lineno}")
         if not 0 <= lab < k:
             raise ParseError(f"{path}: label {lab} out of range [0,{k}) at line {lineno}")
-        labels[i] = lab
+        # beyond int64, a label in range means a k the grade-count check refuses
+        labels[i] = min(lab, 2**63 - 1)
         try:
             feats[i] = [float(v) for v in parts[1:]]
         except ValueError:

@@ -261,6 +261,34 @@ def test_dataset_round_trip(tmp_path):
     assert loaded.seed == source.seed
 
 
+def _per_value_text(ds):
+    """The text write_dataset wrote when it formatted each numpy value alone:
+    the reference for its row-at-a-time formatting."""
+    return "label," + ",".join(f"f{i}" for i in range(ds.d_in)) + "\n" + "".join(
+        str(int(lab)) + "," + ",".join(repr(float(v)) for v in row) + "\n"
+        for lab, row in zip(ds.labels, ds.features))
+
+
+# signed zeros, subnormals, extremes and integral floats, whose repr has a ".0"
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300,
+                1.0, -3.0, 2.0**53, 1e16, 1.7976931348623157e308, 0.1]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_write_dataset_text_matches_per_value_formatting(tmp_path_factory, data):
+    n = data.draw(st.integers(2, 8))
+    d_in, k = data.draw(st.integers(1, 4)), data.draw(st.integers(2, n))
+    values = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    feats = data.draw(st.lists(values, min_size=n * d_in, max_size=n * d_in))
+    labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    ds = Dataset(np.reshape(feats, (n, d_in)), np.array(labels), k, "source", 0)
+    path = tmp_path_factory.mktemp("write") / "ds.csv"
+    write_dataset(path, ds)
+    assert path.read_text(encoding="utf-8") == _per_value_text(ds)
+
+
 def test_read_rejects_out_of_range_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,f0,f1\n7,0.1,0.2\n")

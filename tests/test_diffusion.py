@@ -260,7 +260,7 @@ def _loss_batch(k=5, n=4, d_model=8, seed=24):
     return f, y0, prior, d
 
 
-def _expected_draws(sched, seeds, keys, k):
+def _expected_draws(t_total, seeds, keys, k):
     """The per-item generator rule item_draws replays: a fresh
     default_rng(SeedSequence((seed, key))) per item, the timestep first."""
     seeds = np.broadcast_to(seeds, np.shape(keys))
@@ -268,9 +268,17 @@ def _expected_draws(sched, seeds, keys, k):
     eps = np.empty((len(keys), k))
     for i, (seed, key) in enumerate(zip(seeds, keys)):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(key))))
-        t_values[i] = rng.integers(1, sched.t_total + 1)
+        t_values[i] = rng.integers(1, t_total + 1)
         eps[i] = rng.standard_normal(k)
     return t_values, eps
+
+
+def _assert_same_draws(got, want):
+    """Equal timesteps and the noise's very bits (so -0.0 is not 0.0)."""
+    (t_values, eps), (want_t, want_eps) = got, want
+    assert t_values.dtype == np.int64 and np.array_equal(t_values, want_t)
+    assert eps.shape == want_eps.shape
+    assert np.array_equal(eps.view(np.uint64), want_eps.view(np.uint64))
 
 
 _EDGE_WORDS = (0, 1, 2**31, 2**32 - 1)
@@ -281,7 +289,7 @@ def _pcg64_oracle(seed, key):
 
 
 def _replayed_states(seeds, keys):
-    return [rng.bit_generator.state for rng in df._keyed_rngs(seeds, keys)]
+    return [rng.bit_generator.state for rng in df._keyed_rngs(df._pcg64_states(seeds, keys))]
 
 
 def test_pcg64_states_match_numpy_on_edge_words():
@@ -349,10 +357,87 @@ def test_item_draws_match_per_item_generators():
         # per-row seeds, then scalar ones that numpy splits into two and
         # three words
         for seed in (seeds, 2**32, 10**20):
-            t_values, eps = df.item_draws(seed, keys, sched.t_total, k)
-            want_t, want_eps = _expected_draws(sched, seed, keys, k)
-            assert np.array_equal(t_values, want_t)
-            assert np.array_equal(eps, want_eps)
+            _assert_same_draws(df.item_draws(seed, keys, sched.t_total, k),
+                               _expected_draws(sched.t_total, seed, keys, k))
+
+
+# item_draws replays numpy's draws on whole arrays: the timestep by Lemire's
+# rule on the first output's low 32 bits, then the normals' ziggurat fast path.
+# t_total = 1 takes no output; 2**32 - 1 is the widest Lemire bound; 2**32
+# is numpy's unscaled 32-bit draw; above it numpy draws 64 bits
+@pytest.mark.parametrize("t_total", [1, 2, 100, 1000, 2**32 - 1, 2**32, 2**32 + 1])
+def test_item_draws_replay_every_timestep_rule(t_total):
+    rng = np.random.default_rng(t_total % 1009)
+    keys = rng.integers(0, 2**32, 300)
+    for seed, k in ((rng.integers(0, 2**32, 300), 5), (10**20, 3), (2**32, 0)):
+        _assert_same_draws(df.item_draws(seed, keys, t_total, k),
+                           _expected_draws(t_total, seed, keys, k))
+
+
+@given(st.integers(0, 2**96),
+       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                max_size=40),
+       st.sampled_from([1, 2, 7, 100, 1000, 3 * 2**30]), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_item_draws_replay_matches_numpy(seed, pairs, t_total, k):
+    # a scalar seed numpy hashes as one, two or three words, and per-row seeds
+    seeds, keys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    for s in (seed, seeds):
+        _assert_same_draws(df.item_draws(s, keys, t_total, k),
+                           _expected_draws(t_total, s, keys, k))
+
+
+def test_item_draws_replay_lemire_rejections():
+    # at t_total = 3 * 2**30 a quarter of numpy's 32-bit draws are rejected
+    # and drawn again from the output's high half
+    t_total = 3 * 2**30
+    keys = np.arange(400)
+    got = df.item_draws(5, keys, t_total, 4)
+    _assert_same_draws(got, _expected_draws(t_total, 5, keys, 4))
+    first = np.array([np.random.PCG64(np.random.SeedSequence((5, int(key)))).random_raw()
+                      for key in keys], dtype=np.uint64)
+    unrejected = 1 + ((first & 0xFFFFFFFF) * t_total >> 32).astype(np.int64)
+    assert (got[0] != unrejected).sum() > 50
+
+
+# keys whose first normal at seed 7 and t_total 100 leaves the ziggurat's
+# fast path, with the index that output gives: index 1 (never fast), a wedge
+# and the tail
+_SLOW_NORMAL_KEYS = {"index-1": (334, 1), "wedge": (363, 6), "tail": (5765, 0)}
+
+
+@pytest.mark.parametrize("case", sorted(_SLOW_NORMAL_KEYS))
+def test_item_draws_replay_slow_normals(case):
+    key, idx = _SLOW_NORMAL_KEYS[case]
+    raw = np.random.PCG64(np.random.SeedSequence((7, key))).random_raw(3)
+    rng = np.random.default_rng(np.random.SeedSequence((7, key)))
+    rng.integers(1, 101)
+    rng.standard_normal()
+    # the key still makes its case: the normal took a second output
+    assert int(raw[1]) & 0xFF == idx
+    assert rng.bit_generator.random_raw() != raw[2]
+    keys = np.array([0, key, 1])
+    _assert_same_draws(df.item_draws(7, keys, 100, 5), _expected_draws(100, 7, keys, 5))
+
+
+def test_item_draws_of_no_items():
+    t_values, eps = df.item_draws(3, np.zeros(0, np.int64), 100, 5)
+    assert t_values.shape == (0,) and t_values.dtype == np.int64
+    assert eps.shape == (0, 5)
+
+
+def test_ziggurat_probe_refuses_a_normal_off_its_tables(monkeypatch):
+    # a standard_normal that is one ulp off rabs * wi fails the probe's check,
+    # and no tables are kept
+    class OneUlpUp(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            return np.nextafter(super().standard_normal(*args, **kwargs), np.inf)
+
+    monkeypatch.setattr(np.random, "Generator", OneUlpUp)
+    monkeypatch.setattr(df, "_ZIGGURAT", None)
+    with pytest.raises(ContractError):
+        df._ziggurat()
+    assert df._ZIGGURAT is None
 
 
 def test_item_draws_follow_their_pairs():

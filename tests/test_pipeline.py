@@ -815,6 +815,15 @@ def _dataset_meta(key, value):
     return damage
 
 
+def _label_past_int64(path):
+    """target.csv's first label set to 2**64 under a sidecar k of 2**70, so
+    the label is in range but no int64 holds it."""
+    _dataset_meta("k", 2**70)(path)
+    lines = path.read_text().split("\n")
+    lines[1] = str(2**64) + lines[1][lines[1].index(","):]
+    path.write_text("\n".join(lines))
+
+
 def _drop_domain_tag(path):
     meta = path / "target.csv.meta.json"
     doc = json.loads(meta.read_text())
@@ -927,6 +936,9 @@ _BAD_INPUTS = {
         3, "train-guidance", [], "data/target.csv", _dataset_meta("k", 10**10), None),
     "target-csv-meta-k-2**70": (
         3, "train-guidance", [], "data/target.csv", _dataset_meta("k", 2**70), None),
+    # a label past int64 that k = 2**70 allows was an OverflowError traceback
+    "target-csv-label-2**64": (
+        3, "train-guidance", [], "data/target.csv", _label_past_int64, None),
     "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
     "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
     # an int field takes no fraction, which int() would truncate
