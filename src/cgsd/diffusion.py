@@ -169,9 +169,13 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
-# uint64 scalars, so numpy 1.24's value-based promotion keeps uint64 too
+# uint64 scalars, so that numpy 1.x's value-based promotion should keep
+# uint64 too (the replay has been run on numpy 2 only); _B0, _B1 are
+# _MULT_LO's 32-bit limbs
 _U = np.uint64
+_LO32 = _U(_MASK32)
 _MULT_HI, _MULT_LO = _U(_PCG_MULT >> 64), _U(_PCG_MULT & (1 << 64) - 1)
+_B0, _B1 = _MULT_LO & _LO32, _MULT_LO >> _U(32)
 
 
 def _generate_state(n_words: int, *columns) -> np.ndarray:
@@ -227,21 +231,37 @@ def _generate_state(n_words: int, *columns) -> np.ndarray:
     return np.stack(state, axis=1)
 
 
-def _add128(hi, lo, b_hi, b_lo):
-    """(hi, lo) + (b_hi, b_lo) mod 2**128, on uint64 halves."""
-    low = lo + b_lo
-    return hi + b_hi + (low < lo), low
+def _add128(hi, lo, b_hi, b_lo, carry):
+    """(hi, lo) += (b_hi, b_lo) mod 2**128 in place, on uint64 halves; carry
+    is a uint64 work array."""
+    lo += b_lo
+    np.less(lo, b_lo, out=carry)
+    hi += carry
+    hi += b_hi
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 LCG step, state * _PCG_MULT + inc mod 2**128: the high half
-    of lo * _MULT_LO from 32-bit limbs, plus the cross products."""
-    a0, a1 = lo & _U(_MASK32), lo >> _U(32)
-    b0, b1 = _MULT_LO & _U(_MASK32), _MULT_LO >> _U(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U(32)) + (p01 & _U(_MASK32)) + (p10 & _U(_MASK32))
-    carry = a1 * b1 + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-    return _add128(carry + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO, inc_hi, inc_lo)
+def _pcg_step(hi, lo, inc_hi, inc_lo, work):
+    """One PCG64 LCG step in place, (hi, lo) = (hi, lo) * _PCG_MULT + inc mod
+    2**128: hi * _MULT_LO + lo * _MULT_HI, plus the high half of
+    lo * _MULT_LO from 32-bit limbs. work is a (4, rows) uint64 array, so a
+    step allocates nothing."""
+    a0, a1, p, mid = work
+    hi *= _MULT_LO
+    hi += np.multiply(lo, _MULT_HI, out=p)
+    np.bitwise_and(lo, _LO32, out=a0)
+    np.right_shift(lo, _U(32), out=a1)
+    hi += np.multiply(a1, _B1, out=p)
+    # the cross products' high halves go to hi, their low halves to mid
+    np.multiply(a0, _B1, out=mid)
+    hi += np.right_shift(mid, _U(32), out=p)
+    mid &= _LO32
+    np.multiply(a1, _B0, out=p)
+    hi += np.right_shift(p, _U(32), out=a1)
+    mid += np.bitwise_and(p, _LO32, out=p)
+    mid += np.right_shift(np.multiply(a0, _B0, out=p), _U(32), out=p)
+    hi += np.right_shift(mid, _U(32), out=mid)
+    lo *= _MULT_LO
+    _add128(hi, lo, inc_hi, inc_lo, p)
 
 
 def _pcg64_states(*columns) -> np.ndarray:
@@ -250,11 +270,14 @@ def _pcg64_states(*columns) -> np.ndarray:
     # little-endian pairs of 32-bit words make four 64-bit words, which
     # PCG64 reads as two 128-bit ones: the initial state, then the stream
     w = _generate_state(2 * _POOL_SIZE, *columns).astype(np.uint64)
-    s_hi, s_lo, q_hi, q_lo = (w[:, 2 * i] | w[:, 2 * i + 1] << _U(32) for i in range(4))
+    hi, lo, q_hi, q_lo = (w[:, 2 * i] | w[:, 2 * i + 1] << _U(32) for i in range(4))
     # PCG64's seeding: inc from the stream word, then two LCG steps around
     # adding the initial state
     inc = q_hi << _U(1) | q_lo >> _U(63), q_lo << _U(1) | _U(1)
-    return np.stack([*_pcg_step(*_add128(*inc, s_hi, s_lo), *inc), *inc], axis=1)
+    work = np.empty((4, len(w)), np.uint64)
+    _add128(hi, lo, *inc, work[0])
+    _pcg_step(hi, lo, *inc, work)
+    return np.stack([hi, lo, *inc], axis=1)
 
 
 def _keyed_rngs(states: np.ndarray):
@@ -333,32 +356,51 @@ def item_draws(seeds, keys, t_total: int, k: int) -> tuple[np.ndarray, np.ndarra
     itself (about 7 % at k = 5); so is every item if t_total > 2**32."""
     states = _pcg64_states(seeds, keys)
     rows = len(states)
-    first = int(t_total > 1)
-    out = np.empty((rows, first + k), np.uint64)
-    hi, lo, inc_hi, inc_lo = states.T
-    for j in range(first + k):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        x = hi ^ lo
-        rot = hi >> _U(58)
-        out[:, j] = x >> rot | x << (_U(64) - rot & _U(63))
+    # every array the replay works in is allocated here, once, and reused
+    # with out=: the state's halves, the step's work, r the output
+    hi, lo, inc_hi, inc_lo = np.array(states.T)
+    work = np.empty((4, rows), np.uint64)
+    x, rot, r, tmp = work
+    hit = np.empty(rows, bool)
     t_values = np.ones(rows, np.int64)
     # numpy draws t_total - 1 >= 2**32 from 64 bits: all rows go to numpy
     slow = np.full(rows, t_total > 1 << 32)
-    if first and t_total <= 1 << 32:
-        scaled = (out[:, 0] & _U(_MASK32)) * _U(t_total)
-        t_values += (scaled >> _U(32)).astype(np.int64)
-        # a leftover below t_total may be rejected; 2**32 is drawn unscaled
-        if t_total < 1 << 32:
-            slow = (scaled & _U(_MASK32)) < _U(t_total)
     eps = np.empty((rows, k))
-    if rows and k:
+    if k:
         wi, ki = _ziggurat()
-        r = out[:, first:]
-        idx = (r & _U(0xFF)).astype(np.intp)
-        rabs = r >> _U(9) & _U((1 << 52) - 1)
-        np.multiply(rabs, wi[idx], out=eps)
-        np.negative(eps, out=eps, where=(r & _U(0x100)).astype(bool))
-        slow |= (rabs >= ki[idx]).any(axis=1)
+    first = int(t_total > 1)
+    for j in range(first + k):
+        _pcg_step(hi, lo, inc_hi, inc_lo, work)
+        # XSL-RR: r = rotr64(hi ^ lo, hi >> 58)
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _U(58), out=rot)
+        np.right_shift(x, rot, out=r)
+        np.subtract(_U(64), rot, out=rot)
+        rot &= _U(63)
+        r |= np.left_shift(x, rot, out=tmp)
+        if j < first:
+            if t_total <= 1 << 32:
+                r &= _LO32
+                r *= _U(t_total)
+                t_values += np.right_shift(r, _U(32), out=tmp).view(np.int64)
+                # a leftover below t_total may be rejected; 2**32 is drawn unscaled
+                if t_total < 1 << 32:
+                    r &= _LO32
+                    np.less(r, _U(t_total), out=slow)
+            continue
+        # the normal rabs * wi[idx], fast if rabs < ki[idx]: idx = r & 0xff
+        # goes in x, rabs = bits 9-60 in rot
+        col = eps[:, j - first]
+        np.bitwise_and(r, _U(0xFF), out=x)
+        np.right_shift(r, _U(9), out=rot)
+        rot &= _U((1 << 52) - 1)
+        np.take(wi, x.view(np.int64), out=col, mode="clip")
+        col *= rot
+        slow |= np.greater_equal(rot, np.take(ki, x.view(np.int64), out=tmp, mode="clip"), out=hit)
+        # bit 8 negates x: a flip of its sign bit, as -x is
+        r &= _U(0x100)
+        r <<= _U(55)
+        np.bitwise_xor(col.view(np.uint64), r, out=col.view(np.uint64))
     fallback = np.flatnonzero(slow)
     for i, rng in zip(fallback, _keyed_rngs(states[fallback])):
         t_values[i] = rng.integers(1, t_total + 1)
