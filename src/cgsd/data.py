@@ -81,6 +81,10 @@ class SyntheticConfig:
             raise ConfigError("noise sigma must be positive")
         if self.n < self.k:
             raise ConfigError("need n >= k samples")
+        # no split can be stratified over a grade without rows
+        counts = apportion(self.n, [self.n * p for p in self.proportions])
+        if 0 in counts:
+            raise ConfigError(f"proportions give grade {counts.index(0)} no rows at n={self.n}")
         if self.d_in < 2:
             raise ConfigError("need d_in >= 2")
         if self.seed < 0:

@@ -161,7 +161,7 @@ def eps_predict(
 
 
 # numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
-# multiplier: _generate_state and _pcg64_states replay default_rng(SeedSequence)
+# multiplier: _generate_state and _keyed_rngs replay default_rng(SeedSequence)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -169,13 +169,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
-# uint64 scalars, so that numpy 1.x's value-based promotion should keep
-# uint64 too (the replay has been run on numpy 2 only); _B0, _B1 are
-# _MULT_LO's 32-bit limbs
-_U = np.uint64
-_LO32 = _U(_MASK32)
-_MULT_HI, _MULT_LO = _U(_PCG_MULT >> 64), _U(_PCG_MULT & (1 << 64) - 1)
-_B0, _B1 = _MULT_LO & _LO32, _MULT_LO >> _U(32)
 
 
 def _generate_state(n_words: int, *columns) -> np.ndarray:
@@ -231,193 +224,24 @@ def _generate_state(n_words: int, *columns) -> np.ndarray:
     return np.stack(state, axis=1)
 
 
-def _add128(hi, lo, b_hi, b_lo, carry):
-    """(hi, lo) += (b_hi, b_lo) mod 2**128 in place, on uint64 halves; carry
-    is a uint64 work array."""
-    lo += b_lo
-    np.less(lo, b_lo, out=carry)
-    hi += carry
-    hi += b_hi
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo, work):
-    """One PCG64 LCG step in place, (hi, lo) = (hi, lo) * _PCG_MULT + inc mod
-    2**128: hi * _MULT_LO + lo * _MULT_HI, plus the high half of
-    lo * _MULT_LO from 32-bit limbs. work is a (4, rows) uint64 array, so a
-    step allocates nothing."""
-    a0, a1, p, mid = work
-    hi *= _MULT_LO
-    hi += np.multiply(lo, _MULT_HI, out=p)
-    np.bitwise_and(lo, _LO32, out=a0)
-    np.right_shift(lo, _U(32), out=a1)
-    hi += np.multiply(a1, _B1, out=p)
-    # the cross products' high halves go to hi, their low halves to mid
-    np.multiply(a0, _B1, out=mid)
-    hi += np.right_shift(mid, _U(32), out=p)
-    mid &= _LO32
-    np.multiply(a1, _B0, out=p)
-    hi += np.right_shift(p, _U(32), out=a1)
-    mid += np.bitwise_and(p, _LO32, out=p)
-    mid += np.right_shift(np.multiply(a0, _B0, out=p), _U(32), out=p)
-    hi += np.right_shift(mid, _U(32), out=mid)
-    lo *= _MULT_LO
-    _add128(hi, lo, inc_hi, inc_lo, p)
-
-
-def _pcg64_states(*columns) -> np.ndarray:
-    """PCG64(SeedSequence((c0, c1, ...))) of every row as a (rows, 4) uint64
-    array: the state's high and low halves, then inc's."""
+def _keyed_rngs(*columns):
+    """default_rng(SeedSequence((c0, c1, ...))) of every row in turn: one
+    reused generator, set to the row's seeded state before it is yielded, so
+    a row's draws are made before the next row's."""
     # little-endian pairs of 32-bit words make four 64-bit words, which
     # PCG64 reads as two 128-bit ones: the initial state, then the stream
     w = _generate_state(2 * _POOL_SIZE, *columns).astype(np.uint64)
-    hi, lo, q_hi, q_lo = (w[:, 2 * i] | w[:, 2 * i + 1] << _U(32) for i in range(4))
-    # PCG64's seeding: inc from the stream word, then two LCG steps around
-    # adding the initial state
-    inc = q_hi << _U(1) | q_lo >> _U(63), q_lo << _U(1) | _U(1)
-    work = np.empty((4, len(w)), np.uint64)
-    _add128(hi, lo, *inc, work[0])
-    _pcg_step(hi, lo, *inc, work)
-    return np.stack([hi, lo, *inc], axis=1)
-
-
-def _keyed_rngs(states: np.ndarray):
-    """A generator per row of _pcg64_states in turn: one reused generator, set
-    to the row's state before it is yielded, so a row's draws are made before
-    the next row's."""
+    w = w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
     bits = np.random.PCG64()
     rng = np.random.Generator(bits)
-    for s_hi, s_lo, i_hi, i_lo in states.tolist():
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+    for s0, s1, q0, q1 in w.tolist():
+        # PCG64's seeding: inc from the stream word, then two LCG steps
+        # around adding the initial state
+        inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
+        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
         yield rng
-
-
-_ZIGGURAT: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """(wi, ki): the ziggurat's layer widths and a lower bound of its
-    fast-path thresholds, as numpy's standard_normal applies them to a 64-bit
-    output r: idx = r & 0xff, sign bit 8, rabs bits 9-60, and x = +-rabs wi[idx]
-    without a second output when rabs < ki[idx]. numpy does not expose its
-    tables, so they are read once per process from draws whose output is set
-    by stepping back from a chosen state (high half 0, so XSL-RR gives its low
-    half); an index slow even at rabs = 1 keeps ki = 0 and always falls back."""
-    global _ZIGGURAT
-    if _ZIGGURAT is not None:
-        return _ZIGGURAT
-    bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
-    back = pow(_PCG_MULT, -1, 1 << 128)
-
-    def draw(r):
-        """standard_normal's value on output r, or None if it took another output."""
-        bits.state = {"bit_generator": "PCG64", "state": {"state": (r - 1) * back & _MASK128,
-                      "inc": 1}, "has_uint32": 0, "uinteger": 0}
-        x = rng.standard_normal()
-        return x if bits.state["state"]["state"] == r else None
-
-    wi, ki = np.zeros(256), np.zeros(256, np.uint64)
-    for idx in range(256):
-        w = draw(1 << 9 | idx)
-        if w is None:
-            continue
-        if draw(1 << 9 | 1 << 8 | idx) != -w:
-            raise ContractError(f"standard_normal's sign bit is not bit 8 (index {idx})")
-        # rabs = lo is fast, rabs = hi is not (or past 52 bits); stopping at a
-        # 2**32 gap sends one draw in 2**20 to the fallback needlessly
-        lo, hi = 1, 1 << 52
-        while hi - lo > 1 << 32:
-            mid = (lo + hi) // 2
-            x = draw(mid << 9 | idx)
-            if x is None:
-                hi = mid
-            elif x == mid * w:
-                lo = mid
-            else:
-                raise ContractError(f"standard_normal gave {x!r} for rabs {mid}, index {idx}, "
-                                    f"not rabs * {w!r}")
-        wi[idx], ki[idx] = w, lo + 1
-    _ZIGGURAT = wi, ki
-    return _ZIGGURAT
-
-
-def item_draws(seeds, keys, t_total: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each item's timestep in [1, t_total] and k standard normals, drawn in
-    that order from default_rng(SeedSequence((seed, key))), so an item's
-    draws never depend on the batch it sits in.
-
-    The draws are replayed on whole arrays, bit for bit: every item's PCG64
-    outputs (XSL-RR of each stepped state), the timestep by Lemire's rule
-    1 + (lo32(o1) t_total >> 32) (t_total = 1 takes no output), then each
-    normal on the ziggurat's fast path. An item whose timestep may be a
-    Lemire rejection, or with a normal off the fast path, is drawn by numpy
-    itself (about 7 % at k = 5); so is every item if t_total > 2**32."""
-    states = _pcg64_states(seeds, keys)
-    rows = len(states)
-    # every array the replay works in is allocated here, once, and reused
-    # with out=: the state's halves, the step's work, r the output
-    hi, lo, inc_hi, inc_lo = np.array(states.T)
-    work = np.empty((4, rows), np.uint64)
-    x, rot, r, tmp = work
-    hit = np.empty(rows, bool)
-    t_values = np.ones(rows, np.int64)
-    # numpy draws t_total - 1 >= 2**32 from 64 bits: all rows go to numpy
-    slow = np.full(rows, t_total > 1 << 32)
-    eps = np.empty((rows, k))
-    if k:
-        wi, ki = _ziggurat()
-    first = int(t_total > 1)
-    for j in range(first + k):
-        _pcg_step(hi, lo, inc_hi, inc_lo, work)
-        # XSL-RR: r = rotr64(hi ^ lo, hi >> 58)
-        np.bitwise_xor(hi, lo, out=x)
-        np.right_shift(hi, _U(58), out=rot)
-        np.right_shift(x, rot, out=r)
-        np.subtract(_U(64), rot, out=rot)
-        rot &= _U(63)
-        r |= np.left_shift(x, rot, out=tmp)
-        if j < first:
-            if t_total <= 1 << 32:
-                r &= _LO32
-                r *= _U(t_total)
-                t_values += np.right_shift(r, _U(32), out=tmp).view(np.int64)
-                # a leftover below t_total may be rejected; 2**32 is drawn unscaled
-                if t_total < 1 << 32:
-                    r &= _LO32
-                    np.less(r, _U(t_total), out=slow)
-            continue
-        # the normal rabs * wi[idx], fast if rabs < ki[idx]: idx = r & 0xff
-        # goes in x, rabs = bits 9-60 in rot
-        col = eps[:, j - first]
-        np.bitwise_and(r, _U(0xFF), out=x)
-        np.right_shift(r, _U(9), out=rot)
-        rot &= _U((1 << 52) - 1)
-        np.take(wi, x.view(np.int64), out=col, mode="clip")
-        col *= rot
-        slow |= np.greater_equal(rot, np.take(ki, x.view(np.int64), out=tmp, mode="clip"), out=hit)
-        # bit 8 negates x: a flip of its sign bit, as -x is
-        r &= _U(0x100)
-        r <<= _U(55)
-        np.bitwise_xor(col.view(np.uint64), r, out=col.view(np.uint64))
-    fallback = np.flatnonzero(slow)
-    for i, rng in zip(fallback, _keyed_rngs(states[fallback])):
-        t_values[i] = rng.integers(1, t_total + 1)
-        rng.standard_normal(out=eps[i])
-    return t_values, eps
-
-
-def stage2_draws(
-    seed: int, epoch: int, order: np.ndarray, batch: int, t_total: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One stage-2 epoch's item_draws in one call, so the whole epoch is
-    replayed on arrays: row i for item order[i] keyed by (step seed,
-    order[i]); batch b's step seed is the first word of
-    SeedSequence((seed, 53, epoch, b)).generate_state(1)."""
-    n = len(order)
-    step_seeds = _generate_state(1, seed, 53, epoch, np.arange(-(-n // batch)))[:, 0]
-    return item_draws(step_seeds[np.arange(n) // batch], order, t_total, k)
 
 
 def epsilon_loss(
@@ -432,8 +256,8 @@ def epsilon_loss(
     tape: GradTape | None = None,
 ) -> Tensor2:
     """Noise-prediction objective on one batch, given each item's timestep
-    and noise (from item_draws, which keys them by item, so the loss is
-    invariant to batch order)."""
+    and noise (train_stage2 takes them from its epoch's draws by item, so the
+    loss is invariant to batch order)."""
     f = np.atleast_2d(f)
     n = f.shape[0]
     if n == 0:
@@ -497,7 +321,7 @@ def chain_noise(seed: int, keys, samples, t_total: int, k: int,
     seed, 101, item_key, sample))), so it never depends on batching; written
     into out, of shape (rows, t_total + 1, k), if given."""
     noise = np.empty((np.broadcast(keys, samples).size, t_total + 1, k)) if out is None else out
-    for row, rng in zip(noise, _keyed_rngs(_pcg64_states(seed, 101, keys, samples))):
+    for row, rng in zip(noise, _keyed_rngs(seed, 101, keys, samples)):
         rng.standard_normal(out=row)
     return noise
 

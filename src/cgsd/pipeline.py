@@ -351,15 +351,18 @@ def train_stage2(
     for epoch in range(cfg.stage2_epochs):
         lr = optim.lr_at(epoch, plan)
         order = rng.permutation(n)
-        t_values, eps = df.stage2_draws(cfg.seed, epoch, order, batch, cfg.t_total, train.k)
+        # item i's timestep and noise are row i of the epoch's draws, so they
+        # depend on (seed, epoch, item) alone, never on the item's batch
+        draws = np.random.default_rng(np.random.SeedSequence((cfg.seed, 53, epoch)))
+        t_values = draws.integers(1, cfg.t_total + 1, n)
+        eps = draws.standard_normal((n, train.k))
         losses = []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            rows = slice(start, start + batch)
             tape = GradTape()
             loss = df.epsilon_loss(
                 net, f[idx], y0[idx], prior[idx], d[idx], sched,
-                t_values[rows], eps[rows], tape,
+                t_values[idx], eps[idx], tape,
             )
             value = check_finite(loss.item(), f"the loss of stage2 epoch {epoch}")
             backward(loss, tape, flat.params, out=flat.grads)

@@ -95,7 +95,8 @@ def test_criterion_3_full_model_gradient_checks():
     prior = np.full((4, 3), 1.0 / 3.0)
     d = rng.standard_normal((4, 3)) * 0.1
 
-    t_values, eps = df.item_draws(306, np.arange(4), sched.t_total, 3)
+    draws = np.random.default_rng(306)
+    t_values, eps = draws.integers(1, sched.t_total + 1, 4), draws.standard_normal((4, 3))
 
     def e_loss(tape):
         return df.epsilon_loss(net, f, y0, prior, d, sched, t_values, eps, tape)

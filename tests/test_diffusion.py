@@ -260,25 +260,10 @@ def _loss_batch(k=5, n=4, d_model=8, seed=24):
     return f, y0, prior, d
 
 
-def _expected_draws(t_total, seeds, keys, k):
-    """The per-item generator rule item_draws replays: a fresh
-    default_rng(SeedSequence((seed, key))) per item, the timestep first."""
-    seeds = np.broadcast_to(seeds, np.shape(keys))
-    t_values = np.empty(len(keys), dtype=np.int64)
-    eps = np.empty((len(keys), k))
-    for i, (seed, key) in enumerate(zip(seeds, keys)):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(key))))
-        t_values[i] = rng.integers(1, t_total + 1)
-        eps[i] = rng.standard_normal(k)
-    return t_values, eps
-
-
-def _assert_same_draws(got, want):
-    """Equal timesteps and the noise's very bits (so -0.0 is not 0.0)."""
-    (t_values, eps), (want_t, want_eps) = got, want
-    assert t_values.dtype == np.int64 and np.array_equal(t_values, want_t)
-    assert eps.shape == want_eps.shape
-    assert np.array_equal(eps.view(np.uint64), want_eps.view(np.uint64))
+def _draws(seed, n, k):
+    """A timestep and k noise values per item from a plain generator."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(1, DESK_SCHED.t_total + 1, n), rng.standard_normal((n, k))
 
 
 _EDGE_WORDS = (0, 1, 2**31, 2**32 - 1)
@@ -289,7 +274,7 @@ def _pcg64_oracle(seed, key):
 
 
 def _replayed_states(seeds, keys):
-    return [rng.bit_generator.state for rng in df._keyed_rngs(df._pcg64_states(seeds, keys))]
+    return [rng.bit_generator.state for rng in df._keyed_rngs(seeds, keys)]
 
 
 def test_pcg64_states_match_numpy_on_edge_words():
@@ -314,11 +299,12 @@ def test_pcg64_states_match_numpy(pairs):
     pytest.param(np.array([0, 2**32, 1]), np.arange(3), id="per-row-seed-2**32"),
 ])
 def test_item_draws_refuses_words_outside_uint32(seeds, keys):
-    # a scalar seed of any size is split into words, but a per-row value gives
-    # its row one word: numpy would hash 2**32 as two, so the rows would
-    # differ in length. A negative or fractional value has no SeedSequence
+    # an item's chain noise: a scalar seed of any size is split into words,
+    # but a per-row value gives its row one word: numpy would hash 2**32 as
+    # two, so the rows would differ in length. A negative or fractional value
+    # has no SeedSequence
     with pytest.raises(ContractError):
-        df.item_draws(seeds, keys, 100, 5)
+        df.chain_noise(seeds, keys, 0, 100, 5)
 
 
 # a leading seed of one, two or three words (numpy hashes 2**32 as [0, 1]
@@ -349,108 +335,6 @@ def test_generate_state_matches_seed_sequence_on_any_entropy(words, seed):
     assert np.array_equal(got[0], want)
 
 
-def test_item_draws_match_per_item_generators():
-    rng = np.random.default_rng(21)
-    seeds = np.concatenate([_EDGE_WORDS, rng.integers(0, 2**32, 60)])
-    keys = np.concatenate([_EDGE_WORDS[::-1], rng.integers(0, 2**32, 60)])
-    for sched, k in ((DESK_SCHED, 5), (PAPER_SCHED, 3), (df.make_schedule(1, 0.3, 0.3), 2)):
-        # per-row seeds, then scalar ones that numpy splits into two and
-        # three words
-        for seed in (seeds, 2**32, 10**20):
-            _assert_same_draws(df.item_draws(seed, keys, sched.t_total, k),
-                               _expected_draws(sched.t_total, seed, keys, k))
-
-
-# item_draws replays numpy's draws on whole arrays: the timestep by Lemire's
-# rule on the first output's low 32 bits, then the normals' ziggurat fast path.
-# t_total = 1 takes no output; 2**32 - 1 is the widest Lemire bound; 2**32
-# is numpy's unscaled 32-bit draw; above it numpy draws 64 bits
-@pytest.mark.parametrize("t_total", [1, 2, 100, 1000, 2**32 - 1, 2**32, 2**32 + 1])
-def test_item_draws_replay_every_timestep_rule(t_total):
-    rng = np.random.default_rng(t_total % 1009)
-    keys = rng.integers(0, 2**32, 300)
-    for seed, k in ((rng.integers(0, 2**32, 300), 5), (10**20, 3), (2**32, 0)):
-        _assert_same_draws(df.item_draws(seed, keys, t_total, k),
-                           _expected_draws(t_total, seed, keys, k))
-
-
-@given(st.integers(0, 2**96),
-       st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-                max_size=40),
-       st.sampled_from([1, 2, 7, 100, 1000, 3 * 2**30]), st.integers(0, 6))
-@settings(max_examples=80, deadline=None)
-def test_item_draws_replay_matches_numpy(seed, pairs, t_total, k):
-    # a scalar seed numpy hashes as one, two or three words, and per-row seeds
-    seeds, keys = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    for s in (seed, seeds):
-        _assert_same_draws(df.item_draws(s, keys, t_total, k),
-                           _expected_draws(t_total, s, keys, k))
-
-
-def test_item_draws_replay_lemire_rejections():
-    # at t_total = 3 * 2**30 a quarter of numpy's 32-bit draws are rejected
-    # and drawn again from the output's high half
-    t_total = 3 * 2**30
-    keys = np.arange(400)
-    got = df.item_draws(5, keys, t_total, 4)
-    _assert_same_draws(got, _expected_draws(t_total, 5, keys, 4))
-    first = np.array([np.random.PCG64(np.random.SeedSequence((5, int(key)))).random_raw()
-                      for key in keys], dtype=np.uint64)
-    unrejected = 1 + ((first & 0xFFFFFFFF) * t_total >> 32).astype(np.int64)
-    assert (got[0] != unrejected).sum() > 50
-
-
-# keys whose first normal at seed 7 and t_total 100 leaves the ziggurat's
-# fast path, with the index that output gives: index 1 (never fast), a wedge
-# and the tail
-_SLOW_NORMAL_KEYS = {"index-1": (334, 1), "wedge": (363, 6), "tail": (5765, 0)}
-
-
-@pytest.mark.parametrize("case", sorted(_SLOW_NORMAL_KEYS))
-def test_item_draws_replay_slow_normals(case):
-    key, idx = _SLOW_NORMAL_KEYS[case]
-    raw = np.random.PCG64(np.random.SeedSequence((7, key))).random_raw(3)
-    rng = np.random.default_rng(np.random.SeedSequence((7, key)))
-    rng.integers(1, 101)
-    rng.standard_normal()
-    # the key still makes its case: the normal took a second output
-    assert int(raw[1]) & 0xFF == idx
-    assert rng.bit_generator.random_raw() != raw[2]
-    keys = np.array([0, key, 1])
-    _assert_same_draws(df.item_draws(7, keys, 100, 5), _expected_draws(100, 7, keys, 5))
-
-
-def test_item_draws_of_no_items():
-    t_values, eps = df.item_draws(3, np.zeros(0, np.int64), 100, 5)
-    assert t_values.shape == (0,) and t_values.dtype == np.int64
-    assert eps.shape == (0, 5)
-
-
-def test_ziggurat_probe_refuses_a_normal_off_its_tables(monkeypatch):
-    # a standard_normal that is one ulp off rabs * wi fails the probe's check,
-    # and no tables are kept
-    class OneUlpUp(np.random.Generator):
-        def standard_normal(self, *args, **kwargs):
-            return np.nextafter(super().standard_normal(*args, **kwargs), np.inf)
-
-    monkeypatch.setattr(np.random, "Generator", OneUlpUp)
-    monkeypatch.setattr(df, "_ZIGGURAT", None)
-    with pytest.raises(ContractError):
-        df._ziggurat()
-    assert df._ZIGGURAT is None
-
-
-def test_item_draws_follow_their_pairs():
-    # permuted (seed, key) pairs give the same draws, permuted
-    seeds = np.array([5, 5, 9, 9, 3])
-    keys = np.array([0, 1, 0, 1, 2])
-    t_values, eps = df.item_draws(seeds, keys, 100, 5)
-    perm = np.array([4, 2, 0, 3, 1])
-    t_perm, eps_perm = df.item_draws(seeds[perm], keys[perm], 100, 5)
-    assert np.array_equal(t_perm, t_values[perm])
-    assert np.array_equal(eps_perm, eps[perm])
-
-
 def test_forward_sample_per_row_timesteps_match_single_rows():
     rng = np.random.default_rng(22)
     y0 = np.eye(5)[rng.integers(0, 5, 6)]
@@ -474,7 +358,7 @@ class PerRowStub(StubNet):
 
 def test_epsilon_loss_oracle_denoiser_is_zero():
     f, y0, prior, d = _loss_batch()
-    t_values, eps = df.item_draws(0, np.arange(4), DESK_SCHED.t_total, 5)
+    t_values, eps = _draws(0, 4, 5)
     loss = df.epsilon_loss(PerRowStub(eps, 8, 5), f, y0, prior, d, DESK_SCHED,
                            t_values, eps)
     assert loss.item() == pytest.approx(0.0, abs=1e-24)
@@ -482,7 +366,7 @@ def test_epsilon_loss_oracle_denoiser_is_zero():
 
 def test_epsilon_loss_unit_offset_hand_value():
     f, y0, prior, d = _loss_batch()
-    t_values, eps = df.item_draws(0, np.arange(4), DESK_SCHED.t_total, 5)
+    t_values, eps = _draws(0, 4, 5)
     offset = eps.copy()
     offset[:, 0] += 1.0
     loss = df.epsilon_loss(PerRowStub(offset, 8, 5), f, y0, prior, d, DESK_SCHED,
@@ -493,13 +377,11 @@ def test_epsilon_loss_unit_offset_hand_value():
 def test_epsilon_loss_batch_order_invariant():
     f, y0, prior, d = _loss_batch()
     net = df.DenoiserNet.build(d_model=8, k=5, seed=3)
-    keys = np.arange(4)
-    t_values, eps = df.item_draws(1, keys, DESK_SCHED.t_total, 5)
+    t_values, eps = _draws(1, 4, 5)
     base = df.epsilon_loss(net, f, y0, prior, d, DESK_SCHED, t_values, eps).item()
     perm = np.array([2, 0, 3, 1])
-    t_perm, eps_perm = df.item_draws(1, keys[perm], DESK_SCHED.t_total, 5)
     shuffled = df.epsilon_loss(
-        net, f[perm], y0[perm], prior[perm], d[perm], DESK_SCHED, t_perm, eps_perm
+        net, f[perm], y0[perm], prior[perm], d[perm], DESK_SCHED, t_values[perm], eps[perm]
     ).item()
     assert shuffled == pytest.approx(base, abs=1e-15)
 
@@ -515,7 +397,7 @@ def test_epsilon_loss_rejects_empty_batch():
 def test_epsilon_loss_rejects_draws_of_another_batch():
     f, y0, prior, d = _loss_batch()
     net = df.DenoiserNet.build(d_model=8, k=5, seed=4)
-    t_values, eps = df.item_draws(0, np.arange(3), DESK_SCHED.t_total, 5)
+    t_values, eps = _draws(0, 3, 5)
     with pytest.raises(ContractError):
         df.epsilon_loss(net, f, y0, prior, d, DESK_SCHED, t_values, eps)
 

@@ -343,7 +343,7 @@ def test_pruned_backward_matches_full_sweep_on_epsilon_loss(seed):
     net = df.DenoiserNet.build(d_model, k, seed)
     sched = df.make_schedule(20, 1e-3, 0.2)
     prior = nk.softmax_rows(Tensor2(rng.standard_normal((n, k)))).data
-    t_values, eps = df.item_draws(seed, np.arange(n), sched.t_total, k)
+    t_values, eps = rng.integers(1, sched.t_total + 1, n), rng.standard_normal((n, k))
     tape = GradTape()
     loss = df.epsilon_loss(
         net, rng.standard_normal((n, d_model)), np.eye(k)[rng.integers(0, k, n)], prior,
