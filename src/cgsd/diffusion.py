@@ -107,7 +107,7 @@ class DenoiserNet:
 
     @property
     def input_dim(self) -> int:
-        return self.d_model + 3 * self.k + TEMB_DIM
+        return layer_dims(self.d_model, self.k)[0][0]
 
     @classmethod
     def build(cls, d_model: int, k: int, seed: int) -> "DenoiserNet":
@@ -158,90 +158,6 @@ def eps_predict(
             f"conditioning width {x.shape[1]} does not match net input {net.input_dim}"
         )
     return net.forward(Tensor2(x), tape, work)
-
-
-# numpy's SeedSequence constants (pool of four 32-bit words) and the PCG64
-# multiplier: _generate_state and _keyed_rngs replay default_rng(SeedSequence)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-
-
-def _generate_state(n_words: int, *columns) -> np.ndarray:
-    """SeedSequence((c0, c1, ...)).generate_state(n_words) of every row, as a
-    (rows, n_words) uint32 array hashed over all rows at once. A scalar column
-    is one integer for all rows, split into 32-bit words as numpy splits it;
-    an array column gives each row one word, so all rows share a length."""
-    rows = np.broadcast_shapes((1,), *map(np.shape, columns))
-    entropy = []
-    for c in columns:
-        if np.ndim(c) == 0:
-            if not isinstance(c, (int, np.integer)) or c < 0:
-                raise ContractError(f"a seed must be a nonnegative integer, got {c!r}")
-            c = int(c)
-            entropy += [np.full(rows, c >> shift & _MASK32, np.uint32)
-                        for shift in range(0, max(c.bit_length(), 1), 32)]
-            continue
-        c = np.asarray(c)
-        if c.size and (c.dtype.kind not in "iu" or c.min() < 0 or c.max() > _MASK32):
-            raise ContractError("every per-row seed word must be an integer in [0, 2**32)")
-        entropy.append(np.broadcast_to(c, rows).astype(np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    entropy += [np.zeros(rows, np.uint32)] * (_POOL_SIZE - len(entropy))
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # words beyond the pool are mixed into every pool word
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append(value ^ (value >> np.uint32(16)))
-    return np.stack(state, axis=1)
-
-
-def _keyed_rngs(*columns):
-    """default_rng(SeedSequence((c0, c1, ...))) of every row in turn: one
-    reused generator, set to the row's seeded state before it is yielded, so
-    a row's draws are made before the next row's."""
-    # little-endian pairs of 32-bit words make four 64-bit words, which
-    # PCG64 reads as two 128-bit ones: the initial state, then the stream
-    w = _generate_state(2 * _POOL_SIZE, *columns).astype(np.uint64)
-    w = w[:, 0::2] | (w[:, 1::2] << np.uint64(32))
-    bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
-    for s0, s1, q0, q1 in w.tolist():
-        # PCG64's seeding: inc from the stream word, then two LCG steps
-        # around adding the initial state
-        inc = ((((q0 << 64) | q1) << 1) | 1) & _MASK128
-        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
 
 
 def epsilon_loss(
@@ -301,7 +217,8 @@ def posterior_params(
 
 
 def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, float, float]:
-    """(gamma0, gamma1, gamma2, var) without applying them; used by tests."""
+    """(gamma0, gamma1, gamma2, var) of the step-t reverse kernel, which
+    posterior_params applies."""
     sched.check_t(t)
     ab_t = sched.alpha_bar[t]
     ab_s = sched.alpha_bar[t - 1]
@@ -314,16 +231,10 @@ def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, 
     return gamma0, gamma1, gamma2, var
 
 
-def chain_noise(seed: int, keys, samples, t_total: int, k: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Each (item_key, sample) row's chain noise, (t_total + 1) x k in one
-    draw (the values k per step would give) from default_rng(SeedSequence((
-    seed, 101, item_key, sample))), so it never depends on batching; written
-    into out, of shape (rows, t_total + 1, k), if given."""
-    noise = np.empty((np.broadcast(keys, samples).size, t_total + 1, k)) if out is None else out
-    for row, rng in zip(noise, _keyed_rngs(seed, 101, keys, samples)):
-        rng.standard_normal(out=row)
-    return noise
+def chain_rng(seed: int, key: int) -> np.random.Generator:
+    """The generator of one item's reverse chains: chain s runs on the s-th
+    (t_total + 1) x k block of its standard normals."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
 
 
 def sample_chain_batch(
@@ -335,7 +246,7 @@ def sample_chain_batch(
     noise: np.ndarray,
     record_steps=None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Run one reverse chain per row on that row's noise (chain_noise):
+    """Run one reverse chain per row on that row's noise (a chain_rng block):
     noise[:, 0] is the initial draw and noise[:, h] that of the h-th step.
 
     Returns the final label-space vectors and snapshots of y_t at every
@@ -382,30 +293,36 @@ def sample_chains(
     net: DenoiserNet, sched: NoiseSchedule, f: np.ndarray, d: np.ndarray, prior: np.ndarray,
     seed: int, keys, n_samples: int = 1, record_steps=(),
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Run n_samples reverse chains per item, chain s of item i on the
-    chain_noise of (seed, keys[i], s). Returns each item's mean final state
+    """Run n_samples reverse chains per item, chain s of item i on the s-th
+    block of chain_rng(seed, keys[i]). Returns each item's mean final state
     and, per recorded step, the states of every chain, (n_samples, n, k).
-    A chain's noise, and so its bits, depend on its (item key, sample) alone,
-    not on batching."""
+    A chain's noise, and so its bits, depend on (seed, item key, s) alone,
+    not on n_samples or batching."""
     n, k = prior.shape
-    keys = np.asarray(keys)
+    # Python ints: SeedSequence refuses a float key where int() would round it
+    keys = np.asarray(keys).tolist()
     # numpy refuses an array of more bytes than it can index before allocating
     if n_samples * n > np.iinfo(np.intp).max // 8:
         raise MemoryError(f"{n_samples} chains of {n} items cannot be indexed")
     rows = np.arange(n_samples * n)
     states = {t: np.empty((n_samples, n, k)) for t in record_steps}
     total = np.zeros((n, k))
-    # sample-major rows: row r is chain r // n of item r % n
+    # item-major rows: row r is chain r % n_samples of item r // n_samples
     for lo in range(0, rows.size, ROW_BLOCK):
-        samples, items = np.divmod(rows[lo:lo + ROW_BLOCK], n)
+        items, samples = np.divmod(rows[lo:lo + ROW_BLOCK], n_samples)
         pad = lambda a: np.pad(a, [(0, -items.size % ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
-        # the noise is drawn straight into its padded block
+        # the noise is drawn straight into its padded block; an item's
+        # generator, made at its chain 0, draws its chains in turn, across a
+        # block boundary too
         noise = np.zeros((items.size + -items.size % ROW_TILE, sched.t_total + 1, k))
-        chain_noise(seed, keys[items], samples, sched.t_total, k, out=noise[:items.size])
+        for row, item, sample in zip(noise, items.tolist(), samples.tolist()):
+            if sample == 0:
+                rng = chain_rng(seed, keys[item])
+            rng.standard_normal(out=row)
         final, snaps = sample_chain_batch(
             net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, states.keys())
-        # a block can hold several chains of one item: add.at adds every
-        # row, in row order, which is sample order
+        # add.at adds every row in row order, so an item's chains in sample
+        # order
         np.add.at(total, items, final[:items.size])
         for t, snap in snaps.items():
             states[t][samples, items] = snap[:items.size]

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cgsd import diffusion as df
 from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
@@ -266,75 +264,6 @@ def _draws(seed, n, k):
     return rng.integers(1, DESK_SCHED.t_total + 1, n), rng.standard_normal((n, k))
 
 
-_EDGE_WORDS = (0, 1, 2**31, 2**32 - 1)
-
-
-def _pcg64_oracle(seed, key):
-    return np.random.PCG64(np.random.SeedSequence((seed, key))).state
-
-
-def _replayed_states(seeds, keys):
-    return [rng.bit_generator.state for rng in df._keyed_rngs(seeds, keys)]
-
-
-def test_pcg64_states_match_numpy_on_edge_words():
-    pairs = [(s, k) for s in _EDGE_WORDS for k in _EDGE_WORDS]
-    seeds, keys = np.array(pairs, dtype=np.uint64).T
-    assert _replayed_states(seeds, keys) == [_pcg64_oracle(s, k) for s, k in pairs]
-
-
-@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-                min_size=1, max_size=20))
-@settings(max_examples=50, deadline=None)
-def test_pcg64_states_match_numpy(pairs):
-    seeds, keys = np.array(pairs, dtype=np.int64).T
-    assert _replayed_states(seeds, keys) == [_pcg64_oracle(s, k) for s, k in pairs]
-
-
-@pytest.mark.parametrize("seeds, keys", [
-    (2**32, np.array([0, 2**32, 1])),
-    (-1, np.arange(3)),
-    (7, np.array([0, 2**32])),
-    (7, np.array([0.0, 1.0])),
-    pytest.param(np.array([0, 2**32, 1]), np.arange(3), id="per-row-seed-2**32"),
-])
-def test_item_draws_refuses_words_outside_uint32(seeds, keys):
-    # an item's chain noise: a scalar seed of any size is split into words,
-    # but a per-row value gives its row one word: numpy would hash 2**32 as
-    # two, so the rows would differ in length. A negative or fractional value
-    # has no SeedSequence
-    with pytest.raises(ContractError):
-        df.chain_noise(seeds, keys, 0, 100, 5)
-
-
-# a leading seed of one, two or three words (numpy hashes 2**32 as [0, 1]
-# and 10**20 as three), then one to three per-row words: 2 to 6 in all
-_LEADING_SEEDS = [0, 2**31, 2**32 - 1, 2**32, 10**20]
-
-
-@pytest.mark.parametrize("seed", _LEADING_SEEDS)
-@pytest.mark.parametrize("columns", [1, 2, 3])
-def test_generate_state_matches_seed_sequence(seed, columns):
-    # rows of the edge words in every position, then random words
-    edge = [_EDGE_WORDS[i:] + _EDGE_WORDS[:i] for i in range(4)]
-    random = np.random.default_rng(columns).integers(0, 2**32, (4, 4)).tolist()
-    words = np.array(edge + random)[:, :columns]
-    got = df._generate_state(8, seed, *words.T)
-    want = [np.random.SeedSequence((seed, *map(int, row))).generate_state(8)
-            for row in words]
-    assert got.dtype == np.uint32
-    assert np.array_equal(got, np.stack(want))
-
-
-@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
-       st.integers(0, 2**100))
-@settings(max_examples=50, deadline=None)
-def test_generate_state_matches_seed_sequence_on_any_entropy(words, seed):
-    want = np.random.SeedSequence((seed, *words)).generate_state(8)
-    got = df._generate_state(8, seed, *(np.array([w]) for w in words))
-    assert np.array_equal(got[0], want)
-
-
 def test_forward_sample_per_row_timesteps_match_single_rows():
     rng = np.random.default_rng(22)
     y0 = np.eye(5)[rng.integers(0, 5, 6)]
@@ -575,38 +504,66 @@ def _reference_chain_batch(net, f, d, prior, sched, rngs, record_steps):
     return y, snaps
 
 
-def _chain_generators(seed, keys, sample):
-    """The per-chain generator rule chain_noise replays."""
-    return [np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), sample)))
-            for key in keys]
+def _item_noise(seed, keys, n_samples, t_total, k):
+    """Every chain's noise in item-major rows: item i's n_samples chains are
+    consecutive blocks of chain_rng(seed, keys[i])'s normals."""
+    return np.concatenate([df.chain_rng(seed, key).standard_normal((n_samples, t_total + 1, k))
+                           for key in np.asarray(keys).tolist()])
 
 
 @pytest.mark.parametrize("seed", [3, 2**32, 10**20])
-def test_chain_noise_matches_per_chain_generators(seed):
-    keys = np.array([0, 7, 2**32 - 1, 7])
-    samples = np.array([0, 0, 4, 1])
-    want = np.stack([_noise(_chain_generators(seed, [key], int(sample)), DESK_SCHED, 3)[0]
-                     for key, sample in zip(keys, samples)])
-    assert np.array_equal(df.chain_noise(seed, keys, samples, DESK_SCHED.t_total, 3), want)
+def test_chain_noise_matches_per_chain_generators(seed, monkeypatch):
+    # item i's chains run on consecutive blocks of one generator seeded
+    # (seed, 101, keys[i]); a repeated key repeats its item's noise, and the
+    # zero rows that pad the block to whole row tiles stay zero
+    keys, n_samples, k = np.array([0, 7, 2**32 - 1, 2**40, 7]), 3, 3
+    net, sched, f, d, prior = _chain_inputs(keys.size, k)
+    blocks, run = [], df.sample_chain_batch
+
+    def spy(net, f, d, prior, sched, noise, record_steps=None):
+        blocks.append(noise.copy())
+        return run(net, f, d, prior, sched, noise, record_steps)
+
+    monkeypatch.setattr(df, "sample_chain_batch", spy)
+    df.sample_chains(net, sched, f, d, prior, seed, keys, n_samples)
+    for key in keys.tolist():
+        want = np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
+        assert df.chain_rng(seed, key).bit_generator.state == want.bit_generator.state
+    want = _item_noise(seed, keys, n_samples, sched.t_total, k)
+    (got,) = blocks
+    assert got.shape == (df.ROW_TILE, sched.t_total + 1, k)
+    assert np.array_equal(got[:want.shape[0]], want)
+    assert not got[want.shape[0]:].any()
+
+
+def test_sample_chains_refuses_a_fractional_key():
+    # a float key is not rounded to an integer seed
+    net, sched, f, d, prior = _chain_inputs(2, 3)
+    with pytest.raises(TypeError):
+        df.sample_chains(net, sched, f, d, prior, 1, np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("t_total", [100, 1])
 def test_sample_chain_batch_matches_per_row_reference(t_total):
     # the table lookup and the up-front noise change no bit of any row against
-    # per-chain generators drawn step by step; 100 is the desk schedule, and
-    # the t_total = 1 chain takes only the var == 0 step
+    # the item generators drawn step by step, chain s after s skipped blocks;
+    # 4 items x 3 chains in item-major rows; 100 is the desk schedule, and the
+    # t_total = 1 chain takes only the var == 0 step
     sched = df.make_schedule(t_total, 1e-3, 0.2)
     record = {100, 51, 50, 1, 0}
     n, k = 12, 3
+    keys, samples = np.repeat([4, 0, 9, 2], 3), np.tile(np.arange(3), 4)
     rng = np.random.default_rng(31)
     net = df.DenoiserNet.build(d_model=4, k=k, seed=32)
     f = rng.standard_normal((n, 4))
     d = rng.standard_normal((n, k)) * 0.1
     prior = rng.dirichlet(np.ones(k), size=n)
     out, snaps = df.sample_chain_batch(
-        net, f, d, prior, sched, df.chain_noise(3, np.arange(n), 2, t_total, k), record)
-    ref, ref_snaps = _reference_chain_batch(
-        net, f, d, prior, sched, _chain_generators(3, np.arange(n), 2), record)
+        net, f, d, prior, sched, _item_noise(3, keys[::3], 3, t_total, k), record)
+    rngs = [df.chain_rng(3, key) for key in keys.tolist()]
+    for chain_gen, sample in zip(rngs, samples):
+        chain_gen.standard_normal((sample, t_total + 1, k))
+    ref, ref_snaps = _reference_chain_batch(net, f, d, prior, sched, rngs, record)
     assert np.array_equal(out, ref)
     assert snaps.keys() == ref_snaps.keys() and len(snaps) >= 2
     for t in snaps:
@@ -622,25 +579,39 @@ def _chain_inputs(n, k=5, t_total=20):
     return net, df.make_schedule(t_total, 1e-3, 0.2), f, d, prior
 
 
-def test_sample_chains_blocks_equal_one_batch():
-    # 150 items x 4 chains span two row blocks; the states and the mean equal
-    # one sample_chain_batch call over all sample-major rows on the same noise
-    n, n_samples, k, record = 150, 4, 5, {20, 7, 0}
-    assert n * n_samples > df.ROW_BLOCK
+def _assert_blocks_equal_one_batch(n, n_samples, k, record):
+    """sample_chains' states and mean equal one sample_chain_batch call over
+    all item-major rows on the per-item oracle's noise, padded with zero rows
+    to whole row tiles as sample_chains pads its blocks."""
     net, sched, f, d, prior = _chain_inputs(n, k)
     keys = np.arange(n) * 3 + 1
     mean, states = df.sample_chains(net, sched, f, d, prior, 5, keys, n_samples, record)
-    samples, items = np.repeat(np.arange(n_samples), n), np.tile(np.arange(n), n_samples)
-    noise = df.chain_noise(5, keys[items], samples, sched.t_total, k)
+    rows, items = n * n_samples, np.repeat(np.arange(n), n_samples)
+    pad = lambda a: np.pad(a, [(0, -rows % df.ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
+    noise = pad(_item_noise(5, keys, n_samples, sched.t_total, k))
     final, snaps = df.sample_chain_batch(
-        net, f[items], d[items], prior[items], sched, noise, record)
+        net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, record)
     assert states.keys() == snaps.keys() == record
     for t in record:
-        assert np.array_equal(states[t], snaps[t].reshape(n_samples, n, k))
+        assert np.array_equal(states[t], snaps[t][:rows].reshape(n, n_samples, k).swapaxes(0, 1))
     total = np.zeros((n, k))
-    for chain in final.reshape(n_samples, n, k):
+    for chain in final[:rows].reshape(n, n_samples, k).swapaxes(0, 1):
         total += chain
     assert np.array_equal(mean, total / n_samples)
+
+
+def test_sample_chains_blocks_equal_one_batch():
+    # 150 items x 4 chains span two row blocks, which split no item
+    assert 150 * 4 > df.ROW_BLOCK and df.ROW_BLOCK % 4 == 0
+    _assert_blocks_equal_one_batch(150, 4, 5, {20, 7, 0})
+
+
+def test_sample_chains_item_split_across_blocks_keeps_its_stream():
+    # 150 items x 5 chains make 750 rows: item 102's chains are rows 510 to
+    # 514, so its generator draws chains 0 and 1 into the first block and
+    # chains 2 to 4 into the second
+    assert divmod(df.ROW_BLOCK, 5) == (102, 2)
+    _assert_blocks_equal_one_batch(150, 5, 3, {20, 13, 1, 0})
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -653,11 +624,12 @@ def test_sample_chains_noise_drawn_into_its_block_keeps_the_means(k):
     keys = np.arange(n) * 5 + 2
     mean, states = df.sample_chains(net, sched, f, d, prior, 8, keys, n_samples, record)
     rows = np.arange(n * n_samples)
+    every = _item_noise(8, keys, n_samples, sched.t_total, k)
     total, want = np.zeros((n, k)), {t: np.empty((n_samples, n, k)) for t in record}
     for lo in range(0, rows.size, df.ROW_BLOCK):
-        samples, items = np.divmod(rows[lo:lo + df.ROW_BLOCK], n)
+        items, samples = np.divmod(rows[lo:lo + df.ROW_BLOCK], n_samples)
         pad = lambda a: np.pad(a, [(0, -items.size % df.ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
-        noise = pad(df.chain_noise(8, keys[items], samples, sched.t_total, k))
+        noise = pad(every[lo:lo + df.ROW_BLOCK])
         final, snaps = df.sample_chain_batch(
             net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, record)
         np.add.at(total, items, final[:items.size])
@@ -666,15 +638,6 @@ def test_sample_chains_noise_drawn_into_its_block_keeps_the_means(k):
     assert np.array_equal(mean, total / n_samples)
     for t in record:
         assert np.array_equal(states[t], want[t])
-
-
-def test_chain_noise_fills_out_and_nothing_else():
-    buf = np.zeros((5, DESK_SCHED.t_total + 1, 3))
-    keys, samples = np.array([4, 9, 4]), np.array([0, 0, 2])
-    got = df.chain_noise(6, keys, samples, DESK_SCHED.t_total, 3, out=buf[:3])
-    assert np.shares_memory(got, buf)
-    assert np.array_equal(buf[:3], df.chain_noise(6, keys, samples, DESK_SCHED.t_total, 3))
-    assert not buf[3:].any()
 
 
 def test_sample_chain_batch_evaluates_the_denoiser_once_per_step(monkeypatch):
@@ -739,14 +702,14 @@ def test_sample_chains_mean_sums_every_chain_in_sample_order(k):
     keys = np.arange(n) + 100
     mean, states = df.sample_chains(net, sched, f, d, prior, 11, keys, n_samples)
     assert states == {}
-    samples, items = np.repeat(np.arange(n_samples), n), np.tile(np.arange(n), n_samples)
+    items = np.repeat(np.arange(n), n_samples)
     pad = lambda a: np.concatenate([a, np.zeros((13,) + a.shape[1:])])
-    noise = pad(df.chain_noise(11, keys[items], samples, sched.t_total, k))
+    noise = pad(_item_noise(11, keys, n_samples, sched.t_total, k))
     final, _ = df.sample_chain_batch(net, pad(f[items]), pad(d[items]), pad(prior[items]),
                                      sched, noise)
     final = final[:n * n_samples]
     total = np.zeros((n, k))
-    for chain in final.reshape(n_samples, n, k):
+    for chain in final.reshape(n, n_samples, k).swapaxes(0, 1):
         total += chain
     assert np.array_equal(mean, total / n_samples)
 

@@ -408,17 +408,18 @@ def test_full_split_encodes_peak_below_their_outputs(bench_dir):
 
 def _assert_n1_equals_single_chain(seed):
     # sample_chains' mean of one sample per item is the final state of one
-    # chain on the substream (seed, 101, item_key, 0), run as sample_chains
-    # runs it: in whole row tiles, here the 3 rows and 13 zero rows
+    # chain on the first block of the substream (seed, 101, item_key), run as
+    # sample_chains runs it: in whole row tiles, here the 3 rows and 13 zero
+    # rows
     net = df.DenoiserNet.build(d_model=4, k=3, seed=11)
     sched = df.make_schedule(100, 1e-3, 0.2)
     f, d = np.zeros((3, 4)), np.zeros((3, 3))
     prior = np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]])
     keys = np.array([5, 9, 2])
     noise = np.stack([
-        np.random.default_rng(np.random.SeedSequence((seed, 101, int(key), 0)))
+        np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
         .standard_normal((sched.t_total + 1, 3))
-        for key in keys
+        for key in keys.tolist()
     ])
     pad = lambda a: np.concatenate([a, np.zeros((df.ROW_TILE - 3,) + a.shape[1:])])
     single, _ = df.sample_chain_batch(net, pad(f), pad(d), pad(prior), sched, pad(noise))
@@ -470,7 +471,7 @@ def test_desk_ablation_reproduces_the_seed_42_rows(desk_ablation):
     pinned = [
         (584, 0.37828233219102614),
         (647, 0.3908345476956082),
-        (668, 0.35565920593803513),
+        (661, 0.35250648382666505),
     ]
     rows = desk_ablation["report"]["rows"]
     for row, (correct, macro_f1) in zip(rows, pinned, strict=True):
