@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .data import SyntheticConfig, gen_synthetic, write_dataset, write_json
-from .errors import ConfigError, DataError, NumericError
+from .data import (SyntheticConfig, _parse_json_object, gen_synthetic, write_dataset,
+                   write_json)
+from .errors import ConfigError, DataError, NumericError, ParseError
 from .pipeline import RunConfig
 
 # subcommand -> (handler, config class, exposed fields, required arguments,
@@ -99,13 +100,11 @@ def _convert(key: str, like, value):
 
 def _read_config(path: str, keys) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _parse_json_object(Path(path).read_bytes(), f"config file {path}", {})
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
-    except ValueError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")

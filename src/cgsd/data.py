@@ -214,7 +214,8 @@ def _parse_json_object(blob: bytes, where: str, fields: dict) -> dict:
     as bool only, never as a number. where names the text in errors."""
     try:
         doc = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    # json.loads recurses once per nested array or object
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"{where} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{where} does not hold a JSON object")
@@ -430,7 +431,9 @@ def read_dataset(path: str | Path) -> Dataset:
     # a row of d_in + 1 fields takes at least 2 d_in + 1 bytes, so a sidecar n
     # beyond what the file can hold never sizes the arrays
     fit = min(max(n, 0), path.stat().st_size // (2 * d_in + 1)) if header_ok else 0
-    feats = np.empty((fit, d_in))
+    # only a matched header bounds d_in by the file, and numpy refuses a
+    # negative or huge width even for no rows
+    feats = np.empty((fit, d_in if header_ok else 0))
     labels = np.empty(fit, dtype=np.int64)
     found, bad_row = 0, None
     for found, row in enumerate(lines, 1):

@@ -3,10 +3,11 @@
 The optimizers work on flat float64 arrays: ``FlatParams`` lays parameters
 end to end in one array, each ``Tensor2.data`` a view of its slice, with a
 gradient buffer of the same layout that ``numkit.backward`` fills. Every
-update runs once per step over a whole group, in place, with the elementwise
-operations of a per-tensor update in the same order, so it gives the same
-bits. All state is held in plain dataclasses; the training loops own these
-objects exclusively.
+update runs once per step over a stage's whole flat array, in place, with the
+elementwise operations of a per-tensor update in the same order, so it gives
+the same bits; a rate may be a scalar or one value per parameter. All state
+is held in plain dataclasses; the training loops own these objects
+exclusively, and every array and rate they pass is a checked one.
 """
 
 from __future__ import annotations
@@ -45,36 +46,26 @@ class FlatParams:
             lo = hi
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     # the update's temporaries, reused from step to step
     work: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
-    def _ensure(self, param: np.ndarray, grad: np.ndarray) -> None:
-        if param.ndim != 1 or grad.shape != param.shape:
-            raise ContractError(
-                f"need flat param and grad arrays of one length, got {param.shape} "
-                f"and {grad.shape}"
-            )
-        if self.m is None:
-            self.m, self.v = np.zeros_like(param), np.zeros_like(param)
-        if self.m.shape != param.shape:
-            raise ContractError("optimizer state does not match parameter array")
-        if self.work is None:
-            self.work = (np.empty_like(param), np.empty_like(param))
-
 
 @dataclass
 class EmaState:
     mu: float
     shadow: np.ndarray
-    work: np.ndarray | None = field(default=None, repr=False)
+    work: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = np.empty_like(self.shadow)
 
     @classmethod
     def from_params(cls, params: np.ndarray, mu: float) -> "EmaState":
@@ -93,48 +84,47 @@ class LrPlan:
 
 
 def _moments(grad: np.ndarray, state: AdamState) -> np.ndarray:
-    """Advance the step and both moments by grad; returns the bias-corrected
-    first moment, written into a work buffer."""
+    """Advance the step and both moments by grad, allocating them at the
+    first step; returns the bias-corrected first moment, written into a work
+    buffer."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
+        state.work = (np.empty_like(grad), np.empty_like(grad))
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
     m, v, (a, _) = state.m, state.v, state.work
-    m *= b1
-    m += np.multiply(1 - b1, grad, out=a)
-    v *= b2
-    np.multiply(1 - b2, grad, out=a)
+    m *= BETA1
+    m += np.multiply(1 - BETA1, grad, out=a)
+    v *= BETA2
+    np.multiply(1 - BETA2, grad, out=a)
     v += np.multiply(a, grad, out=a)
-    return np.divide(m, 1 - b1**state.step, out=a)
+    return np.divide(m, 1 - BETA1**state.step, out=a)
 
 
-def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update of a flat parameter array, in place."""
-    if lr <= 0:
-        raise ContractError("lr must be positive")
-    state._ensure(param, grad)
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr) -> None:
+    """Bias-corrected Adam update of a flat parameter array, in place; lr is
+    a scalar or one rate per value."""
     m_hat = _moments(grad, state)
-    denom = np.divide(state.v, 1 - state.beta2**state.step, out=state.work[1])
+    denom = np.divide(state.v, 1 - BETA2**state.step, out=state.work[1])
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     m_hat *= lr
     m_hat /= denom
     param -= m_hat
 
 
-def radam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+def radam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr) -> None:
     """Rectified Adam: variance-rectified adaptive step once the moving
-    second moment is trustworthy, plain bias-corrected momentum before that."""
-    if lr <= 0:
-        raise ContractError("lr must be positive")
-    state._ensure(param, grad)
+    second moment is trustworthy, plain bias-corrected momentum before that;
+    lr is a scalar or one rate per value."""
     m_hat = _moments(grad, state)
-    t, b2 = state.step, state.beta2
-    rho_inf = 2.0 / (1.0 - b2) - 1.0
-    b2t = b2**t
+    t = state.step
+    rho_inf = 2.0 / (1.0 - BETA2) - 1.0
+    b2t = BETA2**t
     rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
     if rho_t > 4.0:
         denom = np.divide(state.v, 1 - b2t, out=state.work[1])
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         r_t = math.sqrt(
             ((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
             / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
@@ -162,10 +152,6 @@ def lr_at(epoch: int, plan: LrPlan) -> float:
 
 def ema_update(ema: EmaState, params: np.ndarray) -> None:
     """shadow <- mu * shadow + (1 - mu) * params, over flat arrays in place."""
-    if ema.shadow.shape != params.shape:
-        raise ContractError("EMA shadow does not match parameter array")
-    if ema.work is None:
-        ema.work = np.empty_like(ema.shadow)
     ema.shadow *= ema.mu
     ema.shadow += np.multiply(1.0 - ema.mu, params, out=ema.work)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -210,35 +211,29 @@ def _lr_plan(
     )
 
 
-def _guidance_epoch_losses(
-    model: gd.GuidanceModel,
-    features: np.ndarray,
-    labels: np.ndarray,
-    batch: int,
-    cfg: RunConfig,
-    flat: optim.FlatParams,
-    groups: list[tuple[optim.AdamState, optim.LrPlan]],
-    epoch: int,
-    rng: np.random.Generator,
-) -> float:
-    """One training epoch over shuffled minibatches; returns the mean loss.
-    groups holds the optimizer state and plan of each group of flat."""
-    n = features.shape[0]
+def _epoch(n: int, batch: int, rng: np.random.Generator, batch_loss,
+           flat: optim.FlatParams, update, lr, what: str) -> float:
+    """One training epoch of every stage over minibatches of n rows in the
+    order rng shuffles: per batch, batch_loss(idx, tape) on a fresh tape,
+    checked finite as what, backward into flat's gradient buffer, then
+    update(lr). Returns the mean loss."""
     order = rng.permutation(n)
     losses = []
     for start in range(0, n, batch):
         idx = order[start : start + batch]
         tape = GradTape()
-        loss = gd.guidance_loss(
-            features[idx], labels[idx], model, cfg.lambda_rank, cfg.margin, tape
-        )
-        value = check_finite(loss.item(), f"the loss of guidance epoch {epoch}")
+        loss = batch_loss(idx, tape)
+        losses.append(check_finite(loss.item(), what))
         backward(loss, tape, flat.params, out=flat.grads)
-        for span, (state, plan) in zip(flat.spans, groups, strict=True):
-            lr = optim.lr_at(epoch, plan)
-            optim.radam_step(flat.data[span], flat.grad[span], state, lr)
-        losses.append(value)
+        update(lr)
     return float(np.mean(losses))
+
+
+def _guidance_loss(model: gd.GuidanceModel, data: Dataset, cfg: RunConfig):
+    """The batch loss of a guidance training stage on data's rows."""
+    return lambda idx, tape: gd.guidance_loss(
+        data.features[idx], data.labels[idx], model, cfg.lambda_rank, cfg.margin, tape
+    )
 
 
 def pretrain_base(
@@ -258,14 +253,13 @@ def pretrain_base(
     )
     flat = optim.FlatParams(model.base_params() + model.prompt_params())
     plan = _lr_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
-    groups = [(optim.AdamState(), plan)]
+    step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
+    batch_loss = _guidance_loss(model, source, cfg)
     for epoch in range(cfg.pretrain_epochs):
-        mean_loss = _guidance_epoch_losses(
-            model, source.features, source.labels, cfg.pretrain_batch, cfg,
-            flat, groups, epoch, rng,
-        )
         lr = optim.lr_at(epoch, plan)
+        mean_loss = _epoch(source.n, cfg.pretrain_batch, rng, batch_loss, flat, step, lr,
+                           f"the loss of guidance epoch {epoch}")
         log.append(f"pretrain,{epoch},{lr:.8g},{mean_loss:.8g}")
     model.frozen_base = True
     return model
@@ -292,20 +286,23 @@ def train_stage1(
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
-    lora_plan = _lr_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
-    prompt_plan = _lr_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
-    # the two groups share one flat array and one gradient buffer
+    # the adapter's plan and that of the prompts and log scale fill one
+    # per-value rate array over the one flat array and optimizer state
+    plans = [_lr_plan(lr, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
+             for lr in (cfg.lr_lora, cfg.lr_prompt)]
     flat = optim.FlatParams(model.lora_params(), model.prompt_params())
-    groups = [(optim.AdamState(), lora_plan), (optim.AdamState(), prompt_plan)]
+    step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
+    rates = np.empty_like(flat.data)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 43)))
+    batch_loss = _guidance_loss(model, train, cfg)
     for epoch in range(cfg.stage1_epochs):
-        mean_loss = _guidance_epoch_losses(
-            model, train.features, train.labels, cfg.stage1_batch, cfg,
-            flat, groups, epoch, rng,
-        )
+        for span, plan in zip(flat.spans, plans, strict=True):
+            rates[span] = optim.lr_at(epoch, plan)
+        mean_loss = _epoch(train.n, cfg.stage1_batch, rng, batch_loss, flat, step, rates,
+                           f"the loss of guidance epoch {epoch}")
         preds = np.argmax(conditioning(model, train.features)[1], axis=1)
         acc = float(np.mean(preds == train.labels))
-        lr = optim.lr_at(epoch, lora_plan)
+        lr = optim.lr_at(epoch, plans[0])
         log.append(f"stage1,{epoch},{lr:.8g},{mean_loss:.8g},{acc:.6f}")
 
     frozen_hash_after = _hash_arrays([t.data for t in model.base_params()])
@@ -346,31 +343,26 @@ def train_stage2(
     plan = _lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
     log: list[str] = []
-    n = train.n
-    batch = cfg.stage2_batch
+
+    # a step clips the gradient, then takes Adam's step, then averages the weights
+    def update(lr):
+        optim.clip_grad_norm(flat, cfg.clip)
+        optim.adam_step(flat.data, flat.grad, state, lr)
+        optim.ema_update(ema, flat.data)
+
     for epoch in range(cfg.stage2_epochs):
         lr = optim.lr_at(epoch, plan)
-        order = rng.permutation(n)
         # item i's timestep and noise are row i of the epoch's draws, so they
         # depend on (seed, epoch, item) alone, never on the item's batch
         draws = np.random.default_rng(np.random.SeedSequence((cfg.seed, 53, epoch)))
-        t_values = draws.integers(1, cfg.t_total + 1, n)
-        eps = draws.standard_normal((n, train.k))
-        losses = []
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            tape = GradTape()
-            loss = df.epsilon_loss(
-                net, f[idx], y0[idx], prior[idx], d[idx], sched,
-                t_values[idx], eps[idx], tape,
-            )
-            value = check_finite(loss.item(), f"the loss of stage2 epoch {epoch}")
-            backward(loss, tape, flat.params, out=flat.grads)
-            optim.clip_grad_norm(flat, cfg.clip)
-            optim.adam_step(flat.data, flat.grad, state, lr)
-            optim.ema_update(ema, flat.data)
-            losses.append(value)
-        log.append(f"stage2,{epoch},{lr:.8g},{float(np.mean(losses)):.8g}")
+        t_values = draws.integers(1, cfg.t_total + 1, train.n)
+        eps = draws.standard_normal((train.n, train.k))
+        mean_loss = _epoch(
+            train.n, cfg.stage2_batch, rng,
+            lambda idx, tape: df.epsilon_loss(net, f[idx], y0[idx], prior[idx], d[idx],
+                                              sched, t_values[idx], eps[idx], tape),
+            flat, update, lr, f"the loss of stage2 epoch {epoch}")
+        log.append(f"stage2,{epoch},{lr:.8g},{mean_loss:.8g}")
 
     # the checkpoint holds the weight average, which inference runs
     np.copyto(flat.data, ema.shadow)

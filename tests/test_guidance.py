@@ -9,6 +9,7 @@ from cgsd import guidance as gd
 from cgsd import optim
 from cgsd import pipeline as pl
 from cgsd import numkit as nk
+from cgsd.data import Dataset
 from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
 from cgsd.numkit import GradTape, Tensor2, backward
 from cgsd.pipeline import conditioning
@@ -283,24 +284,26 @@ def test_guidance_loss_rejects_empty_batch():
 
 
 def test_frozen_base_receives_no_gradient():
-    # one stage-1 epoch, with stage 1's two optimizer groups, on a frozen
-    # model: the encoder keeps its bytes, and lora B (zero at init), the
-    # prompts and the log scale move
+    # one stage-1 epoch, with stage 1's optimizer state and per-value rates
+    # over its two groups, on a frozen model: the encoder keeps its bytes,
+    # and lora B (zero at init), the prompts and the log scale move
     model = small_model(seed=9, frozen=True)
     rng = np.random.default_rng(10)
-    feats = rng.standard_normal((8, 10))
-    labels = np.array([0, 1, 2, 3, 4, 0, 1, 2])
+    data = Dataset(rng.standard_normal((8, 10)), np.array([0, 1, 2, 3, 4, 0, 1, 2]),
+                   5, "target", 0)
     cfg = pl.RunConfig()
     flat = optim.FlatParams(model.lora_params(), model.prompt_params())
-    groups = [
-        (optim.AdamState(), pl._lr_plan(cfg.lr_lora, cfg, 0, 2)),
-        (optim.AdamState(), pl._lr_plan(cfg.lr_prompt, cfg, 0, 2)),
-    ]
+    rates = np.empty_like(flat.data)
+    for span, lr in zip(flat.spans, (cfg.lr_lora, cfg.lr_prompt), strict=True):
+        rates[span] = optim.lr_at(0, pl._lr_plan(lr, cfg, 0, 2))
+    state = optim.AdamState()
     base = [t.data.tobytes() for t in model.base_params()]
     moving = {"lora_b": model.lora_b, "prompts": model.prompts,
               "log_scale": model.log_scale}
     before = {name: t.data.copy() for name, t in moving.items()}
-    pl._guidance_epoch_losses(model, feats, labels, 4, cfg, flat, groups, 0, rng)
+    pl._epoch(data.n, 4, rng, pl._guidance_loss(model, data, cfg), flat,
+              lambda lr: optim.radam_step(flat.data, flat.grad, state, lr), rates,
+              "the loss of guidance epoch 0")
     assert [t.data.tobytes() for t in model.base_params()] == base
     for name, t in moving.items():
         assert not np.array_equal(t.data, before[name]), name

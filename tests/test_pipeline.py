@@ -854,6 +854,19 @@ def _dataset_meta(key, value):
     return damage
 
 
+# 200,000 nested arrays: json.loads recursed past Python's stack limit
+_NESTED_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def _write_nested_json(path):
+    path.write_text(_NESTED_JSON)
+
+
+def _nested_dataset_meta(path):
+    """Damage that replaces a dataset's sidecar with deeply nested JSON."""
+    _write_nested_json(Path(str(path) + ".meta.json"))
+
+
 def _label_past_int64(path):
     """target.csv's first label set to 2**64 under a sidecar k of 2**70, so
     the label is in range but no int64 holds it."""
@@ -966,6 +979,15 @@ _BAD_INPUTS = {
     # width is built (10**9 fields ended in a MemoryError)
     "target-csv-meta-d_in-huge": (
         3, "eval", [], "data/target.csv", _dataset_meta("d_in", 10**9), None),
+    # widths numpy refuses even for an array of no rows (a ValueError
+    # traceback before the header was refused)
+    "target-csv-meta-d_in-negative": (
+        3, "eval", [], "data/target.csv", _dataset_meta("d_in", -1), None),
+    "target-csv-meta-d_in-2**62": (
+        3, "eval", [], "data/target.csv", _dataset_meta("d_in", 2**62), None),
+    "target-csv-meta-d_in-10**20": (
+        3, "eval", [], "data/target.csv", _dataset_meta("d_in", 10**20), None),
+    "target-csv-meta-nested": (3, "eval", [], "data/target.csv", _nested_dataset_meta, None),
     # a grade count above the row count sized the split's per-grade counts
     # (10**10 asked for 74.5 GiB; 2**70 overflowed)
     # the rows are counted before an array of n rows is allocated
@@ -979,6 +1001,9 @@ _BAD_INPUTS = {
     "target-csv-label-2**64": (
         3, "train-guidance", [], "data/target.csv", _label_past_int64, None),
     "config-not-an-object": (2, "eval", [], None, None, [1, 2]),
+    # written by the damage, since json.dumps cannot nest this deep either
+    "config-nested": (2, "eval", ["--config", "{w}/deep.json"], "deep.json",
+                      _write_nested_json, None),
     "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
     # an int field takes no fraction, which int() would truncate
     "config-int-fraction": (2, "eval", [], None, None, {"n_samples": 2.5}),
