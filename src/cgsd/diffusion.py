@@ -38,6 +38,9 @@ class NoiseSchedule:
     beta: np.ndarray  # beta[t-1] is the step-t value, t = 1..T
     alpha_bar: np.ndarray  # indexed 0..T, alpha_bar[0] == 1
     temb: np.ndarray  # (T + 1) x TEMB_DIM, row t is timestep_embedding(t)
+    # (T + 1) x 3, row t is forward_sample's (sqrt(abar_t), 1 - sqrt(abar_t),
+    # sqrt(1 - abar_t)), each the value it once took per draw
+    coef: np.ndarray
 
     def check_t(self, t: int) -> None:
         if not (1 <= t <= self.t_total):
@@ -55,7 +58,9 @@ def make_schedule(t_total: int, beta_start: float, beta_end: float) -> NoiseSche
     alpha_bar[0] = 1.0
     alpha_bar[1:] = np.cumprod(1.0 - beta)
     temb = timestep_embedding(np.arange(t_total + 1))
-    return NoiseSchedule(t_total, beta, alpha_bar, temb)
+    root = np.sqrt(alpha_bar)
+    coef = np.stack([root, 1.0 - root, np.sqrt(1.0 - alpha_bar)], axis=1)
+    return NoiseSchedule(t_total, beta, alpha_bar, temb, coef)
 
 
 def forward_sample(
@@ -68,13 +73,12 @@ def forward_sample(
     """Draw y_t given the label, the prior mean and a fixed noise vector; t is
     one timestep, or one per row of a batch."""
     t = np.asarray(t)
-    if np.any(t < 0) or np.any(t > sched.t_total):
+    # a step below 0 would read the table from its end
+    if t.size and (t.min() < 0 or t.max() > sched.t_total):
         raise IndexError(f"timestep {t} outside [0, {sched.t_total}]")
-    ab = sched.alpha_bar[t]
-    if t.ndim:
-        ab = ab[:, None]
-    root = np.sqrt(ab)
-    return root * y0 + (1.0 - root) * y_hat0 + np.sqrt(1.0 - ab) * eps
+    coef = sched.coef[t]
+    root, rest, noise = coef.T[..., None] if t.ndim else coef
+    return root * y0 + rest * y_hat0 + noise * eps
 
 
 def timestep_embedding(t: int | np.ndarray) -> np.ndarray:
@@ -143,9 +147,10 @@ def conditioning_input(
     """The denoiser's input rows in CONDITIONING_LAYOUT; temb is one
     timestep-embedding row shared by every item or one row per item (rows of
     NoiseSchedule.temb)."""
-    parts = [np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (f, y_t, y_hat0, d)]
-    parts.append(np.broadcast_to(temb, (parts[0].shape[0], TEMB_DIM)))
-    return np.concatenate(parts, axis=1)
+    parts = [np.atleast_2d(a) for a in (f, y_t, y_hat0, d)]
+    rows = (parts[0].shape[0], TEMB_DIM)
+    parts.append(temb if np.shape(temb) == rows else np.broadcast_to(temb, rows))
+    return np.concatenate(parts, axis=1, dtype=np.float64)
 
 
 def eps_predict(
@@ -186,8 +191,18 @@ def epsilon_loss(
         )
     y_t = forward_sample(y0, y_hat0, t_values, eps, sched)
     eps_hat = eps_predict(net, conditioning_input(f, y_t, y_hat0, d, sched.temb[t_values]), tape)
-    diff = nk.sub(Tensor2(eps), eps_hat, tape)
-    return nk.mean_all(nk.mul(diff, diff, tape), tape)
+    # the mean squared error as one record: the floats of sub, mul and
+    # mean_all, and as their adjoints -(a + a), a = diff times g / size
+    diff = eps - eps_hat.data
+    size = diff.size
+    loss = Tensor2(np.array([[np.add.reduce(diff * diff, axis=None) / size]]))
+    if tape is not None:
+        def vjp(g):
+            a = diff * (g[0, 0] / size)
+            return -(a + a)
+
+        tape.record(loss, (eps_hat,), (vjp,))
+    return loss
 
 
 def predict_y0(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numkit as nk
 from .data import NUMBER, load_checkpoint, save_checkpoint
-from .errors import ContractError, DataError, ParseError
+from .errors import ContractError, DataError, DimensionError, ParseError
 from .numkit import GradTape, Tensor2
 
 LOG_SCALE_INIT = math.log(1.0 / 0.07)
@@ -104,19 +104,48 @@ class GuidanceModel:
     def scale_value(self) -> float:
         return min(math.exp(self.log_scale.item()), SCALE_MAX)
 
-    def scale_tensor(self, tape: GradTape | None) -> Tensor2:
-        return nk.clamp_max(nk.exp(self.log_scale, tape), SCALE_MAX, tape)
-
     def encode_batch(self, x: np.ndarray | Tensor2, tape: GradTape | None = None) -> Tensor2:
         """Unit-norm embeddings for a batch of raw feature rows."""
         xt = x if isinstance(x, Tensor2) else Tensor2(np.atleast_2d(x))
         h = nk.dense(xt, self.w1, self.b1, True, tape)
-        base = nk.dense(h, self.w2, None, False, tape)
-        low = nk.dense(h, self.lora_a, None, False, tape)
-        inc = nk.dense(low, self.lora_b, None, False, tape)
-        inc = nk.scale(inc, self.alpha / self.lora_a.rows, tape)
-        z = nk.add(nk.add(base, inc, tape), self.b2, tape)
-        return nk.l2_normalize_rows(z, tape=tape)
+        return nk.l2_normalize_rows(self.project(h, tape), tape=tape)
+
+    def project(self, h: Tensor2, tape: GradTape | None = None) -> Tensor2:
+        """The adapted output projection h @ w2.T + (alpha / rank) *
+        (h @ lora_a.T) @ lora_b.T + b2 as one record. Its forward and vjps run
+        the floats and layouts of the per-op form (three dense layers, a
+        scale and two adds; tests/ holds it), so values and gradients keep
+        their bits; a vjp runs only for an input that needs an adjoint, as
+        each layer's did, so stage 1 makes no product of the frozen w2."""
+        hd = h.data
+        w2t, at, bt = (t.data.T.copy() for t in (self.w2, self.lora_a, self.lora_b))
+        c = self.alpha / self.lora_a.rows
+        low = hd @ at
+        inc = low @ bt
+        inc *= c
+        z = hd @ w2t
+        z += inc
+        z += self.b2.data
+        res = Tensor2(z)
+        if tape is None:
+            return res
+        memo = [None, None, None]
+
+        def adjoints(g):  # those of the scaled product and of h @ lora_a.T, made once
+            if memo[0] is not g:
+                g_inc = g * c
+                memo[:] = g, g_inc, g_inc @ bt.T
+            return memo
+
+        tape.record(res, (h, self.w2, self.lora_a, self.lora_b, self.b2), (
+            lambda g: adjoints(g)[2] @ at.T + g @ w2t.T,
+            lambda g: (hd.T @ g).T,
+            lambda g: (hd.T @ adjoints(g)[2]).T,
+            lambda g: (low.T @ adjoints(g)[1]).T,
+            # one row adds b2 without broadcasting, so its adjoint is not summed
+            (lambda g: g) if hd.shape[0] == 1 else lambda g: g.sum(axis=0, keepdims=True),
+        ))
+        return res
 
     def similarity_batch(self, f: Tensor2, tape: GradTape | None = None) -> Tensor2:
         """Cosine similarities f . normalized-prompt-rows^T, one row per item."""
@@ -138,17 +167,6 @@ def _pair_matrix(k: int, label: int) -> tuple[np.ndarray, int]:
     return np.array(rows), len(rows)
 
 
-def contrastive_loss(
-    d_batch: Tensor2, labels, scale: Tensor2, tape: GradTape | None = None
-) -> Tensor2:
-    """Mean cross-entropy of similarities times the 1x1 scale against the
-    true grade."""
-    y = np.asarray(labels, dtype=np.int64)
-    if y.size and (y.min() < 0 or y.max() >= d_batch.cols):
-        raise DataError(f"label outside [0,{d_batch.cols})")
-    return nk.cross_entropy_mean(nk.scale_by(d_batch, scale, tape), y, tape)
-
-
 def ranking_loss(
     d_batch: Tensor2, labels, margin: float, tape: GradTape | None = None
 ) -> Tensor2:
@@ -163,33 +181,38 @@ def ranking_loss(
     order and memory layouts, so values and gradients keep their bits; each
     grade's rows are disjoint, so scattering them into one array adds nothing.
     """
-    if margin < 0:
-        raise ContractError("margin must be nonnegative")
-    y = np.asarray(labels, dtype=np.int64)
-    n, k = d_batch.shape
-    blocks = []
-    total = None
-    for lab in np.unique(y):
-        pairs, npairs = _pair_matrix(k, int(lab))
-        idx = np.flatnonzero(y == lab)
-        shifted = (d_batch.data[idx] @ pairs.T) * -1.0 + margin
-        part = np.maximum(shifted, 0.0).sum() * (1.0 / npairs)
-        total = part if total is None else total + part
-        blocks.append((idx, pairs, npairs, shifted))
-    out = Tensor2(total * (1.0 / n))
+    value, vjp = _ranking_fwd(d_batch.data, np.asarray(labels, dtype=np.int64), margin)
+    out = Tensor2(value)
     if tape is not None:
-
-        def vjp(g):
-            g = g * (1.0 / n)
-            grad = np.zeros((n, k))
-            for idx, pairs, npairs, shifted in blocks:
-                mask = (shifted > 0.0).astype(np.float64)
-                hinge_grad = np.full(shifted.shape, (g * (1.0 / npairs))[0, 0])
-                grad[idx] += (hinge_grad * mask * -1.0) @ pairs
-            return grad
-
         tape.record(out, (d_batch,), (vjp,))
     return out
+
+
+def _ranking_fwd(d: np.ndarray, y: np.ndarray, margin: float):
+    """ranking_loss on an array of similarities: the loss and its vjp."""
+    if margin < 0:
+        raise ContractError("margin must be nonnegative")
+    n, k = d.shape
+    blocks = []
+    total = None
+    for lab in np.unique(y).tolist():
+        pairs, npairs = _pair_matrix(k, lab)
+        idx = (y == lab).nonzero()[0]
+        shifted = (d[idx] @ pairs.T) * -1.0 + margin
+        part = np.add.reduce(np.maximum(shifted, 0.0), axis=None) * (1.0 / npairs)
+        total = part if total is None else total + part
+        blocks.append((idx, pairs, npairs, shifted))
+
+    def vjp(g):
+        g = g * (1.0 / n)
+        grad = np.zeros((n, k))
+        for idx, pairs, npairs, shifted in blocks:
+            mask = (shifted > 0.0).astype(np.float64)
+            hinge_grad = np.full(shifted.shape, (g * (1.0 / npairs))[0, 0])
+            grad[idx] += (hinge_grad * mask * -1.0) @ pairs
+        return grad
+
+    return total * (1.0 / n), vjp
 
 
 def guidance_loss(
@@ -200,17 +223,55 @@ def guidance_loss(
     margin: float,
     tape: GradTape | None = None,
 ) -> Tensor2:
-    """Cross-entropy plus lambda-weighted ranking hinge over one batch."""
+    """Cross-entropy of the scaled similarities plus the lambda-weighted
+    ranking hinge over one batch.
+
+    After the encoder, the head is one record: prompt normalisation, the
+    similarity d, the clamped scale exp(log_scale), the cross-entropy of
+    d times the scale, the ranking hinge on d and the weighted sum. Its
+    forward and vjps run the floats and layouts of the per-op form (tests/
+    holds it), so the loss and every gradient keep their bits.
+    """
     if np.asarray(features).shape[0] == 0:
         raise DataError("empty batch")
     f = model.encode_batch(features, tape)
-    d = model.similarity_batch(f, tape)
-    s = model.scale_tensor(tape)
-    loss = contrastive_loss(d, labels, s, tape)
+    fd = f.data
+    p, p_vjp = nk.l2_normalize_fwd(model.prompts.data)
+    pt = p.T.copy()
+    d = fd @ pt
+    n, k = d.shape
+    y = np.asarray(labels, dtype=np.intp)
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise DataError(f"label outside [0,{k})")
+    if y.shape != (n,):
+        raise DimensionError(f"guidance_loss: {n} rows vs {y.shape} labels")
+    es = np.exp(model.log_scale.data)
+    sv = np.minimum(es, SCALE_MAX)[0, 0]
+    ce, ce_vjp = nk.cross_entropy_fwd(d * sv, y)
     if lambda_rank > 0:
-        rank_term = nk.scale(ranking_loss(d, labels, margin, tape), lambda_rank, tape)
-        loss = nk.add(loss, rank_term, tape)
-    return loss
+        rank, rank_vjp = _ranking_fwd(d, y, margin)
+        ce = ce + rank * lambda_rank
+    res = Tensor2(np.array([[ce]]))
+    if tape is None:
+        return res
+    memo = [None, None, None]
+
+    def adjoints(g):  # those of d times the scale and of d, made once
+        if memo[0] is not g:
+            g_sd = ce_vjp(g)
+            g_d = g_sd * sv
+            if lambda_rank > 0:
+                g_d = rank_vjp(g * lambda_rank) + g_d
+            memo[:] = g, g_sd, g_d
+        return memo
+
+    tape.record(res, (f, model.prompts, model.log_scale), (
+        lambda g: adjoints(g)[2] @ pt.T,
+        lambda g: p_vjp((fd.T @ adjoints(g)[2]).T),
+        lambda g: (np.array([[np.sum(adjoints(g)[1] * d)]])
+                   * (es < SCALE_MAX).astype(np.float64) * es),
+    ))
+    return res
 
 
 # ---------------------------------------------------------------------------

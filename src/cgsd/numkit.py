@@ -11,6 +11,12 @@ data batch costs no backward work.
 
 A record reads its inputs' arrays when ``backward`` runs, so a parameter
 that is updated in place (the optimizers do) is updated after the sweep.
+
+A fold runs the floats of several ops, in their order and memory layouts, as
+one record, so it keeps their bits with less bookkeeping per step: ``dense``
+here, and the guidance projection and head and the stage-2 loss; the array
+forms ``l2_normalize_fwd`` and ``cross_entropy_fwd`` give such a fold an op's
+value and vjp. tests/ holds each per-op chain a fold replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 Array = np.ndarray
+_F8 = np.dtype(np.float64)
 
 
 class Tensor2:
@@ -31,6 +38,10 @@ class Tensor2:
     __slots__ = ("data",)
 
     def __init__(self, data):
+        # an op's result, a 2-D float64 ndarray, is taken as it is
+        if type(data) is np.ndarray and data.dtype is _F8 and data.ndim == 2:
+            self.data = data
+            return
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -88,7 +99,7 @@ def check_finite(arr: Array, what: str) -> Array:
     """arr, or a NumericError naming what if it holds a nan or an inf; called
     where a value leaves a computation, not by the ops, through which a nan
     or inf stays one (l2_normalize_rows, which would not, checks its norms)."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite value in {what}")
     return arr
 
@@ -131,11 +142,12 @@ def backward(
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar 1x1 loss, got {loss.shape}")
+    records = tape._records
     # the tape holds every input and params every requested tensor, so no id
     # below is reused during the sweep
     reached = {id(p) for p in params}
     on_tape = False
-    for res, inputs, _ in tape._records:
+    for res, inputs, _ in records:
         on_tape = on_tape or res is loss
         for inp in inputs:
             if id(inp) in reached:
@@ -146,20 +158,16 @@ def backward(
 
     # only a reached value gets an adjoint, so the records no requested
     # tensor reaches are passed over here
-    adjoint: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    for res, inputs, vjps in reversed(tape._records):
+    adjoint: dict[int, Array] = {id(loss): _ONE}
+    for res, inputs, vjps in reversed(records):
         g = adjoint.get(id(res))
         if g is None:
             continue
-        for inp, vjp in zip(inputs, vjps, strict=True):
+        for inp, vjp in zip(inputs, vjps):
             key = id(inp)
-            if key not in reached:
-                continue
-            gin = vjp(g)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + gin
-            else:
-                adjoint[key] = gin
+            if key in reached:
+                prev = adjoint.get(key)
+                adjoint[key] = vjp(g) if prev is None else prev + vjp(g)
     if out is None:
         out = [np.empty(p.shape) for p in params]
     for p, dst in zip(params, out, strict=True):
@@ -169,6 +177,11 @@ def backward(
         else:
             np.copyto(dst, g)
     return list(out)
+
+
+# the loss's own adjoint; no vjp writes into its argument
+_ONE = np.ones((1, 1))
+_ONE.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +195,48 @@ def dense(
     """x @ w.T (+ b if any), gated by smooth_nonlinearity if gate: one record
     running the floats and layouts of transpose, matmul, add and gate, so
     values and gradients keep their bits (a matmul against the w.T view, not
-    a C-order copy, rounds differently for a narrow output). Without a tape,
-    out may hold w.T in C order and two rows x w.rows arrays to write into."""
-    if x.cols != w.cols or (b is not None and b.shape != (1, w.rows)):
+    a C-order copy, rounds differently for a narrow output). The gate's
+    derivative is made when backward first needs it, so a frozen layer whose
+    input needs no adjoint never makes it. Without a tape, out may hold w.T
+    in C order and two rows x w.rows arrays to write into."""
+    xd, wd = x.data, w.data
+    if xd.shape[1] != wd.shape[1] or (b is not None and b.data.shape != (1, wd.shape[0])):
         raise DimensionError(f"dense shape mismatch: {x.shape} @ {w.shape}.T")
-    wt, z, sig = (w.data.T.copy(), None, None) if out is None or tape is not None else out
-    z = np.matmul(x.data, wt, out=z)
+    if tape is None and out is not None:
+        wt, z, sig = out
+        np.matmul(xd, wt, out=z)
+    else:
+        wt, sig = wd.T.copy(), None
+        z = xd @ wt
     if b is not None:
         np.add(z, b.data, out=z)
+    if tape is None:
+        if gate:
+            np.multiply(z, sigmoid_gate(z, np.empty_like(z) if sig is None else sig), out=z)
+        return Tensor2(z)
     adj = lambda g: g
     if gate:
-        sig = sigmoid_gate(z, np.empty_like(z) if sig is None else sig)
-        if tape is not None:
-            deriv, memo = sig + z * 1.702 * sig * (1.0 - sig), [None, None]
-            def adj(g):  # the gated adjoint, made once for all the vjps
-                if memo[0] is not g:
-                    memo[:] = g, g * deriv
-                return memo[1]
-        np.multiply(z, sig, out=z)
+        sig = sigmoid_gate(z, np.empty_like(z))
+        pre, z, memo = z, z * sig, [None, None]
+
+        def adj(g):  # the gated adjoint, made once for all the vjps
+            if memo[0] is not g:
+                # g * (sig + pre * 1.702 * sig * (1.0 - sig)) in two arrays
+                a = pre * 1.702
+                a *= sig
+                a *= 1.0 - sig
+                a += sig
+                a *= g
+                memo[:] = g, a
+            return memo[1]
     res = Tensor2(z)
-    if tape is not None:
-        xd, vjps = x.data, [lambda g: adj(g) @ wt.T, lambda g: (xd.T @ adj(g)).T]
-        if b is not None:
-            # one row adds b without broadcasting, so its adjoint is not summed
-            vjps.append(adj if x.rows == 1 else lambda g: adj(g).sum(axis=0, keepdims=True))
-        tape.record(res, (x, w, b)[: len(vjps)], vjps)
+    vjps = (lambda g: adj(g) @ wt.T, lambda g: (xd.T @ adj(g)).T)
+    if b is None:
+        tape.record(res, (x, w), vjps)
+    else:
+        # one row adds b without broadcasting, so its adjoint is not summed
+        tape.record(res, (x, w, b), vjps + (
+            adj if xd.shape[0] == 1 else lambda g: adj(g).sum(axis=0, keepdims=True),))
     return res
 
 
@@ -362,22 +392,29 @@ def l2_normalize_rows(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     A row norm below NORM_EPS (a row that has no direction) or a non-finite
     one (which would divide the row to zeros) raises NumericError.
     """
+    out, vjp = l2_normalize_fwd(a.data)
+    res = Tensor2(out)
+    if tape is not None:
+        tape.record(res, (a,), (vjp,))
+    return res
+
+
+def l2_normalize_fwd(a: Array) -> tuple[Array, Vjp]:
+    """l2_normalize_rows on an array: the rows and their vjp. The norms are
+    np.linalg.norm's own sqrt(add.reduce(a * a, axis=1)), without its
+    wrapper."""
     norms = check_finite(
-        np.linalg.norm(a.data, axis=1, keepdims=True), "l2_normalize_rows row norms"
+        np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True)), "l2_normalize_rows row norms"
     )
-    if np.any(norms < NORM_EPS):
+    if (norms < NORM_EPS).any():
         raise NumericError(f"l2_normalize_rows: row norm below {NORM_EPS:g}")
     denom = norms + NORM_EPS
-    out = Tensor2(a.data / denom)
-    if tape is not None:
-        ad = a.data
 
-        def vjp(g):
-            dot = np.sum(g * ad, axis=1, keepdims=True)
-            return g / denom - ad * dot / (norms * denom * denom)
+    def vjp(g):
+        dot = np.add.reduce(g * a, axis=1, keepdims=True)
+        return g / denom - a * dot / (norms * denom * denom)
 
-        tape.record(out, (a,), (vjp,))
-    return out
+    return a / denom, vjp
 
 
 def concat_cols(parts: Sequence[Tensor2], tape: GradTape | None = None) -> Tensor2:
@@ -418,7 +455,8 @@ def sum_all(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
 
 def mean_all(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     n = a.data.size
-    out = Tensor2(np.array([[a.data.mean()]]))
+    # ndarray.mean's own sum and division
+    out = Tensor2(np.array([[np.add.reduce(a.data, axis=None) / n]]))
     if tape is not None:
         shape = a.data.shape
         tape.record(out, (a,), (lambda g: np.full(shape, g[0, 0] / n),))
@@ -436,20 +474,28 @@ def cross_entropy_mean(
         )
     if y.size and (y.min() < 0 or y.max() >= logits.cols):
         raise ContractError("label out of range for logit width")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    logp = z - lse
-    n = logits.rows
-    loss = -logp[np.arange(n), y].mean()
+    loss, vjp = cross_entropy_fwd(logits.data, y)
     out = Tensor2(np.array([[loss]]))
     if tape is not None:
-        soft = np.exp(logp)
-
-        def vjp(g):
-            grad = soft.copy()
-            grad[np.arange(n), y] -= 1.0
-            return grad * (g[0, 0] / n)
-
         tape.record(out, (logits,), (vjp,))
     return out
+
+
+def cross_entropy_fwd(z: Array, y: Array) -> tuple[float, Vjp]:
+    """cross_entropy_mean on logits z and in-range intp labels y: the loss
+    and its vjp, which makes the softmax when backward first needs it."""
+    m = np.maximum.reduce(z, axis=1, keepdims=True)
+    lse = m + np.log(np.add.reduce(np.exp(z - m), axis=1, keepdims=True))
+    logp = z - lse
+    n = z.shape[0]
+    rows = np.arange(n)
+    # ndarray.mean's own sum and division
+    loss = -(np.add.reduce(logp[rows, y]) / n)
+
+    def vjp(g):
+        grad = np.exp(logp)
+        grad[rows, y] -= 1.0
+        grad *= g[0, 0] / n
+        return grad
+
+    return loss, vjp

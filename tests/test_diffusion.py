@@ -7,7 +7,8 @@ import pytest
 
 from cgsd import diffusion as df
 from cgsd.errors import ConfigError, ContractError, DataError, NumericError, ParseError
-from cgsd.numkit import GradTape, Tensor2
+from cgsd import numkit as nk
+from cgsd.numkit import GradTape, Tensor2, backward
 from cgsd.pipeline import RunConfig
 import ckpt_edit as ckpt
 
@@ -103,6 +104,33 @@ def test_forward_sample_full_noise_limit():
 def test_forward_sample_range_check():
     with pytest.raises(IndexError):
         df.forward_sample(np.zeros(2), np.zeros(2), 1001, np.zeros(2), PAPER_SCHED)
+
+
+@pytest.mark.parametrize("t", [-1, np.array([3, -1, 5])], ids=["scalar", "in a batch"])
+def test_forward_sample_refuses_a_negative_timestep(t):
+    # the coefficients come from a table indexed by t, whose row -1 is step T
+    y = np.zeros((np.size(t), 2)) if np.ndim(t) else np.zeros(2)
+    with pytest.raises(IndexError):
+        df.forward_sample(y, y, t, y, PAPER_SCHED)
+
+
+def _forward_sample_per_draw(y0, y_hat0, t, eps, sched):
+    """forward_sample as first written, its square roots taken per draw: the
+    oracle its schedule table must match bit for bit."""
+    ab = sched.alpha_bar[t][:, None]
+    root = np.sqrt(ab)
+    return root * y0 + (1.0 - root) * y_hat0 + np.sqrt(1.0 - ab) * eps
+
+
+@pytest.mark.parametrize("sched", [PAPER_SCHED, DESK_SCHED], ids=["paper", "desk"])
+def test_forward_sample_keeps_the_per_draw_bits(sched):
+    rng = np.random.default_rng(23)
+    t = np.arange(sched.t_total + 1)
+    y0 = np.eye(5)[rng.integers(0, 5, t.size)]
+    prior = rng.dirichlet(np.ones(5), t.size)
+    eps = rng.standard_normal((t.size, 5))
+    want = _forward_sample_per_draw(y0, prior, t, eps, sched)
+    assert df.forward_sample(y0, prior, t, eps, sched).tobytes() == want.tobytes()
 
 
 def test_forward_marginal_monte_carlo():
@@ -313,6 +341,29 @@ def test_epsilon_loss_batch_order_invariant():
         net, f[perm], y0[perm], prior[perm], d[perm], DESK_SCHED, t_values[perm], eps[perm]
     ).item()
     assert shuffled == pytest.approx(base, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_epsilon_loss_matches_the_per_op_chain(n):
+    # the loss record against the sub, mul and mean_all records it replaced
+    rng = np.random.default_rng(30 + n)
+    f, d = rng.standard_normal((n, 8)), rng.uniform(-1, 1, (n, 5))
+    y0, prior = np.eye(5)[rng.integers(0, 5, n)], rng.dirichlet(np.ones(5), n)
+    t_values, eps = _draws(n, n, 5)
+    net = df.DenoiserNet.build(d_model=8, k=5, seed=n)
+    results = []
+    for per_op in (False, True):
+        tape = GradTape()
+        if per_op:
+            x = df.conditioning_input(f, df.forward_sample(y0, prior, t_values, eps, DESK_SCHED),
+                                      prior, d, DESK_SCHED.temb[t_values])
+            diff = nk.sub(Tensor2(eps), df.eps_predict(net, x, tape), tape)
+            loss = nk.mean_all(nk.mul(diff, diff, tape), tape)
+        else:
+            loss = df.epsilon_loss(net, f, y0, prior, d, DESK_SCHED, t_values, eps, tape)
+        results.append([loss.data, *backward(loss, tape, net.params())])
+    for got, want in zip(*results, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_epsilon_loss_rejects_empty_batch():

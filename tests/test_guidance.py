@@ -14,6 +14,7 @@ from cgsd.errors import ConfigError, ContractError, DataError, NumericError, Par
 from cgsd.numkit import GradTape, Tensor2, backward
 from cgsd.pipeline import conditioning
 from gradcheck import grad_check_param, trainable_params
+from guidance_oracle import contrastive_loss, guidance_loss_per_op, scale_tensor
 import ckpt_edit as ckpt
 
 
@@ -159,23 +160,23 @@ def test_semantic_vector_contracts():
 
 
 def test_contrastive_loss_hand_case():
-    loss = gd.contrastive_loss(Tensor2([[1.0, 0.0]]), [0], scale=Tensor2([[1.0]]))
+    loss = contrastive_loss(Tensor2([[1.0, 0.0]]), [0], scale=Tensor2([[1.0]]))
     assert loss.item() == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
 
 def test_contrastive_loss_uniform_similarity():
-    loss = gd.contrastive_loss(Tensor2([[0.3] * 5]), [2], scale=Tensor2([[2.0]]))
+    loss = contrastive_loss(Tensor2([[0.3] * 5]), [2], scale=Tensor2([[2.0]]))
     assert loss.item() == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_contrastive_loss_single_class_degenerate():
-    loss = gd.contrastive_loss(Tensor2([[0.7]]), [0], scale=Tensor2([[1.0]]))
+    loss = contrastive_loss(Tensor2([[0.7]]), [0], scale=Tensor2([[1.0]]))
     assert loss.item() == 0.0
 
 
 def test_contrastive_loss_rejects_bad_label():
     with pytest.raises(DataError):
-        gd.contrastive_loss(Tensor2([[0.0, 0.0]]), [2], scale=Tensor2([[1.0]]))
+        contrastive_loss(Tensor2([[0.0, 0.0]]), [2], scale=Tensor2([[1.0]]))
 
 
 def test_ranking_loss_fully_ordered_is_zero():
@@ -225,7 +226,7 @@ def _value_and_grad(loss_fn, d, labels, margin):
     guidance_loss, so the gradient is accumulated with another consumer's."""
     tape = GradTape()
     x = Tensor2(d)
-    ce = gd.contrastive_loss(x, labels, Tensor2([[3.0]]), tape)
+    ce = contrastive_loss(x, labels, Tensor2([[3.0]]), tape)
     rank = loss_fn(x, labels, margin, tape)
     loss = nk.add(ce, nk.scale(rank, 0.7, tape), tape)
     (grad,) = backward(loss, tape, [x])
@@ -273,8 +274,47 @@ def test_guidance_loss_lambda_switch():
 
     f = model.encode_batch(feats)
     d = model.similarity_batch(f)
-    ce = gd.contrastive_loss(d, labels, model.scale_tensor(None)).item()
+    ce = contrastive_loss(d, labels, scale_tensor(model, None)).item()
     assert total == pytest.approx(ce, abs=1e-12)
+
+
+def _desk_shaped_model(seed, stage):
+    """A guidance model of the desk's widths as the stage trains it: lora_b
+    zero in pretraining, adapted (nonzero) in stage 1."""
+    model = gd.GuidanceModel.build(d_in=64, hidden=128, d_model=64, k=5, rank=8,
+                                   alpha=16.0, seed=seed, frozen_base=stage == "stage 1")
+    if stage == "stage 1":
+        rng = np.random.default_rng(seed)
+        model.lora_b.data = rng.standard_normal(model.lora_b.shape) * 0.1
+        model.log_scale.data = np.array([[1.5]])
+    return model
+
+
+@pytest.mark.parametrize("stage", ["pretraining", "stage 1"])
+@pytest.mark.parametrize("batch", ["64 rows", "one row", "grades missing"])
+@pytest.mark.parametrize("lambda_rank", [1.0, 0.0])
+def test_guidance_loss_matches_the_per_op_chain(stage, batch, lambda_rank):
+    # the stage's trained tensors: base and prompts, or adapter and prompts
+    model = _desk_shaped_model(50, stage)
+    rng = np.random.default_rng(51)
+    labels = {"64 rows": rng.integers(0, 5, 64), "one row": np.array([3]),
+              "grades missing": np.array([0, 2, 2, 0, 2, 0, 0])}[batch]
+    feats = rng.standard_normal((len(labels), 64))
+    group = model.base_params() if stage == "pretraining" else model.lora_params()
+    params = group + model.prompt_params()
+    results = []
+    for loss_fn in (gd.guidance_loss, guidance_loss_per_op):
+        tape = GradTape()
+        loss = loss_fn(feats, labels, model, lambda_rank, 0.05, tape)
+        untaped = loss_fn(feats, labels, model, lambda_rank, 0.05)
+        results.append((loss.data, untaped.data, backward(loss, tape, params), len(tape)))
+    (value, untaped, grads, records), (want, _, want_grads, _) = results
+    assert value.tobytes() == want.tobytes() == untaped.tobytes()
+    for g, w in zip(grads, want_grads, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert all(np.any(g != 0.0) for g in grads)
+    # the first layer, the adapted projection, the normalisation and the head
+    assert records == 4
 
 
 def test_guidance_loss_rejects_empty_batch():

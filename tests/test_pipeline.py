@@ -1384,3 +1384,24 @@ def test_cli_eval_survives_mutated_bytes(bad_input_base, target, op, pos, byte):
     assert code in (0, 2, 3, 4)
     assert len(err.getvalue().strip().splitlines()) <= 1, err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def test_step_split_script_times_the_three_loops(small_dir):
+    # scripts/step_split.py at tiny size: one JSON line, every loop's steps
+    # and per-step phase times
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "step_split.py"
+    proc = subprocess.run([sys.executable, str(script), str(small_dir), "--rounds", "2",
+                           "--epochs", "1"], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    split = json.loads(line)
+    # 90 source rows in batches of 64; 63 train rows in batches of 64 and 32
+    assert {loop: split[loop]["steps"] for loop in ("pretrain", "stage1", "stage2")} == {
+        "pretrain": 2, "stage1": 1, "stage2": 2}
+    for loop in ("pretrain", "stage1", "stage2"):
+        for phase in ("forward", "backward", "update", "step"):
+            assert split[loop][f"{phase}_us"] > 0.0
+    assert split["rounds"] == 2 and split["cores"] >= 1 and split["blas"]
