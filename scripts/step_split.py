@@ -61,12 +61,11 @@ def main(argv=None) -> None:
     ap.add_argument("data", type=Path, help="directory with source.csv and target.csv")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--epochs", type=int, default=2, help="epochs per block")
-    ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.epochs < 1:
         sys.exit("--rounds and --epochs must be >= 1")
 
-    cfg = replace(pipeline.RunConfig(desk_preset=True, seed=args.seed).resolved(),
+    cfg = replace(pipeline.RunConfig(desk_preset=True).resolved(),
                   desk_preset=False, pretrain_epochs=args.epochs,
                   stage1_epochs=args.epochs, stage2_epochs=args.epochs)
     blocks: list[dict] = []

@@ -163,7 +163,7 @@ def backward(
         g = adjoint.get(id(res))
         if g is None:
             continue
-        for inp, vjp in zip(inputs, vjps):
+        for inp, vjp in zip(inputs, vjps, strict=True):
             key = id(inp)
             if key in reached:
                 prev = adjoint.get(key)

@@ -27,20 +27,16 @@ class FlatParams:
     Each parameter's data becomes a C-order view of its slice of ``data``;
     ``grads`` are views of the same slices of ``grad``, the buffer backward
     fills, and ``spans[i]`` is the slice of both that holds group i.
-    ``work`` is a scratch array of the same layout, with the same views in
-    ``works``, that clip_grad_norm squares the gradient into.
     """
 
     def __init__(self, *groups: list[Tensor2]):
         self.params = [p for group in groups for p in group]
         self.data = np.concatenate([p.data.ravel() for p in self.params])
         self.grad = np.zeros_like(self.data)
-        self.work = np.empty_like(self.data)
-        self.grads, self.works, lo = [], [], 0
+        self.grads, lo = [], 0
         for p in self.params:
             hi = lo + p.data.size
             self.grads.append(self.grad[lo:hi].reshape(p.shape))
-            self.works.append(self.work[lo:hi].reshape(p.shape))
             p.data = self.data[lo:hi].reshape(p.shape)
             lo = hi
         self.spans, lo = [], 0
@@ -164,10 +160,8 @@ def clip_grad_norm(flat: FlatParams, max_norm: float) -> float:
     """Global L2-norm clipping of flat's gradient buffer, in place; returns
     the norm before clipping. The norm sums each tensor's squares over its
     C-order view and then adds them tensor by tensor, because a sum rounds by
-    how its values are laid out; the squares are made in one pass into
-    flat.work."""
-    np.multiply(flat.grad, flat.grad, out=flat.work)
-    total = math.sqrt(sum(float(np.add.reduce(sq, axis=None)) for sq in flat.works))
+    how its values are laid out."""
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in flat.grads))
     if total > max_norm:
         flat.grad *= max_norm / total
     return total

@@ -446,6 +446,72 @@ def test_dense_writes_into_a_reused_workspace():
         nk.dense(x, w, Tensor2(np.zeros((1, 3))), False)
 
 
+def _l2_normalize_per_op(a):
+    """l2_normalize_rows with np.linalg.norm's norms and np.sum's dot: the
+    rows and their adjoint for an upstream g."""
+    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    denom = norms + nk.NORM_EPS
+
+    def vjp(g):
+        dot = np.sum(g * a, axis=1, keepdims=True)
+        return g / denom - a * dot / (norms * denom * denom)
+
+    return a / denom, vjp
+
+
+def _cross_entropy_per_op(z, y):
+    """cross_entropy_mean with ndarray's max, sum and mean, and the softmax
+    made in the forward: the loss and its adjoint for an upstream g."""
+    m = z.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    logp = z - lse
+    n = z.shape[0]
+    soft = np.exp(logp)
+
+    def vjp(g):
+        grad = soft.copy()
+        grad[np.arange(n), y] -= 1.0
+        return grad * (g[0, 0] / n)
+
+    return -logp[np.arange(n), y].mean(), vjp
+
+
+# one row, a wide row, the guidance head's 5-grade and 64-row shapes, and a
+# width (128) whose pairwise sums differ from a left-to-right loop
+SHAPES = [(1, 5), (1, 300), (3, 7), (64, 5), (64, 128), (37, 129)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_l2_normalize_fwd_matches_linalg_norm(shape):
+    rng = np.random.default_rng(shape[0] * 131 + shape[1])
+    a = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, (shape[0], 1))
+    g = rng.standard_normal(shape)
+    out, vjp = nk.l2_normalize_fwd(a)
+    ref, ref_vjp = _l2_normalize_per_op(a)
+    assert _same_bits(out, ref)
+    assert _same_bits(vjp(g), ref_vjp(g))
+    assert _same_bits(nk.l2_normalize_rows(Tensor2(a)).data, ref)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_cross_entropy_fwd_matches_the_mean_form(shape):
+    rng = np.random.default_rng(shape[0] * 137 + shape[1])
+    z = rng.standard_normal(shape) * 4.0
+    y = rng.integers(0, shape[1], shape[0]).astype(np.intp)
+    g = np.array([[rng.uniform(0.5, 2.0)]])
+    loss, vjp = nk.cross_entropy_fwd(z, y)
+    ref, ref_vjp = _cross_entropy_per_op(z, y)
+    assert _same_bits(np.float64(loss), np.float64(ref))
+    assert _same_bits(vjp(g), ref_vjp(g))
+    assert _same_bits(nk.cross_entropy_mean(Tensor2(z), y).data, np.array([[ref]]))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_mean_all_matches_ndarray_mean(shape):
+    a = np.random.default_rng(shape[0] * 139 + shape[1]).standard_normal(shape)
+    assert _same_bits(nk.mean_all(Tensor2(a)).data, np.array([[a.mean()]]))
+
+
 # ---------------------------------------------------------------------------
 # grad_check harness
 

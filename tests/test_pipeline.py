@@ -1398,7 +1398,7 @@ def test_step_split_script_times_the_three_loops(small_dir):
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     split = json.loads(line)
-    # 90 source rows in batches of 64; 63 train rows in batches of 64 and 32
+    # 90 source rows in batches of 64; 62 train rows in batches of 64 and 32
     assert {loop: split[loop]["steps"] for loop in ("pretrain", "stage1", "stage2")} == {
         "pretrain": 2, "stage1": 1, "stage2": 2}
     for loop in ("pretrain", "stage1", "stage2"):
