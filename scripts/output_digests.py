@@ -2,8 +2,8 @@
 benchmark directory, then print the sha256 of every file written.
 
 Two checkouts give the same lines exactly when their outputs are byte for
-byte the same, so one diff compares them (the run's peak RSS goes to stderr,
-beside them, and not into the listing):
+byte the same, so one diff compares them (the run's peak RSS and each
+command's wall time go to stderr, beside them, and not into the listing):
 
     cgsd gen-data --out DATA
     PYTHONPATH=src python scripts/output_digests.py DATA --out A > a.txt
@@ -19,6 +19,7 @@ import hashlib
 import io
 import resource
 import sys
+import time
 from pathlib import Path
 
 from cgsd import cli
@@ -39,7 +40,16 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
 
     cfg = RunConfig(desk_preset=True, seed=args.seed)
-    ablate(args.data, cfg, args.out / "ablation.json")
+    walls = {}
+
+    @contextlib.contextmanager
+    def timed(what: str):
+        start = time.perf_counter()
+        yield
+        walls[what] = time.perf_counter() - start
+
+    with timed("ablate"):
+        ablate(args.data, cfg, args.out / "ablation.json")
     guidance = args.out / "ablate_guidance.json"
     denoiser = args.out / "ablate_denoiser.json"
     runs = {
@@ -51,14 +61,12 @@ def main() -> None:
         argv = ["eval", "--data", str(args.data), "--seed", str(args.seed), *flags,
                 "--report", str(args.out / f"eval_{name}.json")]
         # cli.main prints each report; only the digests go to stdout
-        with contextlib.redirect_stdout(io.StringIO()):
+        with timed(f"eval {name}"), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         if code != 0:
             sys.exit(f"cgsd {' '.join(argv)} exited {code}")
-    export_trajectory(
-        args.data, guidance, denoiser, None,
-        args.out / "trajectory.csv", cfg,
-    )
+    with timed("export-trajectory"):
+        export_trajectory(args.data, guidance, denoiser, None, args.out / "trajectory.csv", cfg)
 
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -66,6 +74,8 @@ def main() -> None:
     # Linux gives ru_maxrss in KiB
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak:.1f} MB", file=sys.stderr)
+    for what, secs in walls.items():
+        print(f"{what} {secs:.3f} s", file=sys.stderr)
 
 
 if __name__ == "__main__":

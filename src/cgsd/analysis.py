@@ -73,27 +73,33 @@ def silhouette_score(points2d: np.ndarray, labels) -> float:
     if distinct.size < 2:
         raise DataError("silhouette needs at least 2 distinct labels")
 
-    # points grouped by label, each group in index order: point i's distance
-    # row is made where it is summed, so no n x n array is held; class c's
-    # distances are the slice row[lo[c]:lo[c+1]], what a labels == c mask
-    # picks, and each gets its own 1-D reduction in the mask's order (a 2-D one
-    # may add in another: np.add.reduceat does, as does a Fortran-order block)
+    # points grouped by label, each group in index order: class c's distances
+    # from a point are the slice [lo[c], lo[c + 1]) of its distance row, what a
+    # labels == c mask picks. Rows are scored in blocks of about 8,192
+    # distances, so no n x n array is held. Each class's slice of a C-order
+    # block is summed by one reduction along axis 1, which adds each row in the
+    # order of its own 1-D slice (np.add.reduceat may add in another, as may
+    # a Fortran-order block)
+    n = labels.size
     order = np.argsort(labels, kind="stable")
     xs, ys = (c[order] for c in points2d.T)
-    cls = np.searchsorted(distinct, labels).tolist()
-    counts = counts.tolist()
+    cls = np.searchsorted(distinct, labels)
+    own = counts[cls]
     lo = [0, *np.cumsum(counts).tolist()]
-    scores = np.zeros(labels.size)
-    for i, c in enumerate(cls):
-        if counts[c] == 1:
-            continue
-        dx, dy = points2d[i, 0] - xs, points2d[i, 1] - ys
-        row = np.sqrt(dx * dx + dy * dy)
-        a = np.add.reduce(row[lo[c]:lo[c + 1]]) / (counts[c] - 1)
-        b = np.inf
-        for j, size in enumerate(counts):
-            if j != c:
-                b = min(b, np.add.reduce(row[lo[j]:lo[j + 1]]) / size)
-        top = max(a, b)
-        scores[i] = 0.0 if top == 0 else (b - a) / top
+    scores = np.zeros(n)
+    step = max(1, 8192 // n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        dx, dy = points2d[rows, :1] - xs, points2d[rows, 1:] - ys
+        dist = np.sqrt(dx * dx + dy * dy)
+        sums = np.stack([np.add.reduce(dist[:, i:j], axis=1) for i, j in zip(lo, lo[1:])], 1)
+        mine = (np.arange(sums.shape[0]), cls[rows])
+        # a singleton's a is never used: it scores 0
+        a = sums[mine] / np.maximum(own[rows] - 1, 1)
+        means = sums / counts
+        means[mine] = np.inf
+        # fmin, as min(b, mean) did, passes over a nan mean
+        b = np.fmin.reduce(means, axis=1)
+        top = np.where(b > a, b, a)  # max(a, b), which keeps a against a nan b
+        np.divide(b - a, top, out=scores[rows], where=(top != 0) & (own[rows] > 1))
     return float(scores.mean())

@@ -156,15 +156,23 @@ def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
     return source
 
 
-def conditioning(model: gd.GuidanceModel, features: np.ndarray):
-    """Frozen-guidance conditioning arrays (f, d, prior) for feature rows,
-    encoded in row_blocks: the package's one full-split encode."""
+def similarities(model: gd.GuidanceModel, features: np.ndarray):
+    """The encoded feature rows f and their grade similarities d, encoded in
+    row_blocks: the package's one full-split encode."""
     n = features.shape[0]
-    f, d, prior = (np.empty((n, cols)) for cols in (model.w2.rows, model.k, model.k))
+    f, d = np.empty((n, model.w2.rows)), np.empty((n, model.k))
     for rows in row_blocks(n):
         f[rows] = model.encode_batch(features[rows]).data
         d[rows] = model.similarity_batch(Tensor2(f[rows])).data
-        prior[rows] = softmax_rows(Tensor2(model.scale_value() * d[rows])).data
+    return f, d
+
+
+def conditioning(model: gd.GuidanceModel, features: np.ndarray):
+    """Frozen-guidance conditioning arrays (f, d, prior) for feature rows: the
+    similarities and their prior, a softmax that works row by row, so it is
+    taken over all rows at once."""
+    f, d = similarities(model, features)
+    prior = softmax_rows(Tensor2(model.scale_value() * d)).data
     return f, d, check_finite(prior, "the guidance prior")
 
 
@@ -300,7 +308,7 @@ def train_stage1(
             rates[span] = optim.lr_at(epoch, plan)
         mean_loss = _epoch(train.n, cfg.stage1_batch, rng, batch_loss, flat, step, rates,
                            f"the loss of guidance epoch {epoch}")
-        preds = np.argmax(conditioning(model, train.features)[1], axis=1)
+        preds = np.argmax(similarities(model, train.features)[1], axis=1)
         acc = float(np.mean(preds == train.labels))
         lr = optim.lr_at(epoch, plans[0])
         log.append(f"stage1,{epoch},{lr:.8g},{mean_loss:.8g},{acc:.6f}")
@@ -499,13 +507,13 @@ def export_trajectory(
 
     lines = ["t,item_id,true_label,px,py"]
     silhouettes = {}
+    labels = test.labels.tolist()
     for t in sorted(set(steps), reverse=True):
         proj = pca_project_2d(states[t][0])
         silhouettes[str(t)] = silhouette_score(proj, test.labels)
-        for i in range(test.n):
-            lines.append(
-                f"{t},{i},{int(test.labels[i])},{float(proj[i, 0])!r},{float(proj[i, 1])!r}"
-            )
+        # Python floats, whose repr is the float64's shortest round trip
+        lines.extend(f"{t},{i},{label},{px!r},{py!r}"
+                     for i, (label, (px, py)) in enumerate(zip(labels, proj.tolist())))
     out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     sil_doc = {

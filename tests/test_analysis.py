@@ -184,6 +184,25 @@ def test_silhouette_equals_the_loop_bit_for_bit(n, values, seed, decimals, scale
     assert silhouette_score(pts, labels) == _silhouette_oracle(pts, labels)
 
 
+@pytest.mark.parametrize("n, decimals", [(300, 0), (300, 1), (419, 0), (419, None)])
+def test_silhouette_equals_the_loop_across_row_blocks(n, decimals):
+    # rows are scored in blocks of 8192 // n points: 27 for n = 300, whose
+    # last block holds 3, and 19 for n = 419, whose last block holds 1. The
+    # first half's labels come in runs that cross block edges; a singleton
+    # class sits on each side of the first edge and one on the last row; with
+    # rounded coordinates, distances tie and points coincide
+    step = 8192 // n
+    assert n % step in (1, 3)
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, 4, n)
+    labels[: n // 2] = np.sort(labels[: n // 2])
+    labels[[step - 1, step, n - 1]] = 7, 8, 9
+    pts = rng.standard_normal((n, 2)) * 3.0
+    if decimals is not None:
+        pts = np.round(pts, decimals)
+    assert silhouette_score(pts, labels) == _silhouette_oracle(pts, labels)
+
+
 def test_silhouette_equals_the_loop_on_a_test_split_sized_cloud():
     # 1,099 points: the desk test split's size
     rng = np.random.default_rng(1099)
