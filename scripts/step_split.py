@@ -65,7 +65,7 @@ def main(argv=None) -> None:
     if args.rounds < 1 or args.epochs < 1:
         sys.exit("--rounds and --epochs must be >= 1")
 
-    cfg = replace(pipeline.RunConfig(desk_preset=True).resolved(),
+    cfg = replace(pipeline.RunConfig(desk_preset=True),
                   desk_preset=False, pretrain_epochs=args.epochs,
                   stage1_epochs=args.epochs, stage2_epochs=args.epochs)
     blocks: list[dict] = []

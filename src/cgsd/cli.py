@@ -111,6 +111,15 @@ def _read_config(path: str, keys) -> dict:
     return doc
 
 
+def _out_file(out: str) -> Path:
+    """--out as a file path, refused before any input is read if it names no
+    file: "", "." and ".." or an existing directory."""
+    path = Path(out)
+    if path.name in ("", "..") or path.is_dir():
+        raise ConfigError(f"out: {out!r} names no file")
+    return path
+
+
 def _write_log(out: str, lines: list[str]) -> None:
     Path(str(out) + ".log").write_text(
         "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
@@ -144,9 +153,7 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
     # each run pretrains a fresh base and writes it beside --out (g.npz: g.base.npz)
-    out = Path(a["out"])
-    if out.name in ("", ".."):
-        raise ConfigError(f"out: {a['out']!r} names no file")
+    out = _out_file(a["out"])
     result = pipeline.train_stage1(
         a["data"], cfg, out, out.with_suffix(".base" + out.suffix)
     )
@@ -180,7 +187,7 @@ def _eval(cfg: RunConfig, a: dict) -> None:
 
 @_command("ablate", RunConfig, ("desk_preset", "seed"), ("data", "out"))
 def _ablate(cfg: RunConfig, a: dict) -> None:
-    report = pipeline.ablate(a["data"], cfg, a["out"])
+    report = pipeline.ablate(a["data"], cfg, _out_file(a["out"]))
     for row in report["rows"]:
         print(
             f"{row['configuration']}: accuracy={row['accuracy']:.4f} "

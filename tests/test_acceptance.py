@@ -274,6 +274,7 @@ def test_criterion_9_trajectory_claim(separable_trained, tmp_path):
     int(probe[0]), int(probe[1]), int(probe[2]), float(probe[3]), float(probe[4])
     sidecar = json.loads((tmp_path / "trajectory.csv.silhouette.json").read_text())
     assert set(sidecar["silhouette_by_step"]) == {str(s) for s in steps}
+    assert sidecar["config_digest"] == cfg.digest()
 
 
 # ---------------------------------------------------------------------------

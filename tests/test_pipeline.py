@@ -1,6 +1,7 @@
 """Orchestration and CLI: training stages, evaluation, ablation, export."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -53,12 +54,46 @@ TINY = pl.RunConfig(
 
 
 def test_desk_preset_overrides():
-    cfg = pl.RunConfig(desk_preset=True).resolved()
-    assert cfg.t_total == 100
-    assert (cfg.beta_start, cfg.beta_end) == (1e-3, 0.2)
-    assert cfg.stage1_epochs == 40
-    assert cfg.stage2_epochs == 60
-    assert cfg.ema_mu == 0.99
+    # the preset applies when the config is built, over any value given for
+    # its fields, and resolving the config changes nothing
+    for cfg in (pl.RunConfig(desk_preset=True),
+                pl.RunConfig(desk_preset=True, t_total=7, stage2_epochs=3, ema_mu=0.5)):
+        assert cfg.t_total == 100
+        assert (cfg.beta_start, cfg.beta_end) == (1e-3, 0.2)
+        assert cfg.stage1_epochs == 40
+        assert cfg.stage2_epochs == 60
+        assert cfg.ema_mu == 0.99
+        assert cfg.resolved() is cfg
+
+
+def _load_harness(monkeypatch):
+    """perfbench/harness.py as a module, with perfbench/ on sys.path for the
+    modules it imports."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_harness", bench / "harness.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_keep_their_values(monkeypatch):
+    # the benchmark builds its configs from the desk preset; each holds the
+    # values, and so the digest, that its runs have written
+    harness = _load_harness(monkeypatch)
+    assert [harness.DESK.digest(), harness.SHORT.digest(),
+            harness.TINY.desk.digest(), harness.TINY.short.digest()] == [
+        "972fc9ad553281b7", "545deec5e0f5baea", "429fdcbff557354f", "fa4bd714d8749e56"]
+    desk = pl.RunConfig(desk_preset=True)
+    assert replace(desk, desk_preset=False, pretrain_epochs=4, stage1_epochs=4,
+                   stage2_epochs=8, stage2_lr=5e-3) == harness.SHORT
+    reseeded = replace(desk, seed=7)
+    assert {k: getattr(reseeded, k) for k in pl.DESK_PRESET} == {
+        "t_total": 100, "beta_start": 1e-3, "beta_end": 0.2,
+        "stage1_epochs": 40, "stage2_epochs": 60, "ema_mu": 0.99}
+    with pytest.raises(ConfigError, match="t_total"):
+        pl.RunConfig(desk_preset=True, t_total=0)
 
 
 def test_config_digest_stable_and_sensitive():
@@ -477,6 +512,14 @@ def test_desk_ablation_reproduces_the_seed_42_rows(desk_ablation):
     for row, (correct, macro_f1) in zip(rows, pinned, strict=True):
         assert row["accuracy"] == pytest.approx(correct / 1099, abs=1e-12)
         assert row["macro_f1"] == pytest.approx(macro_f1, abs=1e-12)
+
+
+def test_desk_report_carries_its_config_digest(desk_ablation):
+    # the config a caller builds is the one that runs, so the report names it
+    digest = desk_ablation["cfg"].digest()
+    report = desk_ablation["report"]
+    assert report["config_digest"] == digest
+    assert [row["config_digest"] for row in report["rows"]] == [digest] * 3
 
 
 def test_stages_return_the_models_they_save(small_dir, tmp_path):
@@ -935,6 +978,7 @@ _ARGV = {
     "export-trajectory": ["export-trajectory", "--data", "{w}/data", "--guidance",
                           "{w}/g.json", "--diffusion", "{w}/d.json", "--out",
                           "{w}/t.csv"],
+    "ablate": ["ablate", "--data", "{w}/data", "--out", "{w}/ablation.json"],
 }
 
 # (exit code, command line from _ARGV, extra flags, file to damage and that an
@@ -1094,6 +1138,10 @@ _BAD_INPUTS = {
     "train-guidance-out-empty": (2, "train-guidance", ["--out", ""], None, None, None),
     "train-guidance-out-dotdot": (
         2, "train-guidance", ["--out", "{w}/.."], None, None, None),
+    # an existing directory names no file either (exit 3 after the training,
+    # with a stray base beside it or the ablation's checkpoints in its parent)
+    "train-guidance-out-dir": (2, "train-guidance", ["--out", "{w}/data"], None, None, None),
+    "ablate-out-dir": (2, "ablate", ["--out", "{w}/data"], None, None, None),
     # paths the program cannot write: the message names the path
     "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.json"], "g.json",
                                None, None),
@@ -1163,6 +1211,22 @@ def test_cli_train_guidance_names_the_base_after_out(out, base, monkeypatch, tmp
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["train-guidance", "--data", "x", "--out", str(tmp_path / out)]) == 0
     assert seen == [(tmp_path / out, tmp_path / base)]
+
+
+@pytest.mark.parametrize("command", ["train-guidance", "ablate"])
+def test_cli_out_directory_is_refused_before_any_read(command, bad_input_base, tmp_path,
+                                                      monkeypatch, capsys):
+    # the directory and its parent are left as they were, and no input is read
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    tree = lambda: {p: p.is_file() and p.read_bytes() for p in work.rglob("*")}
+    before = tree()
+    reads = _count_calls(monkeypatch, pl, "read_dataset")
+    out = str(work / "data")
+    assert cli.main([*(a.format(w=work) for a in _ARGV[command]), "--out", out]) == 2
+    assert capsys.readouterr().err == f"configuration error: out: {out!r} names no file\n"
+    assert reads == []
+    assert tree() == before
 
 
 def test_run_config_validates_n_samples_and_clip():
@@ -1323,7 +1387,8 @@ def test_cli_config_round_trip(command, monkeypatch, tmp_path):
 
 def test_run_config_fields_and_digests_unchanged():
     assert pl.RunConfig().digest() == "3c79f163694c2bd6"
-    assert pl.RunConfig(desk_preset=True).digest() == "2d1614c8d5c78194"
+    # the digest every desk report carries (README's pinned ablation.json)
+    assert pl.RunConfig(desk_preset=True).digest() == "972fc9ad553281b7"
 
 
 def test_cli_unknown_config_key_is_one_line(bad_input_base, tmp_path):
