@@ -35,6 +35,8 @@ def main() -> None:
 
     # every file under --out is digested, so a file left by an earlier run
     # would read as output
+    if args.out.exists() and not args.out.is_dir():
+        sys.exit(f"{args.out} is not a directory")
     if args.out.exists() and any(args.out.iterdir()):
         sys.exit(f"{args.out} is not empty")
     args.out.mkdir(parents=True, exist_ok=True)

@@ -32,13 +32,13 @@ from .errors import ConfigError, DataError, NumericError, ParseError
 from .pipeline import RunConfig
 
 # subcommand -> (handler, config class, exposed fields, required arguments,
-# optional arguments with their defaults)
+# optional arguments with their defaults, the argument naming its output file)
 _COMMANDS: dict[str, tuple] = {}
 
 
-def _command(name, config, fields, required, optional=None):
+def _command(name, config, fields, required, optional=None, out=None):
     def register(run):
-        _COMMANDS[name] = (run, config, fields, required, optional or {})
+        _COMMANDS[name] = (run, config, fields, required, optional or {}, out)
         return run
 
     return register
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-stage semantic-guided label-space diffusion classifier",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, config, fields, required, optional) in _COMMANDS.items():
+    for name, (_, config, fields, required, optional, _) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         defaults = _defaults(config)
         for arg in ("config", *required, *optional, *fields):
@@ -85,10 +85,10 @@ def _convert(key: str, like, value):
             items = value.split(",") if isinstance(value, str) else value
             return tuple(_convert(key, like[0] if like else 0, x) for x in items)
         # a bool setting takes only true/false, and no other setting takes
-        # them; an int setting takes no fraction
+        # them; an int setting takes no fraction; a path takes only a string
         if value is None or (typ is bool) != isinstance(value, bool):
             raise TypeError
-        if typ is int and isinstance(value, float):
+        if typ is int and isinstance(value, float) or typ is str and not isinstance(value, str):
             raise TypeError
         out = typ(value)
     except (TypeError, ValueError, OverflowError):
@@ -111,13 +111,13 @@ def _read_config(path: str, keys) -> dict:
     return doc
 
 
-def _out_file(out: str) -> Path:
-    """--out as a file path, refused before any input is read if it names no
-    file: "", "." and ".." or an existing directory."""
+def _out_file(key: str, out: str) -> None:
+    """The output rule: a path naming no file ("", ".", ".." or an existing
+    directory) is refused, and the missing directories above it are made."""
     path = Path(out)
     if path.name in ("", "..") or path.is_dir():
-        raise ConfigError(f"out: {out!r} names no file")
-    return path
+        raise ConfigError(f"{key}: {out!r} names no file")
+    path.parent.mkdir(parents=True, exist_ok=True)
 
 
 def _write_log(out: str, lines: list[str]) -> None:
@@ -149,14 +149,12 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
     RunConfig,
     ("rank", "alpha", "stage1_epochs", "stage1_batch", "lr_lora", "lr_prompt",
      "warmup_epochs", "lambda_rank", "margin", "seed"),
-    ("data", "out"),
+    ("data", "out"), out="out",
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
     # each run pretrains a fresh base and writes it beside --out (g.npz: g.base.npz)
-    out = _out_file(a["out"])
-    result = pipeline.train_stage1(
-        a["data"], cfg, out, out.with_suffix(".base" + out.suffix)
-    )
+    out = Path(a["out"])
+    result = pipeline.train_stage1(a["data"], cfg, out, out.with_suffix(".base" + out.suffix))
     _write_log(a["out"], result["log"])
 
 
@@ -165,7 +163,7 @@ def _train_guidance(cfg: RunConfig, a: dict) -> None:
     RunConfig,
     ("t_total", "stage2_epochs", "stage2_batch", "stage2_lr", "stage2_lr_min",
      "clip", "ema_mu", "seed"),
-    ("data", "guidance", "out"),
+    ("data", "guidance", "out"), out="out",
 )
 def _train_diffusion(cfg: RunConfig, a: dict) -> None:
     result = pipeline.train_stage2(a["data"], a["guidance"], cfg, a["out"])
@@ -174,7 +172,7 @@ def _train_diffusion(cfg: RunConfig, a: dict) -> None:
 
 @_command(
     "eval", RunConfig, ("n_samples", "seed"), ("data", "guidance", "report"),
-    {"diffusion": None},
+    {"diffusion": None}, out="report",
 )
 def _eval(cfg: RunConfig, a: dict) -> None:
     model, denoiser, _, test = pipeline.load_run(
@@ -185,9 +183,9 @@ def _eval(cfg: RunConfig, a: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-@_command("ablate", RunConfig, ("desk_preset", "seed"), ("data", "out"))
+@_command("ablate", RunConfig, ("desk_preset", "seed"), ("data", "out"), out="out")
 def _ablate(cfg: RunConfig, a: dict) -> None:
-    report = pipeline.ablate(a["data"], cfg, _out_file(a["out"]))
+    report = pipeline.ablate(a["data"], cfg, a["out"])
     for row in report["rows"]:
         print(
             f"{row['configuration']}: accuracy={row['accuracy']:.4f} "
@@ -197,7 +195,7 @@ def _ablate(cfg: RunConfig, a: dict) -> None:
 
 @_command(
     "export-trajectory", RunConfig, ("seed",),
-    ("data", "guidance", "diffusion", "out"), {"steps": ()},
+    ("data", "guidance", "diffusion", "out"), {"steps": ()}, out="out",
 )
 def _export_trajectory(cfg: RunConfig, a: dict) -> None:
     doc = pipeline.export_trajectory(
@@ -208,8 +206,9 @@ def _export_trajectory(cfg: RunConfig, a: dict) -> None:
 
 def _resolve(args: argparse.Namespace) -> tuple:
     """The handler, its config and its argument values; a flag beats the
-    --config file, which beats the dataclass default."""
-    run, config, fields, required, optional = _COMMANDS[args.command]
+    --config file, which beats the dataclass default. The output rule runs
+    once the config is built, so a bad setting creates no directory."""
+    run, config, fields, required, optional, out = _COMMANDS[args.command]
     keys = (*required, *optional, *fields)
     given = _read_config(args.config, keys) if args.config else {}
     given.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
@@ -218,7 +217,10 @@ def _resolve(args: argparse.Namespace) -> tuple:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
     like = {**_defaults(config), **optional}
     values = {**optional, **{k: _convert(k, like.get(k), v) for k, v in given.items()}}
-    return run, config(**{k: values[k] for k in fields if k in values}), values
+    cfg = config(**{k: values[k] for k in fields if k in values})
+    if out:
+        _out_file(out, values[out])
+    return run, cfg, values
 
 
 def main(argv: list[str] | None = None) -> int:

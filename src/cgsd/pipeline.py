@@ -420,11 +420,9 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     """Three-row component ablation on one shared target test split, from a
     fresh source pretraining. The rows score the models the two stages
     return on stage 1's test split; only the zero-shot row's base is read
-    back, because stage 1 adapts the base model in place."""
-    out_path = Path(out_path)
-    work = out_path.parent
-    work.mkdir(parents=True, exist_ok=True)
-
+    back, because stage 1 adapts the base model in place. The checkpoints go
+    beside out_path, whose directory must exist."""
+    work = Path(out_path).parent
     # perfbench/harness.py reads the checkpoints under these .json names, so
     # they keep them until a change to the benchmark renames them too
     guidance_path = work / "ablate_guidance.json"

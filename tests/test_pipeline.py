@@ -560,6 +560,8 @@ def test_ablate_pretrains_a_fresh_base(small_dir, tmp_path):
     # a base left in the directory by an ablation at another seed is not
     # reused: the second run's base and report are a fresh directory's
     other = replace(TINY, seed=8)
+    for name in ("shared", "fresh"):
+        (tmp_path / name).mkdir()
     pl.ablate(small_dir, TINY, tmp_path / "shared" / "ablation.json")
     reused = pl.ablate(small_dir, other, tmp_path / "shared" / "ablation.json")
     fresh = pl.ablate(small_dir, other, tmp_path / "fresh" / "ablation.json")
@@ -569,12 +571,14 @@ def test_ablate_pretrains_a_fresh_base(small_dir, tmp_path):
 
 
 def test_cli_ablate_end_to_end(small_dir, tmp_path):
-    # cgsd ablate prints the rows in order and writes pipeline.ablate's bytes
+    # cgsd ablate prints the rows in order and writes pipeline.ablate's bytes;
+    # the command makes its --out's directory, the library writes into one
     argv = ["ablate", "--data", str(small_dir), "--out", str(tmp_path / "cli" / "ablation.json"),
             "--desk-preset", "--seed", "7"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
+    (tmp_path / "lib").mkdir()
     report = pl.ablate(small_dir, pl.RunConfig(desk_preset=True, seed=7),
                        tmp_path / "lib" / "ablation.json")
     assert [row["configuration"] for row in report["rows"]] == [
@@ -979,6 +983,8 @@ _ARGV = {
                           "{w}/g.json", "--diffusion", "{w}/d.json", "--out",
                           "{w}/t.csv"],
     "ablate": ["ablate", "--data", "{w}/data", "--out", "{w}/ablation.json"],
+    # every path from the --config body
+    "train-guidance-bare": ["train-guidance"],
 }
 
 # (exit code, command line from _ARGV, extra flags, file to damage and that an
@@ -1051,6 +1057,11 @@ _BAD_INPUTS = {
     "config-wrong-type": (2, "eval", [], None, None, {"n_samples": "abc"}),
     # an int field takes no fraction, which int() would truncate
     "config-int-fraction": (2, "eval", [], None, None, {"n_samples": 2.5}),
+    # a path takes only a string, which str() made of any value (exit 3:
+    # "benchmark not found under ['x']"; the number 5 was the path "5")
+    "config-path-a-list": (
+        2, "train-guidance-bare", [], None, None, {"data": ["x"], "out": "g.npz"}),
+    "config-path-a-number": (2, "train-guidance-bare", [], None, None, {"data": "x", "out": 5}),
     # values no check caught: tracebacks or exit 0 with a bad result
     "train-diffusion-batch-0": (
         2, "train-diffusion", ["--stage2-batch", "0"], None, None, None),
@@ -1145,8 +1156,9 @@ _BAD_INPUTS = {
     # paths the program cannot write: the message names the path
     "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.json"], "g.json",
                                None, None),
-    "eval-report-dir-missing": (3, "eval", ["--report", "{w}/missing/r.json"],
-                                "missing", None, None),
+    # a missing directory above an output is made, but not over a file
+    "eval-report-parent-is-a-file": (3, "eval", ["--report", "{w}/g.json/r.json"],
+                                     "g.json", None, None),
     # command-line errors give one line, not a usage block and SystemExit
     "unknown-flag": (2, "eval", ["--bogus", "1"], None, None, None),
     "retired-flag": (2, "train-diffusion", ["--epochs", "1"], None, None, None),
@@ -1213,7 +1225,13 @@ def test_cli_train_guidance_names_the_base_after_out(out, base, monkeypatch, tmp
     assert seen == [(tmp_path / out, tmp_path / base)]
 
 
-@pytest.mark.parametrize("command", ["train-guidance", "ablate"])
+def _output_key(command):
+    """The argument naming the output file of an _ARGV command line."""
+    return "report" if command == "eval" else "out"
+
+
+@pytest.mark.parametrize("command", ["train-guidance", "train-diffusion", "eval", "ablate",
+                                     "export-trajectory"])
 def test_cli_out_directory_is_refused_before_any_read(command, bad_input_base, tmp_path,
                                                       monkeypatch, capsys):
     # the directory and its parent are left as they were, and no input is read
@@ -1222,11 +1240,31 @@ def test_cli_out_directory_is_refused_before_any_read(command, bad_input_base, t
     tree = lambda: {p: p.is_file() and p.read_bytes() for p in work.rglob("*")}
     before = tree()
     reads = _count_calls(monkeypatch, pl, "read_dataset")
-    out = str(work / "data")
-    assert cli.main([*(a.format(w=work) for a in _ARGV[command]), "--out", out]) == 2
-    assert capsys.readouterr().err == f"configuration error: out: {out!r} names no file\n"
+    key, out = _output_key(command), str(work / "data")
+    argv = [*(a.format(w=work) for a in _ARGV[command]), f"--{key}", out]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {key}: {out!r} names no file\n"
     assert reads == []
     assert tree() == before
+
+
+@pytest.mark.parametrize("command", ["train-guidance", "train-diffusion", "eval",
+                                     "export-trajectory"])
+def test_cli_out_under_a_missing_directory_is_made(command, bad_input_base, tmp_path):
+    # the missing directories are made before the run, whose files are those
+    # of a run into an existing directory, byte for byte
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    key = f"--{_output_key(command)}"
+    argv = [a.format(w=work) for a in _ARGV[command]]
+    name = Path(argv[argv.index(key) + 1]).name
+    (work / "there").mkdir()
+    for out in (work / "there", work / "missing" / "deeper"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, key, str(out / name)]) == 0
+    written = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
+    expected = written(work / "there")
+    assert name in expected and written(work / "missing" / "deeper") == expected
 
 
 def test_run_config_validates_n_samples_and_clip():
