@@ -120,10 +120,21 @@ def _out_file(key: str, out: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
 
 
+def _log_beside(out: str) -> Path:
+    return Path(str(out) + ".log")
+
+
+# subcommand -> the files it writes beside its output file, from that file's path
+_SIDE_FILES = {
+    "train-guidance": lambda out: (pipeline.base_beside(out), _log_beside(out)),
+    "train-diffusion": lambda out: (_log_beside(out),),
+    "ablate": pipeline.ablate_checkpoints,
+    "export-trajectory": lambda out: (pipeline.silhouette_beside(out),),
+}
+
+
 def _write_log(out: str, lines: list[str]) -> None:
-    Path(str(out) + ".log").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    _log_beside(out).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     for line in lines:
         print(line)
 
@@ -152,9 +163,8 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
     ("data", "out"), out="out",
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
-    # each run pretrains a fresh base and writes it beside --out (g.npz: g.base.npz)
     out = Path(a["out"])
-    result = pipeline.train_stage1(a["data"], cfg, out, out.with_suffix(".base" + out.suffix))
+    result = pipeline.train_stage1(a["data"], cfg, out, pipeline.base_beside(out))
     _write_log(a["out"], result["log"])
 
 
@@ -207,7 +217,8 @@ def _export_trajectory(cfg: RunConfig, a: dict) -> None:
 def _resolve(args: argparse.Namespace) -> tuple:
     """The handler, its config and its argument values; a flag beats the
     --config file, which beats the dataclass default. The output rule runs
-    once the config is built, so a bad setting creates no directory."""
+    on the output, then on each side file, once the config is built, so a
+    bad setting creates no directory."""
     run, config, fields, required, optional, out = _COMMANDS[args.command]
     keys = (*required, *optional, *fields)
     given = _read_config(args.config, keys) if args.config else {}
@@ -220,6 +231,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
     cfg = config(**{k: values[k] for k in fields if k in values})
     if out:
         _out_file(out, values[out])
+        for side in _SIDE_FILES.get(args.command, lambda out: ())(values[out]):
+            _out_file(out, str(side))
     return run, cfg, values
 
 

@@ -38,8 +38,8 @@ class NoiseSchedule:
     beta: np.ndarray  # beta[t-1] is the step-t value, t = 1..T
     alpha_bar: np.ndarray  # indexed 0..T, alpha_bar[0] == 1
     temb: np.ndarray  # (T + 1) x TEMB_DIM, row t is timestep_embedding(t)
-    # (T + 1) x 3, row t is forward_sample's (sqrt(abar_t), 1 - sqrt(abar_t),
-    # sqrt(1 - abar_t)), each the value it once took per draw
+    # (T + 1) x 3, row t is (sqrt(abar_t), 1 - sqrt(abar_t), sqrt(1 - abar_t)),
+    # the one copy of these roots, which every step of either chain reads
     coef: np.ndarray
 
     def check_t(self, t: int) -> None:
@@ -76,8 +76,7 @@ def forward_sample(
     # a step below 0 would read the table from its end
     if t.size and (t.min() < 0 or t.max() > sched.t_total):
         raise IndexError(f"timestep {t} outside [0, {sched.t_total}]")
-    coef = sched.coef[t]
-    root, rest, noise = coef.T[..., None] if t.ndim else coef
+    root, rest, noise = sched.coef[t].T[..., None]
     return root * y0 + rest * y_hat0 + noise * eps
 
 
@@ -214,8 +213,8 @@ def predict_y0(
 ) -> np.ndarray:
     """Algebraic inversion of the forward draw; no clipping applied."""
     sched.check_t(t)
-    root = math.sqrt(sched.alpha_bar[t])
-    return (y_t - (1.0 - root) * y_hat0 - math.sqrt(1.0 - sched.alpha_bar[t]) * eps_hat) / root
+    root, rest, noise = sched.coef[t].tolist()
+    return (y_t - rest * y_hat0 - noise * eps_hat) / root
 
 
 def posterior_params(
@@ -235,13 +234,13 @@ def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, 
     """(gamma0, gamma1, gamma2, var) of the step-t reverse kernel, which
     posterior_params applies."""
     sched.check_t(t)
-    ab_t = sched.alpha_bar[t]
-    ab_s = sched.alpha_bar[t - 1]
+    ab_s, ab_t = sched.alpha_bar[t - 1], sched.alpha_bar[t]
+    root_s, root_t = sched.coef[t - 1, 0], sched.coef[t, 0]
     ratio = ab_t / ab_s
     one_minus = 1.0 - ab_t
-    gamma0 = (1.0 - ratio) * math.sqrt(ab_s) / one_minus
+    gamma0 = (1.0 - ratio) * root_s / one_minus
     gamma1 = (1.0 - ab_s) * math.sqrt(ratio) / one_minus
-    gamma2 = 1.0 + (math.sqrt(ab_t) - 1.0) * (math.sqrt(ratio) + math.sqrt(ab_s)) / one_minus
+    gamma2 = 1.0 + (root_t - 1.0) * (math.sqrt(ratio) + root_s) / one_minus
     var = (1.0 - ratio) * (1.0 - ab_s) / one_minus
     return gamma0, gamma1, gamma2, var
 

@@ -101,13 +101,16 @@ class GuidanceModel:
         # log_scale trains in the prompt group
         return [self.prompts, self.log_scale]
 
-    def scale_value(self) -> float:
-        return min(math.exp(self.log_scale.item()), SCALE_MAX)
+    def head(self) -> tuple[np.ndarray, nk.Vjp, np.ndarray, np.float64]:
+        """What d = f @ pt and the scale are made of, for training and inference:
+        pt (C order) and its normalisation's vjp, exp(log_scale) and its clamp."""
+        p, p_vjp = nk.l2_normalize_fwd(self.prompts.data)
+        es = np.exp(self.log_scale.data)
+        return p.T.copy(), p_vjp, es, np.minimum(es, SCALE_MAX)[0, 0]
 
-    def encode_batch(self, x: np.ndarray | Tensor2, tape: GradTape | None = None) -> Tensor2:
+    def encode_batch(self, x: np.ndarray, tape: GradTape | None = None) -> Tensor2:
         """Unit-norm embeddings for a batch of raw feature rows."""
-        xt = x if isinstance(x, Tensor2) else Tensor2(np.atleast_2d(x))
-        h = nk.dense(xt, self.w1, self.b1, True, tape)
+        h = nk.dense(Tensor2(np.atleast_2d(x)), self.w1, self.b1, True, tape)
         return nk.l2_normalize_rows(self.project(h, tape), tape=tape)
 
     def project(self, h: Tensor2, tape: GradTape | None = None) -> Tensor2:
@@ -146,11 +149,6 @@ class GuidanceModel:
             (lambda g: g) if hd.shape[0] == 1 else lambda g: g.sum(axis=0, keepdims=True),
         ))
         return res
-
-    def similarity_batch(self, f: Tensor2, tape: GradTape | None = None) -> Tensor2:
-        """Cosine similarities f . normalized-prompt-rows^T, one row per item."""
-        p = nk.l2_normalize_rows(self.prompts, tape=tape)
-        return nk.dense(f, p, None, False, tape)
 
 
 @lru_cache(maxsize=None)
@@ -236,8 +234,7 @@ def guidance_loss(
         raise DataError("empty batch")
     f = model.encode_batch(features, tape)
     fd = f.data
-    p, p_vjp = nk.l2_normalize_fwd(model.prompts.data)
-    pt = p.T.copy()
+    pt, p_vjp, es, sv = model.head()
     d = fd @ pt
     n, k = d.shape
     y = np.asarray(labels, dtype=np.intp)
@@ -245,8 +242,6 @@ def guidance_loss(
         raise DataError(f"label outside [0,{k})")
     if y.shape != (n,):
         raise DimensionError(f"guidance_loss: {n} rows vs {y.shape} labels")
-    es = np.exp(model.log_scale.data)
-    sv = np.minimum(es, SCALE_MAX)[0, 0]
     ce, ce_vjp = nk.cross_entropy_fwd(d * sv, y)
     if lambda_rank > 0:
         rank, rank_vjp = _ranking_fwd(d, y, margin)

@@ -126,6 +126,23 @@ class RunConfig:
 # helpers
 
 
+def base_beside(out: str | Path) -> Path:
+    """train_stage1's base checkpoint beside its out: g.npz's is g.base.npz."""
+    return Path(out).with_suffix(".base" + Path(out).suffix)
+
+
+def ablate_checkpoints(out: str | Path) -> tuple[Path, Path, Path]:
+    """ablate's guidance, base and denoiser checkpoints beside out, under the
+    .json names perfbench/harness.py reads."""
+    guidance = Path(out).parent / "ablate_guidance.json"
+    return guidance, base_beside(guidance), guidance.with_name("ablate_denoiser.json")
+
+
+def silhouette_beside(out: str | Path) -> Path:
+    """export_trajectory's silhouette report beside its CSV out."""
+    return Path(str(out) + ".silhouette.json")
+
+
 def _hash_arrays(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -141,9 +158,14 @@ def load_domain(data_dir: str | Path, domain: str) -> Dataset:
     return read_dataset(path)
 
 
+def _target_split(data_dir: str | Path, cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """The run's one (train, test) split of the target domain."""
+    return stratified_split(load_domain(data_dir, "target"), cfg.train_fraction, cfg.seed)
+
+
 def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
-    """The source domain, refused unless its width and grade count are the
-    target's."""
+    """The source domain, refused unless its width and grade count are those
+    of target (the target domain or a split of it)."""
     source = load_domain(data_dir, "source")
     if (source.d_in, source.k) != (target.d_in, target.k):
         raise DataError(
@@ -158,9 +180,10 @@ def similarities(model: gd.GuidanceModel, features: np.ndarray):
     row_blocks: the package's one full-split encode."""
     n = features.shape[0]
     f, d = np.empty((n, model.w2.rows)), np.empty((n, model.k))
+    pt = model.head()[0]
     for rows in row_blocks(n):
         f[rows] = model.encode_batch(features[rows]).data
-        d[rows] = model.similarity_batch(Tensor2(f[rows])).data
+        d[rows] = f[rows] @ pt
     return f, d
 
 
@@ -169,7 +192,7 @@ def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     similarities and their prior, a softmax that works row by row, so it is
     taken over all rows at once."""
     f, d = similarities(model, features)
-    prior = softmax_rows(Tensor2(model.scale_value() * d)).data
+    prior = softmax_rows(Tensor2(model.head()[3] * d)).data
     return f, d, check_finite(prior, "the guidance prior")
 
 
@@ -183,20 +206,19 @@ def load_run(
     without a denoiser checkpoint) and the target train and test splits;
     checkpoints whose widths or grade count do not fit the data are refused."""
     model = gd.load_guidance(guidance_ckpt)
-    target = load_domain(data_dir, "target")
-    if model.d_in != target.d_in or model.k != target.k:
+    train, test = _target_split(data_dir, cfg)
+    if model.d_in != train.d_in or model.k != train.k:
         raise DataError(
             f"guidance checkpoint expects d_in={model.d_in}, k={model.k}; "
-            f"data has d_in={target.d_in}, k={target.k}"
+            f"data has d_in={train.d_in}, k={train.k}"
         )
-    train, test = stratified_split(target, cfg.train_fraction, cfg.seed)
     if denoiser_ckpt is None:
         return model, None, train, test
     net, sched = df.load_denoiser(denoiser_ckpt)
-    if net.d_model != model.w2.rows or net.k != target.k:
+    if net.d_model != model.w2.rows or net.k != train.k:
         raise DataError(
             f"denoiser checkpoint expects d_model={net.d_model}, k={net.k}; "
-            f"guidance has d_model={model.w2.rows}, data has k={target.k}"
+            f"guidance has d_model={model.w2.rows}, data has k={train.k}"
         )
     return model, (net, sched), train, test
 
@@ -246,16 +268,8 @@ def pretrain_base(
 ) -> gd.GuidanceModel:
     """Fit encoder + prompts + scale on the source domain, then freeze the
     encoder. Stands in for generic pretrained guidance weights."""
-    model = gd.GuidanceModel.build(
-        source.d_in,
-        cfg.hidden,
-        cfg.d_model,
-        source.k,
-        cfg.rank,
-        cfg.alpha,
-        cfg.seed,
-        frozen_base=False,
-    )
+    model = gd.GuidanceModel.build(source.d_in, cfg.hidden, cfg.d_model, source.k, cfg.rank,
+                                   cfg.alpha, cfg.seed)
     flat = optim.FlatParams(model.base_params() + model.prompt_params())
     plan = _lr_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
     step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
@@ -283,9 +297,8 @@ def train_stage1(
     to out_path, and its "test" the target test split.
     """
     log: list[str] = []
-    target = load_domain(data_dir, "target")
-    train, test = stratified_split(target, cfg.train_fraction, cfg.seed)
-    model = pretrain_base(_source_like(data_dir, target), cfg, log)
+    train, test = _target_split(data_dir, cfg)
+    model = pretrain_base(_source_like(data_dir, train), cfg, log)
     gd.save_guidance(base_path, model)
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
@@ -331,9 +344,7 @@ def train_stage2(
     model, _, train, _ = load_run(data_dir, cfg, guidance_ckpt)
     if not model.frozen_base:
         raise DataError(f"guidance checkpoint {guidance_ckpt} is not marked frozen")
-    guidance_hash_before = hashlib.sha256(
-        Path(guidance_ckpt).read_bytes()
-    ).hexdigest()
+    guidance_hash_before = hashlib.sha256(Path(guidance_ckpt).read_bytes()).hexdigest()
     f, d, prior = conditioning(model, train.features)
     y0 = np.eye(train.k)[train.labels]
 
@@ -409,10 +420,7 @@ def evaluate(
         "n_eval": int(test.n),
         "seed": cfg.seed,
         "config_digest": cfg.digest(),
-        "paper_reference": {
-            "accuracy": PAPER_REFERENCE["accuracy"],
-            "macro_f1": PAPER_REFERENCE["macro_f1"],
-        },
+        "paper_reference": {k: PAPER_REFERENCE[k] for k in ("accuracy", "macro_f1")},
     }
 
 
@@ -421,14 +429,8 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     fresh source pretraining. The rows score the models the two stages
     return on stage 1's test split; only the zero-shot row's base is read
     back, because stage 1 adapts the base model in place. The checkpoints go
-    beside out_path, whose directory must exist."""
-    work = Path(out_path).parent
-    # perfbench/harness.py reads the checkpoints under these .json names, so
-    # they keep them until a change to the benchmark renames them too
-    guidance_path = work / "ablate_guidance.json"
-    base_path = work / "ablate_guidance.base.json"
-    denoiser_path = work / "ablate_denoiser.json"
-
+    beside out_path (ablate_checkpoints), whose directory must exist."""
+    guidance_path, base_path, denoiser_path = ablate_checkpoints(out_path)
     stage1 = train_stage1(data_dir, cfg, guidance_path, base_path=base_path)
     stage2 = train_stage2(data_dir, guidance_path, cfg, denoiser_path)
     test = stage1["test"]
@@ -442,15 +444,9 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
         ("+ label-space diffusion", stage1["model"], stage2["denoiser"]),
     ):
         rep = evaluate(model, denoiser, test, cfg)
-        rows.append(
-            {
-                "configuration": name,
-                "accuracy": rep["accuracy"],
-                "macro_f1": rep["macro_f1"],
-                "split_hash": split_hash,
-                "config_digest": cfg.digest(),
-            }
-        )
+        rows.append({"configuration": name, "accuracy": rep["accuracy"],
+                     "macro_f1": rep["macro_f1"], "split_hash": split_hash,
+                     "config_digest": cfg.digest()})
 
     report = {
         "rows": rows,
@@ -462,9 +458,7 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
             "macro_f1": PAPER_REFERENCE["ablation_f1"],
         },
         "stage1": {k: stage1[k] for k in ("frozen_hash_before", "frozen_hash_after")},
-        "stage2": {
-            k: stage2[k] for k in ("guidance_hash_before", "guidance_hash_after")
-        },
+        "stage2": {k: stage2[k] for k in ("guidance_hash_before", "guidance_hash_after")},
     }
     write_json(out_path, report)
     return report
@@ -504,12 +498,11 @@ def export_trajectory(
         # Python floats, whose repr is the float64's shortest round trip
         lines.extend(f"{t},{i},{label},{px!r},{py!r}"
                      for i, (label, (px, py)) in enumerate(zip(labels, proj.tolist())))
-    out_path = Path(out_path)
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     sil_doc = {
         "silhouette_by_step": silhouettes,
         "seed": cfg.seed,
         "config_digest": cfg.digest(),
     }
-    write_json(str(out_path) + ".silhouette.json", sil_doc)
+    write_json(silhouette_beside(out_path), sil_doc)
     return sil_doc

@@ -28,6 +28,13 @@ def encode_per_op(model: gd.GuidanceModel, x, tape: GradTape | None = None) -> T
     return nk.l2_normalize_rows(z, tape=tape)
 
 
+def similarity_per_op(model: gd.GuidanceModel, f: Tensor2,
+                      tape: GradTape | None = None) -> Tensor2:
+    """The similarity d as its ops: the prompt rows normalized, then f times
+    their transpose."""
+    return nk.dense(f, nk.l2_normalize_rows(model.prompts, tape=tape), None, False, tape)
+
+
 def scale_tensor(model: gd.GuidanceModel, tape: GradTape | None) -> Tensor2:
     """The logit scale exp(log_scale), clamped at SCALE_MAX, as a 1x1 tensor."""
     return nk.clamp_max(nk.exp(model.log_scale, tape), gd.SCALE_MAX, tape)
@@ -48,7 +55,7 @@ def guidance_loss_per_op(features, labels, model: gd.GuidanceModel, lambda_rank:
     """guidance_loss as the per-op chain: the encoder, the similarity, the
     scale, the contrastive term, the ranking term and the weighted sum."""
     f = encode_per_op(model, features, tape)
-    d = model.similarity_batch(f, tape)
+    d = similarity_per_op(model, f, tape)
     loss = contrastive_loss(d, labels, scale_tensor(model, tape), tape)
     if lambda_rank > 0:
         rank_term = nk.scale(gd.ranking_loss(d, labels, margin, tape), lambda_rank, tape)

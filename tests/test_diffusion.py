@@ -429,6 +429,35 @@ def test_posterior_identities_every_t(sched):
         assert abs(g1 * g1 * (1 - ab_t) + var - (1 - ab_s)) < 1e-12
 
 
+def _reverse_coefficients_per_step(y_t, eps_hat, y_hat0, t, sched):
+    """predict_y0's result and posterior_coefficients as first written, each
+    square root of an alpha_bar entry taken per step with math.sqrt: the
+    oracle the schedule's coef table must match bit for bit."""
+    ab_t, ab_s = sched.alpha_bar[t], sched.alpha_bar[t - 1]
+    root = math.sqrt(ab_t)
+    y0 = (y_t - (1.0 - root) * y_hat0 - math.sqrt(1.0 - ab_t) * eps_hat) / root
+    ratio, one_minus = ab_t / ab_s, 1.0 - ab_t
+    return y0, (
+        (1.0 - ratio) * math.sqrt(ab_s) / one_minus,
+        (1.0 - ab_s) * math.sqrt(ratio) / one_minus,
+        1.0 + (math.sqrt(ab_t) - 1.0) * (math.sqrt(ratio) + math.sqrt(ab_s)) / one_minus,
+        (1.0 - ratio) * (1.0 - ab_s) / one_minus,
+    )
+
+
+@pytest.mark.parametrize("sched", [
+    PAPER_SCHED, DESK_SCHED, df.make_schedule(1, 0.3, 0.9), df.make_schedule(20, 1e-3, 0.2)],
+    ids=["paper", "desk", "one-step", "twenty-step"])
+def test_reverse_step_keeps_the_per_step_bits(sched):
+    rng = np.random.default_rng(27)
+    y_t, eps_hat = rng.standard_normal((2, 6, 5))
+    prior = rng.dirichlet(np.ones(5), 6)
+    for t in range(1, sched.t_total + 1):
+        want_y0, want = _reverse_coefficients_per_step(y_t, eps_hat, prior, t, sched)
+        assert df.predict_y0(y_t, eps_hat, prior, t, sched).tobytes() == want_y0.tobytes()
+        assert df.posterior_coefficients(t, sched) == want
+
+
 def test_posterior_rejects_bad_steps():
     with pytest.raises(IndexError):
         df.posterior_coefficients(0, DESK_SCHED)

@@ -14,7 +14,8 @@ from cgsd.errors import ConfigError, ContractError, DataError, NumericError, Par
 from cgsd.numkit import GradTape, Tensor2, backward
 from cgsd.pipeline import conditioning
 from gradcheck import grad_check_param, trainable_params
-from guidance_oracle import contrastive_loss, guidance_loss_per_op, scale_tensor
+from guidance_oracle import (contrastive_loss, guidance_loss_per_op, scale_tensor,
+                             similarity_per_op)
 import ckpt_edit as ckpt
 
 
@@ -107,7 +108,8 @@ def test_encode_matches_frozen_base_before_training():
 
 
 # ---------------------------------------------------------------------------
-# semantic vector: d from similarity_batch, the prior from pipeline.conditioning
+# semantic vector: d = f @ pt and the scale from GuidanceModel.head, the prior
+# from pipeline.conditioning
 
 
 def test_semantic_vector_orthonormal_prompts():
@@ -115,7 +117,7 @@ def test_semantic_vector_orthonormal_prompts():
     model.prompts.data = np.eye(5, 8)
     f = np.zeros((1, 8))
     f[0, 1] = 1.0
-    d = model.similarity_batch(Tensor2(f)).data[0]
+    d = (f @ model.head()[0])[0]
     np.testing.assert_allclose(d, [0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.argmax(d) == 1
 
@@ -125,7 +127,7 @@ def test_semantic_vector_hand_case_2d():
         d_in=4, hidden=4, d_model=2, k=2, rank=1, alpha=1.0, seed=0, frozen_base=True
     )
     model.prompts.data = np.array([[1.0, 0.0], [0.0, 1.0]])
-    d = model.similarity_batch(Tensor2([[0.6, 0.8]])).data[0]
+    d = (np.array([[0.6, 0.8]]) @ model.head()[0])[0]
     np.testing.assert_allclose(d, [0.6, 0.8], atol=1e-12)
 
 
@@ -150,9 +152,30 @@ def test_semantic_vector_contracts():
     np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
     assert np.all(np.abs(d) <= 1.0 + 1e-9)
     np.testing.assert_allclose(prior.sum(axis=1), 1.0, atol=1e-12)
-    e = np.exp(model.scale_value() * d)
+    e = np.exp(model.head()[3] * d)
     np.testing.assert_allclose(prior, e / e.sum(axis=1, keepdims=True), atol=1e-15)
     np.testing.assert_array_equal(np.argmax(prior, axis=1), np.argmax(d, axis=1))
+
+
+# log scales where math.exp and numpy's exp on a 1x1 array round apart on an
+# x86-64 numpy 2.4 build (2.00066, 2.00076, 2.0055), the log scales of the
+# desk's two trained checkpoints and of a 3-epoch full-scale one, and a sweep
+# from a scale below 1 to past the clamp at SCALE_MAX
+_LOG_SCALES = [2.00066, 2.00076, 2.0055, 2.5568, 3.0993, 3.0834,
+               *np.linspace(-2.0, 6.0, 81).tolist()]
+
+
+def test_conditioning_prior_takes_the_loss_heads_scale():
+    # the prior is softmax(scale * d), bit for bit, with the scale of the loss
+    # head's per-op form (exp, then clamp_max): training and inference use
+    # one scale
+    model = small_model(seed=17)
+    x = np.random.default_rng(18).standard_normal((40, 10))
+    for log_scale in _LOG_SCALES:
+        model.log_scale.data = np.array([[log_scale]])
+        _, d, prior = conditioning(model, x)
+        want = nk.softmax_rows(Tensor2(scale_tensor(model, None).item() * d)).data
+        assert np.array_equal(prior, want), log_scale
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +295,7 @@ def test_guidance_loss_lambda_switch():
     labels = [0, 1, 2, 3]
     total = gd.guidance_loss(feats, labels, model, lambda_rank=0.0, margin=0.05).item()
 
-    f = model.encode_batch(feats)
-    d = model.similarity_batch(f)
+    d = Tensor2(model.encode_batch(feats).data @ model.head()[0])
     ce = contrastive_loss(d, labels, scale_tensor(model, None)).item()
     assert total == pytest.approx(ce, abs=1e-12)
 
@@ -374,7 +396,7 @@ def test_zero_shot_tie_breaks_to_smaller_index():
 
     model.prompts.data = np.eye(5, 8)
     f = (np.eye(8)[0] + np.eye(8)[1]) / math.sqrt(2.0)
-    d = model.similarity_batch(Tensor2(f)).data[0]
+    d = f @ model.head()[0]
     assert d[0] == pytest.approx(d[1], abs=1e-12)
     assert int(np.argmax(d)) == 0
 
@@ -390,11 +412,11 @@ def test_prediction_invariant_to_log_scale():
 
 
 def _one_shot_conditioning(model, x):
-    """The encode of every row in one product: the oracle of the blocked
-    pipeline.conditioning."""
+    """The encode of every row in one product, the similarity and scale as
+    their ops: the oracle of the blocked pipeline.conditioning."""
     f = model.encode_batch(x)
-    d = model.similarity_batch(f)
-    return f.data, d.data, nk.softmax_rows(Tensor2(model.scale_value() * d.data)).data
+    d = similarity_per_op(model, f).data
+    return f.data, d, nk.softmax_rows(Tensor2(scale_tensor(model, None).item() * d)).data
 
 
 @pytest.mark.parametrize("rest", [0, 1, 3, 511])
@@ -427,7 +449,7 @@ def test_row_blocks_fold_a_one_row_rest(n, sizes):
 def test_scale_clamped_at_maximum():
     model = small_model()
     model.log_scale.data = np.array([[50.0]])
-    assert model.scale_value() == gd.SCALE_MAX
+    assert model.head()[3] == gd.SCALE_MAX
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,19 @@ def test_stages_return_the_models_they_save(small_dir, tmp_path):
         assert np.array_equal(getattr(sched, name), getattr(sched_read, name))
 
 
+@pytest.mark.parametrize("seed, fraction", [(TINY.seed, TINY.train_fraction), (5, 0.6)])
+def test_stage1_test_split_is_load_runs(small_dir, tmp_path, seed, fraction):
+    # ablate scores stage 1's test split and cgsd eval load_run's: at one
+    # config they are one split, row for row
+    cfg = replace(TINY, pretrain_epochs=0, stage1_epochs=0, seed=seed, train_fraction=fraction)
+    s1 = pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
+    test = pl.load_run(small_dir, cfg, tmp_path / "g.json")[3]
+    assert (s1["test"].k, s1["test"].domain_tag, s1["test"].seed) == (
+        test.k, test.domain_tag, test.seed)
+    assert np.array_equal(s1["test"].features, test.features)
+    assert np.array_equal(s1["test"].labels, test.labels)
+
+
 def test_ablate_reads_each_input_once_per_stage(small_dir, tmp_path, monkeypatch):
     # stage 1 and stage 2 each read target.csv once, and ablate scores stage
     # 1's test split; the pretrain reads source.csv, and only the zero-shot
@@ -1230,18 +1243,37 @@ def _output_key(command):
     return "report" if command == "eval" else "out"
 
 
-@pytest.mark.parametrize("command", ["train-guidance", "train-diffusion", "eval", "ablate",
-                                     "export-trajectory"])
-def test_cli_out_directory_is_refused_before_any_read(command, bad_input_base, tmp_path,
+# the files each _ARGV command writes beside its output
+_SIDE_FILES = {
+    "train-guidance": ["g2.base.json", "g2.json.log"],
+    "train-diffusion": ["d2.json.log"],
+    "ablate": ["ablate_guidance.json", "ablate_guidance.base.json", "ablate_denoiser.json"],
+    "export-trajectory": ["t.csv.silhouette.json"],
+}
+
+
+@pytest.mark.parametrize("command, side", [
+    *(pytest.param(command, None, id=command) for command in
+      ["train-guidance", "train-diffusion", "eval", "ablate", "export-trajectory"]),
+    *(pytest.param(command, side, id=f"{command}-{side}")
+      for command, sides in _SIDE_FILES.items() for side in sides)])
+def test_cli_out_directory_is_refused_before_any_read(command, side, bad_input_base, tmp_path,
                                                       monkeypatch, capsys):
-    # the directory and its parent are left as they were, and no input is read
+    # an existing directory as the output, or as a side file written beside
+    # it: the directory and its parent are left as they were, and no input is
+    # read
     work = tmp_path / "w"
     shutil.copytree(bad_input_base, work)
+    key, argv = _output_key(command), [a.format(w=work) for a in _ARGV[command]]
+    if side is None:
+        out = str(work / "data")
+        argv += [f"--{key}", out]
+    else:
+        out = str(work / side)
+        (work / side).mkdir()
     tree = lambda: {p: p.is_file() and p.read_bytes() for p in work.rglob("*")}
     before = tree()
     reads = _count_calls(monkeypatch, pl, "read_dataset")
-    key, out = _output_key(command), str(work / "data")
-    argv = [*(a.format(w=work) for a in _ARGV[command]), f"--{key}", out]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {key}: {out!r} names no file\n"
     assert reads == []
