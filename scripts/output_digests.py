@@ -1,4 +1,4 @@
-"""Run the desk ablation, the three evaluations and one trajectory export on a
+"""Run every command whose output bits a same-bits change must keep on a
 benchmark directory, then print the sha256 of every file written.
 
 Two checkouts give the same lines exactly when their outputs are byte for
@@ -7,8 +7,21 @@ command's wall time go to stderr, beside them, and not into the listing):
 
     cgsd gen-data --out DATA
     PYTHONPATH=src python scripts/output_digests.py DATA --out A > a.txt
-    (in the other checkout, same DATA, another empty --out)
+    PYTHONPATH=OTHER/src python scripts/output_digests.py DATA --out B > b.txt
     diff a.txt b.txt
+
+Running this one script on the other checkout's src/ compares the two
+libraries with one instrument, so a change to the script itself does not
+fail its own comparison.
+
+It runs, into --out, the desk ablation, the three evaluations of its
+checkpoints and one trajectory export; then, into --out/stages, the four
+stage commands at the full-scale defaults: train-guidance (3 stage-1
+epochs), train-diffusion (3 stage-2 epochs, 100 steps), eval --diffusion
+(5 chains per item) and export-trajectory (its default steps). The ablation
+writes no log and runs only the desk preset, so the stage commands are what
+check the per-epoch log lines (loss, rate, stage-1 accuracy) and the
+full-scale code paths.
 
 Usage: python scripts/output_digests.py DATA [--out DIR] [--seed N]
 """
@@ -50,6 +63,14 @@ def main() -> None:
         yield
         walls[what] = time.perf_counter() - start
 
+    def run_cli(what: str, *argv: str) -> None:
+        argv = [*argv, "--data", str(args.data), "--seed", str(args.seed)]
+        # cli.main prints logs and reports; only the digests go to stdout
+        with timed(what), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            sys.exit(f"cgsd {' '.join(argv)} exited {code}")
+
     with timed("ablate"):
         ablate(args.data, cfg, args.out / "ablation.json")
     guidance = args.out / "ablate_guidance.json"
@@ -60,15 +81,19 @@ def main() -> None:
         "diffusion": ["--guidance", str(guidance), "--diffusion", str(denoiser)],
     }
     for name, flags in runs.items():
-        argv = ["eval", "--data", str(args.data), "--seed", str(args.seed), *flags,
-                "--report", str(args.out / f"eval_{name}.json")]
-        # cli.main prints each report; only the digests go to stdout
-        with timed(f"eval {name}"), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(argv)
-        if code != 0:
-            sys.exit(f"cgsd {' '.join(argv)} exited {code}")
+        run_cli(f"eval {name}", "eval", *flags, "--report", str(args.out / f"eval_{name}.json"))
     with timed("export-trajectory"):
         export_trajectory(args.data, guidance, denoiser, None, args.out / "trajectory.csv", cfg)
+
+    stages = args.out / "stages"
+    g, d = str(stages / "g.npz"), str(stages / "d.npz")
+    run_cli("stages train-guidance", "train-guidance", "--out", g, "--stage1-epochs", "3")
+    run_cli("stages train-diffusion", "train-diffusion", "--guidance", g, "--out", d,
+            "--stage2-epochs", "3", "--t-total", "100")
+    run_cli("stages eval", "eval", "--guidance", g, "--diffusion", d,
+            "--report", str(stages / "r.json"))
+    run_cli("stages export-trajectory", "export-trajectory", "--guidance", g, "--diffusion", d,
+            "--out", str(stages / "t.csv"))
 
     for path in sorted(p for p in args.out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()

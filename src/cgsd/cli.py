@@ -111,13 +111,27 @@ def _read_config(path: str, keys) -> dict:
     return doc
 
 
-def _out_file(key: str, out: str) -> None:
+def _out_file(key: str, out: str) -> Path:
     """The output rule: a path naming no file ("", ".", ".." or an existing
-    directory) is refused, and the missing directories above it are made."""
+    directory) is refused."""
     path = Path(out)
     if path.name in ("", "..") or path.is_dir():
         raise ConfigError(f"{key}: {out!r} names no file")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _same_file(key: str, outs: list[str], a: dict, config: str | None) -> None:
+    """The same-file rule, on resolved paths: an output or side file may not be
+    another one, an input checkpoint, the --config file or a --data file."""
+    data = [p for domain in ("source", "target") for p in pipeline.domain_files(a["data"], domain)]
+    inputs = [("config", config), ("guidance", a.get("guidance")),
+              ("diffusion", a.get("diffusion")), *(("data", p) for p in data)]
+    taken = {Path(p).resolve(): f"an input (--{k})" for k, p in inputs if p}
+    for path in outs:
+        real = Path(path).resolve()
+        if real in taken:
+            raise ConfigError(f"{key}: {path!r} is {taken[real]}")
+        taken[real] = "written twice"
 
 
 def _log_beside(out: str) -> Path:
@@ -150,8 +164,8 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
     out = Path(a["out"])
     out.mkdir(parents=True, exist_ok=True)
     source, target = gen_synthetic(cfg)
-    write_dataset(out / "source.csv", source)
-    write_dataset(out / "target.csv", target)
+    write_dataset(pipeline.domain_files(out, "source")[0], source)
+    write_dataset(pipeline.domain_files(out, "target")[0], target)
     print(f"wrote {source.n}+{target.n} samples to {out}")
 
 
@@ -216,9 +230,10 @@ def _export_trajectory(cfg: RunConfig, a: dict) -> None:
 
 def _resolve(args: argparse.Namespace) -> tuple:
     """The handler, its config and its argument values; a flag beats the
-    --config file, which beats the dataclass default. The output rule runs
-    on the output, then on each side file, once the config is built, so a
-    bad setting creates no directory."""
+    --config file, which beats the dataclass default. Once the config is built
+    (so a bad setting creates no directory) and before any data is read, the
+    output and same-file rules run on the output and its side files, then the
+    missing directories above each are made."""
     run, config, fields, required, optional, out = _COMMANDS[args.command]
     keys = (*required, *optional, *fields)
     given = _read_config(args.config, keys) if args.config else {}
@@ -231,8 +246,10 @@ def _resolve(args: argparse.Namespace) -> tuple:
     cfg = config(**{k: values[k] for k in fields if k in values})
     if out:
         _out_file(out, values[out])
-        for side in _SIDE_FILES.get(args.command, lambda out: ())(values[out]):
-            _out_file(out, str(side))
+        outs = [values[out], *map(str, _SIDE_FILES.get(args.command, lambda out: ())(values[out]))]
+        _same_file(out, outs, values, args.config)
+        for path in outs:
+            _out_file(out, path).parent.mkdir(parents=True, exist_ok=True)
     return run, cfg, values
 
 

@@ -363,9 +363,14 @@ def write_dataset(path: str | Path, ds: Dataset) -> None:
         "domain_tag": ds.domain_tag,
         "seed": int(ds.seed),
     }
-    Path(str(path) + ".meta.json").write_text(
+    meta_beside(path).write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8", newline="\n"
     )
+
+
+def meta_beside(path: str | Path) -> Path:
+    """The .meta.json sidecar of a dataset file."""
+    return Path(str(path) + ".meta.json")
 
 
 def _csv_lines(path: Path):
@@ -414,7 +419,7 @@ def read_dataset(path: str | Path) -> Dataset:
     the first bad row, a non-finite feature, then the grade count."""
     path = Path(path)
     meta = read_json_object(
-        str(path) + ".meta.json",
+        meta_beside(path),
         "metadata",
         {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int},
     )

@@ -217,22 +217,9 @@ def predict_y0(
     return (y_t - rest * y_hat0 - noise * eps_hat) / root
 
 
-def posterior_params(
-    y_t: np.ndarray,
-    y0_tilde: np.ndarray,
-    y_hat0: np.ndarray,
-    t: int,
-    sched: NoiseSchedule,
-) -> tuple[np.ndarray, float]:
-    """Mean and variance of the one-step reverse kernel from step t to t - 1."""
-    gamma0, gamma1, gamma2, var = posterior_coefficients(t, sched)
-    mean = gamma0 * y0_tilde + gamma1 * y_t + gamma2 * y_hat0
-    return mean, var
-
-
 def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, float, float]:
-    """(gamma0, gamma1, gamma2, var) of the step-t reverse kernel, which
-    posterior_params applies."""
+    """(gamma0, gamma1, gamma2, var) of the reverse kernel from step t to t - 1:
+    mean gamma0 * y0_tilde + gamma1 * y_t + gamma2 * y_hat0, variance var."""
     sched.check_t(t)
     ab_s, ab_t = sched.alpha_bar[t - 1], sched.alpha_bar[t]
     root_s, root_t = sched.coef[t - 1, 0], sched.coef[t, 0]
@@ -288,9 +275,9 @@ def sample_chain_batch(
         x[:, -TEMB_DIM:] = sched.temb[t]
         eps_hat = eps_predict(net, x, work=work).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
-        mean, var = posterior_params(y, y0_tilde, y_hat0, t, sched)
+        gamma0, gamma1, gamma2, var = posterior_coefficients(t, sched)
         z = noise[:, hop] if var != 0.0 else np.zeros((n, k))
-        y = mean + math.sqrt(var) * z
+        y = gamma0 * y0_tilde + gamma1 * y + gamma2 * y_hat0 + math.sqrt(var) * z
         if t - 1 in record:
             snapshots[t - 1] = y.copy()
     return nk.check_finite(y, "the reverse chain's final state"), snapshots

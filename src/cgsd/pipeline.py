@@ -22,7 +22,7 @@ from . import diffusion as df
 from . import guidance as gd
 from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
-from .data import Dataset, read_dataset, stratified_split, write_json
+from .data import Dataset, meta_beside, read_dataset, stratified_split, write_json
 from .errors import ConfigError, DataError
 from .numkit import GradTape, Tensor2, backward, check_finite, row_blocks, softmax_rows
 
@@ -150,9 +150,15 @@ def _hash_arrays(arrays) -> str:
     return h.hexdigest()
 
 
+def domain_files(data_dir: str | Path, domain: str) -> tuple[Path, Path]:
+    """The "source" or "target" domain's CSV under data_dir and its sidecar."""
+    path = Path(data_dir) / f"{domain}.csv"
+    return path, meta_beside(path)
+
+
 def load_domain(data_dir: str | Path, domain: str) -> Dataset:
     """The benchmark's "source" or "target" domain, read from data_dir."""
-    path = Path(data_dir) / f"{domain}.csv"
+    path = domain_files(data_dir, domain)[0]
     if not path.exists():
         raise DataError(f"benchmark not found under {data_dir}; run gen-data first")
     return read_dataset(path)
@@ -169,8 +175,8 @@ def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
     source = load_domain(data_dir, "source")
     if (source.d_in, source.k) != (target.d_in, target.k):
         raise DataError(
-            f"{Path(data_dir) / 'source.csv'} has d_in={source.d_in}, k={source.k}; "
-            f"{Path(data_dir) / 'target.csv'} has d_in={target.d_in}, k={target.k}"
+            f"{domain_files(data_dir, 'source')[0]} has d_in={source.d_in}, k={source.k}; "
+            f"{domain_files(data_dir, 'target')[0]} has d_in={target.d_in}, k={target.k}"
         )
     return source
 
@@ -223,9 +229,7 @@ def load_run(
     return model, (net, sched), train, test
 
 
-def _lr_plan(
-    base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int
-) -> optim.LrPlan:
+def _lr_plan(base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int) -> optim.LrPlan:
     """The plan of base_lr, one of cfg's checked rates. Clamping its floor
     (stage2_lr_min) and warmup start to base_lr and flooring its epoch count
     give every plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
@@ -263,9 +267,7 @@ def _guidance_loss(model: gd.GuidanceModel, data: Dataset, cfg: RunConfig):
     )
 
 
-def pretrain_base(
-    source: Dataset, cfg: RunConfig, log: list[str]
-) -> gd.GuidanceModel:
+def pretrain_base(source: Dataset, cfg: RunConfig, log: list[str]) -> gd.GuidanceModel:
     """Fit encoder + prompts + scale on the source domain, then freeze the
     encoder. Stands in for generic pretrained guidance weights."""
     model = gd.GuidanceModel.build(source.d_in, cfg.hidden, cfg.d_model, source.k, cfg.rank,
@@ -324,13 +326,8 @@ def train_stage1(
 
     frozen_hash_after = _hash_arrays([t.data for t in model.base_params()])
     gd.save_guidance(out_path, model)
-    return {
-        "log": log,
-        "frozen_hash_before": frozen_hash_before,
-        "frozen_hash_after": frozen_hash_after,
-        "model": model,
-        "test": test,
-    }
+    return {"log": log, "frozen_hash_before": frozen_hash_before,
+            "frozen_hash_after": frozen_hash_after, "model": model, "test": test}
 
 
 def train_stage2(
@@ -382,12 +379,8 @@ def train_stage2(
     np.copyto(flat.data, ema.shadow)
     df.save_denoiser(out_path, net, (cfg.t_total, cfg.beta_start, cfg.beta_end))
     guidance_hash_after = hashlib.sha256(Path(guidance_ckpt).read_bytes()).hexdigest()
-    return {
-        "log": log,
-        "guidance_hash_before": guidance_hash_before,
-        "guidance_hash_after": guidance_hash_after,
-        "denoiser": (net, sched),
-    }
+    return {"log": log, "guidance_hash_before": guidance_hash_before,
+            "guidance_hash_after": guidance_hash_after, "denoiser": (net, sched)}
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +492,6 @@ def export_trajectory(
         lines.extend(f"{t},{i},{label},{px!r},{py!r}"
                      for i, (label, (px, py)) in enumerate(zip(labels, proj.tolist())))
     Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    sil_doc = {
-        "silhouette_by_step": silhouettes,
-        "seed": cfg.seed,
-        "config_digest": cfg.digest(),
-    }
+    sil_doc = {"silhouette_by_step": silhouettes, "seed": cfg.seed, "config_digest": cfg.digest()}
     write_json(silhouette_beside(out_path), sil_doc)
     return sil_doc

@@ -574,7 +574,8 @@ def _reference_chain_batch(net, f, d, prior, sched, rngs, record_steps):
         x = np.concatenate([f, y, prior, d, temb], axis=1)
         eps_hat = net.forward(Tensor2(x)).data
         y0_tilde = df.predict_y0(y, eps_hat, prior, t, sched)
-        mean, var = df.posterior_params(y, y0_tilde, prior, t, sched)
+        g0, g1, g2, var = df.posterior_coefficients(t, sched)
+        mean = g0 * y0_tilde + g1 * y + g2 * prior
         z = np.stack([rng.standard_normal(k) for rng in rngs])
         if var == 0.0:
             z = np.zeros_like(z)

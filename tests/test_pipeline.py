@@ -1,11 +1,13 @@
 """Orchestration and CLI: training stages, evaluation, ablation, export."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -840,6 +842,11 @@ def bad_input_base(small_dir, tmp_path_factory):
     return work
 
 
+def _copy_of(name):
+    """Write a copy of the fixture's file name at the path."""
+    return lambda path: path.write_bytes((path.parent / name).read_bytes())
+
+
 def _truncate(path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
@@ -1172,6 +1179,16 @@ _BAD_INPUTS = {
     # a missing directory above an output is made, but not over a file
     "eval-report-parent-is-a-file": (3, "eval", ["--report", "{w}/g.json/r.json"],
                                      "g.json", None, None),
+    # an output that is another output or an input (each exited 0 after the
+    # work, with the input overwritten): ablate's report over the base an
+    # earlier ablation left, a denoiser over its guidance, a report over the
+    # dataset
+    "ablate-out-is-its-base": (2, "ablate", ["--out", "{w}/ablate_guidance.base.json"],
+                               "ablate_guidance.base.json", _copy_of("g.json"), None),
+    "train-diffusion-out-is-guidance": (
+        2, "train-diffusion", ["--out", "{w}/g.json"], "g.json", None, None),
+    "eval-report-is-target-csv": (
+        2, "eval", ["--report", "{w}/data/target.csv"], "data/target.csv", None, None),
     # command-line errors give one line, not a usage block and SystemExit
     "unknown-flag": (2, "eval", ["--bogus", "1"], None, None, None),
     "retired-flag": (2, "train-diffusion", ["--epochs", "1"], None, None, None),
@@ -1278,6 +1295,30 @@ def test_cli_out_directory_is_refused_before_any_read(command, side, bad_input_b
     assert capsys.readouterr().err == f"configuration error: {key}: {out!r} names no file\n"
     assert reads == []
     assert tree() == before
+
+
+# the _BAD_INPUTS cases of the same-file rule, with the key and the reason
+# of their message
+_SAME_FILE = {
+    "ablate-out-is-its-base": ("out", "written twice"),
+    "train-diffusion-out-is-guidance": ("out", "an input (--guidance)"),
+    "eval-report-is-target-csv": ("report", "an input (--data)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAME_FILE))
+def test_cli_output_over_an_input_is_refused_before_any_read(case, bad_input_base, tmp_path,
+                                                             monkeypatch, capsys):
+    # the file keeps its bytes, and no dataset is read
+    key, what = _SAME_FILE[case]
+    argv = _bad_input_argv(case, bad_input_base, tmp_path)
+    path = tmp_path / "w" / _BAD_INPUTS[case][3]
+    before = path.read_bytes()
+    reads = _count_calls(monkeypatch, pl, "read_dataset")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {key}: {str(path)!r} is {what}\n"
+    assert reads == []
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("command", ["train-guidance", "train-diffusion", "eval",
@@ -1540,3 +1581,28 @@ def test_step_split_script_times_the_three_loops(small_dir):
         for phase in ("forward", "backward", "update", "step"):
             assert split[loop][f"{phase}_us"] > 0.0
     assert split["rounds"] == 2 and split["cores"] >= 1 and split["blas"]
+
+
+def test_output_digests_script_lists_every_file_it_writes(small_dir, tmp_path):
+    # scripts/output_digests.py at tiny size: one sha256 line per file under
+    # --out (the desk run's nine and the stage commands' eight), and its peak
+    # RSS on stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(script), str(small_dir), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    lines = [line.split("  ") for line in proc.stdout.splitlines()]
+    listed = {name: digest for digest, name in lines}
+    assert len(lines) == len(listed) and listed == written
+    assert sorted(listed) == [
+        "ablate_denoiser.json", "ablate_guidance.base.json", "ablate_guidance.json",
+        "ablation.json", "eval_adapted.json", "eval_diffusion.json", "eval_zero-shot.json",
+        "stages/d.npz", "stages/d.npz.log", "stages/g.base.npz", "stages/g.npz",
+        "stages/g.npz.log", "stages/r.json", "stages/t.csv", "stages/t.csv.silhouette.json",
+        "trajectory.csv", "trajectory.csv.silhouette.json"]
+    assert re.search(r"^peak RSS \d+\.\d MB$", proc.stderr, re.M), proc.stderr
