@@ -166,16 +166,16 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Dataset]:
     return source, target
 
 
-def stratified_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def stratified_split(ds: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:
     """Per-class split of floor(n * fraction) train rows, apportioned from each
-    class's count * fraction; train_fraction is a checked value in (0, 1)."""
+    class's count * fraction, train_fraction in (0, 1); ds.seed seeds the draw."""
     counts = np.bincount(ds.labels, minlength=ds.k)
     if np.any(counts == 0):
         empty = int(np.argmin(counts))
         raise DataError(f"class {empty} has no samples; cannot stratify")
     takes = apportion(int(np.floor(ds.n * train_fraction)), counts * train_fraction)
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _SUB_SPLIT)))
+    rng = np.random.default_rng(np.random.SeedSequence((ds.seed, _SUB_SPLIT)))
     train_idx: list[int] = []
     test_idx: list[int] = []
     for j in range(ds.k):
@@ -423,6 +423,9 @@ def read_dataset(path: str | Path) -> Dataset:
         "metadata",
         {"n": int, "d_in": int, "k": int, "domain_tag": str, "seed": int},
     )
+    # the seed seeds the split, and SeedSequence refuses a negative one
+    if meta["seed"] < 0:
+        raise ParseError(f"metadata {meta_beside(path)}: key 'seed' is negative")
     if not path.exists():
         raise ParseError(f"dataset file not found: {path}")
     n, d_in, k = meta["n"], meta["d_in"], meta["k"]

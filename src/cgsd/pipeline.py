@@ -165,8 +165,8 @@ def load_domain(data_dir: str | Path, domain: str) -> Dataset:
 
 
 def _target_split(data_dir: str | Path, cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    """The run's one (train, test) split of the target domain."""
-    return stratified_split(load_domain(data_dir, "target"), cfg.train_fraction, cfg.seed)
+    """The target domain's one (train, test) split, seeded by the data, not the run."""
+    return stratified_split(load_domain(data_dir, "target"), cfg.train_fraction)
 
 
 def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:

@@ -121,7 +121,7 @@ def separable_stage1(tmp_path_factory):
         out, cfg, out / "guidance.json", out / "guidance.base.json"
     )
     model = gd.load_guidance(out / "guidance.json")
-    _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
+    _, test = stratified_split(target, cfg.train_fraction)
     acc = float(np.mean(np.argmax(pl.conditioning(model, test.features)[1], axis=1)
                         == test.labels))
     return {

@@ -167,7 +167,7 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
     pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
     model = gd.load_guidance(tmp_path / "g.json")
     target = read_dataset(small_dir / "target.csv")
-    _, test = stratified_split(target, cfg.train_fraction, cfg.seed)
+    _, test = stratified_split(target, cfg.train_fraction)
     f, d, prior = pl.conditioning(model, test.features)
     y0 = np.eye(test.k)[test.labels]
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
@@ -425,8 +425,7 @@ def test_full_split_encodes_peak_below_their_outputs(bench_dir):
     # allocations stays near the conditioning's own arrays (one pass over all
     # rows peaked at 5.4 times them)
     cfg = pl.RunConfig()
-    train, _ = stratified_split(read_dataset(bench_dir / "target.csv"),
-                                cfg.train_fraction, cfg.seed)
+    train, _ = stratified_split(read_dataset(bench_dir / "target.csv"), cfg.train_fraction)
     model = gd.GuidanceModel.build(train.d_in, cfg.hidden, cfg.d_model, train.k,
                                    cfg.rank, cfg.alpha, cfg.seed, frozen_base=True)
 
@@ -558,6 +557,50 @@ def test_stage1_test_split_is_load_runs(small_dir, tmp_path, seed, fraction):
     assert np.array_equal(s1["test"].labels, test.labels)
 
 
+def test_a_run_seed_never_scores_training_rows(desk_ablation, tmp_path):
+    # the seed-42 checkpoints scored at run seed 7 score the rows the seed-42
+    # ablation held out (729 of stage 1's training rows while the run seed
+    # seeded the split)
+    data_dir, cfg, guidance = (desk_ablation[k] for k in ("data_dir", "cfg", "guidance"))
+    trained = {row.tobytes() for row in pl.load_run(data_dir, cfg, guidance)[2].features}
+    test = pl.load_run(data_dir, replace(cfg, seed=7), guidance)[3]
+    assert not any(row.tobytes() in trained for row in test.features)
+    report = tmp_path / "r.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", "--data", str(data_dir), "--guidance", str(guidance),
+                         "--seed", "7", "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["n_eval"] == test.n == 1099
+    # the ablation's adapted row, scored on the same rows
+    assert doc["accuracy"] == desk_ablation["report"]["rows"][1]["accuracy"]
+
+
+def test_every_run_seed_trains_and_scores_one_split(small_dir, tmp_path, monkeypatch):
+    # the run seed seeds initialisation, shuffles and draws, never the split
+    hashes = []
+    for seed in (TINY.seed, TINY.seed + 1):
+        (tmp_path / str(seed)).mkdir()
+        out = tmp_path / str(seed) / "ablation.json"
+        hashes.append(pl.ablate(small_dir, replace(TINY, seed=seed), out)["split_hash"])
+    assert hashes[0] == hashes[1]
+
+    # stage 2 at another run seed than stage 1's trains on stage 1's rows
+    s1 = pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
+    held_out = {row.tobytes() for row in s1["test"].features}
+    target = read_dataset(small_dir / "target.csv")
+    stage1_rows = [row.tobytes() for row in target.features if row.tobytes() not in held_out]
+    seen, real = [], pl.conditioning
+
+    def recording(model, features):
+        seen.append(features)
+        return real(model, features)
+
+    monkeypatch.setattr(pl, "conditioning", recording)
+    pl.train_stage2(small_dir, tmp_path / "g.json", replace(TINY, seed=TINY.seed + 1),
+                    tmp_path / "d.json")
+    assert [row.tobytes() for row in seen[0]] == stage1_rows
+
+
 def test_ablate_reads_each_input_once_per_stage(small_dir, tmp_path, monkeypatch):
     # stage 1 and stage 2 each read target.csv once, and ablate scores stage
     # 1's test split; the pretrain reads source.csv, and only the zero-shot
@@ -622,7 +665,7 @@ def test_export_trajectory_schema(small_dir, tiny_trained, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,item_id,true_label,px,py"
     target = read_dataset(small_dir / "target.csv")
-    _, test = stratified_split(target, TINY.train_fraction, TINY.seed)
+    _, test = stratified_split(target, TINY.train_fraction)
     assert len(lines) - 1 == 2 * test.n
     sil = json.loads((tmp_path / "traj.csv.silhouette.json").read_text())
     assert set(sil["silhouette_by_step"]) == {"0", str(TINY.t_total)}
@@ -680,7 +723,7 @@ def test_readme_trajectory_demo_runs(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert [cli.main(argv) for argv in commands] == [0, 0, 0]
     cfg = pl.RunConfig()
-    _, test = stratified_split(read_dataset(data / "target.csv"), cfg.train_fraction, cfg.seed)
+    _, test = stratified_split(read_dataset(data / "target.csv"), cfg.train_fraction)
     assert len((data / "trajectory.csv").read_text().splitlines()) == 1 + 6 * test.n
     sil = json.loads((data / "trajectory.csv.silhouette.json").read_text())
     assert sorted(sil["silhouette_by_step"], key=int, reverse=True) == [
@@ -903,7 +946,7 @@ def _feature(value, split):
     def damage(path):
         target = read_dataset(path)
         cfg = pl.RunConfig()
-        row = stratified_split(target, cfg.train_fraction, cfg.seed)[split].features[0]
+        row = stratified_split(target, cfg.train_fraction)[split].features[0]
         line = 1 + int(np.flatnonzero((target.features == row).all(axis=1))[0])
         lines = path.read_text().split("\n")
         fields = lines[line].split(",")
@@ -1058,6 +1101,10 @@ _BAD_INPUTS = {
     "target-csv-meta-d_in-10**20": (
         3, "eval", [], "data/target.csv", _dataset_meta("d_in", 10**20), None),
     "target-csv-meta-nested": (3, "eval", [], "data/target.csv", _nested_dataset_meta, None),
+    # the sidecar seed seeds the split, and SeedSequence refuses a negative
+    # one (exit 0 while the run's --seed seeded it)
+    "target-csv-meta-seed-negative": (
+        3, "eval", [], "data/target.csv", _dataset_meta("seed", -1), None),
     # a grade count above the row count sized the split's per-grade counts
     # (10**10 asked for 74.5 GiB; 2**70 overflowed)
     # the rows are counted before an array of n rows is allocated
