@@ -1,11 +1,13 @@
 """Time the per-step split of the three training loops (source pretraining,
 stage 1 and stage 2): forward, backward and update per step.
 
-Every training batch runs through ``pipeline._epoch``, so the script wraps
-it for the length of the run and times, per batch, the batch loss on a fresh
-tape (forward), ``backward`` (backward) and the stage's update (update);
-the whole epoch over its batches is the step time, which adds the loop's own
-work (the shuffle, the tape, the loss check). A round runs one block of each
+Every stage trains through ``pipeline._fit``, the one training loop, so the
+script wraps it for the length of the run, reads the loop from its ``stage``
+argument and times, per batch, the batch loss on a fresh tape (forward),
+``backward`` (backward) and the stage's step (update); the loop's time less
+that of its ``note`` (stage 1's train-split accuracy) is the step time, which
+adds the loop's own work (the rates, the shuffle, stage 2's draws, the tape,
+the loss check). A round runs one block of each
 loop in turn, in one process: a ``train_stage1`` call (a pretraining block,
 then a stage-1 block) and a ``train_stage2`` call on its checkpoint, each of
 ``--epochs`` epochs of the desk preset's settings. A block's value is its
@@ -34,8 +36,7 @@ import numpy as np
 
 from cgsd import pipeline
 
-# the stage function that calls _epoch -> the loop's name in the output
-LOOPS = {"pretrain_base": "pretrain", "train_stage1": "stage1", "train_stage2": "stage2"}
+LOOPS = ("pretrain", "stage1", "stage2")  # _fit's stage names
 PHASES = ("forward", "backward", "update", "step")
 
 
@@ -69,30 +70,33 @@ def main(argv=None) -> None:
                   desk_preset=False, pretrain_epochs=args.epochs,
                   stage1_epochs=args.epochs, stage2_epochs=args.epochs)
     blocks: list[dict] = []
-    epoch, backward = pipeline._epoch, pipeline.backward
+    fit, backward = pipeline._fit, pipeline.backward
 
-    def timed_epoch(n, batch, rng, batch_loss, flat, update, lr, what):
-        spent = blocks[-1][LOOPS[sys._getframe(1).f_code.co_name]]
-        spent["steps"] += -(-n // batch)
+    def timed_fit(stage, flat, step, plans, n, batch, epochs, cfg, tag, batch_loss, log, note):
+        spent = blocks[-1][stage]
+        spent["steps"] += epochs * -(-n // batch)
         pipeline.backward = _timed(backward, spent, "backward")
-        return _timed(epoch, spent, "step")(
-            n, batch, rng, _timed(batch_loss, spent, "forward"), flat,
-            _timed(update, spent, "update"), lr, what)
+        _timed(fit, spent, "step")(
+            stage, flat, _timed(step, spent, "update"), plans, n, batch, epochs, cfg, tag,
+            lambda epoch: _timed(batch_loss(epoch), spent, "forward"), log,
+            _timed(note, spent, "note"))
 
-    pipeline._epoch = timed_epoch
+    pipeline._fit = timed_fit
     try:
         with tempfile.TemporaryDirectory() as tmp:
             guidance = Path(tmp) / "g.npz"
             for _ in range(args.rounds):
-                blocks.append({loop: dict.fromkeys(("steps",) + PHASES, 0)
-                               for loop in LOOPS.values()})
+                blocks.append({loop: dict.fromkeys(("steps", "note") + PHASES, 0)
+                               for loop in LOOPS})
                 pipeline.train_stage1(args.data, cfg, guidance, Path(tmp) / "g.base.npz")
                 pipeline.train_stage2(args.data, guidance, cfg, Path(tmp) / "d.npz")
     finally:
-        pipeline._epoch, pipeline.backward = epoch, backward
+        pipeline._fit, pipeline.backward = fit, backward
 
     out = {}
-    for loop in LOOPS.values():
+    for loop in LOOPS:
+        for b in blocks:
+            b[loop]["step"] -= b[loop]["note"]
         steps = blocks[0][loop]["steps"]
         out[loop] = {"steps": steps} | {
             f"{phase}_us": round(statistics.median(

@@ -229,42 +229,52 @@ def load_run(
     return model, (net, sched), train, test
 
 
-def _lr_plan(base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int) -> optim.LrPlan:
-    """The plan of base_lr, one of cfg's checked rates. Clamping its floor
-    (stage2_lr_min) and warmup start to base_lr and flooring its epoch count
-    give every plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
-    return optim.LrPlan(
-        base_lr=base_lr,
-        min_lr=min(cfg.stage2_lr_min, base_lr),
-        warmup_start_lr=min(cfg.warmup_start_lr, base_lr),
-        warmup_epochs=warmup_epochs,
-        total_epochs=max(epochs, warmup_epochs + 1),
-    )
+GUIDANCE_LR_MIN = 1e-5  # the guidance plans' floor, stage2_lr_min's default; no field moves it
 
 
-def _epoch(n: int, batch: int, rng: np.random.Generator, batch_loss,
-           flat: optim.FlatParams, update, lr, what: str) -> float:
-    """One training epoch of every stage over minibatches of n rows in the
-    order rng shuffles: per batch, batch_loss(idx, tape) on a fresh tape,
-    checked finite as what, backward into flat's gradient buffer, then
-    update(lr). Returns the mean loss."""
-    order = rng.permutation(n)
-    losses = []
-    for start in range(0, n, batch):
-        idx = order[start : start + batch]
-        tape = GradTape()
-        loss = batch_loss(idx, tape)
-        losses.append(check_finite(loss.item(), what))
-        backward(loss, tape, flat.params, out=flat.grads)
-        update(lr)
-    return float(np.mean(losses))
+def _lr_plan(base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int,
+             min_lr: float = GUIDANCE_LR_MIN) -> optim.LrPlan:
+    """The plan of base_lr, one of cfg's checked rates, floored at min_lr. Clamping
+    that floor and the warmup start to base_lr and the epoch count up give
+    every plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
+    return optim.LrPlan(base_lr, min(min_lr, base_lr), min(cfg.warmup_start_lr, base_lr),
+                        warmup_epochs, max(epochs, warmup_epochs + 1))
 
 
-def _guidance_loss(model: gd.GuidanceModel, data: Dataset, cfg: RunConfig):
-    """The batch loss of a guidance training stage on data's rows."""
-    return lambda idx, tape: gd.guidance_loss(
-        data.features[idx], data.labels[idx], model, cfg.lambda_rank, cfg.margin, tape
-    )
+def _fit(stage, flat, step, plans, n, batch, epochs, cfg, tag, batch_loss, log, note) -> None:
+    """Every stage's training epochs. Per epoch: each group's rate from its plan
+    (over flat.spans; a scalar for one group), a (seed, tag) shuffle of n rows,
+    and per batch of it batch_loss(epoch)(idx, tape) on a fresh tape, checked
+    finite, backward into flat's gradient buffer and step(rate); then the log
+    line stage,epoch,rate (the first group's),mean loss and note()."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
+    sizes = [span.stop - span.start for span in flat.spans]
+    for epoch in range(epochs):
+        lrs = [optim.lr_at(epoch, plan) for plan in plans]
+        rate = lrs[0] if len(lrs) == 1 else np.repeat(lrs, sizes)
+        loss_of, order, losses = batch_loss(epoch), rng.permutation(n), []
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            tape = GradTape()
+            loss = loss_of(idx, tape)
+            losses.append(check_finite(loss.item(), f"the loss of {stage} epoch {epoch}"))
+            backward(loss, tape, flat.params, out=flat.grads)
+            step(rate)
+        log.append(f"{stage},{epoch},{lrs[0]:.8g},{np.mean(losses):.8g}{note()}")
+
+
+def _train_guidance(stage, model: gd.GuidanceModel, groups, lrs, warmup_epochs, data: Dataset,
+                    batch, epochs, cfg: RunConfig, tag, log, note=lambda: "") -> None:
+    """The guidance trainer of source pretraining and stage 1: RAdam over the
+    groups laid end to end, group i on the plan of rate lrs[i], and
+    guidance_loss on data's rows."""
+    flat = optim.FlatParams(*groups)
+    plans = [_lr_plan(lr, cfg, warmup_epochs, epochs) for lr in lrs]
+    step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
+    _fit(stage, flat, step, plans, data.n, batch, epochs, cfg, tag,
+         lambda epoch: lambda idx, tape: gd.guidance_loss(
+             data.features[idx], data.labels[idx], model, cfg.lambda_rank, cfg.margin, tape),
+         log, note)
 
 
 def pretrain_base(source: Dataset, cfg: RunConfig, log: list[str]) -> gd.GuidanceModel:
@@ -272,16 +282,9 @@ def pretrain_base(source: Dataset, cfg: RunConfig, log: list[str]) -> gd.Guidanc
     encoder. Stands in for generic pretrained guidance weights."""
     model = gd.GuidanceModel.build(source.d_in, cfg.hidden, cfg.d_model, source.k, cfg.rank,
                                    cfg.alpha, cfg.seed)
-    flat = optim.FlatParams(model.base_params() + model.prompt_params())
-    plan = _lr_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs)
-    step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 41)))
-    batch_loss = _guidance_loss(model, source, cfg)
-    for epoch in range(cfg.pretrain_epochs):
-        lr = optim.lr_at(epoch, plan)
-        mean_loss = _epoch(source.n, cfg.pretrain_batch, rng, batch_loss, flat, step, lr,
-                           f"the loss of guidance epoch {epoch}")
-        log.append(f"pretrain,{epoch},{lr:.8g},{mean_loss:.8g}")
+    _train_guidance("pretrain", model, [model.base_params() + model.prompt_params()],
+                    [cfg.pretrain_lr], 0, source, cfg.pretrain_batch, cfg.pretrain_epochs,
+                    cfg, 41, log)
     model.frozen_base = True
     return model
 
@@ -305,25 +308,15 @@ def train_stage1(
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
-    # the adapter's plan and that of the prompts and log scale fill one
-    # per-value rate array over the one flat array and optimizer state
-    plans = [_lr_plan(lr, cfg, cfg.warmup_epochs, cfg.stage1_epochs)
-             for lr in (cfg.lr_lora, cfg.lr_prompt)]
-    flat = optim.FlatParams(model.lora_params(), model.prompt_params())
-    step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
-    rates = np.empty_like(flat.data)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 43)))
-    batch_loss = _guidance_loss(model, train, cfg)
-    for epoch in range(cfg.stage1_epochs):
-        for span, plan in zip(flat.spans, plans, strict=True):
-            rates[span] = optim.lr_at(epoch, plan)
-        mean_loss = _epoch(train.n, cfg.stage1_batch, rng, batch_loss, flat, step, rates,
-                           f"the loss of guidance epoch {epoch}")
+    def accuracy() -> str:
         preds = np.argmax(similarities(model, train.features)[1], axis=1)
-        acc = float(np.mean(preds == train.labels))
-        lr = optim.lr_at(epoch, plans[0])
-        log.append(f"stage1,{epoch},{lr:.8g},{mean_loss:.8g},{acc:.6f}")
+        return f",{np.mean(preds == train.labels):.6f}"
 
+    # the adapter on lr_lora's plan, the prompts and log scale on lr_prompt's;
+    # each log line ends in the epoch's accuracy on the train split
+    _train_guidance("stage1", model, [model.lora_params(), model.prompt_params()],
+                    [cfg.lr_lora, cfg.lr_prompt], cfg.warmup_epochs, train, cfg.stage1_batch,
+                    cfg.stage1_epochs, cfg, 43, log, accuracy)
     frozen_hash_after = _hash_arrays([t.data for t in model.base_params()])
     gd.save_guidance(out_path, model)
     return {"log": log, "frozen_hash_before": frozen_hash_before,
@@ -351,29 +344,26 @@ def train_stage2(
     flat = optim.FlatParams(net.params())
     state = optim.AdamState()
     ema = optim.EmaState.from_params(flat.data, cfg.ema_mu)
-    plan = _lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
     log: list[str] = []
 
     # a step clips the gradient, then takes Adam's step, then averages the weights
-    def update(lr):
+    def step(lr):
         optim.clip_grad_norm(flat, cfg.clip)
         optim.adam_step(flat.data, flat.grad, state, lr)
         optim.ema_update(ema, flat.data)
 
-    for epoch in range(cfg.stage2_epochs):
-        lr = optim.lr_at(epoch, plan)
-        # item i's timestep and noise are row i of the epoch's draws, so they
-        # depend on (seed, epoch, item) alone, never on the item's batch
+    # item i's timestep and noise are row i of the epoch's draws, so they
+    # depend on (seed, epoch, item) alone, never on the item's batch
+    def batch_loss(epoch):
         draws = np.random.default_rng(np.random.SeedSequence((cfg.seed, 53, epoch)))
         t_values = draws.integers(1, cfg.t_total + 1, train.n)
         eps = draws.standard_normal((train.n, train.k))
-        mean_loss = _epoch(
-            train.n, cfg.stage2_batch, rng,
-            lambda idx, tape: df.epsilon_loss(net, f[idx], y0[idx], prior[idx], d[idx],
-                                              sched, t_values[idx], eps[idx], tape),
-            flat, update, lr, f"the loss of stage2 epoch {epoch}")
-        log.append(f"stage2,{epoch},{lr:.8g},{mean_loss:.8g}")
+        return lambda idx, tape: df.epsilon_loss(net, f[idx], y0[idx], prior[idx], d[idx],
+                                                 sched, t_values[idx], eps[idx], tape)
+
+    plan = _lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs, cfg.stage2_lr_min)
+    _fit("stage2", flat, step, [plan], train.n, cfg.stage2_batch, cfg.stage2_epochs, cfg, 47,
+         batch_loss, log, lambda: "")
 
     # the checkpoint holds the weight average, which inference runs
     np.copyto(flat.data, ema.shadow)

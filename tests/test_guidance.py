@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cgsd import guidance as gd
-from cgsd import optim
 from cgsd import pipeline as pl
 from cgsd import numkit as nk
 from cgsd.data import Dataset
@@ -285,7 +284,7 @@ def test_ranking_loss_overflow_reaches_the_loss_check():
                       for loss_fn in (_ranking_loss_per_op, gd.ranking_loss)]
         assert values[0] == values[1] and math.isfinite(values[0]) == finite
     with pytest.raises(NumericError):
-        nk.check_finite(values[1], "the loss of guidance epoch 0")
+        nk.check_finite(values[1], "the loss of stage1 epoch 0")
 
 
 def test_guidance_loss_lambda_switch():
@@ -346,26 +345,22 @@ def test_guidance_loss_rejects_empty_batch():
 
 
 def test_frozen_base_receives_no_gradient():
-    # one stage-1 epoch, with stage 1's optimizer state and per-value rates
-    # over its two groups, on a frozen model: the encoder keeps its bytes,
-    # and lora B (zero at init), the prompts and the log scale move
+    # one stage-1 epoch through the guidance trainer, with stage 1's groups
+    # and rates, on a frozen model: the encoder keeps its bytes, and lora B
+    # (zero at init), the prompts and the log scale move
     model = small_model(seed=9, frozen=True)
     rng = np.random.default_rng(10)
     data = Dataset(rng.standard_normal((8, 10)), np.array([0, 1, 2, 3, 4, 0, 1, 2]),
                    5, "target", 0)
     cfg = pl.RunConfig()
-    flat = optim.FlatParams(model.lora_params(), model.prompt_params())
-    rates = np.empty_like(flat.data)
-    for span, lr in zip(flat.spans, (cfg.lr_lora, cfg.lr_prompt), strict=True):
-        rates[span] = optim.lr_at(0, pl._lr_plan(lr, cfg, 0, 2))
-    state = optim.AdamState()
     base = [t.data.tobytes() for t in model.base_params()]
     moving = {"lora_b": model.lora_b, "prompts": model.prompts,
               "log_scale": model.log_scale}
     before = {name: t.data.copy() for name, t in moving.items()}
-    pl._epoch(data.n, 4, rng, pl._guidance_loss(model, data, cfg), flat,
-              lambda lr: optim.radam_step(flat.data, flat.grad, state, lr), rates,
-              "the loss of guidance epoch 0")
+    log: list[str] = []
+    pl._train_guidance("stage1", model, [model.lora_params(), model.prompt_params()],
+                       [cfg.lr_lora, cfg.lr_prompt], 0, data, 4, 1, cfg, 43, log)
+    assert [line.split(",")[:2] for line in log] == [["stage1", "0"]]
     assert [t.data.tobytes() for t in model.base_params()] == base
     for name, t in moving.items():
         assert not np.array_equal(t.data, before[name]), name

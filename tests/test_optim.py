@@ -152,8 +152,9 @@ _RATE = st.floats(min_value=1e-9, max_value=1.0)
 )
 def test_lr_plan_invariants(rates, floor_share, epochs):
     # every plan the training loops build from a valid RunConfig, including
-    # guidance rates below the floor stage2_lr_min and the warmup start, holds
-    # LrPlan's invariants and keeps each epoch's rate in (0, base_lr]
+    # guidance rates below their floor GUIDANCE_LR_MIN and the warmup start,
+    # holds LrPlan's invariants and keeps each epoch's rate in (0, base_lr];
+    # the guidance plans floor at GUIDANCE_LR_MIN, stage 2's at stage2_lr_min
     pretrain_lr, lr_lora, lr_prompt, warmup_start_lr, stage2_lr = rates
     cfg = pl.RunConfig(
         pretrain_lr=pretrain_lr, lr_lora=lr_lora, lr_prompt=lr_prompt,
@@ -165,8 +166,11 @@ def test_lr_plan_invariants(rates, floor_share, epochs):
         pl._lr_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs),
         pl._lr_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs),
         pl._lr_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs),
-        pl._lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs),
+        pl._lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs, cfg.stage2_lr_min),
     ]
+    floors = [pl.GUIDANCE_LR_MIN] * 3 + [cfg.stage2_lr_min]
+    assert [plan.min_lr for plan in plans] == [
+        min(floor, plan.base_lr) for floor, plan in zip(floors, plans, strict=True)]
     for plan in plans:
         assert 0 < plan.min_lr <= plan.base_lr
         assert plan.warmup_epochs < plan.total_epochs

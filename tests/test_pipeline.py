@@ -32,6 +32,7 @@ from cgsd.errors import ConfigError, DataError, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
 import ckpt_edit as ckpt
 import optim_oracle as oracle
+from guidance_oracle import encode_per_op, guidance_loss_per_op, similarity_per_op
 
 
 TINY = pl.RunConfig(
@@ -140,6 +141,82 @@ def test_stage1_pretrains_over_a_stale_base(small_dir, tmp_path):
     assert len(pretrain) == other.pretrain_epochs
     for rerun, fresh in (("g.json", "f.json"), ("g.base.json", "f.base.json")):
         assert (tmp_path / rerun).read_bytes() == (tmp_path / fresh).read_bytes()
+
+
+def _guidance_per_tensor(data_dir, cfg):
+    """train_stage1's two guidance loops, source pretraining and stage 1, on
+    their (seed, 41) and (seed, 43) shuffles, with the per-op guidance loss of
+    guidance_oracle and the per-tensor RAdam of optim_oracle, one state and
+    one rate per group: the rule the guidance trainer's folded loss, flat
+    array and per-value rates must reproduce. Returns the log lines and the
+    pretrained base's and the adapted model's tensors."""
+    train, _ = stratified_split(read_dataset(data_dir / "target.csv"), cfg.train_fraction)
+    source = read_dataset(data_dir / "source.csv")
+    model = gd.GuidanceModel.build(source.d_in, cfg.hidden, cfg.d_model, source.k, cfg.rank,
+                                   cfg.alpha, cfg.seed)
+    tensors = lambda: [t.data.copy() for t in
+                       model.base_params() + model.lora_params() + model.prompt_params()]
+    log = []
+
+    def loop(stage, tag, data, groups, lrs, warmup, epochs, batch):
+        plans = [optim.LrPlan(lr, min(1e-5, lr), min(cfg.warmup_start_lr, lr), warmup,
+                              max(epochs, warmup + 1)) for lr in lrs]
+        states = [oracle.AdamState() for _ in groups]
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
+        for epoch in range(epochs):
+            rates = [optim.lr_at(epoch, plan) for plan in plans]
+            order = rng.permutation(data.n)
+            losses = []
+            for start in range(0, data.n, batch):
+                idx = order[start : start + batch]
+                tape = GradTape()
+                loss = guidance_loss_per_op(data.features[idx], data.labels[idx], model,
+                                            cfg.lambda_rank, cfg.margin, tape)
+                grads = iter(backward(loss, tape, [p for group in groups for p in group]))
+                for group, state, lr in zip(groups, states, rates, strict=True):
+                    oracle.radam_step(group, [next(grads) for _ in group], state, lr)
+                losses.append(loss.item())
+            line = f"{stage},{epoch},{rates[0]:.8g},{float(np.mean(losses)):.8g}"
+            if stage == "stage1":
+                d = similarity_per_op(model, encode_per_op(model, data.features)).data
+                line += f",{float(np.mean(np.argmax(d, axis=1) == data.labels)):.6f}"
+            log.append(line)
+
+    loop("pretrain", 41, source, [model.base_params() + model.prompt_params()],
+         [cfg.pretrain_lr], 0, cfg.pretrain_epochs, cfg.pretrain_batch)
+    model.frozen_base = True
+    base = tensors()
+    loop("stage1", 43, train, [model.lora_params(), model.prompt_params()],
+         [cfg.lr_lora, cfg.lr_prompt], cfg.warmup_epochs, cfg.stage1_epochs, cfg.stage1_batch)
+    return log, base, tensors()
+
+
+@pytest.mark.parametrize("cfg", [
+    TINY,
+    # past the warmup into the cosine, and past RAdam's first steps
+    replace(TINY, pretrain_epochs=4, stage1_epochs=5, warmup_epochs=1, pretrain_batch=32),
+])
+def test_guidance_loops_match_per_tensor_reference(cfg, small_dir, tmp_path):
+    # 90 source rows and 62 train rows: every loop's last batch is short
+    result = pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
+    log, base, adapted = _guidance_per_tensor(small_dir, cfg)
+    assert result["log"] == log
+    for path, want in ((tmp_path / "g.base.json", base), (tmp_path / "g.json", adapted)):
+        model = gd.load_guidance(path)
+        got = model.base_params() + model.lora_params() + model.prompt_params()
+        for p, w in zip(got, want, strict=True):
+            assert np.array_equal(p.data, w), path.name
+
+
+def test_stage2_lr_min_never_reaches_the_guidance_stages(small_dir, tmp_path):
+    # the guidance plans floor at GUIDANCE_LR_MIN, so a stage-2 floor changes
+    # neither the pretrained base nor the adapted model, nor their log
+    runs = []
+    for name, cfg in (("a", TINY), ("b", replace(TINY, stage2_lr_min=2e-4))):
+        out, base = tmp_path / f"{name}.json", tmp_path / f"{name}.base.json"
+        result = pl.train_stage1(small_dir, cfg, out, base)
+        runs.append((result["log"], out.read_bytes(), base.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +397,31 @@ def test_nonfinite_loss_guard(small_dir, monkeypatch):
             lambda *args, bad=bad: nk.scale(loss_fn(*args), bad, args[-1]),
         )
         with np.errstate(all="ignore"), pytest.raises(
-            NumericError, match="non-finite value in the loss of guidance epoch 0"
+            NumericError, match="non-finite value in the loss of pretrain epoch 0"
         ):
             pl.pretrain_base(source, TINY, [])
     monkeypatch.setattr(gd, "guidance_loss", loss_fn)
     log: list[str] = []
     pl.pretrain_base(source, TINY, log)
     assert all(math.isfinite(float(line.split(",")[-1])) for line in log)
+
+
+def test_nonfinite_stage1_loss_names_its_stage(small_dir, tmp_path, monkeypatch):
+    # a loss that turns nan only once the base is frozen passes pretraining
+    # and is refused in stage 1's first epoch, under stage 1's name; the
+    # base is written, the adapted model is not
+    loss_fn = gd.guidance_loss
+
+    def nan_once_frozen(features, labels, model, *args):
+        loss = loss_fn(features, labels, model, *args)
+        return nk.scale(loss, float("nan"), args[-1]) if model.frozen_base else loss
+
+    monkeypatch.setattr(gd, "guidance_loss", nan_once_frozen)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match="non-finite value in the loss of stage1 epoch 0"
+    ):
+        pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
+    assert (tmp_path / "g.base.json").exists() and not (tmp_path / "g.json").exists()
 
 
 def test_stage2_saves_the_weight_average(small_dir, tmp_path):
