@@ -12,9 +12,17 @@ import numpy as np
 from .errors import DataError
 
 
-def confusion_and_metrics(preds, labels, k: int) -> tuple[np.ndarray, float, np.ndarray, float]:
+def confusion_and_metrics(
+    preds, labels, k: int
+) -> tuple[np.ndarray, float, np.ndarray, float, float, float]:
     """The k x k counts (rows true grade, columns predicted), accuracy,
-    per-class F1 and macro-F1."""
+    per-class F1, macro-F1, QWK and the mean absolute grade error.
+
+    QWK is Cohen's quadratic weighted kappa, 1 - n * sum (i - j)^2 O_ij /
+    sum (i - j)^2 r_i c_j, with O the counts and r, c their row and column
+    sums. When every label and every prediction lie in one grade both sums
+    are 0, and QWK is 1.0: no disagreement was possible or seen, and QWK is
+    1 exactly when every prediction equals its label."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape or preds.ndim != 1 or preds.size == 0:
@@ -38,7 +46,13 @@ def confusion_and_metrics(preds, labels, k: int) -> tuple[np.ndarray, float, np.
         denom = 2 * tp + fp + fn
         per_class_f1[c] = 0.0 if denom == 0 else 2.0 * tp / denom
     macro_f1 = float(per_class_f1.mean())
-    return counts, accuracy, per_class_f1, macro_f1
+
+    gap = np.subtract.outer(np.arange(k), np.arange(k))
+    observed = int((gap * gap * counts).sum())
+    chance = int((gap * gap * np.outer(counts.sum(axis=1), counts.sum(axis=0))).sum())
+    qwk = 1.0 if chance == 0 else 1.0 - preds.size * observed / chance
+    mean_abs_error = int((np.abs(gap) * counts).sum()) / preds.size
+    return counts, accuracy, per_class_f1, macro_f1, qwk, mean_abs_error
 
 
 def pca_project_2d(points: np.ndarray) -> np.ndarray:

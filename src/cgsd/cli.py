@@ -195,7 +195,7 @@ def _train_diffusion(cfg: RunConfig, a: dict) -> None:
 
 
 @_command(
-    "eval", RunConfig, ("n_samples", "seed"), ("data", "guidance", "report"),
+    "eval", RunConfig, ("n_samples", "chain_steps", "seed"), ("data", "guidance", "report"),
     {"diffusion": None}, out="report",
 )
 def _eval(cfg: RunConfig, a: dict) -> None:
@@ -218,7 +218,7 @@ def _ablate(cfg: RunConfig, a: dict) -> None:
 
 
 @_command(
-    "export-trajectory", RunConfig, ("seed",),
+    "export-trajectory", RunConfig, ("chain_steps", "seed"),
     ("data", "guidance", "diffusion", "out"), {"steps": ()}, out="out",
 )
 def _export_trajectory(cfg: RunConfig, a: dict) -> None:

@@ -217,12 +217,18 @@ def predict_y0(
     return (y_t - rest * y_hat0 - noise * eps_hat) / root
 
 
-def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, float, float]:
-    """(gamma0, gamma1, gamma2, var) of the reverse kernel from step t to t - 1:
-    mean gamma0 * y0_tilde + gamma1 * y_t + gamma2 * y_hat0, variance var."""
+def posterior_coefficients(
+    t: int, s: int, sched: NoiseSchedule
+) -> tuple[float, float, float, float]:
+    """(gamma0, gamma1, gamma2, var) of the reverse kernel from step t to an
+    earlier step s, 0 <= s < t: mean gamma0 * y0_tilde + gamma1 * y_t +
+    gamma2 * y_hat0, variance var. Any such s is exact, because the forward
+    process's posterior q(y_s | y_t, y0) has this closed form for every pair."""
     sched.check_t(t)
-    ab_s, ab_t = sched.alpha_bar[t - 1], sched.alpha_bar[t]
-    root_s, root_t = sched.coef[t - 1, 0], sched.coef[t, 0]
+    if not 0 <= s < t:
+        raise IndexError(f"step {s} outside [0, {t})")
+    ab_s, ab_t = sched.alpha_bar[s], sched.alpha_bar[t]
+    root_s, root_t = sched.coef[s, 0], sched.coef[t, 0]
     ratio = ab_t / ab_s
     one_minus = 1.0 - ab_t
     gamma0 = (1.0 - ratio) * root_s / one_minus
@@ -232,9 +238,19 @@ def posterior_coefficients(t: int, sched: NoiseSchedule) -> tuple[float, float, 
     return gamma0, gamma1, gamma2, var
 
 
+def chain_grid(t_total: int, chain_steps: int) -> list[int]:
+    """The reverse chain's descending steps t_j = T * j // K for j = K ... 0,
+    K = min(chain_steps, T): K denoiser calls per chain, and at K = T every
+    step T, T - 1, ..., 0."""
+    if chain_steps < 1:
+        raise ContractError(f"a chain needs at least one step, got {chain_steps}")
+    k = min(chain_steps, t_total)
+    return [t_total * j // k for j in range(k, -1, -1)]
+
+
 def chain_rng(seed: int, key: int) -> np.random.Generator:
-    """The generator of one item's reverse chains: chain s runs on the s-th
-    (t_total + 1) x k block of its standard normals."""
+    """The generator of one item's reverse chains: on a grid of K + 1 steps,
+    chain s runs on the s-th (K + 1) x k block of its standard normals."""
     return np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
 
 
@@ -244,21 +260,26 @@ def sample_chain_batch(
     d: np.ndarray,
     y_hat0: np.ndarray,
     sched: NoiseSchedule,
+    grid: list[int],
     noise: np.ndarray,
     record_steps=None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Run one reverse chain per row on that row's noise (a chain_rng block):
-    noise[:, 0] is the initial draw and noise[:, h] that of the h-th step.
+    """Run one reverse chain per row over grid (chain_grid's steps, T down to
+    0) on that row's noise (a chain_rng block): noise[:, 0] is the initial
+    draw and noise[:, h] that of the h-th step.
 
     Returns the final label-space vectors and snapshots of y_t at every
-    requested step (the initial draw counts as step T). A non-finite final
-    vector raises NumericError; a nan or inf in y stays one to the end.
+    requested step of the grid (the initial draw counts as step T). A
+    non-finite final vector raises NumericError; a nan or inf in y stays one
+    to the end.
     """
     f = np.atleast_2d(f)
     n = f.shape[0]
     k = y_hat0.shape[1]
-    if noise.shape != (n, sched.t_total + 1, k):
-        raise ContractError(f"need noise of shape {(n, sched.t_total + 1, k)}, got {noise.shape}")
+    if noise.shape != (n, len(grid), k):
+        raise ContractError(f"need noise of shape {(n, len(grid), k)}, got {noise.shape}")
+    if grid[0] != sched.t_total or grid[-1] != 0:
+        raise ContractError(f"a chain runs from step {sched.t_total} to 0, not {grid}")
     record = set() if record_steps is None else set(record_steps)
     snapshots: dict[int, np.ndarray] = {}
 
@@ -270,16 +291,16 @@ def sample_chain_batch(
     x = conditioning_input(f, y, y_hat0, d, sched.temb[sched.t_total])
     y_cols = x[:, f.shape[1]:f.shape[1] + k]
     work: list = []
-    for hop, t in enumerate(range(sched.t_total, 0, -1), start=1):
+    for hop, (t, s) in enumerate(zip(grid, grid[1:]), start=1):
         y_cols[...] = y
         x[:, -TEMB_DIM:] = sched.temb[t]
         eps_hat = eps_predict(net, x, work=work).data
         y0_tilde = predict_y0(y, eps_hat, y_hat0, t, sched)
-        gamma0, gamma1, gamma2, var = posterior_coefficients(t, sched)
+        gamma0, gamma1, gamma2, var = posterior_coefficients(t, s, sched)
         z = noise[:, hop] if var != 0.0 else np.zeros((n, k))
         y = gamma0 * y0_tilde + gamma1 * y + gamma2 * y_hat0 + math.sqrt(var) * z
-        if t - 1 in record:
-            snapshots[t - 1] = y.copy()
+        if s in record:
+            snapshots[s] = y.copy()
     return nk.check_finite(y, "the reverse chain's final state"), snapshots
 
 
@@ -292,13 +313,18 @@ ROW_TILE = 16
 
 def sample_chains(
     net: DenoiserNet, sched: NoiseSchedule, f: np.ndarray, d: np.ndarray, prior: np.ndarray,
-    seed: int, keys, n_samples: int = 1, record_steps=(),
+    seed: int, keys, chain_steps: int, n_samples: int = 1, record_steps=(),
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Run n_samples reverse chains per item, chain s of item i on the s-th
-    block of chain_rng(seed, keys[i]). Returns each item's mean final state
-    and, per recorded step, the states of every chain, (n_samples, n, k).
-    A chain's noise, and so its bits, depend on (seed, item key, s) alone,
+    """Run n_samples reverse chains per item over chain_grid(T, chain_steps),
+    chain s of item i on the s-th (K + 1) x k block of chain_rng(seed,
+    keys[i]). Returns each item's mean final state and, per recorded step (a
+    step of the grid), the states of every chain, (n_samples, n, k). A
+    chain's noise, and so its bits, depend on (seed, item key, s, K) alone,
     not on n_samples or batching."""
+    grid = chain_grid(sched.t_total, chain_steps)
+    off_grid = set(record_steps) - set(grid)
+    if off_grid:
+        raise ContractError(f"steps {sorted(off_grid)} are not on the chain's grid")
     n, k = prior.shape
     # Python ints: SeedSequence refuses a float key where int() would round it
     keys = np.asarray(keys).tolist()
@@ -315,13 +341,14 @@ def sample_chains(
         # the noise is drawn straight into its padded block; an item's
         # generator, made at its chain 0, draws its chains in turn, across a
         # block boundary too
-        noise = np.zeros((items.size + -items.size % ROW_TILE, sched.t_total + 1, k))
+        noise = np.zeros((items.size + -items.size % ROW_TILE, len(grid), k))
         for row, item, sample in zip(noise, items.tolist(), samples.tolist()):
             if sample == 0:
                 rng = chain_rng(seed, keys[item])
             rng.standard_normal(out=row)
         final, snaps = sample_chain_batch(
-            net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, states.keys())
+            net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, grid, noise,
+            states.keys())
         # add.at adds every row in row order, so an item's chains in sample
         # order
         np.add.at(total, items, final[:items.size])

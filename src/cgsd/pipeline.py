@@ -71,6 +71,9 @@ class RunConfig:
     ema_mu: float = 0.9999
     # inference / protocol
     n_samples: int = 5
+    # reverse-chain steps K: a chain runs min(K, t_total) denoiser calls on
+    # chain_grid's steps; scripts/seed_sweep.py's rule chose 25 (README)
+    chain_steps: int = 25
     train_fraction: float = 0.7
     seed: int = 42
     desk_preset: bool = False
@@ -80,6 +83,7 @@ class RunConfig:
             "pretrain_epochs": 0, "stage1_epochs": 0, "warmup_epochs": 0,
             "stage2_epochs": 0, "seed": 0, "rank": 1, "t_total": 1,
             "pretrain_batch": 1, "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1,
+            "chain_steps": 1,
         }
         for name, bound in least.items():
             value = getattr(self, name)
@@ -385,22 +389,28 @@ def evaluate(
 ) -> dict:
     """Metrics report on a test split: the argmax of the grade similarities
     (zero-shot) without a denoiser, of the mean of multi-sample diffusion
-    inference with a (net, schedule) pair."""
+    inference with a (net, schedule) pair; nfe_per_chain is each chain's
+    denoiser calls, min(chain_steps, T), and 0 for zero-shot."""
     f, scores, prior = conditioning(model, test.features)
+    nfe = 0
     if denoiser is not None:
-        scores, _ = df.sample_chains(
-            *denoiser, f, scores, prior, cfg.seed, np.arange(test.n), cfg.n_samples)
+        scores, _ = df.sample_chains(*denoiser, f, scores, prior, cfg.seed, np.arange(test.n),
+                                     cfg.chain_steps, cfg.n_samples)
+        nfe = min(cfg.chain_steps, denoiser[1].t_total)
     preds = np.argmax(scores, axis=1)  # ties go to the smaller grade
     mode = "zero-shot" if denoiser is None else "diffusion"
 
-    counts, acc, per_f1, macro = confusion_and_metrics(preds, test.labels, test.k)
+    counts, acc, per_f1, macro, qwk, mae = confusion_and_metrics(preds, test.labels, test.k)
     return {
         "mode": mode,
         "accuracy": acc,
         "macro_f1": macro,
+        "qwk": qwk,
+        "mean_abs_grade_error": mae,
         "per_class_f1": per_f1.tolist(),
         "confusion": counts.tolist(),
         "n_eval": int(test.n),
+        "nfe_per_chain": nfe,
         "seed": cfg.seed,
         "config_digest": cfg.digest(),
         "paper_reference": {k: PAPER_REFERENCE[k] for k in ("accuracy", "macro_f1")},
@@ -428,7 +438,7 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     ):
         rep = evaluate(model, denoiser, test, cfg)
         rows.append({"configuration": name, "accuracy": rep["accuracy"],
-                     "macro_f1": rep["macro_f1"], "split_hash": split_hash,
+                     "macro_f1": rep["macro_f1"], "qwk": rep["qwk"], "split_hash": split_hash,
                      "config_digest": cfg.digest()})
 
     report = {
@@ -457,20 +467,30 @@ def export_trajectory(
 ) -> dict:
     """Record label-space chain states at chosen steps on the test split,
     project each step's point cloud to 2-D and score cluster separation.
-    steps None records T, 4T/5, ..., 0 of the denoiser's schedule."""
+    Every step must lie on the chain's grid, chain_grid(T, cfg.chain_steps)
+    of K steps; steps None records its steps T * (K * i // 5) // K for
+    i = 5 ... 0, which are T, 4T/5, ..., 0 when 5 divides K."""
     if steps is not None and not steps:
         raise ConfigError("steps list must not be empty")
     model, (net, sched), _, test = load_run(data_dir, cfg, guidance_ckpt, denoiser_ckpt)
+    grid = df.chain_grid(sched.t_total, cfg.chain_steps)
     if steps is None:
-        steps = [sched.t_total * i // 5 for i in range(5, -1, -1)]
+        k = len(grid) - 1
+        steps = sorted({sched.t_total * (k * i // 5) // k for i in range(6)}, reverse=True)
     for t in steps:
         # any other step would export chain states that were never written
         integral = isinstance(t, (int, np.integer)) and not isinstance(t, bool)
         if not (integral and 0 <= t <= sched.t_total):
             raise ConfigError(f"step {t!r} is not an integer in [0, {sched.t_total}]")
+        if t not in grid:
+            raise ConfigError(
+                f"step {t} is not on the chain's {len(grid) - 1}-step grid of stride "
+                f"{sched.t_total / (len(grid) - 1):g} (chain_steps {cfg.chain_steps}, "
+                f"T = {sched.t_total})")
     f, d, prior = conditioning(model, test.features)
     # one chain per item: chain 0, the first of those evaluate averages
-    _, states = df.sample_chains(net, sched, f, d, prior, cfg.seed, np.arange(test.n), 1, steps)
+    _, states = df.sample_chains(net, sched, f, d, prior, cfg.seed, np.arange(test.n),
+                                 cfg.chain_steps, 1, steps)
 
     lines = ["t,item_id,true_label,px,py"]
     silhouettes = {}

@@ -27,10 +27,18 @@ from gradcheck import grad_check_param, trainable_params
 
 
 def test_criterion_1_posterior_identities():
+    # every one-step pair of the reference schedule, then every (t, s) pair a
+    # strided chain takes on the K = 50, 25, 20 and 10 grids, at T = 1000 and
+    # at the desk's T = 100
     sched = df.make_schedule(1000, 1e-4, 0.02)
-    for t in range(1, 1001):
-        g0, g1, g2, var = df.posterior_coefficients(t, sched)
-        ab_t, ab_s = sched.alpha_bar[t], sched.alpha_bar[t - 1]
+    pairs = [(sched, t, t - 1) for t in range(1, 1001)]
+    for strided in (sched, df.make_schedule(100, 1e-3, 0.2)):
+        for k in (50, 25, 20, 10):
+            grid = df.chain_grid(strided.t_total, k)
+            pairs += [(strided, t, s) for t, s in zip(grid, grid[1:])]
+    for sched, t, s in pairs:
+        g0, g1, g2, var = df.posterior_coefficients(t, s, sched)
+        ab_t, ab_s = sched.alpha_bar[t], sched.alpha_bar[s]
         assert abs(g0 + g1 * math.sqrt(ab_t) - math.sqrt(ab_s)) < 1e-12
         assert abs(g1 * (1.0 - math.sqrt(ab_t)) + g2 - (1.0 - math.sqrt(ab_s))) < 1e-12
         assert abs(g1 * g1 * (1.0 - ab_t) + var - (1.0 - ab_s)) < 1e-12
@@ -159,7 +167,7 @@ def test_criterion_7_metrics_oracle():
         n = int(rng.integers(4, 80))
         preds = rng.integers(0, k, n)
         labels = rng.integers(0, k, n)
-        _, acc, per_f1, macro = confusion_and_metrics(preds, labels, k)
+        _, acc, per_f1, macro, _, _ = confusion_and_metrics(preds, labels, k)
         assert abs(acc - np.mean(preds == labels)) <= 1e-12
         ref = np.zeros(k)
         for j in range(k):
@@ -172,11 +180,11 @@ def test_criterion_7_metrics_oracle():
         assert abs(macro - ref.mean()) <= 1e-12
 
     # worked examples, exactly
-    _, acc, _, macro = confusion_and_metrics(
+    _, acc, _, macro, _, _ = confusion_and_metrics(
         np.array([1, 0, 1]), np.array([1, 1, 0]), 2
     )
     assert acc == pytest.approx(1.0 / 3.0) and macro == 0.25
-    _, acc, _, macro = confusion_and_metrics(
+    _, acc, _, macro, _, _ = confusion_and_metrics(
         np.zeros(4, dtype=np.int64), np.array([0, 0, 1, 1]), 2
     )
     assert acc == 0.5 and macro == pytest.approx(1.0 / 3.0)
@@ -211,34 +219,36 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
 
     def means(rows):
         mean, _ = df.sample_chains(net, sched, f_all[rows], d_all[rows], prior_all[rows],
-                                   cfg.seed, keys[rows], cfg.n_samples)
+                                   cfg.seed, keys[rows], cfg.chain_steps, cfg.n_samples)
         return mean
 
     whole = means(keys)
     chunked = np.concatenate([means(rows) for rows in np.array_split(keys, 4)])
     assert np.array_equal(whole, chunked)
-    counts, _, _, _ = confusion_and_metrics(np.argmax(whole, axis=1), test.labels, test.k)
+    counts = confusion_and_metrics(np.argmax(whole, axis=1), test.labels, test.k)[0]
     assert counts.tolist() == json.loads(b1)["confusion"]
 
-    # variance of the 5-chain average vs a single chain, 200 repeats
+    # variance of the 5-chain average vs a single chain, 200 repeats, on the
+    # chain the report runs (the default K)
     f, d, prior = pl.conditioning(model, test.features[:1])
 
     repeats = 200
     k = prior.shape[1]
+    grid = df.chain_grid(sched.t_total, cfg.chain_steps)
     rep = lambda a, m: np.repeat(a[:1], m, axis=0)
 
     noise = lambda tag, m: np.stack([
-        np.random.default_rng((tag, i)).standard_normal((sched.t_total + 1, k))
+        np.random.default_rng((tag, i)).standard_normal((len(grid), k))
         for i in range(m)
     ])
 
     singles, _ = df.sample_chain_batch(
-        net, rep(f, repeats), rep(d, repeats), rep(prior, repeats), sched,
+        net, rep(f, repeats), rep(d, repeats), rep(prior, repeats), sched, grid,
         noise(808, repeats),
     )
     many, _ = df.sample_chain_batch(
         net, rep(f, repeats * 5), rep(d, repeats * 5), rep(prior, repeats * 5),
-        sched, noise(809, repeats * 5),
+        sched, grid, noise(809, repeats * 5),
     )
     averaged = many.reshape(repeats, 5, k).mean(axis=1)
 

@@ -17,7 +17,7 @@ from cgsd.errors import DataError
 
 def test_perfect_predictions():
     preds = np.array([0, 1, 2, 1])
-    counts, acc, per_f1, macro = confusion_and_metrics(preds, preds, k=3)
+    counts, acc, per_f1, macro, _, _ = confusion_and_metrics(preds, preds, k=3)
     assert acc == 1.0
     assert macro == 1.0
     assert np.trace(counts) == 4
@@ -26,7 +26,7 @@ def test_perfect_predictions():
 def test_worked_example_one():
     preds = np.array([1, 0, 1])
     labels = np.array([1, 1, 0])
-    _, acc, per_f1, macro = confusion_and_metrics(preds, labels, k=2)
+    _, acc, per_f1, macro, _, _ = confusion_and_metrics(preds, labels, k=2)
     assert acc == pytest.approx(1.0 / 3.0)
     np.testing.assert_allclose(per_f1, [0.0, 0.5])
     assert macro == pytest.approx(0.25)
@@ -35,7 +35,7 @@ def test_worked_example_one():
 def test_worked_example_all_zero_binary():
     labels = np.array([0, 0, 1, 1])
     preds = np.zeros(4, dtype=np.int64)
-    _, acc, per_f1, macro = confusion_and_metrics(preds, labels, k=2)
+    _, acc, per_f1, macro, _, _ = confusion_and_metrics(preds, labels, k=2)
     assert acc == pytest.approx(0.5)
     np.testing.assert_allclose(per_f1, [2.0 / 3.0, 0.0])
     assert macro == pytest.approx(1.0 / 3.0)
@@ -44,7 +44,7 @@ def test_worked_example_all_zero_binary():
 def test_empty_class_contributes_zero():
     preds = np.array([0, 0])
     labels = np.array([0, 0])
-    _, acc, per_f1, macro = confusion_and_metrics(preds, labels, k=3)
+    _, acc, per_f1, macro, _, _ = confusion_and_metrics(preds, labels, k=3)
     assert acc == 1.0
     np.testing.assert_allclose(per_f1, [1.0, 0.0, 0.0])
     assert macro == pytest.approx(1.0 / 3.0)
@@ -57,7 +57,7 @@ def test_metrics_brute_force_recount():
         n = int(rng.integers(5, 60))
         preds = rng.integers(0, k, n)
         labels = rng.integers(0, k, n)
-        counts, acc, per_f1, macro = confusion_and_metrics(preds, labels, k)
+        counts, acc, per_f1, macro, _, _ = confusion_and_metrics(preds, labels, k)
 
         assert acc == pytest.approx(np.mean(preds == labels), abs=1e-12)
         ref = np.zeros(k)
@@ -70,6 +70,49 @@ def test_metrics_brute_force_recount():
         np.testing.assert_allclose(per_f1, ref, atol=1e-12)
         assert macro == pytest.approx(ref.mean(), abs=1e-12)
         assert counts.sum() == n
+
+
+@pytest.mark.parametrize("labels, preds, k, qwk, mae", [
+    # one grade-1 item predicted 2: observed cost 1, chance cost 15 over n = 3
+    ([0, 1, 2], [0, 2, 2], 3, 0.8, 1 / 3),
+    # the worked example above: observed 2, chance 4 over n = 3
+    ([1, 1, 0], [1, 0, 1], 2, -0.5, 2 / 3),
+    # grades reversed end to end: as far from the labels as chance is, twice
+    ([0, 2], [2, 0], 3, -1.0, 2.0),
+    # every label in one grade: any prediction is chance
+    ([1, 1, 1, 1], [0, 1, 2, 1], 3, 0.0, 0.5),
+    # every prediction in one grade: the same
+    ([0, 0, 1, 1], [0, 0, 0, 0], 2, 0.0, 0.5),
+    # QWK's 0/0: every label and every prediction in grade 2, scored 1.0,
+    # since QWK is 1 exactly when every prediction is its label
+    ([2, 2, 2], [2, 2, 2], 5, 1.0, 0.0),
+    ([0], [0], 1, 1.0, 0.0),
+])
+def test_qwk_and_mean_abs_grade_error_hand_worked(labels, preds, k, qwk, mae):
+    got = confusion_and_metrics(np.array(preds), np.array(labels), k)
+    assert got[4] == pytest.approx(qwk, abs=1e-12)
+    assert got[5] == pytest.approx(mae, abs=1e-12)
+
+
+def test_qwk_and_mean_abs_grade_error_match_their_textbook_forms():
+    # Cohen's form with weights (i - j)^2 / (k - 1)^2 and expected counts
+    # r_i c_j / n, and the mean of |pred - label| over items
+    rng = np.random.default_rng(16)
+    for _ in range(100):
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 80))
+        preds, labels = rng.integers(0, k, n), rng.integers(0, k, n)
+        counts, _, _, _, qwk, mae = confusion_and_metrics(preds, labels, k)
+        grades = np.arange(k)
+        w = (grades[:, None] - grades[None, :]) ** 2 / (k - 1) ** 2
+        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / n
+        if (w * expected).sum() > 0:
+            assert qwk == pytest.approx(1 - (w * counts).sum() / (w * expected).sum(),
+                                        abs=1e-12)
+        else:
+            assert qwk == 1.0 and (preds == labels).all()
+        assert mae == pytest.approx(np.mean(np.abs(preds - labels)), abs=1e-12)
+        assert (qwk == 1.0) == bool((preds == labels).all())
 
 
 def test_metrics_input_validation():

@@ -15,6 +15,17 @@ import ckpt_edit as ckpt
 
 PAPER_SCHED = df.make_schedule(1000, 1e-4, 0.02)
 DESK_SCHED = df.make_schedule(100, 1e-3, 0.2)
+# the chain's default step count, and the candidates the seed sweep scored
+DEFAULT_K = RunConfig().chain_steps
+SWEPT_K = (50, 25, 20, 10)
+# sample_chains' tests run the 20-step schedule of _chain_inputs at K = 10
+# (stride 2), at the default K (which clamps to T there) and at K = T
+AT_K = (10, DEFAULT_K, 20)
+
+
+def full_grid(sched):
+    """Every step T, T - 1, ..., 0: the chain at K = T."""
+    return df.chain_grid(sched.t_total, sched.t_total)
 
 
 class StubNet:
@@ -242,8 +253,24 @@ def test_eps_predict_without_tape_matches_taped_forward():
 
 
 def _noise(rngs, sched, k):
-    """Each generator's whole chain noise, (t_total + 1) x k in one draw."""
+    """Each generator's whole full-chain noise, (t_total + 1) x k in one draw."""
     return np.stack([rng.standard_normal((sched.t_total + 1, k)) for rng in rngs])
+
+
+def test_chain_grid_steps():
+    # t_j = T * j // K for j = K ... 0; K = T walks every step, a K above T
+    # runs T steps, and every candidate K lands on T * i // 5
+    assert df.chain_grid(100, 10) == [100, 90, 80, 70, 60, 50, 40, 30, 20, 10, 0]
+    assert df.chain_grid(5, 5) == df.chain_grid(5, 50) == [5, 4, 3, 2, 1, 0]
+    assert df.chain_grid(10, 3) == [10, 6, 3, 0]
+    assert df.chain_grid(1, 1) == [1, 0]
+    for t_total in (100, 1000):
+        for k in (*SWEPT_K, DEFAULT_K, t_total):
+            grid = df.chain_grid(t_total, k)
+            assert len(grid) == k + 1 and all(a > b for a, b in zip(grid, grid[1:]))
+            assert {t_total * i // 5 for i in range(6)} <= set(grid)
+    with pytest.raises(ContractError):
+        df.chain_grid(100, 0)
 
 
 def test_sample_chain_nonfinite_raises():
@@ -255,7 +282,7 @@ def test_sample_chain_nonfinite_raises():
     noise = _noise([np.random.default_rng(i) for i in range(2)], DESK_SCHED, 3)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="reverse chain"):
         df.sample_chain_batch(net, np.full((2, 8), 10.0), np.zeros((2, 3)),
-                              np.zeros((2, 3)), DESK_SCHED, noise)
+                              np.zeros((2, 3)), DESK_SCHED, full_grid(DESK_SCHED), noise)
 
 
 @pytest.mark.parametrize("shape", [(2, 100, 3), (1, 101, 3), (2, 101, 2)])
@@ -263,7 +290,17 @@ def test_sample_chain_refuses_noise_of_another_shape(shape):
     net = df.DenoiserNet.build(d_model=8, k=3, seed=6)
     with pytest.raises(ContractError, match="noise of shape"):
         df.sample_chain_batch(net, np.zeros((2, 8)), np.zeros((2, 3)),
-                              np.zeros((2, 3)), DESK_SCHED, np.zeros(shape))
+                              np.zeros((2, 3)), DESK_SCHED, full_grid(DESK_SCHED),
+                              np.zeros(shape))
+
+
+@pytest.mark.parametrize("grid", [[90, 50, 0], [100, 50, 10], [100, 50, 60, 0]])
+def test_sample_chain_refuses_a_grid_that_is_not_a_chain(grid):
+    # a chain starts at T, the initial draw's step, ends at 0 and descends
+    net = df.DenoiserNet.build(d_model=8, k=3, seed=6)
+    with pytest.raises((ContractError, IndexError)):
+        df.sample_chain_batch(net, np.zeros((2, 8)), np.zeros((2, 3)), np.zeros((2, 3)),
+                              DESK_SCHED, grid, np.zeros((2, len(grid), 3)))
 
 
 def test_eps_predict_shape_mismatch():
@@ -412,21 +449,36 @@ def test_predict_y0_early_step_near_identity():
 
 
 def test_posterior_t1_collapses_to_y0_estimate():
-    g0, g1, g2, var = df.posterior_coefficients(1, PAPER_SCHED)
+    g0, g1, g2, var = df.posterior_coefficients(1, 0, PAPER_SCHED)
     assert g0 == pytest.approx(1.0, abs=1e-12)
     assert g1 == pytest.approx(0.0, abs=1e-12)
     assert g2 == pytest.approx(0.0, abs=1e-12)
     assert var == pytest.approx(0.0, abs=1e-15)
 
 
+def _assert_posterior_identities(t, s, sched):
+    g0, g1, g2, var = df.posterior_coefficients(t, s, sched)
+    ab_t, ab_s = sched.alpha_bar[t], sched.alpha_bar[s]
+    assert abs(g0 + g1 * math.sqrt(ab_t) - math.sqrt(ab_s)) < 1e-12
+    assert abs(g1 * (1 - math.sqrt(ab_t)) + g2 - (1 - math.sqrt(ab_s))) < 1e-12
+    assert abs(g1 * g1 * (1 - ab_t) + var - (1 - ab_s)) < 1e-12
+
+
 @pytest.mark.parametrize("sched", [PAPER_SCHED, DESK_SCHED], ids=["paper", "desk"])
 def test_posterior_identities_every_t(sched):
     for t in range(1, sched.t_total + 1):
-        g0, g1, g2, var = df.posterior_coefficients(t, sched)
-        ab_t, ab_s = sched.alpha_bar[t], sched.alpha_bar[t - 1]
-        assert abs(g0 + g1 * math.sqrt(ab_t) - math.sqrt(ab_s)) < 1e-12
-        assert abs(g1 * (1 - math.sqrt(ab_t)) + g2 - (1 - math.sqrt(ab_s))) < 1e-12
-        assert abs(g1 * g1 * (1 - ab_t) + var - (1 - ab_s)) < 1e-12
+        _assert_posterior_identities(t, t - 1, sched)
+
+
+@pytest.mark.parametrize("sched", [PAPER_SCHED, DESK_SCHED], ids=["paper", "desk"])
+def test_posterior_identities_on_strided_grids(sched):
+    # the kernel of a strided chain, q(y_s | y_t, y0) for s < t - 1, has the
+    # same identities: each pair of consecutive steps on every swept grid
+    for k in SWEPT_K:
+        grid = df.chain_grid(sched.t_total, k)
+        assert grid[0] - grid[1] == sched.t_total // k > 1
+        for t, s in zip(grid, grid[1:]):
+            _assert_posterior_identities(t, s, sched)
 
 
 def _reverse_coefficients_per_step(y_t, eps_hat, y_hat0, t, sched):
@@ -455,14 +507,14 @@ def test_reverse_step_keeps_the_per_step_bits(sched):
     for t in range(1, sched.t_total + 1):
         want_y0, want = _reverse_coefficients_per_step(y_t, eps_hat, prior, t, sched)
         assert df.predict_y0(y_t, eps_hat, prior, t, sched).tobytes() == want_y0.tobytes()
-        assert df.posterior_coefficients(t, sched) == want
+        assert df.posterior_coefficients(t, t - 1, sched) == want
 
 
 def test_posterior_rejects_bad_steps():
-    with pytest.raises(IndexError):
-        df.posterior_coefficients(0, DESK_SCHED)
-    with pytest.raises(IndexError):
-        df.posterior_coefficients(101, DESK_SCHED)
+    # t in [1, T] and 0 <= s < t: a negative s would read the table's end
+    for t, s in ((0, 0), (101, 100), (5, 5), (5, 6), (5, -1)):
+        with pytest.raises(IndexError):
+            df.posterior_coefficients(t, s, DESK_SCHED)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +547,11 @@ def test_reverse_step_t1_deterministic():
     d = np.zeros((1, 3))
     prior = np.full((1, 3), 1 / 3)
     keep = DESK_SCHED.t_total * 3
-    a, snaps = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
+    grid = full_grid(DESK_SCHED)
+    a, snaps = df.sample_chain_batch(net, f, d, prior, DESK_SCHED, grid,
                                      _noise([TailRng(0, keep, 0.0)], DESK_SCHED, 3),
                                      record_steps={1})
-    b, _ = df.sample_chain_batch(net, f, d, prior, DESK_SCHED,
+    b, _ = df.sample_chain_batch(net, f, d, prior, DESK_SCHED, grid,
                                  _noise([TailRng(0, keep, 99.0)], DESK_SCHED, 3))
     np.testing.assert_array_equal(a, b)
     y1 = snaps[1]
@@ -509,7 +562,8 @@ def test_reverse_step_t1_deterministic():
 
 def test_reverse_step_reproducible_with_seed():
     net = df.DenoiserNet.build(d_model=4, k=3, seed=6)
-    args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED)
+    args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED,
+            full_grid(DESK_SCHED))
     a, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(7)], DESK_SCHED, 3))
     b, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(7)], DESK_SCHED, 3))
     c, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(8)], DESK_SCHED, 3))
@@ -518,8 +572,9 @@ def test_reverse_step_reproducible_with_seed():
 
 
 def test_reverse_step_monte_carlo_marginal():
-    # with oracle noise and the true label, the reverse marginal at t-1
-    # matches the forward marginal there (mean within 3 SE over 1e5 draws)
+    # with oracle noise and the true label, the reverse marginal at s matches
+    # the forward marginal there (mean within 3 SE over 1e5 draws), for the
+    # one-step kernel and a stride-10 one
     rng = np.random.default_rng(26)
     t = 50
     sched = DESK_SCHED
@@ -527,15 +582,16 @@ def test_reverse_step_monte_carlo_marginal():
     prior = np.array([0.5, 0.25, 0.25])
     n = 100_000
     ab = sched.alpha_bar[t]
-    eps = rng.standard_normal((n, 3))
-    y_t = math.sqrt(ab) * y0 + (1 - math.sqrt(ab)) * prior + math.sqrt(1 - ab) * eps
-    g0, g1, g2, var = df.posterior_coefficients(t, sched)
-    mean = g0 * y0 + g1 * y_t + g2 * prior  # oracle eps_hat recovers y0 exactly
-    draws = mean + math.sqrt(var) * rng.standard_normal((n, 3))
-    ab_s = sched.alpha_bar[t - 1]
-    expect = math.sqrt(ab_s) * y0 + (1 - math.sqrt(ab_s)) * prior
-    se = math.sqrt((1 - ab_s) / n)
-    assert np.all(np.abs(draws.mean(axis=0) - expect) < 3 * se)
+    for s in (t - 1, t - 10):
+        eps = rng.standard_normal((n, 3))
+        y_t = math.sqrt(ab) * y0 + (1 - math.sqrt(ab)) * prior + math.sqrt(1 - ab) * eps
+        g0, g1, g2, var = df.posterior_coefficients(t, s, sched)
+        mean = g0 * y0 + g1 * y_t + g2 * prior  # oracle eps_hat recovers y0 exactly
+        draws = mean + math.sqrt(var) * rng.standard_normal((n, 3))
+        ab_s = sched.alpha_bar[s]
+        expect = math.sqrt(ab_s) * y0 + (1 - math.sqrt(ab_s)) * prior
+        se = math.sqrt((1 - ab_s) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - expect) < 3 * se)
 
 
 def test_sample_chain_single_step_oracle():
@@ -545,7 +601,7 @@ def test_sample_chain_single_step_oracle():
     net = StubNet(eps_hat, d_model=4, k=2)
     prior = np.array([[0.5, 0.5]])
     out, _ = df.sample_chain_batch(net, np.zeros((1, 4)), np.zeros((1, 2)), prior,
-                                   sched, _noise([np.random.default_rng(8)], sched, 2))
+                                   sched, [1, 0], _noise([np.random.default_rng(8)], sched, 2))
     # reconstruct: y_1 = prior + z, then exact inversion with the stub's eps
     z = np.random.default_rng(8).standard_normal(2)
     y1 = prior + z
@@ -555,64 +611,74 @@ def test_sample_chain_single_step_oracle():
 
 def test_sample_chain_deterministic():
     net = df.DenoiserNet.build(d_model=4, k=3, seed=9)
-    args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED)
+    args = (net, np.zeros((1, 4)), np.zeros((1, 3)), np.full((1, 3), 1 / 3), DESK_SCHED,
+            full_grid(DESK_SCHED))
     a, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(10)], DESK_SCHED, 3))
     b, _ = df.sample_chain_batch(*args, _noise([np.random.default_rng(10)], DESK_SCHED, 3))
     np.testing.assert_array_equal(a, b)
 
 
-def _reference_chain_batch(net, f, d, prior, sched, rngs, record_steps):
-    """The sampler as first written: one timestep embedding per row and one
-    draw of k noise values per row at every step."""
+def _reference_chain_batch(net, f, d, prior, sched, grid, rngs, record_steps):
+    """The sampler as first written, walking grid: one timestep embedding per
+    row and one draw of k noise values per row at every step."""
     n, k = prior.shape
     snaps = {}
     y = prior + np.stack([rng.standard_normal(k) for rng in rngs])
     if sched.t_total in record_steps:
         snaps[sched.t_total] = y.copy()
-    for t in range(sched.t_total, 0, -1):
+    for t, s in zip(grid, grid[1:]):
         temb = np.stack([df.timestep_embedding(t) for _ in range(n)])
         x = np.concatenate([f, y, prior, d, temb], axis=1)
         eps_hat = net.forward(Tensor2(x)).data
         y0_tilde = df.predict_y0(y, eps_hat, prior, t, sched)
-        g0, g1, g2, var = df.posterior_coefficients(t, sched)
+        g0, g1, g2, var = df.posterior_coefficients(t, s, sched)
         mean = g0 * y0_tilde + g1 * y + g2 * prior
         z = np.stack([rng.standard_normal(k) for rng in rngs])
         if var == 0.0:
             z = np.zeros_like(z)
         y = mean + math.sqrt(var) * z
-        if t - 1 in record_steps:
-            snaps[t - 1] = y.copy()
+        if s in record_steps:
+            snaps[s] = y.copy()
     return y, snaps
 
 
-def _item_noise(seed, keys, n_samples, t_total, k):
+def _item_noise(seed, keys, n_samples, grid, k):
     """Every chain's noise in item-major rows: item i's n_samples chains are
-    consecutive blocks of chain_rng(seed, keys[i])'s normals."""
-    return np.concatenate([df.chain_rng(seed, key).standard_normal((n_samples, t_total + 1, k))
-                           for key in np.asarray(keys).tolist()])
+    consecutive (K + 1) x k blocks of chain_rng(seed, keys[i])'s normals."""
+    return np.concatenate([
+        df.chain_rng(seed, key).standard_normal((n_samples, len(grid), k))
+        for key in np.asarray(keys).tolist()])
 
 
 @pytest.mark.parametrize("seed", [3, 2**32, 10**20])
 def test_chain_noise_matches_per_chain_generators(seed, monkeypatch):
-    # item i's chains run on consecutive blocks of one generator seeded
-    # (seed, 101, keys[i]); a repeated key repeats its item's noise, and the
-    # zero rows that pad the block to whole row tiles stay zero
+    for chain_steps in AT_K:
+        _assert_chain_noise_matches_per_chain_generators(seed, chain_steps, monkeypatch)
+
+
+def _assert_chain_noise_matches_per_chain_generators(seed, chain_steps, monkeypatch):
+    # item i's chains run on consecutive (K + 1) x k blocks of one generator
+    # seeded (seed, 101, keys[i]); a repeated key repeats its item's noise,
+    # and the zero rows that pad the block to whole row tiles stay zero
     keys, n_samples, k = np.array([0, 7, 2**32 - 1, 2**40, 7]), 3, 3
     net, sched, f, d, prior = _chain_inputs(keys.size, k)
+    grid = df.chain_grid(sched.t_total, chain_steps)
     blocks, run = [], df.sample_chain_batch
 
-    def spy(net, f, d, prior, sched, noise, record_steps=None):
-        blocks.append(noise.copy())
-        return run(net, f, d, prior, sched, noise, record_steps)
+    def spy(net, f, d, prior, sched, grid, noise, record_steps=None):
+        blocks.append((grid, noise.copy()))
+        return run(net, f, d, prior, sched, grid, noise, record_steps)
 
-    monkeypatch.setattr(df, "sample_chain_batch", spy)
-    df.sample_chains(net, sched, f, d, prior, seed, keys, n_samples)
+    with monkeypatch.context() as m:
+        m.setattr(df, "sample_chain_batch", spy)
+        df.sample_chains(net, sched, f, d, prior, seed, keys, chain_steps, n_samples)
     for key in keys.tolist():
         want = np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
         assert df.chain_rng(seed, key).bit_generator.state == want.bit_generator.state
-    want = _item_noise(seed, keys, n_samples, sched.t_total, k)
-    (got,) = blocks
-    assert got.shape == (df.ROW_TILE, sched.t_total + 1, k)
+    want = _item_noise(seed, keys, n_samples, grid, k)
+    ((got_grid, got),) = blocks
+    assert got_grid == grid
+    assert got.shape == (df.ROW_TILE, len(grid), k)
     assert np.array_equal(got[:want.shape[0]], want)
     assert not got[want.shape[0]:].any()
 
@@ -621,17 +687,31 @@ def test_sample_chains_refuses_a_fractional_key():
     # a float key is not rounded to an integer seed
     net, sched, f, d, prior = _chain_inputs(2, 3)
     with pytest.raises(TypeError):
-        df.sample_chains(net, sched, f, d, prior, 1, np.array([0.0, 1.0]))
+        df.sample_chains(net, sched, f, d, prior, 1, np.array([0.0, 1.0]), DEFAULT_K)
+
+
+def test_sample_chains_refuses_a_record_step_off_the_grid():
+    # a step the chain never visits has no states to return
+    net, sched, f, d, prior = _chain_inputs(2, 3)
+    with pytest.raises(ContractError, match=r"\[5\]"):
+        df.sample_chains(net, sched, f, d, prior, 1, np.arange(2), 10, 1, (20, 5, 0))
 
 
 @pytest.mark.parametrize("t_total", [100, 1])
 def test_sample_chain_batch_matches_per_row_reference(t_total):
+    for chain_steps in (DEFAULT_K, t_total):
+        _assert_chain_batch_matches_per_row_reference(t_total, chain_steps)
+
+
+def _assert_chain_batch_matches_per_row_reference(t_total, chain_steps):
     # the table lookup and the up-front noise change no bit of any row against
     # the item generators drawn step by step, chain s after s skipped blocks;
-    # 4 items x 3 chains in item-major rows; 100 is the desk schedule, and the
-    # t_total = 1 chain takes only the var == 0 step
+    # 4 items x 3 chains in item-major rows; 100 is the desk schedule, at the
+    # default K and at K = T, and the t_total = 1 chain takes only the
+    # var == 0 step
     sched = df.make_schedule(t_total, 1e-3, 0.2)
-    record = {100, 51, 50, 1, 0}
+    grid = df.chain_grid(t_total, chain_steps)
+    record = {100, 51, 50, 1, 0} & set(grid)
     n, k = 12, 3
     keys, samples = np.repeat([4, 0, 9, 2], 3), np.tile(np.arange(3), 4)
     rng = np.random.default_rng(31)
@@ -640,11 +720,11 @@ def test_sample_chain_batch_matches_per_row_reference(t_total):
     d = rng.standard_normal((n, k)) * 0.1
     prior = rng.dirichlet(np.ones(k), size=n)
     out, snaps = df.sample_chain_batch(
-        net, f, d, prior, sched, _item_noise(3, keys[::3], 3, t_total, k), record)
+        net, f, d, prior, sched, grid, _item_noise(3, keys[::3], 3, grid, k), record)
     rngs = [df.chain_rng(3, key) for key in keys.tolist()]
     for chain_gen, sample in zip(rngs, samples):
-        chain_gen.standard_normal((sample, t_total + 1, k))
-    ref, ref_snaps = _reference_chain_batch(net, f, d, prior, sched, rngs, record)
+        chain_gen.standard_normal((sample, len(grid), k))
+    ref, ref_snaps = _reference_chain_batch(net, f, d, prior, sched, grid, rngs, record)
     assert np.array_equal(out, ref)
     assert snaps.keys() == ref_snaps.keys() and len(snaps) >= 2
     for t in snaps:
@@ -660,18 +740,20 @@ def _chain_inputs(n, k=5, t_total=20):
     return net, df.make_schedule(t_total, 1e-3, 0.2), f, d, prior
 
 
-def _assert_blocks_equal_one_batch(n, n_samples, k, record):
+def _assert_blocks_equal_one_batch(n, n_samples, k, record, chain_steps):
     """sample_chains' states and mean equal one sample_chain_batch call over
     all item-major rows on the per-item oracle's noise, padded with zero rows
     to whole row tiles as sample_chains pads its blocks."""
     net, sched, f, d, prior = _chain_inputs(n, k)
+    grid = df.chain_grid(sched.t_total, chain_steps)
     keys = np.arange(n) * 3 + 1
-    mean, states = df.sample_chains(net, sched, f, d, prior, 5, keys, n_samples, record)
+    mean, states = df.sample_chains(net, sched, f, d, prior, 5, keys, chain_steps, n_samples,
+                                    record)
     rows, items = n * n_samples, np.repeat(np.arange(n), n_samples)
     pad = lambda a: np.pad(a, [(0, -rows % df.ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
-    noise = pad(_item_noise(5, keys, n_samples, sched.t_total, k))
+    noise = pad(_item_noise(5, keys, n_samples, grid, k))
     final, snaps = df.sample_chain_batch(
-        net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, record)
+        net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, grid, noise, record)
     assert states.keys() == snaps.keys() == record
     for t in record:
         assert np.array_equal(states[t], snaps[t][:rows].reshape(n, n_samples, k).swapaxes(0, 1))
@@ -681,18 +763,29 @@ def _assert_blocks_equal_one_batch(n, n_samples, k, record):
     assert np.array_equal(mean, total / n_samples)
 
 
+
+def _on_grid(steps, chain_steps):
+    """Each step, or the grid's next step below it: the steps a chain of
+    _chain_inputs' schedule at chain_steps records."""
+    grid = df.chain_grid(20, chain_steps)
+    return {max(s for s in grid if s <= t) for t in steps}
+
+
 def test_sample_chains_blocks_equal_one_batch():
     # 150 items x 4 chains span two row blocks, which split no item
-    assert 150 * 4 > df.ROW_BLOCK and df.ROW_BLOCK % 4 == 0
-    _assert_blocks_equal_one_batch(150, 4, 5, {20, 7, 0})
+    for chain_steps in AT_K:
+        assert 150 * 4 > df.ROW_BLOCK and df.ROW_BLOCK % 4 == 0
+        _assert_blocks_equal_one_batch(150, 4, 5, _on_grid({20, 7, 0}, chain_steps), chain_steps)
 
 
 def test_sample_chains_item_split_across_blocks_keeps_its_stream():
     # 150 items x 5 chains make 750 rows: item 102's chains are rows 510 to
     # 514, so its generator draws chains 0 and 1 into the first block and
     # chains 2 to 4 into the second
-    assert divmod(df.ROW_BLOCK, 5) == (102, 2)
-    _assert_blocks_equal_one_batch(150, 5, 3, {20, 13, 1, 0})
+    for chain_steps in AT_K:
+        assert divmod(df.ROW_BLOCK, 5) == (102, 2)
+        _assert_blocks_equal_one_batch(150, 5, 3, _on_grid({20, 13, 1, 0}, chain_steps),
+                                       chain_steps)
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -700,31 +793,39 @@ def test_sample_chains_noise_drawn_into_its_block_keeps_the_means(k):
     # the former runner's loop, with the noise drawn on its own and copied
     # into a padded block, is the oracle: 150 items x 4 chains make a block
     # of 512 rows and one of 88 padded to 96
-    n, n_samples, record = 150, 4, {20, 3}
-    net, sched, f, d, prior = _chain_inputs(n, k)
-    keys = np.arange(n) * 5 + 2
-    mean, states = df.sample_chains(net, sched, f, d, prior, 8, keys, n_samples, record)
-    rows = np.arange(n * n_samples)
-    every = _item_noise(8, keys, n_samples, sched.t_total, k)
-    total, want = np.zeros((n, k)), {t: np.empty((n_samples, n, k)) for t in record}
-    for lo in range(0, rows.size, df.ROW_BLOCK):
-        items, samples = np.divmod(rows[lo:lo + df.ROW_BLOCK], n_samples)
-        pad = lambda a: np.pad(a, [(0, -items.size % df.ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
-        noise = pad(every[lo:lo + df.ROW_BLOCK])
-        final, snaps = df.sample_chain_batch(
-            net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, noise, record)
-        np.add.at(total, items, final[:items.size])
+    for chain_steps in AT_K:
+        n, n_samples, record = 150, 4, _on_grid({20, 3}, chain_steps)
+        net, sched, f, d, prior = _chain_inputs(n, k)
+        grid = df.chain_grid(sched.t_total, chain_steps)
+        keys = np.arange(n) * 5 + 2
+        mean, states = df.sample_chains(net, sched, f, d, prior, 8, keys, chain_steps, n_samples,
+                                        record)
+        rows = np.arange(n * n_samples)
+        every = _item_noise(8, keys, n_samples, grid, k)
+        total, want = np.zeros((n, k)), {t: np.empty((n_samples, n, k)) for t in record}
+        for lo in range(0, rows.size, df.ROW_BLOCK):
+            items, samples = np.divmod(rows[lo:lo + df.ROW_BLOCK], n_samples)
+            pad = lambda a: np.pad(a, [(0, -items.size % df.ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
+            noise = pad(every[lo:lo + df.ROW_BLOCK])
+            final, snaps = df.sample_chain_batch(
+                net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, grid, noise, record)
+            np.add.at(total, items, final[:items.size])
+            for t in record:
+                want[t][samples, items] = snaps[t][:items.size]
+        assert np.array_equal(mean, total / n_samples)
         for t in record:
-            want[t][samples, items] = snaps[t][:items.size]
-    assert np.array_equal(mean, total / n_samples)
-    for t in record:
-        assert np.array_equal(states[t], want[t])
+            assert np.array_equal(states[t], want[t])
 
 
 def test_sample_chain_batch_evaluates_the_denoiser_once_per_step(monkeypatch):
-    # T denoiser calls per block, each on all of the block's rows: 150 items
-    # x 4 chains make a block of ROW_BLOCK = 512 rows and one of 88, padded
-    # to 96
+    for chain_steps, nfe in ((10, 10), (DEFAULT_K, min(DEFAULT_K, 20)), (20, 20), (50, 20)):
+        _assert_one_denoiser_call_per_step(chain_steps, nfe, monkeypatch)
+
+
+def _assert_one_denoiser_call_per_step(chain_steps, nfe, monkeypatch):
+    # min(K, T) denoiser calls per block, each on all of the block's rows:
+    # 150 items x 4 chains make a block of ROW_BLOCK = 512 rows and one of 88,
+    # padded to 96
     n, n_samples, k = 150, 4, 5
     net, sched, f, d, prior = _chain_inputs(n, k)
     rows, eps_predict = [], df.eps_predict
@@ -733,25 +834,28 @@ def test_sample_chain_batch_evaluates_the_denoiser_once_per_step(monkeypatch):
         rows.append(x.shape[0])
         return eps_predict(net, x, *args, **kwargs)
 
-    monkeypatch.setattr(df, "eps_predict", counted)
-    df.sample_chains(net, sched, f, d, prior, 5, np.arange(n), n_samples)
-    assert df.ROW_BLOCK == 512
-    assert rows == [512] * sched.t_total + [96] * sched.t_total
+    with monkeypatch.context() as m:
+        m.setattr(df, "eps_predict", counted)
+        df.sample_chains(net, sched, f, d, prior, 5, np.arange(n), chain_steps, n_samples)
+    assert df.ROW_BLOCK == 512 and sched.t_total == 20
+    assert rows == [512] * nfe + [96] * nfe
 
 
 def test_sample_chains_chain_0_does_not_depend_on_n_samples():
     # the trajectory export's chain 0 is the first chain evaluate averages,
     # at any sample count, including one that spans several row blocks
-    n, record = 7, {20, 10, 0}
-    for k in (3, 5):
-        net, sched, f, d, prior = _chain_inputs(n, k)
-        keys = np.arange(n)
-        _, first = df.sample_chains(net, sched, f, d, prior, 9, keys, 1, record)
-        for n_samples in (3, df.ROW_BLOCK // n + 5):
-            _, states = df.sample_chains(net, sched, f, d, prior, 9, keys, n_samples, record)
-            for t in record:
-                assert states[t].shape == (n_samples, n, k)
-                assert np.array_equal(states[t][0], first[t][0])
+    for chain_steps in AT_K:
+        n, record = 7, {20, 10, 0}
+        for k in (3, 5):
+            net, sched, f, d, prior = _chain_inputs(n, k)
+            keys = np.arange(n)
+            _, first = df.sample_chains(net, sched, f, d, prior, 9, keys, chain_steps, 1, record)
+            for n_samples in (3, df.ROW_BLOCK // n + 5):
+                _, states = df.sample_chains(net, sched, f, d, prior, 9, keys, chain_steps,
+                                             n_samples, record)
+                for t in record:
+                    assert states[t].shape == (n_samples, n, k)
+                    assert np.array_equal(states[t][0], first[t][0])
 
 
 @pytest.mark.parametrize("n_samples", [1, 5])
@@ -760,17 +864,18 @@ def test_sample_chains_subset_means_equal_the_full_sets(k, n_samples):
     # an item's mean has the same bits in any subset that keeps its key: each
     # block is padded to whole BLAS row tiles, so no row rounds as a partial
     # tile's (the k = 3 head) or as a one-row product does
-    n = 192
-    net, sched, f, d, prior = _chain_inputs(n, k)
-    keys = np.arange(n) * 7 + 3
-    full, _ = df.sample_chains(net, sched, f, d, prior, 13, keys, n_samples)
-    lo = 0
-    for size in (1, 7, 30, 113, 41):
-        rows = slice(lo, lo + size)
-        mean, _ = df.sample_chains(net, sched, f[rows], d[rows], prior[rows], 13,
-                                   keys[rows], n_samples)
-        assert np.array_equal(mean, full[rows]), size
-        lo += size
+    for chain_steps in AT_K:
+        n = 192
+        net, sched, f, d, prior = _chain_inputs(n, k)
+        keys = np.arange(n) * 7 + 3
+        full, _ = df.sample_chains(net, sched, f, d, prior, 13, keys, chain_steps, n_samples)
+        lo = 0
+        for size in (1, 7, 30, 113, 41):
+            rows = slice(lo, lo + size)
+            mean, _ = df.sample_chains(net, sched, f[rows], d[rows], prior[rows], 13,
+                                       keys[rows], chain_steps, n_samples)
+            assert np.array_equal(mean, full[rows]), size
+            lo += size
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -778,21 +883,23 @@ def test_sample_chains_mean_sums_every_chain_in_sample_order(k):
     # 7 items x 5 chains fit in one block, which then holds five chains of
     # each item: every one is added, in sample order, before the division;
     # the 35 rows run in 48 (whole row tiles), with zero rows after them
-    n, n_samples = 7, 5
-    net, sched, f, d, prior = _chain_inputs(n, k)
-    keys = np.arange(n) + 100
-    mean, states = df.sample_chains(net, sched, f, d, prior, 11, keys, n_samples)
-    assert states == {}
-    items = np.repeat(np.arange(n), n_samples)
-    pad = lambda a: np.concatenate([a, np.zeros((13,) + a.shape[1:])])
-    noise = pad(_item_noise(11, keys, n_samples, sched.t_total, k))
-    final, _ = df.sample_chain_batch(net, pad(f[items]), pad(d[items]), pad(prior[items]),
-                                     sched, noise)
-    final = final[:n * n_samples]
-    total = np.zeros((n, k))
-    for chain in final.reshape(n, n_samples, k).swapaxes(0, 1):
-        total += chain
-    assert np.array_equal(mean, total / n_samples)
+    for chain_steps in AT_K:
+        n, n_samples = 7, 5
+        net, sched, f, d, prior = _chain_inputs(n, k)
+        keys = np.arange(n) + 100
+        grid = df.chain_grid(sched.t_total, chain_steps)
+        mean, states = df.sample_chains(net, sched, f, d, prior, 11, keys, chain_steps, n_samples)
+        assert states == {}
+        items = np.repeat(np.arange(n), n_samples)
+        pad = lambda a: np.concatenate([a, np.zeros((13,) + a.shape[1:])])
+        noise = pad(_item_noise(11, keys, n_samples, grid, k))
+        final, _ = df.sample_chain_batch(net, pad(f[items]), pad(d[items]), pad(prior[items]),
+                                         sched, grid, noise)
+        final = final[:n * n_samples]
+        total = np.zeros((n, k))
+        for chain in final.reshape(n, n_samples, k).swapaxes(0, 1):
+            total += chain
+        assert np.array_equal(mean, total / n_samples)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from cgsd import guidance as gd
 from cgsd import numkit as nk
 from cgsd import optim
 from cgsd import pipeline as pl
+from cgsd.analysis import confusion_and_metrics
 from cgsd.data import SyntheticConfig, read_dataset, stratified_split, write_dataset
 from cgsd.errors import ConfigError, DataError, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
@@ -49,6 +50,8 @@ TINY = pl.RunConfig(
     stage2_epochs=2,
     stage2_batch=16,
     seed=7,
+    # below T = 20, so the tiny chains walk a strided grid (stride 2)
+    chain_steps=10,
 )
 
 
@@ -87,7 +90,7 @@ def test_benchmark_configs_keep_their_values(monkeypatch):
     harness = _load_harness(monkeypatch)
     assert [harness.DESK.digest(), harness.SHORT.digest(),
             harness.TINY.desk.digest(), harness.TINY.short.digest()] == [
-        "972fc9ad553281b7", "545deec5e0f5baea", "429fdcbff557354f", "fa4bd714d8749e56"]
+        "e01acb1d9982fc25", "584f33631c93637d", "d04cf04e3d656e13", "b8634c99a1f2c956"]
     desk = pl.RunConfig(desk_preset=True)
     assert replace(desk, desk_preset=False, pretrain_epochs=4, stage1_epochs=4,
                    stage2_epochs=8, stage2_lr=5e-3) == harness.SHORT
@@ -467,12 +470,44 @@ def tiny_run(small_dir, tiny_trained):
 def test_evaluate_zero_shot_report_schema(tiny_run):
     model, _, _, test = tiny_run
     report = pl.evaluate(model, None, test, TINY)
-    for key in ("accuracy", "macro_f1", "per_class_f1", "confusion", "n_eval",
-                "seed", "config_digest", "mode", "paper_reference"):
+    for key in ("accuracy", "macro_f1", "qwk", "mean_abs_grade_error", "per_class_f1",
+                "confusion", "n_eval", "nfe_per_chain", "seed", "config_digest", "mode",
+                "paper_reference"):
         assert key in report
     assert report["mode"] == "zero-shot"
     assert report["n_eval"] == test.n
+    assert report["nfe_per_chain"] == 0
     assert sum(map(sum, report["confusion"])) == test.n
+
+
+@pytest.mark.parametrize("chain_steps, nfe", [(5, 5), (10, 10), (20, 20), (1000, 20)])
+def test_diffusion_report_counts_the_denoiser_calls_per_chain(tiny_run, chain_steps, nfe,
+                                                              monkeypatch):
+    # nfe_per_chain is min(chain_steps, T), here T = 20: a K above T runs T
+    # steps, and the report says so; one call per step per row block
+    model, denoiser, _, test = tiny_run
+    calls, eps_predict = [], df.eps_predict
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eps_predict(*args, **kwargs)
+
+    monkeypatch.setattr(df, "eps_predict", counted)
+    report = pl.evaluate(model, denoiser, test, replace(TINY, chain_steps=chain_steps))
+    assert report["nfe_per_chain"] == nfe and denoiser[1].t_total == 20
+    assert test.n * TINY.n_samples <= df.ROW_BLOCK and len(calls) == nfe
+
+
+def test_report_ordinal_metrics_are_its_confusions(tiny_run):
+    # qwk and mean_abs_grade_error are those of the report's own confusion
+    model, denoiser, _, test = tiny_run
+    for report in (pl.evaluate(model, None, test, TINY),
+                   pl.evaluate(model, denoiser, test, TINY)):
+        counts = np.array(report["confusion"])
+        labels = np.repeat(np.arange(test.k), counts.sum(axis=1))
+        preds = np.concatenate([np.repeat(np.arange(test.k), row) for row in counts])
+        _, _, _, _, qwk, mae = confusion_and_metrics(preds, labels, test.k)
+        assert (report["qwk"], report["mean_abs_grade_error"]) == (qwk, mae)
 
 
 def test_evaluate_byte_identical_reports(small_dir, tiny_trained, tmp_path):
@@ -504,7 +539,7 @@ def test_diffusion_predict_invariant_to_chunking(tiny_run):
 
     def means(rows, n_samples):
         mean, _ = df.sample_chains(net, sched, f[rows], d[rows], prior[rows],
-                                   TINY.seed, keys[rows], n_samples)
+                                   TINY.seed, keys[rows], TINY.chain_steps, n_samples)
         return mean
 
     cut = test.n // 3
@@ -539,23 +574,26 @@ def test_full_split_encodes_peak_below_their_outputs(bench_dir):
 
 def _assert_n1_equals_single_chain(seed):
     # sample_chains' mean of one sample per item is the final state of one
-    # chain on the first block of the substream (seed, 101, item_key), run as
-    # sample_chains runs it: in whole row tiles, here the 3 rows and 13 zero
-    # rows
+    # chain on the first (K + 1) x k block of the substream (seed, 101,
+    # item_key), run as sample_chains runs it: in whole row tiles, here the 3
+    # rows and 13 zero rows; at the default K and at K = T
     net = df.DenoiserNet.build(d_model=4, k=3, seed=11)
     sched = df.make_schedule(100, 1e-3, 0.2)
     f, d = np.zeros((3, 4)), np.zeros((3, 3))
     prior = np.array([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2], [0.1, 0.1, 0.8]])
     keys = np.array([5, 9, 2])
-    noise = np.stack([
-        np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
-        .standard_normal((sched.t_total + 1, 3))
-        for key in keys.tolist()
-    ])
-    pad = lambda a: np.concatenate([a, np.zeros((df.ROW_TILE - 3,) + a.shape[1:])])
-    single, _ = df.sample_chain_batch(net, pad(f), pad(d), pad(prior), sched, pad(noise))
-    mean, _ = df.sample_chains(net, sched, f, d, prior, seed, keys)
-    np.testing.assert_array_equal(mean, single[:3])
+    for chain_steps in (pl.RunConfig().chain_steps, sched.t_total):
+        grid = df.chain_grid(sched.t_total, chain_steps)
+        noise = np.stack([
+            np.random.default_rng(np.random.SeedSequence((seed, 101, key)))
+            .standard_normal((chain_steps + 1, 3))
+            for key in keys.tolist()
+        ])
+        pad = lambda a: np.concatenate([a, np.zeros((df.ROW_TILE - 3,) + a.shape[1:])])
+        single, _ = df.sample_chain_batch(net, pad(f), pad(d), pad(prior), sched, grid,
+                                          pad(noise))
+        mean, _ = df.sample_chains(net, sched, f, d, prior, seed, keys, chain_steps)
+        np.testing.assert_array_equal(mean, single[:3])
 
 
 def test_diffusion_predict_n1_equals_single_chain():
@@ -598,16 +636,30 @@ def test_ablate_rows_share_split_and_digest(small_dir, tmp_path):
 
 def test_desk_ablation_reproduces_the_seed_42_rows(desk_ablation):
     # the desk reproduction's bits: test items correct out of 1,099 and
-    # macro-F1 per row; a change to the recipe updates these on purpose
+    # macro-F1 per row, the diffusion row at the default 25-step chain; a
+    # change to the recipe updates these on purpose
     pinned = [
         (584, 0.37828233219102614),
         (647, 0.3908345476956082),
-        (661, 0.35250648382666505),
+        (680, 0.3668160459001773),
     ]
     rows = desk_ablation["report"]["rows"]
+    assert desk_ablation["cfg"].chain_steps == 25
     for row, (correct, macro_f1) in zip(rows, pinned, strict=True):
         assert row["accuracy"] == pytest.approx(correct / 1099, abs=1e-12)
         assert row["macro_f1"] == pytest.approx(macro_f1, abs=1e-12)
+
+
+def test_desk_diffusion_row_at_the_full_chain_keeps_its_pin(desk_ablation):
+    # the fixture's checkpoints scored at chain_steps = T = 100, the full
+    # chain, give the diffusion row every earlier desk run pinned
+    cfg = replace(desk_ablation["cfg"], chain_steps=100)
+    model, denoiser, _, test = pl.load_run(desk_ablation["data_dir"], cfg,
+                                           desk_ablation["guidance"], desk_ablation["denoiser"])
+    report = pl.evaluate(model, denoiser, test, cfg)
+    assert report["nfe_per_chain"] == 100
+    assert report["accuracy"] == pytest.approx(661 / 1099, abs=1e-12)
+    assert report["macro_f1"] == pytest.approx(0.35250648382666505, abs=1e-12)
 
 
 def test_desk_report_carries_its_config_digest(desk_ablation):
@@ -790,14 +842,29 @@ def test_export_trajectory_rejects_a_step_that_is_not_an_integer(
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_export_trajectory_refuses_a_step_off_the_chain_grid(small_dir, tiny_trained,
+                                                             tmp_path):
+    # TINY's T = 20 chain at its K = 10 visits the even steps only;
+    # at K = T every step is on the grid
+    args = (small_dir, tiny_trained / "g.json", tiny_trained / "d.json")
+    with pytest.raises(ConfigError, match="not on the chain's 10-step grid of stride 2"):
+        pl.export_trajectory(*args, [20, 7, 0], tmp_path / "t.csv", TINY)
+    assert not (tmp_path / "t.csv").exists()
+    doc = pl.export_trajectory(*args, [20, 7, 0], tmp_path / "t.csv",
+                               replace(TINY, chain_steps=20))
+    assert set(doc["silhouette_by_step"]) == {"20", "7", "0"}
+
+
 def test_export_trajectory_default_steps_follow_the_schedule(bad_input_base, tmp_path):
-    # without --steps a T = 10 denoiser records T, 4T/5, ..., 0
+    # without --steps a T = 10 denoiser records T, 4T/5, ..., 0, and at a K
+    # that 5 does not divide, steps of its grid (10, 6, 3, 0 at K = 3)
     df.save_denoiser(tmp_path / "d10.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
                      (10, 1e-3, 0.2))
     argv = ["export-trajectory", "--data", str(bad_input_base / "data"),
             "--guidance", str(bad_input_base / "g.json"),
             "--diffusion", str(tmp_path / "d10.json"), "--out", str(tmp_path / "t.csv")]
-    for extra, want in (([], [10, 8, 6, 4, 2, 0]), (["--steps", "10,4"], [10, 4])):
+    for extra, want in (([], [10, 8, 6, 4, 2, 0]), (["--steps", "10,4"], [10, 4]),
+                        (["--chain-steps", "3"], [10, 6, 3, 0])):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv + extra) == 0
         rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
@@ -1149,6 +1216,10 @@ _ARGV = {
 # exit-3 message names, damage, --config body)
 _BAD_INPUTS = {
     "eval-samples-0": (2, "eval", ["--n-samples", "0"], None, None, None),
+    "eval-chain-steps-0": (2, "eval", ["--chain-steps", "0"], None, None, None),
+    # a step off the default 25-step grid of a T = 100 denoiser (stride 4)
+    "export-step-off-the-grid": (
+        2, "export-trajectory", ["--steps", "95"], "d.json", _meta_set("t_total", 100), None),
     "eval-zero-shot-samples-0": (
         2, "eval-zero-shot", ["--n-samples", "0"], None, None, None),
     "train-diffusion-clip-0": (2, "train-diffusion", ["--clip", "0"], None, None, None),
@@ -1639,9 +1710,9 @@ def test_cli_config_round_trip(command, monkeypatch, tmp_path):
 
 
 def test_run_config_fields_and_digests_unchanged():
-    assert pl.RunConfig().digest() == "3c79f163694c2bd6"
+    assert pl.RunConfig().digest() == "8ea0feb597162e39"
     # the digest every desk report carries (README's pinned ablation.json)
-    assert pl.RunConfig(desk_preset=True).digest() == "972fc9ad553281b7"
+    assert pl.RunConfig(desk_preset=True).digest() == "e01acb1d9982fc25"
 
 
 def test_cli_unknown_config_key_is_one_line(bad_input_base, tmp_path):
@@ -1748,3 +1819,61 @@ def test_output_digests_script_lists_every_file_it_writes(small_dir, tmp_path):
         "stages/g.npz.log", "stages/r.json", "stages/t.csv", "stages/t.csv.silhouette.json",
         "trajectory.csv", "trajectory.csv.silhouette.json"]
     assert re.search(r"^peak RSS \d+\.\d MB$", proc.stderr, re.M), proc.stderr
+
+
+def test_seed_sweep_script_writes_the_rule_and_its_verdict(tmp_path):
+    # scripts/seed_sweep.py on a 300-item benchmark: 2 data seeds, 2 chain
+    # seeds, K = T = 100 (always scored) and K = T / 2
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run([sys.executable, str(script), "--out", str(out), "--work",
+                           str(tmp_path / "work"), "--data-seeds", "3,4", "--chain-seeds",
+                           "1,2", "--chain-steps", "50", "--n", "300"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == ["chain_seeds", "chain_steps", "data_seeds", "default", "n",
+                           "rule", "seeds", "t_total", "verdict"]
+    assert (doc["t_total"], doc["chain_steps"], doc["data_seeds"], doc["chain_seeds"]) == (
+        100, [100, 50], [3, 4], [1, 2])
+    assert sorted(doc["seeds"]) == ["3", "4"]
+    for seed in doc["seeds"].values():
+        assert sorted(seed) == ["diffusion_by_k", "n_eval", "rows", "split_hash"]
+        rows = seed["rows"]
+        assert sorted(rows) == ["adapted", "diffusion", "zero_shot"]
+        diffusion = rows["diffusion"]
+        assert sorted(diffusion) == ["100", "50"] and sorted(diffusion["50"]) == ["1", "2"]
+        for row in (rows["zero_shot"], rows["adapted"], *diffusion["100"].values()):
+            assert sorted(row) == ["accuracy", "macro_f1", "predicted", "qwk"]
+            assert len(row["predicted"]) == 5 and sum(row["predicted"]) == seed["n_eval"]
+        for k, summary in seed["diffusion_by_k"].items():
+            assert sorted(summary) == ["accuracy", "evaluate_s", "macro_f1", "qwk"]
+            for metric in ("accuracy", "macro_f1", "qwk"):
+                low, mid, high = summary[metric]
+                values = [r[metric] for r in diffusion[k].values()]
+                assert (low, high) == (min(values), max(values)) and low <= mid <= high
+    # the rule, recomputed from the summaries
+    passes = all(seed["diffusion_by_k"]["50"][m][1] >= seed["diffusion_by_k"]["100"][m][0]
+                 for seed in doc["seeds"].values() for m in ("accuracy", "macro_f1", "qwk"))
+    assert doc["verdict"] == {"50": {"passes": passes, "failed_data_seeds": [
+        s for s, seed in doc["seeds"].items()
+        if any(seed["diffusion_by_k"]["50"][m][1] < seed["diffusion_by_k"]["100"][m][0]
+               for m in ("accuracy", "macro_f1", "qwk"))]}}
+    assert doc["default"] == (50 if passes else 100)
+
+
+def test_seed_sweep_full_schedule_keeps_the_desk_epochs():
+    # --t-total 1000 runs the desk's epoch budget on RunConfig's default
+    # schedule; the desk's own T keeps the desk preset
+    path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("seed_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.desk_config(3, 100) == pl.RunConfig(desk_preset=True, seed=3)
+    full, desk = sweep.desk_config(3, 1000), pl.RunConfig(desk_preset=True, seed=3)
+    default = pl.RunConfig()
+    assert (full.t_total, full.beta_start, full.beta_end) == (
+        default.t_total, default.beta_start, default.beta_end)
+    assert replace(full, t_total=100, beta_start=1e-3, beta_end=0.2, desk_preset=True) == desk
