@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 from cgsd import cli
-from cgsd.pipeline import RunConfig, ablate, export_trajectory
+from cgsd.pipeline import RunConfig, ablate, ablate_checkpoints, export_trajectory
 
 
 def main() -> None:
@@ -73,10 +73,9 @@ def main() -> None:
 
     with timed("ablate"):
         ablate(args.data, cfg, args.out / "ablation.json")
-    guidance = args.out / "ablate_guidance.json"
-    denoiser = args.out / "ablate_denoiser.json"
+    guidance, base, denoiser = ablate_checkpoints(args.out / "ablation.json")
     runs = {
-        "zero-shot": ["--guidance", str(args.out / "ablate_guidance.base.json")],
+        "zero-shot": ["--guidance", str(base)],
         "adapted": ["--guidance", str(guidance)],
         "diffusion": ["--guidance", str(guidance), "--diffusion", str(denoiser)],
     }

@@ -87,7 +87,7 @@ def sweep_seed(work: Path, seed: int, n: int, chain_seeds: list[int],
     ablation = pipeline.ablate(data, cfg, out)
 
     guidance, base, denoiser_path = pipeline.ablate_checkpoints(out)
-    model, denoiser, _, test = pipeline.load_run(data, cfg, guidance, denoiser_path)
+    model, denoiser, _, test = pipeline.load_run(data, guidance, denoiser_path)
     # the ablation's rows hold the metrics; evaluate adds the predicted counts
     rows = {name: {**{m: row[m] for m in METRICS},
                    "predicted": predicted(pipeline.evaluate(guide, None, test, cfg))}

@@ -199,9 +199,7 @@ def _train_diffusion(cfg: RunConfig, a: dict) -> None:
     {"diffusion": None}, out="report",
 )
 def _eval(cfg: RunConfig, a: dict) -> None:
-    model, denoiser, _, test = pipeline.load_run(
-        a["data"], cfg, a["guidance"], a["diffusion"] or None
-    )
+    model, denoiser, _, test = pipeline.load_run(a["data"], a["guidance"], a["diffusion"] or None)
     report = pipeline.evaluate(model, denoiser, test, cfg)
     write_json(a["report"], report)
     print(json.dumps(report, sort_keys=True, indent=2))

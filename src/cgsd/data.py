@@ -29,6 +29,8 @@ _SUB_TARGET = 1
 _SUB_SHIFT = 2
 _SUB_SPLIT = 3
 
+TRAIN_FRACTION = 0.7  # the train split's share of a dataset's rows
+
 
 @dataclass
 class Dataset:
@@ -166,14 +168,14 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, Dataset]:
     return source, target
 
 
-def stratified_split(ds: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:
-    """Per-class split of floor(n * fraction) train rows, apportioned from each
-    class's count * fraction, train_fraction in (0, 1); ds.seed seeds the draw."""
+def stratified_split(ds: Dataset) -> tuple[Dataset, Dataset]:
+    """Per-class split of floor(n * TRAIN_FRACTION) train rows, apportioned from
+    each class's count * TRAIN_FRACTION; ds.seed seeds the draw."""
     counts = np.bincount(ds.labels, minlength=ds.k)
     if np.any(counts == 0):
         empty = int(np.argmin(counts))
         raise DataError(f"class {empty} has no samples; cannot stratify")
-    takes = apportion(int(np.floor(ds.n * train_fraction)), counts * train_fraction)
+    takes = apportion(int(np.floor(ds.n * TRAIN_FRACTION)), counts * TRAIN_FRACTION)
 
     rng = np.random.default_rng(np.random.SeedSequence((ds.seed, _SUB_SPLIT)))
     train_idx: list[int] = []

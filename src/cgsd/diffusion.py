@@ -262,14 +262,14 @@ def sample_chain_batch(
     sched: NoiseSchedule,
     grid: list[int],
     noise: np.ndarray,
-    record_steps=None,
+    record_steps=(),
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Run one reverse chain per row over grid (chain_grid's steps, T down to
     0) on that row's noise (a chain_rng block): noise[:, 0] is the initial
     draw and noise[:, h] that of the h-th step.
 
-    Returns the final label-space vectors and snapshots of y_t at every
-    requested step of the grid (the initial draw counts as step T). A
+    Returns the final label-space vectors and snapshots of y_t at each step
+    of the grid in record_steps (the initial draw counts as step T). A
     non-finite final vector raises NumericError; a nan or inf in y stays one
     to the end.
     """
@@ -280,11 +280,10 @@ def sample_chain_batch(
         raise ContractError(f"need noise of shape {(n, len(grid), k)}, got {noise.shape}")
     if grid[0] != sched.t_total or grid[-1] != 0:
         raise ContractError(f"a chain runs from step {sched.t_total} to 0, not {grid}")
-    record = set() if record_steps is None else set(record_steps)
     snapshots: dict[int, np.ndarray] = {}
 
     y = y_hat0 + noise[:, 0]
-    if sched.t_total in record:
+    if sched.t_total in record_steps:
         snapshots[sched.t_total] = y.copy()
 
     # f, the prior and d are written once; a step rewrites y_t and temb only
@@ -299,7 +298,7 @@ def sample_chain_batch(
         gamma0, gamma1, gamma2, var = posterior_coefficients(t, s, sched)
         z = noise[:, hop] if var != 0.0 else np.zeros((n, k))
         y = gamma0 * y0_tilde + gamma1 * y + gamma2 * y_hat0 + math.sqrt(var) * z
-        if s in record:
+        if s in record_steps:
             snapshots[s] = y.copy()
     return nk.check_finite(y, "the reverse chain's final state"), snapshots
 

@@ -70,7 +70,6 @@ class GuidanceModel:
         rank: int,
         alpha: float,
         seed: int,
-        frozen_base: bool = False,
     ) -> "GuidanceModel":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 11)))
         w1 = Tensor2(rng.standard_normal((hidden, d_in)) / math.sqrt(d_in))
@@ -81,7 +80,7 @@ class GuidanceModel:
         lora_b = Tensor2(np.zeros((d_model, rank)))
         prompts = Tensor2(rng.standard_normal((k, d_model)))
         log_scale = Tensor2(np.array([[LOG_SCALE_INIT]]))
-        return cls(w1, b1, w2, b2, lora_a, lora_b, alpha, prompts, log_scale, frozen_base)
+        return cls(w1, b1, w2, b2, lora_a, lora_b, alpha, prompts, log_scale, frozen_base=False)
 
     @property
     def k(self) -> int:

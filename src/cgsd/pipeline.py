@@ -15,9 +15,11 @@ import json
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
+from . import data as dt
 from . import diffusion as df
 from . import guidance as gd
 from . import optim
@@ -41,19 +43,20 @@ DESK_PRESET = {"t_total": 100, "beta_start": 1e-3, "beta_end": 0.2,
 
 @dataclass
 class RunConfig:
+    # a ClassVar is a fixed value, which no command varies and no caller sets
     # model
-    hidden: int = 128
-    d_model: int = 64
+    hidden: ClassVar[int] = 128
+    d_model: ClassVar[int] = 64
     rank: int = 8
     alpha: float = 16.0
     # source-domain pretraining of the base encoder
     pretrain_epochs: int = 60
-    pretrain_lr: float = 1e-3
-    pretrain_batch: int = 64
+    pretrain_lr: ClassVar[float] = 1e-3
+    pretrain_batch: ClassVar[int] = 64
     # stage 1
     lr_lora: float = 1e-4
     lr_prompt: float = 2e-3
-    warmup_start_lr: float = 1e-5
+    warmup_start_lr: ClassVar[float] = 1e-5  # _lr_plan clamps it to each plan's rate
     stage1_epochs: int = 22
     stage1_batch: int = 64
     warmup_epochs: int = 3
@@ -74,7 +77,8 @@ class RunConfig:
     # reverse-chain steps K: a chain runs min(K, t_total) denoiser calls on
     # chain_grid's steps; scripts/seed_sweep.py's rule chose 25 (README)
     chain_steps: int = 25
-    train_fraction: float = 0.7
+    # the split fraction is the data's; perfbench/harness.py reads it here
+    train_fraction = property(lambda self: dt.TRAIN_FRACTION)
     seed: int = 42
     desk_preset: bool = False
 
@@ -82,8 +86,7 @@ class RunConfig:
         least = {
             "pretrain_epochs": 0, "stage1_epochs": 0, "warmup_epochs": 0,
             "stage2_epochs": 0, "seed": 0, "rank": 1, "t_total": 1,
-            "pretrain_batch": 1, "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1,
-            "chain_steps": 1,
+            "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1, "chain_steps": 1,
         }
         for name, bound in least.items():
             value = getattr(self, name)
@@ -97,8 +100,7 @@ class RunConfig:
             raise ConfigError("lambda_rank and margin must be nonnegative")
         if not 0.0 <= self.ema_mu < 1.0:
             raise ConfigError(f"ema_mu must be in [0, 1), got {self.ema_mu}")
-        for name in ("alpha", "pretrain_lr", "lr_lora", "lr_prompt", "warmup_start_lr",
-                     "stage2_lr", "stage2_lr_min", "clip"):
+        for name in ("alpha", "lr_lora", "lr_prompt", "stage2_lr", "stage2_lr_min", "clip"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
@@ -122,8 +124,11 @@ class RunConfig:
         return self
 
     def digest(self) -> str:
-        body = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(body).hexdigest()[:16]
+        """The hash of the settings and, under their former field names, the fixed values."""
+        fixed = ("hidden", "d_model", "pretrain_lr", "pretrain_batch", "warmup_start_lr",
+                 "train_fraction")
+        body = {**asdict(self), **{name: getattr(self, name) for name in fixed}}
+        return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +173,9 @@ def load_domain(data_dir: str | Path, domain: str) -> Dataset:
     return read_dataset(path)
 
 
-def _target_split(data_dir: str | Path, cfg: RunConfig) -> tuple[Dataset, Dataset]:
+def _target_split(data_dir: str | Path) -> tuple[Dataset, Dataset]:
     """The target domain's one (train, test) split, seeded by the data, not the run."""
-    return stratified_split(load_domain(data_dir, "target"), cfg.train_fraction)
+    return stratified_split(load_domain(data_dir, "target"))
 
 
 def _source_like(data_dir: str | Path, target: Dataset) -> Dataset:
@@ -208,7 +213,6 @@ def conditioning(model: gd.GuidanceModel, features: np.ndarray):
 
 def load_run(
     data_dir: str | Path,
-    cfg: RunConfig,
     guidance_ckpt: str | Path,
     denoiser_ckpt: str | Path | None = None,
 ) -> tuple[gd.GuidanceModel, tuple | None, Dataset, Dataset]:
@@ -216,7 +220,7 @@ def load_run(
     without a denoiser checkpoint) and the target train and test splits;
     checkpoints whose widths or grade count do not fit the data are refused."""
     model = gd.load_guidance(guidance_ckpt)
-    train, test = _target_split(data_dir, cfg)
+    train, test = _target_split(data_dir)
     if model.d_in != train.d_in or model.k != train.k:
         raise DataError(
             f"guidance checkpoint expects d_in={model.d_in}, k={model.k}; "
@@ -236,12 +240,12 @@ def load_run(
 GUIDANCE_LR_MIN = 1e-5  # the guidance plans' floor, stage2_lr_min's default; no field moves it
 
 
-def _lr_plan(base_lr: float, cfg: RunConfig, warmup_epochs: int, epochs: int,
+def _lr_plan(base_lr: float, warmup_epochs: int, epochs: int,
              min_lr: float = GUIDANCE_LR_MIN) -> optim.LrPlan:
-    """The plan of base_lr, one of cfg's checked rates, floored at min_lr. Clamping
-    that floor and the warmup start to base_lr and the epoch count up give
-    every plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
-    return optim.LrPlan(base_lr, min(min_lr, base_lr), min(cfg.warmup_start_lr, base_lr),
+    """The plan of base_lr, a checked rate, floored at min_lr. Clamping that floor
+    and the warmup start to base_lr and the epoch count up give every plan
+    0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
+    return optim.LrPlan(base_lr, min(min_lr, base_lr), min(RunConfig.warmup_start_lr, base_lr),
                         warmup_epochs, max(epochs, warmup_epochs + 1))
 
 
@@ -273,7 +277,7 @@ def _train_guidance(stage, model: gd.GuidanceModel, groups, lrs, warmup_epochs, 
     groups laid end to end, group i on the plan of rate lrs[i], and
     guidance_loss on data's rows."""
     flat = optim.FlatParams(*groups)
-    plans = [_lr_plan(lr, cfg, warmup_epochs, epochs) for lr in lrs]
+    plans = [_lr_plan(lr, warmup_epochs, epochs) for lr in lrs]
     step = partial(optim.radam_step, flat.data, flat.grad, optim.AdamState())
     _fit(stage, flat, step, plans, data.n, batch, epochs, cfg, tag,
          lambda epoch: lambda idx, tape: gd.guidance_loss(
@@ -306,7 +310,7 @@ def train_stage1(
     to out_path, and its "test" the target test split.
     """
     log: list[str] = []
-    train, test = _target_split(data_dir, cfg)
+    train, test = _target_split(data_dir)
     model = pretrain_base(_source_like(data_dir, train), cfg, log)
     gd.save_guidance(base_path, model)
 
@@ -335,7 +339,7 @@ def train_stage2(
 ) -> dict:
     """Train the noise predictor against frozen guidance conditioning; the
     result's "denoiser" is the (net, schedule) pair saved to out_path."""
-    model, _, train, _ = load_run(data_dir, cfg, guidance_ckpt)
+    model, _, train, _ = load_run(data_dir, guidance_ckpt)
     if not model.frozen_base:
         raise DataError(f"guidance checkpoint {guidance_ckpt} is not marked frozen")
     guidance_hash_before = hashlib.sha256(Path(guidance_ckpt).read_bytes()).hexdigest()
@@ -343,7 +347,7 @@ def train_stage2(
     y0 = np.eye(train.k)[train.labels]
 
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
-    # the conditioning's width is the guidance model's, whatever cfg.d_model says
+    # the conditioning's width is the guidance model's, whatever RunConfig.d_model says
     net = df.DenoiserNet.build(model.w2.rows, train.k, cfg.seed)
     flat = optim.FlatParams(net.params())
     state = optim.AdamState()
@@ -365,7 +369,7 @@ def train_stage2(
         return lambda idx, tape: df.epsilon_loss(net, f[idx], y0[idx], prior[idx], d[idx],
                                                  sched, t_values[idx], eps[idx], tape)
 
-    plan = _lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs, cfg.stage2_lr_min)
+    plan = _lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs, cfg.stage2_lr_min)
     _fit("stage2", flat, step, [plan], train.n, cfg.stage2_batch, cfg.stage2_epochs, cfg, 47,
          batch_loss, log, lambda: "")
 
@@ -472,7 +476,7 @@ def export_trajectory(
     i = 5 ... 0, which are T, 4T/5, ..., 0 when 5 divides K."""
     if steps is not None and not steps:
         raise ConfigError("steps list must not be empty")
-    model, (net, sched), _, test = load_run(data_dir, cfg, guidance_ckpt, denoiser_ckpt)
+    model, (net, sched), _, test = load_run(data_dir, guidance_ckpt, denoiser_ckpt)
     grid = df.chain_grid(sched.t_total, cfg.chain_steps)
     if steps is None:
         k = len(grid) - 1

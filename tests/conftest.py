@@ -94,14 +94,15 @@ def desk_ablation(bench_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("ablation")
     cfg = pl.RunConfig(desk_preset=True, seed=42)
     report = pl.ablate(bench_dir, cfg, work / "ablation.json")
+    guidance, base, denoiser = pl.ablate_checkpoints(work / "ablation.json")
     return {
         "report": report,
         "cfg": cfg,
         "data_dir": bench_dir,
         "out_dir": work,
-        "guidance": work / "ablate_guidance.json",
-        "base": work / "ablate_guidance.base.json",
-        "denoiser": work / "ablate_denoiser.json",
+        "guidance": guidance,
+        "base": base,
+        "denoiser": denoiser,
     }
 
 
@@ -121,7 +122,7 @@ def separable_stage1(tmp_path_factory):
         out, cfg, out / "guidance.json", out / "guidance.base.json"
     )
     model = gd.load_guidance(out / "guidance.json")
-    _, test = stratified_split(target, cfg.train_fraction)
+    _, test = stratified_split(target)
     acc = float(np.mean(np.argmax(pl.conditioning(model, test.features)[1], axis=1)
                         == test.labels))
     return {

@@ -80,10 +80,9 @@ def test_criterion_2_forward_marginal_monte_carlo():
 
 def test_criterion_3_full_model_gradient_checks():
     # guidance objective: every trainable parameter of a seeded model
-    model = gd.GuidanceModel.build(
-        d_in=10, hidden=12, d_model=8, k=5, rank=2, alpha=4.0, seed=303,
-        frozen_base=True,
-    )
+    model = gd.GuidanceModel.build(d_in=10, hidden=12, d_model=8, k=5, rank=2, alpha=4.0,
+                                   seed=303)
+    model.frozen_base = True
     rng = np.random.default_rng(304)
     feats = rng.standard_normal((4, 10))
     labels = [0, 1, 3, 4]
@@ -118,10 +117,8 @@ def test_criterion_3_full_model_gradient_checks():
 
 
 def test_criterion_4_adapter_contracts(desk_ablation):
-    model = gd.GuidanceModel.build(
-        d_in=16, hidden=20, d_model=12, k=5, rank=4, alpha=8.0, seed=404,
-        frozen_base=True,
-    )
+    model = gd.GuidanceModel.build(d_in=16, hidden=20, d_model=12, k=5, rank=4, alpha=8.0,
+                                   seed=404)
     rng = np.random.default_rng(405)
     for _ in range(100):
         x = rng.standard_normal(16)
@@ -212,7 +209,7 @@ def test_criterion_8_inference_protocol(desk_ablation, tmp_path):
     # mean final states of one whole batch, bit for bit, and their grades
     # are what the report counts
     model, (net, sched), _, test = pl.load_run(
-        data_dir, cfg, desk_ablation["guidance"], desk_ablation["denoiser"]
+        data_dir, desk_ablation["guidance"], desk_ablation["denoiser"]
     )
     f_all, d_all, prior_all = pl.conditioning(model, test.features)
     keys = np.arange(test.n)

@@ -199,7 +199,7 @@ def test_split_hand_case():
     feats = np.arange(20.0).reshape(10, 2)
     labels = np.array([0] * 6 + [1] * 4)
     ds = Dataset(feats, labels, k=2, domain_tag="source", seed=1)
-    train, test = stratified_split(ds, 0.7)
+    train, test = stratified_split(ds)
     train_counts = np.bincount(train.labels, minlength=2)
     # floors (4, 2); remainders (0.2, 0.8) hand the leftover slot to class 1
     assert train_counts.tolist() == [4, 3]
@@ -209,7 +209,7 @@ def test_split_hand_case():
 def test_split_is_partition():
     cfg = SyntheticConfig(n=200, d_in=4, k=3, proportions=(0.4, 0.3, 0.3), seed=11)
     source, _ = gen_synthetic(cfg)
-    train, test = stratified_split(replace(source, seed=5), 0.7)
+    train, test = stratified_split(replace(source, seed=5))
     rows = np.vstack([train.features, test.features])
     # every original row appears exactly once across the two parts
     orig = {tuple(r) for r in source.features}
@@ -221,7 +221,7 @@ def test_split_is_partition():
 def test_split_per_class_fraction_bound():
     cfg = SyntheticConfig(n=500, d_in=4, k=5, seed=12)
     source, _ = gen_synthetic(cfg)
-    train, _ = stratified_split(replace(source, seed=5), 0.7)
+    train, _ = stratified_split(replace(source, seed=5))
     for j in range(5):
         count = int(np.sum(source.labels == j))
         got = int(np.sum(train.labels == j))
@@ -232,18 +232,18 @@ def test_split_rejects_empty_class():
     ds = Dataset(np.ones((4, 2)), np.zeros(4, dtype=np.int64), k=2,
                  domain_tag="source", seed=0)
     with pytest.raises(DataError):
-        stratified_split(ds, 0.7)
+        stratified_split(ds)
 
 
 def test_split_deterministic():
     cfg = SyntheticConfig(n=100, d_in=4, k=2, proportions=(0.5, 0.5), seed=13)
     source, _ = gen_synthetic(cfg)
-    a1, b1 = stratified_split(replace(source, seed=2), 0.7)
-    a2, b2 = stratified_split(replace(source, seed=2), 0.7)
+    a1, b1 = stratified_split(replace(source, seed=2))
+    a2, b2 = stratified_split(replace(source, seed=2))
     np.testing.assert_array_equal(a1.features, a2.features)
     np.testing.assert_array_equal(b1.labels, b2.labels)
     # the dataset's seed is the split's only entropy
-    a3, _ = stratified_split(replace(source, seed=3), 0.7)
+    a3, _ = stratified_split(replace(source, seed=3))
     assert not np.array_equal(a1.features, a3.features)
 
 
@@ -354,7 +354,8 @@ def test_checkpoint_round_trip_bytes_repeat_and_path_kept(tmp_path, name):
     # each model saved twice under one name: the same bytes, at exactly that
     # path (no .npz appended), loading back every tensor bit for bit
     model = gd.GuidanceModel.build(d_in=6, hidden=5, d_model=4, k=3, rank=2,
-                                   alpha=4.0, seed=3, frozen_base=True)
+                                   alpha=4.0, seed=3)
+    model.frozen_base = True
     net = df.DenoiserNet.build(d_model=4, k=3, seed=3)
     for t in [*_guidance_tensors(model), *net.params()]:
         t.data = t.data + 0.123456789012345678

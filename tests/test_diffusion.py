@@ -665,7 +665,7 @@ def _assert_chain_noise_matches_per_chain_generators(seed, chain_steps, monkeypa
     grid = df.chain_grid(sched.t_total, chain_steps)
     blocks, run = [], df.sample_chain_batch
 
-    def spy(net, f, d, prior, sched, grid, noise, record_steps=None):
+    def spy(net, f, d, prior, sched, grid, noise, record_steps=()):
         blocks.append((grid, noise.copy()))
         return run(net, f, d, prior, sched, grid, noise, record_steps)
 

@@ -298,10 +298,10 @@ def test_backward_composite_chain_matches_finite_differences():
 
 
 def _adapted_model(seed):
-    """A frozen guidance model whose lora_b is not zero, so that every
-    trainable tensor has a nonzero gradient."""
+    """A guidance model whose lora_b is not zero, so that every tensor has a
+    nonzero gradient."""
     model = gd.GuidanceModel.build(d_in=10, hidden=12, d_model=8, k=5, rank=2,
-                                   alpha=4.0, seed=seed, frozen_base=True)
+                                   alpha=4.0, seed=seed)
     model.lora_b.data = np.random.default_rng(seed).standard_normal(model.lora_b.shape)
     return model
 

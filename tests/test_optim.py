@@ -146,31 +146,33 @@ _RATE = st.floats(min_value=1e-9, max_value=1.0)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rates=st.tuples(_RATE, _RATE, _RATE, _RATE, _RATE),
+    rates=st.tuples(_RATE, _RATE, _RATE),
     floor_share=st.floats(min_value=1e-6, max_value=1.0),
     epochs=st.tuples(*[st.integers(min_value=0, max_value=30)] * 4),
 )
 def test_lr_plan_invariants(rates, floor_share, epochs):
     # every plan the training loops build from a valid RunConfig, including
-    # guidance rates below their floor GUIDANCE_LR_MIN and the warmup start,
-    # holds LrPlan's invariants and keeps each epoch's rate in (0, base_lr];
-    # the guidance plans floor at GUIDANCE_LR_MIN, stage 2's at stage2_lr_min
-    pretrain_lr, lr_lora, lr_prompt, warmup_start_lr, stage2_lr = rates
+    # guidance rates below their floor GUIDANCE_LR_MIN and below the fixed
+    # warmup start, holds LrPlan's invariants and keeps each epoch's rate in
+    # (0, base_lr]; the guidance plans floor at GUIDANCE_LR_MIN, stage 2's at
+    # stage2_lr_min, and every warmup starts at min(warmup_start_lr, base_lr)
+    lr_lora, lr_prompt, stage2_lr = rates
     cfg = pl.RunConfig(
-        pretrain_lr=pretrain_lr, lr_lora=lr_lora, lr_prompt=lr_prompt,
-        warmup_start_lr=warmup_start_lr, stage2_lr=stage2_lr,
+        lr_lora=lr_lora, lr_prompt=lr_prompt, stage2_lr=stage2_lr,
         stage2_lr_min=stage2_lr * floor_share, pretrain_epochs=epochs[0],
         stage1_epochs=epochs[1], warmup_epochs=epochs[2], stage2_epochs=epochs[3],
     )
     plans = [
-        pl._lr_plan(cfg.pretrain_lr, cfg, 0, cfg.pretrain_epochs),
-        pl._lr_plan(cfg.lr_lora, cfg, cfg.warmup_epochs, cfg.stage1_epochs),
-        pl._lr_plan(cfg.lr_prompt, cfg, cfg.warmup_epochs, cfg.stage1_epochs),
-        pl._lr_plan(cfg.stage2_lr, cfg, 0, cfg.stage2_epochs, cfg.stage2_lr_min),
+        pl._lr_plan(cfg.pretrain_lr, 0, cfg.pretrain_epochs),
+        pl._lr_plan(cfg.lr_lora, cfg.warmup_epochs, cfg.stage1_epochs),
+        pl._lr_plan(cfg.lr_prompt, cfg.warmup_epochs, cfg.stage1_epochs),
+        pl._lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs, cfg.stage2_lr_min),
     ]
     floors = [pl.GUIDANCE_LR_MIN] * 3 + [cfg.stage2_lr_min]
     assert [plan.min_lr for plan in plans] == [
         min(floor, plan.base_lr) for floor, plan in zip(floors, plans, strict=True)]
+    assert [plan.warmup_start_lr for plan in plans] == [
+        min(cfg.warmup_start_lr, plan.base_lr) for plan in plans]
     for plan in plans:
         assert 0 < plan.min_lr <= plan.base_lr
         assert plan.warmup_epochs < plan.total_epochs
@@ -387,8 +389,7 @@ def test_stage1_groups_from_one_gradient_buffer_match_per_tensor(seed):
     # FlatParams, stepped by one RAdam state with a rate per value and fed
     # from the one buffer backward fills, against two per-tensor groups with
     # a state each, fed from fresh gradient arrays
-    build = dict(d_in=10, hidden=12, d_model=8, k=5, rank=2, alpha=4.0, seed=seed,
-                 frozen_base=True)
+    build = dict(d_in=10, hidden=12, d_model=8, k=5, rank=2, alpha=4.0, seed=seed)
     ref, model = gd.GuidanceModel.build(**build), gd.GuidanceModel.build(**build)
     ref_groups = [ref.lora_params(), ref.prompt_params()]
     flat = optim.FlatParams(model.lora_params(), model.prompt_params())

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,6 @@ from guidance_oracle import encode_per_op, guidance_loss_per_op, similarity_per_
 
 
 TINY = pl.RunConfig(
-    hidden=16,
-    d_model=8,
     rank=2,
     alpha=4.0,
     pretrain_epochs=3,
@@ -153,7 +151,7 @@ def _guidance_per_tensor(data_dir, cfg):
     one rate per group: the rule the guidance trainer's folded loss, flat
     array and per-value rates must reproduce. Returns the log lines and the
     pretrained base's and the adapted model's tensors."""
-    train, _ = stratified_split(read_dataset(data_dir / "target.csv"), cfg.train_fraction)
+    train, _ = stratified_split(read_dataset(data_dir / "target.csv"))
     source = read_dataset(data_dir / "source.csv")
     model = gd.GuidanceModel.build(source.d_in, cfg.hidden, cfg.d_model, source.k, cfg.rank,
                                    cfg.alpha, cfg.seed)
@@ -197,7 +195,7 @@ def _guidance_per_tensor(data_dir, cfg):
 @pytest.mark.parametrize("cfg", [
     TINY,
     # past the warmup into the cosine, and past RAdam's first steps
-    replace(TINY, pretrain_epochs=4, stage1_epochs=5, warmup_epochs=1, pretrain_batch=32),
+    replace(TINY, pretrain_epochs=4, stage1_epochs=5, warmup_epochs=1),
 ])
 def test_guidance_loops_match_per_tensor_reference(cfg, small_dir, tmp_path):
     # 90 source rows and 62 train rows: every loop's last batch is short
@@ -247,7 +245,7 @@ def test_stage2_loss_decreases_on_holdout(small_dir, tmp_path):
     pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
     model = gd.load_guidance(tmp_path / "g.json")
     target = read_dataset(small_dir / "target.csv")
-    _, test = stratified_split(target, cfg.train_fraction)
+    _, test = stratified_split(target)
     f, d, prior = pl.conditioning(model, test.features)
     y0 = np.eye(test.k)[test.labels]
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
@@ -269,7 +267,7 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
     noise taken by item from the epoch's generator, and the per-tensor
     optimizers of optim_oracle: the rule its batched draws and flat updates
     must reproduce. Returns the log lines and the weight average."""
-    model, _, train, _ = pl.load_run(data_dir, cfg, guidance_ckpt)
+    model, _, train, _ = pl.load_run(data_dir, guidance_ckpt)
     f, d, prior = pl.conditioning(model, train.features)
     y0 = np.eye(train.k)[train.labels]
     sched = df.make_schedule(cfg.t_total, cfg.beta_start, cfg.beta_end)
@@ -346,7 +344,7 @@ def _stage2_item_draws(data_dir, guidance_ckpt, cfg, out, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(df, "epsilon_loss", recording)
         pl.train_stage2(data_dir, guidance_ckpt, cfg, out)
-    model, _, train, _ = pl.load_run(data_dir, cfg, guidance_ckpt)
+    model, _, train, _ = pl.load_run(data_dir, guidance_ckpt)
     # the conditioning rows are distinct, so each names its item
     item = {row.tobytes(): i for i, row in enumerate(pl.conditioning(model, train.features)[0])}
     assert len(item) == train.n
@@ -464,7 +462,7 @@ def tiny_trained(small_dir, tmp_path_factory):
 @pytest.fixture(scope="module")
 def tiny_run(small_dir, tiny_trained):
     """The tiny run's models and test split, read once."""
-    return pl.load_run(small_dir, TINY, tiny_trained / "g.json", tiny_trained / "d.json")
+    return pl.load_run(small_dir, tiny_trained / "g.json", tiny_trained / "d.json")
 
 
 def test_evaluate_zero_shot_report_schema(tiny_run):
@@ -521,9 +519,8 @@ def test_evaluate_byte_identical_reports(small_dir, tiny_trained, tmp_path):
     written = (tmp_path / "a.json").read_bytes()
     assert written == (tmp_path / "b.json").read_bytes()
     cfg = pl.RunConfig(seed=TINY.seed)
-    model, denoiser, _, test = pl.load_run(
-        small_dir, cfg, tiny_trained / "g.json", tiny_trained / "d.json"
-    )
+    model, denoiser, _, test = pl.load_run(small_dir, tiny_trained / "g.json",
+                                           tiny_trained / "d.json")
     assert json.loads(written) == pl.evaluate(model, denoiser, test, cfg)
 
 
@@ -555,9 +552,9 @@ def test_full_split_encodes_peak_below_their_outputs(bench_dir):
     # allocations stays near the conditioning's own arrays (one pass over all
     # rows peaked at 5.4 times them)
     cfg = pl.RunConfig()
-    train, _ = stratified_split(read_dataset(bench_dir / "target.csv"), cfg.train_fraction)
+    train, _ = stratified_split(read_dataset(bench_dir / "target.csv"))
     model = gd.GuidanceModel.build(train.d_in, cfg.hidden, cfg.d_model, train.k,
-                                   cfg.rank, cfg.alpha, cfg.seed, frozen_base=True)
+                                   cfg.rank, cfg.alpha, cfg.seed)
 
     def traced(encode):
         tracemalloc.start()
@@ -614,7 +611,7 @@ def test_evaluate_rejects_version_mismatch(small_dir, tiny_trained, tmp_path):
     from cgsd.errors import ParseError
 
     with pytest.raises(ParseError):
-        pl.load_run(small_dir, TINY, bad)
+        pl.load_run(small_dir, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +651,8 @@ def test_desk_diffusion_row_at_the_full_chain_keeps_its_pin(desk_ablation):
     # the fixture's checkpoints scored at chain_steps = T = 100, the full
     # chain, give the diffusion row every earlier desk run pinned
     cfg = replace(desk_ablation["cfg"], chain_steps=100)
-    model, denoiser, _, test = pl.load_run(desk_ablation["data_dir"], cfg,
-                                           desk_ablation["guidance"], desk_ablation["denoiser"])
+    model, denoiser, _, test = pl.load_run(desk_ablation["data_dir"], desk_ablation["guidance"],
+                                           desk_ablation["denoiser"])
     report = pl.evaluate(model, denoiser, test, cfg)
     assert report["nfe_per_chain"] == 100
     assert report["accuracy"] == pytest.approx(661 / 1099, abs=1e-12)
@@ -691,13 +688,14 @@ def test_stages_return_the_models_they_save(small_dir, tmp_path):
         assert np.array_equal(getattr(sched, name), getattr(sched_read, name))
 
 
-@pytest.mark.parametrize("seed, fraction", [(TINY.seed, TINY.train_fraction), (5, 0.6)])
-def test_stage1_test_split_is_load_runs(small_dir, tmp_path, seed, fraction):
+@pytest.mark.parametrize("seed, fraction", [(TINY.seed, 0.7), (5, 0.6)])
+def test_stage1_test_split_is_load_runs(small_dir, tmp_path, monkeypatch, seed, fraction):
     # ablate scores stage 1's test split and cgsd eval load_run's: at one
-    # config they are one split, row for row
-    cfg = replace(TINY, pretrain_epochs=0, stage1_epochs=0, seed=seed, train_fraction=fraction)
+    # run seed and split fraction they are one split, row for row
+    monkeypatch.setattr("cgsd.data.TRAIN_FRACTION", fraction)
+    cfg = replace(TINY, pretrain_epochs=0, stage1_epochs=0, seed=seed)
     s1 = pl.train_stage1(small_dir, cfg, tmp_path / "g.json", tmp_path / "g.base.json")
-    test = pl.load_run(small_dir, cfg, tmp_path / "g.json")[3]
+    test = pl.load_run(small_dir, tmp_path / "g.json")[3]
     assert (s1["test"].k, s1["test"].domain_tag, s1["test"].seed) == (
         test.k, test.domain_tag, test.seed)
     assert np.array_equal(s1["test"].features, test.features)
@@ -708,9 +706,9 @@ def test_a_run_seed_never_scores_training_rows(desk_ablation, tmp_path):
     # the seed-42 checkpoints scored at run seed 7 score the rows the seed-42
     # ablation held out (729 of stage 1's training rows while the run seed
     # seeded the split)
-    data_dir, cfg, guidance = (desk_ablation[k] for k in ("data_dir", "cfg", "guidance"))
-    trained = {row.tobytes() for row in pl.load_run(data_dir, cfg, guidance)[2].features}
-    test = pl.load_run(data_dir, replace(cfg, seed=7), guidance)[3]
+    data_dir, guidance = desk_ablation["data_dir"], desk_ablation["guidance"]
+    trained = {row.tobytes() for row in pl.load_run(data_dir, guidance)[2].features}
+    test = pl.load_run(data_dir, guidance)[3]
     assert not any(row.tobytes() in trained for row in test.features)
     report = tmp_path / "r.json"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -812,7 +810,7 @@ def test_export_trajectory_schema(small_dir, tiny_trained, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "t,item_id,true_label,px,py"
     target = read_dataset(small_dir / "target.csv")
-    _, test = stratified_split(target, TINY.train_fraction)
+    _, test = stratified_split(target)
     assert len(lines) - 1 == 2 * test.n
     sil = json.loads((tmp_path / "traj.csv.silhouette.json").read_text())
     assert set(sil["silhouette_by_step"]) == {"0", str(TINY.t_total)}
@@ -884,8 +882,7 @@ def test_readme_trajectory_demo_runs(tmp_path):
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         assert [cli.main(argv) for argv in commands] == [0, 0, 0]
-    cfg = pl.RunConfig()
-    _, test = stratified_split(read_dataset(data / "target.csv"), cfg.train_fraction)
+    _, test = stratified_split(read_dataset(data / "target.csv"))
     assert len((data / "trajectory.csv").read_text().splitlines()) == 1 + 6 * test.n
     sil = json.loads((data / "trajectory.csv.silhouette.json").read_text())
     assert sorted(sil["silhouette_by_step"], key=int, reverse=True) == [
@@ -1037,7 +1034,8 @@ def bad_input_base(small_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("bad_inputs")
     for d_in, name in ((16, "g.json"), (64, "g64.json")):
         model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3,
-                                       rank=2, alpha=4.0, seed=1, frozen_base=True)
+                                       rank=2, alpha=4.0, seed=1)
+        model.frozen_base = True
         gd.save_guidance(work / name, model)
     df.save_denoiser(work / "d.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
                      (20, 1e-3, 0.2))
@@ -1107,8 +1105,7 @@ def _feature(value, split):
     the default configuration's split puts in split (0 train, 1 test)."""
     def damage(path):
         target = read_dataset(path)
-        cfg = pl.RunConfig()
-        row = stratified_split(target, cfg.train_fraction)[split].features[0]
+        row = stratified_split(target)[split].features[0]
         line = 1 + int(np.flatnonzero((target.features == row).all(axis=1))[0])
         lines = path.read_text().split("\n")
         fields = lines[line].split(",")
@@ -1429,7 +1426,8 @@ def test_cli_train_guidance_pretrains_over_a_stale_base(bad_input_base, tmp_path
     defaults = pl.RunConfig()
     stale = gd.GuidanceModel.build(d_in=16, hidden=defaults.hidden,
                                    d_model=defaults.d_model, k=3, rank=2,
-                                   alpha=defaults.alpha, seed=5, frozen_base=True)
+                                   alpha=defaults.alpha, seed=5)
+    stale.frozen_base = True
     gd.save_guidance(work / "stale.base.json", stale)
     argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/stale.json",
             "--rank", "4", "--seed", "9"]
@@ -1563,13 +1561,19 @@ def test_run_config_validates_n_samples_and_clip():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("alpha", 0.0), ("alpha", -1.0), ("warmup_start_lr", 0.0),
+    ("alpha", 0.0), ("alpha", -1.0),
     ("train_fraction", 0.0), ("train_fraction", 1.0), ("train_fraction", 1.5)])
-def test_run_config_checks_each_range(field, value):
+def test_run_config_checks_each_range(field, value, monkeypatch):
     # the one check of each setting (rank: test_lora_rank_bounds; the
-    # schedule: test_schedule_bounds); the message names the field
-    with pytest.raises(ConfigError, match=field):
-        pl.RunConfig(**{field: value})
+    # schedule: test_schedule_bounds); the message names the field. The
+    # split fraction is the data's constant, checked when a config is built
+    if field == "train_fraction":
+        monkeypatch.setattr("cgsd.data.TRAIN_FRACTION", value)
+        with pytest.raises(ConfigError, match=field):
+            pl.RunConfig()
+    else:
+        with pytest.raises(ConfigError, match=field):
+            pl.RunConfig(**{field: value})
 
 
 @pytest.mark.parametrize("argv", [
@@ -1688,10 +1692,12 @@ def test_cli_config_round_trip(command, monkeypatch, tmp_path):
         seen.extend(a for a in args if isinstance(a, config_cls))
         raise _Captured
 
-    for owner, name in ((pl, "train_stage1"), (pl, "train_stage2"), (pl, "load_run"),
+    for owner, name in ((pl, "train_stage1"), (pl, "train_stage2"), (pl, "evaluate"),
                         (pl, "ablate"), (pl, "export_trajectory"),
                         (cli, "gen_synthetic")):
         monkeypatch.setattr(owner, name, capture)
+    # eval reads its inputs, which take no config, before it evaluates
+    monkeypatch.setattr(pl, "load_run", lambda *args: (None, None, None, None))
 
     def run(*argv):
         with pytest.raises(_Captured):
@@ -1713,6 +1719,42 @@ def test_run_config_fields_and_digests_unchanged():
     assert pl.RunConfig().digest() == "8ea0feb597162e39"
     # the digest every desk report carries (README's pinned ablation.json)
     assert pl.RunConfig(desk_preset=True).digest() == "e01acb1d9982fc25"
+
+
+# the values no command varies, and the split fraction, which is the data's
+FIXED = {"hidden": 128, "d_model": 64, "pretrain_lr": 1e-3, "pretrain_batch": 64,
+         "warmup_start_lr": 1e-5, "train_fraction": 0.7}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_fixed_values_read_but_cannot_be_set(name, tmp_path, capsys):
+    # a fixed value reads like a setting, but no constructor, replace or
+    # --config file sets it
+    cfg = pl.RunConfig()
+    assert getattr(cfg, name) == FIXED[name]
+    assert name not in {f.name for f in fields(pl.RunConfig)}
+    with pytest.raises(TypeError, match=name):
+        pl.RunConfig(**{name: FIXED[name]})
+    with pytest.raises(TypeError, match=name):
+        replace(cfg, **{name: FIXED[name]})
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({name: FIXED[name]}))
+    argv = ["train-guidance", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "g.npz"),
+            "--config", str(config)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: unknown config key(s): '{name}'\n"
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_each_fixed_value_moves_the_digest(name, monkeypatch):
+    # the digest covers the fixed values, so a change to one moves it
+    before = pl.RunConfig().digest()
+    if name == "train_fraction":
+        monkeypatch.setattr("cgsd.data.TRAIN_FRACTION", 0.6)
+        assert pl.RunConfig().train_fraction == 0.6
+    else:
+        monkeypatch.setattr(pl.RunConfig, name, FIXED[name] * 2)
+    assert pl.RunConfig().digest() != before
 
 
 def test_cli_unknown_config_key_is_one_line(bad_input_base, tmp_path):
