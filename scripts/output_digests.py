@@ -14,14 +14,15 @@ Running this one script on the other checkout's src/ compares the two
 libraries with one instrument, so a change to the script itself does not
 fail its own comparison.
 
-It runs, into --out, the desk ablation, the three evaluations of its
-checkpoints and one trajectory export; then, into --out/stages, the four
-stage commands at the full-scale defaults: train-guidance (3 stage-1
-epochs), train-diffusion (3 stage-2 epochs, 100 steps), eval --diffusion
-(5 chains per item) and export-trajectory (its default steps). The ablation
-writes no log and runs only the desk preset, so the stage commands are what
-check the per-epoch log lines (loss, rate, stage-1 accuracy) and the
-full-scale code paths.
+It runs, into --out, the ablation, the three evaluations of its checkpoints
+and one trajectory export; then, into --out/stages, the four stage commands:
+train-guidance (3 stage-1 epochs), train-diffusion (3 stage-2 epochs), eval
+--diffusion (5 chains per item) and export-trajectory (its default steps).
+Every command runs in process through ``cli.main`` with the script's --seed
+and otherwise the CLI's own defaults, so the listing checks what ``cgsd``
+runs. The ablation writes no log, so the stage commands are what check the
+per-epoch log lines (loss, rate, stage-1 accuracy) and the stage commands'
+own code paths.
 
 Usage: python scripts/output_digests.py DATA [--out DIR] [--seed N]
 """
@@ -36,7 +37,7 @@ import time
 from pathlib import Path
 
 from cgsd import cli
-from cgsd.pipeline import RunConfig, ablate, ablate_checkpoints, export_trajectory
+from cgsd.pipeline import ablate_checkpoints
 
 
 def main() -> None:
@@ -54,25 +55,19 @@ def main() -> None:
         sys.exit(f"{args.out} is not empty")
     args.out.mkdir(parents=True, exist_ok=True)
 
-    cfg = RunConfig(desk_preset=True, seed=args.seed)
     walls = {}
-
-    @contextlib.contextmanager
-    def timed(what: str):
-        start = time.perf_counter()
-        yield
-        walls[what] = time.perf_counter() - start
 
     def run_cli(what: str, *argv: str) -> None:
         argv = [*argv, "--data", str(args.data), "--seed", str(args.seed)]
+        start = time.perf_counter()
         # cli.main prints logs and reports; only the digests go to stdout
-        with timed(what), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
+        walls[what] = time.perf_counter() - start
         if code != 0:
             sys.exit(f"cgsd {' '.join(argv)} exited {code}")
 
-    with timed("ablate"):
-        ablate(args.data, cfg, args.out / "ablation.json")
+    run_cli("ablate", "ablate", "--out", str(args.out / "ablation.json"))
     guidance, base, denoiser = ablate_checkpoints(args.out / "ablation.json")
     runs = {
         "zero-shot": ["--guidance", str(base)],
@@ -81,14 +76,14 @@ def main() -> None:
     }
     for name, flags in runs.items():
         run_cli(f"eval {name}", "eval", *flags, "--report", str(args.out / f"eval_{name}.json"))
-    with timed("export-trajectory"):
-        export_trajectory(args.data, guidance, denoiser, None, args.out / "trajectory.csv", cfg)
+    run_cli("export-trajectory", "export-trajectory", "--guidance", str(guidance),
+            "--diffusion", str(denoiser), "--out", str(args.out / "trajectory.csv"))
 
     stages = args.out / "stages"
     g, d = str(stages / "g.npz"), str(stages / "d.npz")
     run_cli("stages train-guidance", "train-guidance", "--out", g, "--stage1-epochs", "3")
     run_cli("stages train-diffusion", "train-diffusion", "--guidance", g, "--out", d,
-            "--stage2-epochs", "3", "--t-total", "100")
+            "--stage2-epochs", "3")
     run_cli("stages eval", "eval", "--guidance", g, "--diffusion", d,
             "--report", str(stages / "r.json"))
     run_cli("stages export-trajectory", "export-trajectory", "--guidance", g, "--diffusion", d,

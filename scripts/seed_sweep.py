@@ -3,16 +3,19 @@ seeds and reverse-chain step counts.
 
 For each --data-seeds value s it writes the default benchmark of
 ``SyntheticConfig(seed=s)`` (``cgsd gen-data --seed s``) under --work and runs
-the desk ablation at ``RunConfig(desk_preset=True, seed=s)`` (``cgsd ablate
---desk-preset --seed s``). With --t-total 1000 the ablation keeps the desk
-epoch budget but trains and runs the diffusion on RunConfig's default
-schedule (T = 1000, beta 1e-4 ... 0.02) instead of the desk's (T = 100,
-beta 1e-3 ... 0.2). The zero-shot and adapted rows are the ablation's own;
-the script then reads the ablation's checkpoints and scores the diffusion
-row, in memory and on the ablation's own test split, at every --chain-seeds
-value (the run seed of ``evaluate``, which seeds only the chains' noise) and
-every step count K: the full chain K = T, always, and each --chain-steps
-value.
+the ablation at ``RunConfig(seed=s)`` (``cgsd ablate --seed s``), with the
+settings of --config FILE, a JSON object of RunConfig field names, over the
+defaults; the file may not set seed, which --data-seeds sets.
+``scripts/configs/t1000.json`` keeps the default epoch budget but trains and
+runs the diffusion on the paper's schedule (T = 1000, beta 1e-4 ... 0.02)
+instead of the default (T = 100, beta 1e-3 ... 0.2);
+``scripts/configs/paper_scale.json`` adds the paper-scale epochs and EMA (22
+stage-1 and 500 stage-2 epochs, mu 0.9999). The zero-shot and adapted rows
+are the ablation's own; the script then reads the ablation's checkpoints and
+scores the diffusion row, in memory and on the ablation's own test split, at
+every --chain-seeds value (the run seed of ``evaluate``, which seeds only the
+chains' noise) and every step count K: the full chain K = T, always, and
+each --chain-steps value.
 
 The rule for a K < T, fixed before any sweep was run: K passes when, at
 every data seed, its chain-seed medians of accuracy, macro-F1 and QWK are
@@ -21,16 +24,17 @@ JSON's "default" is the smallest K that passes, or T when none does.
 
     PYTHONPATH=src python scripts/seed_sweep.py --out sweep.json \\
         [--work DIR] [--data-seeds 42,1,2,3,4,5,6] [--chain-seeds 42,7,8,9,10,11,12] \\
-        [--chain-steps 50,25,20,10] [--n 3662] [--t-total 100|1000]
+        [--chain-steps 50,25,20,10] [--n 3662] [--config FILE]
 
-The JSON holds, per data seed: each row's accuracy, macro-F1, QWK and
-predicted count per grade (the diffusion row per K and chain seed), and per
-K the min, median and max of each metric over the chain seeds and the
-median wall time of one diffusion evaluate; then the verdict per K and the
-default. It prints a one-line summary per K to stderr.
+The JSON holds the --config settings and, per data seed: each row's
+accuracy, macro-F1, QWK and predicted count per grade (the diffusion row per
+K and chain seed), and per K the min, median and max of each metric over the
+chain seeds and the median wall time of one diffusion evaluate; then the
+verdict per K and the default. It prints a one-line summary per K to stderr.
 """
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -39,9 +43,11 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from cgsd import cli
 from cgsd import guidance as gd
 from cgsd import pipeline
 from cgsd.data import SyntheticConfig, gen_synthetic, write_dataset
+from cgsd.errors import ConfigError
 
 METRICS = ("accuracy", "macro_f1", "qwk")
 RULE = ("K passes when, at every data seed, its chain-seed medians of accuracy, macro-F1 "
@@ -53,14 +59,19 @@ def ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def desk_config(seed: int, t_total: int) -> pipeline.RunConfig:
-    """The desk preset at this seed, on the desk's schedule or, for
-    RunConfig's default T, on RunConfig's default schedule."""
-    if t_total == pipeline.DESK_PRESET["t_total"]:
-        return pipeline.RunConfig(desk_preset=True, seed=seed)
-    schedule = ("t_total", "beta_start", "beta_end")
-    return pipeline.RunConfig(
-        **{k: v for k, v in pipeline.DESK_PRESET.items() if k not in schedule}, seed=seed)
+def read_settings(path: Path) -> dict:
+    """--config's settings, read and checked as cgsd's --config reads a file;
+    any fault, seed included, exits with one line."""
+    defaults = {f.name: f.default for f in dataclasses.fields(pipeline.RunConfig)}
+    try:
+        doc = cli._read_config(str(path), defaults)
+        if "seed" in doc:
+            raise ConfigError("seed is set per run by --data-seeds")
+        settings = {k: cli._convert(k, defaults[k], v) for k, v in doc.items()}
+        pipeline.RunConfig(**settings)
+    except ConfigError as e:
+        sys.exit(f"--config: {e}")
+    return settings
 
 
 def predicted(report: dict) -> list[int]:
@@ -74,14 +85,14 @@ def scored(report: dict) -> dict:
 
 
 def sweep_seed(work: Path, seed: int, n: int, chain_seeds: list[int],
-               steps: list[int], t_total: int) -> dict:
+               steps: list[int], settings: dict) -> dict:
     """One data seed's ablation, then its rows scored as the module says."""
     data = work / f"data-{seed}"
     source, target = gen_synthetic(SyntheticConfig(n=n, seed=seed))
     data.mkdir(parents=True, exist_ok=True)
     write_dataset(pipeline.domain_files(data, "source")[0], source)
     write_dataset(pipeline.domain_files(data, "target")[0], target)
-    cfg = desk_config(seed, t_total)
+    cfg = pipeline.RunConfig(**settings, seed=seed)
     out = work / f"ablate-{seed}" / "ablation.json"
     out.parent.mkdir(exist_ok=True)
     ablation = pipeline.ablate(data, cfg, out)
@@ -136,24 +147,25 @@ def main() -> None:
     ap.add_argument("--chain-steps", default="50,25,20,10", type=ints,
                     help="candidate K values below T; the full chain is always scored")
     ap.add_argument("--n", default=SyntheticConfig.n, type=int, help="items per domain")
-    ap.add_argument("--t-total", default=pipeline.DESK_PRESET["t_total"], type=int,
-                    choices=(pipeline.DESK_PRESET["t_total"], pipeline.RunConfig.t_total),
-                    help="the diffusion schedule's T: the desk's, or RunConfig's default")
+    ap.add_argument("--config", type=Path,
+                    help="a JSON object of RunConfig settings over the defaults, seed excepted")
     args = ap.parse_args()
 
-    t_total = args.t_total
+    settings = read_settings(args.config) if args.config else {}
+    t_total = pipeline.RunConfig(**settings).t_total
     candidates = sorted({k for k in args.chain_steps if k < t_total}, reverse=True)
     steps = [t_total, *candidates]
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
-        seeds = {str(s): sweep_seed(work, s, args.n, args.chain_seeds, steps, t_total)
+        seeds = {str(s): sweep_seed(work, s, args.n, args.chain_seeds, steps, settings)
                  for s in args.data_seeds}
     verdicts = verdict(seeds, t_total, candidates)
     passing = [k for k in candidates if verdicts[str(k)]["passes"]]
-    doc = {"rule": RULE, "t_total": t_total, "n": args.n, "data_seeds": args.data_seeds,
-           "chain_seeds": args.chain_seeds, "chain_steps": steps, "seeds": seeds,
-           "verdict": verdicts, "default": min(passing, default=t_total)}
+    doc = {"rule": RULE, "config": settings, "t_total": t_total, "n": args.n,
+           "data_seeds": args.data_seeds, "chain_seeds": args.chain_seeds,
+           "chain_steps": steps, "seeds": seeds, "verdict": verdicts,
+           "default": min(passing, default=t_total)}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for k in steps:

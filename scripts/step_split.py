@@ -10,7 +10,7 @@ adds the loop's own work (the rates, the shuffle, stage 2's draws, the tape,
 the loss check). A round runs one block of each
 loop in turn, in one process: a ``train_stage1`` call (a pretraining block,
 then a stage-1 block) and a ``train_stage2`` call on its checkpoint, each of
-``--epochs`` epochs of the desk preset's settings. A block's value is its
+``--epochs`` epochs of the default settings. A block's value is its
 mean per step, and the printed values are the medians over ``--rounds``
 blocks, so the three loops alternate and share the host's drift.
 
@@ -29,7 +29,6 @@ import statistics
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,9 +65,8 @@ def main(argv=None) -> None:
     if args.rounds < 1 or args.epochs < 1:
         sys.exit("--rounds and --epochs must be >= 1")
 
-    cfg = replace(pipeline.RunConfig(desk_preset=True),
-                  desk_preset=False, pretrain_epochs=args.epochs,
-                  stage1_epochs=args.epochs, stage2_epochs=args.epochs)
+    cfg = pipeline.RunConfig(pretrain_epochs=args.epochs, stage1_epochs=args.epochs,
+                             stage2_epochs=args.epochs)
     blocks: list[dict] = []
     fit, backward = pipeline._fit, pipeline.backward
 

@@ -65,14 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-stage semantic-guided label-space diffusion classifier",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, config, fields, required, optional, _) in _COMMANDS.items():
+    for name, (_, _, fields, required, optional, _) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        defaults = _defaults(config)
         for arg in ("config", *required, *optional, *fields):
-            if isinstance(defaults.get(arg), bool):
-                p.add_argument(_flag(arg), action="store_true", default=None)
-            else:
-                p.add_argument(_flag(arg))
+            p.add_argument(_flag(arg))
     return parser
 
 
@@ -84,9 +80,9 @@ def _convert(key: str, like, value):
         if typ is tuple:
             items = value.split(",") if isinstance(value, str) else value
             return tuple(_convert(key, like[0] if like else 0, x) for x in items)
-        # a bool setting takes only true/false, and no other setting takes
-        # them; an int setting takes no fraction; a path takes only a string
-        if value is None or (typ is bool) != isinstance(value, bool):
+        # no setting takes true/false; an int setting takes no fraction; a
+        # path takes only a string
+        if value is None or isinstance(value, bool):
             raise TypeError
         if typ is int and isinstance(value, float) or typ is str and not isinstance(value, str):
             raise TypeError
@@ -205,7 +201,7 @@ def _eval(cfg: RunConfig, a: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-@_command("ablate", RunConfig, ("desk_preset", "seed"), ("data", "out"), out="out")
+@_command("ablate", RunConfig, ("seed",), ("data", "out"), out="out")
 def _ablate(cfg: RunConfig, a: dict) -> None:
     report = pipeline.ablate(a["data"], cfg, a["out"])
     for row in report["rows"]:

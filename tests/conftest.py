@@ -90,9 +90,9 @@ def small_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def desk_ablation(bench_dir, tmp_path_factory):
-    """Full desk-preset ablation on the default benchmark: report + paths."""
+    """Full desk ablation (the default config) on the default benchmark: report + paths."""
     work = tmp_path_factory.mktemp("ablation")
-    cfg = pl.RunConfig(desk_preset=True, seed=42)
+    cfg = pl.RunConfig(seed=42)
     report = pl.ablate(bench_dir, cfg, work / "ablation.json")
     guidance, base, denoiser = pl.ablate_checkpoints(work / "ablation.json")
     return {
@@ -117,7 +117,7 @@ def separable_stage1(tmp_path_factory):
     source, target = gen_synthetic(cfg_data)
     write_dataset(out / "source.csv", source)
     write_dataset(out / "target.csv", target)
-    cfg = pl.RunConfig(desk_preset=True, seed=42)
+    cfg = pl.RunConfig(seed=42)
     result = pl.train_stage1(
         out, cfg, out / "guidance.json", out / "guidance.base.json"
     )

@@ -2,7 +2,7 @@
 
 The terminal summary (see conftest) prints one PASS/FAIL line per criterion.
 Criteria that need trained models share the session-scoped fixtures: the
-desk-preset ablation on the default benchmark and the separable two-class
+desk ablation on the default benchmark and the separable two-class
 stage-1 run.
 """
 

@@ -57,17 +57,23 @@ TINY = pl.RunConfig(
 # RunConfig
 
 
-def test_desk_preset_overrides():
-    # the preset applies when the config is built, over any value given for
-    # its fields, and resolving the config changes nothing
-    for cfg in (pl.RunConfig(desk_preset=True),
-                pl.RunConfig(desk_preset=True, t_total=7, stage2_epochs=3, ema_mu=0.5)):
-        assert cfg.t_total == 100
-        assert (cfg.beta_start, cfg.beta_end) == (1e-3, 0.2)
-        assert cfg.stage1_epochs == 40
-        assert cfg.stage2_epochs == 60
-        assert cfg.ema_mu == 0.99
-        assert cfg.resolved() is cfg
+def test_desk_preset_is_the_defaults():
+    # the retired preset's values are the field defaults; its switch, which
+    # perfbench/harness.py passes, changes nothing and is no setting, so a
+    # value given with it is kept, and resolving the config changes nothing
+    cfg = pl.RunConfig()
+    assert cfg.t_total == 100
+    assert (cfg.beta_start, cfg.beta_end) == (1e-3, 0.2)
+    assert cfg.stage1_epochs == 40
+    assert cfg.stage2_epochs == 60
+    assert cfg.ema_mu == 0.99
+    assert pl.RunConfig(desk_preset=True) == cfg
+    assert pl.RunConfig(desk_preset=True).digest() == cfg.digest()
+    assert "desk_preset" not in {f.name for f in fields(pl.RunConfig)}
+    assert not hasattr(pl, "DESK_PRESET")
+    kept = pl.RunConfig(desk_preset=True, t_total=7, stage2_epochs=3, ema_mu=0.5)
+    assert (kept.t_total, kept.stage2_epochs, kept.ema_mu) == (7, 3, 0.5)
+    assert cfg.resolved() is cfg
 
 
 def _load_harness(monkeypatch):
@@ -83,17 +89,19 @@ def _load_harness(monkeypatch):
 
 
 def test_benchmark_configs_keep_their_values(monkeypatch):
-    # the benchmark builds its configs from the desk preset; each holds the
-    # values, and so the digest, that its runs have written
+    # the benchmark builds its configs from the desk preset, whose values are
+    # the defaults; each holds the values its runs have trained with, and
+    # its digest hashes desk_preset as true whatever the harness passed
     harness = _load_harness(monkeypatch)
     assert [harness.DESK.digest(), harness.SHORT.digest(),
             harness.TINY.desk.digest(), harness.TINY.short.digest()] == [
-        "e01acb1d9982fc25", "584f33631c93637d", "d04cf04e3d656e13", "b8634c99a1f2c956"]
-    desk = pl.RunConfig(desk_preset=True)
-    assert replace(desk, desk_preset=False, pretrain_epochs=4, stage1_epochs=4,
-                   stage2_epochs=8, stage2_lr=5e-3) == harness.SHORT
-    reseeded = replace(desk, seed=7)
-    assert {k: getattr(reseeded, k) for k in pl.DESK_PRESET} == {
+        "e01acb1d9982fc25", "508df37ce351322d", "1f8ffc1dfa2e4686", "ed8a9e0106c117c0"]
+    assert harness.DESK == pl.RunConfig()
+    assert pl.RunConfig(pretrain_epochs=4, stage1_epochs=4, stage2_epochs=8,
+                        stage2_lr=5e-3) == harness.SHORT
+    reseeded = replace(harness.DESK, seed=7)
+    assert {k: getattr(reseeded, k) for k in (
+        "t_total", "beta_start", "beta_end", "stage1_epochs", "stage2_epochs", "ema_mu")} == {
         "t_total": 100, "beta_start": 1e-3, "beta_end": 0.2,
         "stage1_epochs": 40, "stage2_epochs": 60, "ema_mu": 0.99}
     with pytest.raises(ConfigError, match="t_total"):
@@ -667,6 +675,18 @@ def test_desk_report_carries_its_config_digest(desk_ablation):
     assert [row["config_digest"] for row in report["rows"]] == [digest] * 3
 
 
+def test_cli_eval_of_desk_checkpoints_reports_their_training_digest(desk_ablation, tmp_path):
+    # cgsd eval at its defaults scores the ablation's checkpoints under the
+    # digest in ablation.json, the config that trained them
+    trained = json.loads((desk_ablation["out_dir"] / "ablation.json").read_text())
+    argv = ["eval", "--data", str(desk_ablation["data_dir"]),
+            "--guidance", str(desk_ablation["guidance"]), "--report", str(tmp_path / "r.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["config_digest"] == trained["config_digest"] == "e01acb1d9982fc25"
+
+
 def test_stages_return_the_models_they_save(small_dir, tmp_path):
     # ablate scores the returned objects instead of reading the files back,
     # which is right only while the two are equal, array for array
@@ -777,12 +797,12 @@ def test_cli_ablate_end_to_end(small_dir, tmp_path):
     # cgsd ablate prints the rows in order and writes pipeline.ablate's bytes;
     # the command makes its --out's directory, the library writes into one
     argv = ["ablate", "--data", str(small_dir), "--out", str(tmp_path / "cli" / "ablation.json"),
-            "--desk-preset", "--seed", "7"]
+            "--seed", "7"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     (tmp_path / "lib").mkdir()
-    report = pl.ablate(small_dir, pl.RunConfig(desk_preset=True, seed=7),
+    report = pl.ablate(small_dir, pl.RunConfig(seed=7),
                        tmp_path / "lib" / "ablation.json")
     assert [row["configuration"] for row in report["rows"]] == [
         "zero-shot guidance (source pretraining only)", "+ low-rank adaptation",
@@ -875,7 +895,7 @@ def test_readme_trajectory_demo_runs(tmp_path):
     commands = [
         ["gen-data", "--k", "2", "--proportions", "0.5,0.5", "--separation", "6",
          "--n", "300", "--out", str(data)],
-        ["ablate", "--desk-preset", "--data", str(data), "--out", str(data / "ablation.json")],
+        ["ablate", "--data", str(data), "--out", str(data / "ablation.json")],
         ["export-trajectory", "--data", str(data),
          "--guidance", str(data / "ablate_guidance.json"),
          "--diffusion", str(data / "ablate_denoiser.json"), "--out", str(data / "trajectory.csv")],
@@ -1402,6 +1422,10 @@ _BAD_INPUTS = {
     # command-line errors give one line, not a usage block and SystemExit
     "unknown-flag": (2, "eval", ["--bogus", "1"], None, None, None),
     "retired-flag": (2, "train-diffusion", ["--epochs", "1"], None, None, None),
+    # the desk preset is the defaults, so its switch is gone (the flag ran
+    # the ablation and exited 0)
+    "retired-flag-desk-preset": (2, "ablate", ["--desk-preset"], None, None, None),
+    "ablate-config-desk-preset": (2, "ablate", [], None, None, {"desk_preset": True}),
     "seed-not-an-int": (2, "eval", ["--seed", "abc"], None, None, None),
 }
 
@@ -1656,8 +1680,7 @@ _EXPOSED = {
         "stage2_lr_min": 1e-4, "clip": 2.0, "ema_mu": 0.5, "seed": 3}),
     "eval": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--report", "r"],
              {"n_samples": 2, "seed": 3}),
-    "ablate": (pl.RunConfig, ["--data", "x", "--out", "o"],
-               {"desk_preset": True, "seed": 3}),
+    "ablate": (pl.RunConfig, ["--data", "x", "--out", "o"], {"seed": 3}),
     "export-trajectory": (pl.RunConfig, ["--data", "x", "--guidance", "g",
                                          "--diffusion", "d", "--out", "o"],
                           {"seed": 3}),
@@ -1671,12 +1694,8 @@ class _Captured(Exception):
 def _flags(doc):
     argv = []
     for key, value in doc.items():
-        flag = "--" + key.replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        else:
-            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-            argv += [flag, text]
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += ["--" + key.replace("_", "-"), text]
     return argv
 
 
@@ -1716,8 +1735,9 @@ def test_cli_config_round_trip(command, monkeypatch, tmp_path):
 
 
 def test_run_config_fields_and_digests_unchanged():
-    assert pl.RunConfig().digest() == "8ea0feb597162e39"
-    # the digest every desk report carries (README's pinned ablation.json)
+    # the digest every desk report carries (README's pinned ablation.json),
+    # which the defaults now have
+    assert pl.RunConfig().digest() == "e01acb1d9982fc25"
     assert pl.RunConfig(desk_preset=True).digest() == "e01acb1d9982fc25"
 
 
@@ -1876,10 +1896,10 @@ def test_seed_sweep_script_writes_the_rule_and_its_verdict(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert sorted(doc) == ["chain_seeds", "chain_steps", "data_seeds", "default", "n",
-                           "rule", "seeds", "t_total", "verdict"]
-    assert (doc["t_total"], doc["chain_steps"], doc["data_seeds"], doc["chain_seeds"]) == (
-        100, [100, 50], [3, 4], [1, 2])
+    assert sorted(doc) == ["chain_seeds", "chain_steps", "config", "data_seeds", "default",
+                           "n", "rule", "seeds", "t_total", "verdict"]
+    assert (doc["config"], doc["t_total"], doc["chain_steps"], doc["data_seeds"],
+            doc["chain_seeds"]) == ({}, 100, [100, 50], [3, 4], [1, 2])
     assert sorted(doc["seeds"]) == ["3", "4"]
     for seed in doc["seeds"].values():
         assert sorted(seed) == ["diffusion_by_k", "n_eval", "rows", "split_hash"]
@@ -1906,16 +1926,37 @@ def test_seed_sweep_script_writes_the_rule_and_its_verdict(tmp_path):
     assert doc["default"] == (50 if passes else 100)
 
 
-def test_seed_sweep_full_schedule_keeps_the_desk_epochs():
-    # --t-total 1000 runs the desk's epoch budget on RunConfig's default
-    # schedule; the desk's own T keeps the desk preset
+def _sweep_module():
     path = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
     spec = importlib.util.spec_from_file_location("seed_sweep", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    assert sweep.desk_config(3, 100) == pl.RunConfig(desk_preset=True, seed=3)
-    full, desk = sweep.desk_config(3, 1000), pl.RunConfig(desk_preset=True, seed=3)
-    default = pl.RunConfig()
-    assert (full.t_total, full.beta_start, full.beta_end) == (
-        default.t_total, default.beta_start, default.beta_end)
-    assert replace(full, t_total=100, beta_start=1e-3, beta_end=0.2, desk_preset=True) == desk
+    return sweep
+
+
+def test_seed_sweep_full_schedule_keeps_the_desk_epochs():
+    # t1000.json is the config the former --t-total 1000 ran: the default
+    # epoch budget on the paper's schedule; paper_scale.json holds all six
+    # values the fields defaulted to before the desk values replaced them
+    sweep = _sweep_module()
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    t1000 = pl.RunConfig(**sweep.read_settings(configs / "t1000.json"), seed=3)
+    assert t1000 == replace(pl.RunConfig(seed=3), t_total=1000, beta_start=1e-4,
+                            beta_end=0.02)
+    assert (t1000.stage1_epochs, t1000.stage2_epochs, t1000.ema_mu) == (40, 60, 0.99)
+    paper = sweep.read_settings(configs / "paper_scale.json")
+    assert paper == {"t_total": 1000, "beta_start": 1e-4, "beta_end": 0.02,
+                     "stage1_epochs": 22, "stage2_epochs": 500, "ema_mu": 0.9999}
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"seed": 3}, "--config: seed is set per run by --data-seeds"),
+    ({"t_totl": 1000}, "--config: unknown config key(s): 't_totl'"),
+    ({"t_total": 0}, "--config: t_total must be >= 1, got 0"),
+    ({"ema_mu": True}, "--config: ema_mu: cannot read True as float")])
+def test_seed_sweep_config_refuses_in_one_line(doc, want, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        _sweep_module().read_settings(path)
+    assert exit_.value.code == want
