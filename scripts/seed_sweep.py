@@ -20,7 +20,9 @@ each --chain-steps value.
 The rule for a K < T, fixed before any sweep was run: K passes when, at
 every data seed, its chain-seed medians of accuracy, macro-F1 and QWK are
 each at least the full chain's minimum over the same chain seeds. The
-JSON's "default" is the smallest K that passes, or T when none does.
+JSON's "default" is the smallest K that passes, or T when none does. With one
+chain seed the median is the minimum, so the script refuses fewer than 2
+distinct chain seeds, with one line and a non-zero exit, before any work.
 
     PYTHONPATH=src python scripts/seed_sweep.py --out sweep.json \\
         [--work DIR] [--data-seeds 42,1,2,3,4,5,6] [--chain-seeds 42,7,8,9,10,11,12] \\
@@ -150,6 +152,11 @@ def main() -> None:
     ap.add_argument("--config", type=Path,
                     help="a JSON object of RunConfig settings over the defaults, seed excepted")
     args = ap.parse_args()
+    # the rule compares a chain-seed median with a chain-seed minimum, which
+    # one seed makes the same value: no verdict or default K rests on it
+    if len(set(args.chain_seeds)) < 2:
+        sys.exit(f"--chain-seeds: the rule needs at least 2 distinct chain seeds, "
+                 f"got {','.join(map(str, args.chain_seeds))}")
 
     settings = read_settings(args.config) if args.config else {}
     t_total = pipeline.RunConfig(**settings).t_total

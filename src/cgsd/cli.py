@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -59,6 +60,9 @@ def _defaults(config) -> dict:
     return {f.name: f.default for f in dataclasses.fields(config)}
 
 
+# built once per process, since a parser keeps no state between parses: an
+# in-process caller that runs many commands builds the six subparsers once
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cgsd",
@@ -181,8 +185,8 @@ def _train_guidance(cfg: RunConfig, a: dict) -> None:
 @_command(
     "train-diffusion",
     RunConfig,
-    ("t_total", "stage2_epochs", "stage2_batch", "stage2_lr", "stage2_lr_min",
-     "clip", "ema_mu", "seed"),
+    ("t_total", "beta_start", "beta_end", "stage2_epochs", "stage2_batch", "stage2_lr",
+     "stage2_lr_min", "clip", "ema_mu", "seed"),
     ("data", "guidance", "out"), out="out",
 )
 def _train_diffusion(cfg: RunConfig, a: dict) -> None:

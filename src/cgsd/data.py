@@ -9,6 +9,7 @@ ordinal structure itself.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -261,18 +262,34 @@ def save_checkpoint(
     Path(path).write_bytes(blob.getvalue())
 
 
+@functools.lru_cache(maxsize=256)
+def _npy_header(shape: tuple) -> bytes:
+    """The .npy bytes before the data, magic included, that save_checkpoint
+    writes for a C-order <f8 array of the shape."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": _F8.str, "fortran_order": False, "shape": shape})
+    return out.getvalue()
+
+
 def _read_tensor(zf: zipfile.ZipFile, name: str, shape: tuple, where: str) -> np.ndarray:
     """A member's float64 array of the given shape; its .npy header is checked
-    before any data is read, so a damaged header allocates nothing."""
+    before any data is read, so a damaged header allocates nothing. A header
+    equal, byte for byte, to the one save_checkpoint writes for the shape is
+    accepted without numpy's ast-based parse, most of a small tensor's load
+    time; any other is parsed and checked."""
     what = f"{where}: weight {name}"
     with zf.open(f"{name}.npy") as f:
-        if np.lib.format.read_magic(f) != _NPY_VERSION:
-            raise ParseError(f"{what}: not a version 1.0 .npy member")
-        got, fortran, dtype = np.lib.format.read_array_header_1_0(f)
-        if dtype != _F8 or fortran:
-            raise ParseError(f"{what}: dtype {dtype} is not C-order <f8")
-        if got != shape:
-            raise ParseError(f"{what}: shape {got} is not {shape}")
+        header = _npy_header(shape)
+        if f.read(len(header)) != header:
+            f.seek(0)
+            if np.lib.format.read_magic(f) != _NPY_VERSION:
+                raise ParseError(f"{what}: not a version 1.0 .npy member")
+            got, fortran, dtype = np.lib.format.read_array_header_1_0(f)
+            if dtype != _F8 or fortran:
+                raise ParseError(f"{what}: dtype {dtype} is not C-order <f8")
+            if got != shape:
+                raise ParseError(f"{what}: shape {got} is not {shape}")
         # reading to the end runs zipfile's CRC check
         data = f.read()
     if len(data) != _F8.itemsize * math.prod(shape):

@@ -339,12 +339,14 @@ def sample_chains(
         pad = lambda a: np.pad(a, [(0, -items.size % ROW_TILE)] + [(0, 0)] * (a.ndim - 1))
         # the noise is drawn straight into its padded block; an item's
         # generator, made at its chain 0, draws its chains in turn, across a
-        # block boundary too
+        # block boundary too. An item's rows in a block are contiguous, so one
+        # call fills them: the same stream in the same order as a call per row
         noise = np.zeros((items.size + -items.size % ROW_TILE, len(grid), k))
-        for row, item, sample in zip(noise, items.tolist(), samples.tolist()):
-            if sample == 0:
-                rng = chain_rng(seed, keys[item])
-            rng.standard_normal(out=row)
+        starts = np.flatnonzero(np.diff(items, prepend=-1)).tolist()
+        for a, b in zip(starts, [*starts[1:], items.size]):
+            if samples[a] == 0:
+                rng = chain_rng(seed, keys[items[a]])
+            rng.standard_normal(out=noise[a:b])
         final, snaps = sample_chain_batch(
             net, pad(f[items]), pad(d[items]), pad(prior[items]), sched, grid, noise,
             states.keys())

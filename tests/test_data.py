@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckpt_edit as ckpt
 import reader_oracle
 from cgsd import data as dmod
 from cgsd import diffusion as df
@@ -347,6 +348,45 @@ def test_save_checkpoint_refuses_non_finite_values(tmp_path, name):
 def _guidance_tensors(model):
     return [model.w1, model.b1, model.w2, model.b2, model.lora_a, model.lora_b,
             model.prompts, model.log_scale]
+
+
+def _plain_npy(arr: np.ndarray) -> bytes:
+    """arr as a valid version 1.0 .npy member whose header is not the one
+    numpy writes: its keys in another order and padded to 16 bytes, without
+    numpy's spare space for a growing shape."""
+    text = f"{{'shape': {arr.shape}, 'fortran_order': False, 'descr': '<f8'}}"
+    text += " " * (-(len(text) + 11) % 16) + "\n"
+    return (b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode()
+            + arr.astype("<f8").tobytes())
+
+
+def test_checkpoint_with_another_valid_npy_header_loads_the_same_tensors(tmp_path):
+    # a header that does not match save_checkpoint's bytes is parsed and
+    # checked, and the tensors load bit for bit
+    model = gd.GuidanceModel.build(d_in=6, hidden=5, d_model=4, k=3, rank=2,
+                                   alpha=4.0, seed=3)
+    model.frozen_base = True
+    net = df.DenoiserNet.build(d_model=4, k=3, seed=3)
+    gd.save_guidance(tmp_path / "g.npz", model)
+    df.save_denoiser(tmp_path / "d.npz", net, (20, 1e-3, 0.2))
+    for path in (tmp_path / "g.npz", tmp_path / "d.npz"):
+        members = ckpt.members(path)
+        for name, blob in members.items():
+            if name.endswith(".npy"):
+                arr = np.load(io.BytesIO(blob), allow_pickle=False)
+                plain = _plain_npy(arr)
+                assert blob.startswith(dmod._npy_header(arr.shape))
+                assert not plain.startswith(dmod._npy_header(arr.shape))
+                assert np.array_equal(np.load(io.BytesIO(plain)), arr)
+                members[name] = plain
+        ckpt.write_members(path, members)
+    loaded = gd.load_guidance(tmp_path / "g.npz")
+    loaded_net, _ = df.load_denoiser(tmp_path / "d.npz")
+    pairs = [*zip(_guidance_tensors(model), _guidance_tensors(loaded)),
+             *zip(net.params(), loaded_net.params())]
+    assert len(pairs) == 8 + 6
+    for a, b in pairs:
+        assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("name", ["ckpt.json", "ckpt"])

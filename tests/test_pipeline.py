@@ -1108,6 +1108,14 @@ def _huge_shape(path):
     ckpt.set_member(path, "layer0_w.npy", npy.getvalue() + bytes(16))
 
 
+def _npy_v2(path):
+    """layer0_w stored as a version 2.0 .npy member, its dtype and shape kept."""
+    arr = ckpt.array(path, "layer0_w")
+    npy = io.BytesIO()
+    np.lib.format.write_array(npy, arr, version=(2, 0))
+    ckpt.set_member(path, "layer0_w.npy", npy.getvalue())
+
+
 def _non_utf8(path):
     blob = path.read_bytes()
     cut = len(blob) // 2
@@ -1246,6 +1254,10 @@ _BAD_INPUTS = {
     "train-guidance-alpha-0": (2, "train-guidance", ["--alpha", "0"], None, None, None),
     "train-diffusion-t_total-0": (
         2, "train-diffusion", ["--t-total", "0"], None, None, None),
+    # the paper's schedule is set from the command line, so a reversed one
+    # is refused there before any data is read
+    "train-diffusion-beta-reversed": (
+        2, "train-diffusion", ["--beta-start", "0.02", "--beta-end", "1e-4"], None, None, None),
     "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
     "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
     "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
@@ -1257,6 +1269,7 @@ _BAD_INPUTS = {
     "denoiser-weight-float32": (3, "eval", [], "d.json", _weight_as(np.float32), None),
     "denoiser-weight-object": (3, "eval", [], "d.json", _weight_as(object), None),
     "denoiser-weight-header-huge": (3, "eval", [], "d.json", _huge_shape, None),
+    "denoiser-weight-npy-v2": (3, "eval", [], "d.json", _npy_v2, None),
     "target-csv-not-utf8": (3, "eval", [], "data/target.csv", _non_utf8, None),
     # a non-finite feature: a train row went unseen by eval, a test row ended
     # in a numeric failure
@@ -1475,6 +1488,54 @@ def test_cli_train_diffusion_takes_the_guidance_width(bad_input_base, tmp_path):
     assert df.load_denoiser(work / "d2.json")[0].d_model == 8
 
 
+def test_cli_main_in_one_process_repeats_a_first_call(bad_input_base, tmp_path):
+    # cli.main builds its parser once per process: a refused command line,
+    # an eval, the same eval again and an export, each run in turn, give the
+    # exit code, stdout, stderr and files of each run as a first call
+    work = tmp_path / "w"
+    argvs = [[a.format(w=work) for a in argv] for argv in (
+        [*_ARGV["eval"], "--bogus", "1"], _ARGV["eval"], _ARGV["eval"],
+        _ARGV["export-trajectory"])]
+
+    def fresh():
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(bad_input_base, work)
+
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        files = {p.relative_to(work).as_posix(): p.read_bytes()
+                 for p in work.rglob("*") if p.is_file()}
+        return code, out.getvalue(), err.getvalue(), files
+
+    firsts = []
+    for argv in argvs:
+        fresh()
+        cli._build_parser.cache_clear()
+        firsts.append(call(argv))
+    assert [first[0] for first in firsts] == [2, 0, 0, 0]
+    assert firsts[0][2] == "configuration error: unrecognized arguments: --bogus 1\n"
+    fresh()
+    files = {}
+    for argv, (code, out, err, written) in zip(argvs, firsts):
+        files.update(written)
+        assert call(argv) == (code, out, err, files)
+
+
+def test_cli_train_diffusion_trains_on_the_papers_schedule(bad_input_base, tmp_path):
+    # the paper's beta 1e-4 ... 0.02 from --config (refused as unknown keys
+    # while the defaults were the only schedule the CLI could train)
+    work = tmp_path / "w"
+    shutil.copytree(bad_input_base, work)
+    (work / "cfg.json").write_text(json.dumps({"beta_start": 1e-4, "beta_end": 0.02}))
+    argv = [a.format(w=work) for a in _ARGV["train-diffusion"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--config", str(work / "cfg.json")]) == 0
+    meta = ckpt.meta(work / "d2.json")
+    assert (meta["t_total"], meta["beta_start"], meta["beta_end"]) == (20, 1e-4, 0.02)
+
+
 @pytest.mark.parametrize("out, base", [("g.npz", "g.base.npz"), ("g.json", "g.base.json"),
                                        ("g", "g.base")])
 def test_cli_train_guidance_names_the_base_after_out(out, base, monkeypatch, tmp_path):
@@ -1647,6 +1708,27 @@ def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, ca
         assert target in err  # the message names the damaged file
 
 
+# the message of each _BAD_INPUTS case of a damaged .npy member, after
+# "data error: checkpoint <d.json>: weight layer0_w: "; a header that is not
+# byte for byte the one save_checkpoint writes is parsed, then checked
+_NPY_MEMBER_ERRORS = {
+    "denoiser-weight-float32": "dtype float32 is not C-order <f8",
+    "denoiser-weight-object": "dtype object is not C-order <f8",
+    "denoiser-weight-bool": "dtype bool is not C-order <f8",
+    "denoiser-weight-header-huge": "shape (1000000000, 1000000) is not (128, 81)",
+    "denoiser-weight-npy-v2": "not a version 1.0 .npy member",
+    "denoiser-weights-short": "82936 data bytes do not fill (128, 81)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NPY_MEMBER_ERRORS))
+def test_cli_damaged_npy_member_message(case, bad_input_base, tmp_path, capsys):
+    assert cli.main(_bad_input_argv(case, bad_input_base, tmp_path)) == 3
+    where = tmp_path / "w" / "d.json"
+    assert capsys.readouterr().err == (
+        f"data error: checkpoint {where}: weight layer0_w: {_NPY_MEMBER_ERRORS[case]}\n")
+
+
 @pytest.mark.parametrize(
     "case", ["guidance-weight-1e308", "guidance-weight-1e300", "gen-data-noise-1e308",
              "guidance-prompt-row-zero"])
@@ -1676,7 +1758,8 @@ _EXPOSED = {
         "lr_lora": 1e-3, "lr_prompt": 1e-2, "warmup_epochs": 0, "lambda_rank": 0.5,
         "margin": 0.1, "seed": 3}),
     "train-diffusion": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--out", "o"], {
-        "t_total": 10, "stage2_epochs": 1, "stage2_batch": 8, "stage2_lr": 1e-3,
+        "t_total": 10, "beta_start": 1e-4, "beta_end": 0.02, "stage2_epochs": 1,
+        "stage2_batch": 8, "stage2_lr": 1e-3,
         "stage2_lr_min": 1e-4, "clip": 2.0, "ema_mu": 0.5, "seed": 3}),
     "eval": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--report", "r"],
              {"n_samples": 2, "seed": 3}),
@@ -1890,10 +1973,19 @@ def test_seed_sweep_script_writes_the_rule_and_its_verdict(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     script = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
     out = tmp_path / "sweep.json"
-    proc = subprocess.run([sys.executable, str(script), "--out", str(out), "--work",
-                           str(tmp_path / "work"), "--data-seeds", "3,4", "--chain-seeds",
-                           "1,2", "--chain-steps", "50", "--n", "300"],
-                          env=env, capture_output=True, text=True, timeout=300)
+    sweep = lambda chain_seeds: subprocess.run(
+        [sys.executable, str(script), "--out", str(out), "--work", str(tmp_path / "work"),
+         "--data-seeds", "3,4", "--chain-seeds", chain_seeds, "--chain-steps", "50",
+         "--n", "300"], env=env, capture_output=True, text=True, timeout=300)
+    # one chain seed, or one given twice, makes its median its minimum: the
+    # script refuses in one line before any work
+    for one in ("1", "2,2"):
+        proc = sweep(one)
+        assert proc.returncode == 1 and proc.stderr == (
+            "--chain-seeds: the rule needs at least 2 distinct chain seeds, "
+            f"got {one}\n"), proc.stderr
+        assert not out.exists() and not (tmp_path / "work").exists()
+    proc = sweep("1,2")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert sorted(doc) == ["chain_seeds", "chain_steps", "config", "data_seeds", "default",
