@@ -7,11 +7,12 @@ written as ``-`` (``stage1_epochs`` is ``--stage1-epochs``), its --config key
 is the field name, and its type, default and range come from the dataclass
 alone. Every subcommand accepts --config FILE, a JSON object of field names
 and path arguments; explicit flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 data/parse or file I/O error,
-4 numeric failure (numpy's floating-point warnings are off, so it is one line),
-5 out of memory (a request larger than the host can allocate, such as an
-``eval --n-samples`` whose chains do not fit, gen-data's ``--n`` and ``--d-in``,
-or a noise schedule's ``t_total`` from train-diffusion or a checkpoint).
+Exit codes: 0 success (``--help`` too), 2 configuration error, 3 data/parse
+or file I/O error, 4 numeric failure (numpy's floating-point warnings are off,
+so it is one line), 5 out of memory (a request larger than the host can
+allocate, such as an ``eval --n-samples`` whose chains do not fit, gen-data's
+``--n`` and ``--d-in``, or a noise schedule's ``t_total`` from train-diffusion
+or a checkpoint).
 """
 
 from __future__ import annotations
@@ -45,11 +46,18 @@ def _command(name, config, fields, required, optional=None, out=None):
     return register
 
 
+class _Helped(Exception):
+    """--help printed the usage; the command succeeded and runs nothing."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a ConfigError instead of exiting."""
+    """Reports a bad command line as a ConfigError and --help as _Helped."""
 
     def error(self, message):
         raise ConfigError(message)
+
+    def exit(self, status=0, message=None):
+        raise _Helped
 
 
 def _flag(name: str) -> str:
@@ -172,8 +180,8 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
 @_command(
     "train-guidance",
     RunConfig,
-    ("rank", "alpha", "stage1_epochs", "stage1_batch", "lr_lora", "lr_prompt",
-     "warmup_epochs", "lambda_rank", "margin", "seed"),
+    ("rank", "alpha", "stage1_epochs", "stage1_batch", "lr_lora", "lr_prompt", "lambda_rank",
+     "seed"),
     ("data", "out"), out="out",
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
@@ -186,7 +194,7 @@ def _train_guidance(cfg: RunConfig, a: dict) -> None:
     "train-diffusion",
     RunConfig,
     ("t_total", "beta_start", "beta_end", "stage2_epochs", "stage2_batch", "stage2_lr",
-     "stage2_lr_min", "clip", "ema_mu", "seed"),
+     "ema_mu", "seed"),
     ("data", "guidance", "out"), out="out",
 )
 def _train_diffusion(cfg: RunConfig, a: dict) -> None:
@@ -256,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         run, cfg, values = _resolve(_build_parser().parse_args(argv))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             run(cfg, values)
+    except _Helped:
+        return 0
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -68,9 +68,6 @@ class Tensor2:
             raise ContractError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
 
-    def __repr__(self) -> str:
-        return f"Tensor2({self.rows}x{self.cols})"
-
 
 Vjp = Callable[[Array], Array]
 

@@ -48,15 +48,16 @@ class RunConfig:
     pretrain_epochs: int = 60
     pretrain_lr: ClassVar[float] = 1e-3
     pretrain_batch: ClassVar[int] = 64
+    lr_min: ClassVar[float] = 1e-5  # every plan's floor; _lr_plan clamps it to the plan's rate
     # stage 1
     lr_lora: float = 1e-4
     lr_prompt: float = 2e-3
     warmup_start_lr: ClassVar[float] = 1e-5  # _lr_plan clamps it to each plan's rate
     stage1_epochs: int = 40
     stage1_batch: int = 64
-    warmup_epochs: int = 3
+    warmup_epochs: ClassVar[int] = 3
     lambda_rank: float = 1.0
-    margin: float = 0.05
+    margin: ClassVar[float] = 0.05
     # stage 2
     t_total: int = 100
     beta_start: float = 1e-3
@@ -64,8 +65,7 @@ class RunConfig:
     stage2_epochs: int = 60
     stage2_batch: int = 32
     stage2_lr: float = 3e-4
-    stage2_lr_min: float = 1e-5
-    clip: float = 1.0
+    clip: ClassVar[float] = 1.0
     ema_mu: float = 0.99
     # inference / protocol
     n_samples: int = 5
@@ -81,31 +81,26 @@ class RunConfig:
 
     def __post_init__(self, desk_preset):
         least = {
-            "pretrain_epochs": 0, "stage1_epochs": 0, "warmup_epochs": 0,
-            "stage2_epochs": 0, "seed": 0, "rank": 1, "t_total": 1,
-            "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1, "chain_steps": 1,
+            "pretrain_epochs": 0, "stage1_epochs": 0, "stage2_epochs": 0, "seed": 0, "rank": 1,
+            "t_total": 1, "stage1_batch": 1, "stage2_batch": 1, "n_samples": 1, "chain_steps": 1,
+            "lambda_rank": 0,
         }
         for name, bound in least.items():
             value = getattr(self, name)
-            if value < bound:
+            if not value >= bound:  # a nan is refused too
                 raise ConfigError(f"{name} must be >= {bound}, got {value}")
         if self.rank > min(self.hidden, self.d_model):
             raise ConfigError(
                 f"rank {self.rank} exceeds min(hidden={self.hidden}, d_model={self.d_model})"
             )
-        if not (self.lambda_rank >= 0 and self.margin >= 0):
-            raise ConfigError("lambda_rank and margin must be nonnegative")
         if not 0.0 <= self.ema_mu < 1.0:
             raise ConfigError(f"ema_mu must be in [0, 1), got {self.ema_mu}")
-        for name in ("alpha", "lr_lora", "lr_prompt", "stage2_lr", "stage2_lr_min", "clip"):
+        for name in ("alpha", "lr_lora", "lr_prompt"):
             value = getattr(self, name)
             if not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
-        if self.stage2_lr_min > self.stage2_lr:
-            raise ConfigError(
-                f"stage2_lr_min {self.stage2_lr_min} must not exceed "
-                f"stage2_lr {self.stage2_lr}"
-            )
+        if not self.stage2_lr >= self.lr_min:
+            raise ConfigError(f"stage2_lr {self.stage2_lr} is below the rate floor {self.lr_min}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ConfigError(
                 f"need 0 < beta_start <= beta_end < 1, got {self.beta_start}, {self.beta_end}"
@@ -121,9 +116,9 @@ class RunConfig:
         """The hash of the settings and, under their former field names, the fixed
         values, with desk_preset as the true every desk report was hashed with."""
         fixed = ("hidden", "d_model", "pretrain_lr", "pretrain_batch", "warmup_start_lr",
-                 "train_fraction")
+                 "warmup_epochs", "margin", "clip", "train_fraction")
         body = {**asdict(self), **{name: getattr(self, name) for name in fixed},
-                "desk_preset": True}
+                "stage2_lr_min": self.lr_min, "desk_preset": True}
         return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -219,7 +214,7 @@ def load_run(
     train, test = _target_split(data_dir)
     if model.d_in != train.d_in or model.k != train.k:
         raise DataError(
-            f"guidance checkpoint expects d_in={model.d_in}, k={model.k}; "
+            f"guidance checkpoint {guidance_ckpt} expects d_in={model.d_in}, k={model.k}; "
             f"data has d_in={train.d_in}, k={train.k}"
         )
     if denoiser_ckpt is None:
@@ -227,22 +222,19 @@ def load_run(
     net, sched = df.load_denoiser(denoiser_ckpt)
     if net.d_model != model.w2.rows or net.k != train.k:
         raise DataError(
-            f"denoiser checkpoint expects d_model={net.d_model}, k={net.k}; "
+            f"denoiser checkpoint {denoiser_ckpt} expects d_model={net.d_model}, k={net.k}; "
             f"guidance has d_model={model.w2.rows}, data has k={train.k}"
         )
     return model, (net, sched), train, test
 
 
-GUIDANCE_LR_MIN = 1e-5  # the guidance plans' floor, stage2_lr_min's default; no field moves it
-
-
-def _lr_plan(base_lr: float, warmup_epochs: int, epochs: int,
-             min_lr: float = GUIDANCE_LR_MIN) -> optim.LrPlan:
-    """The plan of base_lr, a checked rate, floored at min_lr. Clamping that floor
-    and the warmup start to base_lr and the epoch count up give every plan
-    0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
-    return optim.LrPlan(base_lr, min(min_lr, base_lr), min(RunConfig.warmup_start_lr, base_lr),
-                        warmup_epochs, max(epochs, warmup_epochs + 1))
+def _lr_plan(base_lr: float, warmup_epochs: int, epochs: int) -> optim.LrPlan:
+    """The plan of base_lr, a checked rate, floored at RunConfig.lr_min. Clamping
+    that floor and the warmup start to base_lr and the epoch count up give every
+    plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
+    return optim.LrPlan(base_lr, min(RunConfig.lr_min, base_lr),
+                        min(RunConfig.warmup_start_lr, base_lr), warmup_epochs,
+                        max(epochs, warmup_epochs + 1))
 
 
 def _fit(stage, flat, step, plans, n, batch, epochs, cfg, tag, batch_loss, log, note) -> None:
@@ -365,7 +357,7 @@ def train_stage2(
         return lambda idx, tape: df.epsilon_loss(net, f[idx], y0[idx], prior[idx], d[idx],
                                                  sched, t_values[idx], eps[idx], tape)
 
-    plan = _lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs, cfg.stage2_lr_min)
+    plan = _lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs)
     _fit("stage2", flat, step, [plan], train.n, cfg.stage2_batch, cfg.stage2_epochs, cfg, 47,
          batch_loss, log, lambda: "")
 

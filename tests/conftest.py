@@ -8,10 +8,12 @@ suites share one training run each.
 from __future__ import annotations
 
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+from cgsd import diffusion as df
 from cgsd import guidance as gd
 from cgsd import pipeline as pl
 from cgsd.data import SyntheticConfig, gen_synthetic, stratified_split, write_dataset
@@ -82,6 +84,25 @@ def small_dir(tmp_path_factory):
     write_dataset(out / "source.csv", source)
     write_dataset(out / "target.csv", target)
     return out
+
+
+@pytest.fixture(scope="session")
+def tiny_inputs(small_dir, tmp_path_factory):
+    """A copy of the tiny benchmark under data/ beside untrained checkpoints
+    that fit it: the frozen guidance g.npz and one built for 64 input features,
+    g64.npz (hidden 16, d_model 8, k 3, rank 2, alpha 4, seed 1), and the
+    denoiser d.npz of a T = 20 schedule. A test that changes a file works on
+    its own copy."""
+    root = tmp_path_factory.mktemp("tiny_inputs")
+    shutil.copytree(small_dir, root / "data")
+    for d_in, name in ((16, "g.npz"), (64, "g64.npz")):
+        model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3, rank=2,
+                                       alpha=4.0, seed=1)
+        model.frozen_base = True
+        gd.save_guidance(root / name, model)
+    df.save_denoiser(root / "d.npz", df.DenoiserNet.build(d_model=8, k=3, seed=1),
+                     (20, 1e-3, 0.2))
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ checks that the exit code is a documented one, that no exception escapes,
 and that a failing run writes one stderr line and leaves every file as it
 was. Epoch, sample, row and t_total flags draw only small values, so that no
 example trains for long or allocates much; their extreme values are cases
-of test_pipeline's _BAD_INPUTS. ``--help`` is not drawn: argparse prints the
-usage and raises SystemExit(0), which ends the process with exit 0.
+of test_pipeline's _BAD_INPUTS. A stray ``--help`` prints the usage on
+stdout, and the run exits 0.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cgsd import cli
-from cgsd import diffusion as df
-from cgsd import guidance as gd
 
 # exit code -> the prefix of its one stderr line
 _PREFIXES = {2: ("configuration error: ",), 3: ("data error: ", "file error: "),
@@ -38,9 +36,8 @@ _NAMES = (*["eval"] * 6, *["export-trajectory"] * 4, *["train-diffusion"] * 4,
 # the flags of training, sample, row and grid sizes: a command always gets
 # its own, drawn small, so that no example trains for long or allocates much
 _SMALL = {"n": ("30", "60"), "d_in": ("4",), "k": ("5",), "stage1_epochs": ("1", "2"),
-          "stage2_epochs": ("1", "2"), "warmup_epochs": ("0", "1"),
-          "stage1_batch": ("8", "16"), "stage2_batch": ("8",), "n_samples": ("1", "2"),
-          "chain_steps": ("1", "5"), "t_total": ("5", "20")}
+          "stage2_epochs": ("1", "2"), "stage1_batch": ("8", "16"), "stage2_batch": ("8",),
+          "n_samples": ("1", "2"), "chain_steps": ("1", "5"), "t_total": ("5", "20")}
 _SMALL_BAD = ("-1", "0", "1.5", "nan", "x", "")
 # a good value of any other flag is its default (or these); a bad one is one of
 _GOOD = {"proportions": ("0.1,0.2,0.3,0.2,0.2",), "steps": ("20,0", "0", ""),
@@ -66,26 +63,20 @@ _PATHS = {
 _PATHS["report"] = _PATHS["out"]
 _CONFIG_PATHS = ("missing.json", "adir", "empty.bin", "junk.bin", "g.npz")
 _EXTRAS = (["--bogus", "1"], ["--epochs", "1"], ["--desk-preset"], ["stray"], ["--seed"],
-           ["--config"], ["--d", "3"])
+           ["--config"], ["--d", "3"], ["--help"], ["-h"])
 
 
 @pytest.fixture(scope="module")
-def inputs(small_dir, tmp_path_factory):
-    """What every example's directory starts as: the tiny benchmark, a copy
-    without source.csv, untrained checkpoints that fit it, one built for 64
-    input features, and an empty file, random bytes and an empty directory."""
+def inputs(tiny_inputs, tmp_path_factory):
+    """What every example's directory starts as: the tiny benchmark and the
+    untrained checkpoints of tiny_inputs (one built for 64 input features), a
+    copy of the benchmark without source.csv, and an empty file, random bytes
+    and an empty directory."""
     root = tmp_path_factory.mktemp("fuzz_inputs")
-    shutil.copytree(small_dir, root / "data")
+    shutil.copytree(tiny_inputs, root, dirs_exist_ok=True)
     (root / "no_source").mkdir()
     for name in ("target.csv", "target.csv.meta.json"):
-        shutil.copy(small_dir / name, root / "no_source" / name)
-    for d_in, name in ((16, "g.npz"), (64, "g64.npz")):
-        model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3, rank=2,
-                                       alpha=4.0, seed=1)
-        model.frozen_base = True
-        gd.save_guidance(root / name, model)
-    df.save_denoiser(root / "d.npz", df.DenoiserNet.build(d_model=8, k=3, seed=1),
-                     (20, 1e-3, 0.2))
+        shutil.copy(root / "data" / name, root / "no_source" / name)
     (root / "empty.bin").write_bytes(b"")
     (root / "junk.bin").write_bytes(bytes(range(256)) * 3)
     (root / "adir").mkdir()

@@ -146,31 +146,27 @@ _RATE = st.floats(min_value=1e-9, max_value=1.0)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rates=st.tuples(_RATE, _RATE, _RATE),
-    floor_share=st.floats(min_value=1e-6, max_value=1.0),
+    rates=st.tuples(_RATE, _RATE, st.floats(min_value=pl.RunConfig.lr_min, max_value=1.0)),
     epochs=st.tuples(*[st.integers(min_value=0, max_value=30)] * 4),
 )
-def test_lr_plan_invariants(rates, floor_share, epochs):
+def test_lr_plan_invariants(rates, epochs):
     # every plan the training loops build from a valid RunConfig, including
-    # guidance rates below their floor GUIDANCE_LR_MIN and below the fixed
-    # warmup start, holds LrPlan's invariants and keeps each epoch's rate in
-    # (0, base_lr]; the guidance plans floor at GUIDANCE_LR_MIN, stage 2's at
-    # stage2_lr_min, and every warmup starts at min(warmup_start_lr, base_lr)
+    # guidance rates below the floor lr_min and below the fixed warmup start,
+    # and a drawn warmup, holds LrPlan's invariants and keeps each epoch's rate
+    # in (0, base_lr]; every plan floors at min(lr_min, base_lr), and every
+    # warmup starts at min(warmup_start_lr, base_lr)
     lr_lora, lr_prompt, stage2_lr = rates
     cfg = pl.RunConfig(
-        lr_lora=lr_lora, lr_prompt=lr_prompt, stage2_lr=stage2_lr,
-        stage2_lr_min=stage2_lr * floor_share, pretrain_epochs=epochs[0],
-        stage1_epochs=epochs[1], warmup_epochs=epochs[2], stage2_epochs=epochs[3],
+        lr_lora=lr_lora, lr_prompt=lr_prompt, stage2_lr=stage2_lr, pretrain_epochs=epochs[0],
+        stage1_epochs=epochs[1], stage2_epochs=epochs[3],
     )
     plans = [
         pl._lr_plan(cfg.pretrain_lr, 0, cfg.pretrain_epochs),
-        pl._lr_plan(cfg.lr_lora, cfg.warmup_epochs, cfg.stage1_epochs),
-        pl._lr_plan(cfg.lr_prompt, cfg.warmup_epochs, cfg.stage1_epochs),
-        pl._lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs, cfg.stage2_lr_min),
+        pl._lr_plan(cfg.lr_lora, epochs[2], cfg.stage1_epochs),
+        pl._lr_plan(cfg.lr_prompt, epochs[2], cfg.stage1_epochs),
+        pl._lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs),
     ]
-    floors = [pl.GUIDANCE_LR_MIN] * 3 + [cfg.stage2_lr_min]
-    assert [plan.min_lr for plan in plans] == [
-        min(floor, plan.base_lr) for floor, plan in zip(floors, plans, strict=True)]
+    assert [plan.min_lr for plan in plans] == [min(cfg.lr_min, plan.base_lr) for plan in plans]
     assert [plan.warmup_start_lr for plan in plans] == [
         min(cfg.warmup_start_lr, plan.base_lr) for plan in plans]
     for plan in plans:

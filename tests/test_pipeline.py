@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -202,8 +203,8 @@ def _guidance_per_tensor(data_dir, cfg):
 
 @pytest.mark.parametrize("cfg", [
     TINY,
-    # past the warmup into the cosine, and past RAdam's first steps
-    replace(TINY, pretrain_epochs=4, stage1_epochs=5, warmup_epochs=1),
+    # past the fixed 3-epoch warmup into the cosine, and past RAdam's first steps
+    replace(TINY, pretrain_epochs=4, stage1_epochs=5),
 ])
 def test_guidance_loops_match_per_tensor_reference(cfg, small_dir, tmp_path):
     # 90 source rows and 62 train rows: every loop's last batch is short
@@ -217,11 +218,11 @@ def test_guidance_loops_match_per_tensor_reference(cfg, small_dir, tmp_path):
             assert np.array_equal(p.data, w), path.name
 
 
-def test_stage2_lr_min_never_reaches_the_guidance_stages(small_dir, tmp_path):
-    # the guidance plans floor at GUIDANCE_LR_MIN, so a stage-2 floor changes
+def test_stage2_lr_never_reaches_the_guidance_stages(small_dir, tmp_path):
+    # every plan floors at the one constant lr_min, so a stage-2 rate changes
     # neither the pretrained base nor the adapted model, nor their log
     runs = []
-    for name, cfg in (("a", TINY), ("b", replace(TINY, stage2_lr_min=2e-4))):
+    for name, cfg in (("a", TINY), ("b", replace(TINY, stage2_lr=2e-4))):
         out, base = tmp_path / f"{name}.json", tmp_path / f"{name}.base.json"
         result = pl.train_stage1(small_dir, cfg, out, base)
         runs.append((result["log"], out.read_bytes(), base.read_bytes()))
@@ -283,7 +284,7 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
     params = net.params()
     state = oracle.AdamState(beta1=0.9)
     ema = oracle.EmaState.from_params(params, cfg.ema_mu)
-    plan = optim.LrPlan(cfg.stage2_lr, cfg.stage2_lr_min, cfg.stage2_lr, 0,
+    plan = optim.LrPlan(cfg.stage2_lr, cfg.lr_min, cfg.stage2_lr, 0,
                         max(cfg.stage2_epochs, 1))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
     log = []
@@ -873,13 +874,13 @@ def test_export_trajectory_refuses_a_step_off_the_chain_grid(small_dir, tiny_tra
     assert set(doc["silhouette_by_step"]) == {"20", "7", "0"}
 
 
-def test_export_trajectory_default_steps_follow_the_schedule(bad_input_base, tmp_path):
+def test_export_trajectory_default_steps_follow_the_schedule(tiny_inputs, tmp_path):
     # without --steps a T = 10 denoiser records T, 4T/5, ..., 0, and at a K
     # that 5 does not divide, steps of its grid (10, 6, 3, 0 at K = 3)
     df.save_denoiser(tmp_path / "d10.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
                      (10, 1e-3, 0.2))
-    argv = ["export-trajectory", "--data", str(bad_input_base / "data"),
-            "--guidance", str(bad_input_base / "g.json"),
+    argv = ["export-trajectory", "--data", str(tiny_inputs / "data"),
+            "--guidance", str(tiny_inputs / "g.npz"),
             "--diffusion", str(tmp_path / "d10.json"), "--out", str(tmp_path / "t.csv")]
     for extra, want in (([], [10, 8, 6, 4, 2, 0]), (["--steps", "10,4"], [10, 4]),
                         (["--chain-steps", "3"], [10, 6, 3, 0])):
@@ -923,6 +924,17 @@ def test_cli_gen_data_and_roundtrip(tmp_path):
     source = read_dataset(out / "source.csv")
     target = read_dataset(out / "target.csv")
     assert source.n == 60 and target.n == 60 and source.k == 3
+
+
+@pytest.mark.parametrize("command", ["", *cli._COMMANDS], ids=lambda command: command or "cgsd")
+def test_cli_help_prints_the_usage_and_returns_0(command, tmp_path, monkeypatch, capsys):
+    # --help returns to an in-process caller instead of ending it, and
+    # writes nothing but the usage
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--help"] if command else ["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: cgsd {command}".rstrip() + " ") and err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_required_flag_is_config_error(capsys):
@@ -1045,24 +1057,6 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
     ]) == 0
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["mode"] == "diffusion"
-
-
-@pytest.fixture(scope="module")
-def bad_input_base(small_dir, tmp_path_factory):
-    """Untrained checkpoints that fit the tiny benchmark, one guidance
-    checkpoint built for 64 input features, and a copy of the benchmark."""
-    work = tmp_path_factory.mktemp("bad_inputs")
-    for d_in, name in ((16, "g.json"), (64, "g64.json")):
-        model = gd.GuidanceModel.build(d_in=d_in, hidden=16, d_model=8, k=3,
-                                       rank=2, alpha=4.0, seed=1)
-        model.frozen_base = True
-        gd.save_guidance(work / name, model)
-    df.save_denoiser(work / "d.json", df.DenoiserNet.build(d_model=8, k=3, seed=1),
-                     (20, 1e-3, 0.2))
-    (work / "data").mkdir()
-    for path in small_dir.iterdir():
-        (work / "data" / path.name).write_bytes(path.read_bytes())
-    return work
 
 
 def _copy_of(name):
@@ -1212,6 +1206,34 @@ def _weight_as(dtype):
     return damage
 
 
+def _denoiser_built(d_model, k):
+    """Damage that replaces a denoiser with an untrained one of these widths."""
+    def damage(path):
+        df.save_denoiser(path, df.DenoiserNet.build(d_model=d_model, k=k, seed=1),
+                         (20, 1e-3, 0.2))
+    return damage
+
+
+def _deflated(name):
+    """Damage that stores one member DEFLATE-compressed, the others as they were."""
+    def damage(path):
+        blobs = ckpt.members(path)
+        with zipfile.ZipFile(path, "w") as zf:
+            for member, blob in blobs.items():
+                zf.writestr(member, blob, zipfile.ZIP_DEFLATED if member == name
+                            else zipfile.ZIP_STORED)
+    return damage
+
+
+def _without_member(name):
+    """Damage that drops one member of a checkpoint."""
+    def damage(path):
+        blobs = ckpt.members(path)
+        del blobs[name]
+        ckpt.write_members(path, blobs)
+    return damage
+
+
 def _source_rewrite(change):
     """Damage that rewrites source.csv as change(the source dataset)."""
     def damage(path):
@@ -1220,17 +1242,17 @@ def _source_rewrite(change):
 
 
 _ARGV = {
-    "eval": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.json",
-             "--diffusion", "{w}/d.json", "--report", "{w}/r.json"],
-    "eval-zero-shot": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.json",
+    "eval": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.npz",
+             "--diffusion", "{w}/d.npz", "--report", "{w}/r.json"],
+    "eval-zero-shot": ["eval", "--data", "{w}/data", "--guidance", "{w}/g.npz",
                        "--report", "{w}/r.json"],
     "gen-data": ["gen-data", "--out", "{w}/gen"],
     "train-guidance": ["train-guidance", "--data", "{w}/data", "--out", "{w}/g2.json"],
     "train-diffusion": ["train-diffusion", "--data", "{w}/data", "--guidance",
-                        "{w}/g.json", "--out", "{w}/d2.json", "--t-total", "20",
+                        "{w}/g.npz", "--out", "{w}/d2.json", "--t-total", "20",
                         "--stage2-epochs", "1"],
     "export-trajectory": ["export-trajectory", "--data", "{w}/data", "--guidance",
-                          "{w}/g.json", "--diffusion", "{w}/d.json", "--out",
+                          "{w}/g.npz", "--diffusion", "{w}/d.npz", "--out",
                           "{w}/t.csv"],
     "ablate": ["ablate", "--data", "{w}/data", "--out", "{w}/ablation.json"],
     # every path from the --config body
@@ -1244,9 +1266,10 @@ _BAD_INPUTS = {
     "eval-chain-steps-0": (2, "eval", ["--chain-steps", "0"], None, None, None),
     # a step off the default 25-step grid of a T = 100 denoiser (stride 4)
     "export-step-off-the-grid": (
-        2, "export-trajectory", ["--steps", "95"], "d.json", _meta_set("t_total", 100), None),
+        2, "export-trajectory", ["--steps", "95"], "d.npz", _meta_set("t_total", 100), None),
     "eval-zero-shot-samples-0": (
         2, "eval-zero-shot", ["--n-samples", "0"], None, None, None),
+    # --clip and --warmup-epochs (below) name fixed values: unknown flags
     "train-diffusion-clip-0": (2, "train-diffusion", ["--clip", "0"], None, None, None),
     # settings whose range only the library checked, after reading the data
     "train-guidance-rank-0": (2, "train-guidance", ["--rank", "0"], None, None, None),
@@ -1258,18 +1281,18 @@ _BAD_INPUTS = {
     # is refused there before any data is read
     "train-diffusion-beta-reversed": (
         2, "train-diffusion", ["--beta-start", "0.02", "--beta-end", "1e-4"], None, None, None),
-    "truncated-guidance": (3, "eval", [], "g.json", _truncate, None),
-    "truncated-denoiser": (3, "eval", [], "d.json", _truncate, None),
-    "denoiser-weights-short": (3, "eval", [], "d.json", _short_weights, None),
-    "denoiser-v1-with-ema_weights": (3, "eval", [], "d.json", _denoiser_v1, None),
-    "denoiser-retired-json": (3, "eval", [], "d.json", _retired_json, None),
-    "guidance-retired-json": (3, "eval-zero-shot", [], "g.json", _retired_json, None),
+    "truncated-guidance": (3, "eval", [], "g.npz", _truncate, None),
+    "truncated-denoiser": (3, "eval", [], "d.npz", _truncate, None),
+    "denoiser-weights-short": (3, "eval", [], "d.npz", _short_weights, None),
+    "denoiser-v1-with-ema_weights": (3, "eval", [], "d.npz", _denoiser_v1, None),
+    "denoiser-retired-json": (3, "eval", [], "d.npz", _retired_json, None),
+    "guidance-retired-json": (3, "eval-zero-shot", [], "g.npz", _retired_json, None),
     # a .npy member must be C-order float64 of the recorded shape, which its
     # header shows before any data is read or allocated
-    "denoiser-weight-float32": (3, "eval", [], "d.json", _weight_as(np.float32), None),
-    "denoiser-weight-object": (3, "eval", [], "d.json", _weight_as(object), None),
-    "denoiser-weight-header-huge": (3, "eval", [], "d.json", _huge_shape, None),
-    "denoiser-weight-npy-v2": (3, "eval", [], "d.json", _npy_v2, None),
+    "denoiser-weight-float32": (3, "eval", [], "d.npz", _weight_as(np.float32), None),
+    "denoiser-weight-object": (3, "eval", [], "d.npz", _weight_as(object), None),
+    "denoiser-weight-header-huge": (3, "eval", [], "d.npz", _huge_shape, None),
+    "denoiser-weight-npy-v2": (3, "eval", [], "d.npz", _npy_v2, None),
     "target-csv-not-utf8": (3, "eval", [], "data/target.csv", _non_utf8, None),
     # a non-finite feature: a train row went unseen by eval, a test row ended
     # in a numeric failure
@@ -1277,11 +1300,11 @@ _BAD_INPUTS = {
         3, "eval", [], "data/target.csv", _feature("nan", 0), None),
     "target-csv-test-row-inf": (
         3, "eval", [], "data/target.csv", _feature("inf", 1), None),
-    "eval-d_in-mismatch": (3, "eval", ["--guidance", "{w}/g64.json"], None, None, None),
+    "eval-d_in-mismatch": (3, "eval", ["--guidance", "{w}/g64.npz"], None, None, None),
     "train-diffusion-d_in-mismatch": (
-        3, "train-diffusion", ["--guidance", "{w}/g64.json"], None, None, None),
+        3, "train-diffusion", ["--guidance", "{w}/g64.npz"], None, None, None),
     "export-d_in-mismatch": (
-        3, "export-trajectory", ["--guidance", "{w}/g64.json", "--steps", "20,0"],
+        3, "export-trajectory", ["--guidance", "{w}/g64.npz", "--steps", "20,0"],
         None, None, None),
     "meta-without-domain_tag": (3, "eval", [], "data", _drop_domain_tag, None),
     # the header's field count is checked before a header of the claimed
@@ -1333,7 +1356,7 @@ _BAD_INPUTS = {
     "train-diffusion-ema-2": (2, "train-diffusion", ["--ema-mu", "2"], None, None, None),
     "train-guidance-lr-prompt-0": (
         2, "train-guidance", ["--lr-prompt", "0"], None, None, None),
-    # a stage-2 rate below the default floor stage2_lr_min
+    # a stage-2 rate below the rate floor lr_min
     "train-diffusion-lr-below-floor": (
         2, "train-diffusion", ["--stage2-lr", "5e-6"], None, None, None),
     "train-guidance-warmup-negative": (
@@ -1352,7 +1375,7 @@ _BAD_INPUTS = {
     "gen-data-d_in-2**63-1": (5, "gen-data", ["--d-in", str(2**63 - 1)], None, None, None),
     "train-diffusion-t_total-2**62": (
         5, "train-diffusion", ["--t-total", str(2**62)], None, None, None),
-    "denoiser-t_total-2**62": (5, "eval", [], "d.json", _meta_set("t_total", 2**62), None),
+    "denoiser-t_total-2**62": (5, "eval", [], "d.npz", _meta_set("t_total", 2**62), None),
     "train-guidance-seed-negative": (
         2, "train-guidance", ["--seed", "-1"], None, None, None),
     "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
@@ -1360,40 +1383,56 @@ _BAD_INPUTS = {
     # refused (exit 3, "cannot stratify") after gen-data exited 0
     "gen-data-n-5": (2, "gen-data", ["--n", "5"], None, None, None),
     "gen-data-one-grade": (2, "gen-data", ["--proportions", "1,0,0,0,0"], None, None, None),
+    "gen-data-proportion-negative": (
+        2, "gen-data", ["--k", "2", "--proportions", "1.2,-0.2"], None, None, None),
+    "train-guidance-lambda-rank-negative": (
+        2, "train-guidance", ["--lambda-rank", "-1"], None, None, None),
     # finite inputs whose computation overflows end in a numeric failure:
     # an encoder row norm (1e300 overflowed it into a zero row, and exit 0),
     # the reverse chain, or features gen-data would write
     "guidance-weight-1e308": (
-        4, "eval", [], "g.json", _weight_set("w1", 0, 1e308), None),
+        4, "eval", [], "g.npz", _weight_set("w1", 0, 1e308), None),
     "guidance-weight-1e300": (
-        4, "eval", [], "g.json", _weight_set("w1", 0, 1e300), None),
+        4, "eval", [], "g.npz", _weight_set("w1", 0, 1e300), None),
     "denoiser-head-bias-1e308": (
-        4, "eval", [], "d.json", _weight_set("layer2_b", 0, 1e308),
+        4, "eval", [], "d.npz", _weight_set("layer2_b", 0, 1e308),
         None),
     "gen-data-noise-1e308": (4, "gen-data", ["--noise", "1e308"], None, None, None),
     # a row norm below eps has no direction to normalize (a zero prompt row
     # was rescaled by 1/eps with a warning, and exit 0)
     "guidance-prompt-row-zero": (
-        4, "eval", [], "g.json", _weight_row_set("prompts", 0, 0.0), None),
+        4, "eval", [], "g.npz", _weight_row_set("prompts", 0, 0.0), None),
     # checkpoints with non-finite or out-of-range values fail at load
     "denoiser-weight-nan": (
-        3, "eval", [], "d.json", _weight_set("layer0_w", 0, math.nan),
+        3, "eval", [], "d.npz", _weight_set("layer0_w", 0, math.nan),
         None),
     "guidance-weight-nan": (
-        3, "eval", [], "g.json", _weight_set("w1", 0, math.nan), None),
+        3, "eval", [], "g.npz", _weight_set("w1", 0, math.nan), None),
     "guidance-log_scale-nan": (
-        3, "eval-zero-shot", [], "g.json", _meta_set("log_scale", math.nan),
+        3, "eval-zero-shot", [], "g.npz", _meta_set("log_scale", math.nan),
         None),
     "guidance-alpha-negative": (
-        3, "eval", [], "g.json", _meta_set("alpha", -1), None),
-    "guidance-one-grade": (3, "eval-zero-shot", [], "g.json", _one_grade, None),
+        3, "eval", [], "g.npz", _meta_set("alpha", -1), None),
+    "guidance-one-grade": (3, "eval-zero-shot", [], "g.npz", _one_grade, None),
+    "guidance-rank-0": (3, "eval", [], "g.npz", _meta_set("rank", 0), None),
+    # a rank above d_model 8
+    "guidance-rank-9": (3, "eval", [], "g.npz", _meta_set("rank", 9), None),
+    # a compressed member could inflate far beyond the file's size
+    "guidance-member-deflated": (3, "eval", [], "g.npz", _deflated("prompts.npy"), None),
+    "guidance-member-extra": (
+        3, "eval", [], "g.npz", lambda path: ckpt.set_member(path, "extra.npy", b""), None),
+    "guidance-member-missing": (3, "eval", [], "g.npz", _without_member("prompts.npy"), None),
+    "denoiser-layout-unknown": (3, "eval", [], "d.npz", _meta_set("layout", "x"), None),
+    # a denoiser that fits its file but not the guidance width or the grades
+    "denoiser-d_model-16": (3, "eval", [], "d.npz", _denoiser_built(16, 3), None),
+    "denoiser-k-5": (3, "eval", [], "d.npz", _denoiser_built(8, 5), None),
     "denoiser-beta_end-2": (
-        3, "eval", [], "d.json", _meta_set("beta_end", 2.0), None),
-    "denoiser-t_total-0": (3, "eval", [], "d.json", _meta_set("t_total", 0), None),
+        3, "eval", [], "d.npz", _meta_set("beta_end", 2.0), None),
+    "denoiser-t_total-0": (3, "eval", [], "d.npz", _meta_set("t_total", 0), None),
     # JSON true is a Python int, so a number field refuses it explicitly
     "denoiser-t_total-bool": (
-        3, "eval", [], "d.json", _meta_set("t_total", True), None),
-    "denoiser-weight-bool": (3, "eval", [], "d.json", _weight_as(bool), None),
+        3, "eval", [], "d.npz", _meta_set("t_total", True), None),
+    "denoiser-weight-bool": (3, "eval", [], "d.npz", _weight_as(bool), None),
     # a fresh base pretrains on source.csv, so its width and grade count must
     # be target.csv's
     "train-guidance-source-d_in-mismatch": (
@@ -1404,7 +1443,7 @@ _BAD_INPUTS = {
         _source_rewrite(lambda ds: replace(ds, labels=np.minimum(ds.labels, 1), k=2)),
         None),
     "train-diffusion-unfrozen-guidance": (
-        3, "train-diffusion", [], "g.json", _meta_set("frozen", False), None),
+        3, "train-diffusion", [], "g.npz", _meta_set("frozen", False), None),
     # an --out with no file name has no base name beside it (a ValueError
     # traceback before any training; "..", exit 3 after training, beside a
     # stray "...base")
@@ -1417,19 +1456,19 @@ _BAD_INPUTS = {
     "train-guidance-out-dir": (2, "train-guidance", ["--out", "{w}/data"], None, None, None),
     "ablate-out-dir": (2, "ablate", ["--out", "{w}/data"], None, None, None),
     # paths the program cannot write: the message names the path
-    "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.json"], "g.json",
+    "gen-data-out-is-a-file": (3, "gen-data", ["--out", "{w}/g.npz"], "g.npz",
                                None, None),
     # a missing directory above an output is made, but not over a file
-    "eval-report-parent-is-a-file": (3, "eval", ["--report", "{w}/g.json/r.json"],
-                                     "g.json", None, None),
+    "eval-report-parent-is-a-file": (3, "eval", ["--report", "{w}/g.npz/r.json"],
+                                     "g.npz", None, None),
     # an output that is another output or an input (each exited 0 after the
     # work, with the input overwritten): ablate's report over the base an
     # earlier ablation left, a denoiser over its guidance, a report over the
     # dataset
     "ablate-out-is-its-base": (2, "ablate", ["--out", "{w}/ablate_guidance.base.json"],
-                               "ablate_guidance.base.json", _copy_of("g.json"), None),
+                               "ablate_guidance.base.json", _copy_of("g.npz"), None),
     "train-diffusion-out-is-guidance": (
-        2, "train-diffusion", ["--out", "{w}/g.json"], "g.json", None, None),
+        2, "train-diffusion", ["--out", "{w}/g.npz"], "g.npz", None, None),
     "eval-report-is-target-csv": (
         2, "eval", ["--report", "{w}/data/target.csv"], "data/target.csv", None, None),
     # command-line errors give one line, not a usage block and SystemExit
@@ -1444,22 +1483,22 @@ _BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("flag", ["--lr-prompt", "--lr-lora"])
-def test_cli_train_guidance_takes_small_learning_rates(flag, bad_input_base, tmp_path):
-    # below the floor stage2_lr_min and the warmup start, which train-guidance
-    # cannot set; the run pretrains its base at the default settings first
+def test_cli_train_guidance_takes_small_learning_rates(flag, tiny_inputs, tmp_path):
+    # below the rate floor lr_min and the warmup start, which _lr_plan clamps
+    # to each rate; the run pretrains its base at the default settings first
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
+    shutil.copytree(tiny_inputs, work)
     argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/g2.json",
             "--rank", "2", "--stage1-epochs", "4", flag, "5e-6"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
 
 
-def test_cli_train_guidance_pretrains_over_a_stale_base(bad_input_base, tmp_path):
+def test_cli_train_guidance_pretrains_over_a_stale_base(tiny_inputs, tmp_path):
     # a rank-2 base beside --out, from another run, neither stops a rank-4
     # run nor is adapted by it: the run writes its own rank-4 base
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
+    shutil.copytree(tiny_inputs, work)
     defaults = pl.RunConfig()
     stale = gd.GuidanceModel.build(d_in=16, hidden=defaults.hidden,
                                    d_model=defaults.d_model, k=3, rank=2,
@@ -1473,14 +1512,14 @@ def test_cli_train_guidance_pretrains_over_a_stale_base(bad_input_base, tmp_path
     assert gd.load_guidance(work / "stale.base.json").lora_a.rows == 4
 
 
-def test_cli_train_diffusion_takes_the_guidance_width(bad_input_base, tmp_path):
-    # g.json has d_model 8, not RunConfig's default; the denoiser is built for
+def test_cli_train_diffusion_takes_the_guidance_width(tiny_inputs, tmp_path):
+    # g.npz has d_model 8, not RunConfig's default; the denoiser is built for
     # the guidance model's width and eval runs the pair
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
-    assert gd.load_guidance(work / "g.json").w2.rows == 8 != pl.RunConfig().d_model
+    shutil.copytree(tiny_inputs, work)
+    assert gd.load_guidance(work / "g.npz").w2.rows == 8 != pl.RunConfig().d_model
     train = [a.format(w=work) for a in _ARGV["train-diffusion"]]
-    evaluate = ["eval", "--data", f"{work}/data", "--guidance", f"{work}/g.json",
+    evaluate = ["eval", "--data", f"{work}/data", "--guidance", f"{work}/g.npz",
                 "--diffusion", f"{work}/d2.json", "--report", f"{work}/r.json"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(train) == 0
@@ -1488,7 +1527,7 @@ def test_cli_train_diffusion_takes_the_guidance_width(bad_input_base, tmp_path):
     assert df.load_denoiser(work / "d2.json")[0].d_model == 8
 
 
-def test_cli_main_in_one_process_repeats_a_first_call(bad_input_base, tmp_path):
+def test_cli_main_in_one_process_repeats_a_first_call(tiny_inputs, tmp_path):
     # cli.main builds its parser once per process: a refused command line,
     # an eval, the same eval again and an export, each run in turn, give the
     # exit code, stdout, stderr and files of each run as a first call
@@ -1499,7 +1538,7 @@ def test_cli_main_in_one_process_repeats_a_first_call(bad_input_base, tmp_path):
 
     def fresh():
         shutil.rmtree(work, ignore_errors=True)
-        shutil.copytree(bad_input_base, work)
+        shutil.copytree(tiny_inputs, work)
 
     def call(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -1523,11 +1562,11 @@ def test_cli_main_in_one_process_repeats_a_first_call(bad_input_base, tmp_path):
         assert call(argv) == (code, out, err, files)
 
 
-def test_cli_train_diffusion_trains_on_the_papers_schedule(bad_input_base, tmp_path):
+def test_cli_train_diffusion_trains_on_the_papers_schedule(tiny_inputs, tmp_path):
     # the paper's beta 1e-4 ... 0.02 from --config (refused as unknown keys
     # while the defaults were the only schedule the CLI could train)
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
+    shutil.copytree(tiny_inputs, work)
     (work / "cfg.json").write_text(json.dumps({"beta_start": 1e-4, "beta_end": 0.02}))
     argv = [a.format(w=work) for a in _ARGV["train-diffusion"]]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1570,13 +1609,13 @@ _SIDE_FILES = {
       ["train-guidance", "train-diffusion", "eval", "ablate", "export-trajectory"]),
     *(pytest.param(command, side, id=f"{command}-{side}")
       for command, sides in _SIDE_FILES.items() for side in sides)])
-def test_cli_out_directory_is_refused_before_any_read(command, side, bad_input_base, tmp_path,
+def test_cli_out_directory_is_refused_before_any_read(command, side, tiny_inputs, tmp_path,
                                                       monkeypatch, capsys):
     # an existing directory as the output, or as a side file written beside
     # it: the directory and its parent are left as they were, and no input is
     # read
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
+    shutil.copytree(tiny_inputs, work)
     key, argv = _output_key(command), [a.format(w=work) for a in _ARGV[command]]
     if side is None:
         out = str(work / "data")
@@ -1603,11 +1642,11 @@ _SAME_FILE = {
 
 
 @pytest.mark.parametrize("case", sorted(_SAME_FILE))
-def test_cli_output_over_an_input_is_refused_before_any_read(case, bad_input_base, tmp_path,
+def test_cli_output_over_an_input_is_refused_before_any_read(case, tiny_inputs, tmp_path,
                                                              monkeypatch, capsys):
     # the file keeps its bytes, and no dataset is read
     key, what = _SAME_FILE[case]
-    argv = _bad_input_argv(case, bad_input_base, tmp_path)
+    argv = _bad_input_argv(case, tiny_inputs, tmp_path)
     path = tmp_path / "w" / _BAD_INPUTS[case][3]
     before = path.read_bytes()
     reads = _count_calls(monkeypatch, pl, "read_dataset")
@@ -1619,11 +1658,11 @@ def test_cli_output_over_an_input_is_refused_before_any_read(case, bad_input_bas
 
 @pytest.mark.parametrize("command", ["train-guidance", "train-diffusion", "eval",
                                      "export-trajectory"])
-def test_cli_out_under_a_missing_directory_is_made(command, bad_input_base, tmp_path):
+def test_cli_out_under_a_missing_directory_is_made(command, tiny_inputs, tmp_path):
     # the missing directories are made before the run, whose files are those
     # of a run into an existing directory, byte for byte
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
+    shutil.copytree(tiny_inputs, work)
     key = f"--{_output_key(command)}"
     argv = [a.format(w=work) for a in _ARGV[command]]
     name = Path(argv[argv.index(key) + 1]).name
@@ -1636,13 +1675,10 @@ def test_cli_out_under_a_missing_directory_is_made(command, bad_input_base, tmp_
     assert name in expected and written(work / "missing" / "deeper") == expected
 
 
-def test_run_config_validates_n_samples_and_clip():
+def test_run_config_validates_n_samples():
     for n_samples in (0, -1):
         with pytest.raises(ConfigError, match="n_samples"):
             pl.RunConfig(n_samples=n_samples)
-    for clip in (0.0, -1.0):
-        with pytest.raises(ConfigError, match="clip"):
-            pl.RunConfig(clip=clip)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -1678,16 +1714,17 @@ def test_cli_checks_settings_before_reading_files(argv, tmp_path, capsys):
 
 
 def test_stage2_lr_floor_error_names_both_fields():
-    with pytest.raises(ConfigError, match="stage2_lr_min .* stage2_lr "):
+    # the floor is the constant lr_min, which every plan shares
+    with pytest.raises(ConfigError, match=r"^stage2_lr 5e-06 is below the rate floor 1e-05$"):
         pl.RunConfig(stage2_lr=5e-6)
 
 
-def _bad_input_argv(case, bad_input_base, tmp_path):
+def _bad_input_argv(case, tiny_inputs, tmp_path):
     """The command line of a _BAD_INPUTS case, run on a damaged copy of the
     fixture."""
     _, command, extra, target, damage, config = _BAD_INPUTS[case]
     work = tmp_path / "w"
-    shutil.copytree(bad_input_base, work)
+    shutil.copytree(tiny_inputs, work)
     if damage is not None:
         damage(work / target)
     argv = [*_ARGV[command], *extra]
@@ -1698,9 +1735,9 @@ def _bad_input_argv(case, bad_input_base, tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
-def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, capsys):
+def test_cli_bad_input_exit_code_and_one_line(case, tiny_inputs, tmp_path, capsys):
     code, _, _, target, _, _ = _BAD_INPUTS[case]
-    assert cli.main(_bad_input_argv(case, bad_input_base, tmp_path)) == code
+    assert cli.main(_bad_input_argv(case, tiny_inputs, tmp_path)) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
@@ -1709,7 +1746,7 @@ def test_cli_bad_input_exit_code_and_one_line(case, bad_input_base, tmp_path, ca
 
 
 # the message of each _BAD_INPUTS case of a damaged .npy member, after
-# "data error: checkpoint <d.json>: weight layer0_w: "; a header that is not
+# "data error: checkpoint <d.npz>: weight layer0_w: "; a header that is not
 # byte for byte the one save_checkpoint writes is parsed, then checked
 _NPY_MEMBER_ERRORS = {
     "denoiser-weight-float32": "dtype float32 is not C-order <f8",
@@ -1722,9 +1759,9 @@ _NPY_MEMBER_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(_NPY_MEMBER_ERRORS))
-def test_cli_damaged_npy_member_message(case, bad_input_base, tmp_path, capsys):
-    assert cli.main(_bad_input_argv(case, bad_input_base, tmp_path)) == 3
-    where = tmp_path / "w" / "d.json"
+def test_cli_damaged_npy_member_message(case, tiny_inputs, tmp_path, capsys):
+    assert cli.main(_bad_input_argv(case, tiny_inputs, tmp_path)) == 3
+    where = tmp_path / "w" / "d.npz"
     assert capsys.readouterr().err == (
         f"data error: checkpoint {where}: weight layer0_w: {_NPY_MEMBER_ERRORS[case]}\n")
 
@@ -1732,11 +1769,11 @@ def test_cli_damaged_npy_member_message(case, bad_input_base, tmp_path, capsys):
 @pytest.mark.parametrize(
     "case", ["guidance-weight-1e308", "guidance-weight-1e300", "gen-data-noise-1e308",
              "guidance-prompt-row-zero"])
-def test_cli_process_numeric_failure_is_one_line(case, bad_input_base, tmp_path):
+def test_cli_process_numeric_failure_is_one_line(case, tiny_inputs, tmp_path):
     # the command in its own process, outside pytest's warning filter, where
     # numpy's floating-point warnings (or a library warning) would add lines
     # to stderr
-    argv = _bad_input_argv(case, bad_input_base, tmp_path)
+    argv = _bad_input_argv(case, tiny_inputs, tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-m", "cgsd.cli", *argv], env=env,
@@ -1755,12 +1792,10 @@ _EXPOSED = {
         "seed": 3}),
     "train-guidance": (pl.RunConfig, ["--data", "x", "--out", "o"], {
         "rank": 2, "alpha": 4.0, "stage1_epochs": 1, "stage1_batch": 8,
-        "lr_lora": 1e-3, "lr_prompt": 1e-2, "warmup_epochs": 0, "lambda_rank": 0.5,
-        "margin": 0.1, "seed": 3}),
+        "lr_lora": 1e-3, "lr_prompt": 1e-2, "lambda_rank": 0.5, "seed": 3}),
     "train-diffusion": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--out", "o"], {
         "t_total": 10, "beta_start": 1e-4, "beta_end": 0.02, "stage2_epochs": 1,
-        "stage2_batch": 8, "stage2_lr": 1e-3,
-        "stage2_lr_min": 1e-4, "clip": 2.0, "ema_mu": 0.5, "seed": 3}),
+        "stage2_batch": 8, "stage2_lr": 1e-3, "ema_mu": 0.5, "seed": 3}),
     "eval": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--report", "r"],
              {"n_samples": 2, "seed": 3}),
     "ablate": (pl.RunConfig, ["--data", "x", "--out", "o"], {"seed": 3}),
@@ -1826,7 +1861,8 @@ def test_run_config_fields_and_digests_unchanged():
 
 # the values no command varies, and the split fraction, which is the data's
 FIXED = {"hidden": 128, "d_model": 64, "pretrain_lr": 1e-3, "pretrain_batch": 64,
-         "warmup_start_lr": 1e-5, "train_fraction": 0.7}
+         "warmup_start_lr": 1e-5, "warmup_epochs": 3, "margin": 0.05, "clip": 1.0,
+         "lr_min": 1e-5, "train_fraction": 0.7}
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
@@ -1860,13 +1896,13 @@ def test_each_fixed_value_moves_the_digest(name, monkeypatch):
     assert pl.RunConfig().digest() != before
 
 
-def test_cli_unknown_config_key_is_one_line(bad_input_base, tmp_path):
+def test_cli_unknown_config_key_is_one_line(tiny_inputs, tmp_path):
     # a key is printed as its repr, so a newline in it cannot split the message
     # (the mutated-bytes fuzz case: a backslash inserted before "n_samples")
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"\\n_samples": 2, "seed": 3}')
-    argv = ["eval", "--data", str(bad_input_base / "data"),
-            "--guidance", str(bad_input_base / "g.json"),
+    argv = ["eval", "--data", str(tiny_inputs / "data"),
+            "--guidance", str(tiny_inputs / "g.npz"),
             "--report", str(tmp_path / "r.json"), "--config", str(cfg)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -1889,20 +1925,20 @@ _FUZZ_DATA = ("target.csv", "target.csv.meta.json")
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    target=st.sampled_from(["cfg.json", "g.json", "d.json", *_FUZZ_DATA]),
+    target=st.sampled_from(["cfg.json", "g.npz", "d.npz", *_FUZZ_DATA]),
     op=st.sampled_from(["replace", "insert", "delete"]),
     pos=st.integers(min_value=0, max_value=2**20),
     byte=st.integers(min_value=0, max_value=255),
 )
-def test_cli_eval_survives_mutated_bytes(bad_input_base, target, op, pos, byte):
+def test_cli_eval_survives_mutated_bytes(tiny_inputs, target, op, pos, byte):
     """One changed byte in the --config file, a checkpoint or the target
     domain's CSV or metadata ends eval with a documented exit code and at most
     one stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         data = work / "data"
-        shutil.copytree(bad_input_base / "data", data)
-        files = {name: bad_input_base / name for name in ("g.json", "d.json")}
+        shutil.copytree(tiny_inputs / "data", data)
+        files = {name: tiny_inputs / name for name in ("g.npz", "d.npz")}
         files["cfg.json"] = work / "base-cfg.json"
         files["cfg.json"].write_text(json.dumps({"n_samples": 2, "seed": 3}))
         mutated = (data if target in _FUZZ_DATA else work) / target
@@ -1910,7 +1946,7 @@ def test_cli_eval_survives_mutated_bytes(bad_input_base, target, op, pos, byte):
         mutated.write_bytes(_mutate(source.read_bytes(), op, pos, byte))
         files[target] = mutated
         argv = ["eval", "--data", str(data),
-                "--guidance", str(files["g.json"]), "--diffusion", str(files["d.json"]),
+                "--guidance", str(files["g.npz"]), "--diffusion", str(files["d.npz"]),
                 "--report", str(work / "r.json"), "--config", str(files["cfg.json"])]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
