@@ -22,7 +22,9 @@ every data seed, its chain-seed medians of accuracy, macro-F1 and QWK are
 each at least the full chain's minimum over the same chain seeds. The
 JSON's "default" is the smallest K that passes, or T when none does. With one
 chain seed the median is the minimum, so the script refuses fewer than 2
-distinct chain seeds, with one line and a non-zero exit, before any work.
+distinct chain seeds, with one line and a non-zero exit, before any work. It
+refuses the same way a --config file, and an --n or --data-seeds value that
+a data seed's benchmark or run config refuses.
 
     PYTHONPATH=src python scripts/seed_sweep.py --out sweep.json \\
         [--work DIR] [--data-seeds 42,1,2,3,4,5,6] [--chain-seeds 42,7,8,9,10,11,12] \\
@@ -36,7 +38,6 @@ verdict per K and the default. It prints a one-line summary per K to stderr.
 """
 
 import argparse
-import dataclasses
 import json
 import statistics
 import sys
@@ -64,7 +65,7 @@ def ints(text: str) -> list[int]:
 def read_settings(path: Path) -> dict:
     """--config's settings, read and checked as cgsd's --config reads a file;
     any fault, seed included, exits with one line."""
-    defaults = {f.name: f.default for f in dataclasses.fields(pipeline.RunConfig)}
+    defaults = cli._defaults(pipeline.RunConfig)
     try:
         doc = cli._read_config(str(path), defaults)
         if "seed" in doc:
@@ -86,15 +87,25 @@ def scored(report: dict) -> dict:
     return {**{m: report[m] for m in METRICS}, "predicted": predicted(report)}
 
 
-def sweep_seed(work: Path, seed: int, n: int, chain_seeds: list[int],
-               steps: list[int], settings: dict) -> dict:
+def configs(n: int, seeds: list[int], settings: dict) -> dict:
+    """Each data seed's benchmark and run configs, all built before any work;
+    one that is refused exits with one line."""
+    try:
+        return {seed: (SyntheticConfig(n=n, seed=seed), pipeline.RunConfig(**settings, seed=seed))
+                for seed in seeds}
+    except ConfigError as e:
+        sys.exit(f"--n {n}, --data-seeds {','.join(map(str, seeds))}: {e}")
+
+
+def sweep_seed(work: Path, data_cfg: SyntheticConfig, cfg: pipeline.RunConfig,
+               chain_seeds: list[int], steps: list[int]) -> dict:
     """One data seed's ablation, then its rows scored as the module says."""
+    seed = cfg.seed
     data = work / f"data-{seed}"
-    source, target = gen_synthetic(SyntheticConfig(n=n, seed=seed))
+    source, target = gen_synthetic(data_cfg)
     data.mkdir(parents=True, exist_ok=True)
     write_dataset(pipeline.domain_files(data, "source")[0], source)
     write_dataset(pipeline.domain_files(data, "target")[0], target)
-    cfg = pipeline.RunConfig(**settings, seed=seed)
     out = work / f"ablate-{seed}" / "ablation.json"
     out.parent.mkdir(exist_ok=True)
     ablation = pipeline.ablate(data, cfg, out)
@@ -159,13 +170,14 @@ def main() -> None:
                  f"got {','.join(map(str, args.chain_seeds))}")
 
     settings = read_settings(args.config) if args.config else {}
+    runs = configs(args.n, args.data_seeds, settings)
     t_total = pipeline.RunConfig(**settings).t_total
     candidates = sorted({k for k in args.chain_steps if k < t_total}, reverse=True)
     steps = [t_total, *candidates]
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
-        seeds = {str(s): sweep_seed(work, s, args.n, args.chain_seeds, steps, settings)
+        seeds = {str(s): sweep_seed(work, *runs[s], args.chain_seeds, steps)
                  for s in args.data_seeds}
     verdicts = verdict(seeds, t_total, candidates)
     passing = [k for k in candidates if verdicts[str(k)]["passes"]]

@@ -164,8 +164,7 @@ def _write_log(out: str, lines: list[str]) -> None:
 @_command(
     "gen-data",
     SyntheticConfig,
-    ("n", "d_in", "k", "proportions", "separation", "noise", "shift_angle",
-     "shift_bias", "seed"),
+    ("n", "d_in", "k", "proportions", "separation", "seed"),
     ("out",),
 )
 def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
@@ -180,8 +179,7 @@ def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
 @_command(
     "train-guidance",
     RunConfig,
-    ("rank", "alpha", "stage1_epochs", "stage1_batch", "lr_lora", "lr_prompt", "lambda_rank",
-     "seed"),
+    ("rank", "stage1_epochs", "stage1_batch", "lr_lora", "lr_prompt", "lambda_rank", "seed"),
     ("data", "out"), out="out",
 )
 def _train_guidance(cfg: RunConfig, a: dict) -> None:
@@ -207,7 +205,7 @@ def _train_diffusion(cfg: RunConfig, a: dict) -> None:
     {"diffusion": None}, out="report",
 )
 def _eval(cfg: RunConfig, a: dict) -> None:
-    model, denoiser, _, test = pipeline.load_run(a["data"], a["guidance"], a["diffusion"] or None)
+    model, denoiser, _, test = pipeline.load_run(a["data"], a["guidance"], a["diffusion"])
     report = pipeline.evaluate(model, denoiser, test, cfg)
     write_json(a["report"], report)
     print(json.dumps(report, sort_keys=True, indent=2))

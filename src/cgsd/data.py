@@ -18,6 +18,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,9 +68,10 @@ class SyntheticConfig:
     seed: int = 42
     proportions: tuple[float, ...] = (0.50, 0.10, 0.27, 0.05, 0.08)
     separation: float = 4.0
-    noise: float = 1.0
-    shift_angle: float = 0.5
-    shift_bias: float = 0.5
+    # fixed values, which no caller sets: the noise sigma and the target's shift
+    noise: ClassVar[float] = 1.0
+    shift_angle: ClassVar[float] = 0.5
+    shift_bias: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if self.k < 2:
@@ -80,8 +82,6 @@ class SyntheticConfig:
             raise ConfigError("proportions must sum to 1")
         if any(p < 0 for p in self.proportions):
             raise ConfigError("proportions must be nonnegative")
-        if self.noise <= 0:
-            raise ConfigError("noise sigma must be positive")
         if self.n < self.k:
             raise ConfigError("need n >= k samples")
         # no split can be stratified over a grade without rows

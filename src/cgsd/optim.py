@@ -74,11 +74,10 @@ class EmaState:
 
 @dataclass
 class LrPlan:
-    """Warmup then cosine annealing; callers pass checked values, with
-    0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
+    """Warmup from min_lr then cosine annealing down to it; callers pass
+    checked values, with 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
     base_lr: float
     min_lr: float
-    warmup_start_lr: float
     warmup_epochs: int
     total_epochs: int
 
@@ -142,7 +141,7 @@ def lr_at(epoch: int, plan: LrPlan) -> float:
         raise ContractError(f"epoch {epoch} outside [0, {plan.total_epochs})")
     if epoch < plan.warmup_epochs:
         frac = epoch / plan.warmup_epochs
-        return plan.warmup_start_lr + (plan.base_lr - plan.warmup_start_lr) * frac
+        return plan.min_lr + (plan.base_lr - plan.min_lr) * frac
     span = plan.total_epochs - 1 - plan.warmup_epochs
     progress = 0.0 if span == 0 else (epoch - plan.warmup_epochs) / span
     # min_lr + (base_lr - min_lr) can round one ulp above base_lr

@@ -10,6 +10,7 @@ and a split in memory; ``load_run`` reads them from a run's files.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import InitVar, asdict, dataclass
@@ -43,16 +44,16 @@ class RunConfig:
     hidden: ClassVar[int] = 128
     d_model: ClassVar[int] = 64
     rank: int = 8
-    alpha: float = 16.0
+    alpha: ClassVar[float] = 16.0
     # source-domain pretraining of the base encoder
     pretrain_epochs: int = 60
     pretrain_lr: ClassVar[float] = 1e-3
     pretrain_batch: ClassVar[int] = 64
-    lr_min: ClassVar[float] = 1e-5  # every plan's floor; _lr_plan clamps it to the plan's rate
+    lr_min: ClassVar[float] = 1e-5  # every plan's floor, clamped to its rate
+    warmup_start_lr = property(lambda self: self.lr_min)  # every warmup starts at the floor
     # stage 1
     lr_lora: float = 1e-4
     lr_prompt: float = 2e-3
-    warmup_start_lr: ClassVar[float] = 1e-5  # _lr_plan clamps it to each plan's rate
     stage1_epochs: int = 40
     stage1_batch: int = 64
     warmup_epochs: ClassVar[int] = 3
@@ -114,8 +115,9 @@ class RunConfig:
 
     def digest(self) -> str:
         """The hash of the settings and, under their former field names, the fixed
-        values, with desk_preset as the true every desk report was hashed with."""
-        fixed = ("hidden", "d_model", "pretrain_lr", "pretrain_batch", "warmup_start_lr",
+        values (lr_min as the stage-2 floor it replaced), with desk_preset as
+        the true every desk report was hashed with."""
+        fixed = ("hidden", "d_model", "alpha", "pretrain_lr", "pretrain_batch", "warmup_start_lr",
                  "warmup_epochs", "margin", "clip", "train_fraction")
         body = {**asdict(self), **{name: getattr(self, name) for name in fixed},
                 "stage2_lr_min": self.lr_min, "desk_preset": True}
@@ -230,10 +232,9 @@ def load_run(
 
 def _lr_plan(base_lr: float, warmup_epochs: int, epochs: int) -> optim.LrPlan:
     """The plan of base_lr, a checked rate, floored at RunConfig.lr_min. Clamping
-    that floor and the warmup start to base_lr and the epoch count up give every
-    plan 0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
-    return optim.LrPlan(base_lr, min(RunConfig.lr_min, base_lr),
-                        min(RunConfig.warmup_start_lr, base_lr), warmup_epochs,
+    that floor to base_lr and the epoch count up give every plan
+    0 < min_lr <= base_lr and warmup_epochs < total_epochs."""
+    return optim.LrPlan(base_lr, min(RunConfig.lr_min, base_lr), warmup_epochs,
                         max(epochs, warmup_epochs + 1))
 
 
@@ -293,14 +294,15 @@ def train_stage1(
 ) -> dict:
     """LoRA + prompt adaptation of the frozen base on the target train split.
 
-    The base is pretrained on the source domain and saved to base_path, which
-    is written, never read. The result's "model" is the adapted model saved
-    to out_path, and its "test" the target test split.
+    The result's "base" is the model pretrained on the source domain, saved to
+    base_path (written, never read), and its "model" the adapted model saved
+    to out_path; both are saved once stage 1 has run, so a failed run writes
+    no file. Its "test" is the target test split.
     """
     log: list[str] = []
     train, test = _target_split(data_dir)
     model = pretrain_base(_source_like(data_dir, train), cfg, log)
-    gd.save_guidance(base_path, model)
+    base = copy.deepcopy(model)  # stage 1 adapts model in place
 
     frozen_hash_before = _hash_arrays([t.data for t in model.base_params()])
 
@@ -314,9 +316,11 @@ def train_stage1(
                     [cfg.lr_lora, cfg.lr_prompt], cfg.warmup_epochs, train, cfg.stage1_batch,
                     cfg.stage1_epochs, cfg, 43, log, accuracy)
     frozen_hash_after = _hash_arrays([t.data for t in model.base_params()])
+    gd.save_guidance(base_path, base)
     gd.save_guidance(out_path, model)
     return {"log": log, "frozen_hash_before": frozen_hash_before,
-            "frozen_hash_after": frozen_hash_after, "model": model, "test": test}
+            "frozen_hash_after": frozen_hash_after, "base": base, "model": model,
+            "test": test}
 
 
 def train_stage2(
@@ -412,9 +416,8 @@ def evaluate(
 def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     """Three-row component ablation on one shared target test split, from a
     fresh source pretraining. The rows score the models the two stages
-    return on stage 1's test split; only the zero-shot row's base is read
-    back, because stage 1 adapts the base model in place. The checkpoints go
-    beside out_path (ablate_checkpoints), whose directory must exist."""
+    return on stage 1's test split. The checkpoints go beside out_path
+    (ablate_checkpoints), whose directory must exist."""
     guidance_path, base_path, denoiser_path = ablate_checkpoints(out_path)
     stage1 = train_stage1(data_dir, cfg, guidance_path, base_path=base_path)
     stage2 = train_stage2(data_dir, guidance_path, cfg, denoiser_path)
@@ -424,7 +427,7 @@ def ablate(data_dir: str | Path, cfg: RunConfig, out_path: str | Path) -> dict:
     rows = []
     for name, model, denoiser in (
         ("zero-shot guidance (source pretraining only)",
-         gd.load_guidance(base_path), None),
+         stage1["base"], None),
         ("+ low-rank adaptation", stage1["model"], None),
         ("+ label-space diffusion", stage1["model"], stage2["denoiser"]),
     ):

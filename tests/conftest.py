@@ -132,9 +132,7 @@ def separable_stage1(tmp_path_factory):
     """Stage-1 model on a two-class, separation-6 benchmark, plus its
     target-test accuracy."""
     out = tmp_path_factory.mktemp("separable")
-    cfg_data = SyntheticConfig(
-        k=2, proportions=(0.5, 0.5), separation=6.0, noise=1.0, seed=42
-    )
+    cfg_data = SyntheticConfig(k=2, proportions=(0.5, 0.5), separation=6.0, seed=42)
     source, target = gen_synthetic(cfg_data)
     write_dataset(out / "source.csv", source)
     write_dataset(out / "target.csv", target)

@@ -308,7 +308,7 @@ def test_criterion_10_optimizer_suite():
     assert abs(p[0] + 0.2) <= 1e-12
 
     # lr plan endpoints and midpoint
-    plan = optim.LrPlan(1e-4, 1e-5, 1e-5, 3, 22)
+    plan = optim.LrPlan(1e-4, 1e-5, 3, 22)
     assert optim.lr_at(0, plan) == pytest.approx(1e-5, abs=1e-18)
     assert optim.lr_at(21, plan) == pytest.approx(1e-5, abs=1e-18)
     assert optim.lr_at(12, plan) == pytest.approx((1e-4 + 1e-5) / 2, abs=1e-12)

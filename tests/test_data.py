@@ -121,8 +121,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         SyntheticConfig(proportions=(0.5, 0.5, 0.0, 0.0, 0.1))
     with pytest.raises(ConfigError):
-        SyntheticConfig(noise=0.0)
-    with pytest.raises(ConfigError):
         SyntheticConfig(n=3)
 
 
@@ -183,7 +181,7 @@ def test_domain_shift_breaks_source_classifier():
 def test_ordinal_structure_separable_two_class():
     # separation/noise = 6: nearest-class-mean classification is near-perfect
     cfg = SyntheticConfig(
-        n=2000, d_in=16, k=2, proportions=(0.5, 0.5), separation=6.0, noise=1.0, seed=9
+        n=2000, d_in=16, k=2, proportions=(0.5, 0.5), separation=6.0, seed=9
     )
     source, _ = gen_synthetic(cfg)
     means = class_means(cfg)

@@ -105,9 +105,7 @@ def test_radam_zero_gradient_is_fixed_point():
 # learning-rate plan
 
 
-STAGE1_PLAN = optim.LrPlan(
-    base_lr=1e-4, min_lr=1e-5, warmup_start_lr=1e-5, warmup_epochs=3, total_epochs=22
-)
+STAGE1_PLAN = optim.LrPlan(base_lr=1e-4, min_lr=1e-5, warmup_epochs=3, total_epochs=22)
 
 
 def test_lr_epoch_zero_is_warmup_start():
@@ -151,10 +149,9 @@ _RATE = st.floats(min_value=1e-9, max_value=1.0)
 )
 def test_lr_plan_invariants(rates, epochs):
     # every plan the training loops build from a valid RunConfig, including
-    # guidance rates below the floor lr_min and below the fixed warmup start,
-    # and a drawn warmup, holds LrPlan's invariants and keeps each epoch's rate
-    # in (0, base_lr]; every plan floors at min(lr_min, base_lr), and every
-    # warmup starts at min(warmup_start_lr, base_lr)
+    # guidance rates below the floor lr_min, and a drawn warmup, holds LrPlan's
+    # invariants and keeps each epoch's rate in (0, base_lr]; every plan floors
+    # at min(lr_min, base_lr), and every warmup starts at that floor
     lr_lora, lr_prompt, stage2_lr = rates
     cfg = pl.RunConfig(
         lr_lora=lr_lora, lr_prompt=lr_prompt, stage2_lr=stage2_lr, pretrain_epochs=epochs[0],
@@ -167,11 +164,11 @@ def test_lr_plan_invariants(rates, epochs):
         pl._lr_plan(cfg.stage2_lr, 0, cfg.stage2_epochs),
     ]
     assert [plan.min_lr for plan in plans] == [min(cfg.lr_min, plan.base_lr) for plan in plans]
-    assert [plan.warmup_start_lr for plan in plans] == [
-        min(cfg.warmup_start_lr, plan.base_lr) for plan in plans]
     for plan in plans:
         assert 0 < plan.min_lr <= plan.base_lr
         assert plan.warmup_epochs < plan.total_epochs
+        if plan.warmup_epochs:
+            assert optim.lr_at(0, plan) == plan.min_lr
         for epoch in range(plan.total_epochs):
             assert 0 < optim.lr_at(epoch, plan) <= plan.base_lr
 
@@ -181,7 +178,7 @@ def test_lr_never_rounds_above_base():
     # returns base_lr
     base, floor = 0.3, 0.03
     assert floor + 0.5 * (base - floor) * 2.0 > base
-    plan = optim.LrPlan(base, floor, floor, 0, 5)
+    plan = optim.LrPlan(base, floor, 0, 5)
     assert optim.lr_at(0, plan) == base
 
 

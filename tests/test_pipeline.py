@@ -29,7 +29,8 @@ from cgsd import numkit as nk
 from cgsd import optim
 from cgsd import pipeline as pl
 from cgsd.analysis import confusion_and_metrics
-from cgsd.data import SyntheticConfig, read_dataset, stratified_split, write_dataset
+from cgsd.data import (SyntheticConfig, gen_synthetic, read_dataset, stratified_split,
+                       write_dataset)
 from cgsd.errors import ConfigError, DataError, NumericError
 from cgsd.numkit import GradTape, Tensor2, backward
 import ckpt_edit as ckpt
@@ -39,7 +40,6 @@ from guidance_oracle import encode_per_op, guidance_loss_per_op, similarity_per_
 
 TINY = pl.RunConfig(
     rank=2,
-    alpha=4.0,
     pretrain_epochs=3,
     stage1_epochs=2,
     stage1_batch=16,
@@ -169,8 +169,8 @@ def _guidance_per_tensor(data_dir, cfg):
     log = []
 
     def loop(stage, tag, data, groups, lrs, warmup, epochs, batch):
-        plans = [optim.LrPlan(lr, min(1e-5, lr), min(cfg.warmup_start_lr, lr), warmup,
-                              max(epochs, warmup + 1)) for lr in lrs]
+        plans = [optim.LrPlan(lr, min(1e-5, lr), warmup, max(epochs, warmup + 1))
+                 for lr in lrs]
         states = [oracle.AdamState() for _ in groups]
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, tag)))
         for epoch in range(epochs):
@@ -284,8 +284,7 @@ def _stage2_per_item_generators(data_dir, guidance_ckpt, cfg):
     params = net.params()
     state = oracle.AdamState(beta1=0.9)
     ema = oracle.EmaState.from_params(params, cfg.ema_mu)
-    plan = optim.LrPlan(cfg.stage2_lr, cfg.lr_min, cfg.stage2_lr, 0,
-                        max(cfg.stage2_epochs, 1))
+    plan = optim.LrPlan(cfg.stage2_lr, cfg.lr_min, 0, max(cfg.stage2_epochs, 1))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 47)))
     log = []
     for epoch in range(cfg.stage2_epochs):
@@ -418,8 +417,8 @@ def test_nonfinite_loss_guard(small_dir, monkeypatch):
 
 def test_nonfinite_stage1_loss_names_its_stage(small_dir, tmp_path, monkeypatch):
     # a loss that turns nan only once the base is frozen passes pretraining
-    # and is refused in stage 1's first epoch, under stage 1's name; the
-    # base is written, the adapted model is not
+    # and is refused in stage 1's first epoch, under stage 1's name; neither
+    # the base nor the adapted model is written
     loss_fn = gd.guidance_loss
 
     def nan_once_frozen(features, labels, model, *args):
@@ -431,7 +430,7 @@ def test_nonfinite_stage1_loss_names_its_stage(small_dir, tmp_path, monkeypatch)
         NumericError, match="non-finite value in the loss of stage1 epoch 0"
     ):
         pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
-    assert (tmp_path / "g.base.json").exists() and not (tmp_path / "g.json").exists()
+    assert not (tmp_path / "g.base.json").exists() and not (tmp_path / "g.json").exists()
 
 
 def test_stage2_saves_the_weight_average(small_dir, tmp_path):
@@ -693,13 +692,14 @@ def test_stages_return_the_models_they_save(small_dir, tmp_path):
     # which is right only while the two are equal, array for array
     s1 = pl.train_stage1(small_dir, TINY, tmp_path / "g.json", tmp_path / "g.base.json")
     s2 = pl.train_stage2(small_dir, tmp_path / "g.json", TINY, tmp_path / "d.json")
-    model, loaded = s1["model"], gd.load_guidance(tmp_path / "g.json")
-    assert model.frozen_base is loaded.frozen_base is True
-    assert (model.lora_a.rows, model.alpha) == (
-        loaded.lora_a.rows, loaded.alpha)
     weights = lambda m: m.base_params() + m.lora_params() + m.prompt_params()
-    for a, b in zip(weights(model), weights(loaded), strict=True):
-        assert np.array_equal(a.data, b.data)
+    for name, path in (("base", "g.base.json"), ("model", "g.json")):
+        model, loaded = s1[name], gd.load_guidance(tmp_path / path)
+        assert model.frozen_base is loaded.frozen_base is True
+        assert (model.lora_a.rows, model.alpha) == (loaded.lora_a.rows, loaded.alpha)
+        assert model.log_scale.item() == loaded.log_scale.item()
+        for a, b in zip(weights(model), weights(loaded), strict=True):
+            assert np.array_equal(a.data, b.data)
     (net, sched), (net_read, sched_read) = s2["denoiser"], df.load_denoiser(tmp_path / "d.json")
     assert (net.d_model, net.k) == (net_read.d_model, net_read.k)
     for a, b in zip(net.params(), net_read.params(), strict=True):
@@ -769,14 +769,14 @@ def test_every_run_seed_trains_and_scores_one_split(small_dir, tmp_path, monkeyp
 
 def test_ablate_reads_each_input_once_per_stage(small_dir, tmp_path, monkeypatch):
     # stage 1 and stage 2 each read target.csv once, and ablate scores stage
-    # 1's test split; the pretrain reads source.csv, and only the zero-shot
-    # row's base is loaded back
+    # 1's test split; the pretrain reads source.csv, and only stage 2 loads a
+    # guidance checkpoint, the adapted model
     reads = _count_calls(monkeypatch, pl, "read_dataset")
     guidance_loads = _count_calls(monkeypatch, gd, "load_guidance")
     denoiser_loads = _count_calls(monkeypatch, df, "load_denoiser")
     pl.ablate(small_dir, TINY, tmp_path / "ablation.json")
     assert sorted(reads) == ["source.csv", "target.csv", "target.csv"]
-    assert sorted(guidance_loads) == ["ablate_guidance.base.json", "ablate_guidance.json"]
+    assert guidance_loads == ["ablate_guidance.json"]
     assert denoiser_loads == []
 
 
@@ -1041,7 +1041,7 @@ def test_cli_train_and_eval_end_to_end(tmp_path):
     ]) == 0
     assert cli.main([
         "train-guidance", "--data", str(data), "--out", str(tmp_path / "g.json"),
-        "--rank", "2", "--alpha", "4", "--stage1-epochs", "1", "--stage1-batch", "16",
+        "--rank", "2", "--stage1-epochs", "1", "--stage1-batch", "16",
         "--seed", "5",
     ]) == 0
     assert (tmp_path / "g.json.log").exists()
@@ -1263,18 +1263,22 @@ _ARGV = {
 # exit-3 message names, damage, --config body)
 _BAD_INPUTS = {
     "eval-samples-0": (2, "eval", ["--n-samples", "0"], None, None, None),
+    # only an absent --diffusion runs zero-shot (an empty path did, with exit 0)
+    "eval-diffusion-empty": (3, "eval", ["--diffusion", ""], None, None, None),
     "eval-chain-steps-0": (2, "eval", ["--chain-steps", "0"], None, None, None),
     # a step off the default 25-step grid of a T = 100 denoiser (stride 4)
     "export-step-off-the-grid": (
         2, "export-trajectory", ["--steps", "95"], "d.npz", _meta_set("t_total", 100), None),
     "eval-zero-shot-samples-0": (
         2, "eval-zero-shot", ["--n-samples", "0"], None, None, None),
-    # --clip and --warmup-epochs (below) name fixed values: unknown flags
+    # --clip, --alpha, --noise and --warmup-epochs (below) name fixed values:
+    # unknown flags
     "train-diffusion-clip-0": (2, "train-diffusion", ["--clip", "0"], None, None, None),
+    "train-guidance-alpha-0": (2, "train-guidance", ["--alpha", "0"], None, None, None),
+    "gen-data-noise-1e308": (2, "gen-data", ["--noise", "1e308"], None, None, None),
     # settings whose range only the library checked, after reading the data
     "train-guidance-rank-0": (2, "train-guidance", ["--rank", "0"], None, None, None),
     "train-guidance-rank-65": (2, "train-guidance", ["--rank", "65"], None, None, None),
-    "train-guidance-alpha-0": (2, "train-guidance", ["--alpha", "0"], None, None, None),
     "train-diffusion-t_total-0": (
         2, "train-diffusion", ["--t-total", "0"], None, None, None),
     # the paper's schedule is set from the command line, so a reversed one
@@ -1389,7 +1393,8 @@ _BAD_INPUTS = {
         2, "train-guidance", ["--lambda-rank", "-1"], None, None, None),
     # finite inputs whose computation overflows end in a numeric failure:
     # an encoder row norm (1e300 overflowed it into a zero row, and exit 0),
-    # the reverse chain, or features gen-data would write
+    # the reverse chain, or a training loop's weights, after which no
+    # checkpoint or log is written (the base checkpoint was, before stage 1)
     "guidance-weight-1e308": (
         4, "eval", [], "g.npz", _weight_set("w1", 0, 1e308), None),
     "guidance-weight-1e300": (
@@ -1397,7 +1402,8 @@ _BAD_INPUTS = {
     "denoiser-head-bias-1e308": (
         4, "eval", [], "d.npz", _weight_set("layer2_b", 0, 1e308),
         None),
-    "gen-data-noise-1e308": (4, "gen-data", ["--noise", "1e308"], None, None, None),
+    "train-guidance-lr-prompt-1e300": (
+        4, "train-guidance", ["--lr-prompt", "1e300"], None, None, None),
     # a row norm below eps has no direction to normalize (a zero prompt row
     # was rescaled by 1/eps with a warning, and exit 0)
     "guidance-prompt-row-zero": (
@@ -1484,8 +1490,8 @@ _BAD_INPUTS = {
 
 @pytest.mark.parametrize("flag", ["--lr-prompt", "--lr-lora"])
 def test_cli_train_guidance_takes_small_learning_rates(flag, tiny_inputs, tmp_path):
-    # below the rate floor lr_min and the warmup start, which _lr_plan clamps
-    # to each rate; the run pretrains its base at the default settings first
+    # below the rate floor lr_min, where every warmup starts, which _lr_plan
+    # clamps to each rate; the run pretrains its base at the default settings first
     work = tmp_path / "w"
     shutil.copytree(tiny_inputs, work)
     argv = ["train-guidance", "--data", f"{work}/data", "--out", f"{work}/g2.json",
@@ -1685,21 +1691,21 @@ def test_run_config_validates_n_samples():
     ("alpha", 0.0), ("alpha", -1.0),
     ("train_fraction", 0.0), ("train_fraction", 1.0), ("train_fraction", 1.5)])
 def test_run_config_checks_each_range(field, value, monkeypatch):
-    # the one check of each setting (rank: test_lora_rank_bounds; the
-    # schedule: test_schedule_bounds); the message names the field. The
-    # split fraction is the data's constant, checked when a config is built
+    # the one check of each value (rank: test_lora_rank_bounds; the
+    # schedule: test_schedule_bounds); the message names the field. Both are
+    # constants, checked when a config is built: alpha is RunConfig's and the
+    # split fraction the data's
     if field == "train_fraction":
         monkeypatch.setattr("cgsd.data.TRAIN_FRACTION", value)
-        with pytest.raises(ConfigError, match=field):
-            pl.RunConfig()
     else:
-        with pytest.raises(ConfigError, match=field):
-            pl.RunConfig(**{field: value})
+        monkeypatch.setattr(pl.RunConfig, field, value)
+    with pytest.raises(ConfigError, match=field):
+        pl.RunConfig()
 
 
 @pytest.mark.parametrize("argv", [
     ["train-guidance", "--rank", "0"], ["train-guidance", "--rank", "65"],
-    ["train-guidance", "--alpha", "0"], ["train-diffusion", "--t-total", "0"]])
+    ["train-guidance", "--lr-prompt", "0"], ["train-diffusion", "--t-total", "0"]])
 def test_cli_checks_settings_before_reading_files(argv, tmp_path, capsys):
     # every path is missing: a bad setting exits 2 before any file is read
     gone = tmp_path / "missing"
@@ -1734,15 +1740,23 @@ def _bad_input_argv(case, tiny_inputs, tmp_path):
     return [a.format(w=work) for a in argv]
 
 
+def _files(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_cli_bad_input_exit_code_and_one_line(case, tiny_inputs, tmp_path, capsys):
     code, _, _, target, _, _ = _BAD_INPUTS[case]
-    assert cli.main(_bad_input_argv(case, tiny_inputs, tmp_path)) == code
+    argv = _bad_input_argv(case, tiny_inputs, tmp_path)
+    before = _files(tmp_path / "w")
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
     if code == 3 and target is not None:
         assert target in err  # the message names the damaged file
+    # a failing run writes, changes and removes no file
+    assert _files(tmp_path / "w") == before
 
 
 # the message of each _BAD_INPUTS case of a damaged .npy member, after
@@ -1767,8 +1781,8 @@ def test_cli_damaged_npy_member_message(case, tiny_inputs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["guidance-weight-1e308", "guidance-weight-1e300", "gen-data-noise-1e308",
-             "guidance-prompt-row-zero"])
+    "case", ["guidance-weight-1e308", "guidance-weight-1e300",
+             "train-guidance-lr-prompt-1e300", "guidance-prompt-row-zero"])
 def test_cli_process_numeric_failure_is_one_line(case, tiny_inputs, tmp_path):
     # the command in its own process, outside pytest's warning filter, where
     # numpy's floating-point warnings (or a library warning) would add lines
@@ -1788,10 +1802,9 @@ def test_cli_process_numeric_failure_is_one_line(case, tiny_inputs, tmp_path):
 _EXPOSED = {
     "gen-data": (SyntheticConfig, ["--out", "o"], {
         "n": 100, "d_in": 8, "k": 2, "proportions": [0.25, 0.75],
-        "separation": 2.0, "noise": 0.5, "shift_angle": 0.25, "shift_bias": 0.0,
-        "seed": 3}),
+        "separation": 2.0, "seed": 3}),
     "train-guidance": (pl.RunConfig, ["--data", "x", "--out", "o"], {
-        "rank": 2, "alpha": 4.0, "stage1_epochs": 1, "stage1_batch": 8,
+        "rank": 2, "stage1_epochs": 1, "stage1_batch": 8,
         "lr_lora": 1e-3, "lr_prompt": 1e-2, "lambda_rank": 0.5, "seed": 3}),
     "train-diffusion": (pl.RunConfig, ["--data", "x", "--guidance", "g", "--out", "o"], {
         "t_total": 10, "beta_start": 1e-4, "beta_end": 0.02, "stage2_epochs": 1,
@@ -1859,34 +1872,53 @@ def test_run_config_fields_and_digests_unchanged():
     assert pl.RunConfig(desk_preset=True).digest() == "e01acb1d9982fc25"
 
 
-# the values no command varies, and the split fraction, which is the data's
-FIXED = {"hidden": 128, "d_model": 64, "pretrain_lr": 1e-3, "pretrain_batch": 64,
-         "warmup_start_lr": 1e-5, "warmup_epochs": 3, "margin": 0.05, "clip": 1.0,
-         "lr_min": 1e-5, "train_fraction": 0.7}
+# the values no command varies, and the split fraction, which is the data's:
+# RunConfig's, then the generator's (_DATA_FIXED), which gen-data takes no more
+FIXED = {"hidden": 128, "d_model": 64, "alpha": 16.0, "pretrain_lr": 1e-3,
+         "pretrain_batch": 64, "warmup_start_lr": 1e-5, "warmup_epochs": 3, "margin": 0.05,
+         "clip": 1.0, "lr_min": 1e-5, "train_fraction": 0.7,
+         "noise": 1.0, "shift_angle": 0.5, "shift_bias": 0.5}
+_DATA_FIXED = ("noise", "shift_angle", "shift_bias")
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_fixed_values_read_but_cannot_be_set(name, tmp_path, capsys):
-    # a fixed value reads like a setting, but no constructor, replace or
+    # a fixed value reads like a setting, but no constructor, replace, flag or
     # --config file sets it
-    cfg = pl.RunConfig()
+    if name in _DATA_FIXED:
+        config_cls, argv = SyntheticConfig, ["gen-data", "--out", str(tmp_path / "gen")]
+    else:
+        config_cls, argv = pl.RunConfig, ["train-guidance", "--data", str(tmp_path / "data"),
+                                          "--out", str(tmp_path / "g.npz")]
+    cfg = config_cls()
     assert getattr(cfg, name) == FIXED[name]
-    assert name not in {f.name for f in fields(pl.RunConfig)}
+    assert name not in {f.name for f in fields(config_cls)}
     with pytest.raises(TypeError, match=name):
-        pl.RunConfig(**{name: FIXED[name]})
+        config_cls(**{name: FIXED[name]})
     with pytest.raises(TypeError, match=name):
         replace(cfg, **{name: FIXED[name]})
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({name: FIXED[name]}))
-    argv = ["train-guidance", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "g.npz"),
-            "--config", str(config)]
-    assert cli.main(argv) == 2
+    assert cli.main([*argv, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"configuration error: unknown config key(s): '{name}'\n"
+    flag = "--" + name.replace("_", "-")
+    assert cli.main([*argv, flag, str(FIXED[name])]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: unrecognized arguments: {flag} {FIXED[name]}\n")
+    assert sorted(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_each_fixed_value_moves_the_digest(name, monkeypatch):
-    # the digest covers the fixed values, so a change to one moves it
+    # the digest covers the fixed values, so a change to one moves it; lr_min
+    # is hashed as the floor and as the warmup start. A generator's value
+    # moves the data it draws instead
+    if name in _DATA_FIXED:
+        cfg = SyntheticConfig(n=20, d_in=4, k=2, proportions=(0.5, 0.5))
+        before = gen_synthetic(cfg)[1].features
+        monkeypatch.setattr(SyntheticConfig, name, FIXED[name] * 2)
+        assert not np.array_equal(gen_synthetic(cfg)[1].features, before)
+        return
     before = pl.RunConfig().digest()
     if name == "train_fraction":
         monkeypatch.setattr("cgsd.data.TRAIN_FRACTION", 0.6)
@@ -2009,17 +2041,21 @@ def test_seed_sweep_script_writes_the_rule_and_its_verdict(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     script = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
     out = tmp_path / "sweep.json"
-    sweep = lambda chain_seeds: subprocess.run(
+    sweep = lambda chain_seeds, data_seeds="3,4", n="300": subprocess.run(
         [sys.executable, str(script), "--out", str(out), "--work", str(tmp_path / "work"),
-         "--data-seeds", "3,4", "--chain-seeds", chain_seeds, "--chain-steps", "50",
-         "--n", "300"], env=env, capture_output=True, text=True, timeout=300)
-    # one chain seed, or one given twice, makes its median its minimum: the
-    # script refuses in one line before any work
-    for one in ("1", "2,2"):
-        proc = sweep(one)
-        assert proc.returncode == 1 and proc.stderr == (
-            "--chain-seeds: the rule needs at least 2 distinct chain seeds, "
-            f"got {one}\n"), proc.stderr
+         "--data-seeds", data_seeds, "--chain-seeds", chain_seeds, "--chain-steps", "50",
+         "--n", n], env=env, capture_output=True, text=True, timeout=300)
+    # one chain seed, or one given twice, makes its median its minimum; a
+    # benchmark or run of any data seed may be one no config takes: the script
+    # refuses in one line before any work
+    refusals = [
+        (("1",), "--chain-seeds: the rule needs at least 2 distinct chain seeds, got 1"),
+        (("2,2",), "--chain-seeds: the rule needs at least 2 distinct chain seeds, got 2,2"),
+        (("1,2", "3,4", "3"), "--n 3, --data-seeds 3,4: need n >= k samples"),
+        (("1,2", "42,-1"), "--n 300, --data-seeds 42,-1: seed must be >= 0")]
+    for argv, want in refusals:
+        proc = sweep(*argv)
+        assert proc.returncode == 1 and proc.stderr == want + "\n", proc.stderr
         assert not out.exists() and not (tmp_path / "work").exists()
     proc = sweep("1,2")
     assert proc.returncode == 0, proc.stderr
