@@ -23,8 +23,9 @@ each at least the full chain's minimum over the same chain seeds. The
 JSON's "default" is the smallest K that passes, or T when none does. With one
 chain seed the median is the minimum, so the script refuses fewer than 2
 distinct chain seeds, with one line and a non-zero exit, before any work. It
-refuses the same way a --config file, and an --n or --data-seeds value that
-a data seed's benchmark or run config refuses.
+refuses the same way a --config file, an --n or --data-seeds value that a
+data seed's benchmark or run config refuses, and a --chain-seeds or
+--chain-steps value that a diffusion row's run config refuses.
 
     PYTHONPATH=src python scripts/seed_sweep.py --out sweep.json \\
         [--work DIR] [--data-seeds 42,1,2,3,4,5,6] [--chain-seeds 42,7,8,9,10,11,12] \\
@@ -87,19 +88,29 @@ def scored(report: dict) -> dict:
     return {**{m: report[m] for m in METRICS}, "predicted": predicted(report)}
 
 
-def configs(n: int, seeds: list[int], settings: dict) -> dict:
-    """Each data seed's benchmark and run configs, all built before any work;
-    one that is refused exits with one line."""
+def configs(n: int, seeds: list[int], settings: dict, chain_seeds: list[int],
+            steps: list[int]) -> dict:
+    """Each data seed's benchmark and run configs, and its diffusion row's run
+    config per K and chain seed, all built before any work; one that is
+    refused exits with one line."""
     try:
-        return {seed: (SyntheticConfig(n=n, seed=seed), pipeline.RunConfig(**settings, seed=seed))
+        runs = {seed: (SyntheticConfig(n=n, seed=seed), pipeline.RunConfig(**settings, seed=seed))
                 for seed in seeds}
     except ConfigError as e:
         sys.exit(f"--n {n}, --data-seeds {','.join(map(str, seeds))}: {e}")
+    try:
+        return {seed: (data_cfg, cfg, {k: {s: replace(cfg, seed=s, chain_steps=k)
+                                           for s in chain_seeds} for k in steps})
+                for seed, (data_cfg, cfg) in runs.items()}
+    except ConfigError as e:
+        sys.exit(f"--chain-seeds {','.join(map(str, chain_seeds))}, "
+                 f"K {','.join(map(str, steps))}: {e}")
 
 
 def sweep_seed(work: Path, data_cfg: SyntheticConfig, cfg: pipeline.RunConfig,
-               chain_seeds: list[int], steps: list[int]) -> dict:
-    """One data seed's ablation, then its rows scored as the module says."""
+               evals: dict) -> dict:
+    """One data seed's ablation, then its rows scored as the module says, the
+    diffusion row at evals[K][chain seed]."""
     seed = cfg.seed
     data = work / f"data-{seed}"
     source, target = gen_synthetic(data_cfg)
@@ -119,10 +130,9 @@ def sweep_seed(work: Path, data_cfg: SyntheticConfig, cfg: pipeline.RunConfig,
                                         (gd.load_guidance(base), model))}
     rows["diffusion"] = {}
     summary = {}
-    for k in steps:
+    for k, runs in evals.items():
         by_seed, secs = {}, []
-        for chain_seed in chain_seeds:
-            run = replace(cfg, seed=chain_seed, chain_steps=k)
+        for chain_seed, run in runs.items():
             start = time.perf_counter()
             report = pipeline.evaluate(model, denoiser, test, run)
             secs.append(time.perf_counter() - start)
@@ -170,14 +180,14 @@ def main() -> None:
                  f"got {','.join(map(str, args.chain_seeds))}")
 
     settings = read_settings(args.config) if args.config else {}
-    runs = configs(args.n, args.data_seeds, settings)
     t_total = pipeline.RunConfig(**settings).t_total
     candidates = sorted({k for k in args.chain_steps if k < t_total}, reverse=True)
     steps = [t_total, *candidates]
+    runs = configs(args.n, args.data_seeds, settings, args.chain_seeds, steps)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
-        seeds = {str(s): sweep_seed(work, *runs[s], args.chain_seeds, steps)
+        seeds = {str(s): sweep_seed(work, *runs[s])
                  for s in args.data_seeds}
     verdicts = verdict(seeds, t_total, candidates)
     passing = [k for k in candidates if verdicts[str(k)]["passes"]]

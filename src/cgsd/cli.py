@@ -18,8 +18,10 @@ or a checkpoint).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -34,7 +36,7 @@ from .errors import ConfigError, DataError, NumericError, ParseError
 from .pipeline import RunConfig
 
 # subcommand -> (handler, config class, exposed fields, required arguments,
-# optional arguments with their defaults, the argument naming its output file)
+# optional arguments with their defaults, the argument naming its output)
 _COMMANDS: dict[str, tuple] = {}
 
 
@@ -131,7 +133,7 @@ def _out_file(key: str, out: str) -> Path:
 def _same_file(key: str, outs: list[str], a: dict, config: str | None) -> None:
     """The same-file rule, on resolved paths: an output or side file may not be
     another one, an input checkpoint, the --config file or a --data file."""
-    data = [p for domain in ("source", "target") for p in pipeline.domain_files(a["data"], domain)]
+    data = _WRITES["gen-data"](a["data"]) if "data" in a else []
     inputs = [("config", config), ("guidance", a.get("guidance")),
               ("diffusion", a.get("diffusion")), *(("data", p) for p in data)]
     taken = {Path(p).resolve(): f"an input (--{k})" for k, p in inputs if p}
@@ -146,12 +148,16 @@ def _log_beside(out: str) -> Path:
     return Path(str(out) + ".log")
 
 
-# subcommand -> the files it writes beside its output file, from that file's path
-_SIDE_FILES = {
-    "train-guidance": lambda out: (pipeline.base_beside(out), _log_beside(out)),
-    "train-diffusion": lambda out: (_log_beside(out),),
-    "ablate": pipeline.ablate_checkpoints,
-    "export-trajectory": lambda out: (pipeline.silhouette_beside(out),),
+# subcommand -> every file it writes, from its output argument: that file and
+# the files beside it, or gen-data's four under its directory (which the
+# --data of the other commands read)
+_WRITES = {
+    "gen-data": lambda out: [p for domain in ("source", "target")
+                             for p in pipeline.domain_files(out, domain)],
+    "train-guidance": lambda out: (out, pipeline.base_beside(out), _log_beside(out)),
+    "train-diffusion": lambda out: (out, _log_beside(out)),
+    "ablate": lambda out: (out, *pipeline.ablate_checkpoints(out)),
+    "export-trajectory": lambda out: (out, pipeline.silhouette_beside(out)),
 }
 
 
@@ -165,15 +171,13 @@ def _write_log(out: str, lines: list[str]) -> None:
     "gen-data",
     SyntheticConfig,
     ("n", "d_in", "k", "proportions", "separation", "seed"),
-    ("out",),
+    ("out",), out="out",
 )
 def _gen_data(cfg: SyntheticConfig, a: dict) -> None:
-    out = Path(a["out"])
-    out.mkdir(parents=True, exist_ok=True)
     source, target = gen_synthetic(cfg)
-    write_dataset(pipeline.domain_files(out, "source")[0], source)
-    write_dataset(pipeline.domain_files(out, "target")[0], target)
-    print(f"wrote {source.n}+{target.n} samples to {out}")
+    write_dataset(pipeline.domain_files(a["out"], "source")[0], source)
+    write_dataset(pipeline.domain_files(a["out"], "target")[0], target)
+    print(f"wrote {source.n}+{target.n} samples to {a['out']}")
 
 
 @_command(
@@ -232,12 +236,12 @@ def _export_trajectory(cfg: RunConfig, a: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _resolve(args: argparse.Namespace) -> tuple:
+def _resolve(args: argparse.Namespace, made: list[Path]) -> tuple:
     """The handler, its config and its argument values; a flag beats the
     --config file, which beats the dataclass default. Once the config is built
     (so a bad setting creates no directory) and before any data is read, the
-    output and same-file rules run on the output and its side files, then the
-    missing directories above each are made."""
+    output and same-file rules run on every file the command writes, then the
+    missing directories above each are made, each one added to made."""
     run, config, fields, required, optional, out = _COMMANDS[args.command]
     keys = (*required, *optional, *fields)
     given = _read_config(args.config, keys) if args.config else {}
@@ -249,36 +253,40 @@ def _resolve(args: argparse.Namespace) -> tuple:
     values = {**optional, **{k: _convert(k, like.get(k), v) for k, v in given.items()}}
     cfg = config(**{k: values[k] for k in fields if k in values})
     if out:
-        _out_file(out, values[out])
-        outs = [values[out], *map(str, _SIDE_FILES.get(args.command, lambda out: ())(values[out]))]
+        if args.command != "gen-data":  # whose --out names a directory
+            _out_file(out, values[out])
+        outs = [*map(str, _WRITES.get(args.command, lambda out: (out,))(values[out]))]
+        dirs = [_out_file(out, path).parent for path in outs]
         _same_file(out, outs, values, args.config)
-        for path in outs:
-            _out_file(out, path).parent.mkdir(parents=True, exist_ok=True)
+        for d in dirs:
+            for new in reversed([*itertools.takewhile(lambda p: not p.is_dir(), (d, *d.parents))]):
+                new.mkdir()
+                made.append(new)
     return run, cfg, values
 
 
+# the exit code and stderr prefix of each refusal, the first match applying
+_EXITS = ((ConfigError, 2, "configuration error"), (DataError, 3, "data error"),
+          (NumericError, 4, "numeric failure"), (OSError, 3, "file error"),
+          (MemoryError, 5, "out of memory"))
+
+
 def main(argv: list[str] | None = None) -> int:
+    made: list[Path] = []
     try:
-        run, cfg, values = _resolve(_build_parser().parse_args(argv))
+        run, cfg, values = _resolve(_build_parser().parse_args(argv), made)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             run(cfg, values)
     except _Helped:
         return 0
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 4
-    except OSError as e:
-        print(f"file error: {e}", file=sys.stderr)
-        return 3
-    except MemoryError as e:
-        print(f"out of memory: {e}", file=sys.stderr)
-        return 5
+    except tuple(cls for cls, _, _ in _EXITS) as e:
+        code, what = next((code, what) for cls, code, what in _EXITS if isinstance(e, cls))
+        print(f"{what}: {e}", file=sys.stderr)
+        # a failed command removes the directories it made, deepest first, if empty
+        for d in reversed(made):
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        return code
     return 0
 
 

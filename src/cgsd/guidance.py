@@ -164,29 +164,18 @@ def _pair_matrix(k: int, label: int) -> tuple[np.ndarray, int]:
     return np.array(rows), len(rows)
 
 
-def ranking_loss(
-    d_batch: Tensor2, labels, margin: float, tape: GradTape | None = None
-) -> Tensor2:
-    """Pairwise hinge on similarity ordering by grade distance.
+def ranking_loss(d: np.ndarray, y: np.ndarray, margin: float) -> tuple[float, nk.Vjp]:
+    """Pairwise hinge on similarity ordering by grade distance, on similarities
+    d and labels y: the loss and its vjp. For a sample with grade k, every
+    pair (a, b) with |a-k| < |b-k| incurs max(0, margin - (d_a - d_b));
+    averaged over pairs, then over the batch.
 
-    For a sample with grade k, every pair (a, b) with |a-k| < |b-k| incurs
-    max(0, margin - (d_a - d_b)); averaged over pairs, then over the batch.
-
-    The loss is one tape record. Its forward and vjp run the float
-    operations of the per-op form (take_rows, matmul, scale, add_scalar,
-    relu, sum_all and scale per grade, summed in np.unique order) in the same
-    order and memory layouts, so values and gradients keep their bits; each
-    grade's rows are disjoint, so scattering them into one array adds nothing.
+    It runs the floats of the per-op form (tests/ holds it: take_rows,
+    matmul, scale, add_scalar, relu, sum_all and scale per grade, summed in
+    np.unique order) in its order and memory layouts, so values and
+    gradients keep their bits; each grade's rows are disjoint, so scattering
+    them into one array adds nothing.
     """
-    value, vjp = _ranking_fwd(d_batch.data, np.asarray(labels, dtype=np.int64), margin)
-    out = Tensor2(value)
-    if tape is not None:
-        tape.record(out, (d_batch,), (vjp,))
-    return out
-
-
-def _ranking_fwd(d: np.ndarray, y: np.ndarray, margin: float):
-    """ranking_loss on an array of similarities: the loss and its vjp."""
     if margin < 0:
         raise ContractError("margin must be nonnegative")
     n, k = d.shape
@@ -241,9 +230,9 @@ def guidance_loss(
         raise DataError(f"label outside [0,{k})")
     if y.shape != (n,):
         raise DimensionError(f"guidance_loss: {n} rows vs {y.shape} labels")
-    ce, ce_vjp = nk.cross_entropy_fwd(d * sv, y)
+    ce, ce_vjp = nk.cross_entropy_mean(d * sv, y)
     if lambda_rank > 0:
-        rank, rank_vjp = _ranking_fwd(d, y, margin)
+        rank, rank_vjp = ranking_loss(d, y, margin)
         ce = ce + rank * lambda_rank
     res = Tensor2(np.array([[ce]]))
     if tape is None:

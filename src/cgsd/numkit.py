@@ -14,9 +14,10 @@ that is updated in place (the optimizers do) is updated after the sweep.
 
 A fold runs the floats of several ops, in their order and memory layouts, as
 one record, so it keeps their bits with less bookkeeping per step: ``dense``
-here, and the guidance projection and head and the stage-2 loss; the array
-forms ``l2_normalize_fwd`` and ``cross_entropy_fwd`` give such a fold an op's
-value and vjp. tests/ holds each per-op chain a fold replaced.
+here, and the guidance projection and head and the stage-2 loss; they run
+array ops that give a value and its vjp (``smooth_nonlinearity``,
+``l2_normalize_fwd``, ``cross_entropy_mean``). tests/ holds the taped forms
+of these ops and each per-op chain a fold replaced.
 """
 
 from __future__ import annotations
@@ -211,21 +212,7 @@ def dense(
         if gate:
             np.multiply(z, sigmoid_gate(z, np.empty_like(z) if sig is None else sig), out=z)
         return Tensor2(z)
-    adj = lambda g: g
-    if gate:
-        sig = sigmoid_gate(z, np.empty_like(z))
-        pre, z, memo = z, z * sig, [None, None]
-
-        def adj(g):  # the gated adjoint, made once for all the vjps
-            if memo[0] is not g:
-                # g * (sig + pre * 1.702 * sig * (1.0 - sig)) in two arrays
-                a = pre * 1.702
-                a *= sig
-                a *= 1.0 - sig
-                a += sig
-                a *= g
-                memo[:] = g, a
-            return memo[1]
+    z, adj = smooth_nonlinearity(z) if gate else (z, lambda g: g)
     res = Tensor2(z)
     vjps = (lambda g: adj(g) @ wt.T, lambda g: (xd.T @ adj(g)).T)
     if b is None:
@@ -354,30 +341,31 @@ def sigmoid_gate(a: Array, out: Array) -> Array:
     return np.divide(1.0, out, out=out)
 
 
-def smooth_nonlinearity(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
-    """g(x) = x * sigmoid(1.702 x), a smooth gating nonlinearity."""
-    sig = sigmoid_gate(a.data, np.empty_like(a.data))
-    out = Tensor2(a.data * sig)
-    if tape is not None:
-        deriv = sig + a.data * 1.702 * sig * (1.0 - sig)
-        tape.record(out, (a,), (lambda g: g * deriv,))
-    return out
+def smooth_nonlinearity(a: Array) -> tuple[Array, Vjp]:
+    """g(x) = x * sigmoid(1.702 x), a smooth gating nonlinearity: the value and
+    its vjp, which makes the gated adjoint when backward first needs it, once
+    per adjoint g for all the vjps that chain through it (dense's)."""
+    sig = sigmoid_gate(a, np.empty_like(a))
+    memo = [None, None]
+
+    def vjp(g):
+        if memo[0] is not g:
+            # g * (sig + a * 1.702 * sig * (1.0 - sig)) in two arrays
+            d = a * 1.702
+            d *= sig
+            d *= 1.0 - sig
+            d += sig
+            d *= g
+            memo[:] = g, d
+        return memo[1]
+
+    return a * sig, vjp
 
 
-def softmax_rows(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
+def softmax_rows(a: Array) -> Array:
     """Row-wise softmax with per-row max subtraction for stability."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor2(s)
-    if tape is not None:
-
-        def vjp(g):
-            dot = np.sum(g * s, axis=1, keepdims=True)
-            return s * (g - dot)
-
-        tape.record(out, (a,), (vjp,))
-    return out
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 NORM_EPS = 1e-12
@@ -460,27 +448,10 @@ def mean_all(a: Tensor2, tape: GradTape | None = None) -> Tensor2:
     return out
 
 
-def cross_entropy_mean(
-    logits: Tensor2, labels: Sequence[int], tape: GradTape | None = None
-) -> Tensor2:
-    """Mean over rows of -log softmax(logits)[label]; stable via log-sum-exp."""
-    y = np.asarray(labels, dtype=np.intp)
-    if y.shape != (logits.rows,):
-        raise DimensionError(
-            f"cross_entropy_mean: {logits.rows} rows vs {y.shape} labels"
-        )
-    if y.size and (y.min() < 0 or y.max() >= logits.cols):
-        raise ContractError("label out of range for logit width")
-    loss, vjp = cross_entropy_fwd(logits.data, y)
-    out = Tensor2(np.array([[loss]]))
-    if tape is not None:
-        tape.record(out, (logits,), (vjp,))
-    return out
-
-
-def cross_entropy_fwd(z: Array, y: Array) -> tuple[float, Vjp]:
-    """cross_entropy_mean on logits z and in-range intp labels y: the loss
-    and its vjp, which makes the softmax when backward first needs it."""
+def cross_entropy_mean(z: Array, y: Array) -> tuple[float, Vjp]:
+    """Mean over rows of -log softmax(z)[y], stable via log-sum-exp, on
+    logits z and in-range intp labels y: the loss and its vjp, which makes
+    the softmax when backward first needs it."""
     m = np.maximum.reduce(z, axis=1, keepdims=True)
     lse = m + np.log(np.add.reduce(np.exp(z - m), axis=1, keepdims=True))
     logp = z - lse

@@ -27,7 +27,7 @@ from . import optim
 from .analysis import confusion_and_metrics, pca_project_2d, silhouette_score
 from .data import Dataset, meta_beside, read_dataset, stratified_split, write_json
 from .errors import ConfigError, DataError
-from .numkit import GradTape, Tensor2, backward, check_finite, row_blocks, softmax_rows
+from .numkit import GradTape, backward, check_finite, row_blocks, softmax_rows
 
 PAPER_REFERENCE = {
     "accuracy": 0.875,
@@ -200,7 +200,7 @@ def conditioning(model: gd.GuidanceModel, features: np.ndarray):
     similarities and their prior, a softmax that works row by row, so it is
     taken over all rows at once."""
     f, d = similarities(model, features)
-    prior = softmax_rows(Tensor2(model.head()[3] * d)).data
+    prior = softmax_rows(model.head()[3] * d)
     return f, d, check_finite(prior, "the guidance prior")
 
 

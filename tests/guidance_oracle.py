@@ -14,6 +14,7 @@ from cgsd import guidance as gd
 from cgsd import numkit as nk
 from cgsd.errors import DataError
 from cgsd.numkit import GradTape, Tensor2
+import taped_ops as tops
 
 
 def encode_per_op(model: gd.GuidanceModel, x, tape: GradTape | None = None) -> Tensor2:
@@ -47,7 +48,7 @@ def contrastive_loss(d_batch: Tensor2, labels, scale: Tensor2,
     y = np.asarray(labels, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= d_batch.cols):
         raise DataError(f"label outside [0,{d_batch.cols})")
-    return nk.cross_entropy_mean(nk.scale_by(d_batch, scale, tape), y, tape)
+    return tops.cross_entropy_mean(nk.scale_by(d_batch, scale, tape), y, tape)
 
 
 def guidance_loss_per_op(features, labels, model: gd.GuidanceModel, lambda_rank: float,
@@ -58,6 +59,6 @@ def guidance_loss_per_op(features, labels, model: gd.GuidanceModel, lambda_rank:
     d = similarity_per_op(model, f, tape)
     loss = contrastive_loss(d, labels, scale_tensor(model, tape), tape)
     if lambda_rank > 0:
-        rank_term = nk.scale(gd.ranking_loss(d, labels, margin, tape), lambda_rank, tape)
+        rank_term = nk.scale(tops.ranking_loss(d, labels, margin, tape), lambda_rank, tape)
         loss = nk.add(loss, rank_term, tape)
     return loss

@@ -3,8 +3,8 @@ through cli.main in one process, on a tiny benchmark with tiny checkpoints.
 
 Each example copies the inputs into a fresh directory, runs there, and
 checks that the exit code is a documented one, that no exception escapes,
-and that a failing run writes one stderr line and leaves every file as it
-was. Epoch, sample, row and t_total flags draw only small values, so that no
+and that a failing run writes one stderr line and leaves every file and
+directory as it was. Epoch, sample, row and t_total flags draw only small values, so that no
 example trains for long or allocates much; their extreme values are cases
 of test_pipeline's _BAD_INPUTS. A stray ``--help`` prints the usage on
 stdout, and the run exits 0.
@@ -144,7 +144,9 @@ def command_lines(draw):
 
 
 def _files(root: Path) -> dict:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    """Each file's bytes and each directory (None) under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,

@@ -16,6 +16,7 @@ from gradcheck import grad_check_param, trainable_params
 from guidance_oracle import (contrastive_loss, guidance_loss_per_op, scale_tensor,
                              similarity_per_op)
 import ckpt_edit as ckpt
+import taped_ops as tops
 
 
 def small_model(seed=0, frozen=True, k=5):
@@ -171,7 +172,7 @@ def test_conditioning_prior_takes_the_loss_heads_scale():
     for log_scale in _LOG_SCALES:
         model.log_scale.data = np.array([[log_scale]])
         _, d, prior = conditioning(model, x)
-        want = nk.softmax_rows(Tensor2(scale_tensor(model, None).item() * d)).data
+        want = nk.softmax_rows(scale_tensor(model, None).item() * d)
         assert np.array_equal(prior, want), log_scale
 
 
@@ -201,24 +202,24 @@ def test_contrastive_loss_rejects_bad_label():
 
 def test_ranking_loss_fully_ordered_is_zero():
     d = Tensor2([[0.9, 0.6, 0.3, 0.2, 0.1]])
-    assert gd.ranking_loss(d, [0], margin=0.05).item() == 0.0
+    assert tops.ranking_loss(d, [0], margin=0.05).item() == 0.0
 
 
 def test_ranking_loss_hand_case():
     d = Tensor2([[0.2, 0.4]])
-    assert gd.ranking_loss(d, [0], margin=0.05).item() == pytest.approx(0.25, abs=1e-12)
+    assert tops.ranking_loss(d, [0], margin=0.05).item() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_ranking_loss_zero_margin_unimodal():
     d = Tensor2([[0.4, 0.5, 0.3, 0.2, 0.05]])
-    assert gd.ranking_loss(d, [1], margin=0.0).item() == 0.0
+    assert tops.ranking_loss(d, [1], margin=0.0).item() == 0.0
 
 
 def test_ranking_loss_violation_strictly_increases():
     ordered = Tensor2([[0.9, 0.6, 0.3, 0.2, 0.1]])
     swapped = Tensor2([[0.6, 0.9, 0.3, 0.2, 0.1]])  # grades 0 and 1 swapped
-    lo = gd.ranking_loss(ordered, [0], margin=0.05).item()
-    hi = gd.ranking_loss(swapped, [0], margin=0.05).item()
+    lo = tops.ranking_loss(ordered, [0], margin=0.05).item()
+    hi = tops.ranking_loss(swapped, [0], margin=0.05).item()
     assert hi > lo
 
 
@@ -266,7 +267,7 @@ def test_ranking_loss_matches_per_op_form(k):
         d[0, :2] = d[0, 0]                # a hinge exactly at the margin
         for margin in (0.0, 0.05, 0.5):
             want = _value_and_grad(_ranking_loss_per_op, d, labels, margin)
-            got = _value_and_grad(gd.ranking_loss, d, labels, margin)
+            got = _value_and_grad(tops.ranking_loss, d, labels, margin)
             for w, g in zip(want, got):
                 assert np.array_equal(w, g), (k, labels, margin)
 
@@ -279,7 +280,7 @@ def test_ranking_loss_overflow_reaches_the_loss_check():
     for label, finite in ((0, True), (2, False)):
         with np.errstate(over="ignore"):
             values = [loss_fn(d, [label], 0.05).item()
-                      for loss_fn in (_ranking_loss_per_op, gd.ranking_loss)]
+                      for loss_fn in (_ranking_loss_per_op, tops.ranking_loss)]
         assert values[0] == values[1] and math.isfinite(values[0]) == finite
     with pytest.raises(NumericError):
         nk.check_finite(values[1], "the loss of stage1 epoch 0")
@@ -410,7 +411,7 @@ def _one_shot_conditioning(model, x):
     their ops: the oracle of the blocked pipeline.conditioning."""
     f = model.encode_batch(x)
     d = similarity_per_op(model, f).data
-    return f.data, d, nk.softmax_rows(Tensor2(scale_tensor(model, None).item() * d)).data
+    return f.data, d, nk.softmax_rows(scale_tensor(model, None).item() * d)
 
 
 @pytest.mark.parametrize("rest", [0, 1, 3, 511])

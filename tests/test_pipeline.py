@@ -1153,6 +1153,17 @@ def _write_nested_json(path):
     path.write_text(_NESTED_JSON)
 
 
+def _directory(path):
+    """Damage that makes path an empty directory."""
+    path.mkdir(parents=True)
+
+
+def _empty_config(path):
+    """Damage that writes an empty --config object at path."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("{}")
+
+
 def _nested_dataset_meta(path):
     """Damage that replaces a dataset's sidecar with deeply nested JSON."""
     _write_nested_json(Path(str(path) + ".meta.json"))
@@ -1376,6 +1387,10 @@ _BAD_INPUTS = {
     # the same bound on generated data and on a noise schedule, from the
     # command line or a checkpoint (each was a ValueError traceback)
     "gen-data-n-2**62": (5, "gen-data", ["--n", str(2**62)], None, None, None),
+    # the directories made above --report are removed when the command fails
+    "eval-guidance-missing-report-deep": (
+        3, "eval", ["--guidance", "{w}/missing.npz", "--report", "{w}/Y/deep/r.json"],
+        None, None, None),
     "gen-data-d_in-2**63-1": (5, "gen-data", ["--d-in", str(2**63 - 1)], None, None, None),
     "train-diffusion-t_total-2**62": (
         5, "train-diffusion", ["--t-total", str(2**62)], None, None, None),
@@ -1383,6 +1398,14 @@ _BAD_INPUTS = {
     "train-guidance-seed-negative": (
         2, "train-guidance", ["--seed", "-1"], None, None, None),
     "gen-data-seed-negative": (2, "gen-data", ["--seed", "-1"], None, None, None),
+    # gen-data's four files under --out follow the output and same-file
+    # rules: it wrote source.csv and its sidecar before it exited 3 on a
+    # target.csv that is a directory, and overwrote the --config file it read
+    "gen-data-target-csv-a-directory": (
+        2, "gen-data", [], "gen/target.csv", _directory, None),
+    "gen-data-out-is-its-config": (
+        2, "gen-data", ["--config", "{w}/gen/source.csv"], "gen/source.csv", _empty_config,
+        None),
     # a mix that leaves a grade without rows wrote data that train-guidance
     # refused (exit 3, "cannot stratify") after gen-data exited 0
     "gen-data-n-5": (2, "gen-data", ["--n", "5"], None, None, None),
@@ -1644,6 +1667,7 @@ _SAME_FILE = {
     "ablate-out-is-its-base": ("out", "written twice"),
     "train-diffusion-out-is-guidance": ("out", "an input (--guidance)"),
     "eval-report-is-target-csv": ("report", "an input (--data)"),
+    "gen-data-out-is-its-config": ("out", "an input (--config)"),
 }
 
 
@@ -1741,7 +1765,8 @@ def _bad_input_argv(case, tiny_inputs, tmp_path):
 
 
 def _files(root):
-    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+    """Each file's bytes and each directory (None) under root."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
@@ -1755,7 +1780,8 @@ def test_cli_bad_input_exit_code_and_one_line(case, tiny_inputs, tmp_path, capsy
     assert len(err.strip().splitlines()) == 1, err
     if code == 3 and target is not None:
         assert target in err  # the message names the damaged file
-    # a failing run writes, changes and removes no file
+    # a failing run writes, changes and removes no file, and leaves no
+    # directory it made
     assert _files(tmp_path / "w") == before
 
 
@@ -2041,18 +2067,21 @@ def test_seed_sweep_script_writes_the_rule_and_its_verdict(tmp_path):
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     script = Path(__file__).resolve().parents[1] / "scripts" / "seed_sweep.py"
     out = tmp_path / "sweep.json"
-    sweep = lambda chain_seeds, data_seeds="3,4", n="300": subprocess.run(
+    sweep = lambda chain_seeds, data_seeds="3,4", n="300", steps="50": subprocess.run(
         [sys.executable, str(script), "--out", str(out), "--work", str(tmp_path / "work"),
-         "--data-seeds", data_seeds, "--chain-seeds", chain_seeds, "--chain-steps", "50",
+         "--data-seeds", data_seeds, "--chain-seeds", chain_seeds, "--chain-steps", steps,
          "--n", n], env=env, capture_output=True, text=True, timeout=300)
     # one chain seed, or one given twice, makes its median its minimum; a
-    # benchmark or run of any data seed may be one no config takes: the script
-    # refuses in one line before any work
+    # benchmark or run of any data seed, or a diffusion row's run at any K
+    # and chain seed, may be one no config takes: the script refuses in one
+    # line before any work
     refusals = [
         (("1",), "--chain-seeds: the rule needs at least 2 distinct chain seeds, got 1"),
         (("2,2",), "--chain-seeds: the rule needs at least 2 distinct chain seeds, got 2,2"),
         (("1,2", "3,4", "3"), "--n 3, --data-seeds 3,4: need n >= k samples"),
-        (("1,2", "42,-1"), "--n 300, --data-seeds 42,-1: seed must be >= 0")]
+        (("1,2", "42,-1"), "--n 300, --data-seeds 42,-1: seed must be >= 0"),
+        (("1,2", "3,4", "300", "0"), "--chain-seeds 1,2, K 100,0: chain_steps must be >= 1, got 0"),
+        (("1,-2",), "--chain-seeds 1,-2, K 100,50: seed must be >= 0, got -2")]
     for argv, want in refusals:
         proc = sweep(*argv)
         assert proc.returncode == 1 and proc.stderr == want + "\n", proc.stderr
